@@ -13,8 +13,6 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -56,6 +54,10 @@ def cmd_solve(args) -> int:
         from .io import emit_mode_tables
 
         files["mode_tables"] = emit_mode_tables(args.out, bundle)
+    if not bundle.converged:
+        print(f"solver failure: no convergence in {len(bundle.history)} iterations "
+              f"(artifacts in {args.out})", file=sys.stderr)
+        return EXIT_SOLVER
     print(f"solved rho_tilde={cfg.rho_tilde:g}: lambda={bundle.lam:.9e}, "
           f"iters={len(bundle.history)}, residual={report['fixed_point_residual']:.3e}")
     print(f"artifacts in {args.out}: {', '.join(sorted(files.values()))}")
@@ -82,13 +84,10 @@ def cmd_validate(args) -> int:
 
 
 def _sweep_point(cfg, rho):
-    import dataclasses as dc
-
     from .driver import NonContraction, diagnostics, picard_solve
 
-    point = dc.replace(cfg, rho_tilde=rho)
     try:
-        bundle = picard_solve(point)
+        bundle = picard_solve(dataclasses.replace(cfg, rho_tilde=rho))
         rep = diagnostics(bundle)
         ratios = rep.get("contraction_ratios") or [float("nan")]
         return {
@@ -98,7 +97,7 @@ def _sweep_point(cfg, rho):
             "contraction_ratio": ratios[0],
             "wake_coefficient": rep.get("wake_coefficient", float("nan")),
             "force_defect": rep.get("force_e3_defect_rel", float("nan")),
-            "status": "ok",
+            "status": "ok" if bundle.converged else "failed: NotConverged",
         }
     except (NonContraction, ValueError, RuntimeError) as e:
         return {
@@ -176,6 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a grid that starts with a minus sign as an option
+    if "--rho-grid" in argv[:-1]:
+        i = argv.index("--rho-grid")
+        argv[i : i + 2] = [f"--rho-grid={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

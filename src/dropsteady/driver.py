@@ -14,20 +14,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import HeightFunction, build_map
+from .geometry import ETA_SOBOLEV_ORDER, HeightFunction, build_map
 from .operators import (
     DropState,
     OperatorContext,
     apply_L,
     assemble_N,
     build_context,
-    invert_L,
     invert_L_with_tail,
+    matvec,
     norm_X,
     norm_Y,
 )
 from .sphere import SphereField, sobolev_norm
-from .stokes import PhysicalParams, oseenlet
+from .stokes import PhysicalParams, axisym_leakage, oseenlet
 from .volume import (
     EXTERIOR,
     INTERIOR,
@@ -61,23 +61,30 @@ class SolveConfig:
     mu2: float = 1.0
     sigma: float = 1.0
     alpha: float = 0.8
-    q: float = 4.0 / 3.0
-    r: float = 4.0
     band_limit: int = 16
     n_r_int: int = 24
     n_r_ext: int = 40
     r_inf: float = 64.0
     max_iters: int = 60
     tol_fixed_point: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self):
+        self.params()  # checks the physical parameters
         if not (0.75 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (3/4, 1)")
-        if not (1.0 < self.q <= 4.0 / 3.0):
-            raise ValueError("q must lie in (1, 4/3]")
-        if not self.r > 3.0:
-            raise ValueError("r must exceed 3")
+        if not self.band_limit >= 1:
+            raise ValueError("band_limit must be at least 1")
+        # the exterior nodes are a Lobatto grid, which needs both end points
+        if not (self.n_r_int >= 1 and self.n_r_ext >= 2):
+            raise ValueError("n_r_int must be at least 1 and n_r_ext at least 2")
+        # build_context clamps the truncation radius R to at most r_inf/2,
+        # and truncate_field needs R > 4
+        if not self.r_inf > 8.0:
+            raise ValueError("r_inf must exceed 8")
+        if not self.max_iters >= 1:
+            raise ValueError("max_iters must be at least 1")
+        if not self.tol_fixed_point > 0.0:
+            raise ValueError("tol_fixed_point must be positive")
 
     def params(self) -> PhysicalParams:
         return PhysicalParams(self.mu1, self.mu2, self.sigma, self.rho_tilde)
@@ -223,11 +230,7 @@ def reconstruct_physical(bundle: SolutionBundle) -> dict:
     divw = vector_divergence(w)
     graddiv = scalar_gradient(divw)
     gq = scalar_gradient(q)
-    adv = VolumeField(
-        grid,
-        np.einsum("ijrab,jrab->irab", jac_w.blocks[INTERIOR], w.blocks[INTERIOR]),
-        np.einsum("ijrab,jrab->irab", jac_w.blocks[EXTERIOR], w.blocks[EXTERIOR]),
-    )
+    adv = matvec(jac_w, w)
     dz = d3(w)
     res = VolumeField(
         grid,
@@ -259,7 +262,6 @@ def _pullback_surface_force(bundle: SolutionBundle) -> np.ndarray:
     grid = ctx.grid
     g = grid.sphere
     st = bundle.state
-    lam = bundle.lam
     mp = build_map(HeightFunction(st.eta), grid)
     w, q = physical_fields(bundle)
     jac_w = vector_gradient(w)
@@ -296,7 +298,7 @@ def diagnostics(bundle: SolutionBundle) -> dict:
     rep = dict(bundle.report)
     ev = st.eta.values
     rep["volume_defect"] = g.quad((1.0 + ev) ** 3 - 1.0)
-    rep["eta_norm"] = sobolev_norm(st.eta, 2.75)
+    rep["eta_norm"] = sobolev_norm(st.eta, ETA_SOBOLEV_ORDER)
 
     if cfg.rho_tilde != 0.0:
         force = _pullback_surface_force(bundle)
@@ -323,29 +325,14 @@ def diagnostics(bundle: SolutionBundle) -> dict:
         rep["force_transverse_max"] = 0.0
         rep["barycenter"] = np.zeros(3)
 
-    rep["axisym_leakage"] = _state_axisym_leakage(st, grid)
+    ec = st.eta.coeffs.copy()
+    ec[:, st.eta.band] = 0.0  # remove m = 0
+    rep["axisym_leakage"] = max(axisym_leakage(st.u, grid), float(np.max(np.abs(ec))))
     if cfg.rho_tilde != 0.0:
         rep.update(farfield_fit(bundle))
     phys = reconstruct_physical(bundle)
     rep["midshell_residual"] = phys["midshell_residual"]
     return rep
-
-
-def _state_axisym_leakage(st: DropState, grid: VolumeGrid) -> float:
-    from .volume import vsh_channels
-
-    g = grid.sphere
-    L = g.band_limit
-    leak = 0.0
-    for ph in (INTERIOR, EXTERIOR):
-        P, v, w = vsh_channels(st.u, ph, L)
-        for arr in (P, v, w):
-            a = arr.copy()
-            a[:, :, L] = 0.0
-            leak = max(leak, float(np.max(np.abs(a))))
-    ec = st.eta.coeffs.copy()
-    ec[:, st.eta.band] = 0.0
-    return max(leak, float(np.max(np.abs(ec))))
 
 
 def farfield_fit(bundle: SolutionBundle, n_shells: int = 6) -> dict:
@@ -362,7 +349,6 @@ def farfield_fit(bundle: SolutionBundle, n_shells: int = 6) -> dict:
     w, _ = physical_fields(bundle)
     radii = np.linspace(grid.r_inf / 4.0, grid.r_inf / 2.0, n_shells)
     vals = eval_radii(w, radii, EXTERIOR)  # (3, n_shell, nth, nph)
-    rhat = g.unit_vectors()[0]
     th, phg = g.nodes
     num = 0.0
     den = 0.0
@@ -418,8 +404,6 @@ def probe_epsilon(
 ) -> float:
     """Bisection for the largest |rho_tilde| that still contracts."""
     import dataclasses
-
-    grid = config.build_grid()
 
     def contracts(rho):
         cfg = dataclasses.replace(config, rho_tilde=rho, max_iters=12)

@@ -20,11 +20,9 @@ import numpy as np
 
 from .sphere import (
     SphereField,
-    TangentField,
     laplace_beltrami,
     sobolev_norm,
     surface_gradient,
-    integrate_sphere,
 )
 from .volume import (
     EXTERIOR,
@@ -303,7 +301,6 @@ def transformed_normal_projection(mp: MapData):
 
 
 def _metric_pieces(eta: SphereField):
-    g = eta.grid
     vals = eta.values
     if np.min(1.0 + vals) <= 0.0:
         raise ValueError("1 + eta must be positive")

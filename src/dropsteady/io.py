@@ -9,7 +9,6 @@ thread count.
 from __future__ import annotations
 
 import configparser
-import io as _io
 import os
 import time
 from dataclasses import asdict
@@ -31,10 +30,11 @@ __all__ = [
 _SECTIONS = {
     "physics": ("rho_tilde", "mu1", "mu2", "sigma"),
     "discretization": ("band_limit", "n_r_int", "n_r_ext", "r_inf"),
-    "iteration": ("alpha", "q", "r", "max_iters", "tol_fixed_point"),
-    "run": ("seed",),
+    "iteration": ("alpha", "max_iters", "tol_fixed_point"),
 }
-_INT_KEYS = {"band_limit", "n_r_int", "n_r_ext", "max_iters", "seed"}
+_INT_KEYS = {"band_limit", "n_r_int", "n_r_ext", "max_iters"}
+_BEGIN_CONFIG = "# --- begin embedded config (extractable) ---"
+_END_CONFIG = "# --- end embedded config ---"
 
 
 class ConfigError(ValueError):
@@ -46,14 +46,25 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: config file not found or unreadable") from e
+
+
 def load_config(path: str) -> SolveConfig:
+    return _parse_config(_read_text(path), path)
+
+
+def _parse_config(text: str, path: str) -> SolveConfig:
+    """Config text -> SolveConfig; every fault is a ConfigError naming ``path``."""
     cp = configparser.ConfigParser()
     try:
-        read = cp.read(path)
+        cp.read_string(text, source=path)
     except configparser.Error as e:
         raise ConfigError(f"{path}: {e}") from e
-    if not read:
-        raise ConfigError(f"{path}: config file not found or unreadable")
     kwargs = {}
     for section in cp.sections():
         if section not in _SECTIONS:
@@ -69,7 +80,7 @@ def load_config(path: str) -> SolveConfig:
                 ) from e
     try:
         return SolveConfig(**kwargs)
-    except (ValueError, TypeError) as e:
+    except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e
 
 
@@ -111,9 +122,9 @@ def write_manifest(path: str, cfg: SolveConfig, bundle, report: dict, files: dic
     lines.append(f"version = {__version__}")
     lines.append(f"written_unix = {time.time():.3f}")
     lines.append("")
-    lines.append("# --- begin embedded config (extractable) ---")
+    lines.append(_BEGIN_CONFIG)
     lines.append(dump_config(cfg))
-    lines.append("# --- end embedded config ---")
+    lines.append(_END_CONFIG)
     lines.append("")
     lines.append("[timing]")
     for k, v in bundle.timing.items():
@@ -141,22 +152,12 @@ def write_manifest(path: str, cfg: SolveConfig, bundle, report: dict, files: dic
 
 
 def config_from_manifest(path: str) -> SolveConfig:
-    """Extract the embedded config block and parse it."""
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        block = text.split("# --- begin embedded config (extractable) ---")[1]
-        block = block.split("# --- end embedded config ---")[0]
-    except IndexError as e:
-        raise ConfigError(f"{path}: no embedded config block") from e
-    cp = configparser.ConfigParser()
-    cp.read_string(block)
-    tmp = _io.StringIO(block)
-    kwargs = {}
-    for section in cp.sections():
-        for key, raw in cp.items(section):
-            kwargs[key] = int(raw) if key in _INT_KEYS else float(raw)
-    return SolveConfig(**kwargs)
+    """Extract the embedded config block and parse it as a config file."""
+    text = _read_text(path)
+    if _BEGIN_CONFIG not in text:
+        raise ConfigError(f"{path}: no embedded config block")
+    block = text.split(_BEGIN_CONFIG)[1].split(_END_CONFIG)[0]
+    return _parse_config(block, path)
 
 
 def solve_artifacts(out_dir: str, cfg: SolveConfig, bundle, report: dict) -> dict:
@@ -208,7 +209,7 @@ def solve_artifacts(out_dir: str, cfg: SolveConfig, bundle, report: dict) -> dic
 
 def emit_mode_tables(out_dir: str, bundle) -> str:
     """Opt-in per-mode coefficient tables for offline visualization."""
-    from .volume import INTERIOR, vsh_channels
+    from .volume import vsh_channels
 
     grid = bundle.ctx.grid
     g = grid.sphere

@@ -30,10 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    ETA_SOBOLEV_ORDER,
     HeightFunction,
-    MapData,
     build_map,
     curvature_nonlinear,
+    cutoff_unit,
+    cutoff_unit_d1,
     transformed_stress,
 )
 from .sphere import (
@@ -54,7 +56,6 @@ from .stokes import (
     TruncatedAux,
     TwoPhaseStokesSolver,
     auxiliary_field,
-    drag_integral,
     lambda0_value,
     solve_two_phase,
     surface_traction_jump,
@@ -118,15 +119,8 @@ class DropState:
         )
 
 
-@dataclass
-class YElement:
-    f: VolumeField
-    g: VolumeField
-    h1: SphereField
-    h2: TangentField
-    a1: float
-    a2: float
-    h3: SphereField
+class YElement(JumpData):
+    """Data-space element: the seven rows (f, g, h1, h2, a1, a2, h3)."""
 
     @classmethod
     def zeros(cls, grid: VolumeGrid) -> "YElement":
@@ -151,11 +145,6 @@ class YElement:
             a * self.a2 + b * other.a2,
             a * self.h3 + b * other.h3,
         )
-
-    def compatibility_defect(self) -> float:
-        from .volume import integrate_phase
-
-        return integrate_phase(self.g, INTERIOR) - integrate_sphere(self.h1)
 
 
 @dataclass
@@ -182,10 +171,9 @@ class OperatorContext:
     P_tail: VolumeField = field(init=False)
     sing_f: VolumeField = field(init=False)  # row 1 of L(X_tail)
     sing_g: VolumeField = field(init=False)  # row 2 of L(X_tail)
+    div_UR: VolumeField = field(init=False)  # Div U_R
 
     def __post_init__(self):
-        from .geometry import cutoff_unit, cutoff_unit_d1
-
         g = self.grid.sphere
         rhat = g.unit_vectors()[0]
         vals = np.einsum("iab,iab->ab", self.aux.traction_jump, rhat)
@@ -193,8 +181,10 @@ class OperatorContext:
         self.divU = vector_divergence(self.aux.U)
         self.U_tail = self.aux.U + (-1.0) * self.trunc.U_R
         self.P_tail = self.aux.P + (-1.0) * self.trunc.P_R
-        # row 2: div(U - U_R) = (1 - chi) div U - U . grad chi (analytic)
+        # row 2: div(U - U_R) = (1 - chi) div U - U . grad chi, and
+        # Div U_R = chi div U + U . grad chi (analytic in the cutoff)
         sing_g = VolumeField.zeros(self.grid)
+        div_UR = VolumeField.zeros(self.grid)
         d3tail = VolumeField.zeros(self.grid, rank=1)
         d3U = d3(self.aux.U)
         R = self.trunc.R
@@ -204,10 +194,12 @@ class OperatorContext:
             dchi = (cutoff_unit_d1(r / R) / R)[:, None, None]
             Ur = np.einsum("irab,iab->rab", self.aux.U.blocks[ph], rhat)
             sing_g.blocks[ph] = (1.0 - chi) * self.divU.blocks[ph] - dchi * Ur
+            div_UR.blocks[ph] = chi * self.divU.blocks[ph] + dchi * Ur
             d3tail.blocks[ph] = (1.0 - chi)[None] * d3U.blocks[ph] - (
                 dchi * rhat[2][None]
             )[None] * self.aux.U.blocks[ph]
         self.sing_g = sing_g
+        self.div_UR = div_UR
         # row 1: -Div T(U - U_R, P - P_R) + rho lambda0 d3 (U - U_R)
         self.sing_f = self.trunc.divT + d3tail.phasewise_scale(
             self.params.rho1 * self.lambda0, self.params.rho2 * self.lambda0
@@ -263,6 +255,25 @@ def _kernel_term(grid: VolumeGrid, eta: SphereField) -> SphereField:
     for nk in ns:
         out += integrate_sphere(eta * nk) * nk.values / (4.0 * np.pi)
     return SphereField(g, values=out)
+
+
+def _flat_stress(jac: VolumeField, p: VolumeField, mu1: float, mu2: float) -> VolumeField:
+    """Cauchy stress mu (grad w + grad w^T) - q I from a Jacobian field."""
+    eye = np.eye(3)[:, :, None, None, None]
+    out = VolumeField.zeros(jac.grid, rank=2)
+    for ph, mu in ((INTERIOR, mu1), (EXTERIOR, mu2)):
+        J = jac.blocks[ph]
+        out.blocks[ph] = mu * (J + np.einsum("ijrab->jirab", J)) - p.blocks[ph][None, None] * eye
+    return out
+
+
+def matvec(A: VolumeField, v: VolumeField) -> VolumeField:
+    """Pointwise (A v)_i = A_ij v_j of a rank-2 and a rank-1 field."""
+    return VolumeField(
+        A.grid,
+        np.einsum("ijrab,jrab->irab", A.blocks[INTERIOR], v.blocks[INTERIOR]),
+        np.einsum("ijrab,jrab->irab", A.blocks[EXTERIOR], v.blocks[EXTERIOR]),
+    )
 
 
 def _traction_jump_eta(T_eta: VolumeField, grid: VolumeGrid) -> np.ndarray:
@@ -427,41 +438,15 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> YElement:
 
     # transformed and flat stresses (the same primitive feeds rows 1, 4, 5, 7)
     T_eta_u = transformed_stress(jac_u, p, mp, mu1, mu2)
-    T_flat_u = VolumeField(
-        grid,
-        mu1 * (jac_u.blocks[INTERIOR] + np.einsum("ijrab->jirab", jac_u.blocks[INTERIOR]))
-        - p.blocks[INTERIOR][None, None] * eye,
-        mu2 * (jac_u.blocks[EXTERIOR] + np.einsum("ijrab->jirab", jac_u.blocks[EXTERIOR]))
-        - p.blocks[EXTERIOR][None, None] * eye,
-    )
+    T_flat_u = _flat_stress(jac_u, p, mu1, mu2)
     T_eta_U = transformed_stress(jac_UR, PR, mp, mu1, mu2)
-    T_flat_U = VolumeField(
-        grid,
-        mu1 * (jac_UR.blocks[INTERIOR] + np.einsum("ijrab->jirab", jac_UR.blocks[INTERIOR]))
-        - PR.blocks[INTERIOR][None, None] * eye,
-        mu2 * (jac_UR.blocks[EXTERIOR] + np.einsum("ijrab->jirab", jac_UR.blocks[EXTERIOR]))
-        - PR.blocks[EXTERIOR][None, None] * eye,
-    )
+    T_flat_U = _flat_stress(jac_UR, PR, mu1, mu2)
 
     from .volume import tensor_divergence
 
     # N1: geometric stress corrections plus advection and drift corrections
     divT_eta_U = tensor_divergence(T_eta_U - T_flat_U) + trunc.divT
     divT_diff_u = tensor_divergence(T_eta_u - T_flat_u)
-
-    def matvec(Afield, vfield):
-        return VolumeField(
-            grid,
-            np.einsum("ijrab,jrab->irab", Afield.blocks[INTERIOR], vfield.blocks[INTERIOR]),
-            np.einsum("ijrab,jrab->irab", Afield.blocks[EXTERIOR], vfield.blocks[EXTERIOR]),
-        )
-
-    def advect(jac, vel):
-        return VolumeField(
-            grid,
-            np.einsum("ijrab,jrab->irab", jac.blocks[INTERIOR], vel.blocks[INTERIOR]),
-            np.einsum("ijrab,jrab->irab", jac.blocks[EXTERIOR], vel.blocks[EXTERIOR]),
-        )
 
     def rho_scale(fld):
         return fld.phasewise_scale(params.rho1, params.rho2)
@@ -478,20 +463,19 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> YElement:
     N1 = (
         lam * divT_eta_U
         + divT_diff_u
-        - rho_scale(advect(jac_u, Au))
-        - lam * rho_scale(advect(jac_u, AUR) + advect(jac_UR, Au))
-        - lam**2 * rho_scale(advect(jac_UR, AUR))
-        - kappa * rho_scale(advect(jac_u, Ae3))
-        - lam0 * rho_scale(advect(jac_u, Ae3 - e3f))
-        - lam**2 * rho_scale(advect(jac_UR, Ae3))
+        - rho_scale(matvec(jac_u, Au))
+        - lam * rho_scale(matvec(jac_u, AUR) + matvec(jac_UR, Au))
+        - lam**2 * rho_scale(matvec(jac_UR, AUR))
+        - kappa * rho_scale(matvec(jac_u, Ae3))
+        - lam0 * rho_scale(matvec(jac_u, Ae3 - e3f))
+        - lam**2 * rho_scale(matvec(jac_UR, Ae3))
     )
 
     # N2 and N3 (compatible pair; surface weight one, see module docstring)
     ImA = VolumeField(grid, eye - mp.A.blocks[INTERIOR], eye - mp.A.blocks[EXTERIOR])
     AmI_UR = matvec(VolumeField(grid, mp.A.blocks[INTERIOR] - eye, mp.A.blocks[EXTERIOR] - eye), UR)
-    div_UR = _div_truncated(ctx)
     N2 = vector_divergence(matvec(ImA, u)) - lam * (
-        vector_divergence(AmI_UR) + div_UR
+        vector_divergence(AmI_UR) + ctx.div_UR
     )
 
     rhat = g.unit_vectors()[0]
@@ -550,28 +534,10 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> YElement:
     return YElement(N1, N2, N3, N4, N5, N6, N7)
 
 
-def _div_truncated(ctx: OperatorContext) -> VolumeField:
-    """Div U_R = chi_R div U + U . grad chi_R with analytic cutoff gradient."""
-    from .geometry import cutoff_unit, cutoff_unit_d1
-
-    grid = ctx.grid
-    R = ctx.trunc.R
-    rhat = grid.sphere.unit_vectors()[0]
-    out = VolumeField.zeros(grid)
-    for ph in (INTERIOR, EXTERIOR):
-        r = grid.radial(ph).r
-        chi = cutoff_unit(r / R)[:, None, None]
-        dchi = (cutoff_unit_d1(r / R) / R)[:, None, None]
-        Ur = np.einsum("irab,iab->rab", ctx.aux.U.blocks[ph], rhat)
-        out.blocks[ph] = chi * ctx.divU.blocks[ph] + dchi * Ur
-    return out
-
-
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
 
-ETA_ORDER = 2.75  # 3 - 1/r at r = 4
 H1_ORDER = 1.75  # 2 - 1/r
 H2_ORDER = 0.75  # 1 - 1/r
 
@@ -602,7 +568,7 @@ def norm_X(state: DropState, lambda0: float) -> dict:
 
     p_int_sq = integrate_phase(p * p, INTERIOR)
     n_p = norm_l2(gp) + np.sqrt(max(p_int_sq, 0.0))
-    n_eta = sobolev_norm(state.eta, ETA_ORDER)
+    n_eta = sobolev_norm(state.eta, ETA_SOBOLEV_ORDER)
     comps = {
         "u": n_u,
         "p": n_p,

@@ -29,7 +29,6 @@ __all__ = [
     "SphereGrid",
     "SphereField",
     "TangentField",
-    "default_padded_grid",
     "integrate_sphere",
     "laplace_beltrami",
     "surface_gradient",
@@ -154,10 +153,6 @@ def _cached_tables(lmax: int, xbytes: bytes, n: int):
     return _legendre_tables(lmax, x)
 
 
-def default_padded_grid(band_limit: int) -> SphereGrid:
-    return SphereGrid.build(band_limit)
-
-
 # ---------------------------------------------------------------------------
 # scalar fields
 # ---------------------------------------------------------------------------
@@ -202,13 +197,13 @@ class SphereField:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = _synthesis(self.grid, self._coeffs, self.band)
+            self._values = synthesis_batch(self.grid, self._coeffs, self.band)
         return self._values
 
     @property
     def coeffs(self) -> np.ndarray:
         if self._coeffs is None:
-            self._coeffs = _analysis(self.grid, self._values, self.band)
+            self._coeffs = analysis_batch(self.grid, self._values, self.band)
         return self._coeffs
 
     def with_band(self, band: int) -> "SphereField":
@@ -250,10 +245,6 @@ class SphereField:
 
     def copy(self) -> "SphereField":
         return SphereField(self.grid, coeffs=self.coeffs.copy(), band=self.band)
-
-    def l2(self) -> float:
-        c = self.coeffs
-        return float(np.sqrt(np.sum(c * c)))
 
 
 def analysis_batch(grid: SphereGrid, values: np.ndarray, band: int) -> np.ndarray:
@@ -353,14 +344,6 @@ def tangent_synthesis_batch(grid: SphereGrid, s: np.ndarray, t: np.ndarray, band
     return np.fft.irfft(Fth, n=nphi, axis=-1), np.fft.irfft(Fph, n=nphi, axis=-1)
 
 
-def _analysis(grid: SphereGrid, values: np.ndarray, band: int) -> np.ndarray:
-    return analysis_batch(grid, values, band)
-
-
-def _synthesis(grid: SphereGrid, coeffs: np.ndarray, band: int) -> np.ndarray:
-    return synthesis_batch(grid, coeffs, band)
-
-
 # ---------------------------------------------------------------------------
 # tangent vector fields
 # ---------------------------------------------------------------------------
@@ -389,13 +372,13 @@ class TangentField:
     @property
     def components(self):
         if self._tth is None:
-            self._tth, self._tph = _tangent_synthesis(self.grid, *self._spec, self.band)
+            self._tth, self._tph = tangent_synthesis_batch(self.grid, *self._spec, self.band)
         return self._tth, self._tph
 
     @property
     def spec(self):
         if self._spec is None:
-            self._spec = _tangent_analysis(self.grid, self._tth, self._tph, self.band)
+            self._spec = tangent_analysis_batch(self.grid, self._tth, self._tph, self.band)
         return self._spec
 
     def cartesian(self) -> np.ndarray:
@@ -403,9 +386,6 @@ class TangentField:
         _, that, phat = self.grid.unit_vectors()
         tth, tph = self.components
         return tth * that + tph * phat
-
-    def dot_normal(self) -> float:
-        return 0.0  # tangent by construction
 
     def __add__(self, other):
         a, b = self.components, other.components
@@ -419,20 +399,6 @@ class TangentField:
 
     def __sub__(self, other):
         return self + other * -1.0
-
-    def l2(self) -> float:
-        s, t = self.spec
-        l = np.arange(self.band + 1)[:, None]
-        w = l * (l + 1.0)
-        return float(np.sqrt(np.sum(w * (s * s + t * t))))
-
-
-def _tangent_analysis(grid: SphereGrid, tth, tph, band):
-    return tangent_analysis_batch(grid, tth, tph, band)
-
-
-def _tangent_synthesis(grid: SphereGrid, s, t, band):
-    return tangent_synthesis_batch(grid, s, t, band)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ __all__ = [
     "solve_two_phase",
     "AuxiliaryField",
     "auxiliary_field",
-    "surface_traction_sides",
+    "axisym_leakage",
     "surface_traction_jump",
     "drag_integral",
     "lambda0_value",
@@ -153,6 +153,22 @@ def _basis_at_infinity(rad, n):
     return ncheb.chebvander(np.array([rad.xi_infinity]), n - 1)[0]
 
 
+def _pinv_layout(rows):
+    """Stack named row blocks, scale every row to unit max and pseudo-invert.
+
+    Returns the pseudo-inverse and a layout holding the row scales and the
+    row slice of each named block, where its right-hand side goes.
+    """
+    M = np.vstack([blk for _, blk in rows])
+    ends = np.cumsum([blk.shape[0] for _, blk in rows])
+    row_sl = {name: slice(end - blk.shape[0], end) for (name, blk), end in zip(rows, ends)}
+    scale = np.max(np.abs(M), axis=1)
+    scale[scale == 0] = 1.0
+    M = M / scale[:, None]
+    pinv = np.linalg.pinv(M, rcond=1e-13)
+    return pinv, {"rows": row_sl, "scale": scale}
+
+
 class TwoPhaseStokesSolver:
     """Cached per-degree solve operators for one (grid, mu1, mu2) triple."""
 
@@ -176,7 +192,6 @@ class TwoPhaseStokesSolver:
         B0e, B1e, B2e = _exterior_basis(ge)
         ll1 = l * (l + 1.0)
         ri = gi.r[:, None]
-        se = ge.s[:, None]
         re = ge.r[:, None]
         mu1, mu2 = self.mu1, self.mu2
 
@@ -273,23 +288,12 @@ class TwoPhaseStokesSolver:
             blk[0, sl["pi"]] = gi.wq @ C0i
             rows.append(("pmean", blk))
 
-        names = []
-        mats = []
-        for name, blk in rows:
-            names.extend([name] * blk.shape[0])
-            mats.append(blk)
-        M = np.vstack(mats)
-        scale = np.max(np.abs(M), axis=1)
-        scale[scale == 0] = 1.0
-        M = M / scale[:, None]
-        pinv = np.linalg.pinv(M, rcond=1e-13)
-        layout = {
-            "names": names,
-            "scale": scale,
-            "sl": sl,
-            "has_v": has_v,
-            "B0": {"Pi": B0i, "vi": B0i, "pi": C0i, "Pe": B0e, "ve": B0e, "pe": B0e},
-        }
+        pinv, layout = _pinv_layout(rows)
+        layout.update(
+            sl=sl,
+            has_v=has_v,
+            B0={"Pi": B0i, "vi": B0i, "pi": C0i, "Pe": B0e, "ve": B0e, "pe": B0e},
+        )
         self._sph[l] = (pinv, layout)
         return self._sph[l]
 
@@ -326,20 +330,48 @@ class TwoPhaseStokesSolver:
         blk[0, sl["we"]] = _basis_at_infinity(ge, Me)
         rows.append(("decay_w", blk))
 
-        names = []
-        mats = []
-        for name, b in rows:
-            names.extend([name] * b.shape[0])
-            mats.append(b)
-        M = np.vstack(mats)
-        scale = np.max(np.abs(M), axis=1)
-        scale[scale == 0] = 1.0
-        M = M / scale[:, None]
-        pinv = np.linalg.pinv(M, rcond=1e-13)
-        self._tor[l] = (pinv, {"names": names, "scale": scale, "sl": sl, "B0": {"wi": B0i, "we": B0e}})
+        pinv, layout = _pinv_layout(rows)
+        layout.update(sl=sl, B0={"wi": B0i, "we": B0e})
+        self._tor[l] = (pinv, layout)
         return self._tor[l]
 
     # -- solve --------------------------------------------------------------
+    def solve_degree(self, l: int, fP, fv, fw, g, h1, h2s, h2t) -> dict:
+        """Radial solve of degree l for a set of orders m at once.
+
+        ``fP, fv, fw, g`` are (interior, exterior) pairs of nodal profiles
+        shaped (n_r, n_m); ``h1, h2s, h2t`` are interface data shaped (n_m,).
+        Returns the nodal profiles P, v, w, p as (interior, exterior) pairs
+        (v and w vanish at l = 0) and the spheroidal coefficients.
+        """
+        pinv, lay = self._spheroidal(l)
+        rows = lay["rows"]
+        rhs = np.zeros((len(lay["scale"]), len(h1)))
+        rhs[rows["mom_r_i"]], rhs[rows["mom_r_e"]] = fP
+        rhs[rows["div_i"]], rhs[rows["div_e"]] = g
+        rhs[rows["h1"]] = h1
+        if lay["has_v"]:
+            rhs[rows["mom_t_i"]], rhs[rows["mom_t_e"]] = fv
+            rhs[rows["h2s"]] = h2s
+        x = pinv @ (rhs / lay["scale"][:, None])
+        out = {
+            "P": _profiles(lay, x, "Pi", "Pe"),
+            "p": _profiles(lay, x, "pi", "pe"),
+            "coeffs": x,
+        }
+        if not lay["has_v"]:
+            out["v"] = out["w"] = tuple(np.zeros_like(a) for a in out["P"])
+            return out
+        out["v"] = _profiles(lay, x, "vi", "ve")
+        tpinv, tlay = self._toroidal(l)
+        trows = tlay["rows"]
+        trhs = np.zeros((len(tlay["scale"]), len(h1)))
+        trhs[trows["mom_w_i"]], trhs[trows["mom_w_e"]] = fw
+        trhs[trows["h2t"]] = h2t
+        tx = tpinv @ (trhs / tlay["scale"][:, None])
+        out["w"] = _profiles(tlay, tx, "wi", "we")
+        return out
+
     def solve(self, data: JumpData, check_compat: bool = True) -> TwoPhaseSolution:
         """Pure Stokes solve (no drift) with pressure mean zero in the drop."""
         grid = self.grid
@@ -369,39 +401,18 @@ class TwoPhaseStokesSolver:
 
         for l in range(L + 1):
             ms = slice(L - l, L + l + 1)
-            nm = 2 * l + 1
-            pinv, lay = self._spheroidal(l)
-            names, scale, sl = lay["names"], lay["scale"], lay["sl"]
-            rhs = np.zeros((len(names), nm))
-            rows = np.array(names)
-            rhs[rows == "mom_r_i"] = fPi[:, l, ms]
-            rhs[rows == "mom_r_e"] = fPe[:, l, ms]
-            rhs[rows == "div_i"] = gmi[:, l, ms]
-            rhs[rows == "div_e"] = gme[:, l, ms]
-            rhs[rows == "h1"] = h1m[l, ms]
-            if lay["has_v"]:
-                rhs[rows == "mom_t_i"] = fvi[:, l, ms]
-                rhs[rows == "mom_t_e"] = fve[:, l, ms]
-                rhs[rows == "h2s"] = h2s[l, ms]
-            x = pinv @ (rhs / scale[:, None])
-            B0 = lay["B0"]
-            P[INTERIOR][:, l, ms] = B0["Pi"] @ x[sl["Pi"]]
-            P[EXTERIOR][:, l, ms] = B0["Pe"] @ x[sl["Pe"]]
-            Q[INTERIOR][:, l, ms] = B0["pi"] @ x[sl["pi"]]
-            Q[EXTERIOR][:, l, ms] = B0["pe"] @ x[sl["pe"]]
-            if lay["has_v"]:
-                V[INTERIOR][:, l, ms] = B0["vi"] @ x[sl["vi"]]
-                V[EXTERIOR][:, l, ms] = B0["ve"] @ x[sl["ve"]]
-                # toroidal channel
-                tpinv, tlay = self._toroidal(l)
-                tnames = np.array(tlay["names"])
-                trhs = np.zeros((len(tnames), nm))
-                trhs[tnames == "mom_w_i"] = fwi[:, l, ms]
-                trhs[tnames == "mom_w_e"] = fwe[:, l, ms]
-                trhs[tnames == "h2t"] = h2t[l, ms]
-                tx = tpinv @ (trhs / tlay["scale"][:, None])
-                W[INTERIOR][:, l, ms] = tlay["B0"]["wi"] @ tx[tlay["sl"]["wi"]]
-                W[EXTERIOR][:, l, ms] = tlay["B0"]["we"] @ tx[tlay["sl"]["we"]]
+            out = self.solve_degree(
+                l,
+                (fPi[:, l, ms], fPe[:, l, ms]),
+                (fvi[:, l, ms], fve[:, l, ms]),
+                (fwi[:, l, ms], fwe[:, l, ms]),
+                (gmi[:, l, ms], gme[:, l, ms]),
+                h1m[l, ms],
+                h2s[l, ms],
+                h2t[l, ms],
+            )
+            for arr, key in ((P, "P"), (V, "v"), (W, "w"), (Q, "p")):
+                arr[INTERIOR][:, l, ms], arr[EXTERIOR][:, l, ms] = out[key]
 
         u = VolumeField(
             grid,
@@ -414,6 +425,11 @@ class TwoPhaseStokesSolver:
             synthesis_batch(g, Q[1], L),
         )
         return TwoPhaseSolution(u, p)
+
+
+def _profiles(lay, x, name_i, name_e):
+    """Nodal (interior, exterior) profiles of two column blocks of x."""
+    return (lay["B0"][name_i] @ x[lay["sl"][name_i]], lay["B0"][name_e] @ x[lay["sl"][name_e]])
 
 
 def stokes_mode_solve(
@@ -433,46 +449,18 @@ def stokes_mode_solve(
     coefficient vector of the spheroidal block.
     """
     grid = solver.grid
-    Mi, Me = grid.interior.n, grid.exterior.n
-    z = (np.zeros(Mi), np.zeros(Me))
-    fP = z if fP is None else fP
-    fv = z if fv is None else fv
-    fw = z if fw is None else fw
-    gprof = z if gprof is None else gprof
-    pinv, lay = solver._spheroidal(l)
-    names = np.array(lay["names"])
-    rhs = np.zeros(len(names))
-    rhs[names == "mom_r_i"] = fP[0]
-    rhs[names == "mom_r_e"] = fP[1]
-    rhs[names == "div_i"] = gprof[0]
-    rhs[names == "div_e"] = gprof[1]
-    rhs[names == "h1"] = h1
-    if lay["has_v"]:
-        rhs[names == "mom_t_i"] = fv[0]
-        rhs[names == "mom_t_e"] = fv[1]
-        rhs[names == "h2s"] = h2s
-    scaled = rhs / lay["scale"]
-    x = pinv @ scaled
-    out = {}
-    sl = lay["sl"]
-    B0 = lay["B0"]
-    out["P"] = (B0["Pi"] @ x[sl["Pi"]], B0["Pe"] @ x[sl["Pe"]])
-    out["p"] = (B0["pi"] @ x[sl["pi"]], B0["pe"] @ x[sl["pe"]])
-    if lay["has_v"]:
-        out["v"] = (B0["vi"] @ x[sl["vi"]], B0["ve"] @ x[sl["ve"]])
-        tpinv, tlay = solver._toroidal(l)
-        tnames = np.array(tlay["names"])
-        trhs = np.zeros(len(tnames))
-        trhs[tnames == "mom_w_i"] = fw[0]
-        trhs[tnames == "mom_w_e"] = fw[1]
-        trhs[tnames == "h2t"] = h2t
-        tx = tpinv @ (trhs / tlay["scale"])
-        out["w"] = (tlay["B0"]["wi"] @ tx[tlay["sl"]["wi"]], tlay["B0"]["we"] @ tx[tlay["sl"]["we"]])
-    else:
-        out["v"] = z
-        out["w"] = z
-    out["coeffs"] = x
-    return out
+    z = (np.zeros(grid.interior.n), np.zeros(grid.exterior.n))
+
+    def column(pair):
+        return tuple(np.reshape(a, (-1, 1)) for a in (z if pair is None else pair))
+
+    out = solver.solve_degree(
+        l, column(fP), column(fv), column(fw), column(gprof),
+        np.reshape(h1, 1), np.reshape(h2s, 1), np.reshape(h2t, 1),
+    )
+    res = {key: tuple(a[:, 0] for a in out[key]) for key in ("P", "v", "w", "p")}
+    res["coeffs"] = out["coeffs"][:, 0]
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -588,15 +576,10 @@ def _traction_nodal(grid, t_r, t_s, t_t):
     return ur[None] * rhat + tth[None] * that + tph[None] * phat
 
 
-def surface_traction_sides(u, p, grid, mu1, mu2):
-    """(T(u,p) n) traces from the drop and reservoir sides, nodal (3, ...)."""
+def surface_traction_jump(u, p, grid, mu1, mu2):
+    """[[T(u,p) n]]: drop-side minus reservoir-side traction, nodal (3, ...)."""
     ti = _traction_nodal(grid, *_traction_modes(grid, INTERIOR, u, p, mu1))
     te = _traction_nodal(grid, *_traction_modes(grid, EXTERIOR, u, p, mu2))
-    return ti, te
-
-
-def surface_traction_jump(u, p, grid, mu1, mu2):
-    ti, te = surface_traction_sides(u, p, grid, mu1, mu2)
     return ti - te
 
 
@@ -678,7 +661,7 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
     dissipation = diss_int + diss_range - flux
 
     tang = jump - np.einsum("iab,iab->ab", jump, rhat)[None] * rhat
-    m_leak = _axisym_leakage(U, grid)
+    m_leak = axisym_leakage(U, grid)
     checks = {
         "normal_velocity_defect": float(
             np.max(np.abs(np.einsum("iab,iab->ab", U.trace(INTERIOR), rhat) + n3.values))
@@ -692,7 +675,8 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
     )
 
 
-def _axisym_leakage(u: VolumeField, grid: VolumeGrid) -> float:
+def axisym_leakage(u: VolumeField, grid: VolumeGrid) -> float:
+    """Largest m != 0 coefficient of the (P, v, w) channels in either phase."""
     g = grid.sphere
     L = g.band_limit
     leak = 0.0
@@ -725,26 +709,15 @@ class TruncatedAux:
         grid = self.U_R.grid
         rhat = grid.sphere.unit_vectors()[0]
         radii = np.asarray(radii, float)
-        U = eval_radii(self.aux.U, radii, EXTERIOR)
-        jac = eval_radii(self.aux.jacU, radii, EXTERIOR)
-        Pp = eval_radii(self.aux.P, radii, EXTERIOR)
-        R = self.R
-        dchi = (cutoff_unit_d1(radii / R) / R)[:, None, None]
-        d2chi = (cutoff_unit_d2(radii / R) / R**2)[:, None, None]
-        rinv = (1.0 / radii)[:, None, None]
-        gradchi = dchi[None] * rhat[:, None]
-        eye = np.eye(3)[:, :, None, None, None]
-        rr = np.einsum("iab,jab->ijab", rhat, rhat)[:, :, None]
-        hess = d2chi[None, None] * rr + (dchi * rinv)[None, None] * (eye - rr)
-        lapchi = d2chi + 2.0 * rinv * dchi
-        S = 0.5 * (jac + np.einsum("ijrab->jirab", jac))
-        term = (
-            np.einsum("ijrab,jrab->irab", S, gradchi)
-            + 0.5 * np.einsum("ijrab,jrab->irab", hess, U)
-            + 0.5 * np.einsum("ijrab,jrab->irab", jac, gradchi)
-            + 0.5 * lapchi[None] * U
+        return _cutoff_stress_divergence(
+            eval_radii(self.aux.U, radii, EXTERIOR),
+            eval_radii(self.aux.jacU, radii, EXTERIOR),
+            eval_radii(self.aux.P, radii, EXTERIOR),
+            radii,
+            self.R,
+            rhat,
+            self.mu2,
         )
-        return 2.0 * self.mu2 * term - Pp[None] * gradchi
 
     def divT_norm_lq(self, q: float, n_gauss: int = 48) -> float:
         """L^q norm of Div T(U_R, P_R) on its support annulus [R, 2R]."""
@@ -777,22 +750,40 @@ def truncate_field(aux: AuxiliaryField, R: float, grid: VolumeGrid, mu2: float) 
         jac_UR.blocks[ph] = chi[None, None] * aux.jacU.blocks[ph] + np.einsum(
             "irab,jrab->ijrab", aux.U.blocks[ph], gradchi
         )
-        if ph == EXTERIOR:
-            d2chi = (cutoff_unit_d2(r / R) / R**2)[:, None, None]
-            rinv = (1.0 / r)[:, None, None]
-            eye = np.eye(3)[:, :, None, None, None]
-            rr = np.einsum("iab,jab->ijab", rhat, rhat)[:, :, None]
-            hess = d2chi[None, None] * rr + (dchi * rinv)[None, None] * (eye - rr)
-            lapchi = d2chi + 2.0 * rinv * dchi
-            S = 0.5 * (aux.jacU.blocks[ph] + np.einsum("ijrab->jirab", aux.jacU.blocks[ph]))
-            term = (
-                np.einsum("ijrab,jrab->irab", S, gradchi)
-                + 0.5 * np.einsum("ijrab,jrab->irab", hess, aux.U.blocks[ph])
-                + 0.5 * np.einsum("ijrab,jrab->irab", aux.jacU.blocks[ph], gradchi)
-                + 0.5 * lapchi[None] * aux.U.blocks[ph]
-            )
-            divT.blocks[ph] = 2.0 * mu2 * term - aux.P.blocks[ph][None] * gradchi
+    divT.blocks[EXTERIOR] = _cutoff_stress_divergence(
+        aux.U.blocks[EXTERIOR],
+        aux.jacU.blocks[EXTERIOR],
+        aux.P.blocks[EXTERIOR],
+        grid.exterior.r,
+        R,
+        rhat,
+        mu2,
+    )
     return TruncatedAux(R, U_R, P_R, jac_UR, divT, aux, mu2)
+
+
+def _cutoff_stress_divergence(U, jac, P, r, R, rhat, mu2):
+    """Div T(chi_R U, chi_R P) for a Stokes pair (U, P), analytic in the cutoff.
+
+    ``U``, ``jac`` and ``P`` are the pair's velocity, Jacobian and pressure
+    on the angular grid at exterior radii ``r``.
+    """
+    dchi = (cutoff_unit_d1(r / R) / R)[:, None, None]
+    d2chi = (cutoff_unit_d2(r / R) / R**2)[:, None, None]
+    rinv = (1.0 / r)[:, None, None]
+    gradchi = dchi[None] * rhat[:, None]
+    eye = np.eye(3)[:, :, None, None, None]
+    rr = np.einsum("iab,jab->ijab", rhat, rhat)[:, :, None]
+    hess = d2chi[None, None] * rr + (dchi * rinv)[None, None] * (eye - rr)
+    lapchi = d2chi + 2.0 * rinv * dchi
+    S = 0.5 * (jac + np.einsum("ijrab->jirab", jac))
+    term = (
+        np.einsum("ijrab,jrab->irab", S, gradchi)
+        + 0.5 * np.einsum("ijrab,jrab->irab", hess, U)
+        + 0.5 * np.einsum("ijrab,jrab->irab", jac, gradchi)
+        + 0.5 * lapchi[None] * U
+    )
+    return 2.0 * mu2 * term - P[None] * gradchi
 
 
 # ---------------------------------------------------------------------------

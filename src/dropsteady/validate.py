@@ -31,7 +31,7 @@ from .stokes import (
     oseenlet,
     truncate_field,
 )
-from .volume import EXTERIOR, VolumeGrid, eval_radii
+from .volume import VolumeGrid, eval_radii
 
 __all__ = ["Check", "run_validation", "CHECK_GROUPS"]
 

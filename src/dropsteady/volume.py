@@ -24,7 +24,7 @@ from .sphere import (
     tangent_synthesis_batch,
 )
 
-__all__ = ["VolumeGrid", "VolumeField", "VsvField"]
+__all__ = ["VolumeGrid", "VolumeField"]
 
 INTERIOR, EXTERIOR = 0, 1
 
@@ -82,9 +82,6 @@ class VolumeField:
             out.blocks[ph] = np.asarray(fn(x, y, z), float)
         return out
 
-    def copy(self) -> "VolumeField":
-        return VolumeField(self.grid, self.blocks[0].copy(), self.blocks[1].copy())
-
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
         return VolumeField(
@@ -138,20 +135,9 @@ def grid_points(grid: VolumeGrid, phase: int):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_radial_deriv(grid: VolumeGrid, phase: int, coeffs: np.ndarray, order: int):
-    """d^order/dr^order of per-mode profiles (n_r, L+1, 2L+1), parity l mod 2."""
-    rad = grid.radial(phase)
-    out = np.zeros_like(coeffs)
-    L = coeffs.shape[1] - 1
-    for par in (0, 1):
-        ls = np.arange(par, L + 1, 2)
-        if ls.size:
-            out[:, ls, :] = rad.deriv(coeffs[:, ls, :], parity=par, order=order)
-    return out
-
-
 def _chan_radial_deriv(grid: VolumeGrid, phase: int, coeffs: np.ndarray, base_parity: int, order: int):
-    """Same but with channel parity (l + base_parity) mod 2 (P,v: base 1)."""
+    """d^order/dr^order of per-mode profiles (n_r, L+1, 2L+1) with channel
+    parity (l + base_parity) mod 2 (scalars and w: base 0; P, v: base 1)."""
     rad = grid.radial(phase)
     out = np.zeros_like(coeffs)
     L = coeffs.shape[1] - 1
@@ -162,19 +148,12 @@ def _chan_radial_deriv(grid: VolumeGrid, phase: int, coeffs: np.ndarray, base_pa
     return out
 
 
-def scalar_modes(field: VolumeField, phase: int, band=None) -> np.ndarray:
-    g = field.grid.sphere
-    band = g.band_limit if band is None else band
-    return analysis_batch(g, field.blocks[phase], band)
-
-
-def scalar_from_modes(grid: VolumeGrid, coeffs_int, coeffs_ext, band=None) -> VolumeField:
-    g = grid.sphere
-    band = g.band_limit if band is None else band
+def _stack(fields) -> VolumeField:
+    """One field of rank r + 1 whose leading axis runs over rank-r ``fields``."""
     return VolumeField(
-        grid,
-        synthesis_batch(g, coeffs_int, band),
-        synthesis_batch(g, coeffs_ext, band),
+        fields[0].grid,
+        np.stack([f.blocks[0] for f in fields]),
+        np.stack([f.blocks[1] for f in fields]),
     )
 
 
@@ -187,7 +166,7 @@ def scalar_gradient(f: VolumeField, band=None) -> VolumeField:
     rhat, that, phat = g.unit_vectors()
     for ph in (INTERIOR, EXTERIOR):
         C = analysis_batch(g, f.blocks[ph], band)
-        dr = synthesis_batch(g, _scalar_radial_deriv(grid, ph, C, 1), band)
+        dr = synthesis_batch(g, _chan_radial_deriv(grid, ph, C, 0, 1), band)
         tth, tph = tangent_synthesis_batch(g, C, np.zeros_like(C), band)
         rinv = 1.0 / grid.radius_mesh(ph)
         out.blocks[ph] = (
@@ -206,11 +185,7 @@ def d3(f: VolumeField, band=None) -> VolumeField:
     for k in range(3):
         fk = VolumeField(f.grid, f.blocks[0][k], f.blocks[1][k])
         comps.append(d3(fk, band))
-    return VolumeField(
-        f.grid,
-        np.stack([c.blocks[0] for c in comps]),
-        np.stack([c.blocks[1] for c in comps]),
-    )
+    return _stack(comps)
 
 
 def vector_gradient(u: VolumeField, band=None) -> VolumeField:
@@ -219,11 +194,7 @@ def vector_gradient(u: VolumeField, band=None) -> VolumeField:
     for k in range(3):
         fk = VolumeField(u.grid, u.blocks[0][k], u.blocks[1][k])
         rows.append(scalar_gradient(fk, band))
-    return VolumeField(
-        u.grid,
-        np.stack([r.blocks[0] for r in rows]),
-        np.stack([r.blocks[1] for r in rows]),
-    )
+    return _stack(rows)
 
 
 def vsh_channels(u: VolumeField, phase: int, band=None):
@@ -247,32 +218,6 @@ def vsh_assemble(grid: VolumeGrid, phase: int, P, v, w, band=None) -> np.ndarray
     ur = synthesis_batch(g, P, band)
     tth, tph = tangent_synthesis_batch(g, v, w, band)
     return ur[None] * rhat[:, None] + tth[None] * that[:, None] + tph[None] * phat[:, None]
-
-
-class VsvField:
-    """Vector field in per-mode (P, v, w) radial-profile form, both phases."""
-
-    def __init__(self, grid: VolumeGrid, band: int, chans_int, chans_ext):
-        self.grid = grid
-        self.band = band
-        self.chans = [chans_int, chans_ext]  # each a (P, v, w) triple
-
-    @classmethod
-    def from_field(cls, u: VolumeField, band=None) -> "VsvField":
-        band = u.grid.sphere.band_limit if band is None else band
-        return cls(
-            u.grid,
-            band,
-            vsh_channels(u, INTERIOR, band),
-            vsh_channels(u, EXTERIOR, band),
-        )
-
-    def to_field(self) -> VolumeField:
-        return VolumeField(
-            self.grid,
-            vsh_assemble(self.grid, INTERIOR, *self.chans[0], self.band),
-            vsh_assemble(self.grid, EXTERIOR, *self.chans[1], self.band),
-        )
 
 
 def vector_divergence(u: VolumeField, band=None) -> VolumeField:
@@ -328,11 +273,7 @@ def tensor_divergence(T: VolumeField, band=None) -> VolumeField:
             term = VolumeField(T.grid, gj.blocks[0][j], gj.blocks[1][j])
             acc = term if acc is None else acc + term
         rows.append(acc)
-    return VolumeField(
-        T.grid,
-        np.stack([r.blocks[0] for r in rows]),
-        np.stack([r.blocks[1] for r in rows]),
-    )
+    return _stack(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +288,6 @@ def integrate_phase(f: VolumeField, phase: int) -> float:
     g = f.grid.sphere
     ang = np.einsum("ij,rij->r", g.weights, f.blocks[phase])
     return float(f.grid.radial(phase).integrate(ang))
-
-
-def integrate(f: VolumeField) -> float:
-    return integrate_phase(f, INTERIOR) + integrate_phase(f, EXTERIOR)
 
 
 def norm_lq(f: VolumeField, q: float) -> float:

@@ -46,11 +46,29 @@ def test_config_round_trip(tmp_path):
 
 
 def test_malformed_config_reports_key(tmp_path):
+    bad = "[physics]\nrho_tilde = 1e-3\nbogus_key = 2\n"
     p = tmp_path / "bad.cfg"
-    p.write_text("[physics]\nrho_tilde = 1e-3\nbogus_key = 2\n")
+    p.write_text(bad)
+    m = tmp_path / "manifest.txt"
+    m.write_text(
+        "# --- begin embedded config (extractable) ---\n"
+        + bad
+        + "# --- end embedded config ---\n"
+    )
+    for path, parse in ((p, load_config), (m, config_from_manifest)):
+        with pytest.raises(ConfigError) as e:
+            parse(str(path))
+        assert "bogus_key" in str(e.value)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("line", ["band_limit = 0", "r_inf = 8"])
+def test_out_of_range_value_is_config_error(tmp_path, line):
+    p = tmp_path / "range.cfg"
+    p.write_text(f"[discretization]\n{line}\n")
     with pytest.raises(ConfigError) as e:
         load_config(str(p))
-    assert "bogus_key" in str(e.value)
+    assert line.split()[0] in str(e.value)
     assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
@@ -73,6 +91,23 @@ def test_solver_failure_exit_code(tmp_path):
         "n_r_int = 14\nn_r_ext = 22\n\n[iteration]\nmax_iters = 6\n"
     )
     assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == EXIT_SOLVER
+
+
+def test_unconverged_solve_is_solver_failure(tmp_path, capsys):
+    p = tmp_path / "short.cfg"
+    p.write_text(SMALL.replace("max_iters = 30", "max_iters = 1"))
+    out = tmp_path / "out1"
+    capsys.readouterr()
+    assert main(["solve", "--config", str(p), "--out", str(out)]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert "solved" not in captured.out
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "converged = False" in (out / "manifest.txt").read_text()
+    assert (out / "interface_shape.csv").exists()
+    sw = tmp_path / "sw1"
+    assert main(["sweep", "--config", str(p), "--out", str(sw), "--rho-grid", "1e-3"]) == EXIT_OK
+    lines = (sw / "sweep.csv").read_text().strip().splitlines()
+    assert lines[1].endswith("failed: NotConverged")
 
 
 def test_trivial_solution_artifacts(tmp_path):
@@ -116,6 +151,14 @@ def test_sweep(tmp_path, cfgfile):
     assert len(lines) == 3
     assert lines[1].endswith("ok")
     assert "failed" in lines[2]
+    # a grid that starts with a minus sign is a value, not an option
+    neg = tmp_path / "neg"
+    code = main(["sweep", "--config", cfgfile, "--out", str(neg), "--rho-grid", "-1e-3,0"])
+    assert code == EXIT_OK
+    rows = [ln.split(",") for ln in (neg / "sweep.csv").read_text().strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["-0.001", "0"]
+    assert all(r[-1] == "ok" for r in rows)
+    assert float(rows[0][1]) > 0.0  # a lighter drop rises
 
 
 def test_sweep_empty_grid(tmp_path, cfgfile):

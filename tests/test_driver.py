@@ -32,10 +32,18 @@ def solved_mirror():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(alpha=0.5)
-    with pytest.raises(ValueError):
-        SolveConfig(q=1.5)
-    with pytest.raises(ValueError):
-        SolveConfig(r=2.0)
+    for bad in (
+        dict(band_limit=0),
+        dict(n_r_int=0),
+        dict(n_r_ext=1),
+        dict(r_inf=8.0),
+        dict(max_iters=0),
+        dict(tol_fixed_point=0.0),
+        dict(mu1=0.0),
+        dict(rho_tilde=1.0),
+    ):
+        with pytest.raises(ValueError):
+            SolveConfig(**bad)
 
 
 def test_trivial_solution_zero_density_contrast():

@@ -13,7 +13,6 @@ from dropsteady.volume import (
     tensor_divergence,
     d3,
     integrate_phase,
-    integrate,
     norm_lq,
     eval_shell,
     INTERIOR,
