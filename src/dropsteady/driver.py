@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ETA_SOBOLEV_ORDER, HeightFunction, build_map
+from .geometry import ETA_SOBOLEV_ORDER, HeightFunction, MapData, build_map
 from .operators import (
     DropState,
     OperatorContext,
@@ -171,7 +171,7 @@ def picard_solve(
         config, ctx, x, lam0 + x.kappa, lam0, converged, history
     )
     bundle.report["fixed_point_residual"] = norm_Y(res)["total"]
-    bundle.report["ball_norm"] = norm_X(x, lam0)["total"]
+    bundle.report["ball_norm"] = history[-1]["norm_x"]  # x is the last x_new
     bundle.report["ball_radius"] = abs(config.rho_tilde) ** config.alpha
     bundle.report["contraction_ratios"] = [
         h["ratio"] for h in history if "ratio" in h
@@ -255,14 +255,14 @@ def reconstruct_physical(bundle: SolutionBundle) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _pullback_surface_force(bundle: SolutionBundle) -> np.ndarray:
+def _pullback_surface_force(bundle: SolutionBundle, mp: MapData) -> np.ndarray:
     """int over the deformed interface of the stress jump, computed from
-    the eta-parameterization (independent of the cofactor bookkeeping)."""
+    the eta-parameterization (independent of the cofactor bookkeeping);
+    ``mp`` is the interface map of ``bundle.eta``."""
     ctx = bundle.ctx
     grid = ctx.grid
     g = grid.sphere
     st = bundle.state
-    mp = build_map(HeightFunction(st.eta), grid)
     w, q = physical_fields(bundle)
     jac_w = vector_gradient(w)
     eta = st.eta
@@ -301,13 +301,13 @@ def diagnostics(bundle: SolutionBundle) -> dict:
     rep["eta_norm"] = sobolev_norm(st.eta, ETA_SOBOLEV_ORDER)
 
     if cfg.rho_tilde != 0.0:
-        force = _pullback_surface_force(bundle)
+        mp = build_map(HeightFunction(st.eta), grid)
+        force = _pullback_surface_force(bundle, mp)
         target = cfg.rho_tilde * 4.0 * np.pi / 3.0
         rep["force_e3_defect_rel"] = abs(force[2] - target) / abs(target)
         rep["force_transverse_max"] = float(np.max(np.abs(force[:2])))
         rep["force_vector"] = force
         # barycenter of the deformed drop
-        mp = build_map(HeightFunction(st.eta), grid)
         from .volume import grid_points
 
         x, y, z = grid_points(grid, INTERIOR)

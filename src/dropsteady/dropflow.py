@@ -33,15 +33,10 @@ __all__ = [
     "surface_speed",
 ]
 
-# test hook used by the validation command's fault injection; scales the
-# reservoir viscosity used by the oracle only
-_FAULT_MU2_SCALE = 1.0
-
 C_NORM = np.sqrt(4.0 * np.pi / 3.0)  # cos(theta) = C_NORM * Y_{1,0}
 
 
 def coefficients(mu1: float, mu2: float) -> dict:
-    mu2 = mu2 * _FAULT_MU2_SCALE
     c = C_NORM
     C = -c * mu1 / (4.0 * (mu1 + mu2))
     D = 2.0 * C - c
@@ -62,7 +57,7 @@ def radial_profiles(r: np.ndarray, mu1: float, mu2: float):
     p = np.where(
         inside,
         10.0 * mu1 * k["B"] * r,
-        mu2 * _FAULT_MU2_SCALE * k["D"] / r**2,
+        mu2 * k["D"] / r**2,
     )
     return P, v, p
 
@@ -96,7 +91,6 @@ def pressure(x, y, z, mu1: float, mu2: float):
 
 def drag_e3(mu1: float, mu2: float) -> float:
     """e3 . int_{S^2} [[T(U,P) n]] dS for the unit-speed drop flow."""
-    mu2 = mu2 * _FAULT_MU2_SCALE
     kappa = mu1 / mu2
     return -2.0 * np.pi * mu2 * (2.0 + 3.0 * kappa) / (1.0 + kappa)
 

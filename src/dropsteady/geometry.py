@@ -44,7 +44,6 @@ __all__ = [
     "harmonic_extension",
     "build_map",
     "transformed_stress",
-    "transformed_normal_projection",
     "curvature_linear",
     "curvature_nonlinear",
     "curvature_total",
@@ -288,11 +287,6 @@ def transformed_stress(
         ]
         out.blocks[ph] = np.einsum("ikrab,jkrab->ijrab", inner, mp.A.blocks[ph])
     return out
-
-
-def transformed_normal_projection(mp: MapData):
-    """(pulled-back unit normal, tangential projector) of the interface."""
-    return mp.n_gamma, mp.P_eta
 
 
 # ---------------------------------------------------------------------------

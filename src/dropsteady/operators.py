@@ -54,7 +54,6 @@ from .stokes import (
     JumpData,
     PhysicalParams,
     TruncatedAux,
-    TwoPhaseStokesSolver,
     auxiliary_field,
     lambda0_value,
     solve_two_phase,
@@ -98,7 +97,6 @@ class DropState:
     kappa: float
     eta: SphereField
     tail: float = 0.0
-    diagnostics: dict = field(default_factory=dict)
 
     @classmethod
     def zeros(cls, grid: VolumeGrid) -> "DropState":
@@ -164,12 +162,11 @@ class OperatorContext:
     lambda0: float
     aux: AuxiliaryField
     trunc: TruncatedAux
-    solver: TwoPhaseStokesSolver
     jumpU_n: SphereField = field(init=False)
     divU: VolumeField = field(init=False)
     U_tail: VolumeField = field(init=False)
     P_tail: VolumeField = field(init=False)
-    sing_f: VolumeField = field(init=False)  # row 1 of L(X_tail)
+    d3tail: VolumeField = field(init=False)  # d3 (U - U_R)
     sing_g: VolumeField = field(init=False)  # row 2 of L(X_tail)
     div_UR: VolumeField = field(init=False)  # Div U_R
 
@@ -200,11 +197,16 @@ class OperatorContext:
             )[None] * self.aux.U.blocks[ph]
         self.sing_g = sing_g
         self.div_UR = div_UR
-        # row 1: -Div T(U - U_R, P - P_R) + rho lambda0 d3 (U - U_R)
-        self.sing_f = self.trunc.divT + d3tail.phasewise_scale(
+        self.d3tail = d3tail
+        self.jac_tail = self.aux.jacU + (-1.0) * self.trunc.jac_UR
+
+    @property
+    def sing_f(self) -> VolumeField:
+        """Row 1 of L(X_tail): -Div T(U - U_R, P - P_R) + rho lambda0 d3 (U - U_R),
+        at the current lambda0."""
+        return self.trunc.divT + self.d3tail.phasewise_scale(
             self.params.rho1 * self.lambda0, self.params.rho2 * self.lambda0
         )
-        self.jac_tail = self.aux.jacU + (-1.0) * self.trunc.jac_UR
 
     @property
     def e3_drag(self) -> float:
@@ -228,8 +230,7 @@ def build_context(
             R = grid.r_inf / 2.0
         R = min(max(R, 4.5), grid.r_inf / 2.0)
     trunc = truncate_field(aux, R, grid, params.mu2)
-    solver = TwoPhaseStokesSolver(grid, params.mu1, params.mu2)
-    return OperatorContext(grid, params, lam0, aux, trunc, solver)
+    return OperatorContext(grid, params, lam0, aux, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +356,7 @@ def invert_L(y: YElement, ctx: OperatorContext, tol_update: float = 1e-12) -> Dr
         gg = scalar_gradient(y.g)
         f_eff = y.f + VolumeField(grid, mu1 * gg.blocks[INTERIOR], mu2 * gg.blocks[EXTERIOR])
     sol = solve_two_phase(
-        JumpData(f_eff, y.g, y.h1, y.h2), lam0, params, ctx.solver, tol_update=tol_update
+        JumpData(f_eff, y.g, y.h1, y.h2), lam0, params, ctx.aux.solver, tol_update=tol_update
     )
     u, p = sol.u, sol.p
     jump = surface_traction_jump(u, p, grid, mu1, mu2)
@@ -376,9 +377,7 @@ def invert_L(y: YElement, ctx: OperatorContext, tol_update: float = 1e-12) -> Dr
     eta_par = 3.0 * project_kernel(psi)
     eta_perp = (1.0 / sigma) * solve_shifted(project_complement(psi))
     eta = eta_par + eta_perp
-    diag = dict(sol.diagnostics)
-    diag["pressure_constant"] = c_p
-    return DropState(u, p, kappa, eta, diagnostics=diag)
+    return DropState(u, p, kappa, eta)
 
 
 def invert_L_with_tail(y: YElement, lamc: float, ctx: OperatorContext) -> DropState:

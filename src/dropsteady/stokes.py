@@ -511,9 +511,6 @@ def solve_two_phase(
             if update <= tol_update * base:
                 break
     sol.diagnostics["richardson_ratios"] = ratios
-    sol.diagnostics.update(
-        residual_report(sol.u, sol.p, data, lambda0, params, solver.grid, solver.mu1, solver.mu2)
-    )
     return sol
 
 
@@ -612,6 +609,7 @@ class AuxiliaryField:
     traction_jump: np.ndarray  # nodal (3, n_theta, n_phi)
     normalization_constant: float
     checks: dict
+    solver: TwoPhaseStokesSolver  # the per-degree factorization U was solved with
 
 
 def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
@@ -671,7 +669,7 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
         "axisym_leakage": m_leak,
     }
     return AuxiliaryField(
-        U, P, jacU, drag, float(drag[2]), dissipation, jump, c_norm, checks
+        U, P, jacU, drag, float(drag[2]), dissipation, jump, c_norm, checks, solver
     )
 
 

@@ -62,3 +62,29 @@ def test_tracer_targets_resolve_and_restore():
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]
     assert not changed, f"bindings not restored: {changed}"
+
+
+def test_solve_builds_each_object_once():
+    """A traced solve builds one Stokes solver, runs no residual report,
+    maps the interface once per assembly plus once for the diagnostics,
+    and takes two X-norms per Picard step."""
+    from dropsteady import driver, operators
+
+    cfg = driver.SolveConfig(band_limit=8, n_r_int=12, n_r_ext=20)
+    tracer = Tracer()
+    with tracer:  # the wrapped functions are reached through their modules
+        tracer.open_rep(0)
+        try:
+            ctx = operators.build_context(cfg.build_grid(), cfg.params(), alpha=cfg.alpha)
+            bundle = driver.picard_solve(cfg, ctx=ctx)
+            driver.diagnostics(bundle)
+        finally:
+            tracer.close_rep()
+    summary = tracer.rep_summary(0)
+    calls = {name: row["calls"] for name, row in summary["functions"].items()}
+    iters = summary["counters"]["driver.picard_iters"]
+    assert iters == len(bundle.history) >= 1
+    assert calls["stokes.TwoPhaseStokesSolver"] == 1
+    assert calls.get("stokes.residual_report", 0) == 0
+    assert calls["geometry.build_map"] == calls["operators.assemble_N"] + 1
+    assert calls["operators.norm_X"] == 2 * iters

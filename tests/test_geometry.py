@@ -12,7 +12,6 @@ from dropsteady.geometry import (
     curvature_nonlinear,
     curvature_total,
     transformed_stress,
-    transformed_normal_projection,
     volume_identity_defect,
     lipschitz_fit_A,
     smoothstep,
@@ -231,7 +230,7 @@ def test_transformed_stress_piola_oracle(vg):
 def test_normal_projection(vg):
     eta = small_eta(vg, seed=7, amp=8e-3)
     mp = build_map(HeightFunction(eta), vg)
-    ng, P = transformed_normal_projection(mp)
+    ng, P = mp.n_gamma, mp.P_eta
     # projector annihilates the transformed normal and is idempotent
     PN = np.einsum("ijab,jab->iab", P, mp.Ntil)
     assert np.max(np.abs(PN)) < 1e-10

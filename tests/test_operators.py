@@ -235,6 +235,19 @@ def test_round_trip_random(vg, lam0):
     assert max(state_errs) < 1e-6
 
 
+def test_sing_f_follows_lambda0(ctx):
+    # row 1 of L(X_tail) is divT plus a drift term linear in lambda0
+    drift = ctx.sing_f - ctx.trunc.divT
+    lam0 = ctx.lambda0
+    try:
+        ctx.lambda0 = 2.0 * lam0
+        doubled = ctx.sing_f - ctx.trunc.divT
+    finally:
+        ctx.lambda0 = lam0
+    assert drift.max_abs() > 0.0
+    assert (doubled - 2.0 * drift).max_abs() < 1e-12 * drift.max_abs()
+
+
 def test_N_zero_state_zero_rho(ctx0):
     y = assemble_N(DropState.zeros(ctx0.grid), ctx0)
     assert norm_Y(y)["total"] < 1e-10
