@@ -28,13 +28,10 @@ def _threads(args) -> int:
 
 def cmd_solve(args) -> int:
     from .driver import NonContraction, diagnostics, picard_solve
-    from .io import ConfigError, config_from_manifest, load_config, solve_artifacts
+    from .io import ConfigError, load_config, solve_artifacts
 
     try:
-        if args.config.endswith("manifest.txt"):
-            cfg = config_from_manifest(args.config)
-        else:
-            cfg = load_config(args.config)
+        cfg = load_config(args.config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -152,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("solve", help="run one steady-state solve")
-    s.add_argument("--config", required=True, help="config file (or a manifest.txt to re-run)")
+    s.add_argument("--config", required=True, help="config file (or a run manifest to re-run)")
     s.add_argument("--out", default="out", help="output directory")
     s.add_argument(
         "--emit-modes", action="store_true", help="also write per-mode coefficient tables"

@@ -33,7 +33,7 @@ from .volume import (
     INTERIOR,
     VolumeField,
     VolumeGrid,
-    d3,
+    e3_column,
     eval_radii,
     integrate_phase,
     scalar_gradient,
@@ -156,6 +156,10 @@ def picard_solve(
         if prev_update is not None and prev_update > 0:
             entry["ratio"] = update / prev_update
         history.append(entry)
+        # a non-finite update compares False with everything, so the
+        # ratio and tolerance tests below would never stop the loop
+        if not np.isfinite(update):
+            raise NonContraction(history)
         ratios = [h["ratio"] for h in history if "ratio" in h]
         if len(ratios) >= 3 and all(rr >= 1.0 for rr in ratios[-3:]):
             raise NonContraction(history)
@@ -209,7 +213,8 @@ def physical_fields(bundle: SolutionBundle):
 
 
 def reconstruct_physical(bundle: SolutionBundle) -> dict:
-    """(w, q, lambda, eta) on the reference domain plus equation residuals.
+    """(w, q, lambda, eta) on the reference domain plus equation residuals,
+    and (for rho_tilde != 0) the Jacobian ``jac_w`` of w.
 
     w = u + lambda U_R and q = p + lambda P_R undo the perturbation
     ansatz; on shells where the interface map is the identity these are
@@ -226,12 +231,13 @@ def reconstruct_physical(bundle: SolutionBundle) -> dict:
         return out
     params = ctx.params
     jac_w = vector_gradient(w)
+    out["jac_w"] = jac_w
     lap = vector_laplacian(w)
     divw = vector_divergence(w)
     graddiv = scalar_gradient(divw)
     gq = scalar_gradient(q)
     adv = matvec(jac_w, w)
-    dz = d3(w)
+    dz = e3_column(jac_w)
     res = VolumeField(
         grid,
         params.rho1 * (adv.blocks[INTERIOR] + lam * dz.blocks[INTERIOR])
@@ -245,6 +251,9 @@ def reconstruct_physical(bundle: SolutionBundle) -> dict:
     sel = (r >= 4.0) & (r <= ctx.trunc.R / 2.0)
     if not sel.any():
         sel = (r >= 4.0) & (r <= ctx.trunc.R)
+    if not sel.any():
+        # never empty: r_inf > 8 is enforced and the last node is r_inf
+        sel = r >= 4.0
     out["midshell_residual"] = float(np.max(np.abs(res.blocks[EXTERIOR][:, sel])))
     out["divergence_residual"] = float(np.max(np.abs(divw.blocks[EXTERIOR][sel])))
     return out
@@ -255,17 +264,17 @@ def reconstruct_physical(bundle: SolutionBundle) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _pullback_surface_force(bundle: SolutionBundle, mp: MapData) -> np.ndarray:
+def _pullback_surface_force(
+    bundle: SolutionBundle, mp: MapData, q: VolumeField, jac_w: VolumeField
+) -> np.ndarray:
     """int over the deformed interface of the stress jump, computed from
     the eta-parameterization (independent of the cofactor bookkeeping);
-    ``mp`` is the interface map of ``bundle.eta``."""
+    ``mp`` is the interface map of ``bundle.eta``, ``q`` the physical
+    pressure and ``jac_w`` the Jacobian of the physical velocity."""
     ctx = bundle.ctx
     grid = ctx.grid
     g = grid.sphere
-    st = bundle.state
-    w, q = physical_fields(bundle)
-    jac_w = vector_gradient(w)
-    eta = st.eta
+    eta = bundle.state.eta
     from .sphere import surface_gradient
 
     tth, tph = surface_gradient(eta).components
@@ -300,9 +309,10 @@ def diagnostics(bundle: SolutionBundle) -> dict:
     rep["volume_defect"] = g.quad((1.0 + ev) ** 3 - 1.0)
     rep["eta_norm"] = sobolev_norm(st.eta, ETA_SOBOLEV_ORDER)
 
+    phys = reconstruct_physical(bundle)
     if cfg.rho_tilde != 0.0:
         mp = build_map(HeightFunction(st.eta), grid)
-        force = _pullback_surface_force(bundle, mp)
+        force = _pullback_surface_force(bundle, mp, phys["q"], phys["jac_w"])
         target = cfg.rho_tilde * 4.0 * np.pi / 3.0
         rep["force_e3_defect_rel"] = abs(force[2] - target) / abs(target)
         rep["force_transverse_max"] = float(np.max(np.abs(force[:2])))
@@ -330,7 +340,6 @@ def diagnostics(bundle: SolutionBundle) -> dict:
     rep["axisym_leakage"] = max(axisym_leakage(st.u, grid), float(np.max(np.abs(ec))))
     if cfg.rho_tilde != 0.0:
         rep.update(farfield_fit(bundle))
-    phys = reconstruct_physical(bundle)
     rep["midshell_residual"] = phys["midshell_residual"]
     return rep
 

@@ -187,8 +187,7 @@ class MapData:
     eta: HeightFunction
     grid: VolumeGrid
     E: VolumeField  # rank 1
-    jacE: VolumeField  # rank 2, (i, j) = d_j E_i
-    F: VolumeField  # rank 2
+    F: VolumeField  # rank 2, F = I + grad E
     J: VolumeField  # rank 0
     A: VolumeField  # rank 2, A = J F^{-1} (so A^T n is the Nanson vector)
     F_inv: VolumeField  # rank 2
@@ -198,7 +197,6 @@ class MapData:
     n_gamma: np.ndarray  # unit normal of the deformed interface (pulled back)
     P_eta: np.ndarray  # tangential projector of the deformed interface
     A_surf: np.ndarray  # drop-side trace of A
-    J_surf: np.ndarray  # drop-side trace of J
 
 
 def build_map(eta_h: HeightFunction, grid: VolumeGrid) -> MapData:
@@ -206,7 +204,8 @@ def build_map(eta_h: HeightFunction, grid: VolumeGrid) -> MapData:
     eta = eta_h.eta
     g = grid.sphere
     E = VolumeField.zeros(grid, rank=1)
-    jacE = VolumeField.zeros(grid, rank=2)
+    F = VolumeField.zeros(grid, rank=2)
+    eye = np.eye(3)
     rhat, that, phat = g.unit_vectors()
     for ph in (INTERIOR, EXTERIOR):
         rad = grid.radial(ph)
@@ -226,17 +225,14 @@ def build_map(eta_h: HeightFunction, grid: VolumeGrid) -> MapData:
             (dchi * H)[None, None] * np.einsum("irab,jrab->ijrab", x, rhat[:, None] * np.ones_like(H)[None])
             + chi[None, None] * np.einsum("irab,jrab->ijrab", x, gradH)
         )
-        diag = chi[None, None] * H[None, None] * np.eye(3)[:, :, None, None, None]
-        jacE.blocks[ph] = jac + diag
+        diag = chi[None, None] * H[None, None] * eye[:, :, None, None, None]
+        F.blocks[ph] = jac + diag + eye[:, :, None, None, None]
 
-    F = VolumeField.zeros(grid, rank=2)
     J = VolumeField.zeros(grid, rank=0)
     A = VolumeField.zeros(grid, rank=2)
     F_inv = VolumeField.zeros(grid, rank=2)
-    eye = np.eye(3)
     for ph in (INTERIOR, EXTERIOR):
-        Fb = jacE.blocks[ph] + eye[:, :, None, None, None]
-        Fm = np.moveaxis(Fb, (0, 1), (-2, -1))
+        Fm = np.moveaxis(F.blocks[ph], (0, 1), (-2, -1))
         Jb = np.linalg.det(Fm)
         if np.min(Jb) <= 0.5:
             raise ValueError(
@@ -244,13 +240,11 @@ def build_map(eta_h: HeightFunction, grid: VolumeGrid) -> MapData:
             )
         Fi = np.linalg.inv(Fm)
         Ab = Jb[..., None, None] * Fi
-        F.blocks[ph] = Fb
         J.blocks[ph] = Jb
         A.blocks[ph] = np.moveaxis(Ab, (-2, -1), (0, 1))
         F_inv.blocks[ph] = np.moveaxis(Fi, (-2, -1), (0, 1))
 
     A_surf = A.trace(INTERIOR)
-    J_surf = J.trace(INTERIOR)
     n = rhat
     Ntil = np.einsum("jiab,jab->iab", A_surf, n)
     Ntil_norm = np.sqrt(np.einsum("iab,iab->ab", Ntil, Ntil))
@@ -259,7 +253,7 @@ def build_map(eta_h: HeightFunction, grid: VolumeGrid) -> MapData:
         "iab,jab->ijab", Ntil, Ntil
     ) / (Ntil_norm**2)[None, None]
     return MapData(
-        eta_h, grid, E, jacE, F, J, A, F_inv, Ntil, Ntil_norm, n_gamma, P_eta, A_surf, J_surf
+        eta_h, grid, E, F, J, A, F_inv, Ntil, Ntil_norm, n_gamma, P_eta, A_surf
     )
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "load_config",
     "dump_config",
     "write_manifest",
-    "config_from_manifest",
     "write_csv",
     "fmt",
 ]
@@ -46,20 +45,16 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _read_text(path: str) -> str:
+def load_config(path: str) -> SolveConfig:
+    """Parse a config file, or the config block embedded in a run manifest;
+    every fault is a ConfigError naming ``path``."""
     try:
         with open(path) as fh:
-            return fh.read()
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: config file not found or unreadable") from e
-
-
-def load_config(path: str) -> SolveConfig:
-    return _parse_config(_read_text(path), path)
-
-
-def _parse_config(text: str, path: str) -> SolveConfig:
-    """Config text -> SolveConfig; every fault is a ConfigError naming ``path``."""
+    if _BEGIN_CONFIG in text:
+        text = text.split(_BEGIN_CONFIG)[1].split(_END_CONFIG)[0]
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text, source=path)
@@ -149,15 +144,6 @@ def write_manifest(path: str, cfg: SolveConfig, bundle, report: dict, files: dic
     lines.append("")
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
-
-
-def config_from_manifest(path: str) -> SolveConfig:
-    """Extract the embedded config block and parse it as a config file."""
-    text = _read_text(path)
-    if _BEGIN_CONFIG not in text:
-        raise ConfigError(f"{path}: no embedded config block")
-    block = text.split(_BEGIN_CONFIG)[1].split(_END_CONFIG)[0]
-    return _parse_config(block, path)
 
 
 def solve_artifacts(out_dir: str, cfg: SolveConfig, bundle, report: dict) -> dict:

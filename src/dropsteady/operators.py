@@ -66,6 +66,7 @@ from .volume import (
     VolumeField,
     VolumeGrid,
     d3,
+    e3_column,
     norm_l2,
     scalar_gradient,
     vector_divergence,
@@ -180,10 +181,10 @@ class OperatorContext:
         self.P_tail = self.aux.P + (-1.0) * self.trunc.P_R
         # row 2: div(U - U_R) = (1 - chi) div U - U . grad chi, and
         # Div U_R = chi div U + U . grad chi (analytic in the cutoff)
+        d3U = e3_column(self.aux.jacU)
         sing_g = VolumeField.zeros(self.grid)
         div_UR = VolumeField.zeros(self.grid)
         d3tail = VolumeField.zeros(self.grid, rank=1)
-        d3U = d3(self.aux.U)
         R = self.trunc.R
         for ph in (INTERIOR, EXTERIOR):
             r = self.grid.radial(ph).r
@@ -556,11 +557,12 @@ def norm_X(state: DropState, lambda0: float) -> dict:
     """
     al = abs(lambda0)
     u, p = state.u, state.p
+    jac = vector_gradient(u)
     n_u = (
         al**0.5 * norm_l2(u)
-        + al**0.25 * norm_l2(vector_gradient(u))
+        + al**0.25 * norm_l2(jac)
         + norm_l2(vector_laplacian(u))
-        + al * norm_l2(d3(u))
+        + al * norm_l2(e3_column(jac))
     )
     gp = scalar_gradient(p)
     from .volume import integrate_phase

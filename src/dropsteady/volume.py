@@ -197,6 +197,11 @@ def vector_gradient(u: VolumeField, band=None) -> VolumeField:
     return _stack(rows)
 
 
+def e3_column(jac: VolumeField) -> VolumeField:
+    """d3 u read off the Jacobian ``jac`` = vector_gradient(u)."""
+    return VolumeField(jac.grid, jac.blocks[0][:, 2], jac.blocks[1][:, 2])
+
+
 def vsh_channels(u: VolumeField, phase: int, band=None):
     """Per-mode radial profiles (P, v, w) of a vector field block."""
     g = u.grid.sphere
@@ -263,17 +268,9 @@ def vector_laplacian(u: VolumeField, band=None) -> VolumeField:
 
 
 def tensor_divergence(T: VolumeField, band=None) -> VolumeField:
-    """(div T)_i = d_j T_ij for a rank-2 field."""
-    rows = []
-    for i in range(3):
-        acc = None
-        for j in range(3):
-            comp = VolumeField(T.grid, T.blocks[0][i, j], T.blocks[1][i, j])
-            gj = scalar_gradient(comp, band)
-            term = VolumeField(T.grid, gj.blocks[0][j], gj.blocks[1][j])
-            acc = term if acc is None else acc + term
-        rows.append(acc)
-    return _stack(rows)
+    """(div T)_i = d_j T_ij for a rank-2 field: the divergence of each row."""
+    rows = [VolumeField(T.grid, T.blocks[0][i], T.blocks[1][i]) for i in range(3)]
+    return _stack([vector_divergence(row, band) for row in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 from spans import TARGETS, Tracer, span_name  # noqa: E402
@@ -64,27 +66,68 @@ def test_tracer_targets_resolve_and_restore():
     assert not changed, f"bindings not restored: {changed}"
 
 
-def test_solve_builds_each_object_once():
-    """A traced solve builds one Stokes solver, runs no residual report,
-    maps the interface once per assembly plus once for the diagnostics,
-    and takes two X-norms per Picard step."""
-    from dropsteady import driver, operators
+STAGES = ("build_context", "picard_solve", "diagnostics", "norm_X", "tensor_divergence")
+
+
+@pytest.fixture(scope="module")
+def traced():
+    """A solve at band_limit = 8 under the tracer, one rep per stage (the
+    rep number is the index in STAGES); returns the per-rep call counts,
+    the Picard iteration count and the bundle."""
+    from dropsteady import driver, operators, volume
 
     cfg = driver.SolveConfig(band_limit=8, n_r_int=12, n_r_ext=20)
     tracer = Tracer()
-    with tracer:  # the wrapped functions are reached through their modules
-        tracer.open_rep(0)
+
+    def stage(name, fn, *args, **kwargs):
+        tracer.open_rep(STAGES.index(name))
         try:
-            ctx = operators.build_context(cfg.build_grid(), cfg.params(), alpha=cfg.alpha)
-            bundle = driver.picard_solve(cfg, ctx=ctx)
-            driver.diagnostics(bundle)
+            return fn(*args, **kwargs)
         finally:
             tracer.close_rep()
-    summary = tracer.rep_summary(0)
-    calls = {name: row["calls"] for name, row in summary["functions"].items()}
-    iters = summary["counters"]["driver.picard_iters"]
+
+    with tracer:  # the wrapped functions are reached through their modules
+        ctx = stage("build_context", operators.build_context, cfg.build_grid(), cfg.params(), alpha=cfg.alpha)
+        bundle = stage("picard_solve", driver.picard_solve, cfg, ctx=ctx)
+        stage("diagnostics", driver.diagnostics, bundle)
+        stage("norm_X", operators.norm_X, bundle.state, ctx.lambda0)
+        stage("tensor_divergence", volume.tensor_divergence, ctx.aux.jacU)
+    calls = {}
+    for rep, name in enumerate(STAGES):
+        functions = tracer.rep_summary(rep)["functions"]
+        calls[name] = {fn: row["calls"] for fn, row in functions.items()}
+    iters = tracer.rep_summary(STAGES.index("picard_solve"))["counters"]["driver.picard_iters"]
+    return calls, iters, bundle
+
+
+def test_solve_builds_each_object_once(traced):
+    """A traced solve builds one Stokes solver, runs no residual report,
+    maps the interface once per assembly plus once for the diagnostics,
+    and takes two X-norms per Picard step; the set-up and the diagnostics
+    assemble nothing and take no X-norm."""
+    calls, iters, bundle = traced
+    setup, solve, diag = calls["build_context"], calls["picard_solve"], calls["diagnostics"]
     assert iters == len(bundle.history) >= 1
-    assert calls["stokes.TwoPhaseStokesSolver"] == 1
-    assert calls.get("stokes.residual_report", 0) == 0
-    assert calls["geometry.build_map"] == calls["operators.assemble_N"] + 1
-    assert calls["operators.norm_X"] == 2 * iters
+    assert setup["stokes.TwoPhaseStokesSolver"] == 1
+    assert "stokes.TwoPhaseStokesSolver" not in solve | diag
+    assert "stokes.residual_report" not in setup | solve | diag
+    assert "geometry.build_map" not in setup
+    assert solve["geometry.build_map"] == solve["operators.assemble_N"]
+    assert diag["geometry.build_map"] == 1
+    assert "operators.assemble_N" not in setup | diag
+    assert solve["operators.norm_X"] == 2 * iters
+    assert "operators.norm_X" not in setup | diag
+
+
+def test_each_field_differentiated_once(traced):
+    """d3 of a field whose Jacobian is at hand is read off that Jacobian,
+    the physical velocity is differentiated once per diagnostics call, and
+    a tensor divergence is the vector divergence of each row."""
+    calls, _, _ = traced
+    assert "volume.d3" not in calls["build_context"]
+    assert calls["norm_X"]["volume.vector_gradient"] == 1
+    assert "volume.d3" not in calls["norm_X"]
+    assert "volume.scalar_gradient" not in calls["tensor_divergence"]
+    assert calls["tensor_divergence"]["volume.vector_divergence"] == 3
+    assert calls["diagnostics"]["volume.vector_gradient"] == 1
+    assert "volume.d3" not in calls["diagnostics"]

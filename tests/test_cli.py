@@ -1,13 +1,14 @@
 """Config parsing, artifacts, manifest reproducibility, CLI exit codes."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from dropsteady.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from dropsteady.driver import SolveConfig
-from dropsteady.io import ConfigError, config_from_manifest, dump_config, load_config
+from dropsteady.io import ConfigError, dump_config, load_config
 
 SMALL = """
 [physics]
@@ -55,9 +56,9 @@ def test_malformed_config_reports_key(tmp_path):
         + bad
         + "# --- end embedded config ---\n"
     )
-    for path, parse in ((p, load_config), (m, config_from_manifest)):
+    for path in (p, m):
         with pytest.raises(ConfigError) as e:
-            parse(str(path))
+            load_config(str(path))
         assert "bogus_key" in str(e.value)
         assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
 
@@ -125,14 +126,17 @@ def test_solve_artifacts_exist(solved_out):
 
 
 def test_manifest_reproduces_run(solved_out, cfgfile, tmp_path):
-    cfg = config_from_manifest(os.path.join(solved_out, "manifest.txt"))
-    assert cfg == load_config(cfgfile)
-    out2 = tmp_path / "out2"
-    code = main(["solve", "--config", os.path.join(solved_out, "manifest.txt"), "--out", str(out2)])
-    assert code == EXIT_OK
-    for name in ("interface_shape.csv", "shell_profiles.csv"):
-        with open(os.path.join(solved_out, name), "rb") as a, open(out2 / name, "rb") as b:
-            assert a.read() == b.read()
+    # a manifest is recognised by its embedded config block, not its file name
+    for name in ("manifest.txt", "rerun.txt"):
+        manifest = tmp_path / name
+        shutil.copy(os.path.join(solved_out, "manifest.txt"), manifest)
+        assert load_config(str(manifest)) == load_config(cfgfile)
+        out2 = tmp_path / f"out-{name}"
+        code = main(["solve", "--config", str(manifest), "--out", str(out2)])
+        assert code == EXIT_OK
+        for csv in ("interface_shape.csv", "shell_profiles.csv"):
+            with open(os.path.join(solved_out, csv), "rb") as a, open(out2 / csv, "rb") as b:
+                assert a.read() == b.read()
 
 
 def test_validate_filter_and_fault(capsys):
@@ -145,12 +149,13 @@ def test_validate_filter_and_fault(capsys):
 
 def test_sweep(tmp_path, cfgfile):
     out = tmp_path / "sw"
-    code = main(["sweep", "--config", cfgfile, "--out", str(out), "--rho-grid", "1e-3,0.4"])
+    code = main(["sweep", "--config", cfgfile, "--out", str(out), "--rho-grid", "1e-3,0.4,1.0"])
     assert code == EXIT_OK
     lines = (out / "sweep.csv").read_text().strip().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert lines[1].endswith("ok")
-    assert "failed" in lines[2]
+    assert lines[2].endswith("ok")  # converges although R is clamped to 4.5
+    assert lines[3].endswith("failed: ValueError")  # |rho_tilde| >= 1 is rejected
     # a grid that starts with a minus sign is a value, not an option
     neg = tmp_path / "neg"
     code = main(["sweep", "--config", cfgfile, "--out", str(neg), "--rho-grid", "-1e-3,0"])

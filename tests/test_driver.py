@@ -6,13 +6,22 @@ import numpy as np
 import pytest
 
 from dropsteady.driver import (
+    NonContraction,
     SolveConfig,
     diagnostics,
     mirror_defect,
     picard_solve,
     reconstruct_physical,
 )
-from dropsteady.operators import DropState, apply_L, assemble_N, invert_L_with_tail, norm_X, norm_Y
+from dropsteady.operators import (
+    DropState,
+    apply_L,
+    assemble_N,
+    build_context,
+    invert_L_with_tail,
+    norm_X,
+    norm_Y,
+)
 from dropsteady.sphere import SphereField, project_kernel, sobolev_norm
 
 
@@ -44,6 +53,18 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             SolveConfig(**bad)
+
+
+def test_non_finite_update_stops_iteration():
+    """A NaN in the state makes the update NaN, which no ratio or tolerance
+    test catches; the loop must stop at once instead of running max_iters."""
+    cfg = SolveConfig(band_limit=4, n_r_int=8, n_r_ext=12, max_iters=5)
+    ctx = build_context(cfg.build_grid(), cfg.params(), alpha=cfg.alpha)
+    x = DropState.zeros(ctx.grid)
+    x.u.blocks[0][0, 0, 0, 0] = np.nan
+    with pytest.raises(NonContraction) as e:
+        picard_solve(cfg, ctx=ctx, initial=x)
+    assert len(e.value.history) == 1
 
 
 def test_trivial_solution_zero_density_contrast():

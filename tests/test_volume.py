@@ -76,17 +76,32 @@ def test_vector_laplacian(vg):
 
 
 def test_tensor_divergence(vg):
-    def T(x, y, z):
+    def linear_e3(x, y, z):
         out = np.zeros((3, 3) + x.shape)
         for i, xi in enumerate((x, y, z)):
             out[i, 2] = xi
         return out
 
-    field = sample(vg, T, rank=2)
-    div = tensor_divergence(field)
-    exact = np.zeros_like(div.blocks[INTERIOR])
-    exact[2] = 1.0
-    assert np.max(np.abs(div.blocks[INTERIOR] - exact)) < 1e-10
+    def outer(x, y, z):
+        xs = np.stack([x, y, z])
+        return xs[:, None] * xs[None, :]
+
+    cases = [
+        # T_ij = x_i delta_j3: div = e3
+        (linear_e3, lambda x, y, z: np.stack([0 * x, 0 * x, 1 + 0 * x]), INTERIOR),
+        # T_ij = x_i x_j: div = 4 x
+        (outer, lambda x, y, z: 4.0 * np.stack([x, y, z]), INTERIOR),
+        # T_ij = x_i x_j / |x|^5: div = -x / |x|^5
+        (
+            lambda x, y, z: outer(x, y, z) / (x * x + y * y + z * z) ** 2.5,
+            lambda x, y, z: -np.stack([x, y, z]) / (x * x + y * y + z * z) ** 2.5,
+            EXTERIOR,
+        ),
+    ]
+    for T, div_exact, phase in cases:
+        div = tensor_divergence(sample(vg, T, rank=2))
+        exact = div_exact(*grid_points(vg, phase))
+        assert np.max(np.abs(div.blocks[phase] - exact)) < 1e-10
 
 
 def test_d3(vg):
