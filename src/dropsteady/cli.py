@@ -23,7 +23,10 @@ def _threads(args) -> int:
     if getattr(args, "threads", None):
         return max(1, args.threads)
     env = os.environ.get("DROP_STEADY_THREADS")
-    return max(1, int(env)) if env else 1
+    try:
+        return max(1, int(env)) if env else 1
+    except ValueError:
+        raise ValueError(f"DROP_STEADY_THREADS must be an integer, not {env!r}") from None
 
 
 def cmd_solve(args) -> int:
@@ -46,11 +49,7 @@ def cmd_solve(args) -> int:
     except (ValueError, RuntimeError) as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
-    files = solve_artifacts(args.out, cfg, bundle, report)
-    if args.emit_modes:
-        from .io import emit_mode_tables
-
-        files["mode_tables"] = emit_mode_tables(args.out, bundle)
+    files = solve_artifacts(args.out, cfg, bundle, report, emit_modes=args.emit_modes)
     if not bundle.converged:
         print(f"solver failure: no convergence in {len(bundle.history)} iterations "
               f"(artifacts in {args.out})", file=sys.stderr)
@@ -114,10 +113,10 @@ def cmd_sweep(args) -> int:
     try:
         cfg = load_config(args.config)
         grid = [float(tok) for tok in args.rho_grid.split(",") if tok.strip()]
+        n = _threads(args)
     except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    n = _threads(args)
     if n > 1 and len(grid) > 1:
         with ThreadPoolExecutor(max_workers=n) as ex:
             rows = list(ex.map(lambda r: _sweep_point(cfg, r), grid))

@@ -49,7 +49,6 @@ __all__ = [
     "picard_solve",
     "reconstruct_physical",
     "diagnostics",
-    "probe_epsilon",
     "mirror_defect",
 ]
 
@@ -406,32 +405,3 @@ def mirror_defect(b1: SolutionBundle, b2: SolutionBundle) -> dict:
         mirrored = M[:, None, None, None] * u2
         d_u = max(d_u, float(np.max(np.abs(u1 - mirrored))))
     return {"eta": d_eta, "lambda": d_lam, "velocity": d_u}
-
-
-def probe_epsilon(
-    config: SolveConfig, lo: float = 1e-4, hi: float = 5e-2, steps: int = 6
-) -> float:
-    """Bisection for the largest |rho_tilde| that still contracts."""
-    import dataclasses
-
-    def contracts(rho):
-        cfg = dataclasses.replace(config, rho_tilde=rho, max_iters=12)
-        try:
-            b = picard_solve(cfg)
-        except (NonContraction, ValueError, RuntimeError):
-            return False
-        ratios = b.report.get("contraction_ratios", [])
-        return bool(ratios) and ratios[-1] < 1.0
-
-    if not contracts(lo):
-        return 0.0
-    a, b = lo, hi
-    if contracts(hi):
-        return hi
-    for _ in range(steps):
-        mid = np.sqrt(a * b)
-        if contracts(mid):
-            a = mid
-        else:
-            b = mid
-    return a

@@ -146,8 +146,11 @@ def write_manifest(path: str, cfg: SolveConfig, bundle, report: dict, files: dic
         fh.write("\n".join(lines))
 
 
-def solve_artifacts(out_dir: str, cfg: SolveConfig, bundle, report: dict) -> dict:
-    """Write the solve outputs; returns the file index."""
+def solve_artifacts(
+    out_dir: str, cfg: SolveConfig, bundle, report: dict, emit_modes: bool = False
+) -> dict:
+    """Write the solve outputs, with the per-mode tables if ``emit_modes``;
+    returns the file index, which the manifest lists."""
     os.makedirs(out_dir, exist_ok=True)
     files = {}
     g = bundle.ctx.grid.sphere
@@ -186,6 +189,8 @@ def solve_artifacts(out_dir: str, cfg: SolveConfig, bundle, report: dict) -> dic
         for k in sorted(report):
             fh.write(f"{k} = {_fmt_value(report[k])}\n")
     files["diagnostics"] = os.path.basename(diag_path)
+    if emit_modes:
+        files["mode_tables"] = emit_mode_tables(out_dir, bundle)
 
     manifest_path = os.path.join(out_dir, "manifest.txt")
     write_manifest(manifest_path, cfg, bundle, report, files)

@@ -33,7 +33,7 @@ from .stokes import (
 )
 from .volume import VolumeGrid, eval_radii
 
-__all__ = ["Check", "run_validation", "CHECK_GROUPS"]
+__all__ = ["Check", "run_validation", "random_state", "CHECK_GROUPS"]
 
 
 @dataclass
@@ -97,6 +97,7 @@ def _halfspace_checks(rng):
         worst["momentum"] = max(worst["momentum"], rep["momentum"])
         worst["divergence"] = max(worst["divergence"], rep["divergence"])
         worst["trace"] = max(worst["trace"], rep["trace"])
+        worst["jump"] = max(worst["jump"], rep["velocity_jump"])
     for _ in range(25):
         H1 = TangentialSpectrum.random(8, rng)
         h2v = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
@@ -106,9 +107,8 @@ def _halfspace_checks(rng):
         rep = residual_check(sol, H1=H1, H2=H2)
         worst["momentum"] = max(worst["momentum"], rep["momentum"])
         worst["divergence"] = max(worst["divergence"], rep["divergence"])
-        worst["jump"] = max(
-            worst["jump"], max(rep["normal_velocity"], rep["tangential_stress_jump"])
-        )
+        jump = (rep["velocity_jump"], rep["normal_velocity"], rep["tangential_stress_jump"])
+        worst["jump"] = max(worst["jump"], *jump)
     for key in ("momentum", "divergence", "trace", "jump"):
         out.append(
             Check(f"halfspace residual: {key}", worst[key] < 1e-10, worst[key], 1e-10)
@@ -125,31 +125,24 @@ def _halfspace_checks(rng):
     return out
 
 
-def _grid_cache():
-    if not hasattr(_grid_cache, "vg"):
-        _grid_cache.vg = VolumeGrid.build(12, 20, 30, 64.0)
-    return _grid_cache.vg
-
-
-def _dropflow_checks(rng, mu2_scale: float = 1.0):
+def _dropflow_checks(rng, vg, mu2_scale: float = 1.0):
     """Solver against the closed form; ``mu2_scale`` != 1 hands the oracle a
     wrong reservoir viscosity (the fault the suite must catch)."""
     out = []
-    vg = _grid_cache()
+    th, phg = vg.sphere.nodes
+    w = vg.sphere.weights
     worst_vel = 0.0
     worst_drag = 0.0
     for kappa in (0.1, 1.0, 10.0):
         mu1, mu2 = kappa, 1.0
         aux = auxiliary_field(vg, PhysicalParams(mu1=mu1, mu2=mu2))
-        for r0 in (0.5, 1.7, 9.0):
+        for r0 in (0.4, 0.85, 1.6, 6.0, 20.0):
             ph = 0 if r0 <= 1 else 1
             got = eval_radii(aux.U, np.array([r0]), ph)[:, 0]
-            th, phg = vg.sphere.nodes
             x = r0 * np.sin(th) * np.cos(phg)
             y = r0 * np.sin(th) * np.sin(phg)
             z = r0 * np.cos(th)
             exact = dropflow.velocity(x, y, z, mu1, mu2 * mu2_scale)
-            w = vg.sphere.weights
             err = np.sqrt(np.einsum("ab,iab->", w, (got - exact) ** 2))
             ref = max(np.sqrt(np.einsum("ab,iab->", w, exact**2)), 1e-30)
             worst_vel = max(worst_vel, float(err / ref))
@@ -164,21 +157,19 @@ def _dropflow_checks(rng, mu2_scale: float = 1.0):
     return out
 
 
-def _energy_checks(rng):
-    vg = _grid_cache()
+def _energy_checks(rng, vg):
     aux = auxiliary_field(vg, PhysicalParams(mu1=1.0, mu2=1.0))
     rel = abs(aux.dissipation - (-aux.e3_drag)) / abs(aux.e3_drag)
     out = [Check("energy identity: drag vs dissipation", rel < 1e-8, rel, 1e-8)]
     lam = lambda0_value(1e-3, aux.e3_drag)
-    lin = abs(lambda0_value(2e-3, aux.e3_drag) - 2 * lam)
+    lin = abs(lambda0_value(3e-3, aux.e3_drag) - 3 * lam)
     val = abs(abs(lam) - 4e-3 / 15.0) / abs(lam)
-    out.append(Check("lambda0 linear in density contrast", lin < 1e-16, lin, 1e-16))
+    out.append(Check("lambda0 linear in density contrast", lin < 1e-18, lin, 1e-18))
     out.append(Check("lambda0 equal-viscosity value", val < 1e-8, val, 1e-8))
     return out
 
 
-def _truncation_checks(rng):
-    vg = _grid_cache()
+def _truncation_checks(rng, vg):
     aux = auxiliary_field(vg, PhysicalParams(mu1=1.0, mu2=1.0))
     q = 4.0 / 3.0
     norms = [truncate_field(aux, R, vg, 1.0).divT_norm_lq(q) for R in (8.0, 16.0, 32.0)]
@@ -187,8 +178,9 @@ def _truncation_checks(rng):
     return [Check("truncation-tail decay slope", dev < 0.3, dev, 0.3)]
 
 
-def _random_state(vg, rng, amp=1.0):
-    """Random state in the discrete class (no jump, decaying, in-basis)."""
+def random_state(vg, rng, amp=1.0):
+    """Random state in the discrete solution class: in-basis radial profiles,
+    no velocity jump at the interface, decay at infinity."""
     from .operators import DropState
     from .sphere import synthesis_batch
     from .volume import VolumeField, vsh_assemble
@@ -238,19 +230,18 @@ def _random_state(vg, rng, amp=1.0):
     return DropState(u, p, float(rng.normal()) * amp, eta)
 
 
-def _roundtrip_checks(rng):
-    """Operator inverse on range-generated data (reduced sample count)."""
+def _roundtrip_checks(rng, vg, samples: int = 2):
+    """Operator inverse on range-generated data, ``samples`` per drift."""
     from .operators import apply_L, build_context, invert_L, norm_Y
     from .sphere import integrate_sphere
 
-    vg = _grid_cache()
     ctx = build_context(vg, PhysicalParams(mu1=1.0, mu2=1.0, rho_tilde=1e-3))
     worst = 0.0
     worst_a2 = 0.0
     for lam0 in (1e-3, 1e-2):
         ctx.lambda0 = lam0
-        for _ in range(2):
-            x0 = _random_state(vg, rng)
+        for _ in range(samples):
+            x0 = random_state(vg, rng)
             y = apply_L(x0, ctx)
             st = invert_L(y, ctx)
             back = apply_L(st, ctx)
@@ -282,6 +273,8 @@ def _oseenlet_checks(rng):
     return out
 
 
+# Each group is called as fn(rng), or fn(rng, vg, ...) when it needs a
+# volume grid; tests/test_acceptance.py runs the groups at its own grid.
 CHECK_GROUPS = {
     "curvature": _curvature_checks,
     "kernel": _kernel_checks,
@@ -297,10 +290,12 @@ CHECK_GROUPS = {
 def run_validation(only: str | None = None, seed: int = 0, inject_fault: str | None = None):
     """Run the suite; returns the list of Check rows."""
     rng = np.random.default_rng(seed)
+    vg = VolumeGrid.build(12, 20, 30, 64.0)
     mu2_scale = 1.02 if inject_fault == "oracle_mu2" else 1.0
+    args = {"drop-flow": (vg, mu2_scale), "energy": (vg,), "truncation": (vg,), "roundtrip": (vg,)}
     checks = []
     for name, fn in CHECK_GROUPS.items():
         if only is not None and only not in name:
             continue
-        checks.extend(fn(rng, mu2_scale) if name == "drop-flow" else fn(rng))
+        checks.extend(fn(rng, *args.get(name, ())))
     return checks

@@ -1,5 +1,9 @@
 """Acceptance criteria, one test per criterion at its stated tolerance.
 
+Criteria 1-7 and 11 run the check groups of ``dropsteady validate``
+(``validate.CHECK_GROUPS``) at the acceptance grid and sample counts;
+criteria 8-10 check converged fixed points.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion.
 """
@@ -10,37 +14,19 @@ import numpy as np
 import pytest
 
 from dropsteady.driver import SolveConfig, diagnostics, mirror_defect, picard_solve
-from dropsteady.geometry import curvature_total
-from dropsteady.halfspace import (
-    TangentialSpectrum,
-    dirichlet_stokes_halfspace,
-    residual_check,
-    twophase_jump_halfspace,
-    x3_samples,
-)
-from dropsteady import dropflow
-from dropsteady.operators import apply_L, build_context, invert_L, norm_Y
-from dropsteady.sphere import (
-    SphereField,
-    SphereGrid,
-    integrate_sphere,
-    laplace_beltrami,
-    normal_component_fields,
-    project_complement,
-    solve_shifted,
-)
-from dropsteady.stokes import (
-    PhysicalParams,
-    auxiliary_field,
-    lambda0_value,
-    truncate_field,
-)
-from dropsteady.volume import EXTERIOR, INTERIOR, VolumeGrid, eval_radii
+from dropsteady.validate import CHECK_GROUPS
+from dropsteady.volume import VolumeGrid
 
 
 def report(num, ok, detail):
     print(f"ACCEPTANCE {num:>2}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
+
+
+def report_checks(num, checks):
+    """One acceptance line from validate Check rows; passes if all of them do."""
+    detail = "; ".join(f"{c.name} {c.value:.2e} (<{c.bound:g})" for c in checks)
+    report(num, bool(checks) and all(c.passed for c in checks), detail)
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +35,9 @@ def desk_grid():
 
 
 @pytest.fixture(scope="module")
-def aux_equal(desk_grid):
-    return auxiliary_field(desk_grid, PhysicalParams(mu1=1.0, mu2=1.0))
+def energy_checks(desk_grid):
+    """The energy group: its first row is criterion 5, the others criterion 6."""
+    return CHECK_GROUPS["energy"](np.random.default_rng(5), desk_grid)
 
 
 @pytest.fixture(scope="module")
@@ -66,149 +53,32 @@ def fixed_points():
 
 
 def test_criterion_1_curvature_identity():
-    grid = SphereGrid.build(16)
-    zero_err = float(np.max(np.abs(curvature_total(SphereField.zeros(grid)).values)))
-    worst = 0.0
-    for c in (0.05, -0.05, 0.08, -0.08):
-        tot = curvature_total(SphereField.constant(grid, c)).values
-        worst = max(worst, float(np.max(np.abs(tot - 2 * c / (1 + c)))))
-    ok = zero_err < 1e-12 and worst < 1e-10
-    report(1, ok, f"(H+2)(0) = {zero_err:.2e} (<1e-12); sphere-radius oracle {worst:.2e} (<1e-10)")
+    report_checks(1, CHECK_GROUPS["curvature"](np.random.default_rng(1)))
 
 
 def test_criterion_2_kernel_inversion():
-    worst_k = 0.0
-    worst_rt = 0.0
-    for L in (16, 32):
-        grid = SphereGrid.build(L)
-        for nk in normal_component_fields(grid):
-            worst_k = max(
-                worst_k, float(np.max(np.abs((laplace_beltrami(nk) + 2.0 * nk).values)))
-            )
-        rng = np.random.default_rng(L)
-        c = np.zeros((L + 1, 2 * L + 1))
-        for l in range(L + 1):
-            c[l, L - l : L + l + 1] = rng.standard_normal(2 * l + 1) / (1.0 + l)
-        f = project_complement(SphereField(grid, coeffs=c, band=L))
-        eta = solve_shifted(f)
-        worst_rt = max(
-            worst_rt,
-            float(np.max(np.abs((laplace_beltrami(eta) + 2.0 * eta - f).values))),
-        )
-    ok = worst_k < 1e-12 and worst_rt < 1e-10
-    report(2, ok, f"(lap+2)n_i = {worst_k:.2e} (<1e-12); solve round trip {worst_rt:.2e} (<1e-10)")
+    report_checks(2, CHECK_GROUPS["kernel"](np.random.default_rng(2)))
 
 
 def test_criterion_3_halfspace_kernels():
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for i in range(25):
-        b = TangentialSpectrum.random(8, rng, vector=True)
-        rep = residual_check(
-            dirichlet_stokes_halfspace(b, 1.0 + rng.random(), 0.5 + rng.random()),
-            dirichlet=b,
-        )
-        worst = max(worst, rep["momentum"], rep["divergence"], rep["trace"], rep["velocity_jump"])
-    for i in range(25):
-        H1 = TangentialSpectrum.random(8, rng)
-        h2v = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-        h2v[:, 2] = 0.0
-        H2 = TangentialSpectrum(H1.modes, h2v)
-        rep = residual_check(
-            twophase_jump_halfspace(H1, H2, 1.0 + rng.random(), 0.5 + rng.random()),
-            H1=H1,
-            H2=H2,
-        )
-        worst = max(
-            worst,
-            rep["momentum"],
-            rep["divergence"],
-            rep["velocity_jump"],
-            rep["normal_velocity"],
-            rep["tangential_stress_jump"],
-        )
-    b1 = TangentialSpectrum.random(6, rng, vector=True)
-    b2 = TangentialSpectrum(b1.modes, rng.standard_normal(b1.values.shape) + 0j)
-    a = 1.4 - 0.3j
-    s12 = dirichlet_stokes_halfspace(TangentialSpectrum(b1.modes, a * b1.values + b2.values))
-    combo = dirichlet_stokes_halfspace(b1).scaled(a) + dirichlet_stokes_halfspace(b2)
-    x3 = x3_samples()
-    lin = float(np.max(np.abs(s12.velocity(x3) - combo.velocity(x3))))
-    ok = worst < 1e-10 and lin < 1e-12
-    report(3, ok, f"50 data sets: worst residual {worst:.2e} (<1e-10); linearity {lin:.2e} (<1e-12)")
+    report_checks(3, CHECK_GROUPS["halfspace"](np.random.default_rng(3)))
 
 
-def test_criterion_4_drop_flow_oracle(desk_grid, aux_equal):
-    g = desk_grid.sphere
-    w = g.weights
-    worst_vel = 0.0
-    for r0 in (0.4, 0.85, 1.6, 6.0, 20.0):
-        ph = INTERIOR if r0 <= 1 else EXTERIOR
-        got = eval_radii(aux_equal.U, np.array([r0]), ph)[:, 0]
-        th, phg = g.nodes
-        exact = dropflow.velocity(
-            r0 * np.sin(th) * np.cos(phg),
-            r0 * np.sin(th) * np.sin(phg),
-            r0 * np.cos(th),
-            1.0,
-            1.0,
-        )
-        err = np.sqrt(np.einsum("ab,iab->", w, (got - exact) ** 2))
-        ref = np.sqrt(np.einsum("ab,iab->", w, exact**2))
-        worst_vel = max(worst_vel, float(err / ref))
-    drag_err = abs(abs(aux_equal.e3_drag) - 5.0 * np.pi) / (5.0 * np.pi)
-    worst_ratio = 0.0
-    for kappa in (0.1, 1.0, 10.0):
-        aux = auxiliary_field(desk_grid, PhysicalParams(mu1=kappa, mu2=1.0))
-        target = (2.0 + 3.0 * kappa) / (1.0 + kappa) * 2.0 * np.pi
-        worst_ratio = max(worst_ratio, abs(abs(aux.e3_drag) - target) / target)
-    ok = worst_vel < 1e-8 and drag_err < 1e-8 and worst_ratio < 1e-8
-    report(
-        4,
-        ok,
-        f"velocity L2-on-shells {worst_vel:.2e}; |drag|=5pi err {drag_err:.2e}; "
-        f"viscosity-ratio drags {worst_ratio:.2e} (all <1e-8)",
-    )
+def test_criterion_4_drop_flow_oracle(desk_grid):
+    report_checks(4, CHECK_GROUPS["drop-flow"](np.random.default_rng(4), desk_grid))
 
 
-def test_criterion_5_energy_identity(aux_equal):
-    rel = abs(aux_equal.dissipation - (-aux_equal.e3_drag)) / abs(aux_equal.e3_drag)
-    report(5, rel < 1e-8, f"surface drag vs volume dissipation: {rel:.2e} (<1e-8)")
+def test_criterion_5_energy_identity(energy_checks):
+    report_checks(5, energy_checks[:1])
 
 
-def test_criterion_6_lambda0_law(aux_equal):
-    lam = lambda0_value(1e-3, aux_equal.e3_drag)
-    lin = abs(lambda0_value(3e-3, aux_equal.e3_drag) - 3 * lam)
-    val = abs(abs(lam) - 4e-3 / 15.0) / abs(lam)
-    ok = lin < 1e-18 and val < 1e-8
-    report(6, ok, f"linearity defect {lin:.2e} (machine); equal-viscosity value {val:.2e} (<1e-8)")
+def test_criterion_6_lambda0_law(energy_checks):
+    report_checks(6, energy_checks[1:])
 
 
 def test_criterion_7_operator_round_trip(desk_grid):
-    from test_operators import random_state
-
-    params = PhysicalParams(mu1=1.0, mu2=1.0, rho_tilde=1e-3)
-    ctx = build_context(desk_grid, params)
-    worst = 0.0
-    worst_a2 = 0.0
-    for lam0 in (1e-3, 1e-2):
-        ctx.lambda0 = lam0
-        for seed in range(10):
-            x0 = random_state(desk_grid, 1000 + seed)
-            y = apply_L(x0, ctx)
-            st = invert_L(y, ctx)
-            back = apply_L(st, ctx)
-            worst = max(
-                worst, norm_Y(back.combine(y, 1.0, -1.0))["total"] / norm_Y(y)["total"]
-            )
-            worst_a2 = max(worst_a2, abs(integrate_sphere(st.eta) - y.a2))
-    ok = worst < 1e-7 and worst_a2 < 1e-9
-    report(
-        7,
-        ok,
-        f"20 random data sets at two drifts: round trip {worst:.2e} (<1e-7); "
-        f"volume row defect {worst_a2:.2e} (<1e-9)",
-    )
+    rng = np.random.default_rng(7)
+    report_checks(7, CHECK_GROUPS["roundtrip"](rng, desk_grid, samples=10))
 
 
 def test_criterion_8_fixed_point(fixed_points):
@@ -266,11 +136,5 @@ def test_criterion_10_farfield_wake(fixed_points):
     )
 
 
-def test_criterion_11_truncation_slope(desk_grid, aux_equal):
-    q = 4.0 / 3.0
-    radii = (8.0, 16.0, 32.0)
-    norms = [truncate_field(aux_equal, R, desk_grid, 1.0).divT_norm_lq(q) for R in radii]
-    slope = float(np.polyfit(np.log(radii), np.log(norms), 1)[0])
-    target = -3.0 + 3.0 / q
-    ok = abs(slope - target) < 0.3
-    report(11, ok, f"fitted exponent {slope:.3f} vs {target:.2f} (within 0.3)")
+def test_criterion_11_truncation_slope(desk_grid):
+    report_checks(11, CHECK_GROUPS["truncation"](np.random.default_rng(11), desk_grid))

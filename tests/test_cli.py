@@ -34,7 +34,7 @@ def cfgfile(tmp_path_factory):
 @pytest.fixture(scope="module")
 def solved_out(cfgfile, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("out"))
-    assert main(["solve", "--config", cfgfile, "--out", out]) == EXIT_OK
+    assert main(["solve", "--config", cfgfile, "--out", out, "--emit-modes"]) == EXIT_OK
     return out
 
 
@@ -121,8 +121,11 @@ def test_trivial_solution_artifacts(tmp_path):
 
 
 def test_solve_artifacts_exist(solved_out):
-    for name in ("manifest.txt", "interface_shape.csv", "shell_profiles.csv", "diagnostics.txt"):
+    with open(os.path.join(solved_out, "manifest.txt")) as fh:
+        listed = fh.read().split("[files]")[1]  # the manifest's file index
+    for name in ("interface_shape.csv", "shell_profiles.csv", "diagnostics.txt", "mode_tables.csv"):
         assert os.path.exists(os.path.join(solved_out, name))
+        assert f"= {name}" in listed
 
 
 def test_manifest_reproduces_run(solved_out, cfgfile, tmp_path):
@@ -145,6 +148,21 @@ def test_validate_filter_and_fault(capsys):
     assert "curvature" in out and "PASS" in out
     assert main(["validate", "--only", "oseenlet", "--inject-fault", "oracle_mu2"]) == EXIT_OK
     assert main(["validate", "--only", "drop-flow", "--inject-fault", "oracle_mu2"]) == EXIT_VALIDATION
+
+
+def test_validate_default_report(tmp_path):
+    assert main(["validate", "--out", str(tmp_path)]) == EXIT_OK
+    lines = (tmp_path / "validation_report.txt").read_text().splitlines()
+    assert lines[-1] == "21/21 checks passed"
+
+
+def test_bad_thread_count_is_config_error(tmp_path, cfgfile, monkeypatch, capsys):
+    monkeypatch.setenv("DROP_STEADY_THREADS", "abc")
+    capsys.readouterr()
+    code = main(["sweep", "--config", cfgfile, "--out", str(tmp_path), "--rho-grid", "1e-3"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "DROP_STEADY_THREADS" in err[0]
 
 
 def test_sweep(tmp_path, cfgfile):

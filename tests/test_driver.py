@@ -168,11 +168,3 @@ def test_fixed_point_residual_direct(solved):
     b = solved
     res = apply_L(b.state, b.ctx).combine(assemble_N(b.state, b.ctx), 1.0, -1.0)
     assert norm_Y(res)["total"] < 1e-8
-
-
-def test_probe_epsilon_smoke():
-    from dropsteady.driver import probe_epsilon
-
-    cfg = SolveConfig(rho_tilde=1e-3, band_limit=8, n_r_int=14, n_r_ext=22, r_inf=64.0)
-    eps = probe_epsilon(cfg, lo=1e-3, hi=4e-3, steps=1)
-    assert eps >= 1e-3

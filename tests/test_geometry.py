@@ -9,7 +9,6 @@ from dropsteady.geometry import (
     identity_map,
     harmonic_extension,
     curvature_linear,
-    curvature_nonlinear,
     curvature_total,
     transformed_stress,
     volume_identity_defect,
@@ -243,17 +242,6 @@ def test_normal_projection(vg):
     rhat, _, _ = vg.sphere.unit_vectors()
     P0 = np.eye(3)[:, :, None, None] - np.einsum("iab,jab->ijab", rhat, rhat)
     assert np.max(np.abs(mp0.P_eta - P0)) < 1e-13
-
-
-def test_curvature_sphere(vg):
-    zero = SphereField.zeros(vg.sphere)
-    assert np.max(np.abs(curvature_total(zero).values)) < 1e-12
-    for c in (0.05, -0.05, 0.08, -0.08):
-        eta = SphereField.constant(vg.sphere, c)
-        tot = curvature_total(eta)
-        assert np.max(np.abs(tot.values - 2 * c / (1 + c))) < 1e-10
-        gh = curvature_nonlinear(eta)
-        assert np.max(np.abs(gh.values - 2 * c * c / (1 + c))) < 1e-10
 
 
 def test_curvature_small_perturbation_series(vg):

@@ -21,9 +21,8 @@ from dropsteady.sphere import (
     sobolev_norm,
 )
 from dropsteady.stokes import PhysicalParams
+from dropsteady.validate import random_state
 from dropsteady.volume import (
-    EXTERIOR,
-    INTERIOR,
     VolumeField,
     VolumeGrid,
     integrate_phase,
@@ -100,70 +99,6 @@ def random_volume_vector(vg, seed, amp=1.0):
     return VolumeField.from_function(vg, fn, rank=1)
 
 
-def random_state(vg, seed, amp=1.0) -> DropState:
-    """Random state in the discrete solution class: in-basis radial
-    profiles, no velocity jump, decay at infinity."""
-    rng = np.random.default_rng(seed)
-    g = vg.sphere
-    L = g.band_limit
-    Mi, Me = vg.interior.n, vg.exterior.n
-    ri, se = vg.interior.r, vg.exterior.s
-
-    def rand_modes(n_r, kmax, scale):
-        out = np.zeros((n_r, L + 1, 2 * L + 1))
-        for l in range(L + 1):
-            damp = scale * (1.0 + l * (l + 1.0)) ** -2.0
-            out[:, l, L - l : L + l + 1] = damp * rng.standard_normal((n_r, 2 * l + 1))
-        return out
-
-    def smooth_interior(kmax, parity_base):
-        coef = rand_modes(kmax, L, amp)
-        prof = np.zeros((Mi, L + 1, 2 * L + 1))
-        for k in range(kmax):
-            rho = 2.0 * ri**2 - 1.0
-            Tk = np.cos(k * np.arccos(np.clip(rho, -1, 1)))
-            prof += Tk[:, None, None] * coef[k] * 0.5**k
-        for l in range(L + 1):
-            par = (l + parity_base) % 2
-            prof[:, l, :] *= ri[:, None] ** par
-        return prof
-
-    def smooth_exterior(kmax):
-        coef = rand_modes(kmax, L, amp)
-        prof = np.zeros((Me, L + 1, 2 * L + 1))
-        for k in range(kmax):
-            prof += (se**(k + 1))[:, None, None] * coef[k] * 0.5**k
-        return prof
-
-    from dropsteady.volume import vsh_assemble
-    from dropsteady.sphere import synthesis_batch
-
-    Pi, vi, wi = (smooth_interior(4, 1) for _ in range(3))
-    pi = smooth_interior(4, 0)
-    Pe, ve, we, pe = (smooth_exterior(4) for _ in range(4))
-    # remove the velocity jump by shifting the exterior with a decaying shape
-    shape = (se**2)[:, None, None] / 1.0
-    for inner, outer in ((Pi, Pe), (vi, ve), (wi, we)):
-        outer += (inner[vg.interior.i_surface] - outer[vg.exterior.i_surface])[None] * shape
-    u = VolumeField(
-        vg,
-        vsh_assemble(vg, INTERIOR, Pi, vi, wi, L),
-        vsh_assemble(vg, EXTERIOR, Pe, ve, we, L),
-    )
-    p = VolumeField(
-        vg, synthesis_batch(g, pi, L), synthesis_batch(g, pe, L)
-    )
-    eta = random_sphere_field(g, seed + 9, amp=amp, damp=2.0)
-    return DropState(u, p, float(rng.normal()) * amp, eta)
-
-
-def random_Y(vg, ctx, seed, amp=1.0) -> YElement:
-    """Random element of the attainable data space: the image under the
-    operator of a random discrete state (plus that construction is what
-    makes the 1e-7 round-trip tolerance meaningful at fixed resolution)."""
-    return apply_L(random_state(vg, seed, amp), ctx)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -217,7 +152,7 @@ def test_round_trip_random(vg, lam0):
     a2_errs = []
     state_errs = []
     for seed in range(3):
-        x0 = random_state(vg, 100 + 17 * seed)
+        x0 = random_state(vg, np.random.default_rng(100 + 17 * seed))
         y = apply_L(x0, ctx)
         st = invert_L(y, ctx)
         back = apply_L(st, ctx)

@@ -253,20 +253,8 @@ def test_auxiliary_field_matches_closed_form(vg, mus):
     mu1, mu2 = mus
     params = PhysicalParams(mu1=mu1, mu2=mu2)
     aux = auxiliary_field(vg, params)
-    # shell-wise relative L2 error of the velocity
-    for r0, phase in ((0.4, INTERIOR), (0.9, INTERIOR), (1.8, EXTERIOR), (12.0, EXTERIOR)):
-        got = eval_radii(aux.U, np.array([r0]), phase)[:, 0]
-        th, ph = vg.sphere.nodes
-        x = r0 * np.sin(th) * np.cos(ph)
-        y = r0 * np.sin(th) * np.sin(ph)
-        z = r0 * np.cos(th)
-        exact = dropflow.velocity(x, y, z, mu1, mu2)
-        w = vg.sphere.weights
-        err = np.sqrt(np.einsum("ab,iab->", w, (got - exact) ** 2))
-        ref = np.sqrt(np.einsum("ab,iab->", w, exact**2))
-        assert err < 1e-8 * max(ref, 1.0)
-    # drag: e3 component matches -2 pi mu2 (2+3k)/(1+k); transverse vanish
-    assert abs(aux.e3_drag - dropflow.drag_e3(mu1, mu2)) < 1e-8 * abs(dropflow.drag_e3(mu1, mu2))
+    # the velocity and the e3 drag against the closed form are validate's
+    # drop-flow group; the transverse drag vanishes
     assert abs(aux.drag[0]) < 1e-9 and abs(aux.drag[1]) < 1e-9
     # boundary conditions and normalization
     assert aux.checks["normal_velocity_defect"] < 1e-10
@@ -276,22 +264,16 @@ def test_auxiliary_field_matches_closed_form(vg, mus):
 
 
 def test_energy_identity(vg):
+    # drag vs dissipation is validate's energy group; here dissipation vs
+    # the closed form
     params = PhysicalParams(mu1=1.0, mu2=1.0)
     aux = auxiliary_field(vg, params)
-    assert aux.e3_drag < 0  # sign recorded: drag integral is negative
-    rel = abs(aux.dissipation - (-aux.e3_drag)) / abs(aux.e3_drag)
-    assert rel < 1e-8
     assert abs(aux.dissipation - dropflow.dissipation(1.0, 1.0)) < 1e-8 * aux.dissipation
 
 
-def test_lambda0_law(vg):
-    params = PhysicalParams(mu1=1.0, mu2=1.0)
-    aux = auxiliary_field(vg, params)
-    lam = lambda0_value(1e-3, aux.e3_drag)
-    assert abs(lambda0_value(2e-3, aux.e3_drag) - 2 * lam) < 1e-18
-    assert lambda0_value(0.0, aux.e3_drag) == 0.0
-    # |lambda0| = 4 |rho~| / (15 mu) at equal viscosities
-    assert abs(abs(lam) - 4e-3 / 15.0) < 1e-8 * abs(lam)
+def test_lambda0_law():
+    # linearity and the equal-viscosity value are validate's energy group
+    assert lambda0_value(0.0, dropflow.drag_e3(1.0, 1.0)) == 0.0
 
 
 def test_pressure_matches_closed_form(vg):
@@ -396,15 +378,14 @@ def test_lambda0_continuity(vg, solver):
 # -- truncation ----------------------------------------------------------------
 
 
-def test_truncation_support_and_slope(vg):
+def test_truncation_support(vg):
+    # the decay slope of the tail is validate's truncation group
     params = PhysicalParams(mu1=1.0, mu2=1.0)
     aux = auxiliary_field(vg, params)
     with pytest.raises(ValueError):
         truncate_field(aux, 3.0, vg, params.mu2)
     with pytest.raises(ValueError):
         truncate_field(aux, 40.0, vg, params.mu2)
-    q = 4.0 / 3.0
-    norms = []
     for R in (8.0, 16.0, 32.0):
         tr = truncate_field(aux, R, vg, params.mu2)
         r = vg.exterior.r
@@ -413,9 +394,6 @@ def test_truncation_support_and_slope(vg):
         outside = r >= 2.0 * R
         if outside.any():
             assert np.max(np.abs(tr.U_R.blocks[EXTERIOR][:, outside])) == 0.0
-        norms.append(tr.divT_norm_lq(q))
-    slope = np.polyfit(np.log([8.0, 16.0, 32.0]), np.log(norms), 1)[0]
-    assert abs(slope - (-3.0 + 3.0 / q)) < 0.3
 
 
 # -- Oseen fundamental solution --------------------------------------------------
