@@ -20,13 +20,16 @@ EXIT_VALIDATION = 4
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("DROP_STEADY_THREADS")
+    source, raw = "--threads", args.threads
+    if raw is None:
+        source, raw = "DROP_STEADY_THREADS", os.environ.get("DROP_STEADY_THREADS") or "1"
     try:
-        return max(1, int(env)) if env else 1
+        n = int(raw)
     except ValueError:
-        raise ValueError(f"DROP_STEADY_THREADS must be an integer, not {env!r}") from None
+        raise ValueError(f"{source} must be an integer, not {raw!r}") from None
+    if n < 1:
+        raise ValueError(f"{source} must be at least 1, not {n}")
+    return n
 
 
 def cmd_solve(args) -> int:

@@ -16,12 +16,16 @@ Conventions
   (Condon-Shortley phase included).
 * Coefficients are stored in a dense ``(L+1, 2L+1)`` array ``a[l, m+L]``.
 * A constant field c has ``a[0,0] = c*sqrt(4 pi)``.
+* A transform is one matmul with a Fourier table (values <-> per-order
+  cos/sin amplitudes) and one stacked matmul over all orders with a
+  Legendre table; the tables are built once per grid (``_Tables``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,23 +71,27 @@ def _legendre_tables(lmax: int, x: np.ndarray):
             P[m, l] = a * x * P[m, l - 1] - b * P[m, l - 2]
 
     # d Pbar_l^m / dtheta = (l x Pbar_l^m - c_lm Pbar_{l-1}^m) / sin(theta)
-    dP = np.zeros_like(P)
-    for m in range(lmax + 1):
-        for l in range(m, lmax + 1):
-            c = 0.0
-            low = np.zeros(n)
-            if l - 1 >= m:
-                c = np.sqrt((2.0 * l + 1.0) / (2.0 * l - 1.0)) * np.sqrt(
-                    float(l * l - m * m)
-                )
-                low = P[m, l - 1]
-            dP[m, l] = (l * x * P[m, l] - c * low) / sin_th
-
+    m, l = np.ogrid[: lmax + 1, : lmax + 1]
+    c = np.sqrt((2.0 * l + 1.0) / np.abs(2.0 * l - 1.0)) * np.sqrt(np.maximum(l * l - m * m, 0.0))
+    low = np.concatenate([np.zeros_like(P[:, :1]), P[:, :-1]], axis=1)
+    dP = (l[..., None] * x * P - c[..., None] * low) / sin_th
     # m Pbar_l^m / sin(theta); safe on a Gauss grid (no poles)
-    mP = np.zeros_like(P)
-    for m in range(1, lmax + 1):
-        mP[m] = m * P[m] / sin_th
-    return P, dP, mP
+    return P, dP, m[..., None] * P / sin_th
+
+
+class _Tables(NamedTuple):
+    """Transform tables of one grid, stacked over orders m = 0..pad_limit.
+
+    Analysis tables carry the quadrature weights and normalisations (and,
+    for D and E, the 1/(l(l+1)) of the spheroidal/toroidal split).
+    """
+
+    fourier_a: np.ndarray  # (m, 2, n_phi)  values -> cos/sin amplitudes
+    fourier_s: np.ndarray  # (m, 2, n_phi)  cos/sin amplitudes -> values
+    P_a: np.ndarray  # (m, n_theta, l)  P w
+    P_s: np.ndarray  # (m, l, n_theta)  P
+    DE_a: np.ndarray  # (m, n_theta, l, 2)  (D w, E w) / (l(l+1))
+    DE_s: np.ndarray  # (m, l, 2, n_theta)  (D, E)
 
 
 @dataclass(frozen=True)
@@ -138,19 +146,28 @@ class SphereGrid:
         phat = np.stack([-sp, cp, np.zeros_like(sp)])
         return rhat, that, phat
 
-    # -- cached Legendre tables ------------------------------------------
-    def _tables(self):
-        return _cached_tables(self.pad_limit, self.x.tobytes(), self.x.size)
+    @cached_property
+    def _tables(self) -> "_Tables":
+        """Per-order transform tables, built once per grid (see ``_Tables``)."""
+        P, D, E = _legendre_tables(self.pad_limit, self.x)
+        k = np.arange(self.pad_limit + 1)  # order m, or degree l
+        norm = np.where(k > 0, np.sqrt(2.0), 1.0)[:, None, None]
+        # m*phi reduced mod 2 pi in integers, as an FFT's twiddle factors are
+        angle = (2.0 * np.pi / self.n_phi) * (np.outer(k, np.arange(self.n_phi)) % self.n_phi)
+        cs = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        Dw, Ew = (T * self.wx / np.maximum(k * (k + 1), 1)[:, None] for T in (D, E))
+        return _Tables(
+            fourier_a=(2.0 * np.pi / self.n_phi) * norm * cs,
+            fourier_s=norm * cs,
+            P_a=np.ascontiguousarray((P * self.wx).transpose(0, 2, 1)),
+            P_s=P,
+            DE_a=np.ascontiguousarray(np.stack([Dw, Ew], axis=-1).transpose(0, 2, 1, 3)),
+            DE_s=np.stack([D, E], axis=2),
+        )
 
     def quad(self, values: np.ndarray) -> float:
         """Surface quadrature of nodal values (n_theta, n_phi)."""
         return float(np.einsum("ij,ij->", self.weights, values))
-
-
-@lru_cache(maxsize=8)
-def _cached_tables(lmax: int, xbytes: bytes, n: int):
-    x = np.frombuffer(xbytes, dtype=float, count=n)
-    return _legendre_tables(lmax, x)
 
 
 # ---------------------------------------------------------------------------
@@ -247,101 +264,81 @@ class SphereField:
         return SphereField(self.grid, coeffs=self.coeffs.copy(), band=self.band)
 
 
+def _amplitudes(grid: SphereGrid, values: np.ndarray, band: int) -> np.ndarray:
+    """Arrays (..., n_theta, n_phi) -> per-order amplitudes (band+1, 2*rows, n_theta).
+
+    For each order m: the cosine amplitudes of every row, then the sine
+    amplitudes.  One matmul with the grid's Fourier table.
+    """
+    F = grid._tables.fourier_a[: band + 1].reshape(-1, grid.n_phi)
+    X = F @ values.reshape(-1, grid.n_phi).T
+    return X.reshape(band + 1, -1, grid.n_theta)
+
+
+def _grid_values(grid: SphereGrid, amps: np.ndarray, lead: tuple) -> np.ndarray:
+    """Inverse of ``_amplitudes``: amplitudes -> arrays (..., n_theta, n_phi)."""
+    F = grid._tables.fourier_s[: amps.shape[0]].reshape(-1, grid.n_phi)
+    V = amps.reshape(F.shape[0], -1).T @ F
+    return V.reshape(lead + (grid.n_theta, grid.n_phi))
+
+
+def _layout(res: np.ndarray, lead: tuple) -> np.ndarray:
+    """Per-order results (L+1, 2*rows, L+1) [m, row, l] -> coefficients a[..., l, m+L].
+
+    The rows are ordered as ``_amplitudes`` returns them: cosine, then sine.
+    """
+    L = res.shape[0] - 1
+    rows = res.shape[1] // 2
+    a = np.empty((rows, L + 1, 2 * L + 1))
+    a[..., L:] = res[:, :rows].transpose(1, 2, 0)
+    a[..., :L] = res[:0:-1, rows:].transpose(1, 2, 0)
+    return a.reshape(lead + a.shape[1:])
+
+
+def _unlayout(a: np.ndarray) -> np.ndarray:
+    """Inverse of ``_layout``: a[..., l, m+L] -> (L+1, 2*rows, L+1) [m, row, l]."""
+    L = a.shape[-2] - 1
+    c = a.reshape((-1,) + a.shape[-2:]).transpose(2, 0, 1)
+    res = np.concatenate([c[L:], c[L::-1]], axis=1)
+    res[0, c.shape[1] :] = 0.0  # m = 0 has no sine part
+    return res
+
+
+# The toroidal basis is rhat x grad_S, so in either direction the E table
+# acts on the four blocks (cos th, cos ph, sin th, sin ph) reversed and signed.
+_ROTATE = np.array([-1.0, 1.0, 1.0, -1.0])[:, None, None]
+
+
 def analysis_batch(grid: SphereGrid, values: np.ndarray, band: int) -> np.ndarray:
     """Scalar analysis on arrays shaped (..., n_theta, n_phi)."""
-    P, _, _ = grid._tables()
-    F = np.fft.rfft(values, axis=-1)
-    nphi = grid.n_phi
-    L = band
-    lead = values.shape[:-2]
-    coeffs = np.zeros(lead + (L + 1, 2 * L + 1))
-    w = grid.wx
-    A0 = F[..., 0].real / nphi
-    coeffs[..., :, L] = 2.0 * np.pi * np.einsum("li,...i->...l", P[0, : L + 1] * w, A0)
-    sq2pi = np.sqrt(2.0) * np.pi
-    for m in range(1, L + 1):
-        Am = 2.0 * F[..., m].real / nphi
-        Bm = -2.0 * F[..., m].imag / nphi
-        Pm = P[m, : L + 1] * w
-        coeffs[..., :, L + m] = sq2pi * np.einsum("li,...i->...l", Pm, Am)
-        coeffs[..., :, L - m] = sq2pi * np.einsum("li,...i->...l", Pm, Bm)
-    return coeffs
+    X = _amplitudes(grid, values, band)
+    return _layout(X @ grid._tables.P_a[: band + 1, :, : band + 1], values.shape[:-2])
 
 
 def synthesis_batch(grid: SphereGrid, coeffs: np.ndarray, band: int) -> np.ndarray:
     """Scalar synthesis to arrays shaped (..., n_theta, n_phi)."""
-    P, _, _ = grid._tables()
-    L = band
-    nphi = grid.n_phi
-    lead = coeffs.shape[:-2]
-    F = np.zeros(lead + (grid.n_theta, nphi // 2 + 1), dtype=complex)
-    F[..., 0] = np.einsum("li,...l->...i", P[0, : L + 1], coeffs[..., :, L]) * nphi
-    s2 = np.sqrt(2.0)
-    for m in range(1, L + 1):
-        Pm = P[m, : L + 1]
-        Am = s2 * np.einsum("li,...l->...i", Pm, coeffs[..., :, L + m])
-        Bm = s2 * np.einsum("li,...l->...i", Pm, coeffs[..., :, L - m])
-        F[..., m] = (Am - 1j * Bm) * (nphi / 2.0)
-    return np.fft.irfft(F, n=nphi, axis=-1)
+    Y = _unlayout(coeffs)
+    return _grid_values(grid, Y @ grid._tables.P_s[: band + 1, : band + 1], coeffs.shape[:-2])
 
 
 def tangent_analysis_batch(grid: SphereGrid, tth: np.ndarray, tph: np.ndarray, band: int):
     """Spheroidal/toroidal analysis on component arrays (..., n_theta, n_phi)."""
-    _, D, E = grid._tables()
-    L = band
-    nphi = grid.n_phi
-    w = grid.wx
-    Fth = np.fft.rfft(tth, axis=-1)
-    Fph = np.fft.rfft(tph, axis=-1)
-    lead = tth.shape[:-2]
-    s = np.zeros(lead + (L + 1, 2 * L + 1))
-    t = np.zeros(lead + (L + 1, 2 * L + 1))
-    ll = np.arange(L + 1, dtype=float)
-    fac = np.where(ll > 0, ll * (ll + 1.0), 1.0)
-    Ath0 = Fth[..., 0].real / nphi
-    Aph0 = Fph[..., 0].real / nphi
-    D0 = D[0, : L + 1] * w
-    s[..., :, L] = 2.0 * np.pi * np.einsum("li,...i->...l", D0, Ath0) / fac
-    t[..., :, L] = 2.0 * np.pi * np.einsum("li,...i->...l", D0, Aph0) / fac
-    sq2pi = np.sqrt(2.0) * np.pi
-    for m in range(1, L + 1):
-        Ath = 2.0 * Fth[..., m].real / nphi
-        Bth = -2.0 * Fth[..., m].imag / nphi
-        Aph = 2.0 * Fph[..., m].real / nphi
-        Bph = -2.0 * Fph[..., m].imag / nphi
-        Dm = D[m, : L + 1] * w
-        Em = E[m, : L + 1] * w
-        dot = lambda M, a: np.einsum("li,...i->...l", M, a)
-        s[..., :, L + m] = sq2pi * (dot(Dm, Ath) - dot(Em, Bph)) / fac
-        s[..., :, L - m] = sq2pi * (dot(Dm, Bth) + dot(Em, Aph)) / fac
-        t[..., :, L + m] = sq2pi * (dot(Em, Bth) + dot(Dm, Aph)) / fac
-        t[..., :, L - m] = sq2pi * (-dot(Em, Ath) + dot(Dm, Bph)) / fac
-    s[..., 0, :] = 0.0
-    t[..., 0, :] = 0.0
-    return s, t
+    n = band + 1
+    X = _amplitudes(grid, np.stack([tth, tph]), band)
+    DE = (X @ grid._tables.DE_a[:n, :, :n].reshape(n, grid.n_theta, 2 * n)).reshape(n, 4, -1, n, 2)
+    res = DE[..., 0] + _ROTATE * DE[:, ::-1, ..., 1]
+    return tuple(_layout(res.reshape(n, -1, n), (2,) + tth.shape[:-2]))
 
 
 def tangent_synthesis_batch(grid: SphereGrid, s: np.ndarray, t: np.ndarray, band: int):
     """Inverse of tangent_analysis_batch; returns (t_theta, t_phi)."""
-    _, D, E = grid._tables()
-    L = band
-    nphi = grid.n_phi
-    lead = s.shape[:-2]
-    Fth = np.zeros(lead + (grid.n_theta, nphi // 2 + 1), dtype=complex)
-    Fph = np.zeros_like(Fth)
-    dot = lambda M, a: np.einsum("li,...l->...i", M, a)
-    Fth[..., 0] = dot(D[0, : L + 1], s[..., :, L]) * nphi
-    Fph[..., 0] = dot(D[0, : L + 1], t[..., :, L]) * nphi
-    s2 = np.sqrt(2.0)
-    for m in range(1, L + 1):
-        Dm, Em = D[m, : L + 1], E[m, : L + 1]
-        Ath = s2 * (dot(Dm, s[..., :, L + m]) - dot(Em, t[..., :, L - m]))
-        Bth = s2 * (dot(Dm, s[..., :, L - m]) + dot(Em, t[..., :, L + m]))
-        Aph = s2 * (dot(Em, s[..., :, L - m]) + dot(Dm, t[..., :, L + m]))
-        Bph = s2 * (-dot(Em, s[..., :, L + m]) + dot(Dm, t[..., :, L - m]))
-        Fth[..., m] = (Ath - 1j * Bth) * (nphi / 2.0)
-        Fph[..., m] = (Aph - 1j * Bph) * (nphi / 2.0)
-    return np.fft.irfft(Fth, n=nphi, axis=-1), np.fft.irfft(Fph, n=nphi, axis=-1)
+    n = band + 1
+    Y = _unlayout(np.stack([s, t])).reshape(n, 4, -1, n)
+    Z = np.empty(Y.shape + (2,))
+    Z[..., 0] = Y
+    np.multiply(_ROTATE, Y[:, ::-1], out=Z[..., 1])
+    amps = Z.reshape(n, -1, 2 * n) @ grid._tables.DE_s[:n, :n].reshape(n, 2 * n, grid.n_theta)
+    return tuple(_grid_values(grid, amps, (2,) + s.shape[:-2]))
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,17 @@ def test_bad_thread_count_is_config_error(tmp_path, cfgfile, monkeypatch, capsys
     assert len(err) == 1 and "DROP_STEADY_THREADS" in err[0]
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_thread_count_below_one_is_config_error(tmp_path, cfgfile, monkeypatch, capsys, threads):
+    # an explicit --threads is checked, not read as unset or clamped
+    monkeypatch.setenv("DROP_STEADY_THREADS", "4")
+    capsys.readouterr()
+    argv = ["--threads", threads, "sweep", "--config", cfgfile, "--out", str(tmp_path), "--rho-grid", "1e-3"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "--threads" in err[0]
+
+
 def test_sweep(tmp_path, cfgfile):
     out = tmp_path / "sw"
     code = main(["sweep", "--config", cfgfile, "--out", str(out), "--rho-grid", "1e-3,0.4,1.0"])
@@ -182,6 +193,16 @@ def test_sweep(tmp_path, cfgfile):
     assert [r[0] for r in rows] == ["-0.001", "0"]
     assert all(r[-1] == "ok" for r in rows)
     assert float(rows[0][1]) > 0.0  # a lighter drop rises
+
+
+def test_sweep_bytes_independent_of_threads(tmp_path, cfgfile):
+    csv = []
+    for n in ("1", "2"):
+        out = tmp_path / f"t{n}"
+        argv = ["--threads", n, "sweep", "--config", cfgfile, "--out", str(out), "--rho-grid", "1e-3,-5e-4"]
+        assert main(argv) == EXIT_OK
+        csv.append((out / "sweep.csv").read_bytes())
+    assert csv[0] == csv[1]
 
 
 def test_sweep_empty_grid(tmp_path, cfgfile):

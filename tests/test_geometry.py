@@ -8,7 +8,6 @@ from dropsteady.geometry import (
     build_map,
     identity_map,
     harmonic_extension,
-    curvature_linear,
     curvature_total,
     transformed_stress,
     volume_identity_defect,
@@ -21,8 +20,6 @@ from dropsteady.volume import (
     VolumeGrid,
     VolumeField,
     grid_points,
-    scalar_gradient,
-    vector_divergence,
     tensor_divergence,
     vector_gradient,
     INTERIOR,

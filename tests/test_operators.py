@@ -15,7 +15,6 @@ from dropsteady.operators import (
 )
 from dropsteady.sphere import (
     SphereField,
-    TangentField,
     integrate_sphere,
     normal_component_fields,
     sobolev_norm,
@@ -25,7 +24,6 @@ from dropsteady.validate import random_state
 from dropsteady.volume import (
     VolumeField,
     VolumeGrid,
-    integrate_phase,
 )
 
 L_TEST = 10
@@ -54,18 +52,6 @@ def random_sphere_field(g, seed, amp=1.0, damp=2.0, band=None):
         w = amp * (1.0 + l * (l + 1.0)) ** (-damp)
         c[l, L - l : L + l + 1] = w * rng.standard_normal(2 * l + 1)
     return SphereField(g, coeffs=c, band=L)
-
-
-def random_tangent_field(g, seed, amp=1.0, damp=2.0):
-    rng = np.random.default_rng(seed)
-    L = g.band_limit
-    s = np.zeros((L + 1, 2 * L + 1))
-    t = np.zeros((L + 1, 2 * L + 1))
-    for l in range(1, L + 1):
-        w = amp * (1.0 + l * (l + 1.0)) ** (-damp)
-        s[l, L - l : L + l + 1] = w * rng.standard_normal(2 * l + 1)
-        t[l, L - l : L + l + 1] = w * rng.standard_normal(2 * l + 1)
-    return TangentField(g, spec=(s, t), band=L)
 
 
 def random_volume_scalar(vg, seed, amp=1.0):
@@ -222,10 +208,6 @@ def test_N_compatibility_and_tangency(ctx):
     y = assemble_N(st, ctx)
     scale = max(norm_Y(y)["total"], 1e-30)
     assert abs(y.compatibility_defect()) < 1e-10 * max(1.0, scale)
-    # N4 is tangential by construction of the returned TangentField; check
-    # the discarded normal component was negligible
-    from dropsteady.operators import _traction_jump_eta  # noqa: F401
-
     # equivariance-lite: N of the zero state is axisymmetric
     st0 = DropState.zeros(ctx.grid)
     y0 = assemble_N(st0, ctx)

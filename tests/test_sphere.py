@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from dropsteady.sphere import (
+    _legendre_tables,
+    analysis_batch,
+    synthesis_batch,
+    tangent_analysis_batch,
+    tangent_synthesis_batch,
     SphereGrid,
     SphereField,
     TangentField,
@@ -33,6 +38,114 @@ def random_field(grid, band, seed=0, lmin=0):
     for l in range(lmin, L + 1):
         c[l, L - l : L + l + 1] = rng.standard_normal(2 * l + 1)
     return SphereField(grid, coeffs=c, band=L)
+
+
+# -- reference transforms: one einsum per order m ------------------------------
+
+
+def ref_analysis(grid, values, L):
+    P, _, _ = _legendre_tables(grid.pad_limit, grid.x)
+    F = np.fft.rfft(values, axis=-1)
+    nphi = grid.n_phi
+    coeffs = np.zeros(values.shape[:-2] + (L + 1, 2 * L + 1))
+    w = grid.wx
+    A0 = F[..., 0].real / nphi
+    coeffs[..., :, L] = 2.0 * np.pi * np.einsum("li,...i->...l", P[0, : L + 1] * w, A0)
+    sq2pi = np.sqrt(2.0) * np.pi
+    for m in range(1, L + 1):
+        Am = 2.0 * F[..., m].real / nphi
+        Bm = -2.0 * F[..., m].imag / nphi
+        Pm = P[m, : L + 1] * w
+        coeffs[..., :, L + m] = sq2pi * np.einsum("li,...i->...l", Pm, Am)
+        coeffs[..., :, L - m] = sq2pi * np.einsum("li,...i->...l", Pm, Bm)
+    return coeffs
+
+
+def ref_synthesis(grid, coeffs, L):
+    P, _, _ = _legendre_tables(grid.pad_limit, grid.x)
+    nphi = grid.n_phi
+    F = np.zeros(coeffs.shape[:-2] + (grid.n_theta, nphi // 2 + 1), dtype=complex)
+    F[..., 0] = np.einsum("li,...l->...i", P[0, : L + 1], coeffs[..., :, L]) * nphi
+    s2 = np.sqrt(2.0)
+    for m in range(1, L + 1):
+        Pm = P[m, : L + 1]
+        Am = s2 * np.einsum("li,...l->...i", Pm, coeffs[..., :, L + m])
+        Bm = s2 * np.einsum("li,...l->...i", Pm, coeffs[..., :, L - m])
+        F[..., m] = (Am - 1j * Bm) * (nphi / 2.0)
+    return np.fft.irfft(F, n=nphi, axis=-1)
+
+
+def ref_tangent_analysis(grid, tth, tph, L):
+    _, D, E = _legendre_tables(grid.pad_limit, grid.x)
+    nphi = grid.n_phi
+    w = grid.wx
+    Fth = np.fft.rfft(tth, axis=-1)
+    Fph = np.fft.rfft(tph, axis=-1)
+    s = np.zeros(tth.shape[:-2] + (L + 1, 2 * L + 1))
+    t = np.zeros_like(s)
+    ll = np.arange(L + 1, dtype=float)
+    fac = np.where(ll > 0, ll * (ll + 1.0), 1.0)
+    dot = lambda M, a: np.einsum("li,...i->...l", M, a)
+    D0 = D[0, : L + 1] * w
+    s[..., :, L] = 2.0 * np.pi * dot(D0, Fth[..., 0].real / nphi) / fac
+    t[..., :, L] = 2.0 * np.pi * dot(D0, Fph[..., 0].real / nphi) / fac
+    sq2pi = np.sqrt(2.0) * np.pi
+    for m in range(1, L + 1):
+        Ath = 2.0 * Fth[..., m].real / nphi
+        Bth = -2.0 * Fth[..., m].imag / nphi
+        Aph = 2.0 * Fph[..., m].real / nphi
+        Bph = -2.0 * Fph[..., m].imag / nphi
+        Dm = D[m, : L + 1] * w
+        Em = E[m, : L + 1] * w
+        s[..., :, L + m] = sq2pi * (dot(Dm, Ath) - dot(Em, Bph)) / fac
+        s[..., :, L - m] = sq2pi * (dot(Dm, Bth) + dot(Em, Aph)) / fac
+        t[..., :, L + m] = sq2pi * (dot(Em, Bth) + dot(Dm, Aph)) / fac
+        t[..., :, L - m] = sq2pi * (-dot(Em, Ath) + dot(Dm, Bph)) / fac
+    s[..., 0, :] = 0.0
+    t[..., 0, :] = 0.0
+    return s, t
+
+
+def ref_tangent_synthesis(grid, s, t, L):
+    _, D, E = _legendre_tables(grid.pad_limit, grid.x)
+    nphi = grid.n_phi
+    Fth = np.zeros(s.shape[:-2] + (grid.n_theta, nphi // 2 + 1), dtype=complex)
+    Fph = np.zeros_like(Fth)
+    dot = lambda M, a: np.einsum("li,...l->...i", M, a)
+    Fth[..., 0] = dot(D[0, : L + 1], s[..., :, L]) * nphi
+    Fph[..., 0] = dot(D[0, : L + 1], t[..., :, L]) * nphi
+    s2 = np.sqrt(2.0)
+    for m in range(1, L + 1):
+        Dm, Em = D[m, : L + 1], E[m, : L + 1]
+        Ath = s2 * (dot(Dm, s[..., :, L + m]) - dot(Em, t[..., :, L - m]))
+        Bth = s2 * (dot(Dm, s[..., :, L - m]) + dot(Em, t[..., :, L + m]))
+        Aph = s2 * (dot(Em, s[..., :, L - m]) + dot(Dm, t[..., :, L + m]))
+        Bph = s2 * (-dot(Em, s[..., :, L + m]) + dot(Dm, t[..., :, L - m]))
+        Fth[..., m] = (Ath - 1j * Bth) * (nphi / 2.0)
+        Fph[..., m] = (Aph - 1j * Bph) * (nphi / 2.0)
+    return np.fft.irfft(Fth, n=nphi, axis=-1), np.fft.irfft(Fph, n=nphi, axis=-1)
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+@pytest.mark.parametrize(
+    "grid_band, band", [(16, 0), (16, 1), (16, 8), (16, 16), (24, 24), (16, None)]
+)
+def test_transforms_match_per_order_reference(grid_band, band, lead):
+    # band < band_limit, band = band_limit, and band = pad_limit (None)
+    grid = SphereGrid.build(grid_band)
+    L = grid.pad_limit if band is None else band
+    rng = np.random.default_rng(L)
+    v, w = rng.standard_normal((2,) + lead + (grid.n_theta, grid.n_phi))
+    a, b = rng.standard_normal((2,) + lead + (L + 1, 2 * L + 1))
+    pairs = [
+        (analysis_batch(grid, v, L), ref_analysis(grid, v, L)),
+        (synthesis_batch(grid, a, L), ref_synthesis(grid, a, L)),
+        *zip(tangent_analysis_batch(grid, v, w, L), ref_tangent_analysis(grid, v, w, L)),
+        *zip(tangent_synthesis_batch(grid, a, b, L), ref_tangent_synthesis(grid, a, b, L)),
+    ]
+    for new, ref in pairs:
+        assert new.shape == ref.shape
+        assert np.max(np.abs(new - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_weights_sum_to_4pi(grid):

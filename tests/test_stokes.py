@@ -10,16 +10,13 @@ from dropsteady.stokes import (
     PhysicalParams,
     TwoPhaseStokesSolver,
     auxiliary_field,
-    drag_integral,
     lambda0_value,
     oseenlet,
     oseenlet_pressure,
     residual_report,
     solve_two_phase,
     stokes_mode_solve,
-    surface_traction_jump,
     truncate_field,
-    RichardsonDivergence,
 )
 from dropsteady.volume import (
     EXTERIOR,
@@ -27,7 +24,6 @@ from dropsteady.volume import (
     VolumeField,
     VolumeGrid,
     eval_radii,
-    norm_lq,
     vsh_assemble,
 )
 from dropsteady.volume import synthesis_batch
