@@ -147,11 +147,7 @@ def picard_solve(
         x_new = invert_L_with_tail(y, lam0 + x.kappa, ctx)
         dx = x_new.combine(x, 1.0, -1.0)
         update = norm_X(dx, lam0)["total"]
-        entry = {
-            "iter": it,
-            "update": update,
-            "norm_x": norm_X(x_new, lam0)["total"],
-        }
+        entry = {"iter": it, "update": update}
         if prev_update is not None and prev_update > 0:
             entry["ratio"] = update / prev_update
         history.append(entry)
@@ -174,7 +170,7 @@ def picard_solve(
         config, ctx, x, lam0 + x.kappa, lam0, converged, history
     )
     bundle.report["fixed_point_residual"] = norm_Y(res)["total"]
-    bundle.report["ball_norm"] = history[-1]["norm_x"]  # x is the last x_new
+    bundle.report["ball_norm"] = norm_X(x, lam0)["total"]
     bundle.report["ball_radius"] = abs(config.rho_tilde) ** config.alpha
     bundle.report["contraction_ratios"] = [
         h["ratio"] for h in history if "ratio" in h

@@ -3,9 +3,10 @@
 The interface is the graph {(1 + eta(zeta)) zeta : zeta on S^2}.  A
 harmonic extension of eta (ball + annulus with outer Dirichlet zero),
 cut off between radii 2 and 3, defines the displacement field E and the
-map Phi(x) = x + E(x).  All pullback tensors (F, J, A = J F^{-1},
-F^{-1}) are evaluated pointwise from analytic radial profiles, so no
-spectral differentiation of the cutoff is involved.
+map Phi(x) = x + E(x).  F = I + grad E is evaluated pointwise from
+analytic radial profiles, so no spectral differentiation of the cutoff
+is involved, and J = det F, A = J F^{-1} = adj F and F^{-1} = adj F / J
+follow from it in closed form (cofactors), node by node.
 
 Curvature of the deformed interface splits as
 ``(H + 2) o Phi = lap_S eta + 2 eta - G(eta)`` with G collecting every
@@ -30,6 +31,7 @@ from .volume import (
     VolumeField,
     VolumeGrid,
     grid_points,
+    spherical_to_cartesian,
     synthesis_batch,
     tangent_synthesis_batch,
 )
@@ -199,54 +201,65 @@ class MapData:
     A_surf: np.ndarray  # drop-side trace of A
 
 
+def _adjugate(F: np.ndarray) -> np.ndarray:
+    """Pointwise adjugate of a (3, 3, ...) field: adj F = det(F) F^{-1}.
+
+    Entry (i, j) is the cofactor of F_ji, i.e. the 2x2 minor on the
+    cyclic successors of row j and column i.
+    """
+    adj = np.empty_like(F)
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            adj[i, j] = F[j1, i1] * F[j2, i2] - F[j1, i2] * F[j2, i1]
+    return adj
+
+
 def build_map(eta_h: HeightFunction, grid: VolumeGrid) -> MapData:
-    """Assemble E, F, J, A, F^{-1} and interface quantities for eta."""
+    """Assemble E, F, J, A, F^{-1} and interface quantities for eta.
+
+    J = det F, A = adj F and F^{-1} = A / J are taken by cofactors, node
+    by node.
+    """
     eta = eta_h.eta
     g = grid.sphere
+    rhat = g.unit_vectors()[0]
     E = VolumeField.zeros(grid, rank=1)
     F = VolumeField.zeros(grid, rank=2)
-    eye = np.eye(3)
-    rhat, that, phat = g.unit_vectors()
+    J = VolumeField.zeros(grid, rank=0)
+    A = VolumeField.zeros(grid, rank=2)
+    F_inv = VolumeField.zeros(grid, rank=2)
     for ph in (INTERIOR, EXTERIOR):
-        rad = grid.radial(ph)
-        r = rad.r
+        r = grid.radial(ph).r
         H, dHdr, tth, tph = _extension_scalar_at(eta, r, ph)
         chi = cutoff_ext(r)[:, None, None]
         dchi = cutoff_ext_d1(r)[:, None, None]
         x = np.stack(grid_points(grid, ph))  # (3, n_r, nth, nph)
         rinv = 1.0 / r[:, None, None]
-        gradH = (
-            dHdr[None] * rhat[:, None]
-            + rinv[None] * (tth[None] * that[:, None] + tph[None] * phat[:, None])
-        )
-        E.blocks[ph] = chi[None] * H[None] * x
-        # d_j (chi H x_i) = chi' rhat_j H x_i + chi (d_j H) x_i + chi H d_ij
-        jac = (
-            (dchi * H)[None, None] * np.einsum("irab,jrab->ijrab", x, rhat[:, None] * np.ones_like(H)[None])
-            + chi[None, None] * np.einsum("irab,jrab->ijrab", x, gradH)
-        )
-        diag = chi[None, None] * H[None, None] * eye[:, :, None, None, None]
-        F.blocks[ph] = jac + diag + eye[:, :, None, None, None]
-
-    J = VolumeField.zeros(grid, rank=0)
-    A = VolumeField.zeros(grid, rank=2)
-    F_inv = VolumeField.zeros(grid, rank=2)
-    for ph in (INTERIOR, EXTERIOR):
-        Fm = np.moveaxis(F.blocks[ph], (0, 1), (-2, -1))
-        Jb = np.linalg.det(Fm)
+        gradH = spherical_to_cartesian(g, dHdr, rinv * tth, rinv * tph)
+        chiH, dchiH = chi * H, dchi * H
+        E.blocks[ph] = chiH[None] * x
+        # d_j (chi H x_i) = chi' H x_i rhat_j + chi x_i d_j H + chi H d_ij
+        Fb = np.empty((3, 3) + H.shape)
+        for i in range(3):
+            for j in range(3):
+                Fb[i, j] = dchiH * (x[i] * rhat[j]) + chi * (x[i] * gradH[j])
+            Fb[i, i] += chiH
+            Fb[i, i] += 1.0
+        Ab = _adjugate(Fb)
+        Jb = Fb[0, 0] * Ab[0, 0] + Fb[0, 1] * Ab[1, 0] + Fb[0, 2] * Ab[2, 0]
         if np.min(Jb) <= 0.5:
             raise ValueError(
                 f"inadmissible height function: min det(F) = {np.min(Jb):.4f} <= 1/2"
             )
-        Fi = np.linalg.inv(Fm)
-        Ab = Jb[..., None, None] * Fi
+        F.blocks[ph] = Fb
         J.blocks[ph] = Jb
-        A.blocks[ph] = np.moveaxis(Ab, (-2, -1), (0, 1))
-        F_inv.blocks[ph] = np.moveaxis(Fi, (-2, -1), (0, 1))
+        A.blocks[ph] = Ab
+        F_inv.blocks[ph] = Ab / Jb
 
     A_surf = A.trace(INTERIOR)
-    n = rhat
-    Ntil = np.einsum("jiab,jab->iab", A_surf, n)
+    Ntil = np.einsum("jiab,jab->iab", A_surf, rhat)
     Ntil_norm = np.sqrt(np.einsum("iab,iab->ab", Ntil, Ntil))
     n_gamma = Ntil / Ntil_norm[None]
     P_eta = np.eye(3)[:, :, None, None] - np.einsum(
@@ -257,9 +270,15 @@ def build_map(eta_h: HeightFunction, grid: VolumeGrid) -> MapData:
     )
 
 
-def identity_map(grid: VolumeGrid) -> MapData:
-    zero = SphereField.zeros(grid.sphere)
-    return build_map(HeightFunction(zero), grid)
+def _mul3(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Pointwise matrix product (X Y)_ij = X_ik Y_kj of (3, 3, ...) fields,
+    as three broadcast multiply-adds over k."""
+    out = X[:, 0, None] * Y[None, 0]
+    tmp = np.empty_like(out)
+    for k in (1, 2):
+        np.multiply(X[:, k, None], Y[None, k], out=tmp)
+        out += tmp
+    return out
 
 
 def transformed_stress(
@@ -271,15 +290,12 @@ def transformed_stress(
     the Cauchy stress 2 mu S(w) - q I.
     """
     out = VolumeField.zeros(mp.grid, rank=2)
-    eye = np.eye(3)
     for ph, mu in ((INTERIOR, mu1), (EXTERIOR, mu2)):
-        Jw = jac_w.blocks[ph]
-        Fi = mp.F_inv.blocks[ph]
-        G = np.einsum("ikrab,kjrab->ijrab", Jw, Fi)
-        inner = mu * (G + np.einsum("jirab->ijrab", G)) - q.blocks[ph][None, None] * eye[
-            :, :, None, None, None
-        ]
-        out.blocks[ph] = np.einsum("ikrab,jkrab->ijrab", inner, mp.A.blocks[ph])
+        G = _mul3(jac_w.blocks[ph], mp.F_inv.blocks[ph])
+        inner = mu * (G + G.swapaxes(0, 1))
+        for i in range(3):
+            inner[i, i] -= q.blocks[ph]
+        out.blocks[ph] = _mul3(inner, mp.A.blocks[ph].swapaxes(0, 1))
     return out
 
 
@@ -343,16 +359,3 @@ def volume_identity_defect(mp: MapData) -> float:
     eta_vals = mp.eta.eta.values
     surf = g.quad((1.0 + eta_vals) ** 3 - 1.0)
     return lhs - (4.0 * np.pi / 3.0 + surf / 3.0)
-
-
-def lipschitz_fit_A(grid: VolumeGrid, pairs) -> float:
-    """Fitted constant C in |A(eta1) - A(eta2)|_inf <= C |eta1 - eta2|."""
-    best = 0.0
-    for eta1, eta2 in pairs:
-        m1 = build_map(HeightFunction(eta1), grid)
-        m2 = build_map(HeightFunction(eta2), grid)
-        num = (m1.A - m2.A).max_abs()
-        den = sobolev_norm(eta1 - eta2, ETA_SOBOLEV_ORDER)
-        if den > 0:
-            best = max(best, num / den)
-    return best

@@ -131,7 +131,7 @@ def write_manifest(path: str, cfg: SolveConfig, bundle, report: dict, files: dic
     for h in bundle.history:
         ratio = h.get("ratio", float("nan"))
         lines.append(
-            f"iter_{h['iter']} = update {fmt(h['update'])} norm {fmt(h['norm_x'])} ratio {fmt(ratio)}"
+            f"iter_{h['iter']} = update {fmt(h['update'])} ratio {fmt(ratio)}"
         )
     lines.append("")
     lines.append("[diagnostics]")

@@ -271,10 +271,12 @@ def _flat_stress(jac: VolumeField, p: VolumeField, mu1: float, mu2: float) -> Vo
 
 def matvec(A: VolumeField, v: VolumeField) -> VolumeField:
     """Pointwise (A v)_i = A_ij v_j of a rank-2 and a rank-1 field."""
+    Ai, Ae = A.blocks
+    vi, ve = v.blocks
     return VolumeField(
         A.grid,
-        np.einsum("ijrab,jrab->irab", A.blocks[INTERIOR], v.blocks[INTERIOR]),
-        np.einsum("ijrab,jrab->irab", A.blocks[EXTERIOR], v.blocks[EXTERIOR]),
+        Ai[:, 0] * vi[0] + Ai[:, 1] * vi[1] + Ai[:, 2] * vi[2],
+        Ae[:, 0] * ve[0] + Ae[:, 1] * ve[1] + Ae[:, 2] * ve[2],
     )
 
 

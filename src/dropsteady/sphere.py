@@ -137,13 +137,20 @@ class SphereGrid:
         return th, ph
 
     def unit_vectors(self):
-        """Cartesian components of (r_hat, theta_hat, phi_hat) on the grid."""
+        """Cartesian components of (r_hat, theta_hat, phi_hat) on the grid
+        (read-only arrays shared by every caller)."""
+        return self._unit_vectors
+
+    @cached_property
+    def _unit_vectors(self):
         th, ph = self.nodes
         st, ct = np.sin(th), np.cos(th)
         sp, cp = np.sin(ph), np.cos(ph)
         rhat = np.stack([st * cp, st * sp, ct])
         that = np.stack([ct * cp, ct * sp, -st])
         phat = np.stack([-sp, cp, np.zeros_like(sp)])
+        for e in (rhat, that, phat):
+            e.flags.writeable = False
         return rhat, that, phat
 
     @cached_property

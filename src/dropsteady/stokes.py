@@ -64,7 +64,6 @@ __all__ = [
     "TruncatedAux",
     "truncate_field",
     "oseenlet",
-    "oseenlet_pressure",
     "RichardsonDivergence",
 ]
 
@@ -840,10 +839,3 @@ def oseenlet(x: np.ndarray, lam: float, mu: float = 1.0, rho: float = 0.5) -> np
         * (eye - np.einsum("...i,...j->...ij", xh, xh))
     ) / (8.0 * np.pi * mu)
     return G
-
-
-def oseenlet_pressure(x: np.ndarray) -> np.ndarray:
-    """Pressure vector of the fundamental solution: p_j = x_j / (4 pi |x|^3)."""
-    x = np.asarray(x, float)
-    r = np.sqrt(np.einsum("...i,...i->...", x, x))
-    return x / (4.0 * np.pi * r**3)[..., None]

@@ -157,22 +157,29 @@ def _stack(fields) -> VolumeField:
     )
 
 
+def spherical_to_cartesian(g: SphereGrid, fr, fth, fph, out=None) -> np.ndarray:
+    """Cartesian components of fr rhat + fth that + fph phat for nodal
+    arrays (..., n_theta, n_phi), written one component at a time."""
+    rhat, that, phat = g.unit_vectors()
+    if out is None:
+        out = np.empty((3,) + np.shape(fr))
+    for k in range(3):
+        out[k] = fr * rhat[k] + fth * that[k] + fph * phat[k]
+    return out
+
+
 def scalar_gradient(f: VolumeField, band=None) -> VolumeField:
     """Cartesian gradient of a scalar field."""
     grid = f.grid
     g = grid.sphere
     band = g.band_limit if band is None else band
     out = VolumeField.zeros(grid, rank=1)
-    rhat, that, phat = g.unit_vectors()
     for ph in (INTERIOR, EXTERIOR):
         C = analysis_batch(g, f.blocks[ph], band)
         dr = synthesis_batch(g, _chan_radial_deriv(grid, ph, C, 0, 1), band)
         tth, tph = tangent_synthesis_batch(g, C, np.zeros_like(C), band)
         rinv = 1.0 / grid.radius_mesh(ph)
-        out.blocks[ph] = (
-            dr[None] * rhat[:, None]
-            + rinv[None] * (tth[None] * that[:, None] + tph[None] * phat[:, None])
-        )
+        spherical_to_cartesian(g, dr, rinv * tth, rinv * tph, out=out.blocks[ph])
     return out
 
 
@@ -206,11 +213,9 @@ def vsh_channels(u: VolumeField, phase: int, band=None):
     """Per-mode radial profiles (P, v, w) of a vector field block."""
     g = u.grid.sphere
     band = g.band_limit if band is None else band
-    rhat, that, phat = g.unit_vectors()
     blk = u.blocks[phase]
-    ur = np.einsum("krij,kij->rij", blk, rhat)
-    uth = np.einsum("krij,kij->rij", blk, that)
-    uph = np.einsum("krij,kij->rij", blk, phat)
+    # u . rhat, u . that, u . phat
+    ur, uth, uph = (blk[0] * e[0] + blk[1] * e[1] + blk[2] * e[2] for e in g.unit_vectors())
     P = analysis_batch(g, ur, band)
     v, w = tangent_analysis_batch(g, uth, uph, band)
     return P, v, w
@@ -219,10 +224,9 @@ def vsh_channels(u: VolumeField, phase: int, band=None):
 def vsh_assemble(grid: VolumeGrid, phase: int, P, v, w, band=None) -> np.ndarray:
     g = grid.sphere
     band = g.band_limit if band is None else band
-    rhat, that, phat = g.unit_vectors()
     ur = synthesis_batch(g, P, band)
     tth, tph = tangent_synthesis_batch(g, v, w, band)
-    return ur[None] * rhat[:, None] + tth[None] * that[:, None] + tph[None] * phat[:, None]
+    return spherical_to_cartesian(g, ur, tth, tph)
 
 
 def vector_divergence(u: VolumeField, band=None) -> VolumeField:
@@ -335,10 +339,3 @@ def eval_radii(f: VolumeField, radii: np.ndarray, phase: int, band=None) -> np.n
         vals = np.moveaxis(vals, 0, -3)
         out_modes[..., :, ls, :] = vals
     return synthesis_batch(g, out_modes, band)
-
-
-def eval_shell(f: VolumeField, r: float, band=None) -> np.ndarray:
-    """Evaluate a scalar/vector field on the full angular grid at radius r."""
-    ph = INTERIOR if r <= 1.0 else EXTERIOR
-    out = eval_radii(f, np.array([r]), ph, band)
-    return out[..., 0, :, :]

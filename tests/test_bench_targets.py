@@ -103,7 +103,8 @@ def traced():
 def test_solve_builds_each_object_once(traced):
     """A traced solve builds one Stokes solver, runs no residual report,
     maps the interface once per assembly plus once for the diagnostics,
-    and takes two X-norms per Picard step; the set-up and the diagnostics
+    and takes one X-norm per Picard step plus one of the final state for
+    the ball norm; the set-up and the diagnostics
     assemble nothing and take no X-norm."""
     calls, iters, bundle = traced
     setup, solve, diag = calls["build_context"], calls["picard_solve"], calls["diagnostics"]
@@ -115,7 +116,7 @@ def test_solve_builds_each_object_once(traced):
     assert solve["geometry.build_map"] == solve["operators.assemble_N"]
     assert diag["geometry.build_map"] == 1
     assert "operators.assemble_N" not in setup | diag
-    assert solve["operators.norm_X"] == 2 * iters
+    assert solve["operators.norm_X"] == iters + 1
     assert "operators.norm_X" not in setup | diag
 
 

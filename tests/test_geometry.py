@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from dropsteady.geometry import (
+    ETA_SOBOLEV_ORDER,
     HeightFunction,
     build_map,
-    identity_map,
     harmonic_extension,
     curvature_total,
     transformed_stress,
     volume_identity_defect,
-    lipschitz_fit_A,
     smoothstep,
     cutoff_ext,
 )
-from dropsteady.sphere import SphereField, rotate_about_z, normal_component_fields
+from dropsteady.operators import matvec
+from dropsteady.sphere import SphereField, rotate_about_z, normal_component_fields, sobolev_norm
 from dropsteady.volume import (
     VolumeGrid,
     VolumeField,
@@ -40,6 +40,23 @@ def small_eta(vg, seed=0, amp=5e-3, band=4):
         damp = (1.0 + l * (l + 1.0)) ** -2.0
         c[l, L - l : L + l + 1] = amp * damp * rng.standard_normal(2 * l + 1)
     return SphereField(vg.sphere, coeffs=c, band=L)
+
+
+def identity_map(grid):
+    return build_map(HeightFunction(SphereField.zeros(grid.sphere)), grid)
+
+
+def lipschitz_fit_A(grid, pairs) -> float:
+    """Fitted constant C in |A(eta1) - A(eta2)|_inf <= C |eta1 - eta2|."""
+    best = 0.0
+    for eta1, eta2 in pairs:
+        m1 = build_map(HeightFunction(eta1), grid)
+        m2 = build_map(HeightFunction(eta2), grid)
+        num = (m1.A - m2.A).max_abs()
+        den = sobolev_norm(eta1 - eta2, ETA_SOBOLEV_ORDER)
+        if den > 0:
+            best = max(best, num / den)
+    return best
 
 
 def test_cutoff_shape():
@@ -120,6 +137,63 @@ def test_cofactor_identity(vg):
         AF = np.einsum("ikrab,kjrab->ijrab", mp.A.blocks[ph], mp.F.blocks[ph])
         eye = np.eye(3)[:, :, None, None, None]
         assert np.max(np.abs(AF - mp.J.blocks[ph] * eye)) < 1e-10
+
+
+@pytest.fixture(scope="module", params=[8, 16])
+def random_map(request):
+    """build_map of a random admissible eta carrying every degree up to L."""
+    L = request.param
+    grid = VolumeGrid.build(band_limit=L, n_r_int=12, n_r_ext=20, r_inf=16.0)
+    return build_map(HeightFunction(small_eta(grid, seed=L, amp=2e-2, band=L)), grid)
+
+
+def _rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def test_closed_form_inverse_matches_lapack(random_map):
+    """J, A and F^{-1} by cofactors agree with LAPACK det/inv of the same F."""
+    mp = random_map
+    for ph in (INTERIOR, EXTERIOR):
+        Fm = np.moveaxis(mp.F.blocks[ph], (0, 1), (-2, -1))
+        det = np.linalg.det(Fm)
+        inv = np.moveaxis(np.linalg.inv(Fm), (-2, -1), (0, 1))
+        assert _rel_err(mp.J.blocks[ph], det) < 1e-13
+        assert _rel_err(mp.F_inv.blocks[ph], inv) < 1e-13
+        assert _rel_err(mp.A.blocks[ph], det * inv) < 1e-13
+        assert np.max(np.abs(det - 1.0)) > 1e-3  # a map away from the identity
+
+
+def test_pointwise_products_match_einsum(random_map):
+    """transformed_stress and matvec against their einsum forms."""
+    mp = random_map
+    grid = mp.grid
+    rng = np.random.default_rng(3)
+    rand = lambda rank: VolumeField(
+        grid, *(rng.standard_normal(b.shape) for b in VolumeField.zeros(grid, rank).blocks)
+    )
+    jac_w, q, v = rand(2), rand(0), rand(1)
+    mu = (0.7, 1.9)
+    T = transformed_stress(jac_w, q, mp, *mu)
+    Av = matvec(mp.A, v)
+    eye = np.eye(3)[:, :, None, None, None]
+    for ph in (INTERIOR, EXTERIOR):
+        G = np.einsum("ikrab,kjrab->ijrab", jac_w.blocks[ph], mp.F_inv.blocks[ph])
+        inner = mu[ph] * (G + np.einsum("jirab->ijrab", G)) - q.blocks[ph][None, None] * eye
+        ref = np.einsum("ikrab,jkrab->ijrab", inner, mp.A.blocks[ph])
+        assert _rel_err(T.blocks[ph], ref) < 1e-13
+        ref = np.einsum("ijrab,jrab->irab", mp.A.blocks[ph], v.blocks[ph])
+        assert _rel_err(Av.blocks[ph], ref) < 1e-13
+
+
+def test_build_map_needs_no_lapack(vg, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_map called LAPACK")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    mp = build_map(HeightFunction(small_eta(vg, seed=9, amp=8e-3)), vg)
+    assert np.min(mp.J.blocks[INTERIOR]) > 0.5
 
 
 def test_support_of_extension(vg):

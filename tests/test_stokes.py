@@ -12,7 +12,6 @@ from dropsteady.stokes import (
     auxiliary_field,
     lambda0_value,
     oseenlet,
-    oseenlet_pressure,
     residual_report,
     solve_two_phase,
     stokes_mode_solve,
@@ -426,6 +425,13 @@ def test_oseenlet_negative_drift_reflection():
     G1 = oseenlet(x, -0.6, mu=1.0, rho=0.5)
     G2 = oseenlet(M @ x, 0.6, mu=1.0, rho=0.5)
     assert np.max(np.abs(G1 - M @ G2 @ M)) < 1e-13
+
+
+def oseenlet_pressure(x: np.ndarray) -> np.ndarray:
+    """Pressure vector of the fundamental solution: p_j = x_j / (4 pi |x|^3)."""
+    x = np.asarray(x, float)
+    r = np.sqrt(np.einsum("...i,...i->...", x, x))
+    return x / (4.0 * np.pi * r**3)[..., None]
 
 
 def test_oseenlet_momentum_residual_fd():

@@ -14,7 +14,7 @@ from dropsteady.volume import (
     d3,
     integrate_phase,
     norm_lq,
-    eval_shell,
+    eval_radii,
     INTERIOR,
     EXTERIOR,
 )
@@ -131,6 +131,12 @@ def test_norm_lq(vg):
     expect_int = (4 * np.pi / 3) ** (1 / q)
     only_int = VolumeField(vg, one.blocks[INTERIOR], 0 * one.blocks[EXTERIOR])
     assert abs(norm_lq(only_int, q) - expect_int) < 1e-10
+
+
+def eval_shell(f: VolumeField, r: float) -> np.ndarray:
+    """A scalar/vector field on the full angular grid at radius r."""
+    ph = INTERIOR if r <= 1.0 else EXTERIOR
+    return eval_radii(f, np.array([r]), ph)[..., 0, :, :]
 
 
 def test_eval_shell(vg):
