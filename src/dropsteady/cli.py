@@ -33,7 +33,7 @@ def _threads(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .driver import NonContraction, diagnostics, picard_solve
+    from .driver import FIXED_POINT_RESIDUAL_BOUND, NonContraction, diagnostics, picard_solve
     from .io import ConfigError, load_config, solve_artifacts
 
     try:
@@ -53,6 +53,12 @@ def cmd_solve(args) -> int:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
     files = solve_artifacts(args.out, cfg, bundle, report, emit_modes=args.emit_modes)
+    if bundle.failure == "Unresolved":
+        print(f"solver failure: fixed-point residual {report['fixed_point_residual']:.3e} "
+              f"is not below {FIXED_POINT_RESIDUAL_BOUND:g} although the update met "
+              f"tol_fixed_point; the grid is under-resolved (artifacts in {args.out})",
+              file=sys.stderr)
+        return EXIT_SOLVER
     if not bundle.converged:
         print(f"solver failure: no convergence in {len(bundle.history)} iterations "
               f"(artifacts in {args.out})", file=sys.stderr)
@@ -96,7 +102,7 @@ def _sweep_point(cfg, rho):
             "contraction_ratio": ratios[0],
             "wake_coefficient": rep.get("wake_coefficient", float("nan")),
             "force_defect": rep.get("force_e3_defect_rel", float("nan")),
-            "status": "ok" if bundle.converged else "failed: NotConverged",
+            "status": "ok" if bundle.converged else f"failed: {bundle.failure}",
         }
     except (NonContraction, ValueError, RuntimeError) as e:
         return {

@@ -19,6 +19,12 @@ Conventions
 * A transform is one matmul with a Fourier table (values <-> per-order
   cos/sin amplitudes) and one stacked matmul over all orders with a
   Legendre table; the tables are built once per grid (``_Tables``).
+* A grid carries the orders |m| <= ``m_max`` (m-truncation, as in
+  N. Schaeffer, arXiv:1202.6522) on ``n_phi = 2 m_max + 2`` azimuths.
+  The default ``m_max = pad_limit`` is the full grid, which validate and
+  the tests use; a solve runs on the axisymmetric band (``m_max = 2``,
+  see ``driver.AXISYMMETRIC_M_MAX``).  Coefficient arrays keep their
+  dense layout, and the columns |m| > m_max of an analysis are zero.
 """
 
 from __future__ import annotations
@@ -46,20 +52,21 @@ __all__ = [
 ]
 
 
-def _legendre_tables(lmax: int, x: np.ndarray):
+def _legendre_tables(lmax: int, x: np.ndarray, mmax: int | None = None):
     """Normalized associated Legendre Pbar_l^m(x), d/dtheta and m/sin tables.
 
-    Returns three arrays of shape (lmax+1, lmax+1, len(x)) indexed [m, l, i];
-    entries with l < m are zero.
+    Returns three arrays of shape (mmax+1, lmax+1, len(x)) indexed [m, l, i]
+    (``mmax`` defaults to ``lmax``); entries with l < m are zero.
     """
+    mmax = lmax if mmax is None else mmax
     x = np.asarray(x, dtype=float)
     sin_th = np.sqrt(1.0 - x * x)
     n = x.size
-    P = np.zeros((lmax + 1, lmax + 1, n))
+    P = np.zeros((mmax + 1, lmax + 1, n))
     P[0, 0] = np.sqrt(1.0 / (4.0 * np.pi))
-    for m in range(1, lmax + 1):
+    for m in range(1, mmax + 1):
         P[m, m] = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_th * P[m - 1, m - 1]
-    for m in range(lmax + 1):
+    for m in range(mmax + 1):
         if m + 1 <= lmax:
             P[m, m + 1] = np.sqrt(2.0 * m + 3.0) * x * P[m, m]
         for l in range(m + 2, lmax + 1):
@@ -71,7 +78,7 @@ def _legendre_tables(lmax: int, x: np.ndarray):
             P[m, l] = a * x * P[m, l - 1] - b * P[m, l - 2]
 
     # d Pbar_l^m / dtheta = (l x Pbar_l^m - c_lm Pbar_{l-1}^m) / sin(theta)
-    m, l = np.ogrid[: lmax + 1, : lmax + 1]
+    m, l = np.ogrid[: mmax + 1, : lmax + 1]
     c = np.sqrt((2.0 * l + 1.0) / np.abs(2.0 * l - 1.0)) * np.sqrt(np.maximum(l * l - m * m, 0.0))
     low = np.concatenate([np.zeros_like(P[:, :1]), P[:, :-1]], axis=1)
     dP = (l[..., None] * x * P - c[..., None] * low) / sin_th
@@ -80,7 +87,7 @@ def _legendre_tables(lmax: int, x: np.ndarray):
 
 
 class _Tables(NamedTuple):
-    """Transform tables of one grid, stacked over orders m = 0..pad_limit.
+    """Transform tables of one grid, stacked over orders m = 0..m_max.
 
     Analysis tables carry the quadrature weights and normalisations (and,
     for D and E, the 1/(l(l+1)) of the spheroidal/toroidal split).
@@ -100,11 +107,13 @@ class SphereGrid:
 
     ``band_limit`` is the working band limit L_max; ``pad_limit`` is the
     largest degree the grid can transform exactly (used to dealias
-    quadratic and cubic products).
+    quadratic and cubic products); ``m_max`` is the largest order it
+    carries (``pad_limit`` on a full grid).
     """
 
     band_limit: int
     pad_limit: int
+    m_max: int
     theta: np.ndarray  # (n_theta,)
     phi: np.ndarray  # (n_phi,)
     x: np.ndarray  # cos(theta)
@@ -113,18 +122,19 @@ class SphereGrid:
     n_phi: int
 
     @classmethod
-    def build(cls, band_limit: int = 32, pad: float = 1.5) -> "SphereGrid":
+    def build(cls, band_limit: int = 32, pad: float = 1.5, m_max: int | None = None) -> "SphereGrid":
         pad_limit = int(np.ceil(pad * band_limit)) + 1
+        m_max = pad_limit if m_max is None else int(m_max)
+        if not 0 <= m_max <= pad_limit:
+            raise ValueError(f"m_max must lie in [0, {pad_limit}], not {m_max}")
         n_theta = pad_limit + 2
-        n_phi = 2 * pad_limit + 2
-        if n_phi % 2:
-            n_phi += 1
+        n_phi = 2 * m_max + 2
         x, wx = np.polynomial.legendre.leggauss(n_theta)
         order = np.argsort(-x)  # theta increasing from the north pole
         x, wx = x[order], wx[order]
         theta = np.arccos(x)
         phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        return cls(band_limit, pad_limit, theta, phi, x, wx, n_theta, n_phi)
+        return cls(band_limit, pad_limit, m_max, theta, phi, x, wx, n_theta, n_phi)
 
     @property
     def weights(self) -> np.ndarray:
@@ -156,13 +166,14 @@ class SphereGrid:
     @cached_property
     def _tables(self) -> "_Tables":
         """Per-order transform tables, built once per grid (see ``_Tables``)."""
-        P, D, E = _legendre_tables(self.pad_limit, self.x)
-        k = np.arange(self.pad_limit + 1)  # order m, or degree l
-        norm = np.where(k > 0, np.sqrt(2.0), 1.0)[:, None, None]
+        P, D, E = _legendre_tables(self.pad_limit, self.x, self.m_max)
+        m = np.arange(self.m_max + 1)
+        l = np.arange(self.pad_limit + 1)
+        norm = np.where(m > 0, np.sqrt(2.0), 1.0)[:, None, None]
         # m*phi reduced mod 2 pi in integers, as an FFT's twiddle factors are
-        angle = (2.0 * np.pi / self.n_phi) * (np.outer(k, np.arange(self.n_phi)) % self.n_phi)
+        angle = (2.0 * np.pi / self.n_phi) * (np.outer(m, np.arange(self.n_phi)) % self.n_phi)
         cs = np.stack([np.cos(angle), np.sin(angle)], axis=1)
-        Dw, Ew = (T * self.wx / np.maximum(k * (k + 1), 1)[:, None] for T in (D, E))
+        Dw, Ew = (T * self.wx / np.maximum(l * (l + 1), 1)[:, None] for T in (D, E))
         return _Tables(
             fourier_a=(2.0 * np.pi / self.n_phi) * norm * cs,
             fourier_s=norm * cs,
@@ -271,15 +282,21 @@ class SphereField:
         return SphereField(self.grid, coeffs=self.coeffs.copy(), band=self.band)
 
 
+def _orders(grid: SphereGrid, band: int) -> int:
+    """Number of orders m = 0, 1, ... a transform of degree ``band`` carries."""
+    return min(band, grid.m_max) + 1
+
+
 def _amplitudes(grid: SphereGrid, values: np.ndarray, band: int) -> np.ndarray:
-    """Arrays (..., n_theta, n_phi) -> per-order amplitudes (band+1, 2*rows, n_theta).
+    """Arrays (..., n_theta, n_phi) -> per-order amplitudes (n_m, 2*rows, n_theta).
 
     For each order m: the cosine amplitudes of every row, then the sine
     amplitudes.  One matmul with the grid's Fourier table.
     """
-    F = grid._tables.fourier_a[: band + 1].reshape(-1, grid.n_phi)
+    n_m = _orders(grid, band)
+    F = grid._tables.fourier_a[:n_m].reshape(-1, grid.n_phi)
     X = F @ values.reshape(-1, grid.n_phi).T
-    return X.reshape(band + 1, -1, grid.n_theta)
+    return X.reshape(n_m, -1, grid.n_theta)
 
 
 def _grid_values(grid: SphereGrid, amps: np.ndarray, lead: tuple) -> np.ndarray:
@@ -290,23 +307,24 @@ def _grid_values(grid: SphereGrid, amps: np.ndarray, lead: tuple) -> np.ndarray:
 
 
 def _layout(res: np.ndarray, lead: tuple) -> np.ndarray:
-    """Per-order results (L+1, 2*rows, L+1) [m, row, l] -> coefficients a[..., l, m+L].
+    """Per-order results (M+1, 2*rows, L+1) [m, row, l] -> coefficients a[..., l, m+L].
 
     The rows are ordered as ``_amplitudes`` returns them: cosine, then sine.
+    Columns with |m| > M are zero.
     """
-    L = res.shape[0] - 1
+    M, L = res.shape[0] - 1, res.shape[2] - 1
     rows = res.shape[1] // 2
-    a = np.empty((rows, L + 1, 2 * L + 1))
-    a[..., L:] = res[:, :rows].transpose(1, 2, 0)
-    a[..., :L] = res[:0:-1, rows:].transpose(1, 2, 0)
+    a = np.zeros((rows, L + 1, 2 * L + 1))
+    a[..., L : L + M + 1] = res[:, :rows].transpose(1, 2, 0)
+    a[..., L - M : L] = res[:0:-1, rows:].transpose(1, 2, 0)
     return a.reshape(lead + a.shape[1:])
 
 
-def _unlayout(a: np.ndarray) -> np.ndarray:
-    """Inverse of ``_layout``: a[..., l, m+L] -> (L+1, 2*rows, L+1) [m, row, l]."""
+def _unlayout(a: np.ndarray, M: int) -> np.ndarray:
+    """Inverse of ``_layout``: a[..., l, m+L] -> (M+1, 2*rows, L+1) [m, row, l]."""
     L = a.shape[-2] - 1
     c = a.reshape((-1,) + a.shape[-2:]).transpose(2, 0, 1)
-    res = np.concatenate([c[L:], c[L::-1]], axis=1)
+    res = np.concatenate([c[L : L + M + 1], c[L - M : L + 1][::-1]], axis=1)
     res[0, c.shape[1] :] = 0.0  # m = 0 has no sine part
     return res
 
@@ -319,32 +337,36 @@ _ROTATE = np.array([-1.0, 1.0, 1.0, -1.0])[:, None, None]
 def analysis_batch(grid: SphereGrid, values: np.ndarray, band: int) -> np.ndarray:
     """Scalar analysis on arrays shaped (..., n_theta, n_phi)."""
     X = _amplitudes(grid, values, band)
-    return _layout(X @ grid._tables.P_a[: band + 1, :, : band + 1], values.shape[:-2])
+    return _layout(X @ grid._tables.P_a[: X.shape[0], :, : band + 1], values.shape[:-2])
 
 
 def synthesis_batch(grid: SphereGrid, coeffs: np.ndarray, band: int) -> np.ndarray:
     """Scalar synthesis to arrays shaped (..., n_theta, n_phi)."""
-    Y = _unlayout(coeffs)
-    return _grid_values(grid, Y @ grid._tables.P_s[: band + 1, : band + 1], coeffs.shape[:-2])
+    n_m = _orders(grid, band)
+    Y = _unlayout(coeffs, n_m - 1)
+    return _grid_values(grid, Y @ grid._tables.P_s[:n_m, : band + 1], coeffs.shape[:-2])
 
 
 def tangent_analysis_batch(grid: SphereGrid, tth: np.ndarray, tph: np.ndarray, band: int):
     """Spheroidal/toroidal analysis on component arrays (..., n_theta, n_phi)."""
     n = band + 1
     X = _amplitudes(grid, np.stack([tth, tph]), band)
-    DE = (X @ grid._tables.DE_a[:n, :, :n].reshape(n, grid.n_theta, 2 * n)).reshape(n, 4, -1, n, 2)
+    n_m = X.shape[0]
+    DE_a = grid._tables.DE_a[:n_m, :, :n].reshape(n_m, grid.n_theta, 2 * n)
+    DE = (X @ DE_a).reshape(n_m, 4, -1, n, 2)
     res = DE[..., 0] + _ROTATE * DE[:, ::-1, ..., 1]
-    return tuple(_layout(res.reshape(n, -1, n), (2,) + tth.shape[:-2]))
+    return tuple(_layout(res.reshape(n_m, -1, n), (2,) + tth.shape[:-2]))
 
 
 def tangent_synthesis_batch(grid: SphereGrid, s: np.ndarray, t: np.ndarray, band: int):
     """Inverse of tangent_analysis_batch; returns (t_theta, t_phi)."""
-    n = band + 1
-    Y = _unlayout(np.stack([s, t])).reshape(n, 4, -1, n)
+    n, n_m = band + 1, _orders(grid, band)
+    Y = _unlayout(np.stack([s, t]), n_m - 1).reshape(n_m, 4, -1, n)
     Z = np.empty(Y.shape + (2,))
     Z[..., 0] = Y
     np.multiply(_ROTATE, Y[:, ::-1], out=Z[..., 1])
-    amps = Z.reshape(n, -1, 2 * n) @ grid._tables.DE_s[:n, :n].reshape(n, 2 * n, grid.n_theta)
+    DE_s = grid._tables.DE_s[:n_m, :n].reshape(n_m, 2 * n, grid.n_theta)
+    amps = Z.reshape(n_m, -1, 2 * n) @ DE_s
     return tuple(_grid_values(grid, amps, (2,) + s.shape[:-2]))
 
 

@@ -399,7 +399,8 @@ class TwoPhaseStokesSolver:
         Q = [np.zeros_like(P[0]), np.zeros_like(P[1])]
 
         for l in range(L + 1):
-            ms = slice(L - l, L + l + 1)
+            m = min(l, g.m_max)  # the grid carries no higher order
+            ms = slice(L - m, L + m + 1)
             out = self.solve_degree(
                 l,
                 (fPi[:, l, ms], fPe[:, l, ms]),

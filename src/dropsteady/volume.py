@@ -36,9 +36,11 @@ class VolumeGrid:
     exterior: ExteriorRadial
 
     @classmethod
-    def build(cls, band_limit: int, n_r_int: int, n_r_ext: int, r_inf: float) -> "VolumeGrid":
+    def build(
+        cls, band_limit: int, n_r_int: int, n_r_ext: int, r_inf: float, m_max: int | None = None
+    ) -> "VolumeGrid":
         return cls(
-            SphereGrid.build(band_limit),
+            SphereGrid.build(band_limit, m_max=m_max),
             InteriorRadial(n_r_int),
             ExteriorRadial(n_r_ext, r_inf),
         )

@@ -111,6 +111,29 @@ def test_unconverged_solve_is_solver_failure(tmp_path, capsys):
     assert lines[1].endswith("failed: NotConverged")
 
 
+def test_under_resolved_solve_is_solver_failure(tmp_path, capsys):
+    """On this grid the update meets tol_fixed_point while the fixed-point
+    residual stays near 9e-3: the solve is not resolved, so it fails."""
+    p = tmp_path / "coarse.cfg"
+    p.write_text("[discretization]\nband_limit = 2\nn_r_int = 1\nn_r_ext = 2\n")
+    capsys.readouterr()
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert "solved" not in captured.out
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "residual" in err[0]
+    sw = tmp_path / "sw"
+    assert main(["sweep", "--config", str(p), "--out", str(sw), "--rho-grid", "1e-3"]) == EXIT_OK
+    lines = (sw / "sweep.csv").read_text().strip().splitlines()
+    assert lines[1].endswith("failed: Unresolved")
+
+
+def test_default_config_solves(tmp_path):
+    p = tmp_path / "default.cfg"
+    p.write_text("[physics]\nrho_tilde = 1e-3\n")
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
 def test_trivial_solution_artifacts(tmp_path):
     p = tmp_path / "zero.cfg"
     p.write_text(SMALL.replace("rho_tilde = 1e-3", "rho_tilde = 0"))

@@ -1,7 +1,4 @@
-"""Smoke test: the quick demos run to completion.
-
-Demos 05 and 06 each take several seconds and are run by hand.
-"""
+"""Smoke test: every demo runs to completion."""
 
 import os
 import subprocess
@@ -20,6 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
         "demo_02_interface_geometry.py",
         "demo_03_flat_interface_kernels.py",
         "demo_04_translating_drop.py",
+        "demo_05_steady_drop.py",
+        "demo_06_density_sweep.py",
     ],
 )
 def test_demo_runs(demo, tmp_path):

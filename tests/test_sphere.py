@@ -148,6 +148,67 @@ def test_transforms_match_per_order_reference(grid_band, band, lead):
         assert np.max(np.abs(new - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+# -- the axisymmetric band: grids that carry orders |m| <= m_max -------------
+
+BANDED = [(L, m_max) for L in (8, 16) for m_max in (0, 1, 2, 3)]
+
+
+def banded_coeffs(rng, L, m_max, lead=(), lmin=0):
+    """Random coefficients supported on l >= lmin and |m| <= m_max."""
+    c = np.zeros(lead + (L + 1, 2 * L + 1))
+    for l in range(lmin, L + 1):
+        m = min(l, m_max)
+        c[..., l, L - m : L + m + 1] = rng.standard_normal(lead + (2 * m + 1,))
+    return c
+
+
+def series(c, L):
+    """fn(theta, phi) summing the real harmonic series c[l, m+L] term by term."""
+
+    def fn(th, ph):
+        P, _, _ = _legendre_tables(L, np.cos(th[:, 0]))
+        out = (P[0].T @ c[:, L])[:, None] * np.ones_like(ph)
+        for m in range(1, L + 1):
+            cos_part = (P[m].T @ c[:, L + m])[:, None] * np.cos(m * ph)
+            sin_part = (P[m].T @ c[:, L - m])[:, None] * np.sin(m * ph)
+            out = out + np.sqrt(2.0) * (cos_part + sin_part)
+        return out
+
+    return fn
+
+
+@pytest.mark.parametrize("L, m_max", BANDED)
+def test_banded_round_trips_and_zero_off_band(L, m_max):
+    # rounding bound as in test_round_trip_random: the full grid's round
+    # trips at L = 16 already differ by 3e-14 (scalar) and 4e-14 (tangent)
+    grid = SphereGrid.build(L, m_max=m_max)
+    assert grid.n_phi == 2 * m_max + 2
+    rng = np.random.default_rng(10 * L + m_max)
+    c = banded_coeffs(rng, L, m_max)
+    back = analysis_batch(grid, synthesis_batch(grid, c, L), L)
+    assert np.max(np.abs(back - c)) <= 1e-12 * np.max(np.abs(c))
+    s, t = banded_coeffs(rng, L, m_max, (2,), lmin=1)
+    s2, t2 = tangent_analysis_batch(grid, *tangent_synthesis_batch(grid, s, t, L), L)
+    for new, ref in ((s2, s), (t2, t)):
+        assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # analyses of arbitrary grid values leave every column |m| > m_max at 0
+    v, w = rng.standard_normal((2, grid.n_theta, grid.n_phi))
+    off = np.abs(np.arange(-L, L + 1)) > m_max
+    for a in (analysis_batch(grid, v, L), *tangent_analysis_batch(grid, v, w, L)):
+        assert np.all(a[:, off] == 0.0)
+    with pytest.raises(ValueError):
+        SphereGrid.build(L, m_max=grid.pad_limit + 1)
+
+
+@pytest.mark.parametrize("L, m_max", BANDED)
+def test_banded_sampling_matches_full_grid(L, m_max):
+    c = banded_coeffs(np.random.default_rng(L + m_max), L, m_max)
+    fn = series(c, L)
+    banded = SphereField.from_function(SphereGrid.build(L, m_max=m_max), fn).coeffs
+    full = SphereField.from_function(SphereGrid.build(L), fn).coeffs
+    assert np.max(np.abs(banded - full)) <= 1e-14 * np.max(np.abs(c))
+
+
 def test_weights_sum_to_4pi(grid):
     assert abs(grid.weights.sum() - 4 * np.pi) < 1e-13 * 4 * np.pi
 
