@@ -212,7 +212,7 @@ def emit_mode_tables(out_dir: str, bundle) -> str:
             if ec[l, L + m] != 0.0:
                 rows.append(("eta", "coeff", l, m, 0.0, ec[l, L + m]))
     for ph, name in ((0, "drop"), (1, "reservoir")):
-        chans = vsh_channels(bundle.state.u, ph, L)
+        chans = vsh_channels(bundle.state.u, ph)
         radii = grid.radial(ph).r
         for cname, arr in zip(("radial", "spheroidal", "toroidal"), chans):
             for l in range(L + 1):

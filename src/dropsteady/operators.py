@@ -293,6 +293,20 @@ def _traction_jump_eta(T_eta: VolumeField, grid: VolumeGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _minus_div_T(u: VolumeField, p: VolumeField, params: PhysicalParams):
+    """-Div T(u, p) = -mu (lap u + grad div u) + grad p per phase, and div u."""
+    lap = vector_laplacian(u)
+    divu = vector_divergence(u)
+    grad_div = scalar_gradient(divu)
+    gp = scalar_gradient(p)
+    f = VolumeField(
+        u.grid,
+        -params.mu1 * (lap.blocks[INTERIOR] + grad_div.blocks[INTERIOR]) + gp.blocks[INTERIOR],
+        -params.mu2 * (lap.blocks[EXTERIOR] + grad_div.blocks[EXTERIOR]) + gp.blocks[EXTERIOR],
+    )
+    return f, divu
+
+
 def apply_L(state: DropState, ctx: OperatorContext) -> YElement:
     grid, params, lam0 = ctx.grid, ctx.params, ctx.lambda0
     g = grid.sphere
@@ -305,15 +319,7 @@ def apply_L(state: DropState, ctx: OperatorContext) -> YElement:
     else:
         u, p = state.u, state.p
 
-    lap = vector_laplacian(u)
-    divu = vector_divergence(u)
-    grad_div = scalar_gradient(divu)
-    gp = scalar_gradient(p)
-    f = VolumeField(
-        grid,
-        -mu1 * (lap.blocks[INTERIOR] + grad_div.blocks[INTERIOR]) + gp.blocks[INTERIOR],
-        -mu2 * (lap.blocks[EXTERIOR] + grad_div.blocks[EXTERIOR]) + gp.blocks[EXTERIOR],
-    )
+    f, divu = _minus_div_T(u, p, params)
     if lam0 != 0.0:
         f = f + d3(u).phasewise_scale(params.rho1 * lam0, params.rho2 * lam0)
     if state.tail != 0.0:

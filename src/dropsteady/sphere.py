@@ -101,6 +101,9 @@ class _Tables(NamedTuple):
     DE_s: np.ndarray  # (m, l, 2, n_theta)  (D, E)
 
 
+PAD = 1.5  # exact degree / band limit of a grid: dealiases cubic products
+
+
 @dataclass(frozen=True)
 class SphereGrid:
     """Gauss-Legendre x equispaced-azimuth quadrature grid.
@@ -122,8 +125,8 @@ class SphereGrid:
     n_phi: int
 
     @classmethod
-    def build(cls, band_limit: int = 32, pad: float = 1.5, m_max: int | None = None) -> "SphereGrid":
-        pad_limit = int(np.ceil(pad * band_limit)) + 1
+    def build(cls, band_limit: int = 32, m_max: int | None = None) -> "SphereGrid":
+        pad_limit = int(np.ceil(PAD * band_limit)) + 1
         m_max = pad_limit if m_max is None else int(m_max)
         if not 0 <= m_max <= pad_limit:
             raise ValueError(f"m_max must lie in [0, {pad_limit}], not {m_max}")

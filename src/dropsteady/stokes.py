@@ -59,7 +59,6 @@ __all__ = [
     "auxiliary_field",
     "axisym_leakage",
     "surface_traction_jump",
-    "drag_integral",
     "lambda0_value",
     "TruncatedAux",
     "truncate_field",
@@ -385,8 +384,8 @@ class TwoPhaseStokesSolver:
                 raise ValueError(
                     f"incompatible data: int g - int h1 = {defect:.3e}"
                 )
-        fPi, fvi, fwi = vsh_channels(data.f, INTERIOR, L)
-        fPe, fve, fwe = vsh_channels(data.f, EXTERIOR, L)
+        fPi, fvi, fwi = vsh_channels(data.f, INTERIOR)
+        fPe, fve, fwe = vsh_channels(data.f, EXTERIOR)
         gmi = analysis_batch(g, data.g.blocks[INTERIOR], L)
         gme = analysis_batch(g, data.g.blocks[EXTERIOR], L)
         h1m = data.h1.with_band(L).coeffs
@@ -416,8 +415,8 @@ class TwoPhaseStokesSolver:
 
         u = VolumeField(
             grid,
-            vsh_assemble(grid, INTERIOR, P[0], V[0], W[0], L),
-            vsh_assemble(grid, EXTERIOR, P[1], V[1], W[1], L),
+            vsh_assemble(grid, INTERIOR, P[0], V[0], W[0]),
+            vsh_assemble(grid, EXTERIOR, P[1], V[1], W[1]),
         )
         p = VolumeField(
             grid,
@@ -552,7 +551,7 @@ def residual_report(u, p, data, lambda0, params, grid, mu1, mu2) -> dict:
 def _traction_modes(grid, phase, u: VolumeField, p: VolumeField, mu: float):
     g = grid.sphere
     L = g.band_limit
-    P, v, w = vsh_channels(u, phase, L)
+    P, v, w = vsh_channels(u, phase)
     pm = analysis_batch(g, p.blocks[phase], L)
     i0 = grid.radial(phase).i_surface
     dP = _chan_radial_deriv(grid, phase, P, 1, 1)[i0]
@@ -578,13 +577,6 @@ def surface_traction_jump(u, p, grid, mu1, mu2):
     ti = _traction_nodal(grid, *_traction_modes(grid, INTERIOR, u, p, mu1))
     te = _traction_nodal(grid, *_traction_modes(grid, EXTERIOR, u, p, mu2))
     return ti - te
-
-
-def drag_integral(u, p, grid, mu1, mu2) -> np.ndarray:
-    """int_{S^2} [[T(u,p) n]] dS as a 3-vector."""
-    jump = surface_traction_jump(u, p, grid, mu1, mu2)
-    w = grid.sphere.weights
-    return np.einsum("ab,iab->i", w, jump)
 
 
 def lambda0_value(rho_tilde: float, e3_drag: float) -> float:
@@ -659,7 +651,7 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
     dissipation = diss_int + diss_range - flux
 
     tang = jump - np.einsum("iab,iab->ab", jump, rhat)[None] * rhat
-    m_leak = axisym_leakage(U, grid)
+    m_leak = axisym_leakage(U)
     checks = {
         "normal_velocity_defect": float(
             np.max(np.abs(np.einsum("iab,iab->ab", U.trace(INTERIOR), rhat) + n3.values))
@@ -673,23 +665,24 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
     )
 
 
-def axisym_leakage(u: VolumeField, grid: VolumeGrid) -> float:
-    """Largest m != 0 coefficient of the (P, v, w) channels in either phase."""
-    g = grid.sphere
-    L = g.band_limit
+def axisym_leakage(u: VolumeField, *coeffs: np.ndarray) -> float:
+    """Largest m != 0 coefficient of the (P, v, w) channels of u in either
+    phase and of any further coefficient arrays (..., L+1, 2L+1)."""
+    arrays = [c for ph in (INTERIOR, EXTERIOR) for c in vsh_channels(u, ph)] + list(coeffs)
     leak = 0.0
-    for ph in (INTERIOR, EXTERIOR):
-        P, v, w = vsh_channels(u, ph, L)
-        for arr in (P, v, w):
-            a = arr.copy()
-            a[:, :, L] = 0.0  # remove m = 0
-            leak = max(leak, float(np.max(np.abs(a))))
+    for a in arrays:
+        off = np.abs(a)
+        off[..., a.shape[-2] - 1] = 0.0  # remove m = 0
+        leak = max(leak, float(off.max()))
     return leak
 
 
 # ---------------------------------------------------------------------------
 # truncation of the auxiliary field
 # ---------------------------------------------------------------------------
+
+
+ANNULUS_GAUSS_NODES = 48  # radial Gauss-Legendre rule on the cutoff annulus [R, 2R]
 
 
 @dataclass
@@ -717,9 +710,9 @@ class TruncatedAux:
             self.mu2,
         )
 
-    def divT_norm_lq(self, q: float, n_gauss: int = 48) -> float:
+    def divT_norm_lq(self, q: float) -> float:
         """L^q norm of Div T(U_R, P_R) on its support annulus [R, 2R]."""
-        xg, wg = np.polynomial.legendre.leggauss(n_gauss)
+        xg, wg = np.polynomial.legendre.leggauss(ANNULUS_GAUSS_NODES)
         rr = self.R + (xg + 1.0) * self.R / 2.0
         wr = wg * self.R / 2.0
         vals = self.divT_at(rr)

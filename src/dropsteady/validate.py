@@ -222,8 +222,8 @@ def random_state(vg, rng, amp=1.0):
         outer += (inner[vg.interior.i_surface] - outer[vg.exterior.i_surface])[None] * shape
     u = VolumeField(
         vg,
-        vsh_assemble(vg, 0, Pi, vi, wi, L),
-        vsh_assemble(vg, 1, Pe, ve, we, L),
+        vsh_assemble(vg, 0, Pi, vi, wi),
+        vsh_assemble(vg, 1, Pe, ve, we),
     )
     p = VolumeField(vg, synthesis_batch(g, pi, L), synthesis_batch(g, pe, L))
     eta = SphereField(g, coeffs=rand_coeffs(), band=L)

@@ -1,12 +1,15 @@
 """Two-phase volume fields on R^3 minus the unit sphere.
 
 A field lives on the product grid (radial nodes) x (sphere grid), one
-block per phase.  Scalars are stored as nodal arrays (n_r, n_theta,
-n_phi); vectors carry a leading Cartesian axis of length 3.  Spectral
+block per phase.  A rank-r field is stored as nodal arrays with r leading
+Cartesian axes of length 3: (3,)*r + (n_r, n_theta, n_phi).  Spectral
 calculus (gradients, divergence, vector Laplacian, d/dx3) goes through
 per-shell spherical-harmonic analysis and parity-aware radial Chebyshev
 differentiation, which is exact for fields whose per-degree radial
-profiles are polynomial (interior: in r, exterior: in 1/r).
+profiles are polynomial (interior: in r, exterior: in 1/r).  A gradient
+appends its derivative index as the last Cartesian axis, so the gradient
+of a vector u is its Jacobian d_j u_i.  Every volume derivative runs at
+the grid's band limit.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class VolumeGrid:
 
 
 class VolumeField:
-    """Two-phase nodal field; rank 0 (scalar) or 1 (Cartesian vector)."""
+    """Two-phase nodal field of any rank (0 scalar, 1 vector, 2 tensor)."""
 
     def __init__(self, grid: VolumeGrid, interior: np.ndarray, exterior: np.ndarray):
         self.grid = grid
@@ -138,25 +141,19 @@ def grid_points(grid: VolumeGrid, phase: int):
 
 
 def _chan_radial_deriv(grid: VolumeGrid, phase: int, coeffs: np.ndarray, base_parity: int, order: int):
-    """d^order/dr^order of per-mode profiles (n_r, L+1, 2L+1) with channel
-    parity (l + base_parity) mod 2 (scalars and w: base 0; P, v: base 1)."""
+    """d^order/dr^order of per-mode profiles (..., n_r, L+1, 2L+1) with channel
+    parity (l + base_parity) mod 2 (scalars and w: base 0; P, v: base 1), on
+    the orders |m| <= min(L, m_max) the grid carries; other columns are zero."""
     rad = grid.radial(phase)
-    out = np.zeros_like(coeffs)
-    L = coeffs.shape[1] - 1
+    L = coeffs.shape[-2] - 1
+    M = min(L, grid.sphere.m_max)
+    ms = slice(L - M, L + M + 1)
+    out = np.zeros(coeffs.shape)
+    prof, dest = np.moveaxis(coeffs, -3, 0), np.moveaxis(out, -3, 0)
     for par in (0, 1):
-        ls = np.arange(0, L + 1)[(np.arange(L + 1) + base_parity) % 2 == par]
-        if ls.size:
-            out[:, ls, :] = rad.deriv(coeffs[:, ls, :], parity=par, order=order)
+        ls = slice((par + base_parity) % 2, L + 1, 2)
+        dest[..., ls, ms] = rad.deriv(prof[..., ls, ms], parity=par, order=order)
     return out
-
-
-def _stack(fields) -> VolumeField:
-    """One field of rank r + 1 whose leading axis runs over rank-r ``fields``."""
-    return VolumeField(
-        fields[0].grid,
-        np.stack([f.blocks[0] for f in fields]),
-        np.stack([f.blocks[1] for f in fields]),
-    )
 
 
 def spherical_to_cartesian(g: SphereGrid, fr, fth, fph, out=None) -> np.ndarray:
@@ -170,95 +167,98 @@ def spherical_to_cartesian(g: SphereGrid, fr, fth, fph, out=None) -> np.ndarray:
     return out
 
 
-def scalar_gradient(f: VolumeField, band=None) -> VolumeField:
-    """Cartesian gradient of a scalar field."""
+def _gradient_parts(f: VolumeField, phase: int):
+    """(d_r f, d_theta f / r, d_phi f / (r sin theta)) of one phase block of
+    a field of any rank: one analysis, one radial derivative, one scalar
+    and one tangent synthesis."""
     grid = f.grid
     g = grid.sphere
-    band = g.band_limit if band is None else band
-    out = VolumeField.zeros(grid, rank=1)
+    L = g.band_limit
+    C = analysis_batch(g, f.blocks[phase], L)
+    dr = synthesis_batch(g, _chan_radial_deriv(grid, phase, C, 0, 1), L)
+    tth, tph = tangent_synthesis_batch(g, C, np.zeros_like(C), L)
+    rinv = 1.0 / grid.radius_mesh(phase)
+    return dr, rinv * tth, rinv * tph
+
+
+def scalar_gradient(f: VolumeField) -> VolumeField:
+    """Cartesian gradient of a field of any rank r: a rank r + 1 field whose
+    last Cartesian axis is the derivative index (for a vector, d_j u_i)."""
+    g = f.grid.sphere
+    blocks = []
     for ph in (INTERIOR, EXTERIOR):
-        C = analysis_batch(g, f.blocks[ph], band)
-        dr = synthesis_batch(g, _chan_radial_deriv(grid, ph, C, 0, 1), band)
-        tth, tph = tangent_synthesis_batch(g, C, np.zeros_like(C), band)
-        rinv = 1.0 / grid.radius_mesh(ph)
-        spherical_to_cartesian(g, dr, rinv * tth, rinv * tph, out=out.blocks[ph])
-    return out
+        shape = f.blocks[ph].shape
+        out = np.empty(shape[:-3] + (3,) + shape[-3:])
+        spherical_to_cartesian(g, *_gradient_parts(f, ph), out=np.moveaxis(out, -4, 0))
+        blocks.append(out)
+    return VolumeField(f.grid, *blocks)
 
 
-def d3(f: VolumeField, band=None) -> VolumeField:
-    """Partial derivative along e3 (scalar or component-wise vector)."""
-    if f.rank == 0:
-        grad = scalar_gradient(f, band)
-        return VolumeField(f.grid, grad.blocks[0][2], grad.blocks[1][2])
-    comps = []
-    for k in range(3):
-        fk = VolumeField(f.grid, f.blocks[0][k], f.blocks[1][k])
-        comps.append(d3(fk, band))
-    return _stack(comps)
+def d3(f: VolumeField) -> VolumeField:
+    """d f / d x3 = cos(theta) d_r f - sin(theta) d_theta f / r, any rank."""
+    rhat, that, _ = f.grid.sphere.unit_vectors()
+    blocks = []
+    for ph in (INTERIOR, EXTERIOR):
+        dr, dth, _ = _gradient_parts(f, ph)
+        blocks.append(dr * rhat[2] + dth * that[2])
+    return VolumeField(f.grid, *blocks)
 
 
-def vector_gradient(u: VolumeField, band=None) -> VolumeField:
+def vector_gradient(u: VolumeField) -> VolumeField:
     """Jacobian (grad u)_{ij} = d u_i / d x_j as a rank-2 field."""
-    rows = []
-    for k in range(3):
-        fk = VolumeField(u.grid, u.blocks[0][k], u.blocks[1][k])
-        rows.append(scalar_gradient(fk, band))
-    return _stack(rows)
+    return scalar_gradient(u)
 
 
 def e3_column(jac: VolumeField) -> VolumeField:
-    """d3 u read off the Jacobian ``jac`` = vector_gradient(u)."""
-    return VolumeField(jac.grid, jac.blocks[0][:, 2], jac.blocks[1][:, 2])
+    """d3 f read off the gradient ``jac`` = scalar_gradient(f), any rank."""
+    return VolumeField(jac.grid, jac.blocks[0][..., 2, :, :, :], jac.blocks[1][..., 2, :, :, :])
 
 
-def vsh_channels(u: VolumeField, phase: int, band=None):
+def vsh_channels(u: VolumeField, phase: int):
     """Per-mode radial profiles (P, v, w) of a vector field block."""
     g = u.grid.sphere
-    band = g.band_limit if band is None else band
+    L = g.band_limit
     blk = u.blocks[phase]
     # u . rhat, u . that, u . phat
     ur, uth, uph = (blk[0] * e[0] + blk[1] * e[1] + blk[2] * e[2] for e in g.unit_vectors())
-    P = analysis_batch(g, ur, band)
-    v, w = tangent_analysis_batch(g, uth, uph, band)
+    P = analysis_batch(g, ur, L)
+    v, w = tangent_analysis_batch(g, uth, uph, L)
     return P, v, w
 
 
-def vsh_assemble(grid: VolumeGrid, phase: int, P, v, w, band=None) -> np.ndarray:
+def vsh_assemble(grid: VolumeGrid, phase: int, P, v, w) -> np.ndarray:
     g = grid.sphere
-    band = g.band_limit if band is None else band
-    ur = synthesis_batch(g, P, band)
-    tth, tph = tangent_synthesis_batch(g, v, w, band)
+    L = g.band_limit
+    ur = synthesis_batch(g, P, L)
+    tth, tph = tangent_synthesis_batch(g, v, w, L)
     return spherical_to_cartesian(g, ur, tth, tph)
 
 
-def vector_divergence(u: VolumeField, band=None) -> VolumeField:
+def vector_divergence(u: VolumeField) -> VolumeField:
     """div u via the per-mode identity P' + 2P/r - l(l+1) v / r."""
     grid = u.grid
     g = grid.sphere
-    band = g.band_limit if band is None else band
-    L = band
+    L = g.band_limit
     l = np.arange(L + 1, dtype=float)[None, :, None]
     blocks = []
     for ph in (INTERIOR, EXTERIOR):
-        P, v, _ = vsh_channels(u, ph, band)
+        P, v, _ = vsh_channels(u, ph)
         dP = _chan_radial_deriv(grid, ph, P, 1, 1)
         rinv = 1.0 / grid.radial(ph).r[:, None, None]
         div = dP + 2.0 * rinv * P - l * (l + 1.0) * rinv * v
-        blocks.append(synthesis_batch(g, div, band))
+        blocks.append(synthesis_batch(g, div, L))
     return VolumeField(grid, blocks[0], blocks[1])
 
 
-def vector_laplacian(u: VolumeField, band=None) -> VolumeField:
+def vector_laplacian(u: VolumeField) -> VolumeField:
     """Vector Laplacian via the spheroidal/toroidal mode formulas."""
     grid = u.grid
-    g = grid.sphere
-    band = g.band_limit if band is None else band
-    L = band
+    L = grid.sphere.band_limit
     l = np.arange(L + 1, dtype=float)[None, :, None]
     ll1 = l * (l + 1.0)
     blocks = []
     for ph in (INTERIOR, EXTERIOR):
-        P, v, w = vsh_channels(u, ph, band)
+        P, v, w = vsh_channels(u, ph)
         rinv = 1.0 / grid.radial(ph).r[:, None, None]
 
         def Dl(C, base):
@@ -269,14 +269,15 @@ def vector_laplacian(u: VolumeField, band=None) -> VolumeField:
         lapP = Dl(P, 1) - 2.0 * rinv**2 * P + 2.0 * ll1 * rinv**2 * v
         lapv = Dl(v, 1) + 2.0 * rinv**2 * P
         lapw = Dl(w, 0)
-        blocks.append(vsh_assemble(grid, ph, lapP, lapv, lapw, band))
+        blocks.append(vsh_assemble(grid, ph, lapP, lapv, lapw))
     return VolumeField(grid, blocks[0], blocks[1])
 
 
-def tensor_divergence(T: VolumeField, band=None) -> VolumeField:
+def tensor_divergence(T: VolumeField) -> VolumeField:
     """(div T)_i = d_j T_ij for a rank-2 field: the divergence of each row."""
-    rows = [VolumeField(T.grid, T.blocks[0][i], T.blocks[1][i]) for i in range(3)]
-    return _stack([vector_divergence(row, band) for row in rows])
+    rows = [vector_divergence(VolumeField(T.grid, T.blocks[0][i], T.blocks[1][i])) for i in range(3)]
+    blocks = [np.stack([row.blocks[ph] for row in rows]) for ph in (INTERIOR, EXTERIOR)]
+    return VolumeField(T.grid, *blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +317,7 @@ def norm_l2(f: VolumeField) -> float:
     return norm_lq(f, 2.0)
 
 
-def eval_radii(f: VolumeField, radii: np.ndarray, phase: int, band=None) -> np.ndarray:
+def eval_radii(f: VolumeField, radii: np.ndarray, phase: int) -> np.ndarray:
     """Evaluate a field on the angular grid at arbitrary radii of one phase.
 
     Returns (..., n_radii, n_theta, n_phi).  Exact for fields whose
@@ -324,20 +325,15 @@ def eval_radii(f: VolumeField, radii: np.ndarray, phase: int, band=None) -> np.n
     """
     grid = f.grid
     g = grid.sphere
-    band = g.band_limit if band is None else band
+    L = g.band_limit
     rad = grid.radial(phase)
     blk = f.blocks[phase]
     lead = blk.shape[:-3]
-    C = np.moveaxis(analysis_batch(g, blk, band), -3, 0)
-    L = band
+    C = np.moveaxis(analysis_batch(g, blk, L), -3, 0)
     radii = np.atleast_1d(np.asarray(radii, float))
     out_modes = np.zeros(lead + (radii.size, L + 1, 2 * L + 1))
     for par in (0, 1):
-        ls = np.arange(par, L + 1, 2)
-        if not ls.size:
-            continue
-        coef = rad.fit(C[:, ..., ls, :], parity=par)
-        vals = rad.eval_at(coef, radii, parity=par)  # (n_radii, ..., len(ls), 2L+1)
-        vals = np.moveaxis(vals, 0, -3)
-        out_modes[..., :, ls, :] = vals
-    return synthesis_batch(g, out_modes, band)
+        ls = slice(par, L + 1, 2)
+        vals = rad.eval_at(rad.fit(C[..., ls, :], parity=par), radii, parity=par)
+        out_modes[..., ls, :] = np.moveaxis(vals, 0, -3)  # from (n_radii, ..., l, m)
+    return synthesis_batch(g, out_modes, L)

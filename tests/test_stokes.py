@@ -325,13 +325,13 @@ def test_solve_two_phase_with_drift_manufactured(vg, solver):
         h2tc[l, col] += h2t
     u_exact = VolumeField(
         vg,
-        vsh_assemble(vg, INTERIOR, P[0], V[0], W[0], L),
-        vsh_assemble(vg, EXTERIOR, P[1], V[1], W[1], L),
+        vsh_assemble(vg, INTERIOR, P[0], V[0], W[0]),
+        vsh_assemble(vg, EXTERIOR, P[1], V[1], W[1]),
     )
     f_st = VolumeField(
         vg,
-        vsh_assemble(vg, INTERIOR, fP[0], fv[0], fw[0], L),
-        vsh_assemble(vg, EXTERIOR, fP[1], fv[1], fw[1], L),
+        vsh_assemble(vg, INTERIOR, fP[0], fv[0], fw[0]),
+        vsh_assemble(vg, EXTERIOR, fP[1], fv[1], fw[1]),
     )
     gdat = VolumeField(vg, synthesis_batch(vg.sphere, G[0], L), synthesis_batch(vg.sphere, G[1], L))
     drift = d3(u_exact).phasewise_scale(params.rho1 * lam, params.rho2 * lam)

@@ -8,6 +8,8 @@ from dropsteady.volume import (
     VolumeField,
     grid_points,
     scalar_gradient,
+    vector_gradient,
+    e3_column,
     vector_divergence,
     vector_laplacian,
     tensor_divergence,
@@ -114,6 +116,60 @@ def test_d3(vg):
     x, y, z = grid_points(vg, EXTERIOR)
     r = np.sqrt(x * x + y * y + z * z)
     assert np.max(np.abs(out2.blocks[EXTERIOR] + z / r**3)) < 1e-11
+
+
+@pytest.fixture(scope="module", params=[None, 2], ids=["full", "m_max=2"])
+def any_grid(request):
+    return VolumeGrid.build(band_limit=8, n_r_int=14, n_r_ext=20, r_inf=16.0, m_max=request.param)
+
+
+def random_poly_field(grid, rank, seed):
+    """Random combination, per component, of a few fields with m <= 2."""
+    coef = np.random.default_rng(seed).standard_normal((3,) * rank + (4,))
+
+    def fn(x, y, z):
+        basis = np.stack([x * z, y * y, x * y * z, z / (x * x + y * y + z * z) ** 1.5])
+        return np.tensordot(coef, basis, axes=1)
+
+    return sample(grid, fn, rank)
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_gradient_of_any_rank_is_stacked_component_gradients(any_grid, rank):
+    f = random_poly_field(any_grid, rank, seed=rank)
+    grad = scalar_gradient(f)
+    for ph in (INTERIOR, EXTERIOR):
+        blk = f.blocks[ph]
+        stacked = np.empty(blk.shape[:-3] + (3,) + blk.shape[-3:])
+        for idx in np.ndindex(blk.shape[:-3]):
+            comp = VolumeField(any_grid, f.blocks[INTERIOR][idx], f.blocks[EXTERIOR][idx])
+            stacked[idx] = scalar_gradient(comp).blocks[ph]
+        scale = np.max(np.abs(stacked))
+        assert np.max(np.abs(grad.blocks[ph] - stacked)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("rank", [0, 1])
+def test_d3_is_e3_column_of_gradient(any_grid, rank):
+    f = random_poly_field(any_grid, rank, seed=10 + rank)
+    got, ref = d3(f), e3_column(scalar_gradient(f))
+    for ph in (INTERIOR, EXTERIOR):
+        assert got.blocks[ph].shape == ref.blocks[ph].shape == f.blocks[ph].shape
+        scale = np.max(np.abs(ref.blocks[ph]))
+        assert np.max(np.abs(got.blocks[ph] - ref.blocks[ph])) <= 1e-14 * scale
+
+
+def test_vector_gradient_closed_form(any_grid):
+    u = sample(any_grid, lambda x, y, z: np.stack([x * z, y * y + z, x * y]), rank=1)
+    x, y, z = grid_points(any_grid, INTERIOR)
+    zero, one = np.zeros_like(x), np.ones_like(x)
+    exact = np.array([[z, zero, x], [zero, 2 * y, one], [y, x, zero]])
+    assert np.max(np.abs(vector_gradient(u).blocks[INTERIOR] - exact)) < 1e-11
+    # decaying exterior field u = x / |x|^3
+    u = sample(any_grid, lambda x, y, z: np.stack([x, y, z]) / (x * x + y * y + z * z) ** 1.5, rank=1)
+    xs = np.stack(grid_points(any_grid, EXTERIOR))
+    r = np.sqrt(np.sum(xs * xs, axis=0))
+    exact = np.eye(3)[:, :, None, None, None] / r**3 - 3.0 * xs[:, None] * xs[None, :] / r**5
+    assert np.max(np.abs(vector_gradient(u).blocks[EXTERIOR] - exact)) < 1e-11
 
 
 def test_integrals(vg):
