@@ -348,7 +348,7 @@ def apply_L(state: DropState, ctx: OperatorContext) -> YElement:
     return YElement(f, divu, h1, h2, a1, a2, h3)
 
 
-def invert_L(y: YElement, ctx: OperatorContext, tol_update: float = 1e-12) -> DropState:
+def invert_L(y: YElement, ctx: OperatorContext) -> DropState:
     """Constructive inverse of the linear operator.
 
     Row 6 (int eta = a2) is never imposed; it comes out through the
@@ -364,9 +364,7 @@ def invert_L(y: YElement, ctx: OperatorContext, tol_update: float = 1e-12) -> Dr
     if y.g.max_abs() > 0.0:
         gg = scalar_gradient(y.g)
         f_eff = y.f + VolumeField(grid, mu1 * gg.blocks[INTERIOR], mu2 * gg.blocks[EXTERIOR])
-    sol = solve_two_phase(
-        JumpData(f_eff, y.g, y.h1, y.h2), lam0, params, ctx.aux.solver, tol_update=tol_update
-    )
+    sol = solve_two_phase(JumpData(f_eff, y.g, y.h1, y.h2), lam0, params, ctx.aux.solver)
     u, p = sol.u, sol.p
     jump = surface_traction_jump(u, p, grid, mu1, mu2)
     rhat = g.unit_vectors()[0]

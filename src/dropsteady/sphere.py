@@ -42,7 +42,6 @@ __all__ = [
     "integrate_sphere",
     "laplace_beltrami",
     "surface_gradient",
-    "surface_divergence",
     "project_kernel",
     "project_complement",
     "solve_shifted",
@@ -453,12 +452,6 @@ def surface_gradient(f: SphereField) -> TangentField:
     return TangentField(f.grid, spec=(s, np.zeros_like(s)), band=f.band)
 
 
-def surface_divergence(t: TangentField) -> SphereField:
-    s, _ = t.spec
-    l = np.arange(t.band + 1, dtype=float)[:, None]
-    return SphereField(t.grid, coeffs=-l * (l + 1.0) * s, band=t.band)
-
-
 def project_kernel(f: SphereField) -> SphereField:
     """Orthogonal projection onto the l = 1 subspace (span of n_1, n_2, n_3)."""
     c = np.zeros_like(f.coeffs)
@@ -482,14 +475,17 @@ def kernel_obstruction(f: SphereField) -> float:
     return float(num / den) if den > 0 else 0.0
 
 
-def solve_shifted(f: SphereField, tol: float = 1e-10) -> SphereField:
+KERNEL_TOL = 1e-10  # largest relative l = 1 content solve_shifted accepts
+
+
+def solve_shifted(f: SphereField) -> SphereField:
     """Solve (lap_S + 2) eta = f on the complement of the l = 1 kernel.
 
     Coefficient-wise division by (2 - l(l+1)); rejects data with
     non-negligible l = 1 content and reports the offending residual.
     """
     obs = kernel_obstruction(f)
-    if obs > tol:
+    if obs > KERNEL_TOL:
         raise ValueError(
             f"shifted solve: data has l=1 content (relative residual {obs:.3e})"
         )

@@ -5,9 +5,13 @@ two-point boundary value problem for the spheroidal channels (P, v,
 pressure) and the toroidal channel w, coupled through the interface
 conditions at r = 1: continuous velocity, prescribed normal velocity,
 prescribed tangential stress jump.  Both phases are discretized by
-Chebyshev collocation (interior: parity bases in r; exterior: polynomial
-in s = 1/r, which structurally excludes the growing solution family) and
-solved in a single least-squares system per degree.
+Chebyshev collocation on the nodal tables of ``radial`` (interior: parity
+bases in r; exterior: polynomial in s = 1/r, which structurally excludes
+the growing solution family), and each degree is a least-squares system.
+The solver's constructor pseudo-inverts every degree once and keeps, per
+channel, one stacked operator (L+1, n_out, n_in) from nodal data to nodal
+profiles; a solve is one batched matmul per channel over all degrees and
+the orders the grid carries, between the sphere transforms.
 
 The drift (Oseen) term rho * lambda0 * d3 u is iterated: each Richardson
 step moves it to the right-hand side of a pure Stokes solve.  The
@@ -53,7 +57,6 @@ __all__ = [
     "JumpData",
     "TwoPhaseSolution",
     "TwoPhaseStokesSolver",
-    "stokes_mode_solve",
     "solve_two_phase",
     "AuxiliaryField",
     "auxiliary_field",
@@ -122,253 +125,132 @@ class RichardsonDivergence(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# per-degree collocation matrices
+# per-degree collocation matrices, stacked into one solve operator per channel
 # ---------------------------------------------------------------------------
 
 
-def _interior_basis(rad, parity):
-    p = parity & 1
+def _radial_laplacian(rad, parity: int, l: int) -> np.ndarray:
+    """d^2/dr^2 + (2/r) d/dr - l(l+1)/r^2 on one phase's basis of a parity."""
+    B0, B1, B2 = rad.tables[parity]
     r = rad.r[:, None]
-    B0 = (r**p) * rad.V
-    B1 = p * rad.V + 4.0 * r ** (p + 1) * rad.V1 if p else 4.0 * r * rad.V1
-    B2 = (
-        4.0 * (2 * p + 1) * (r**p) * rad.V1 + 16.0 * r ** (p + 2) * rad.V2
+    return B2 + 2.0 / r * B1 - l * (l + 1.0) / r**2 * B0
+
+
+def _spheroidal_block(rad, l: int, mu: float) -> np.ndarray:
+    """Radial momentum, spheroidal momentum and divergence rows of one phase
+    on its (P, v, p) coefficients; P and v have parity l + 1, p parity l."""
+    r = rad.r[:, None]
+    B0, B1, _ = rad.tables[(l + 1) % 2]
+    C0, C1, _ = rad.tables[l % 2]
+    ll1 = l * (l + 1.0)
+    Dl = _radial_laplacian(rad, (l + 1) % 2, l)
+    return np.block(
+        [
+            [-mu * (Dl - 2.0 / r**2 * B0), -mu * (2.0 * ll1 / r**2 * B0), C1],
+            [-mu * 2.0 / r**2 * B0, -mu * Dl, C0 / r],
+            [B1 + 2.0 / r * B0, -ll1 / r * B0, np.zeros_like(B0)],
+        ]
     )
-    return B0, B1, B2
 
 
-def _exterior_basis(rad):
-    s = rad.s[:, None]
-    B0 = rad.V
-    B1 = -rad.c_xi * s**2 * rad.V1
-    B2 = 2.0 * rad.c_xi * s**3 * rad.V1 + rad.c_xi**2 * s**4 * rad.V2
-    return B0, B1, B2
+def _surface(rad, parity: int):
+    """Basis values and r-derivatives at r = 1."""
+    B0, B1, _ = rad.tables[parity]
+    return B0[rad.i_surface], B1[rad.i_surface]
 
 
-def _basis_at_infinity(rad, n):
-    from numpy.polynomial import chebyshev as ncheb
+def _solve_operator(M, data_rows, bases, drop_rows=(), drop_cols=()) -> np.ndarray:
+    """Nodal outputs from the right-hand side of M x = b on ``data_rows``
+    (zero on the other rows).
 
-    return ncheb.chebvander(np.array([rad.xi_infinity]), n - 1)[0]
-
-
-def _pinv_layout(rows):
-    """Stack named row blocks, scale every row to unit max and pseudo-invert.
-
-    Returns the pseudo-inverse and a layout holding the row scales and the
-    row slice of each named block, where its right-hand side goes.
+    The least-squares system leaves out ``drop_rows`` and ``drop_cols`` (the
+    dropped unknowns are zero) and scales each row to unit max.  ``bases``
+    map consecutive blocks of x to nodal values.
     """
-    M = np.vstack([blk for _, blk in rows])
-    ends = np.cumsum([blk.shape[0] for _, blk in rows])
-    row_sl = {name: slice(end - blk.shape[0], end) for (name, blk), end in zip(rows, ends)}
-    scale = np.max(np.abs(M), axis=1)
+    rows = np.setdiff1d(np.arange(M.shape[0]), drop_rows)
+    cols = np.setdiff1d(np.arange(M.shape[1]), drop_cols)
+    A = M[np.ix_(rows, cols)]
+    scale = np.max(np.abs(A), axis=1)
     scale[scale == 0] = 1.0
-    M = M / scale[:, None]
-    pinv = np.linalg.pinv(M, rcond=1e-13)
-    return pinv, {"rows": row_sl, "scale": scale}
+    pinv = np.zeros(M.shape[::-1])
+    pinv[np.ix_(cols, rows)] = np.linalg.pinv(A / scale[:, None], rcond=1e-13) / scale
+    blocks = np.split(pinv[:, data_rows], np.cumsum([len(B) for B in bases])[:-1])
+    return np.concatenate([B @ x for B, x in zip(bases, blocks)])
+
+
+def _spheroidal_operator(gi, ge, l: int, mu1: float, mu2: float) -> np.ndarray:
+    """Nodal (P, v, p) of the drop, then of the reservoir, from the nodal
+    data (fP, fv, g) of each phase, h1 and h2s, at degree l."""
+    Mi, Me = gi.n, ge.n
+    n_x = 3 * (Mi + Me)
+    c = np.cumsum([0, Mi, Mi, Mi, Me, Me, Me])  # unknown block k is c[k]:c[k+1]
+    b0i, b1i = _surface(gi, (l + 1) % 2)
+    b0e, b1e = _surface(ge, 0)
+    # rows: momentum and divergence per phase, [[P]] = 0, P = h1, [[v]] = 0,
+    # the tangential stress jump h2s, decay of (P, v, p) at infinity, and
+    # the pressure mean.  The row order sets the rounding of the pseudo-
+    # inverse: putting the data rows first moves lambda by 1.7e-11 relative.
+    M = np.zeros((n_x + 8, n_x))
+    M[: c[3], : c[3]] = _spheroidal_block(gi, l, mu1)
+    M[c[3] : n_x, c[3] :] = _spheroidal_block(ge, l, mu2)
+    M[n_x, c[0] : c[1]], M[n_x, c[3] : c[4]] = b0i, -b0e
+    M[n_x + 1, c[0] : c[1]] = b0i
+    M[n_x + 2, c[1] : c[2]], M[n_x + 2, c[4] : c[5]] = b0i, -b0e
+    M[n_x + 3, c[0] : c[1]] = mu1 * b0i
+    M[n_x + 3, c[1] : c[2]] = mu1 * (b1i - b0i)
+    M[n_x + 3, c[3] : c[4]] = -mu2 * b0e
+    M[n_x + 3, c[4] : c[5]] = -mu2 * (b1e - b0e)
+    for k in range(3):
+        M[n_x + 4 + k, c[3 + k] : c[4 + k]] = ge.basis_at_infinity
+    B0i, C0i, B0e = gi.tables[(l + 1) % 2][0], gi.tables[l % 2][0], ge.tables[0][0]
+    M[n_x + 7, c[2] : c[3]] = gi.wq @ C0i
+    data_rows = np.r_[:n_x, n_x + 1, n_x + 3]
+    bases = (B0i, B0i, C0i, B0e, B0e, B0e)
+    if l == 0:  # no v: drop its unknowns, equations and data
+        v = np.r_[c[1] : c[2], c[4] : c[5]]
+        return _solve_operator(M, data_rows, bases, np.r_[v, n_x + 2, n_x + 3, n_x + 5], v)
+    return _solve_operator(M, data_rows, bases, drop_rows=[n_x + 7])
+
+
+def _toroidal_operator(gi, ge, l: int, mu1: float, mu2: float) -> np.ndarray:
+    """Nodal w of each phase from the nodal fw of each phase and h2t (l >= 1)."""
+    Mi, Me = gi.n, ge.n
+    b0i, b1i = _surface(gi, l % 2)
+    b0e, b1e = _surface(ge, 0)
+    # rows: momentum per phase, [[w]] = 0, h2t, decay
+    M = np.zeros((Mi + Me + 3, Mi + Me))
+    M[:Mi, :Mi] = -mu1 * _radial_laplacian(gi, l % 2, l)
+    M[Mi : Mi + Me, Mi:] = -mu2 * _radial_laplacian(ge, 0, l)
+    M[Mi + Me, :Mi], M[Mi + Me, Mi:] = b0i, -b0e
+    M[Mi + Me + 1, :Mi], M[Mi + Me + 1, Mi:] = mu1 * (b1i - b0i), -mu2 * (b1e - b0e)
+    M[Mi + Me + 2, Mi:] = ge.basis_at_infinity
+    data_rows = np.r_[: Mi + Me, Mi + Me + 1]
+    return _solve_operator(M, data_rows, (gi.tables[l % 2][0], ge.tables[0][0]))
 
 
 class TwoPhaseStokesSolver:
-    """Cached per-degree solve operators for one (grid, mu1, mu2) triple."""
+    """Solve operators of every degree for one (grid, mu1, mu2) triple.
+
+    ``sph[l]`` maps the nodal spheroidal data of degree l (fP, fv, g in the
+    drop, the same in the reservoir, then h1 and h2s) to the nodal (P, v, p)
+    of the drop and then of the reservoir.  ``tor[l]`` maps (fw per phase,
+    h2t) to w per phase.  At l = 0 the v and w blocks are zero.
+    """
 
     def __init__(self, grid: VolumeGrid, mu1: float, mu2: float):
         self.grid = grid
         self.mu1 = mu1
         self.mu2 = mu2
-        self._sph = {}
-        self._tor = {}
-
-    # -- matrix assembly ----------------------------------------------------
-    def _spheroidal(self, l: int):
-        if l in self._sph:
-            return self._sph[l]
-        gi, ge = self.grid.interior, self.grid.exterior
-        Mi, Me = gi.n, ge.n
-        parPv = (l + 1) % 2
-        parp = l % 2
-        B0i, B1i, B2i = _interior_basis(gi, parPv)
-        C0i, C1i, _ = _interior_basis(gi, parp)
-        B0e, B1e, B2e = _exterior_basis(ge)
-        ll1 = l * (l + 1.0)
-        ri = gi.r[:, None]
-        re = ge.r[:, None]
-        mu1, mu2 = self.mu1, self.mu2
-
-        has_v = l >= 1
-        nPi, nvi, npi = Mi, Mi if has_v else 0, Mi
-        nPe, nve, npe = Me, Me if has_v else 0, Me
-        cols = np.cumsum([0, nPi, nvi, npi, nPe, nve, npe])
-        sl = {
-            "Pi": slice(cols[0], cols[1]),
-            "vi": slice(cols[1], cols[2]),
-            "pi": slice(cols[2], cols[3]),
-            "Pe": slice(cols[3], cols[4]),
-            "ve": slice(cols[4], cols[5]),
-            "pe": slice(cols[5], cols[6]),
-        }
-        ncols = cols[-1]
-
-        rows = []
-
-        def row_block(n):
-            return np.zeros((n, ncols))
-
-        # interior momentum (radial): -mu1 [D_l P - 2P/r^2 + 2 ll1 v/r^2] + p'
-        Dl_i = B2i + 2.0 / ri * B1i - ll1 / ri**2 * B0i
-        blk = row_block(Mi)
-        blk[:, sl["Pi"]] = -mu1 * (Dl_i - 2.0 / ri**2 * B0i)
-        if has_v:
-            blk[:, sl["vi"]] = -mu1 * (2.0 * ll1 / ri**2 * B0i)
-        blk[:, sl["pi"]] = C1i
-        rows.append(("mom_r_i", blk))
-        # interior momentum (spheroidal): -mu1 [D_l v + 2P/r^2] + p/r
-        if has_v:
-            blk = row_block(Mi)
-            blk[:, sl["vi"]] = -mu1 * Dl_i
-            blk[:, sl["Pi"]] = -mu1 * 2.0 / ri**2 * B0i
-            blk[:, sl["pi"]] = C0i / ri
-            rows.append(("mom_t_i", blk))
-        # interior divergence: P' + 2P/r - ll1 v / r
-        blk = row_block(Mi)
-        blk[:, sl["Pi"]] = B1i + 2.0 / ri * B0i
-        if has_v:
-            blk[:, sl["vi"]] = -ll1 / ri * B0i
-        rows.append(("div_i", blk))
-
-        Dl_e = B2e + 2.0 / re * B1e - ll1 / re**2 * B0e
-        blk = row_block(Me)
-        blk[:, sl["Pe"]] = -mu2 * (Dl_e - 2.0 / re**2 * B0e)
-        if has_v:
-            blk[:, sl["ve"]] = -mu2 * (2.0 * ll1 / re**2 * B0e)
-        blk[:, sl["pe"]] = B1e
-        rows.append(("mom_r_e", blk))
-        if has_v:
-            blk = row_block(Me)
-            blk[:, sl["ve"]] = -mu2 * Dl_e
-            blk[:, sl["Pe"]] = -mu2 * 2.0 / re**2 * B0e
-            blk[:, sl["pe"]] = B0e / re
-            rows.append(("mom_t_e", blk))
-        blk = row_block(Me)
-        blk[:, sl["Pe"]] = B1e + 2.0 / re * B0e
-        if has_v:
-            blk[:, sl["ve"]] = -ll1 / re * B0e
-        rows.append(("div_e", blk))
-
-        i0, e0 = gi.i_surface, ge.i_surface
-        # interface: [[P]] = 0, P(1) = h1, [[v]] = 0, tangential stress jump
-        blk = row_block(1)
-        blk[0, sl["Pi"]] = B0i[i0]
-        blk[0, sl["Pe"]] = -B0e[e0]
-        rows.append(("jump_P", blk))
-        blk = row_block(1)
-        blk[0, sl["Pi"]] = B0i[i0]
-        rows.append(("h1", blk))
-        if has_v:
-            blk = row_block(1)
-            blk[0, sl["vi"]] = B0i[i0]
-            blk[0, sl["ve"]] = -B0e[e0]
-            rows.append(("jump_v", blk))
-            blk = row_block(1)
-            blk[0, sl["vi"]] = mu1 * (B1i[i0] - B0i[i0])
-            blk[0, sl["Pi"]] = mu1 * B0i[i0]
-            blk[0, sl["ve"]] = -mu2 * (B1e[e0] - B0e[e0])
-            blk[0, sl["Pe"]] = -mu2 * B0e[e0]
-            rows.append(("h2s", blk))
-
-        Tinf = _basis_at_infinity(ge, Me)
-        for name in ("Pe", "ve", "pe") if has_v else ("Pe", "pe"):
-            blk = row_block(1)
-            blk[0, sl[name]] = Tinf
-            rows.append((f"decay_{name}", blk))
-
-        if l == 0:
-            # interior pressure mean: int_0^1 p r^2 dr = 0
-            blk = row_block(1)
-            blk[0, sl["pi"]] = gi.wq @ C0i
-            rows.append(("pmean", blk))
-
-        pinv, layout = _pinv_layout(rows)
-        layout.update(
-            sl=sl,
-            has_v=has_v,
-            B0={"Pi": B0i, "vi": B0i, "pi": C0i, "Pe": B0e, "ve": B0e, "pe": B0e},
-        )
-        self._sph[l] = (pinv, layout)
-        return self._sph[l]
-
-    def _toroidal(self, l: int):
-        if l in self._tor:
-            return self._tor[l]
-        gi, ge = self.grid.interior, self.grid.exterior
-        Mi, Me = gi.n, ge.n
-        parw = l % 2
-        B0i, B1i, B2i = _interior_basis(gi, parw)
-        B0e, B1e, B2e = _exterior_basis(ge)
-        ll1 = l * (l + 1.0)
-        ri = gi.r[:, None]
-        re = ge.r[:, None]
-        ncols = Mi + Me
-        sl = {"wi": slice(0, Mi), "we": slice(Mi, Mi + Me)}
-        rows = []
-        blk = np.zeros((Mi, ncols))
-        blk[:, sl["wi"]] = -self.mu1 * (B2i + 2.0 / ri * B1i - ll1 / ri**2 * B0i)
-        rows.append(("mom_w_i", blk))
-        blk = np.zeros((Me, ncols))
-        blk[:, sl["we"]] = -self.mu2 * (B2e + 2.0 / re * B1e - ll1 / re**2 * B0e)
-        rows.append(("mom_w_e", blk))
-        i0, e0 = gi.i_surface, ge.i_surface
-        blk = np.zeros((1, ncols))
-        blk[0, sl["wi"]] = B0i[i0]
-        blk[0, sl["we"]] = -B0e[e0]
-        rows.append(("jump_w", blk))
-        blk = np.zeros((1, ncols))
-        blk[0, sl["wi"]] = self.mu1 * (B1i[i0] - B0i[i0])
-        blk[0, sl["we"]] = -self.mu2 * (B1e[e0] - B0e[e0])
-        rows.append(("h2t", blk))
-        blk = np.zeros((1, ncols))
-        blk[0, sl["we"]] = _basis_at_infinity(ge, Me)
-        rows.append(("decay_w", blk))
-
-        pinv, layout = _pinv_layout(rows)
-        layout.update(sl=sl, B0={"wi": B0i, "we": B0e})
-        self._tor[l] = (pinv, layout)
-        return self._tor[l]
-
-    # -- solve --------------------------------------------------------------
-    def solve_degree(self, l: int, fP, fv, fw, g, h1, h2s, h2t) -> dict:
-        """Radial solve of degree l for a set of orders m at once.
-
-        ``fP, fv, fw, g`` are (interior, exterior) pairs of nodal profiles
-        shaped (n_r, n_m); ``h1, h2s, h2t`` are interface data shaped (n_m,).
-        Returns the nodal profiles P, v, w, p as (interior, exterior) pairs
-        (v and w vanish at l = 0) and the spheroidal coefficients.
-        """
-        pinv, lay = self._spheroidal(l)
-        rows = lay["rows"]
-        rhs = np.zeros((len(lay["scale"]), len(h1)))
-        rhs[rows["mom_r_i"]], rhs[rows["mom_r_e"]] = fP
-        rhs[rows["div_i"]], rhs[rows["div_e"]] = g
-        rhs[rows["h1"]] = h1
-        if lay["has_v"]:
-            rhs[rows["mom_t_i"]], rhs[rows["mom_t_e"]] = fv
-            rhs[rows["h2s"]] = h2s
-        x = pinv @ (rhs / lay["scale"][:, None])
-        out = {
-            "P": _profiles(lay, x, "Pi", "Pe"),
-            "p": _profiles(lay, x, "pi", "pe"),
-            "coeffs": x,
-        }
-        if not lay["has_v"]:
-            out["v"] = out["w"] = tuple(np.zeros_like(a) for a in out["P"])
-            return out
-        out["v"] = _profiles(lay, x, "vi", "ve")
-        tpinv, tlay = self._toroidal(l)
-        trows = tlay["rows"]
-        trhs = np.zeros((len(tlay["scale"]), len(h1)))
-        trhs[trows["mom_w_i"]], trhs[trows["mom_w_e"]] = fw
-        trhs[trows["h2t"]] = h2t
-        tx = tpinv @ (trhs / tlay["scale"][:, None])
-        out["w"] = _profiles(tlay, tx, "wi", "we")
-        return out
+        gi, ge = grid.interior, grid.exterior
+        n = gi.n + ge.n
+        L = grid.sphere.band_limit
+        # filled one degree at a time: no per-degree pseudo-inverse is kept
+        self.sph = np.zeros((L + 1, 3 * n, 3 * n + 2))
+        self.tor = np.zeros((L + 1, n, n + 1))
+        for l in range(L + 1):
+            self.sph[l] = _spheroidal_operator(gi, ge, l, mu1, mu2)
+            if l > 0:
+                self.tor[l] = _toroidal_operator(gi, ge, l, mu1, mu2)
 
     def solve(self, data: JumpData, check_compat: bool = True) -> TwoPhaseSolution:
         """Pure Stokes solve (no drift) with pressure mean zero in the drop."""
@@ -384,82 +266,36 @@ class TwoPhaseStokesSolver:
                 raise ValueError(
                     f"incompatible data: int g - int h1 = {defect:.3e}"
                 )
+        m = min(L, g.m_max)  # the grid carries no higher order
+        ms = slice(L - m, L + m + 1)
         fPi, fvi, fwi = vsh_channels(data.f, INTERIOR)
         fPe, fve, fwe = vsh_channels(data.f, EXTERIOR)
         gmi = analysis_batch(g, data.g.blocks[INTERIOR], L)
         gme = analysis_batch(g, data.g.blocks[EXTERIOR], L)
-        h1m = data.h1.with_band(L).coeffs
+        h1 = data.h1.with_band(L).coeffs
         h2s, h2t = data.h2.spec
-        Mi, Me = grid.interior.n, grid.exterior.n
 
-        P = [np.zeros((Mi, L + 1, 2 * L + 1)), np.zeros((Me, L + 1, 2 * L + 1))]
-        V = [np.zeros_like(P[0]), np.zeros_like(P[1])]
-        W = [np.zeros_like(P[0]), np.zeros_like(P[1])]
-        Q = [np.zeros_like(P[0]), np.zeros_like(P[1])]
+        def apply(op, *blocks):
+            """op[l] on the stacked data blocks (..., L+1, 2L+1) of every degree
+            at once; returns the output profiles (n_out, L+1, 2L+1)."""
+            x = np.concatenate([b[..., ms].reshape(-1, L + 1, 2 * m + 1) for b in blocks])
+            out = np.zeros((op.shape[1], L + 1, 2 * L + 1))
+            out[..., ms] = np.moveaxis(op @ np.moveaxis(x, 1, 0), 0, 1)
+            return out
 
-        for l in range(L + 1):
-            m = min(l, g.m_max)  # the grid carries no higher order
-            ms = slice(L - m, L + m + 1)
-            out = self.solve_degree(
-                l,
-                (fPi[:, l, ms], fPe[:, l, ms]),
-                (fvi[:, l, ms], fve[:, l, ms]),
-                (fwi[:, l, ms], fwe[:, l, ms]),
-                (gmi[:, l, ms], gme[:, l, ms]),
-                h1m[l, ms],
-                h2s[l, ms],
-                h2t[l, ms],
-            )
-            for arr, key in ((P, "P"), (V, "v"), (W, "w"), (Q, "p")):
-                arr[INTERIOR][:, l, ms], arr[EXTERIOR][:, l, ms] = out[key]
-
+        Mi = grid.interior.n
+        Pi, Vi, Qi, Pe, Ve, Qe = np.split(
+            apply(self.sph, fPi, fvi, gmi, fPe, fve, gme, h1, h2s),
+            np.cumsum([Mi, Mi, Mi, grid.exterior.n, grid.exterior.n]),
+        )
+        Wi, We = np.split(apply(self.tor, fwi, fwe, h2t), [Mi])
         u = VolumeField(
             grid,
-            vsh_assemble(grid, INTERIOR, P[0], V[0], W[0]),
-            vsh_assemble(grid, EXTERIOR, P[1], V[1], W[1]),
+            vsh_assemble(grid, INTERIOR, Pi, Vi, Wi),
+            vsh_assemble(grid, EXTERIOR, Pe, Ve, We),
         )
-        p = VolumeField(
-            grid,
-            synthesis_batch(g, Q[0], L),
-            synthesis_batch(g, Q[1], L),
-        )
+        p = VolumeField(grid, synthesis_batch(g, Qi, L), synthesis_batch(g, Qe, L))
         return TwoPhaseSolution(u, p)
-
-
-def _profiles(lay, x, name_i, name_e):
-    """Nodal (interior, exterior) profiles of two column blocks of x."""
-    return (lay["B0"][name_i] @ x[lay["sl"][name_i]], lay["B0"][name_e] @ x[lay["sl"][name_e]])
-
-
-def stokes_mode_solve(
-    solver: TwoPhaseStokesSolver,
-    l: int,
-    fP=None,
-    fv=None,
-    fw=None,
-    gprof=None,
-    h1=0.0,
-    h2s=0.0,
-    h2t=0.0,
-):
-    """Single-(l, m) radial solve; profile inputs are nodal (interior, exterior).
-
-    Returns a dict with nodal profiles P, v, w, p per phase plus the raw
-    coefficient vector of the spheroidal block.
-    """
-    grid = solver.grid
-    z = (np.zeros(grid.interior.n), np.zeros(grid.exterior.n))
-
-    def column(pair):
-        return tuple(np.reshape(a, (-1, 1)) for a in (z if pair is None else pair))
-
-    out = solver.solve_degree(
-        l, column(fP), column(fv), column(fw), column(gprof),
-        np.reshape(h1, 1), np.reshape(h2s, 1), np.reshape(h2t, 1),
-    )
-    res = {key: tuple(a[:, 0] for a in out[key]) for key in ("P", "v", "w", "p")}
-    res["coeffs"] = out["coeffs"][:, 0]
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +303,15 @@ def stokes_mode_solve(
 # ---------------------------------------------------------------------------
 
 
+RICHARDSON_TOL = 1e-12  # stop once an update is below this share of the Stokes solve
+RICHARDSON_MAX_ITER = 40
+
+
 def solve_two_phase(
     data: JumpData,
     lambda0: float,
     params: PhysicalParams,
     solver: TwoPhaseStokesSolver,
-    tol_update: float = 1e-11,
-    max_iter: int = 40,
 ) -> TwoPhaseSolution:
     """Solve the drifted two-phase system; drift handled by Richardson.
 
@@ -487,7 +325,7 @@ def solve_two_phase(
         prev_update = None
         u_prev = sol.u
         base = max(norm_l2(sol.u), 1e-300)
-        for it in range(max_iter):
+        for _ in range(RICHARDSON_MAX_ITER):
             drift = d3(u_prev).phasewise_scale(
                 params.rho1 * lambda0, params.rho2 * lambda0
             )
@@ -507,7 +345,7 @@ def solve_two_phase(
             prev_update = update
             u_prev = nxt.u
             sol = nxt
-            if update <= tol_update * base:
+            if update <= RICHARDSON_TOL * base:
                 break
     sol.diagnostics["richardson_ratios"] = ratios
     return sol
@@ -601,7 +439,7 @@ class AuxiliaryField:
     traction_jump: np.ndarray  # nodal (3, n_theta, n_phi)
     normalization_constant: float
     checks: dict
-    solver: TwoPhaseStokesSolver  # the per-degree factorization U was solved with
+    solver: TwoPhaseStokesSolver  # the solve operators U was solved with
 
 
 def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:

@@ -15,7 +15,6 @@ from dropsteady.sphere import (
     integrate_sphere,
     laplace_beltrami,
     surface_gradient,
-    surface_divergence,
     project_kernel,
     project_complement,
     solve_shifted,
@@ -317,13 +316,6 @@ def test_tangent_round_trip(grid):
     s2, t2 = w.spec
     assert np.max(np.abs(s2 - s)) < 1e-11
     assert np.max(np.abs(t2 - t)) < 1e-11
-
-
-def test_surface_divergence_consistency(grid):
-    f = random_field(grid, grid.band_limit, seed=8)
-    d = surface_divergence(surface_gradient(f))
-    lap = laplace_beltrami(f)
-    assert np.max(np.abs(d.values - lap.values)) < 1e-10
 
 
 def test_integrate_examples(grid):

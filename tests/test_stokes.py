@@ -14,7 +14,6 @@ from dropsteady.stokes import (
     oseenlet,
     residual_report,
     solve_two_phase,
-    stokes_mode_solve,
     truncate_field,
 )
 from dropsteady.volume import (
@@ -22,10 +21,12 @@ from dropsteady.volume import (
     INTERIOR,
     VolumeField,
     VolumeGrid,
+    analysis_batch,
     eval_radii,
+    synthesis_batch,
     vsh_assemble,
+    vsh_channels,
 )
-from dropsteady.volume import synthesis_batch
 
 
 @pytest.fixture(scope="module")
@@ -156,34 +157,62 @@ class ModeExact:
         return h1, h2s, h2t
 
 
+def manufactured(vg, modes, mu1, mu2):
+    """Jump data of a sum of ModeExact modes (l, m, seed) on the grid, the
+    exact velocity, and the exact channels {"P", "v", "w", "p"} per phase
+    (the drop pressure with mean zero)."""
+    L = vg.sphere.band_limit
+    names = ("P", "v", "w", "p", "fP", "fv", "fw", "g")
+    ch = {k: [np.zeros((vg.radial(ph).n, L + 1, 2 * L + 1)) for ph in (0, 1)] for k in names}
+    h = np.zeros((3, L + 1, 2 * L + 1))
+    for l, m, seed in modes:
+        ex = ModeExact(l, mu1, mu2, seed=seed)
+        for phase, r in ((INTERIOR, vg.interior.r), (EXTERIOR, vg.exterior.r)):
+            prof = ex.profiles(r, phase)
+            if l == 0 and phase == INTERIOR:
+                rad = vg.interior
+                prof["p"] = prof["p"] - rad.integrate(prof["p"]) / rad.integrate(np.ones_like(r))
+            for k, a in [*prof.items(), *zip(names[4:], ex.forcing(r, phase))]:
+                if a is not None:
+                    ch[k][phase][:, l, L + m] += a
+        h[:, l, L + m] += ex.interface_data()
+    g = vg.sphere
+    data = JumpData(
+        VolumeField(vg, *(vsh_assemble(vg, ph, ch["fP"][ph], ch["fv"][ph], ch["fw"][ph]) for ph in (0, 1))),
+        VolumeField(vg, *(synthesis_batch(g, ch["g"][ph], L) for ph in (0, 1))),
+        SphereField(g, coeffs=h[0], band=L),
+        TangentField(g, spec=(h[1], h[2]), band=L),
+    )
+    u = VolumeField(vg, *(vsh_assemble(vg, ph, ch["P"][ph], ch["v"][ph], ch["w"][ph]) for ph in (0, 1)))
+    return data, u, ch
+
+
+def assert_channels_match(sol, ch, scale):
+    """Every (P, v, w) coefficient of sol.u within 2e-9 * scale of the exact
+    channels, and every pressure coefficient within 5e-9 * scale."""
+    grid = sol.u.grid
+    L = grid.sphere.band_limit
+    for phase in (INTERIOR, EXTERIOR):
+        got = (*vsh_channels(sol.u, phase), analysis_batch(grid.sphere, sol.p.blocks[phase], L))
+        for k, a, tol in zip("Pvwp", got, (2e-9, 2e-9, 2e-9, 5e-9)):
+            assert np.max(np.abs(a - ch[k][phase])) < tol * scale, (k, phase)
+
+
 @pytest.mark.parametrize("l", [0, 1, 2, 3, 5, 8, 12])
 def test_mode_solver_manufactured(vg, solver_unequal, l):
-    ex = ModeExact(l, 2.5, 0.8, seed=l)
-    ri, re = vg.interior.r, vg.exterior.r
-    fP = (ex.forcing(ri, INTERIOR)[0], ex.forcing(re, EXTERIOR)[0])
-    fv = fw = None
-    if l > 0:
-        fv = (ex.forcing(ri, INTERIOR)[1], ex.forcing(re, EXTERIOR)[1])
-        fw = (ex.forcing(ri, INTERIOR)[2], ex.forcing(re, EXTERIOR)[2])
-    gpr = (ex.forcing(ri, INTERIOR)[3], ex.forcing(re, EXTERIOR)[3])
-    h1, h2s, h2t = ex.interface_data()
-    out = stokes_mode_solve(
-        solver_unequal, l, fP=fP, fv=fv, fw=fw, gprof=gpr, h1=h1, h2s=h2s, h2t=h2t
-    )
-    scale = max(np.max(np.abs(ex.profiles(ri, INTERIOR)["P"])), 1.0)
-    for phase, r in ((INTERIOR, ri), (EXTERIOR, re)):
-        exact = ex.profiles(r, phase)
-        assert np.max(np.abs(out["P"][phase] - exact["P"])) < 2e-9 * scale
-        if l > 0:
-            assert np.max(np.abs(out["v"][phase] - exact["v"])) < 2e-9 * scale
-            assert np.max(np.abs(out["w"][phase] - exact["w"])) < 2e-9 * scale
-    # pressure: interior carries the mean-zero normalization
-    p_int = ex.profiles(ri, INTERIOR)["p"]
-    if l == 0:
-        shift = vg.interior.integrate(p_int) / vg.interior.integrate(np.ones_like(ri))
-        p_int = p_int - shift
-    assert np.max(np.abs(out["p"][INTERIOR] - p_int)) < 5e-9 * scale
-    assert np.max(np.abs(out["p"][EXTERIOR] - ex.profiles(re, EXTERIOR)["p"])) < 5e-9 * scale
+    m = (l // 2) * (-1) ** l
+    data, _, ch = manufactured(vg, [(l, m, l)], 2.5, 0.8)
+    scale = max(np.max(np.abs(ch["P"][INTERIOR])), 1.0)
+    assert_channels_match(solver_unequal.solve(data), ch, scale)
+
+
+def test_banded_solve_every_degree_and_order():
+    """One mode at every degree and every order the m_max = 2 band carries."""
+    vg2 = VolumeGrid.build(band_limit=12, n_r_int=20, n_r_ext=30, r_inf=64.0, m_max=2)
+    modes = [(l, m, 100 * l + m + 2) for l in range(13) for m in range(-min(l, 2), min(l, 2) + 1)]
+    data, _, ch = manufactured(vg2, modes, 2.5, 0.8)
+    scale = max(np.max(np.abs(ch["P"][INTERIOR])), 1.0)
+    assert_channels_match(TwoPhaseStokesSolver(vg2, 2.5, 0.8).solve(data), ch, scale)
 
 
 def test_zero_data_zero_solution(vg, solver):
@@ -212,32 +241,12 @@ def test_incompatible_data_rejected(vg, solver):
 
 
 def test_solver_linearity_and_determinism(vg, solver):
-    ex = ModeExact(2, 1.0, 1.0, seed=42)
-    ri, re = vg.interior.r, vg.exterior.r
-    args = dict(
-        fP=(ex.forcing(ri, INTERIOR)[0], ex.forcing(re, EXTERIOR)[0]),
-        fv=(ex.forcing(ri, INTERIOR)[1], ex.forcing(re, EXTERIOR)[1]),
-        fw=(ex.forcing(ri, INTERIOR)[2], ex.forcing(re, EXTERIOR)[2]),
-        gprof=(ex.forcing(ri, INTERIOR)[3], ex.forcing(re, EXTERIOR)[3]),
-    )
-    h1, h2s, h2t = ex.interface_data()
-    o1 = stokes_mode_solve(solver, 2, h1=h1, h2s=h2s, h2t=h2t, **args)
-    o2 = stokes_mode_solve(solver, 2, h1=h1, h2s=h2s, h2t=h2t, **args)
-    assert np.array_equal(o1["coeffs"], o2["coeffs"])  # bit identical
-    half = stokes_mode_solve(
-        solver,
-        2,
-        fP=tuple(0.5 * a for a in args["fP"]),
-        fv=tuple(0.5 * a for a in args["fv"]),
-        fw=tuple(0.5 * a for a in args["fw"]),
-        gprof=tuple(0.5 * a for a in args["gprof"]),
-        h1=0.5 * h1,
-        h2s=0.5 * h2s,
-        h2t=0.5 * h2t,
-    )
-    assert np.max(np.abs(half["coeffs"] - 0.5 * o1["coeffs"])) < 1e-12 * max(
-        1.0, np.max(np.abs(o1["coeffs"]))
-    )
+    data, _, _ = manufactured(vg, [(2, 1, 42)], 1.0, 1.0)
+    o1, o2 = solver.solve(data), solver.solve(data)
+    assert all(np.array_equal(a, b) for a, b in zip(o1.u.blocks + o1.p.blocks, o2.u.blocks + o2.p.blocks))
+    half = solver.solve(JumpData(0.5 * data.f, 0.5 * data.g, 0.5 * data.h1, 0.5 * data.h2))
+    for a, b in zip(half.u.blocks + half.p.blocks, o1.u.blocks + o1.p.blocks):
+        assert np.max(np.abs(a - 0.5 * b)) < 1e-12 * max(1.0, np.max(np.abs(b)))
 
 
 # -- auxiliary field vs the closed form --------------------------------------
@@ -289,59 +298,13 @@ def test_pressure_matches_closed_form(vg):
 def test_solve_two_phase_with_drift_manufactured(vg, solver):
     from dropsteady.volume import d3
 
-    L = vg.sphere.band_limit
     params = PhysicalParams(mu1=1.0, mu2=1.0, rho_tilde=1e-2)
     lam = 3e-3
     # manufactured multi-mode field from the per-mode profiles
-    Mi, Me = vg.interior.n, vg.exterior.n
-    P = [np.zeros((Mi, L + 1, 2 * L + 1)), np.zeros((Me, L + 1, 2 * L + 1))]
-    V = [np.zeros_like(P[0]), np.zeros_like(P[1])]
-    W = [np.zeros_like(P[0]), np.zeros_like(P[1])]
-    Q = [np.zeros_like(P[0]), np.zeros_like(P[1])]
-    fP = [np.zeros_like(P[0]), np.zeros_like(P[1])]
-    fv = [np.zeros_like(P[0]), np.zeros_like(P[1])]
-    fw = [np.zeros_like(P[0]), np.zeros_like(P[1])]
-    G = [np.zeros_like(P[0]), np.zeros_like(P[1])]
-    h1c = np.zeros((L + 1, 2 * L + 1))
-    h2sc = np.zeros_like(h1c)
-    h2tc = np.zeros_like(h1c)
-    for l, m in ((1, 0), (2, 1), (3, -2)):
-        ex = ModeExact(l, 1.0, 1.0, seed=10 * l + m)
-        col = L + m
-        for phase, r in ((INTERIOR, vg.interior.r), (EXTERIOR, vg.exterior.r)):
-            prof = ex.profiles(r, phase)
-            P[phase][:, l, col] += prof["P"]
-            V[phase][:, l, col] += prof["v"]
-            W[phase][:, l, col] += prof["w"]
-            Q[phase][:, l, col] += prof["p"]
-            fPp, fvp, fwp, gp = ex.forcing(r, phase)
-            fP[phase][:, l, col] += fPp
-            fv[phase][:, l, col] += fvp
-            fw[phase][:, l, col] += fwp
-            G[phase][:, l, col] += gp
-        h1, h2s, h2t = ex.interface_data()
-        h1c[l, col] += h1
-        h2sc[l, col] += h2s
-        h2tc[l, col] += h2t
-    u_exact = VolumeField(
-        vg,
-        vsh_assemble(vg, INTERIOR, P[0], V[0], W[0]),
-        vsh_assemble(vg, EXTERIOR, P[1], V[1], W[1]),
-    )
-    f_st = VolumeField(
-        vg,
-        vsh_assemble(vg, INTERIOR, fP[0], fv[0], fw[0]),
-        vsh_assemble(vg, EXTERIOR, fP[1], fv[1], fw[1]),
-    )
-    gdat = VolumeField(vg, synthesis_batch(vg.sphere, G[0], L), synthesis_batch(vg.sphere, G[1], L))
+    modes = [(l, m, 10 * l + m) for l, m in ((1, 0), (2, 1), (3, -2))]
+    stokes_data, u_exact, _ = manufactured(vg, modes, 1.0, 1.0)
     drift = d3(u_exact).phasewise_scale(params.rho1 * lam, params.rho2 * lam)
-    f_total = f_st + drift
-    data = JumpData(
-        f_total,
-        gdat,
-        SphereField(vg.sphere, coeffs=h1c, band=L),
-        TangentField(vg.sphere, spec=(h2sc, h2tc), band=L),
-    )
+    data = JumpData(stokes_data.f + drift, stokes_data.g, stokes_data.h1, stokes_data.h2)
     sol = solve_two_phase(data, lam, params, solver)
     err = (sol.u - u_exact).max_abs() / u_exact.max_abs()
     assert err < 1e-7

@@ -207,10 +207,3 @@ def test_eval_shell(vg):
     vals2 = eval_shell(fe, 5.0)
     z5 = 5.0 * np.cos(th)
     assert np.max(np.abs(vals2 - z5 / 125.0)) < 1e-11
-
-
-def test_tail_quadrature(vg):
-    # int_1^inf r^-4 r^2 dr * 4pi = 4pi
-    rr, ww = vg.exterior.gauss_tail_nodes(64)
-    val = 4 * np.pi * np.sum(ww * rr**-4.0)
-    assert abs(val - 4 * np.pi) < 1e-12
