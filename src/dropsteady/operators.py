@@ -219,10 +219,18 @@ def build_context(
     params: PhysicalParams,
     R: float | None = None,
     alpha: float = 0.8,
+    aux: AuxiliaryField | None = None,
 ) -> OperatorContext:
     """Assemble the operator environment; R defaults to the clamped
-    |rho_tilde|^(-alpha) truncation radius."""
-    aux = auxiliary_field(grid, params)
+    |rho_tilde|^(-alpha) truncation radius.
+
+    ``aux`` is an auxiliary field already built on ``grid`` with the
+    viscosities of ``params``; without it one is built here.
+    """
+    if aux is None:
+        aux = auxiliary_field(grid, params)
+    elif aux.solver.grid is not grid or (aux.solver.mu1, aux.solver.mu2) != (params.mu1, params.mu2):
+        raise ValueError("the auxiliary field was built on another grid or other viscosities")
     lam0 = lambda0_value(params.rho_tilde, aux.e3_drag)
     if R is None:
         if params.rho_tilde != 0.0:

@@ -119,8 +119,11 @@ class TwoPhaseSolution:
 
 
 class RichardsonDivergence(RuntimeError):
-    def __init__(self, ratios):
-        super().__init__(f"Oseen drift iteration diverged; ratios {ratios}")
+    """The Oseen drift iteration diverged or ran out of iterations."""
+
+    def __init__(self, what: str, ratios):
+        shown = ", ".join(f"{r:.3g}" for r in ratios)
+        super().__init__(f"Oseen drift iteration {what}; last ratios [{shown}]")
         self.ratios = ratios
 
 
@@ -159,21 +162,33 @@ def _surface(rad, parity: int):
     return B0[rad.i_surface], B1[rad.i_surface]
 
 
+RANK_RTOL = 1e-13  # smallest |R_ii| / max |R_ii| of a collocation block's QR
+
+
 def _solve_operator(M, data_rows, bases, drop_rows=(), drop_cols=()) -> np.ndarray:
     """Nodal outputs from the right-hand side of M x = b on ``data_rows``
     (zero on the other rows).
 
     The least-squares system leaves out ``drop_rows`` and ``drop_cols`` (the
-    dropped unknowns are zero) and scales each row to unit max.  ``bases``
-    map consecutive blocks of x to nodal values.
+    dropped unknowns are zero) and scales each row to unit max.  It has full
+    column rank, so R^-1 Q^T of its thin QR is its pseudo-inverse; a block
+    whose R has a diagonal entry below RANK_RTOL of the largest raises
+    LinAlgError.  ``bases`` map consecutive blocks of x to nodal values.
     """
     rows = np.setdiff1d(np.arange(M.shape[0]), drop_rows)
     cols = np.setdiff1d(np.arange(M.shape[1]), drop_cols)
     A = M[np.ix_(rows, cols)]
     scale = np.max(np.abs(A), axis=1)
     scale[scale == 0] = 1.0
+    Q, R = np.linalg.qr(A / scale[:, None])
+    diag = np.abs(np.diag(R))
+    if not diag.min() > RANK_RTOL * diag.max():
+        raise np.linalg.LinAlgError(
+            f"rank-deficient collocation block: min |R_ii| {diag.min():.1e}, "
+            f"max |R_ii| {diag.max():.1e}"
+        )
     pinv = np.zeros(M.shape[::-1])
-    pinv[np.ix_(cols, rows)] = np.linalg.pinv(A / scale[:, None], rcond=1e-13) / scale
+    pinv[np.ix_(cols, rows)] = np.linalg.solve(R, Q.T) / scale
     blocks = np.split(pinv[:, data_rows], np.cumsum([len(B) for B in bases])[:-1])
     return np.concatenate([B @ x for B, x in zip(bases, blocks)])
 
@@ -251,6 +266,9 @@ class TwoPhaseStokesSolver:
             self.sph[l] = _spheroidal_operator(gi, ge, l, mu1, mu2)
             if l > 0:
                 self.tor[l] = _toroidal_operator(gi, ge, l, mu1, mu2)
+        # shared by every solve that uses this solver, sweep threads included
+        self.sph.flags.writeable = False
+        self.tor.flags.writeable = False
 
     def solve(self, data: JumpData, check_compat: bool = True) -> TwoPhaseSolution:
         """Pure Stokes solve (no drift) with pressure mean zero in the drop."""
@@ -317,7 +335,9 @@ def solve_two_phase(
 
     The iteration solves Stokes with f - rho lambda0 d3(u_k) on the
     right; the recorded contraction ratios form the convergence
-    certificate.  Divergence (ratio >= 1 three times running) raises.
+    certificate.  Divergence (ratio >= 1 three times running) raises, and
+    so does an update still above RICHARDSON_TOL after RICHARDSON_MAX_ITER
+    solves.  A non-finite update ends the loop with that iterate.
     """
     sol = solver.solve(data)
     ratios = []
@@ -338,15 +358,22 @@ def solve_two_phase(
                 JumpData(fd, data.g, data.h1, data.h2), check_compat=False
             )
             update = norm_l2(nxt.u - u_prev)
+            if not np.isfinite(update):
+                sol = nxt  # no further sweep mends it; the caller sees the NaN
+                break
             if prev_update is not None and prev_update > 0:
                 ratios.append(update / prev_update)
                 if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
-                    raise RichardsonDivergence(ratios[-3:])
+                    raise RichardsonDivergence("diverged", ratios[-3:])
             prev_update = update
             u_prev = nxt.u
             sol = nxt
             if update <= RICHARDSON_TOL * base:
                 break
+        else:
+            raise RichardsonDivergence(
+                f"no convergence in {RICHARDSON_MAX_ITER} iterations", ratios[-3:]
+            )
     sol.diagnostics["richardson_ratios"] = ratios
     return sol
 
@@ -488,6 +515,8 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
     flux = R_far**2 * g.quad(np.einsum("iab,iab->ab", u_far, Tr))
     dissipation = diss_int + diss_range - flux
 
+    for arr in (*U.blocks, *P.blocks, *jacU.blocks):  # shared like the solver
+        arr.flags.writeable = False
     tang = jump - np.einsum("iab,iab->ab", jump, rhat)[None] * rhat
     m_leak = axisym_leakage(U)
     checks = {

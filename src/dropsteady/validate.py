@@ -125,9 +125,10 @@ def _halfspace_checks(rng):
     return out
 
 
-def _dropflow_checks(rng, vg, mu2_scale: float = 1.0):
+def _dropflow_checks(rng, vg, mu2_scale: float = 1.0, aux=None):
     """Solver against the closed form; ``mu2_scale`` != 1 hands the oracle a
-    wrong reservoir viscosity (the fault the suite must catch)."""
+    wrong reservoir viscosity (the fault the suite must catch).  ``aux``, if
+    given, is the equal-viscosity field on ``vg`` and serves kappa = 1."""
     out = []
     th, phg = vg.sphere.nodes
     w = vg.sphere.weights
@@ -135,10 +136,12 @@ def _dropflow_checks(rng, vg, mu2_scale: float = 1.0):
     worst_drag = 0.0
     for kappa in (0.1, 1.0, 10.0):
         mu1, mu2 = kappa, 1.0
-        aux = auxiliary_field(vg, PhysicalParams(mu1=mu1, mu2=mu2))
+        field = aux if kappa == 1.0 and aux is not None else auxiliary_field(
+            vg, PhysicalParams(mu1=mu1, mu2=mu2)
+        )
         for r0 in (0.4, 0.85, 1.6, 6.0, 20.0):
             ph = 0 if r0 <= 1 else 1
-            got = eval_radii(aux.U, np.array([r0]), ph)[:, 0]
+            got = eval_radii(field.U, np.array([r0]), ph)[:, 0]
             x = r0 * np.sin(th) * np.cos(phg)
             y = r0 * np.sin(th) * np.sin(phg)
             z = r0 * np.cos(th)
@@ -147,7 +150,7 @@ def _dropflow_checks(rng, vg, mu2_scale: float = 1.0):
             ref = max(np.sqrt(np.einsum("ab,iab->", w, exact**2)), 1e-30)
             worst_vel = max(worst_vel, float(err / ref))
         ref_drag = dropflow.drag_e3(mu1, mu2 * mu2_scale)
-        worst_drag = max(worst_drag, abs(aux.e3_drag - ref_drag) / abs(ref_drag))
+        worst_drag = max(worst_drag, abs(field.e3_drag - ref_drag) / abs(ref_drag))
     out.append(
         Check("translating-drop field vs closed form (L2)", worst_vel < 1e-8, worst_vel, 1e-8)
     )
@@ -157,8 +160,8 @@ def _dropflow_checks(rng, vg, mu2_scale: float = 1.0):
     return out
 
 
-def _energy_checks(rng, vg):
-    aux = auxiliary_field(vg, PhysicalParams(mu1=1.0, mu2=1.0))
+def _energy_checks(rng, vg, aux=None):
+    aux = aux or auxiliary_field(vg, PhysicalParams(mu1=1.0, mu2=1.0))
     rel = abs(aux.dissipation - (-aux.e3_drag)) / abs(aux.e3_drag)
     out = [Check("energy identity: drag vs dissipation", rel < 1e-8, rel, 1e-8)]
     lam = lambda0_value(1e-3, aux.e3_drag)
@@ -169,8 +172,8 @@ def _energy_checks(rng, vg):
     return out
 
 
-def _truncation_checks(rng, vg):
-    aux = auxiliary_field(vg, PhysicalParams(mu1=1.0, mu2=1.0))
+def _truncation_checks(rng, vg, aux=None):
+    aux = aux or auxiliary_field(vg, PhysicalParams(mu1=1.0, mu2=1.0))
     q = 4.0 / 3.0
     norms = [truncate_field(aux, R, vg, 1.0).divT_norm_lq(q) for R in (8.0, 16.0, 32.0)]
     slope = float(np.polyfit(np.log([8.0, 16.0, 32.0]), np.log(norms), 1)[0])
@@ -230,12 +233,12 @@ def random_state(vg, rng, amp=1.0):
     return DropState(u, p, float(rng.normal()) * amp, eta)
 
 
-def _roundtrip_checks(rng, vg, samples: int = 2):
+def _roundtrip_checks(rng, vg, samples: int = 2, aux=None):
     """Operator inverse on range-generated data, ``samples`` per drift."""
     from .operators import apply_L, build_context, invert_L, norm_Y
     from .sphere import integrate_sphere
 
-    ctx = build_context(vg, PhysicalParams(mu1=1.0, mu2=1.0, rho_tilde=1e-3))
+    ctx = build_context(vg, PhysicalParams(mu1=1.0, mu2=1.0, rho_tilde=1e-3), aux=aux)
     worst = 0.0
     worst_a2 = 0.0
     for lam0 in (1e-3, 1e-2):
@@ -275,6 +278,8 @@ def _oseenlet_checks(rng):
 
 # Each group is called as fn(rng), or fn(rng, vg, ...) when it needs a
 # volume grid; tests/test_acceptance.py runs the groups at its own grid.
+# The groups on a volume grid take the equal-viscosity auxiliary field as
+# ``aux`` and build it themselves without one.
 CHECK_GROUPS = {
     "curvature": _curvature_checks,
     "kernel": _kernel_checks,
@@ -292,10 +297,14 @@ def run_validation(only: str | None = None, seed: int = 0, inject_fault: str | N
     rng = np.random.default_rng(seed)
     vg = VolumeGrid.build(12, 20, 30, 64.0)
     mu2_scale = 1.02 if inject_fault == "oracle_mu2" else 1.0
+    names = [name for name in CHECK_GROUPS if only is None or only in name]
     args = {"drop-flow": (vg, mu2_scale), "energy": (vg,), "truncation": (vg,), "roundtrip": (vg,)}
+    # one equal-viscosity auxiliary field for every group on vg
+    aux = auxiliary_field(vg, PhysicalParams()) if args.keys() & set(names) else None
     checks = []
-    for name, fn in CHECK_GROUPS.items():
-        if only is not None and only not in name:
-            continue
-        checks.extend(fn(rng, *args.get(name, ())))
+    for name in names:
+        if name in args:
+            checks.extend(CHECK_GROUPS[name](rng, *args[name], aux=aux))
+        else:
+            checks.extend(CHECK_GROUPS[name](rng))
     return checks

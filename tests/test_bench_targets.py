@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
 
 from spans import TARGETS, Tracer, span_name  # noqa: E402
 
@@ -132,3 +133,59 @@ def test_each_field_differentiated_once(traced):
     assert calls["tensor_divergence"]["volume.vector_divergence"] == 3
     assert calls["diagnostics"]["volume.vector_gradient"] == 1
     assert "volume.d3" not in calls["diagnostics"]
+
+
+L8_SWEEP = "[discretization]\nband_limit = 8\nn_r_int = 12\nn_r_ext = 20\n"
+
+
+def _solver_builds(fn, *args, **kwargs) -> int:
+    """Stokes solver constructions, in any thread, while fn runs traced."""
+    tracer = Tracer()
+    with tracer:
+        tracer.open_rep(0)
+        try:
+            fn(*args, **kwargs)
+        finally:
+            tracer.close_rep()
+    return tracer.rep_summary(0)["functions"].get("stokes.TwoPhaseStokesSolver", {"calls": 0})["calls"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_builds_stokes_operators_once(tmp_path, threads):
+    """The operators depend on the grid and the viscosities only, so a
+    sweep builds them once and every point shares them."""
+    from dropsteady import cli
+
+    cfg = tmp_path / "l8.cfg"
+    cfg.write_text(L8_SWEEP)
+    argv = ["--threads", threads, "sweep", "--config", str(cfg), "--out", str(tmp_path), "--rho-grid", "1e-3,-5e-4,2e-4"]
+    assert _solver_builds(cli.main, argv) == 1
+    rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 3
+
+
+def test_validate_builds_one_solver_per_viscosity_pair():
+    """validate's groups share the equal-viscosity field: one build for each
+    of kappa = 0.1, 1 and 10."""
+    from dropsteady import validate
+
+    assert _solver_builds(validate.run_validation, seed=0) == 3
+
+
+def test_bench_sweep_rep_records_every_point(tmp_path, monkeypatch):
+    """The benchmark's sweep workload takes each point's bundle from
+    driver.picard_solve as the sweep calls it; a sweep that stops calling it
+    there would count every point as failed."""
+    import importlib.util
+
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # run.py pins them on import; undone after the test
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)
+    spec.loader.exec_module(run)
+    points = run.sweep_points(1)[:2]
+    cfg = tmp_path / "input.cfg"
+    cfg.write_text(run.config_text({"band_limit": 8, "rho_tilde": points[0]}))
+    res = run.sweep_rep(run.import_package(), cfg, tmp_path / "out", points)
+    assert (res.ops, res.failed) == (2, 0), res.failures

@@ -1,14 +1,16 @@
 """Config parsing, artifacts, manifest reproducibility, CLI exit codes."""
 
+import dataclasses
 import os
 import shutil
+import sys
 
 import numpy as np
 import pytest
 
 from dropsteady.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
-from dropsteady.driver import SolveConfig
-from dropsteady.io import ConfigError, dump_config, load_config
+from dropsteady.driver import SolveConfig, picard_solve
+from dropsteady.io import ConfigError, dump_config, fmt, load_config
 
 SMALL = """
 [physics]
@@ -228,6 +230,27 @@ def test_sweep_bytes_independent_of_threads(tmp_path, cfgfile):
     assert csv[0] == csv[1]
 
 
+def test_shared_operators_under_thread_stress(tmp_path):
+    """More sweep threads than cores, switching often, on the shared
+    read-only Stokes operators: the bytes match a one-thread sweep."""
+    p = tmp_path / "l8.cfg"
+    p.write_text("[discretization]\nband_limit = 8\nn_r_int = 12\nn_r_ext = 20\n")
+    grid = "1e-3,-5e-4,2.5e-4,-2.5e-4,7e-4,-1e-3"
+    csv = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for n in ("1", "6"):
+            out = tmp_path / f"t{n}"
+            argv = ["--threads", n, "sweep", "--config", str(p), "--out", str(out), "--rho-grid", grid]
+            assert main(argv) == EXIT_OK
+            csv.append((out / "sweep.csv").read_bytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert csv[0] == csv[1]
+    assert len(csv[0].splitlines()) == 7
+
+
 def test_sweep_empty_grid(tmp_path, cfgfile):
     out = tmp_path / "sw0"
     assert main(["sweep", "--config", cfgfile, "--out", str(out), "--rho-grid", ""]) == EXIT_OK
@@ -243,3 +266,44 @@ def test_sweep_lambda_scaling(tmp_path, cfgfile):
     rows = np.genfromtxt(out / "sweep.csv", delimiter=",", skip_header=1, usecols=(0, 1))
     ratio = rows[0, 1] / rows[1, 1]
     assert abs(ratio - 2.0) < 0.1  # lambda approximately linear in rho_tilde
+
+
+@pytest.mark.parametrize(
+    "name, value, message, error",
+    [
+        ("RICHARDSON_MAX_ITER", 2, "no convergence in 2 iterations", "RichardsonDivergence"),
+        ("RANK_RTOL", 1.0, "rank-deficient collocation block", "LinAlgError"),
+    ],
+)
+def test_stokes_failure_is_solver_failure(tmp_path, cfgfile, monkeypatch, capsys, name, value, message, error):
+    """An Oseen drift iteration that runs out of sweeps, or a collocation
+    block that fails the rank check, fails the solve with one line and
+    fails every sweep point, instead of returning a result."""
+    from dropsteady import stokes
+
+    monkeypatch.setattr(stokes, name, value)
+    capsys.readouterr()
+    assert main(["solve", "--config", cfgfile, "--out", str(tmp_path / "o")]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert "solved" not in captured.out
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+    sw = tmp_path / "sw"
+    argv = ["sweep", "--config", cfgfile, "--out", str(sw), "--rho-grid", "1e-3,5e-4"]
+    assert main(argv) == EXIT_OK
+    lines = (sw / "sweep.csv").read_text().strip().splitlines()
+    assert len(lines) == 3 and all(ln.endswith(f"failed: {error}") for ln in lines[1:])
+
+
+def test_sweep_contraction_ratio_is_largest(tmp_path, cfgfile):
+    """The contraction_ratio column is the largest Picard ratio of the point,
+    which at rho_tilde = 0.1 is not the first."""
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfgfile, "--out", str(out), "--rho-grid", "1e-3,0.1"]) == EXIT_OK
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    col = lines[0].split(",").index("contraction_ratio")
+    cfg = load_config(cfgfile)
+    for line, rho in zip(lines[1:], (1e-3, 0.1)):
+        ratios = picard_solve(dataclasses.replace(cfg, rho_tilde=rho)).report["contraction_ratios"]
+        assert line.split(",")[col] == fmt(max(ratios))
+    assert max(ratios) > ratios[0]

@@ -19,7 +19,7 @@ from dropsteady.sphere import (
     normal_component_fields,
     sobolev_norm,
 )
-from dropsteady.stokes import PhysicalParams
+from dropsteady.stokes import PhysicalParams, lambda0_value
 from dropsteady.validate import random_state
 from dropsteady.volume import (
     VolumeField,
@@ -40,8 +40,25 @@ def ctx(vg):
 
 
 @pytest.fixture(scope="module")
-def ctx0(vg):
-    return build_context(vg, PhysicalParams(mu1=1.0, mu2=1.0, rho_tilde=0.0))
+def ctx0(vg, ctx):
+    return build_context(vg, PhysicalParams(mu1=1.0, mu2=1.0, rho_tilde=0.0), aux=ctx.aux)
+
+
+def test_context_on_shared_aux(vg, ctx):
+    """A context built on another's auxiliary field keeps its own lambda0
+    and truncation radius; a field from another grid object or with other
+    viscosities is refused, and the shared arrays cannot be written."""
+    shared = build_context(vg, PhysicalParams(rho_tilde=2e-2), aux=ctx.aux)
+    assert shared.aux is ctx.aux
+    assert shared.lambda0 == lambda0_value(2e-2, ctx.aux.e3_drag)
+    assert shared.trunc.R == 2e-2 ** -0.8 != ctx.trunc.R
+    twin = VolumeGrid.build(band_limit=L_TEST, n_r_int=18, n_r_ext=28, r_inf=64.0)
+    for grid, params in ((twin, PhysicalParams()), (vg, PhysicalParams(mu1=2.0)), (vg, PhysicalParams(mu2=0.5))):
+        with pytest.raises(ValueError, match="another grid or other viscosities"):
+            build_context(grid, params, aux=ctx.aux)
+    for arr in (*ctx.aux.U.blocks, *ctx.aux.P.blocks, *ctx.aux.jacU.blocks):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def random_sphere_field(g, seed, amp=1.0, damp=2.0, band=None):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dropsteady import dropflow
+from dropsteady import dropflow, stokes
 from dropsteady.sphere import SphereField, TangentField, normal_component_fields
 from dropsteady.stokes import (
     JumpData,
@@ -213,6 +213,47 @@ def test_banded_solve_every_degree_and_order():
     data, _, ch = manufactured(vg2, modes, 2.5, 0.8)
     scale = max(np.max(np.abs(ch["P"][INTERIOR])), 1.0)
     assert_channels_match(TwoPhaseStokesSolver(vg2, 2.5, 0.8).solve(data), ch, scale)
+
+
+def _pinv_operator(M, data_rows, bases, drop_rows=(), drop_cols=()):
+    """The solve operator by SVD pseudo-inverse of the row-scaled block."""
+    rows = np.setdiff1d(np.arange(M.shape[0]), drop_rows)
+    cols = np.setdiff1d(np.arange(M.shape[1]), drop_cols)
+    A = M[np.ix_(rows, cols)]
+    scale = np.max(np.abs(A), axis=1)
+    scale[scale == 0] = 1.0
+    pinv = np.zeros(M.shape[::-1])
+    pinv[np.ix_(cols, rows)] = np.linalg.pinv(A / scale[:, None], rcond=1e-13) / scale
+    blocks = np.split(pinv[:, data_rows], np.cumsum([len(B) for B in bases])[:-1])
+    return np.concatenate([B @ x for B, x in zip(bases, blocks)])
+
+
+@pytest.mark.parametrize("m_max", [None, 2])
+def test_qr_operators_match_svd_pseudo_inverse(monkeypatch, m_max):
+    """Every degree's spheroidal and toroidal operator from the thin QR
+    equals the SVD pseudo-inverse form to rounding."""
+    vg8 = VolumeGrid.build(band_limit=8, n_r_int=12, n_r_ext=20, r_inf=64.0, m_max=m_max)
+    qr = TwoPhaseStokesSolver(vg8, 2.5, 0.8)
+    monkeypatch.setattr(stokes, "_solve_operator", _pinv_operator)
+    svd = TwoPhaseStokesSolver(vg8, 2.5, 0.8)
+    for a, b in ((qr.sph, svd.sph), (qr.tor, svd.tor)):
+        tol = 1e-9 * np.max(np.abs(b))
+        for l in range(9):
+            assert np.max(np.abs(a[l] - b[l])) <= tol, l
+
+
+def test_rank_deficient_block_raises():
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((8, 5))
+    M[:, 4] = M[:, 1]  # a duplicated column
+    with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
+        stokes._solve_operator(M, np.arange(8), (np.eye(5),))
+
+
+def test_solve_operators_are_read_only(solver):
+    for op in (solver.sph, solver.tor):
+        with pytest.raises(ValueError):
+            op[0, 0, 0] = 1.0
 
 
 def test_zero_data_zero_solution(vg, solver):
