@@ -162,7 +162,7 @@ def _surface(rad, parity: int):
     return B0[rad.i_surface], B1[rad.i_surface]
 
 
-RANK_RTOL = 1e-13  # smallest |R_ii| / max |R_ii| of a collocation block's QR
+RANK_RTOL = 1e-13  # smallest 1 / cond of a collocation block (the pinv rcond)
 
 
 def _solve_operator(M, data_rows, bases, drop_rows=(), drop_cols=()) -> np.ndarray:
@@ -171,9 +171,11 @@ def _solve_operator(M, data_rows, bases, drop_rows=(), drop_cols=()) -> np.ndarr
 
     The least-squares system leaves out ``drop_rows`` and ``drop_cols`` (the
     dropped unknowns are zero) and scales each row to unit max.  It has full
-    column rank, so R^-1 Q^T of its thin QR is its pseudo-inverse; a block
-    whose R has a diagonal entry below RANK_RTOL of the largest raises
-    LinAlgError.  ``bases`` map consecutive blocks of x to nodal values.
+    column rank, so X = R^-1 Q^T of its thin QR is its pseudo-inverse.  As
+    |X|_2 = |R^-1|_2, |R|_F |X|_F bounds the block's condition number from
+    above; a block whose bound exceeds 1 / RANK_RTOL raises LinAlgError (an
+    unpivoted R's diagonal does not reveal rank).  ``bases`` map consecutive
+    blocks of x to nodal values.
     """
     rows = np.setdiff1d(np.arange(M.shape[0]), drop_rows)
     cols = np.setdiff1d(np.arange(M.shape[1]), drop_cols)
@@ -181,14 +183,14 @@ def _solve_operator(M, data_rows, bases, drop_rows=(), drop_cols=()) -> np.ndarr
     scale = np.max(np.abs(A), axis=1)
     scale[scale == 0] = 1.0
     Q, R = np.linalg.qr(A / scale[:, None])
-    diag = np.abs(np.diag(R))
-    if not diag.min() > RANK_RTOL * diag.max():
+    X = np.linalg.solve(R, Q.T)
+    cond = np.linalg.norm(R) * np.linalg.norm(X)
+    if not cond * RANK_RTOL <= 1.0:  # an inf or NaN bound fails too
         raise np.linalg.LinAlgError(
-            f"rank-deficient collocation block: min |R_ii| {diag.min():.1e}, "
-            f"max |R_ii| {diag.max():.1e}"
+            f"rank-deficient collocation block: condition bound {cond:.1e}"
         )
     pinv = np.zeros(M.shape[::-1])
-    pinv[np.ix_(cols, rows)] = np.linalg.solve(R, Q.T) / scale
+    pinv[np.ix_(cols, rows)] = X / scale
     blocks = np.split(pinv[:, data_rows], np.cumsum([len(B) for B in bases])[:-1])
     return np.concatenate([B @ x for B, x in zip(bases, blocks)])
 
@@ -337,14 +339,16 @@ def solve_two_phase(
     right; the recorded contraction ratios form the convergence
     certificate.  Divergence (ratio >= 1 three times running) raises, and
     so does an update still above RICHARDSON_TOL after RICHARDSON_MAX_ITER
-    solves.  A non-finite update ends the loop with that iterate.
+    solves, a non-finite one included.  Non-finite data give the
+    non-finite Stokes solve without sweeps, as at lambda0 = 0.
     """
     sol = solver.solve(data)
     ratios = []
-    if lambda0 != 0.0:
+    base = norm_l2(sol.u)
+    if lambda0 != 0.0 and np.isfinite(base):
         prev_update = None
         u_prev = sol.u
-        base = max(norm_l2(sol.u), 1e-300)
+        base = max(base, 1e-300)
         for _ in range(RICHARDSON_MAX_ITER):
             drift = d3(u_prev).phasewise_scale(
                 params.rho1 * lambda0, params.rho2 * lambda0
@@ -358,9 +362,6 @@ def solve_two_phase(
                 JumpData(fd, data.g, data.h1, data.h2), check_compat=False
             )
             update = norm_l2(nxt.u - u_prev)
-            if not np.isfinite(update):
-                sol = nxt  # no further sweep mends it; the caller sees the NaN
-                break
             if prev_update is not None and prev_update > 0:
                 ratios.append(update / prev_update)
                 if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):

@@ -125,10 +125,10 @@ def _halfspace_checks(rng):
     return out
 
 
-def _dropflow_checks(rng, vg, mu2_scale: float = 1.0, aux=None):
+def _dropflow_checks(rng, vg, aux, mu2_scale: float = 1.0):
     """Solver against the closed form; ``mu2_scale`` != 1 hands the oracle a
-    wrong reservoir viscosity (the fault the suite must catch).  ``aux``, if
-    given, is the equal-viscosity field on ``vg`` and serves kappa = 1."""
+    wrong reservoir viscosity (the fault the suite must catch).  ``aux`` is
+    the equal-viscosity field on ``vg`` and serves kappa = 1."""
     out = []
     th, phg = vg.sphere.nodes
     w = vg.sphere.weights
@@ -136,9 +136,7 @@ def _dropflow_checks(rng, vg, mu2_scale: float = 1.0, aux=None):
     worst_drag = 0.0
     for kappa in (0.1, 1.0, 10.0):
         mu1, mu2 = kappa, 1.0
-        field = aux if kappa == 1.0 and aux is not None else auxiliary_field(
-            vg, PhysicalParams(mu1=mu1, mu2=mu2)
-        )
+        field = aux if kappa == 1.0 else auxiliary_field(vg, PhysicalParams(mu1=mu1, mu2=mu2))
         for r0 in (0.4, 0.85, 1.6, 6.0, 20.0):
             ph = 0 if r0 <= 1 else 1
             got = eval_radii(field.U, np.array([r0]), ph)[:, 0]
@@ -160,8 +158,7 @@ def _dropflow_checks(rng, vg, mu2_scale: float = 1.0, aux=None):
     return out
 
 
-def _energy_checks(rng, vg, aux=None):
-    aux = aux or auxiliary_field(vg, PhysicalParams(mu1=1.0, mu2=1.0))
+def _energy_checks(rng, vg, aux):
     rel = abs(aux.dissipation - (-aux.e3_drag)) / abs(aux.e3_drag)
     out = [Check("energy identity: drag vs dissipation", rel < 1e-8, rel, 1e-8)]
     lam = lambda0_value(1e-3, aux.e3_drag)
@@ -172,8 +169,7 @@ def _energy_checks(rng, vg, aux=None):
     return out
 
 
-def _truncation_checks(rng, vg, aux=None):
-    aux = aux or auxiliary_field(vg, PhysicalParams(mu1=1.0, mu2=1.0))
+def _truncation_checks(rng, vg, aux):
     q = 4.0 / 3.0
     norms = [truncate_field(aux, R, vg, 1.0).divT_norm_lq(q) for R in (8.0, 16.0, 32.0)]
     slope = float(np.polyfit(np.log([8.0, 16.0, 32.0]), np.log(norms), 1)[0])
@@ -233,7 +229,7 @@ def random_state(vg, rng, amp=1.0):
     return DropState(u, p, float(rng.normal()) * amp, eta)
 
 
-def _roundtrip_checks(rng, vg, samples: int = 2, aux=None):
+def _roundtrip_checks(rng, vg, aux, samples: int = 2):
     """Operator inverse on range-generated data, ``samples`` per drift."""
     from .operators import apply_L, build_context, invert_L, norm_Y
     from .sphere import integrate_sphere
@@ -276,10 +272,9 @@ def _oseenlet_checks(rng):
     return out
 
 
-# Each group is called as fn(rng), or fn(rng, vg, ...) when it needs a
-# volume grid; tests/test_acceptance.py runs the groups at its own grid.
-# The groups on a volume grid take the equal-viscosity auxiliary field as
-# ``aux`` and build it themselves without one.
+# Each group is called as fn(rng), or fn(rng, vg, aux, ...) when it needs a
+# volume grid, with aux the equal-viscosity auxiliary field on vg;
+# tests/test_acceptance.py runs the groups at its own grid.
 CHECK_GROUPS = {
     "curvature": _curvature_checks,
     "kernel": _kernel_checks,
@@ -298,13 +293,11 @@ def run_validation(only: str | None = None, seed: int = 0, inject_fault: str | N
     vg = VolumeGrid.build(12, 20, 30, 64.0)
     mu2_scale = 1.02 if inject_fault == "oracle_mu2" else 1.0
     names = [name for name in CHECK_GROUPS if only is None or only in name]
-    args = {"drop-flow": (vg, mu2_scale), "energy": (vg,), "truncation": (vg,), "roundtrip": (vg,)}
+    on_vg = {"drop-flow": (mu2_scale,), "energy": (), "truncation": (), "roundtrip": ()}
     # one equal-viscosity auxiliary field for every group on vg
-    aux = auxiliary_field(vg, PhysicalParams()) if args.keys() & set(names) else None
+    aux = auxiliary_field(vg, PhysicalParams()) if on_vg.keys() & set(names) else None
     checks = []
     for name in names:
-        if name in args:
-            checks.extend(CHECK_GROUPS[name](rng, *args[name], aux=aux))
-        else:
-            checks.extend(CHECK_GROUPS[name](rng))
+        args = (vg, aux, *on_vg[name]) if name in on_vg else ()
+        checks.extend(CHECK_GROUPS[name](rng, *args))
     return checks

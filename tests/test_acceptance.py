@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from dropsteady.driver import SolveConfig, diagnostics, mirror_defect, picard_solve
+from dropsteady.stokes import PhysicalParams, auxiliary_field
 from dropsteady.validate import CHECK_GROUPS
 from dropsteady.volume import VolumeGrid
 
@@ -35,9 +36,15 @@ def desk_grid():
 
 
 @pytest.fixture(scope="module")
-def energy_checks(desk_grid):
+def desk_aux(desk_grid):
+    """The equal-viscosity auxiliary field the check groups on desk_grid share."""
+    return auxiliary_field(desk_grid, PhysicalParams())
+
+
+@pytest.fixture(scope="module")
+def energy_checks(desk_grid, desk_aux):
     """The energy group: its first row is criterion 5, the others criterion 6."""
-    return CHECK_GROUPS["energy"](np.random.default_rng(5), desk_grid)
+    return CHECK_GROUPS["energy"](np.random.default_rng(5), desk_grid, desk_aux)
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +71,8 @@ def test_criterion_3_halfspace_kernels():
     report_checks(3, CHECK_GROUPS["halfspace"](np.random.default_rng(3)))
 
 
-def test_criterion_4_drop_flow_oracle(desk_grid):
-    report_checks(4, CHECK_GROUPS["drop-flow"](np.random.default_rng(4), desk_grid))
+def test_criterion_4_drop_flow_oracle(desk_grid, desk_aux):
+    report_checks(4, CHECK_GROUPS["drop-flow"](np.random.default_rng(4), desk_grid, desk_aux))
 
 
 def test_criterion_5_energy_identity(energy_checks):
@@ -76,9 +83,9 @@ def test_criterion_6_lambda0_law(energy_checks):
     report_checks(6, energy_checks[1:])
 
 
-def test_criterion_7_operator_round_trip(desk_grid):
+def test_criterion_7_operator_round_trip(desk_grid, desk_aux):
     rng = np.random.default_rng(7)
-    report_checks(7, CHECK_GROUPS["roundtrip"](rng, desk_grid, samples=10))
+    report_checks(7, CHECK_GROUPS["roundtrip"](rng, desk_grid, desk_aux, samples=10))
 
 
 def test_criterion_8_fixed_point(fixed_points):
@@ -136,5 +143,5 @@ def test_criterion_10_farfield_wake(fixed_points):
     )
 
 
-def test_criterion_11_truncation_slope(desk_grid):
-    report_checks(11, CHECK_GROUPS["truncation"](np.random.default_rng(11), desk_grid))
+def test_criterion_11_truncation_slope(desk_grid, desk_aux):
+    report_checks(11, CHECK_GROUPS["truncation"](np.random.default_rng(11), desk_grid, desk_aux))

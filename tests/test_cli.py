@@ -3,7 +3,6 @@
 import dataclasses
 import os
 import shutil
-import sys
 
 import numpy as np
 import pytest
@@ -228,27 +227,6 @@ def test_sweep_bytes_independent_of_threads(tmp_path, cfgfile):
         assert main(argv) == EXIT_OK
         csv.append((out / "sweep.csv").read_bytes())
     assert csv[0] == csv[1]
-
-
-def test_shared_operators_under_thread_stress(tmp_path):
-    """More sweep threads than cores, switching often, on the shared
-    read-only Stokes operators: the bytes match a one-thread sweep."""
-    p = tmp_path / "l8.cfg"
-    p.write_text("[discretization]\nband_limit = 8\nn_r_int = 12\nn_r_ext = 20\n")
-    grid = "1e-3,-5e-4,2.5e-4,-2.5e-4,7e-4,-1e-3"
-    csv = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for n in ("1", "6"):
-            out = tmp_path / f"t{n}"
-            argv = ["--threads", n, "sweep", "--config", str(p), "--out", str(out), "--rho-grid", grid]
-            assert main(argv) == EXIT_OK
-            csv.append((out / "sweep.csv").read_bytes())
-    finally:
-        sys.setswitchinterval(interval)
-    assert csv[0] == csv[1]
-    assert len(csv[0].splitlines()) == 7
 
 
 def test_sweep_empty_grid(tmp_path, cfgfile):

@@ -250,6 +250,15 @@ def test_rank_deficient_block_raises():
         stokes._solve_operator(M, np.arange(8), (np.eye(5),))
 
 
+def test_ill_conditioned_block_with_unit_diagonal_raises():
+    """I minus the strict upper ones is its own R, with a unit diagonal, yet
+    its condition number grows as 2^n: the check must see the inverse."""
+    n = 60
+    M = np.eye(n) - np.triu(np.ones((n, n)), 1)
+    with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
+        stokes._solve_operator(M, np.arange(n), (np.eye(n),))
+
+
 def test_solve_operators_are_read_only(solver):
     for op in (solver.sph, solver.tor):
         with pytest.raises(ValueError):
@@ -358,20 +367,56 @@ def test_solve_two_phase_with_drift_manufactured(vg, solver):
     assert rep["normal_velocity_max"] < 1e-12
 
 
+def _drop_data(vg):
+    _, _, n3 = normal_component_fields(vg.sphere)
+    return JumpData(
+        VolumeField.zeros(vg, rank=1), VolumeField.zeros(vg), -1.0 * n3, TangentField.zeros(vg.sphere)
+    )
+
+
 def test_lambda0_continuity(vg, solver):
     """lambda0 -> 0 limit of the drifted solve matches the Stokes solve."""
-    g = vg.sphere
-    _, _, n3 = normal_component_fields(g)
-    data = JumpData(
-        VolumeField.zeros(vg, rank=1),
-        VolumeField.zeros(vg),
-        -1.0 * n3,
-        TangentField.zeros(g),
-    )
+    data = _drop_data(vg)
     params = PhysicalParams(mu1=1.0, mu2=1.0)
     s0 = solver.solve(data)
     s1 = solve_two_phase(data, 1e-9, params, solver)
     assert (s1.u - s0.u).max_abs() < 1e-8 * s0.u.max_abs()
+
+
+def _counting_solve(monkeypatch, solver, poison_from=None):
+    """Count solver.solve calls; from call ``poison_from`` on, return NaN u."""
+    calls = []
+    orig = solver.solve
+
+    def solve(data, check_compat=True):
+        calls.append(1)
+        sol = orig(data, check_compat)
+        if poison_from is not None and len(calls) >= poison_from:
+            sol.u = sol.u.phasewise_scale(np.nan, np.nan)
+        return sol
+
+    monkeypatch.setattr(solver, "solve", solve)
+    return calls
+
+
+def test_drift_on_non_finite_data_skips_sweeps(vg, solver, monkeypatch):
+    """NaN data give the NaN Stokes solve at once, as without drift."""
+    data = _drop_data(vg)
+    data.f.blocks[INTERIOR][0, 0, 0, 0] = np.nan
+    calls = _counting_solve(monkeypatch, solver)
+    sol = solve_two_phase(data, 1e-3, PhysicalParams(rho_tilde=1e-3), solver)
+    assert len(calls) == 1
+    assert sol.diagnostics["richardson_ratios"] == []
+    assert not np.isfinite(sol.u.max_abs())
+
+
+def test_drift_non_finite_update_raises(vg, solver, monkeypatch):
+    """A sweep that goes non-finite on finite data runs into the cap."""
+    monkeypatch.setattr(stokes, "RICHARDSON_MAX_ITER", 4)
+    calls = _counting_solve(monkeypatch, solver, poison_from=2)
+    with pytest.raises(stokes.RichardsonDivergence, match="no convergence in 4"):
+        solve_two_phase(_drop_data(vg), 1e-3, PhysicalParams(rho_tilde=1e-3), solver)
+    assert len(calls) == 5
 
 
 # -- truncation ----------------------------------------------------------------
