@@ -10,14 +10,21 @@ import dataclasses
 import numpy as np
 
 from dropsteady.driver import SolveConfig, diagnostics, picard_solve
+from dropsteady.operators import build_context
 from dropsteady.sphere import sobolev_norm
+from dropsteady.stokes import auxiliary_field
 
 base = SolveConfig(rho_tilde=1e-3, band_limit=12, n_r_int=20, n_r_ext=32)
+# the grid, the Stokes operators and the auxiliary field do not depend on
+# rho~: build them once and give each point its own context (lambda0, R)
+grid = base.build_grid()
+aux = auxiliary_field(grid, base.params())
 
 rows = []
 for rho in (2e-3, 1e-3, 5e-4, 2.5e-4):
     cfg = dataclasses.replace(base, rho_tilde=rho)
-    b = picard_solve(cfg)
+    ctx = build_context(grid, cfg.params(), alpha=cfg.alpha, aux=aux)
+    b = picard_solve(cfg, ctx=ctx)
     rep = diagnostics(b)
     rows.append(
         (

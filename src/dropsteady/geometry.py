@@ -23,6 +23,7 @@ from .sphere import (
     SphereField,
     laplace_beltrami,
     sobolev_norm,
+    spherical_to_cartesian,
     surface_gradient,
 )
 from .volume import (
@@ -31,7 +32,6 @@ from .volume import (
     VolumeField,
     VolumeGrid,
     grid_points,
-    spherical_to_cartesian,
     synthesis_batch,
     tangent_synthesis_batch,
 )

@@ -24,7 +24,9 @@ Conventions
   The default ``m_max = pad_limit`` is the full grid, which validate and
   the tests use; a solve runs on the axisymmetric band (``m_max = 2``,
   see ``driver.AXISYMMETRIC_M_MAX``).  Coefficient arrays keep their
-  dense layout, and the columns |m| > m_max of an analysis are zero.
+  dense layout, and the columns |m| > m_max of an analysis are zero.  A
+  synthesis also takes the columns |m| <= min(L, m_max) alone, centred on
+  m = 0 (the layout of the Stokes solver's channels).
 """
 
 from __future__ import annotations
@@ -185,6 +187,14 @@ class SphereGrid:
             DE_s=np.stack([D, E], axis=2),
         )
 
+    @cached_property
+    def d3_coupling(self) -> np.ndarray:
+        """Channel-space d/dx3 of the grid, built on first use (see
+        ``_probe_d3_coupling``); read-only, shared by every caller."""
+        B = _probe_d3_coupling(self)
+        B.flags.writeable = False
+        return B
+
     def quad(self, values: np.ndarray) -> float:
         """Surface quadrature of nodal values (n_theta, n_phi)."""
         return float(np.einsum("ij,ij->", self.weights, values))
@@ -323,10 +333,14 @@ def _layout(res: np.ndarray, lead: tuple) -> np.ndarray:
 
 
 def _unlayout(a: np.ndarray, M: int) -> np.ndarray:
-    """Inverse of ``_layout``: a[..., l, m+L] -> (M+1, 2*rows, L+1) [m, row, l]."""
-    L = a.shape[-2] - 1
+    """Inverse of ``_layout``: a[..., l, m+K] -> (M+1, 2*rows, L+1) [m, row, l].
+
+    The order columns are centred on m = 0: K = L in the dense layout, and
+    K = M when ``a`` holds only the orders |m| <= M.
+    """
+    K = a.shape[-1] // 2
     c = a.reshape((-1,) + a.shape[-2:]).transpose(2, 0, 1)
-    res = np.concatenate([c[L : L + M + 1], c[L - M : L + 1][::-1]], axis=1)
+    res = np.concatenate([c[K : K + M + 1], c[K - M : K + 1][::-1]], axis=1)
     res[0, c.shape[1] :] = 0.0  # m = 0 has no sine part
     return res
 
@@ -370,6 +384,81 @@ def tangent_synthesis_batch(grid: SphereGrid, s: np.ndarray, t: np.ndarray, band
     DE_s = grid._tables.DE_s[:n_m, :n].reshape(n_m, 2 * n, grid.n_theta)
     amps = Z.reshape(n_m, -1, 2 * n) @ DE_s
     return tuple(_grid_values(grid, amps, (2,) + s.shape[:-2]))
+
+
+# ---------------------------------------------------------------------------
+# vector fields: Cartesian components <-> (P, v, w) channels
+# ---------------------------------------------------------------------------
+
+
+def spherical_to_cartesian(g: SphereGrid, fr, fth, fph, out=None) -> np.ndarray:
+    """Cartesian components of fr rhat + fth that + fph phat for nodal
+    arrays (..., n_theta, n_phi), written one component at a time."""
+    rhat, that, phat = g.unit_vectors()
+    if out is None:
+        out = np.empty((3,) + np.shape(fr))
+    for k in range(3):
+        out[k] = fr * rhat[k] + fth * that[k] + fph * phat[k]
+    return out
+
+
+def vector_channels(g: SphereGrid, cart: np.ndarray):
+    """Coefficients (P, v, w) of u = P Y rhat + v grad_S Y + w rhat x grad_S Y
+    from Cartesian components ``cart`` (3, ..., n_theta, n_phi)."""
+    L = g.band_limit
+    ur, uth, uph = (cart[0] * e[0] + cart[1] * e[1] + cart[2] * e[2] for e in g.unit_vectors())
+    return (analysis_batch(g, ur, L), *tangent_analysis_batch(g, uth, uph, L))
+
+
+D3_REACH = 3  # largest degree step of d/dx3 in channels (1 on a full grid)
+
+
+def _probe_d3_coupling(grid: SphereGrid) -> np.ndarray:
+    """d/dx3 in channels, measured from the nodal transforms ``volume.d3`` runs.
+
+    For channels ch (P, v, w) of u, the channels of d3 u = cos th d_r u -
+    sin th d_th u / r are C (d_r ch) + E (ch / r) with C and E purely
+    angular: C is the analysis at L of the Cartesian components, cos th
+    times their synthesis, and the channel analysis; E the same with
+    -sin th times the theta part of the tangent synthesis.  Both keep |m|,
+    mix only the cos and sin parts of an order and move the degree by at
+    most D3_REACH (l +- 1, and up to l +- 3 on a band grid, which drops
+    the m_max + 1 content of the Cartesian components).  So one probe per
+    channel, part and degree residue mod 2 D3_REACH + 1, carrying every
+    order at once, recovers every entry (A. Curtis, M. Powell and J. Reid,
+    IMA J. Appl. Math. 13, 1974), band truncation included.
+
+    Returns [C | E] per order m = 0..min(L, m_max): (M+1, 6(L+1), 12(L+1)),
+    rows and columns ordered (channel, part, l) with part 0 the cos
+    (column L + m) and 1 the sin (column L - m) amplitudes.
+    """
+    L, M = grid.band_limit, min(grid.band_limit, grid.m_max)
+    n, K = L + 1, 2 * D3_REACH + 1
+    l, m = np.arange(n), np.arange(M + 1)
+    cols = np.stack([L + m, L - m], axis=1)  # (M+1, part)
+    c, s = np.arange(3)[:, None, None, None], np.arange(2)[None, :, None, None]
+    ll, mm = l[None, None, :, None], m[None, None, None, :]
+    # (channel, part, l, m) slots that exist: l >= |m|, v and w from l = 1, sin from m = 1
+    valid = (ll >= mm) & ((c == 0) | (ll >= 1)) & ((s == 0) | (mm >= 1))
+    ci, si, li, mi = np.nonzero(valid)
+    probes = np.zeros((3, 2, K, 3, n, 2 * L + 1))
+    probes[ci, si, li % K, ci, li, cols[mi, si]] = 1.0
+    probes = probes.reshape(6 * K, 3, n, 2 * L + 1)
+
+    ur = synthesis_batch(grid, probes[:, 0], L)
+    cart = spherical_to_cartesian(grid, ur, *tangent_synthesis_batch(grid, probes[:, 1], probes[:, 2], L))
+    A = analysis_batch(grid, cart, L)
+    rhat, that, _ = grid.unit_vectors()
+    tth = tangent_synthesis_batch(grid, A, np.zeros_like(A), L)[0]
+    parts = np.stack([rhat[2] * synthesis_batch(grid, A, L), that[2] * tth], axis=1)
+    out = np.stack([a[..., cols] for a in vector_channels(grid, parts)])  # (c', C|E, probe, l', m, s')
+    # response at (c', s', l', m) to input (c, s, l, m): probe (c, s, l mod K)
+    G = out.reshape(3, 2, 3, 2, K, n, M + 1, 2)[:, :, :, :, l % K]
+    G = G.transpose(6, 0, 7, 5, 1, 2, 3, 4)  # (m, c', s', l', C|E, c, s, l)
+    vm = valid.transpose(3, 0, 1, 2)  # (m, c, s, l)
+    near = np.abs(l[:, None] - l[None, :]) <= D3_REACH
+    G = G * (vm[..., None, None, None, None] & near[:, None, None, None, :]) * vm[:, None, None, None, None]
+    return np.ascontiguousarray(G.reshape(M + 1, 6 * n, 12 * n))
 
 
 # ---------------------------------------------------------------------------

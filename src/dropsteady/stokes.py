@@ -14,7 +14,9 @@ profiles; a solve is one batched matmul per channel over all degrees and
 the orders the grid carries, between the sphere transforms.
 
 The drift (Oseen) term rho * lambda0 * d3 u is iterated: each Richardson
-step moves it to the right-hand side of a pure Stokes solve.  The
+step moves it to the right-hand side of a pure Stokes solve.  The steps
+run in channel space (d3 through the grid's probed channel coupling), so
+the sphere transforms of a drifted solve do not grow with its steps.  The
 contraction factor is O(lambda0), which is the regime the surrounding
 fixed-point scheme operates in.
 """
@@ -22,6 +24,7 @@ fixed-point scheme operates in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +44,9 @@ from .volume import (
     VolumeGrid,
     _chan_radial_deriv,
     analysis_batch,
+    channel_norm_l2,
     d3,
+    d3_channels,
     eval_radii,
     integrate_phase,
     norm_l2,
@@ -118,6 +123,19 @@ class TwoPhaseSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
+class StokesData(NamedTuple):
+    """JumpData in channel space, on the orders |m| <= M = min(L, m_max)
+    the grid carries (columns centred on m = 0): per phase the (P, v, w)
+    channels of f stacked (3, n_r, L+1, 2M+1) and the profiles of g
+    (n_r, L+1, 2M+1); the coefficients of h1 and the (spheroidal,
+    toroidal) ones of h2."""
+
+    f: list
+    g: list
+    h1: np.ndarray
+    h2: tuple
+
+
 class RichardsonDivergence(RuntimeError):
     """The Oseen drift iteration diverged or ran out of iterations."""
 
@@ -163,6 +181,22 @@ def _surface(rad, parity: int):
 
 
 RANK_RTOL = 1e-13  # smallest 1 / cond of a collocation block (the pinv rcond)
+UPPER_INVERSE_LEAF = 32  # _upper_inverse inverts blocks up to this size directly
+
+
+def _upper_inverse(R: np.ndarray) -> np.ndarray:
+    """Inverse of an upper triangular R by 2 x 2 blocks, matmuls only:
+    [[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]].  numpy has no
+    triangular solve, and an LU factorisation ignores the triangle."""
+    n = R.shape[0]
+    if n <= UPPER_INVERSE_LEAF:
+        return np.linalg.inv(R)
+    k = n // 2
+    Ai, Di = _upper_inverse(R[:k, :k]), _upper_inverse(R[k:, k:])
+    out = np.zeros_like(R)
+    out[:k, :k], out[k:, k:] = Ai, Di
+    out[:k, k:] = -(Ai @ R[:k, k:]) @ Di
+    return out
 
 
 def _solve_operator(M, data_rows, bases, drop_rows=(), drop_cols=()) -> np.ndarray:
@@ -183,7 +217,7 @@ def _solve_operator(M, data_rows, bases, drop_rows=(), drop_cols=()) -> np.ndarr
     scale = np.max(np.abs(A), axis=1)
     scale[scale == 0] = 1.0
     Q, R = np.linalg.qr(A / scale[:, None])
-    X = np.linalg.solve(R, Q.T)
+    X = _upper_inverse(R) @ Q.T
     cond = np.linalg.norm(R) * np.linalg.norm(X)
     if not cond * RANK_RTOL <= 1.0:  # an inf or NaN bound fails too
         raise np.linalg.LinAlgError(
@@ -251,7 +285,10 @@ class TwoPhaseStokesSolver:
     ``sph[l]`` maps the nodal spheroidal data of degree l (fP, fv, g in the
     drop, the same in the reservoir, then h1 and h2s) to the nodal (P, v, p)
     of the drop and then of the reservoir.  ``tor[l]`` maps (fw per phase,
-    h2t) to w per phase.  At l = 0 the v and w blocks are zero.
+    h2t) to w per phase.  At l = 0 the v and w blocks are zero.  ``solve``
+    is ``analyse`` (the channels of the data), ``solve_channels`` (one
+    batched matmul per stack) and ``synthesise``; ``solve_two_phase``
+    repeats the middle step only.
     """
 
     def __init__(self, grid: VolumeGrid, mu1: float, mu2: float):
@@ -272,10 +309,9 @@ class TwoPhaseStokesSolver:
         self.sph.flags.writeable = False
         self.tor.flags.writeable = False
 
-    def solve(self, data: JumpData, check_compat: bool = True) -> TwoPhaseSolution:
-        """Pure Stokes solve (no drift) with pressure mean zero in the drop."""
-        grid = self.grid
-        g = grid.sphere
+    def analyse(self, data: JumpData, check_compat: bool = True) -> StokesData:
+        """The channels of the data; optionally check int g = int h1 first."""
+        g = self.grid.sphere
         L = g.band_limit
         if check_compat:
             defect = data.compatibility_defect()
@@ -288,34 +324,44 @@ class TwoPhaseStokesSolver:
                 )
         m = min(L, g.m_max)  # the grid carries no higher order
         ms = slice(L - m, L + m + 1)
-        fPi, fvi, fwi = vsh_channels(data.f, INTERIOR)
-        fPe, fve, fwe = vsh_channels(data.f, EXTERIOR)
-        gmi = analysis_batch(g, data.g.blocks[INTERIOR], L)
-        gme = analysis_batch(g, data.g.blocks[EXTERIOR], L)
-        h1 = data.h1.with_band(L).coeffs
-        h2s, h2t = data.h2.spec
+        return StokesData(
+            [np.stack(vsh_channels(data.f, ph))[..., ms] for ph in (INTERIOR, EXTERIOR)],
+            [analysis_batch(g, blk, L)[..., ms] for blk in data.g.blocks],
+            data.h1.with_band(L).coeffs[..., ms],
+            tuple(h[..., ms] for h in data.h2.spec),
+        )
 
-        def apply(op, *blocks):
-            """op[l] on the stacked data blocks (..., L+1, 2L+1) of every degree
-            at once; returns the output profiles (n_out, L+1, 2L+1)."""
-            x = np.concatenate([b[..., ms].reshape(-1, L + 1, 2 * m + 1) for b in blocks])
-            out = np.zeros((op.shape[1], L + 1, 2 * L + 1))
-            out[..., ms] = np.moveaxis(op @ np.moveaxis(x, 1, 0), 0, 1)
-            return out
+    @staticmethod
+    def _apply(op, *blocks):
+        """op[l] on the stacked data blocks (..., L+1, 2M+1) of every degree
+        at once; returns the output profiles (n_out, L+1, 2M+1)."""
+        x = np.concatenate([b.reshape((-1,) + b.shape[-2:]) for b in blocks])
+        return np.moveaxis(op @ np.moveaxis(x, 1, 0), 0, 1)
 
-        Mi = grid.interior.n
+    def solve_channels(self, data: StokesData):
+        """Channels of the solution, in the layout of StokesData: per phase
+        u as (3, n_r, L+1, 2M+1) stacked (P, v, w) and p as (n_r, L+1, 2M+1)."""
+        (fi, fe), (gi, ge) = data.f, data.g
+        Mi, Me = self.grid.interior.n, self.grid.exterior.n
         Pi, Vi, Qi, Pe, Ve, Qe = np.split(
-            apply(self.sph, fPi, fvi, gmi, fPe, fve, gme, h1, h2s),
-            np.cumsum([Mi, Mi, Mi, grid.exterior.n, grid.exterior.n]),
+            self._apply(self.sph, fi[0], fi[1], gi, fe[0], fe[1], ge, data.h1, data.h2[0]),
+            np.cumsum([Mi, Mi, Mi, Me, Me]),
         )
-        Wi, We = np.split(apply(self.tor, fwi, fwe, h2t), [Mi])
-        u = VolumeField(
-            grid,
-            vsh_assemble(grid, INTERIOR, Pi, Vi, Wi),
-            vsh_assemble(grid, EXTERIOR, Pe, Ve, We),
+        Wi, We = np.split(self._apply(self.tor, fi[2], fe[2], data.h2[1]), [Mi])
+        return [np.stack([Pi, Vi, Wi]), np.stack([Pe, Ve, We])], [Qi, Qe]
+
+    def synthesise(self, u, p) -> TwoPhaseSolution:
+        """Nodal velocity and pressure from the channels of solve_channels."""
+        grid = self.grid
+        L = grid.sphere.band_limit
+        return TwoPhaseSolution(
+            VolumeField(grid, *(vsh_assemble(grid, ph, *u[ph]) for ph in (INTERIOR, EXTERIOR))),
+            VolumeField(grid, *(synthesis_batch(grid.sphere, q, L) for q in p)),
         )
-        p = VolumeField(grid, synthesis_batch(g, Qi, L), synthesis_batch(g, Qe, L))
-        return TwoPhaseSolution(u, p)
+
+    def solve(self, data: JumpData, check_compat: bool = True) -> TwoPhaseSolution:
+        """Pure Stokes solve (no drift) with pressure mean zero in the drop."""
+        return self.synthesise(*self.solve_channels(self.analyse(data, check_compat)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,45 +383,46 @@ def solve_two_phase(
 
     The iteration solves Stokes with f - rho lambda0 d3(u_k) on the
     right; the recorded contraction ratios form the convergence
-    certificate.  Divergence (ratio >= 1 three times running) raises, and
-    so does an update still above RICHARDSON_TOL after RICHARDSON_MAX_ITER
-    solves, a non-finite one included.  Non-finite data give the
-    non-finite Stokes solve without sweeps, as at lambda0 = 0.
+    certificate.  The iterate stays in channel space: the data are
+    analysed once, d3 acts through the grid's channel coupling, the
+    update is measured by Parseval, and u and p are synthesised once
+    after the last sweep.  Divergence (ratio >= 1 three times running)
+    raises, and so does an update still above RICHARDSON_TOL after
+    RICHARDSON_MAX_ITER solves, a non-finite one included.  Non-finite
+    data give the non-finite Stokes solve without sweeps, as at
+    lambda0 = 0.
     """
-    sol = solver.solve(data)
+    grid = solver.grid
+    chans = solver.analyse(data)
+    u, p = solver.solve_channels(chans)
     ratios = []
-    base = norm_l2(sol.u)
+    solves = 1
+    base = channel_norm_l2(grid, u)
     if lambda0 != 0.0 and np.isfinite(base):
+        rho = (params.rho1 * lambda0, params.rho2 * lambda0)
         prev_update = None
-        u_prev = sol.u
         base = max(base, 1e-300)
         for _ in range(RICHARDSON_MAX_ITER):
-            drift = d3(u_prev).phasewise_scale(
-                params.rho1 * lambda0, params.rho2 * lambda0
-            )
-            fd = VolumeField(
-                data.f.grid,
-                data.f.blocks[INTERIOR] - drift.blocks[INTERIOR],
-                data.f.blocks[EXTERIOR] - drift.blocks[EXTERIOR],
-            )
-            nxt = solver.solve(
-                JumpData(fd, data.g, data.h1, data.h2), check_compat=False
-            )
-            update = norm_l2(nxt.u - u_prev)
+            drift = d3_channels(grid, u)
+            f = [chans.f[ph] - rho[ph] * drift[ph] for ph in (INTERIOR, EXTERIOR)]
+            u_next, p = solver.solve_channels(chans._replace(f=f))
+            solves += 1
+            update = channel_norm_l2(grid, [u_next[ph] - u[ph] for ph in (INTERIOR, EXTERIOR)])
             if prev_update is not None and prev_update > 0:
                 ratios.append(update / prev_update)
                 if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
                     raise RichardsonDivergence("diverged", ratios[-3:])
             prev_update = update
-            u_prev = nxt.u
-            sol = nxt
+            u = u_next
             if update <= RICHARDSON_TOL * base:
                 break
         else:
             raise RichardsonDivergence(
                 f"no convergence in {RICHARDSON_MAX_ITER} iterations", ratios[-3:]
             )
+    sol = solver.synthesise(u, p)
     sol.diagnostics["richardson_ratios"] = ratios
+    sol.diagnostics["stokes_solves"] = solves
     return sol
 
 

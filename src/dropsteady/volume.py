@@ -22,9 +22,10 @@ from .radial import ExteriorRadial, InteriorRadial
 from .sphere import (
     SphereGrid,
     analysis_batch,
+    spherical_to_cartesian,
     synthesis_batch,
-    tangent_analysis_batch,
     tangent_synthesis_batch,
+    vector_channels,
 )
 
 __all__ = ["VolumeGrid", "VolumeField"]
@@ -141,29 +142,20 @@ def grid_points(grid: VolumeGrid, phase: int):
 
 
 def _chan_radial_deriv(grid: VolumeGrid, phase: int, coeffs: np.ndarray, base_parity: int, order: int):
-    """d^order/dr^order of per-mode profiles (..., n_r, L+1, 2L+1) with channel
+    """d^order/dr^order of per-mode profiles (..., n_r, L+1, 2K+1) with channel
     parity (l + base_parity) mod 2 (scalars and w: base 0; P, v: base 1), on
-    the orders |m| <= min(L, m_max) the grid carries; other columns are zero."""
+    the orders |m| <= min(K, m_max) the grid carries; other columns are zero.
+    The order columns are centred on m = 0: K = L in the dense layout, and
+    K = min(L, m_max) when they hold only the orders the grid carries."""
     rad = grid.radial(phase)
-    L = coeffs.shape[-2] - 1
-    M = min(L, grid.sphere.m_max)
-    ms = slice(L - M, L + M + 1)
+    L, K = coeffs.shape[-2] - 1, coeffs.shape[-1] // 2
+    M = min(K, grid.sphere.m_max)
+    ms = slice(K - M, K + M + 1)
     out = np.zeros(coeffs.shape)
     prof, dest = np.moveaxis(coeffs, -3, 0), np.moveaxis(out, -3, 0)
     for par in (0, 1):
         ls = slice((par + base_parity) % 2, L + 1, 2)
         dest[..., ls, ms] = rad.deriv(prof[..., ls, ms], parity=par, order=order)
-    return out
-
-
-def spherical_to_cartesian(g: SphereGrid, fr, fth, fph, out=None) -> np.ndarray:
-    """Cartesian components of fr rhat + fth that + fph phat for nodal
-    arrays (..., n_theta, n_phi), written one component at a time."""
-    rhat, that, phat = g.unit_vectors()
-    if out is None:
-        out = np.empty((3,) + np.shape(fr))
-    for k in range(3):
-        out[k] = fr * rhat[k] + fth * that[k] + fph * phat[k]
     return out
 
 
@@ -204,6 +196,31 @@ def d3(f: VolumeField) -> VolumeField:
     return VolumeField(f.grid, *blocks)
 
 
+def d3_channels(grid: VolumeGrid, u) -> list:
+    """Channels of d3 u from the channels ``u`` of a vector field, per phase
+    (3, n_r, L+1, 2M+1) stacked (P, v, w) on the orders |m| <= M =
+    min(L, m_max) the grid carries: C (d_r u) + E (u / r) with the grid's
+    probed angular coupling (``SphereGrid.d3_coupling``), as
+    ``vsh_channels(d3(...))`` gives them, without a sphere transform."""
+    B = grid.sphere.d3_coupling
+    M = B.shape[0] - 1
+    m = np.arange(M + 1)
+    x = []
+    for ph in (INTERIOR, EXTERIOR):
+        ch = u[ph]
+        dr = np.concatenate(
+            [_chan_radial_deriv(grid, ph, ch[:2], 1, 1), _chan_radial_deriv(grid, ph, ch[2:], 0, 1)]
+        )
+        x.append(np.stack([dr, ch / grid.radius_mesh(ph)]))
+    X = np.concatenate(x, axis=2)[..., np.stack([M + m, M - m], axis=1)]  # (C|E, c, r, l, m, part)
+    _, _, n_r, n, _, _ = X.shape
+    Y = (B @ X.transpose(4, 0, 1, 5, 3, 2).reshape(M + 1, -1, n_r)).reshape(M + 1, 3, 2, n, n_r)
+    out = np.empty((3, n_r, n, 2 * M + 1))
+    out[..., M:] = Y[:, :, 0].transpose(1, 3, 2, 0)
+    out[..., :M] = Y[:0:-1, :, 1].transpose(1, 3, 2, 0)
+    return np.split(out, [grid.interior.n], axis=1)
+
+
 def vector_gradient(u: VolumeField) -> VolumeField:
     """Jacobian (grad u)_{ij} = d u_i / d x_j as a rank-2 field."""
     return scalar_gradient(u)
@@ -216,14 +233,7 @@ def e3_column(jac: VolumeField) -> VolumeField:
 
 def vsh_channels(u: VolumeField, phase: int):
     """Per-mode radial profiles (P, v, w) of a vector field block."""
-    g = u.grid.sphere
-    L = g.band_limit
-    blk = u.blocks[phase]
-    # u . rhat, u . that, u . phat
-    ur, uth, uph = (blk[0] * e[0] + blk[1] * e[1] + blk[2] * e[2] for e in g.unit_vectors())
-    P = analysis_batch(g, ur, L)
-    v, w = tangent_analysis_batch(g, uth, uph, L)
-    return P, v, w
+    return vector_channels(u.grid.sphere, u.blocks[phase])
 
 
 def vsh_assemble(grid: VolumeGrid, phase: int, P, v, w) -> np.ndarray:
@@ -294,27 +304,40 @@ def integrate_phase(f: VolumeField, phase: int) -> float:
     return float(f.grid.radial(phase).integrate(ang))
 
 
-def norm_lq(f: VolumeField, q: float) -> float:
-    """L^q norm over the truncated two-phase domain (all tensor components).
+def _shell_total(grid: VolumeGrid, shells) -> float:
+    """Integral over both phases of per-shell angular integrals ``shells[ph]``
+    (n_r,), clamped at zero.
 
     The radial weights are moment-matched and not sign-definite, so the
-    quadrature sum is clamped at zero (it can round below for fields at
-    the machine-noise level).
+    quadrature sum can round below zero for fields at the machine-noise
+    level.  Every volume norm goes through here.
     """
-    total = 0.0
+    total = sum(float(grid.radial(ph).integrate(shells[ph])) for ph in (INTERIOR, EXTERIOR))
+    return max(total, 0.0)
+
+
+def norm_lq(f: VolumeField, q: float) -> float:
+    """L^q norm over the truncated two-phase domain (all tensor components)."""
+    shells = []
     for ph in (INTERIOR, EXTERIOR):
-        blk = f.blocks[ph]
-        mag = np.abs(blk) ** q
+        mag = np.abs(f.blocks[ph]) ** q
         while mag.ndim > 3:
             mag = mag.sum(axis=0)
-        g = f.grid.sphere
-        ang = np.einsum("ij,rij->r", g.weights, mag)
-        total += float(f.grid.radial(ph).integrate(ang))
-    return max(total, 0.0) ** (1.0 / q)
+        shells.append(np.einsum("ij,rij->r", f.grid.sphere.weights, mag))
+    return _shell_total(f.grid, shells) ** (1.0 / q)
 
 
 def norm_l2(f: VolumeField) -> float:
     return norm_lq(f, 2.0)
+
+
+def channel_norm_l2(grid: VolumeGrid, u) -> float:
+    """norm_l2 of the vector field whose channels are ``u`` (per phase
+    (3, n_r, L+1, columns), stacked P, v, w), by Parseval: the angular
+    integral of |u|^2 is sum P^2 + l(l+1) (v^2 + w^2)."""
+    l = np.arange(grid.sphere.band_limit + 1.0)
+    w = np.stack([np.ones_like(l), l * (l + 1.0), l * (l + 1.0)])[:, None, :, None]
+    return _shell_total(grid, [np.sum(w * u[ph] ** 2, axis=(0, 2, 3)) for ph in (INTERIOR, EXTERIOR)]) ** 0.5
 
 
 def eval_radii(f: VolumeField, radii: np.ndarray, phase: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
 
-from spans import TARGETS, Tracer, span_name  # noqa: E402
+from spans import SPHERE_TRANSFORMS, TARGETS, Tracer, span_name  # noqa: E402
 
 
 def _bindings() -> dict:
@@ -77,7 +77,7 @@ def traced():
     the Picard iteration count and the bundle."""
     from dropsteady import driver, operators, volume
 
-    cfg = driver.SolveConfig(band_limit=8, n_r_int=12, n_r_ext=20)
+    cfg = driver.SolveConfig(band_limit=8, n_r_int=16, n_r_ext=24)
     tracer = Tracer()
 
     def stage(name, fn, *args, **kwargs):
@@ -109,6 +109,7 @@ def test_solve_builds_each_object_once(traced):
     assemble nothing and take no X-norm."""
     calls, iters, bundle = traced
     setup, solve, diag = calls["build_context"], calls["picard_solve"], calls["diagnostics"]
+    assert bundle.converged, bundle.failure
     assert iters == len(bundle.history) >= 1
     assert setup["stokes.TwoPhaseStokesSolver"] == 1
     assert "stokes.TwoPhaseStokesSolver" not in solve | diag
@@ -135,7 +136,38 @@ def test_each_field_differentiated_once(traced):
     assert "volume.d3" not in calls["diagnostics"]
 
 
-L8_SWEEP = "[discretization]\nband_limit = 8\nn_r_int = 12\nn_r_ext = 20\n"
+def test_drift_sweeps_run_no_sphere_transform():
+    """The drift iteration stays in channel space: one drifted solve makes
+    the same sphere-transform calls at lambda0 = 1e-3 and 1e-2, although
+    the second takes more sweeps."""
+    from dropsteady import stokes
+    from dropsteady.sphere import TangentField, normal_component_fields
+    from dropsteady.volume import VolumeField, VolumeGrid
+
+    grid = VolumeGrid.build(8, 12, 20, 64.0, m_max=2)
+    solver = stokes.TwoPhaseStokesSolver(grid, 1.0, 1.0)
+    n3 = normal_component_fields(grid.sphere)[2]
+    data = stokes.JumpData(
+        VolumeField.zeros(grid, rank=1), VolumeField.zeros(grid), -1.0 * n3, TangentField.zeros(grid.sphere)
+    )
+    params = stokes.PhysicalParams(rho_tilde=0.3)
+    stokes.solve_two_phase(data, 1e-3, params, solver)  # builds the grid's d3 coupling
+    tracer = Tracer()
+    solves = []
+    with tracer:
+        for rep, lam in enumerate((1e-3, 1e-2)):
+            tracer.open_rep(rep)
+            try:
+                sol = stokes.solve_two_phase(data, lam, params, solver)
+            finally:
+                tracer.close_rep()
+            solves.append(sol.diagnostics["stokes_solves"])
+    transforms = [tracer.descendants_count(rep, "stokes.solve_two_phase", SPHERE_TRANSFORMS) for rep in (0, 1)]
+    assert solves[0] < solves[1]
+    assert transforms[0] == transforms[1] > 0
+
+
+L8_SWEEP = "[discretization]\nband_limit = 8\nn_r_int = 16\nn_r_ext = 24\n"
 
 
 def _solver_builds(fn, *args, **kwargs) -> int:
@@ -161,7 +193,7 @@ def test_sweep_builds_stokes_operators_once(tmp_path, threads):
     argv = ["--threads", threads, "sweep", "--config", str(cfg), "--out", str(tmp_path), "--rho-grid", "1e-3,-5e-4,2e-4"]
     assert _solver_builds(cli.main, argv) == 1
     rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
-    assert len(rows) == 3
+    assert [row.split(",")[-1] for row in rows] == ["ok"] * 3
 
 
 def test_validate_builds_one_solver_per_viscosity_pair():

@@ -22,7 +22,10 @@ from dropsteady.volume import (
     VolumeField,
     VolumeGrid,
     analysis_batch,
+    d3,
+    d3_channels,
     eval_radii,
+    norm_l2,
     synthesis_batch,
     vsh_assemble,
     vsh_channels,
@@ -242,6 +245,16 @@ def test_qr_operators_match_svd_pseudo_inverse(monkeypatch, m_max):
             assert np.max(np.abs(a[l] - b[l])) <= tol, l
 
 
+@pytest.mark.parametrize("n", [17, 64, 128, 192])
+def test_upper_inverse_matches_inv(n):
+    """The blocked triangular inverse equals LAPACK's inverse, at leaf
+    sizes, odd and even splits."""
+    rng = np.random.default_rng(n)
+    R = np.triu(rng.standard_normal((n, n))) / np.sqrt(n) + np.diag(2.0 + rng.random(n))
+    ref = np.linalg.inv(R)
+    assert np.max(np.abs(stokes._upper_inverse(R) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_rank_deficient_block_raises():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((8, 5))
@@ -346,8 +359,6 @@ def test_pressure_matches_closed_form(vg):
 
 
 def test_solve_two_phase_with_drift_manufactured(vg, solver):
-    from dropsteady.volume import d3
-
     params = PhysicalParams(mu1=1.0, mu2=1.0, rho_tilde=1e-2)
     lam = 3e-3
     # manufactured multi-mode field from the per-mode profiles
@@ -367,6 +378,77 @@ def test_solve_two_phase_with_drift_manufactured(vg, solver):
     assert rep["normal_velocity_max"] < 1e-12
 
 
+BANDS = {"L8-full": (8, None), "L16-band": (16, 2)}
+
+
+@pytest.fixture(scope="module", params=sorted(BANDS))
+def band_solver(request):
+    """A solver on an L = 8 full grid and on an L = 16, m_max = 2 grid."""
+    L, m_max = BANDS[request.param]
+    return TwoPhaseStokesSolver(VolumeGrid.build(L, 12, 20, 64.0, m_max=m_max), 2.5, 0.8)
+
+
+def _random_channels(vg, rng):
+    """Random (P, v, w) channels per phase on every slot (l, |m| <= l) the
+    grid carries, in the solver's layout (3, n_r, L+1, 2M+1)."""
+    g = vg.sphere
+    L, M = g.band_limit, min(g.band_limit, g.m_max)
+    l, m = np.arange(L + 1)[:, None], np.arange(-M, M + 1)[None, :]
+    out = []
+    for ph in (INTERIOR, EXTERIOR):
+        ch = rng.standard_normal((3, vg.radial(ph).n, L + 1, 2 * M + 1)) * (np.abs(m) <= l)
+        ch[1:, :, 0] = 0.0  # no v or w at l = 0
+        out.append(ch)
+    return out
+
+
+def test_d3_channels_match_nodal_d3(band_solver):
+    """The probed channel-space d3 equals the channels of the nodal d3,
+    band truncation included, in both phases."""
+    vg = band_solver.grid
+    ch = _random_channels(vg, np.random.default_rng(5))
+    u = VolumeField(vg, *(vsh_assemble(vg, ph, *ch[ph]) for ph in (INTERIOR, EXTERIOR)))
+    got = d3_channels(vg, ch)
+    L, M = vg.sphere.band_limit, min(vg.sphere.band_limit, vg.sphere.m_max)
+    for ph in (INTERIOR, EXTERIOR):
+        ref = np.stack(vsh_channels(d3(u), ph))[..., L - M : L + M + 1]
+        assert np.max(np.abs(got[ph] - ref)) <= 1e-12 * np.max(np.abs(ref)), ph
+
+
+def _nodal_richardson(data, lam, params, solver):
+    """The drift iteration on nodal fields: d3 and the stop test on the grid,
+    one full Stokes solve (analysis, operators, synthesis) per sweep."""
+    sol = solver.solve(data)
+    ratios, base = [], norm_l2(sol.u)
+    prev = None
+    for _ in range(stokes.RICHARDSON_MAX_ITER):
+        drift = d3(sol.u).phasewise_scale(params.rho1 * lam, params.rho2 * lam)
+        nxt = solver.solve(JumpData(data.f - drift, data.g, data.h1, data.h2), check_compat=False)
+        update = norm_l2(nxt.u - sol.u)
+        if prev is not None and prev > 0:
+            ratios.append(update / prev)
+        prev, sol = update, nxt
+        if update <= stokes.RICHARDSON_TOL * base:
+            return sol, ratios
+    raise AssertionError("the nodal reference did not converge")
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e-2, 5e-2])
+def test_drifted_solve_matches_nodal_richardson(band_solver, lam):
+    vg = band_solver.grid
+    ch = _random_channels(vg, np.random.default_rng(7))
+    f = VolumeField(vg, *(vsh_assemble(vg, ph, *ch[ph]) for ph in (INTERIOR, EXTERIOR)))
+    data = _drop_data(vg)
+    data.f = f
+    params = PhysicalParams(mu1=2.5, mu2=0.8, rho_tilde=0.3)
+    ref, ratios = _nodal_richardson(data, lam, params, band_solver)
+    sol = solve_two_phase(data, lam, params, band_solver)
+    assert len(sol.diagnostics["richardson_ratios"]) == len(ratios)
+    assert sol.diagnostics["stokes_solves"] == len(ratios) + 2
+    for got, want in ((sol.u, ref.u), (sol.p, ref.p)):
+        assert (got - want).max_abs() <= 1e-11 * want.max_abs()
+
+
 def _drop_data(vg):
     _, _, n3 = normal_component_fields(vg.sphere)
     return JumpData(
@@ -384,18 +466,19 @@ def test_lambda0_continuity(vg, solver):
 
 
 def _counting_solve(monkeypatch, solver, poison_from=None):
-    """Count solver.solve calls; from call ``poison_from`` on, return NaN u."""
+    """Count the Stokes operator applications (solver.solve_channels); from
+    call ``poison_from`` on, return NaN velocity channels."""
     calls = []
-    orig = solver.solve
+    orig = solver.solve_channels
 
-    def solve(data, check_compat=True):
+    def solve_channels(data):
         calls.append(1)
-        sol = orig(data, check_compat)
+        u, p = orig(data)
         if poison_from is not None and len(calls) >= poison_from:
-            sol.u = sol.u.phasewise_scale(np.nan, np.nan)
-        return sol
+            u = [np.full_like(a, np.nan) for a in u]
+        return u, p
 
-    monkeypatch.setattr(solver, "solve", solve)
+    monkeypatch.setattr(solver, "solve_channels", solve_channels)
     return calls
 
 
@@ -406,6 +489,7 @@ def test_drift_on_non_finite_data_skips_sweeps(vg, solver, monkeypatch):
     calls = _counting_solve(monkeypatch, solver)
     sol = solve_two_phase(data, 1e-3, PhysicalParams(rho_tilde=1e-3), solver)
     assert len(calls) == 1
+    assert sol.diagnostics["stokes_solves"] == 1
     assert sol.diagnostics["richardson_ratios"] == []
     assert not np.isfinite(sol.u.max_abs())
 
