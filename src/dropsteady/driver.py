@@ -36,6 +36,7 @@ from .volume import (
     VolumeGrid,
     e3_column,
     eval_radii,
+    grid_points,
     integrate_phase,
     vector_gradient,
 )
@@ -254,15 +255,15 @@ def reconstruct_physical(bundle: SolutionBundle) -> dict:
     stress, divw = _minus_div_T(w, q, params)
     inertia = matvec(jac_w, w) + lam * e3_column(jac_w)
     res = inertia.phasewise_scale(params.rho1, params.rho2) + stress
-    r = grid.exterior.r
+    r = grid.r
     sel = (r >= 4.0) & (r <= ctx.trunc.R / 2.0)
     if not sel.any():
         sel = (r >= 4.0) & (r <= ctx.trunc.R)
     if not sel.any():
         # never empty: r_inf > 8 is enforced and the last node is r_inf
         sel = r >= 4.0
-    out["midshell_residual"] = float(np.max(np.abs(res.blocks[EXTERIOR][:, sel])))
-    out["divergence_residual"] = float(np.max(np.abs(divw.blocks[EXTERIOR][sel])))
+    out["midshell_residual"] = float(np.max(np.abs(res.values[:, sel])))
+    out["divergence_residual"] = float(np.max(np.abs(divw.values[sel])))
     return out
 
 
@@ -325,18 +326,8 @@ def diagnostics(bundle: SolutionBundle) -> dict:
         rep["force_transverse_max"] = float(np.max(np.abs(force[:2])))
         rep["force_vector"] = force
         # barycenter of the deformed drop
-        from .volume import grid_points
-
-        x, y, z = grid_points(grid, INTERIOR)
-        bary = []
-        for comp, coord in enumerate((x, y, z)):
-            integrand = VolumeField(
-                grid,
-                (coord + mp.E.blocks[INTERIOR][comp]) * mp.J.blocks[INTERIOR],
-                np.zeros_like(mp.J.blocks[EXTERIOR]),
-            )
-            bary.append(integrate_phase(integrand, INTERIOR))
-        rep["barycenter"] = np.array(bary)
+        moment = (np.stack(grid_points(grid)) + mp.E.values) * mp.J.values
+        rep["barycenter"] = np.array([integrate_phase(VolumeField(grid, m), INTERIOR) for m in moment])
     else:
         rep["force_e3_defect_rel"] = 0.0
         rep["force_transverse_max"] = 0.0
@@ -403,11 +394,6 @@ def mirror_defect(b1: SolutionBundle, b2: SolutionBundle) -> dict:
     eta2 = st2.eta.values[::-1, :]
     d_eta = float(np.max(np.abs(eta1 - eta2)))
     d_lam = abs(b1.lam + b2.lam)
-    M = np.array([1.0, 1.0, -1.0])
-    d_u = 0.0
-    for ph in (INTERIOR, EXTERIOR):
-        u1 = st1.u.blocks[ph]
-        u2 = st2.u.blocks[ph][:, :, ::-1, :]
-        mirrored = M[:, None, None, None] * u2
-        d_u = max(d_u, float(np.max(np.abs(u1 - mirrored))))
+    M = np.array([1.0, 1.0, -1.0])[:, None, None, None]
+    d_u = float(np.max(np.abs(st1.u.values - M * st2.u.values[:, :, ::-1, :])))
     return {"eta": d_eta, "lambda": d_lam, "velocity": d_u}

@@ -27,7 +27,6 @@ from .sphere import (
     surface_gradient,
 )
 from .volume import (
-    EXTERIOR,
     INTERIOR,
     VolumeField,
     VolumeGrid,
@@ -58,21 +57,16 @@ ETA_SOBOLEV_ORDER = 2.75  # 3 - 1/r at the nominal r = 4
 class HeightFunction:
     """Interface displacement with cached surrogate norm and admissibility."""
 
-    def __init__(self, eta: SphereField, check: bool = True):
+    def __init__(self, eta: SphereField):
         self.eta = eta
         self.norm_bound = sobolev_norm(eta, ETA_SOBOLEV_ORDER)
-        if check:
-            if self.norm_bound >= ADMISSIBLE_NORM:
-                raise ValueError(
-                    f"height function norm {self.norm_bound:.3e} exceeds "
-                    f"admissibility threshold {ADMISSIBLE_NORM}"
-                )
-            if np.min(1.0 + eta.values) <= 0.0:
-                raise ValueError("1 + eta must be positive")
-
-    @property
-    def grid(self):
-        return self.eta.grid
+        if self.norm_bound >= ADMISSIBLE_NORM:
+            raise ValueError(
+                f"height function norm {self.norm_bound:.3e} exceeds "
+                f"admissibility threshold {ADMISSIBLE_NORM}"
+            )
+        if np.min(1.0 + eta.values) <= 0.0:
+            raise ValueError("1 + eta must be positive")
 
 
 def smoothstep(t: np.ndarray) -> np.ndarray:
@@ -136,34 +130,31 @@ def harmonic_extension_profiles(eta: SphereField):
     return eta.coeffs, alpha, beta
 
 
-def _extension_scalar_at(eta: SphereField, r: np.ndarray, phase: int):
-    """H, dH/dr and the tangential gradient of H at radii r of one phase.
+def _extension_scalar_at(eta: SphereField, r: np.ndarray, n_drop: int):
+    """H, dH/dr and the tangential gradient of H at radii r, of which the
+    first ``n_drop`` lie in the drop and the others in the reservoir.
 
     Returns nodal arrays H (n_r, nth, nph), dHdr, and (tth, tph) of
-    grad_S H per shell (without the 1/r factor).  The phase selects the
-    branch at r = 1, where dH/dr jumps.  Radii beyond the annulus edge
+    grad_S H per shell (without the 1/r factor).  The phase of a radius
+    selects the branch at r = 1, where dH/dr jumps.  Radii beyond the annulus edge
     r = 4 get zeros (the annulus problem ends there and the extension
     cutoff already vanishes for r >= 3).
     """
     g = eta.grid
     L = eta.band
     C, alpha, beta = harmonic_extension_profiles(eta)
-    r = np.asarray(r, float)
     l = np.arange(L + 1, dtype=float)
-    rl = r[:, None] ** l[None, :]
-    if phase == INTERIOR:
-        prof = rl
-        dprof = l[None, :] * r[:, None] ** np.maximum(l[None, :] - 1.0, 0.0) * (l > 0)
-    else:
-        rml = r[:, None] ** -(l[None, :] + 1.0)
-        prof = alpha[None, :] * rl + beta[None, :] * rml
-        dprof = (
-            alpha * l * r[:, None] ** np.maximum(l - 1.0, 0.0) * (l > 0)
-            - beta * (l + 1.0) * r[:, None] ** -(l + 2.0)
-        )
-        mask = (r <= 4.0 + 1e-12)[:, None]
-        prof = np.where(mask, prof, 0.0)
-        dprof = np.where(mask, dprof, 0.0)
+    up = np.maximum(l - 1.0, 0.0)
+    ri, re = r[:n_drop, None], r[n_drop:, None]
+    # drop: r^l; reservoir: alpha r^l + beta r^-(l+1) up to the annulus edge
+    within = re <= 4.0 + 1e-12
+    prof = np.concatenate([ri**l, np.where(within, alpha * re**l + beta * re ** -(l + 1.0), 0.0)])
+    dprof = np.concatenate(
+        [
+            l * ri**up * (l > 0),
+            np.where(within, alpha * l * re**up * (l > 0) - beta * (l + 1.0) * re ** -(l + 2.0), 0.0),
+        ]
+    )
     modes = prof[:, :, None] * C[None, :, :]
     dmodes = dprof[:, :, None] * C[None, :, :]
     H = synthesis_batch(g, modes, L)
@@ -174,12 +165,7 @@ def _extension_scalar_at(eta: SphereField, r: np.ndarray, phase: int):
 
 def harmonic_extension(eta_h: HeightFunction, grid: VolumeGrid) -> VolumeField:
     """The scalar harmonic extension H_eta sampled on the volume grid."""
-    eta = eta_h.eta
-    out = VolumeField.zeros(grid, rank=0)
-    for ph in (INTERIOR, EXTERIOR):
-        H, _, _, _ = _extension_scalar_at(eta, grid.radial(ph).r, ph)
-        out.blocks[ph] = H
-    return out
+    return VolumeField(grid, _extension_scalar_at(eta_h.eta, grid.r, grid.interior.n)[0])
 
 
 @dataclass
@@ -222,41 +208,28 @@ def build_map(eta_h: HeightFunction, grid: VolumeGrid) -> MapData:
     J = det F, A = adj F and F^{-1} = A / J are taken by cofactors, node
     by node.
     """
-    eta = eta_h.eta
     g = grid.sphere
     rhat = g.unit_vectors()[0]
-    E = VolumeField.zeros(grid, rank=1)
-    F = VolumeField.zeros(grid, rank=2)
-    J = VolumeField.zeros(grid, rank=0)
-    A = VolumeField.zeros(grid, rank=2)
-    F_inv = VolumeField.zeros(grid, rank=2)
-    for ph in (INTERIOR, EXTERIOR):
-        r = grid.radial(ph).r
-        H, dHdr, tth, tph = _extension_scalar_at(eta, r, ph)
-        chi = cutoff_ext(r)[:, None, None]
-        dchi = cutoff_ext_d1(r)[:, None, None]
-        x = np.stack(grid_points(grid, ph))  # (3, n_r, nth, nph)
-        rinv = 1.0 / r[:, None, None]
-        gradH = spherical_to_cartesian(g, dHdr, rinv * tth, rinv * tph)
-        chiH, dchiH = chi * H, dchi * H
-        E.blocks[ph] = chiH[None] * x
-        # d_j (chi H x_i) = chi' H x_i rhat_j + chi x_i d_j H + chi H d_ij
-        Fb = np.empty((3, 3) + H.shape)
-        for i in range(3):
-            for j in range(3):
-                Fb[i, j] = dchiH * (x[i] * rhat[j]) + chi * (x[i] * gradH[j])
-            Fb[i, i] += chiH
-            Fb[i, i] += 1.0
-        Ab = _adjugate(Fb)
-        Jb = Fb[0, 0] * Ab[0, 0] + Fb[0, 1] * Ab[1, 0] + Fb[0, 2] * Ab[2, 0]
-        if np.min(Jb) <= 0.5:
-            raise ValueError(
-                f"inadmissible height function: min det(F) = {np.min(Jb):.4f} <= 1/2"
-            )
-        F.blocks[ph] = Fb
-        J.blocks[ph] = Jb
-        A.blocks[ph] = Ab
-        F_inv.blocks[ph] = Ab / Jb
+    r = grid.r
+    H, dHdr, tth, tph = _extension_scalar_at(eta_h.eta, r, grid.interior.n)
+    chi = cutoff_ext(r)[:, None, None]
+    dchi = cutoff_ext_d1(r)[:, None, None]
+    x = np.stack(grid_points(grid))  # (3, n_r, nth, nph)
+    rinv = 1.0 / grid.radius_mesh()
+    gradH = spherical_to_cartesian(g, dHdr, rinv * tth, rinv * tph)
+    chiH, dchiH = chi * H, dchi * H
+    # d_j (chi H x_i) = chi' H x_i rhat_j + chi x_i d_j H + chi H d_ij
+    F = np.empty((3, 3) + H.shape)
+    for i in range(3):
+        for j in range(3):
+            F[i, j] = dchiH * (x[i] * rhat[j]) + chi * (x[i] * gradH[j])
+        F[i, i] += chiH
+        F[i, i] += 1.0
+    A = _adjugate(F)
+    J = F[0, 0] * A[0, 0] + F[0, 1] * A[1, 0] + F[0, 2] * A[2, 0]
+    if np.min(J) <= 0.5:
+        raise ValueError(f"inadmissible height function: min det(F) = {np.min(J):.4f} <= 1/2")
+    E, F, J, A, F_inv = (VolumeField(grid, a) for a in (chiH[None] * x, F, J, A, A / J))
 
     A_surf = A.trace(INTERIOR)
     Ntil = np.einsum("jiab,jab->iab", A_surf, rhat)
@@ -289,14 +262,11 @@ def transformed_stress(
     ``jac_w`` is the Jacobian field (d_j w_i); at eta = 0 this reduces to
     the Cauchy stress 2 mu S(w) - q I.
     """
-    out = VolumeField.zeros(mp.grid, rank=2)
-    for ph, mu in ((INTERIOR, mu1), (EXTERIOR, mu2)):
-        G = _mul3(jac_w.blocks[ph], mp.F_inv.blocks[ph])
-        inner = mu * (G + G.swapaxes(0, 1))
-        for i in range(3):
-            inner[i, i] -= q.blocks[ph]
-        out.blocks[ph] = _mul3(inner, mp.A.blocks[ph].swapaxes(0, 1))
-    return out
+    G = _mul3(jac_w.values, mp.F_inv.values)
+    inner = mp.grid.phase_profile(mu1, mu2) * (G + G.swapaxes(0, 1))
+    for i in range(3):
+        inner[i, i] -= q.values
+    return VolumeField(mp.grid, _mul3(inner, mp.A.values.swapaxes(0, 1)))
 
 
 # ---------------------------------------------------------------------------

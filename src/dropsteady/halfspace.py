@@ -37,6 +37,7 @@ __all__ = [
 
 TORUS_SIDE = 16.0 * np.pi
 FREQ_SPACING = 2.0 * np.pi / TORUS_SIDE  # = 1/8
+RANDOM_KMAX = 6.0  # largest |xi'| of TangentialSpectrum.random
 
 
 @dataclass
@@ -70,13 +71,13 @@ class TangentialSpectrum:
         return np.hypot(self.modes[:, 0], self.modes[:, 1])
 
     @classmethod
-    def random(cls, n_modes: int, rng, vector: bool = False, kmax: float = 6.0):
-        """Random admissible modes (|xi'| in [1, kmax]) with unit-scale amps."""
+    def random(cls, n_modes: int, rng, vector: bool = False):
+        """Random admissible modes (|xi'| in [1, RANDOM_KMAX]) with unit-scale amps."""
         picked = []
         while len(picked) < n_modes:
-            ij = rng.integers(-int(kmax / FREQ_SPACING), int(kmax / FREQ_SPACING), 2)
+            ij = rng.integers(-int(RANDOM_KMAX / FREQ_SPACING), int(RANDOM_KMAX / FREQ_SPACING), 2)
             xi = ij * FREQ_SPACING
-            if 1.0 <= np.hypot(*xi) <= kmax:
+            if 1.0 <= np.hypot(*xi) <= RANDOM_KMAX:
                 picked.append(xi)
         modes = np.array(picked)
         shape = (n_modes, 3) if vector else (n_modes,)
@@ -149,9 +150,10 @@ class HalfspaceSolution:
         )
 
 
-def x3_samples(n: int = 20, closest: float = 1e-3, farthest: float = 8.0) -> np.ndarray:
-    """Geometric x3 grid clustered at the interface, excluding 0."""
-    pos = np.geomspace(closest, farthest, n)
+def x3_samples() -> np.ndarray:
+    """Geometric x3 grid clustered at the interface, excluding 0: 20 points
+    per side from 1e-3 to 8."""
+    pos = np.geomspace(1e-3, 8.0, 20)
     return np.concatenate([-pos[::-1], pos])
 
 

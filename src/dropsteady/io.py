@@ -211,10 +211,11 @@ def emit_mode_tables(out_dir: str, bundle) -> str:
         for m in range(-l, l + 1):
             if ec[l, L + m] != 0.0:
                 rows.append(("eta", "coeff", l, m, 0.0, ec[l, L + m]))
-    for ph, name in ((0, "drop"), (1, "reservoir")):
-        chans = vsh_channels(bundle.state.u, ph)
-        radii = grid.radial(ph).r
-        for cname, arr in zip(("radial", "spheroidal", "toroidal"), chans):
+    chans = vsh_channels(bundle.state.u)
+    n = grid.interior.n
+    for name, sel in (("drop", slice(None, n)), ("reservoir", slice(n, None))):
+        radii = grid.r[sel]
+        for cname, arr in zip(("radial", "spheroidal", "toroidal"), (c[sel] for c in chans)):
             for l in range(L + 1):
                 col = arr[:, l, L]  # axisymmetric channel
                 if np.max(np.abs(col)) == 0.0:

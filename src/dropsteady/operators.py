@@ -181,24 +181,15 @@ class OperatorContext:
         self.P_tail = self.aux.P + (-1.0) * self.trunc.P_R
         # row 2: div(U - U_R) = (1 - chi) div U - U . grad chi, and
         # Div U_R = chi div U + U . grad chi (analytic in the cutoff)
-        d3U = e3_column(self.aux.jacU)
-        sing_g = VolumeField.zeros(self.grid)
-        div_UR = VolumeField.zeros(self.grid)
-        d3tail = VolumeField.zeros(self.grid, rank=1)
-        R = self.trunc.R
-        for ph in (INTERIOR, EXTERIOR):
-            r = self.grid.radial(ph).r
-            chi = cutoff_unit(r / R)[:, None, None]
-            dchi = (cutoff_unit_d1(r / R) / R)[:, None, None]
-            Ur = np.einsum("irab,iab->rab", self.aux.U.blocks[ph], rhat)
-            sing_g.blocks[ph] = (1.0 - chi) * self.divU.blocks[ph] - dchi * Ur
-            div_UR.blocks[ph] = chi * self.divU.blocks[ph] + dchi * Ur
-            d3tail.blocks[ph] = (1.0 - chi)[None] * d3U.blocks[ph] - (
-                dchi * rhat[2][None]
-            )[None] * self.aux.U.blocks[ph]
-        self.sing_g = sing_g
-        self.div_UR = div_UR
-        self.d3tail = d3tail
+        grid, R = self.grid, self.trunc.R
+        chi = cutoff_unit(grid.r / R)[:, None, None]
+        dchi = (cutoff_unit_d1(grid.r / R) / R)[:, None, None]
+        U, divU = self.aux.U.values, self.divU.values
+        Ur = np.einsum("irab,iab->rab", U, rhat)
+        self.sing_g = VolumeField(grid, (1.0 - chi) * divU - dchi * Ur)
+        self.div_UR = VolumeField(grid, chi * divU + dchi * Ur)
+        d3U = e3_column(self.aux.jacU).values
+        self.d3tail = VolumeField(grid, (1.0 - chi)[None] * d3U - (dchi * rhat[2][None])[None] * U)
         self.jac_tail = self.aux.jacU + (-1.0) * self.trunc.jac_UR
 
     @property
@@ -270,22 +261,15 @@ def _kernel_term(grid: VolumeGrid, eta: SphereField) -> SphereField:
 def _flat_stress(jac: VolumeField, p: VolumeField, mu1: float, mu2: float) -> VolumeField:
     """Cauchy stress mu (grad w + grad w^T) - q I from a Jacobian field."""
     eye = np.eye(3)[:, :, None, None, None]
-    out = VolumeField.zeros(jac.grid, rank=2)
-    for ph, mu in ((INTERIOR, mu1), (EXTERIOR, mu2)):
-        J = jac.blocks[ph]
-        out.blocks[ph] = mu * (J + np.einsum("ijrab->jirab", J)) - p.blocks[ph][None, None] * eye
-    return out
+    J = jac.values
+    mu = jac.grid.phase_profile(mu1, mu2)
+    return VolumeField(jac.grid, mu * (J + np.einsum("ijrab->jirab", J)) - p.values[None, None] * eye)
 
 
 def matvec(A: VolumeField, v: VolumeField) -> VolumeField:
     """Pointwise (A v)_i = A_ij v_j of a rank-2 and a rank-1 field."""
-    Ai, Ae = A.blocks
-    vi, ve = v.blocks
-    return VolumeField(
-        A.grid,
-        Ai[:, 0] * vi[0] + Ai[:, 1] * vi[1] + Ai[:, 2] * vi[2],
-        Ae[:, 0] * ve[0] + Ae[:, 1] * ve[1] + Ae[:, 2] * ve[2],
-    )
+    a, x = A.values, v.values
+    return VolumeField(A.grid, a[:, 0] * x[0] + a[:, 1] * x[1] + a[:, 2] * x[2])
 
 
 def _traction_jump_eta(T_eta: VolumeField, grid: VolumeGrid) -> np.ndarray:
@@ -302,17 +286,13 @@ def _traction_jump_eta(T_eta: VolumeField, grid: VolumeGrid) -> np.ndarray:
 
 
 def _minus_div_T(u: VolumeField, p: VolumeField, params: PhysicalParams):
-    """-Div T(u, p) = -mu (lap u + grad div u) + grad p per phase, and div u."""
+    """-Div T(u, p) = -mu (lap u + grad div u) + grad p with each phase's mu, and div u."""
     lap = vector_laplacian(u)
     divu = vector_divergence(u)
     grad_div = scalar_gradient(divu)
     gp = scalar_gradient(p)
-    f = VolumeField(
-        u.grid,
-        -params.mu1 * (lap.blocks[INTERIOR] + grad_div.blocks[INTERIOR]) + gp.blocks[INTERIOR],
-        -params.mu2 * (lap.blocks[EXTERIOR] + grad_div.blocks[EXTERIOR]) + gp.blocks[EXTERIOR],
-    )
-    return f, divu
+    mu = u.grid.phase_profile(params.mu1, params.mu2)
+    return VolumeField(u.grid, -mu * (lap.values + grad_div.values) + gp.values), divu
 
 
 def apply_L(state: DropState, ctx: OperatorContext) -> YElement:
@@ -370,8 +350,7 @@ def invert_L(y: YElement, ctx: OperatorContext) -> DropState:
     # -Div T = f with Div u = g means -mu lap u + grad p = f + mu grad g
     f_eff = y.f
     if y.g.max_abs() > 0.0:
-        gg = scalar_gradient(y.g)
-        f_eff = y.f + VolumeField(grid, mu1 * gg.blocks[INTERIOR], mu2 * gg.blocks[EXTERIOR])
+        f_eff = y.f + VolumeField(grid, grid.phase_profile(mu1, mu2) * scalar_gradient(y.g).values)
     sol = solve_two_phase(JumpData(f_eff, y.g, y.h1, y.h2), lam0, params, ctx.aux.solver)
     u, p = sol.u, sol.p
     jump = surface_traction_jump(u, p, grid, mu1, mu2)
@@ -380,7 +359,7 @@ def invert_L(y: YElement, ctx: OperatorContext) -> DropState:
     int_jump_n = g.quad(jump_n)
     int_h3 = integrate_sphere(y.h3)
     c_p = (int_jump_n + int_h3 - 2.0 * sigma * y.a2) / (4.0 * np.pi)
-    p = VolumeField(grid, p.blocks[INTERIOR] + c_p, p.blocks[EXTERIOR])
+    p.blocks[INTERIOR][...] += c_p
     jump_n_shifted = jump_n - c_p
     drag_e3 = float(np.einsum("ab,ab->", g.weights, jump[2] - c_p * rhat[2]))
     kappa = (y.a1 - drag_e3) / ctx.e3_drag
@@ -467,12 +446,9 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> YElement:
 
     Au = matvec(mp.A, u)
     AUR = matvec(mp.A, UR)
-    Ae3 = VolumeField(
-        grid, mp.A.blocks[INTERIOR][:, 2], mp.A.blocks[EXTERIOR][:, 2]
-    )
+    Ae3 = VolumeField(grid, mp.A.values[:, 2])
     e3f = VolumeField.zeros(grid, rank=1)
-    e3f.blocks[INTERIOR][2] = 1.0
-    e3f.blocks[EXTERIOR][2] = 1.0
+    e3f.values[2] = 1.0
 
     N1 = (
         lam * divT_eta_U
@@ -486,8 +462,8 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> YElement:
     )
 
     # N2 and N3 (compatible pair; surface weight one, see module docstring)
-    ImA = VolumeField(grid, eye - mp.A.blocks[INTERIOR], eye - mp.A.blocks[EXTERIOR])
-    AmI_UR = matvec(VolumeField(grid, mp.A.blocks[INTERIOR] - eye, mp.A.blocks[EXTERIOR] - eye), UR)
+    ImA = VolumeField(grid, eye - mp.A.values)
+    AmI_UR = matvec(VolumeField(grid, mp.A.values - eye), UR)
     N2 = vector_divergence(matvec(ImA, u)) - lam * (
         vector_divergence(AmI_UR) + ctx.div_UR
     )

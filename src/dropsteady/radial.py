@@ -67,10 +67,8 @@ class _RadialBasis:
         return np.tensordot(self.fit_matrix[parity & 1], prof, axes=(1, 0))
 
     def integrate(self, prof: np.ndarray) -> np.ndarray:
-        """Integral of prof r^2 dr over the phase (profiles sampled at the nodes)."""
-        return np.tensordot(self.wq, prof, axes=(1, 0)) if prof.ndim > 1 else float(
-            self.wq @ prof
-        )
+        """Integral of prof r^2 dr over the phase (a profile sampled at the nodes)."""
+        return float(self.wq @ prof)
 
 
 class InteriorRadial(_RadialBasis):

@@ -398,7 +398,9 @@ def spherical_to_cartesian(g: SphereGrid, fr, fth, fph, out=None) -> np.ndarray:
     if out is None:
         out = np.empty((3,) + np.shape(fr))
     for k in range(3):
-        out[k] = fr * rhat[k] + fth * that[k] + fph * phat[k]
+        np.multiply(fr, rhat[k], out=out[k])
+        out[k] += fth * that[k]
+        out[k] += fph * phat[k]
     return out
 
 

@@ -125,13 +125,13 @@ class TwoPhaseSolution:
 
 class StokesData(NamedTuple):
     """JumpData in channel space, on the orders |m| <= M = min(L, m_max)
-    the grid carries (columns centred on m = 0): per phase the (P, v, w)
-    channels of f stacked (3, n_r, L+1, 2M+1) and the profiles of g
-    (n_r, L+1, 2M+1); the coefficients of h1 and the (spheroidal,
-    toroidal) ones of h2."""
+    the grid carries (columns centred on m = 0): the (P, v, w) channels
+    of f stacked (3, n_r, L+1, 2M+1) and the profiles of g
+    (n_r, L+1, 2M+1) over the whole radial axis; the coefficients of h1
+    and the (spheroidal, toroidal) ones of h2."""
 
-    f: list
-    g: list
+    f: np.ndarray
+    g: np.ndarray
     h1: np.ndarray
     h2: tuple
 
@@ -282,10 +282,10 @@ def _toroidal_operator(gi, ge, l: int, mu1: float, mu2: float) -> np.ndarray:
 class TwoPhaseStokesSolver:
     """Solve operators of every degree for one (grid, mu1, mu2) triple.
 
-    ``sph[l]`` maps the nodal spheroidal data of degree l (fP, fv, g in the
-    drop, the same in the reservoir, then h1 and h2s) to the nodal (P, v, p)
-    of the drop and then of the reservoir.  ``tor[l]`` maps (fw per phase,
-    h2t) to w per phase.  At l = 0 the v and w blocks are zero.  ``solve``
+    ``sph[l]`` maps the nodal spheroidal data of degree l (fP, fv and g,
+    each over the whole radial axis, then h1 and h2s) to the nodal (P, v,
+    p), each over the whole radial axis.  ``tor[l]`` maps (fw, h2t) to w.
+    At l = 0 the v and w blocks are zero.  ``solve``
     is ``analyse`` (the channels of the data), ``solve_channels`` (one
     batched matmul per stack) and ``synthesise``; ``solve_two_phase``
     repeats the middle step only.
@@ -301,32 +301,32 @@ class TwoPhaseStokesSolver:
         # filled one degree at a time: no per-degree pseudo-inverse is kept
         self.sph = np.zeros((L + 1, 3 * n, 3 * n + 2))
         self.tor = np.zeros((L + 1, n, n + 1))
+        # _spheroidal_operator orders (P, v, p) of the drop, then of the
+        # reservoir; the stack runs each channel over the joined radial axis
+        drop, res = np.split(np.arange(3 * n), [3 * gi.n])
+        joined = np.hstack([drop.reshape(3, -1), res.reshape(3, -1)]).ravel()
+        cols = np.r_[joined, 3 * n, 3 * n + 1]
         for l in range(L + 1):
-            self.sph[l] = _spheroidal_operator(gi, ge, l, mu1, mu2)
+            self.sph[l] = _spheroidal_operator(gi, ge, l, mu1, mu2)[np.ix_(joined, cols)]
             if l > 0:
                 self.tor[l] = _toroidal_operator(gi, ge, l, mu1, mu2)
         # shared by every solve that uses this solver, sweep threads included
         self.sph.flags.writeable = False
         self.tor.flags.writeable = False
 
-    def analyse(self, data: JumpData, check_compat: bool = True) -> StokesData:
-        """The channels of the data; optionally check int g = int h1 first."""
+    def analyse(self, data: JumpData) -> StokesData:
+        """The channels of the data, after checking int g = int h1."""
         g = self.grid.sphere
         L = g.band_limit
-        if check_compat:
-            defect = data.compatibility_defect()
-            scale = max(
-                1.0, data.g.max_abs(), np.max(np.abs(data.h1.values))
-            )
-            if abs(defect) > 1e-9 * scale:
-                raise ValueError(
-                    f"incompatible data: int g - int h1 = {defect:.3e}"
-                )
+        defect = data.compatibility_defect()
+        scale = max(1.0, data.g.max_abs(), np.max(np.abs(data.h1.values)))
+        if abs(defect) > 1e-9 * scale:
+            raise ValueError(f"incompatible data: int g - int h1 = {defect:.3e}")
         m = min(L, g.m_max)  # the grid carries no higher order
         ms = slice(L - m, L + m + 1)
         return StokesData(
-            [np.stack(vsh_channels(data.f, ph))[..., ms] for ph in (INTERIOR, EXTERIOR)],
-            [analysis_batch(g, blk, L)[..., ms] for blk in data.g.blocks],
+            np.stack(vsh_channels(data.f))[..., ms],
+            analysis_batch(g, data.g.values, L)[..., ms],
             data.h1.with_band(L).coeffs[..., ms],
             tuple(h[..., ms] for h in data.h2.spec),
         )
@@ -339,29 +339,23 @@ class TwoPhaseStokesSolver:
         return np.moveaxis(op @ np.moveaxis(x, 1, 0), 0, 1)
 
     def solve_channels(self, data: StokesData):
-        """Channels of the solution, in the layout of StokesData: per phase
-        u as (3, n_r, L+1, 2M+1) stacked (P, v, w) and p as (n_r, L+1, 2M+1)."""
-        (fi, fe), (gi, ge) = data.f, data.g
-        Mi, Me = self.grid.interior.n, self.grid.exterior.n
-        Pi, Vi, Qi, Pe, Ve, Qe = np.split(
-            self._apply(self.sph, fi[0], fi[1], gi, fe[0], fe[1], ge, data.h1, data.h2[0]),
-            np.cumsum([Mi, Mi, Mi, Me, Me]),
-        )
-        Wi, We = np.split(self._apply(self.tor, fi[2], fe[2], data.h2[1]), [Mi])
-        return [np.stack([Pi, Vi, Wi]), np.stack([Pe, Ve, We])], [Qi, Qe]
+        """Channels of the solution, in the layout of StokesData: u as
+        (3, n_r, L+1, 2M+1) stacked (P, v, w) and p as (n_r, L+1, 2M+1)."""
+        P, V, Q = np.split(self._apply(self.sph, data.f[0], data.f[1], data.g, data.h1, data.h2[0]), 3)
+        W = self._apply(self.tor, data.f[2], data.h2[1])
+        return np.stack([P, V, W]), Q
 
     def synthesise(self, u, p) -> TwoPhaseSolution:
         """Nodal velocity and pressure from the channels of solve_channels."""
         grid = self.grid
-        L = grid.sphere.band_limit
         return TwoPhaseSolution(
-            VolumeField(grid, *(vsh_assemble(grid, ph, *u[ph]) for ph in (INTERIOR, EXTERIOR))),
-            VolumeField(grid, *(synthesis_batch(grid.sphere, q, L) for q in p)),
+            VolumeField(grid, vsh_assemble(grid, *u)),
+            VolumeField(grid, synthesis_batch(grid.sphere, p, grid.sphere.band_limit)),
         )
 
-    def solve(self, data: JumpData, check_compat: bool = True) -> TwoPhaseSolution:
+    def solve(self, data: JumpData) -> TwoPhaseSolution:
         """Pure Stokes solve (no drift) with pressure mean zero in the drop."""
-        return self.synthesise(*self.solve_channels(self.analyse(data, check_compat)))
+        return self.synthesise(*self.solve_channels(self.analyse(data)))
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +393,14 @@ def solve_two_phase(
     solves = 1
     base = channel_norm_l2(grid, u)
     if lambda0 != 0.0 and np.isfinite(base):
-        rho = (params.rho1 * lambda0, params.rho2 * lambda0)
+        rho = grid.phase_profile(params.rho1 * lambda0, params.rho2 * lambda0)
         prev_update = None
         base = max(base, 1e-300)
         for _ in range(RICHARDSON_MAX_ITER):
-            drift = d3_channels(grid, u)
-            f = [chans.f[ph] - rho[ph] * drift[ph] for ph in (INTERIOR, EXTERIOR)]
+            f = chans.f - rho * d3_channels(grid, u)
             u_next, p = solver.solve_channels(chans._replace(f=f))
             solves += 1
-            update = channel_norm_l2(grid, [u_next[ph] - u[ph] for ph in (INTERIOR, EXTERIOR)])
+            update = channel_norm_l2(grid, u_next - u)
             if prev_update is not None and prev_update > 0:
                 ratios.append(update / prev_update)
                 if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
@@ -430,11 +423,7 @@ def residual_report(u, p, data, lambda0, params, grid, mu1, mu2) -> dict:
     """Field-equation residual norms of a candidate solution."""
     lap = vector_laplacian(u)
     gp = scalar_gradient(p)
-    mom = VolumeField(
-        grid,
-        -mu1 * lap.blocks[INTERIOR] + gp.blocks[INTERIOR] - data.f.blocks[INTERIOR],
-        -mu2 * lap.blocks[EXTERIOR] + gp.blocks[EXTERIOR] - data.f.blocks[EXTERIOR],
-    )
+    mom = VolumeField(grid, -grid.phase_profile(mu1, mu2) * lap.values + gp.values - data.f.values)
     if lambda0 != 0.0:
         drift = d3(u).phasewise_scale(params.rho1 * lambda0, params.rho2 * lambda0)
         mom = mom + drift
@@ -461,19 +450,23 @@ def residual_report(u, p, data, lambda0, params, grid, mu1, mu2) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _traction_modes(grid, phase, u: VolumeField, p: VolumeField, mu: float):
+def _traction_modes(grid, u: VolumeField, p: VolumeField, mu1: float, mu2: float):
+    """Per-mode traction (radial, spheroidal, toroidal) at r = 1 on the drop
+    side and on the reservoir side."""
     g = grid.sphere
     L = g.band_limit
-    P, v, w = vsh_channels(u, phase)
-    pm = analysis_batch(g, p.blocks[phase], L)
-    i0 = grid.radial(phase).i_surface
-    dP = _chan_radial_deriv(grid, phase, P, 1, 1)[i0]
-    dv = _chan_radial_deriv(grid, phase, v, 1, 1)[i0]
-    dw = _chan_radial_deriv(grid, phase, w, 0, 1)[i0]
-    t_r = 2.0 * mu * dP - pm[i0]
-    t_s = mu * (dv + P[i0] - v[i0])
-    t_t = mu * (dw - w[i0])
-    return t_r, t_s, t_t
+    P, v, w = vsh_channels(u)
+    pm = analysis_batch(g, p.values, L)
+    dP = _chan_radial_deriv(grid, P, 1, 1)
+    dv = _chan_radial_deriv(grid, v, 1, 1)
+    dw = _chan_radial_deriv(grid, w, 0, 1)
+    sides = []
+    for i0, mu in ((grid.interior.i_surface, mu1), (grid.interior.n + grid.exterior.i_surface, mu2)):
+        t_r = 2.0 * mu * dP[i0] - pm[i0]
+        t_s = mu * (dv[i0] + P[i0] - v[i0])
+        t_t = mu * (dw[i0] - w[i0])
+        sides.append((t_r, t_s, t_t))
+    return sides
 
 
 def _traction_nodal(grid, t_r, t_s, t_t):
@@ -487,8 +480,7 @@ def _traction_nodal(grid, t_r, t_s, t_t):
 
 def surface_traction_jump(u, p, grid, mu1, mu2):
     """[[T(u,p) n]]: drop-side minus reservoir-side traction, nodal (3, ...)."""
-    ti = _traction_nodal(grid, *_traction_modes(grid, INTERIOR, u, p, mu1))
-    te = _traction_nodal(grid, *_traction_modes(grid, EXTERIOR, u, p, mu2))
+    ti, te = (_traction_nodal(grid, *side) for side in _traction_modes(grid, u, p, mu1, mu2))
     return ti - te
 
 
@@ -536,7 +528,7 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
     normal_jump = np.einsum("iab,iab->ab", jump, rhat)
     c_norm = g.quad(normal_jump) / (4.0 * np.pi)
     # add the constant to the drop-phase pressure; the normal jump drops by it
-    P = VolumeField(grid, P.blocks[INTERIOR] + c_norm, P.blocks[EXTERIOR])
+    P.blocks[INTERIOR][...] += c_norm
     jump = jump - c_norm * rhat
     drag = np.einsum("ab,iab->i", g.weights, jump)
     jacU = vector_gradient(U)
@@ -544,27 +536,16 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
     # dissipation: interior + exterior up to R_inf by quadrature; the
     # remote tail (forcing-free Stokes region) via the exact flux identity
     # 2 mu int_{r>R} |S|^2 = -int_{dB_R} u . T(u,p) rhat dS
-    S_int = 0.5 * (jacU.blocks[INTERIOR] + np.einsum("ijrab->jirab", jacU.blocks[INTERIOR]))
-    diss_int = 2.0 * params.mu1 * integrate_phase(
-        VolumeField(grid, np.einsum("ijrab,ijrab->rab", S_int, S_int), np.zeros_like(jacU.blocks[EXTERIOR][0, 0])),
-        INTERIOR,
-    )
-    S_ext = 0.5 * (jacU.blocks[EXTERIOR] + np.einsum("ijrab->jirab", jacU.blocks[EXTERIOR]))
-    dens = np.einsum("ijrab,ijrab->rab", S_ext, S_ext)
-    diss_range = 2.0 * params.mu2 * float(
-        grid.exterior.integrate(np.einsum("ij,rij->r", g.weights, dens))
-    )
-    i_far = grid.exterior.i_far
-    R_far = grid.exterior.r[i_far]
-    u_far = U.blocks[EXTERIOR][:, i_far]
-    S_far = S_ext[:, :, i_far]
-    p_far = P.blocks[EXTERIOR][i_far]
-    Tr = 2.0 * params.mu2 * np.einsum("ijab,jab->iab", S_far, rhat) - p_far[None] * rhat
-    flux = R_far**2 * g.quad(np.einsum("iab,iab->ab", u_far, Tr))
-    dissipation = diss_int + diss_range - flux
+    S = 0.5 * (jacU.values + np.einsum("ijrab->jirab", jacU.values))
+    dens = grid.phase_profile(params.mu1, params.mu2) * np.einsum("ijrab,ijrab->rab", S, S)
+    i_far = grid.interior.n + grid.exterior.i_far
+    R_far = grid.r[i_far]
+    Tr = 2.0 * params.mu2 * np.einsum("ijab,jab->iab", S[:, :, i_far], rhat) - P.values[i_far][None] * rhat
+    flux = R_far**2 * g.quad(np.einsum("iab,iab->ab", U.values[:, i_far], Tr))
+    dissipation = 2.0 * grid.integrate(np.einsum("ij,rij->r", g.weights, dens)) - flux
 
-    for arr in (*U.blocks, *P.blocks, *jacU.blocks):  # shared like the solver
-        arr.flags.writeable = False
+    for fld in (U, P, jacU):  # shared like the solver
+        fld.values.flags.writeable = False
     tang = jump - np.einsum("iab,iab->ab", jump, rhat)[None] * rhat
     m_leak = axisym_leakage(U)
     checks = {
@@ -581,9 +562,9 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
 
 
 def axisym_leakage(u: VolumeField, *coeffs: np.ndarray) -> float:
-    """Largest m != 0 coefficient of the (P, v, w) channels of u in either
-    phase and of any further coefficient arrays (..., L+1, 2L+1)."""
-    arrays = [c for ph in (INTERIOR, EXTERIOR) for c in vsh_channels(u, ph)] + list(coeffs)
+    """Largest m != 0 coefficient of the (P, v, w) channels of u and of any
+    further coefficient arrays (..., L+1, 2L+1)."""
+    arrays = [*vsh_channels(u), *coeffs]
     leak = 0.0
     for a in arrays:
         off = np.abs(a)
@@ -641,29 +622,20 @@ def truncate_field(aux: AuxiliaryField, R: float, grid: VolumeGrid, mu2: float) 
     """chi_R-truncated auxiliary fields with analytic cutoff derivatives."""
     if not (R > 4.0 and 2.0 * R <= grid.r_inf + 1e-12):
         raise ValueError(f"truncation radius must satisfy 4 < R <= R_inf/2, got {R}")
-    U_R = VolumeField.zeros(grid, rank=1)
-    P_R = VolumeField.zeros(grid)
-    jac_UR = VolumeField.zeros(grid, rank=2)
-    divT = VolumeField.zeros(grid, rank=1)
     rhat = grid.sphere.unit_vectors()[0]
-    for ph in (INTERIOR, EXTERIOR):
-        r = grid.radial(ph).r
-        chi = cutoff_unit(r / R)[:, None, None]
-        U_R.blocks[ph] = chi[None] * aux.U.blocks[ph]
-        P_R.blocks[ph] = chi * aux.P.blocks[ph]
-        dchi = (cutoff_unit_d1(r / R) / R)[:, None, None]
-        gradchi = dchi[None] * rhat[:, None]
-        jac_UR.blocks[ph] = chi[None, None] * aux.jacU.blocks[ph] + np.einsum(
-            "irab,jrab->ijrab", aux.U.blocks[ph], gradchi
-        )
-    divT.blocks[EXTERIOR] = _cutoff_stress_divergence(
-        aux.U.blocks[EXTERIOR],
-        aux.jacU.blocks[EXTERIOR],
-        aux.P.blocks[EXTERIOR],
-        grid.exterior.r,
-        R,
-        rhat,
-        mu2,
+    r = grid.r
+    chi = cutoff_unit(r / R)[:, None, None]
+    dchi = (cutoff_unit_d1(r / R) / R)[:, None, None]
+    U, jacU, P = aux.U.values, aux.jacU.values, aux.P.values
+    U_R = VolumeField(grid, chi[None] * U)
+    P_R = VolumeField(grid, chi * P)
+    gradchi = dchi[None] * rhat[:, None]
+    jac_UR = VolumeField(grid, chi[None, None] * jacU + np.einsum("irab,jrab->ijrab", U, gradchi))
+    # Div T(U_R, P_R) vanishes where the cutoff is flat
+    bend = (r > R) & (r < 2.0 * R)
+    divT = VolumeField.zeros(grid, rank=1)
+    divT.values[:, bend] = _cutoff_stress_divergence(
+        U[:, bend], jacU[:, :, bend], P[bend], r[bend], R, rhat, mu2
     )
     return TruncatedAux(R, U_R, P_R, jac_UR, divT, aux, mu2)
 

@@ -177,7 +177,7 @@ def _truncation_checks(rng, vg, aux):
     return [Check("truncation-tail decay slope", dev < 0.3, dev, 0.3)]
 
 
-def random_state(vg, rng, amp=1.0):
+def random_state(vg, rng):
     """Random state in the discrete solution class: in-basis radial profiles,
     no velocity jump at the interface, decay at infinity."""
     from .operators import DropState
@@ -193,7 +193,7 @@ def random_state(vg, rng, amp=1.0):
         c = np.zeros((L + 1, 2 * L + 1))
         for l in range(L + 1):
             c[l, L - l : L + l + 1] = (
-                amp * (1.0 + l * (l + 1.0)) ** -2.0 * rng.standard_normal(2 * l + 1)
+                (1.0 + l * (l + 1.0)) ** -2.0 * rng.standard_normal(2 * l + 1)
             )
         return c
 
@@ -213,20 +213,18 @@ def random_state(vg, rng, amp=1.0):
             prof += (se ** (k + 1))[:, None, None] * rand_coeffs() * 0.5**k
         return prof
 
-    Pi, vi, wi = interior(1), interior(1), interior(1)
-    pi = interior(0)
-    Pe, ve, we, pe = exterior(), exterior(), exterior(), exterior()
-    shape = (se**2)[:, None, None]
-    for inner, outer in ((Pi, Pe), (vi, ve), (wi, we)):
-        outer += (inner[vg.interior.i_surface] - outer[vg.exterior.i_surface])[None] * shape
-    u = VolumeField(
-        vg,
-        vsh_assemble(vg, 0, Pi, vi, wi),
-        vsh_assemble(vg, 1, Pe, ve, we),
-    )
-    p = VolumeField(vg, synthesis_batch(g, pi, L), synthesis_batch(g, pe, L))
+    # (P, v, w) and p of the drop, then of the reservoir
+    u_int = np.stack([interior(1) for _ in range(3)])
+    p_int = interior(0)
+    u_ext = np.stack([exterior() for _ in range(3)])
+    p_ext = exterior()
+    # match the velocity channels at r = 1 with a correction decaying as s^2
+    gap = u_int[:, vg.interior.i_surface] - u_ext[:, vg.exterior.i_surface]
+    u_ext += gap[:, None] * (se**2)[:, None, None]
+    u = VolumeField(vg, vsh_assemble(vg, *np.concatenate([u_int, u_ext], axis=1)))
+    p = VolumeField(vg, synthesis_batch(g, np.concatenate([p_int, p_ext]), L))
     eta = SphereField(g, coeffs=rand_coeffs(), band=L)
-    return DropState(u, p, float(rng.normal()) * amp, eta)
+    return DropState(u, p, float(rng.normal()), eta)
 
 
 def _roundtrip_checks(rng, vg, aux, samples: int = 2):

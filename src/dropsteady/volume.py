@@ -1,7 +1,8 @@
 """Two-phase volume fields on R^3 minus the unit sphere.
 
-A field lives on the product grid (radial nodes) x (sphere grid), one
-block per phase.  A rank-r field is stored as nodal arrays with r leading
+A field lives on the product grid (radial nodes) x (sphere grid), with
+one radial axis for both phases: the drop's nodes first, then the
+reservoir's.  A rank-r field is stored as one nodal array with r leading
 Cartesian axes of length 3: (3,)*r + (n_r, n_theta, n_phi).  Spectral
 calculus (gradients, divergence, vector Laplacian, d/dx3) goes through
 per-shell spherical-harmonic analysis and parity-aware radial Chebyshev
@@ -15,6 +16,7 @@ the grid's band limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,63 +58,75 @@ class VolumeGrid:
     def radial(self, phase: int):
         return self.interior if phase == INTERIOR else self.exterior
 
-    def radius_mesh(self, phase: int) -> np.ndarray:
-        """Radii broadcastable against a nodal block (n_r, 1, 1)."""
-        return self.radial(phase).r[:, None, None]
+    @cached_property
+    def r(self) -> np.ndarray:
+        """Radii of the whole radial axis: the drop's nodes, then the reservoir's."""
+        return np.concatenate([self.interior.r, self.exterior.r])
+
+    def radius_mesh(self) -> np.ndarray:
+        """Radii broadcastable against the radial axis (n_r, 1, 1)."""
+        return self.r[:, None, None]
+
+    def phase_profile(self, c_int: float, c_ext: float) -> np.ndarray:
+        """c_int on the drop's nodes and c_ext on the reservoir's, shaped
+        (n_r, 1, 1) to broadcast against a nodal or channel array."""
+        return np.repeat([c_int, c_ext], [self.interior.n, self.exterior.n])[:, None, None]
+
+    @cached_property
+    def _wq(self) -> np.ndarray:
+        return np.concatenate([self.interior.wq, self.exterior.wq])
+
+    def integrate(self, shells: np.ndarray) -> float:
+        """Integral of per-shell values (n_r,) times r^2 dr over both phases."""
+        return float(self._wq @ shells)
 
 
 class VolumeField:
-    """Two-phase nodal field of any rank (0 scalar, 1 vector, 2 tensor)."""
+    """Two-phase nodal field of any rank (0 scalar, 1 vector, 2 tensor),
+    held as one array ``values`` over the whole radial axis."""
 
-    def __init__(self, grid: VolumeGrid, interior: np.ndarray, exterior: np.ndarray):
+    def __init__(self, grid: VolumeGrid, values: np.ndarray):
         self.grid = grid
-        self.blocks = [np.asarray(interior, float), np.asarray(exterior, float)]
-        self.rank = self.blocks[0].ndim - 3
+        self.values = np.asarray(values, float)
+        self.rank = self.values.ndim - 3
+
+    @property
+    def blocks(self) -> tuple:
+        """(drop, reservoir) views of ``values``; writing through one changes the field."""
+        n = self.grid.interior.n
+        return self.values[..., :n, :, :], self.values[..., n:, :, :]
 
     @classmethod
     def zeros(cls, grid: VolumeGrid, rank: int = 0) -> "VolumeField":
-        sh = (3,) * rank
         g = grid.sphere
-        return cls(
-            grid,
-            np.zeros(sh + (grid.interior.n, g.n_theta, g.n_phi)),
-            np.zeros(sh + (grid.exterior.n, g.n_theta, g.n_phi)),
-        )
+        return cls(grid, np.zeros((3,) * rank + (grid.r.size, g.n_theta, g.n_phi)))
 
     @classmethod
     def from_function(cls, grid: VolumeGrid, fn, rank: int = 0) -> "VolumeField":
         """Sample fn(x, y, z) -> scalar or (3,...) on all nodes."""
         out = cls.zeros(grid, rank)
-        for ph in (INTERIOR, EXTERIOR):
-            x, y, z = grid_points(grid, ph)
-            out.blocks[ph] = np.asarray(fn(x, y, z), float)
+        out.values[...] = fn(*grid_points(grid))
         return out
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
-        return VolumeField(
-            self.grid, self.blocks[0] + other.blocks[0], self.blocks[1] + other.blocks[1]
-        )
+        return VolumeField(self.grid, self.values + other.values)
 
     def __sub__(self, other):
-        return VolumeField(
-            self.grid, self.blocks[0] - other.blocks[0], self.blocks[1] - other.blocks[1]
-        )
+        return VolumeField(self.grid, self.values - other.values)
 
     def __mul__(self, a):
         if isinstance(a, VolumeField):
-            return VolumeField(
-                self.grid, self.blocks[0] * a.blocks[0], self.blocks[1] * a.blocks[1]
-            )
-        return VolumeField(self.grid, a * self.blocks[0], a * self.blocks[1])
+            return VolumeField(self.grid, self.values * a.values)
+        return VolumeField(self.grid, a * self.values)
 
     __rmul__ = __mul__
 
     def phasewise_scale(self, c_int: float, c_ext: float) -> "VolumeField":
-        return VolumeField(self.grid, c_int * self.blocks[0], c_ext * self.blocks[1])
+        return VolumeField(self.grid, self.grid.phase_profile(c_int, c_ext) * self.values)
 
     def max_abs(self) -> float:
-        return max(np.max(np.abs(self.blocks[0])), np.max(np.abs(self.blocks[1])))
+        return np.max(np.abs(self.values))
 
     # -- traces at the interface (r = 1) ------------------------------------
     def trace(self, phase: int) -> np.ndarray:
@@ -124,10 +138,11 @@ class VolumeField:
         return self.trace(INTERIOR) - self.trace(EXTERIOR)
 
 
-def grid_points(grid: VolumeGrid, phase: int):
-    """Cartesian coordinates of the nodal points of one phase block."""
+def grid_points(grid: VolumeGrid, phase: int | None = None):
+    """Cartesian coordinates of the nodal points of one phase, or of the
+    whole radial axis when ``phase`` is None."""
     g = grid.sphere
-    r = grid.radius_mesh(phase)
+    r = grid.radius_mesh() if phase is None else grid.radial(phase).r[:, None, None]
     th, ph = g.nodes
     st, ct = np.sin(th), np.cos(th)
     x = r * (st * np.cos(ph))[None, :, :]
@@ -137,67 +152,59 @@ def grid_points(grid: VolumeGrid, phase: int):
 
 
 # ---------------------------------------------------------------------------
-# spectral helpers on one phase block
+# spectral calculus on the whole radial axis
 # ---------------------------------------------------------------------------
 
 
-def _chan_radial_deriv(grid: VolumeGrid, phase: int, coeffs: np.ndarray, base_parity: int, order: int):
+def _chan_radial_deriv(grid: VolumeGrid, coeffs: np.ndarray, base_parity: int, order: int):
     """d^order/dr^order of per-mode profiles (..., n_r, L+1, 2K+1) with channel
     parity (l + base_parity) mod 2 (scalars and w: base 0; P, v: base 1), on
     the orders |m| <= min(K, m_max) the grid carries; other columns are zero.
-    The order columns are centred on m = 0: K = L in the dense layout, and
-    K = min(L, m_max) when they hold only the orders the grid carries."""
-    rad = grid.radial(phase)
+    Each phase's derivative matrices act on that phase's rows of the radial
+    axis.  The order columns are centred on m = 0: K = L in the dense
+    layout, and K = min(L, m_max) when they hold only the orders the grid
+    carries."""
     L, K = coeffs.shape[-2] - 1, coeffs.shape[-1] // 2
     M = min(K, grid.sphere.m_max)
     ms = slice(K - M, K + M + 1)
     out = np.zeros(coeffs.shape)
     prof, dest = np.moveaxis(coeffs, -3, 0), np.moveaxis(out, -3, 0)
-    for par in (0, 1):
-        ls = slice((par + base_parity) % 2, L + 1, 2)
-        dest[..., ls, ms] = rad.deriv(prof[..., ls, ms], parity=par, order=order)
+    n = grid.interior.n
+    for rad, rows in ((grid.interior, slice(None, n)), (grid.exterior, slice(n, None))):
+        for par in (0, 1):
+            ls = slice((par + base_parity) % 2, L + 1, 2)
+            dest[rows, ..., ls, ms] = rad.deriv(prof[rows, ..., ls, ms], parity=par, order=order)
     return out
-
-
-def _gradient_parts(f: VolumeField, phase: int):
-    """(d_r f, d_theta f / r, d_phi f / (r sin theta)) of one phase block of
-    a field of any rank: one analysis, one radial derivative, one scalar
-    and one tangent synthesis."""
-    grid = f.grid
-    g = grid.sphere
-    L = g.band_limit
-    C = analysis_batch(g, f.blocks[phase], L)
-    dr = synthesis_batch(g, _chan_radial_deriv(grid, phase, C, 0, 1), L)
-    tth, tph = tangent_synthesis_batch(g, C, np.zeros_like(C), L)
-    rinv = 1.0 / grid.radius_mesh(phase)
-    return dr, rinv * tth, rinv * tph
 
 
 def scalar_gradient(f: VolumeField) -> VolumeField:
     """Cartesian gradient of a field of any rank r: a rank r + 1 field whose
-    last Cartesian axis is the derivative index (for a vector, d_j u_i)."""
-    g = f.grid.sphere
-    blocks = []
-    for ph in (INTERIOR, EXTERIOR):
-        shape = f.blocks[ph].shape
-        out = np.empty(shape[:-3] + (3,) + shape[-3:])
-        spherical_to_cartesian(g, *_gradient_parts(f, ph), out=np.moveaxis(out, -4, 0))
-        blocks.append(out)
-    return VolumeField(f.grid, *blocks)
+    last Cartesian axis is the derivative index (for a vector, d_j u_i).
+    One analysis, one radial derivative, one scalar and one tangent
+    synthesis give (d_r f, d_theta f / r, d_phi f / (r sin theta))."""
+    grid = f.grid
+    g = grid.sphere
+    L = g.band_limit
+    C = analysis_batch(g, f.values, L)
+    dr = synthesis_batch(g, _chan_radial_deriv(grid, C, 0, 1), L)
+    tth, tph = tangent_synthesis_batch(g, C, np.zeros_like(C), L)
+    rinv = 1.0 / grid.radius_mesh()
+    tth *= rinv
+    tph *= rinv
+    shape = f.values.shape
+    out = np.empty(shape[:-3] + (3,) + shape[-3:])
+    spherical_to_cartesian(g, dr, tth, tph, out=np.moveaxis(out, -4, 0))
+    return VolumeField(grid, out)
 
 
 def d3(f: VolumeField) -> VolumeField:
-    """d f / d x3 = cos(theta) d_r f - sin(theta) d_theta f / r, any rank."""
-    rhat, that, _ = f.grid.sphere.unit_vectors()
-    blocks = []
-    for ph in (INTERIOR, EXTERIOR):
-        dr, dth, _ = _gradient_parts(f, ph)
-        blocks.append(dr * rhat[2] + dth * that[2])
-    return VolumeField(f.grid, *blocks)
+    """d f / d x3 = cos(theta) d_r f - sin(theta) d_theta f / r, any rank:
+    the e3 column of the gradient (phi-hat has no e3 component)."""
+    return e3_column(scalar_gradient(f))
 
 
-def d3_channels(grid: VolumeGrid, u) -> list:
-    """Channels of d3 u from the channels ``u`` of a vector field, per phase
+def d3_channels(grid: VolumeGrid, u: np.ndarray) -> np.ndarray:
+    """Channels of d3 u from the channels ``u`` of a vector field,
     (3, n_r, L+1, 2M+1) stacked (P, v, w) on the orders |m| <= M =
     min(L, m_max) the grid carries: C (d_r u) + E (u / r) with the grid's
     probed angular coupling (``SphereGrid.d3_coupling``), as
@@ -205,20 +212,15 @@ def d3_channels(grid: VolumeGrid, u) -> list:
     B = grid.sphere.d3_coupling
     M = B.shape[0] - 1
     m = np.arange(M + 1)
-    x = []
-    for ph in (INTERIOR, EXTERIOR):
-        ch = u[ph]
-        dr = np.concatenate(
-            [_chan_radial_deriv(grid, ph, ch[:2], 1, 1), _chan_radial_deriv(grid, ph, ch[2:], 0, 1)]
-        )
-        x.append(np.stack([dr, ch / grid.radius_mesh(ph)]))
-    X = np.concatenate(x, axis=2)[..., np.stack([M + m, M - m], axis=1)]  # (C|E, c, r, l, m, part)
+    dr = np.concatenate([_chan_radial_deriv(grid, u[:2], 1, 1), _chan_radial_deriv(grid, u[2:], 0, 1)])
+    parts = np.stack([M + m, M - m], axis=1)
+    X = np.stack([dr, u / grid.radius_mesh()])[..., parts]  # (C|E, c, r, l, m, part)
     _, _, n_r, n, _, _ = X.shape
     Y = (B @ X.transpose(4, 0, 1, 5, 3, 2).reshape(M + 1, -1, n_r)).reshape(M + 1, 3, 2, n, n_r)
     out = np.empty((3, n_r, n, 2 * M + 1))
     out[..., M:] = Y[:, :, 0].transpose(1, 3, 2, 0)
     out[..., :M] = Y[:0:-1, :, 1].transpose(1, 3, 2, 0)
-    return np.split(out, [grid.interior.n], axis=1)
+    return out
 
 
 def vector_gradient(u: VolumeField) -> VolumeField:
@@ -228,15 +230,16 @@ def vector_gradient(u: VolumeField) -> VolumeField:
 
 def e3_column(jac: VolumeField) -> VolumeField:
     """d3 f read off the gradient ``jac`` = scalar_gradient(f), any rank."""
-    return VolumeField(jac.grid, jac.blocks[0][..., 2, :, :, :], jac.blocks[1][..., 2, :, :, :])
+    return VolumeField(jac.grid, jac.values[..., 2, :, :, :])
 
 
-def vsh_channels(u: VolumeField, phase: int):
-    """Per-mode radial profiles (P, v, w) of a vector field block."""
-    return vector_channels(u.grid.sphere, u.blocks[phase])
+def vsh_channels(u: VolumeField):
+    """Per-mode radial profiles (P, v, w) of a vector field."""
+    return vector_channels(u.grid.sphere, u.values)
 
 
-def vsh_assemble(grid: VolumeGrid, phase: int, P, v, w) -> np.ndarray:
+def vsh_assemble(grid: VolumeGrid, P, v, w) -> np.ndarray:
+    """Nodal Cartesian components of the vector field with channels (P, v, w)."""
     g = grid.sphere
     L = g.band_limit
     ur = synthesis_batch(g, P, L)
@@ -250,14 +253,11 @@ def vector_divergence(u: VolumeField) -> VolumeField:
     g = grid.sphere
     L = g.band_limit
     l = np.arange(L + 1, dtype=float)[None, :, None]
-    blocks = []
-    for ph in (INTERIOR, EXTERIOR):
-        P, v, _ = vsh_channels(u, ph)
-        dP = _chan_radial_deriv(grid, ph, P, 1, 1)
-        rinv = 1.0 / grid.radial(ph).r[:, None, None]
-        div = dP + 2.0 * rinv * P - l * (l + 1.0) * rinv * v
-        blocks.append(synthesis_batch(g, div, L))
-    return VolumeField(grid, blocks[0], blocks[1])
+    P, v, _ = vsh_channels(u)
+    dP = _chan_radial_deriv(grid, P, 1, 1)
+    rinv = 1.0 / grid.radius_mesh()
+    div = dP + 2.0 * rinv * P - l * (l + 1.0) * rinv * v
+    return VolumeField(grid, synthesis_batch(g, div, L))
 
 
 def vector_laplacian(u: VolumeField) -> VolumeField:
@@ -266,28 +266,24 @@ def vector_laplacian(u: VolumeField) -> VolumeField:
     L = grid.sphere.band_limit
     l = np.arange(L + 1, dtype=float)[None, :, None]
     ll1 = l * (l + 1.0)
-    blocks = []
-    for ph in (INTERIOR, EXTERIOR):
-        P, v, w = vsh_channels(u, ph)
-        rinv = 1.0 / grid.radial(ph).r[:, None, None]
+    P, v, w = vsh_channels(u)
+    rinv = 1.0 / grid.radius_mesh()
 
-        def Dl(C, base):
-            d1 = _chan_radial_deriv(grid, ph, C, base, 1)
-            d2 = _chan_radial_deriv(grid, ph, C, base, 2)
-            return d2 + 2.0 * rinv * d1 - ll1 * rinv**2 * C
+    def Dl(C, base):
+        d1 = _chan_radial_deriv(grid, C, base, 1)
+        d2 = _chan_radial_deriv(grid, C, base, 2)
+        return d2 + 2.0 * rinv * d1 - ll1 * rinv**2 * C
 
-        lapP = Dl(P, 1) - 2.0 * rinv**2 * P + 2.0 * ll1 * rinv**2 * v
-        lapv = Dl(v, 1) + 2.0 * rinv**2 * P
-        lapw = Dl(w, 0)
-        blocks.append(vsh_assemble(grid, ph, lapP, lapv, lapw))
-    return VolumeField(grid, blocks[0], blocks[1])
+    lapP = Dl(P, 1) - 2.0 * rinv**2 * P + 2.0 * ll1 * rinv**2 * v
+    lapv = Dl(v, 1) + 2.0 * rinv**2 * P
+    lapw = Dl(w, 0)
+    return VolumeField(grid, vsh_assemble(grid, lapP, lapv, lapw))
 
 
 def tensor_divergence(T: VolumeField) -> VolumeField:
     """(div T)_i = d_j T_ij for a rank-2 field: the divergence of each row."""
-    rows = [vector_divergence(VolumeField(T.grid, T.blocks[0][i], T.blocks[1][i])) for i in range(3)]
-    blocks = [np.stack([row.blocks[ph] for row in rows]) for ph in (INTERIOR, EXTERIOR)]
-    return VolumeField(T.grid, *blocks)
+    rows = [vector_divergence(VolumeField(T.grid, T.values[i])).values for i in range(3)]
+    return VolumeField(T.grid, np.stack(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -304,40 +300,32 @@ def integrate_phase(f: VolumeField, phase: int) -> float:
     return float(f.grid.radial(phase).integrate(ang))
 
 
-def _shell_total(grid: VolumeGrid, shells) -> float:
-    """Integral over both phases of per-shell angular integrals ``shells[ph]``
+def _shell_total(grid: VolumeGrid, shells: np.ndarray) -> float:
+    """Integral over both phases of per-shell angular integrals ``shells``
     (n_r,), clamped at zero.
 
     The radial weights are moment-matched and not sign-definite, so the
     quadrature sum can round below zero for fields at the machine-noise
     level.  Every volume norm goes through here.
     """
-    total = sum(float(grid.radial(ph).integrate(shells[ph])) for ph in (INTERIOR, EXTERIOR))
-    return max(total, 0.0)
-
-
-def norm_lq(f: VolumeField, q: float) -> float:
-    """L^q norm over the truncated two-phase domain (all tensor components)."""
-    shells = []
-    for ph in (INTERIOR, EXTERIOR):
-        mag = np.abs(f.blocks[ph]) ** q
-        while mag.ndim > 3:
-            mag = mag.sum(axis=0)
-        shells.append(np.einsum("ij,rij->r", f.grid.sphere.weights, mag))
-    return _shell_total(f.grid, shells) ** (1.0 / q)
+    return max(grid.integrate(shells), 0.0)
 
 
 def norm_l2(f: VolumeField) -> float:
-    return norm_lq(f, 2.0)
+    """L^2 norm over the truncated two-phase domain (all tensor components)."""
+    mag = f.values**2
+    while mag.ndim > 3:
+        mag = mag.sum(axis=0)
+    return _shell_total(f.grid, np.einsum("ij,rij->r", f.grid.sphere.weights, mag)) ** 0.5
 
 
-def channel_norm_l2(grid: VolumeGrid, u) -> float:
-    """norm_l2 of the vector field whose channels are ``u`` (per phase
-    (3, n_r, L+1, columns), stacked P, v, w), by Parseval: the angular
-    integral of |u|^2 is sum P^2 + l(l+1) (v^2 + w^2)."""
+def channel_norm_l2(grid: VolumeGrid, u: np.ndarray) -> float:
+    """norm_l2 of the vector field whose channels are ``u`` ((3, n_r, L+1,
+    columns), stacked P, v, w), by Parseval: the angular integral of |u|^2
+    is sum P^2 + l(l+1) (v^2 + w^2)."""
     l = np.arange(grid.sphere.band_limit + 1.0)
     w = np.stack([np.ones_like(l), l * (l + 1.0), l * (l + 1.0)])[:, None, :, None]
-    return _shell_total(grid, [np.sum(w * u[ph] ** 2, axis=(0, 2, 3)) for ph in (INTERIOR, EXTERIOR)]) ** 0.5
+    return _shell_total(grid, np.sum(w * u**2, axis=(0, 2, 3))) ** 0.5
 
 
 def eval_radii(f: VolumeField, radii: np.ndarray, phase: int) -> np.ndarray:

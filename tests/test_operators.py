@@ -263,14 +263,10 @@ def test_rotation_equivariance_of_L_and_N(ctx):
     R = np.array([[cb, -sb, 0.0], [sb, cb, 0.0], [0.0, 0.0, 1.0]])
 
     def rot_scalar_vol(f):
-        return VolumeField(vg, np.roll(f.blocks[0], -k, axis=-1), np.roll(f.blocks[1], -k, axis=-1))
+        return VolumeField(vg, np.roll(f.values, -k, axis=-1))
 
     def rot_vector_vol(f):
-        out = []
-        for ph in (0, 1):
-            rolled = np.roll(f.blocks[ph], -k, axis=-1)
-            out.append(np.einsum("ji,jrab->irab", R, rolled))
-        return VolumeField(vg, out[0], out[1])
+        return VolumeField(vg, np.einsum("ji,jrab->irab", R, np.roll(f.values, -k, axis=-1)))
 
     def rot_sphere(fvals):
         return np.roll(fvals, -k, axis=-1)

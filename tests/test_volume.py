@@ -15,7 +15,7 @@ from dropsteady.volume import (
     tensor_divergence,
     d3,
     integrate_phase,
-    norm_lq,
+    norm_l2,
     eval_radii,
     INTERIOR,
     EXTERIOR,
@@ -142,7 +142,7 @@ def test_gradient_of_any_rank_is_stacked_component_gradients(any_grid, rank):
         blk = f.blocks[ph]
         stacked = np.empty(blk.shape[:-3] + (3,) + blk.shape[-3:])
         for idx in np.ndindex(blk.shape[:-3]):
-            comp = VolumeField(any_grid, f.blocks[INTERIOR][idx], f.blocks[EXTERIOR][idx])
+            comp = VolumeField(any_grid, f.values[idx])
             stacked[idx] = scalar_gradient(comp).blocks[ph]
         scale = np.max(np.abs(stacked))
         assert np.max(np.abs(grad.blocks[ph] - stacked)) <= 1e-13 * scale
@@ -181,12 +181,38 @@ def test_integrals(vg):
     assert abs(integrate_phase(inv4, EXTERIOR) - 4 * np.pi * (1 - 1 / R)) < 1e-10
 
 
-def test_norm_lq(vg):
-    one = sample(vg, lambda x, y, z: np.ones_like(x))
-    q = 4.0 / 3.0
-    expect_int = (4 * np.pi / 3) ** (1 / q)
-    only_int = VolumeField(vg, one.blocks[INTERIOR], 0 * one.blocks[EXTERIOR])
-    assert abs(norm_lq(only_int, q) - expect_int) < 1e-10
+def test_norm_l2(vg):
+    only_int = sample(vg, lambda x, y, z: np.ones_like(x))
+    only_int.blocks[EXTERIOR][...] = 0.0
+    assert abs(norm_l2(only_int) - np.sqrt(4 * np.pi / 3)) < 1e-10
+
+
+def test_blocks_are_views_of_one_array(vg):
+    f = VolumeField.zeros(vg, rank=1)
+    assert f.values.shape == (3, vg.interior.n + vg.exterior.n) + f.values.shape[-2:]
+    f.blocks[INTERIOR][...] = 1.0
+    f.blocks[EXTERIOR][2] = 2.0
+    n = vg.interior.n
+    assert np.all(f.values[:, :n] == 1.0)
+    assert np.all(f.values[:2, n:] == 0.0) and np.all(f.values[2, n:] == 2.0)
+    for ph in (INTERIOR, EXTERIOR):
+        with pytest.raises(TypeError):
+            f.blocks[ph] = np.zeros_like(f.blocks[ph])
+
+
+@pytest.mark.parametrize("zero_phase", [INTERIOR, EXTERIOR])
+def test_derivatives_keep_a_zero_phase_zero(any_grid, zero_phase):
+    """A radial derivative that mixed the phases of the joined radial axis
+    would leak the other phase into the zero one."""
+    for rank in (0, 1):
+        f = random_poly_field(any_grid, rank, seed=20 + rank)
+        f.blocks[zero_phase][...] = 0.0
+        outs = [scalar_gradient(f), d3(f)]
+        if rank == 1:
+            outs += [vector_divergence(f), vector_laplacian(f)]
+        for out in outs:
+            assert np.all(out.blocks[zero_phase] == 0.0)
+            assert np.any(out.blocks[1 - zero_phase] != 0.0)
 
 
 def eval_shell(f: VolumeField, r: float) -> np.ndarray:
