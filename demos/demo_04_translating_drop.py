@@ -11,7 +11,7 @@ import numpy as np
 
 from dropsteady import dropflow
 from dropsteady.stokes import PhysicalParams, auxiliary_field, lambda0_value, truncate_field
-from dropsteady.volume import EXTERIOR, INTERIOR, VolumeGrid, eval_radii
+from dropsteady.volume import EXTERIOR, VolumeGrid, eval_radii
 
 vg = VolumeGrid.build(band_limit=12, n_r_int=20, n_r_ext=32, r_inf=64.0)
 
@@ -58,7 +58,7 @@ for rho_t in (1e-3, 5e-4):
 print("\ntruncated-field stress residue, L^{4/3} norm over the support annulus:")
 norms = []
 for R in (8.0, 16.0, 32.0):
-    tr = truncate_field(aux, R, vg, params.mu2)
+    tr = truncate_field(aux, R)
     n = tr.divT_norm_lq(4.0 / 3.0)
     norms.append(n)
     print(f"  R = {R:2.0f}: {n:.6f}")

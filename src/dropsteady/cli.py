@@ -32,13 +32,23 @@ def _threads(args) -> int:
     return n
 
 
+def _make_out(path: str) -> None:
+    """Create the --out directory before any work, so that a path that cannot
+    be created is a config error and not a traceback after the solve."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ValueError(f"cannot create output directory {path}: {e.strerror}") from None
+
+
 def cmd_solve(args) -> int:
     from .driver import FIXED_POINT_RESIDUAL_BOUND, NonContraction, diagnostics, picard_solve
-    from .io import ConfigError, load_config, solve_artifacts
+    from .io import load_config, solve_artifacts
 
     try:
         cfg = load_config(args.config)
-    except ConfigError as e:
+        _make_out(args.out)
+    except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -72,6 +82,12 @@ def cmd_solve(args) -> int:
 def cmd_validate(args) -> int:
     from .validate import run_validation
 
+    if args.out:
+        try:
+            _make_out(args.out)
+        except ValueError as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
     checks = run_validation(only=args.only, seed=args.seed, inject_fault=args.inject_fault)
     if not checks:
         print(f"no checks match --only {args.only!r}", file=sys.stderr)
@@ -82,7 +98,6 @@ def cmd_validate(args) -> int:
     for ln in lines:
         print(ln)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "validation_report.txt"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
     return EXIT_OK if not failed else EXIT_VALIDATION
@@ -131,14 +146,15 @@ def _sweep_point(cfg, rho, aux):
 
 
 def cmd_sweep(args) -> int:
-    from .io import ConfigError, load_config, write_csv
+    from .io import load_config, write_csv
     from .stokes import auxiliary_field
 
     try:
         cfg = load_config(args.config)
         grid = [float(tok) for tok in args.rho_grid.split(",") if tok.strip()]
         n = _threads(args)
-    except (ConfigError, ValueError) as e:
+        _make_out(args.out)
+    except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     # the Stokes operators and the auxiliary field depend on the grid and
@@ -153,7 +169,6 @@ def cmd_sweep(args) -> int:
                 rows = list(ex.map(lambda r: _sweep_point(cfg, r, aux), grid))
         else:
             rows = [_sweep_point(cfg, r, aux) for r in grid]
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
     write_csv(path, SWEEP_COLUMNS, ([row[k] for k in SWEEP_COLUMNS] for row in rows))
     ok = sum(1 for row in rows if row["status"] == "ok")

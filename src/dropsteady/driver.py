@@ -27,7 +27,7 @@ from .operators import (
     norm_X,
     norm_Y,
 )
-from .sphere import SphereField, sobolev_norm
+from .sphere import SphereField, sobolev_norm, surface_gradient
 from .stokes import PhysicalParams, axisym_leakage, oseenlet
 from .volume import (
     EXTERIOR,
@@ -214,22 +214,8 @@ def picard_solve(
 
 
 def physical_fields(bundle: SolutionBundle):
-    """(w, q) with the remainder-pair content recombined smoothly.
-
-    w = u + lam U_R; writing u = u_reg + tail (U - U_R) gives
-    w = u_reg + tail U + (lam - tail) U_R, whose dominant parts live in
-    the radial bases (the leftover U_R coefficient is the kappa lag of
-    the final iteration).
-    """
-    ctx = bundle.ctx
-    st = bundle.state
-    lam = bundle.lam
-    t = st.tail
-    u_reg = st.u + (-t) * ctx.U_tail
-    p_reg = st.p + (-t) * ctx.P_tail
-    w = u_reg + t * ctx.aux.U + (lam - t) * ctx.trunc.U_R
-    q = p_reg + t * ctx.aux.P + (lam - t) * ctx.trunc.P_R
-    return w, q
+    """(w, q) = (u + lam U_R, p + lam P_R) of the solved state."""
+    return bundle.ctx.physical_pair(bundle.state)
 
 
 def reconstruct_physical(bundle: SolutionBundle) -> dict:
@@ -283,8 +269,6 @@ def _pullback_surface_force(
     grid = ctx.grid
     g = grid.sphere
     eta = bundle.state.eta
-    from .sphere import surface_gradient
-
     tth, tph = surface_gradient(eta).components
     ev = eta.values
     metric = (1.0 + ev) ** 2 + tth**2 + tph**2

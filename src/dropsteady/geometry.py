@@ -31,6 +31,7 @@ from .volume import (
     VolumeField,
     VolumeGrid,
     grid_points,
+    integrate_phase,
     synthesis_batch,
     tangent_synthesis_batch,
 )
@@ -322,8 +323,6 @@ def curvature_total(eta: SphereField) -> SphereField:
 
 def volume_identity_defect(mp: MapData) -> float:
     """int_{B1} J dx - (4 pi/3 + (1/3) int ((1+eta)^3 - 1) dS)."""
-    from .volume import integrate_phase
-
     lhs = integrate_phase(mp.J, INTERIOR)
     g = mp.grid.sphere
     eta_vals = mp.eta.eta.values

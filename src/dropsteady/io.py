@@ -15,7 +15,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .driver import SolveConfig
+from . import __version__
+from .driver import SolveConfig, physical_fields
+from .volume import EXTERIOR, eval_radii, vsh_channels
 
 __all__ = [
     "ConfigError",
@@ -110,8 +112,6 @@ def _fmt_value(v):
 
 def write_manifest(path: str, cfg: SolveConfig, bundle, report: dict, files: dict) -> None:
     """Structured-text manifest; the embedded config block reproduces the run."""
-    from . import __version__
-
     lines = ["# dropsteady run manifest", ""]
     lines.append("[manifest]")
     lines.append(f"version = {__version__}")
@@ -163,9 +163,6 @@ def solve_artifacts(
     files["interface_shape"] = os.path.basename(shape_path)
 
     # velocity / pressure profiles on a set of shells (phi-averaged)
-    from .driver import physical_fields
-    from .volume import EXTERIOR, eval_radii
-
     w, q = physical_fields(bundle)
     radii = np.array([1.5, 2.0, 4.0, 8.0, 16.0, 32.0])
     radii = radii[radii < bundle.ctx.grid.r_inf]
@@ -200,8 +197,6 @@ def solve_artifacts(
 
 def emit_mode_tables(out_dir: str, bundle) -> str:
     """Opt-in per-mode coefficient tables for offline visualization."""
-    from .volume import vsh_channels
-
     grid = bundle.ctx.grid
     g = grid.sphere
     L = g.band_limit

@@ -18,6 +18,21 @@ come out automatically, read kappa off row 5, then split the height
 equation into the degree-1 kernel part and a shifted-Laplacian solve on
 its complement.
 
+The nonlinear right-hand side N holds every term beyond L, written in the
+perturbation of the physical fields (w, q) = (u + lambda U_R, p + lambda P_R),
+lambda = lambda0 + kappa, so that each term appears once; with the interface
+map's cofactors A, Ntil = A^T n, J_eta = [[T^eta(w,q) n]] and the flat jump
+J = [[T(u,p) n]] of the regular pair:
+  1. Div(T^eta(w,q) - T(w,q)) + lambda Div T(U_R,P_R)
+       - rho (grad w) A (w + lambda e3) + rho lambda0 d3 u   (L holds the drift)
+  2. div((I - A) w) - lambda Div U_R
+  3. (w + lambda e3) . (n - Ntil) on the sphere, where U_R = U
+  4. P0 J - A P_eta J_eta   (tangential projectors of the sphere and of the interface)
+  5. e3 . int (J + lambda [[T(U,P)n]] - J_eta)
+  6. -int (eta^2 + eta^3/3) dS
+  7. Ntil . J_eta / |Ntil|^2 - n . J - kappa n.[[T(U,P)n]] + the volume,
+       buoyancy and curvature remainders
+
 Surface pullback weights: all interface integrals transform with the
 Nanson factor (dS on the deformed interface = |A^T n| dS), i.e. the
 pulled-back surface force is int [[T^eta(w,q) n]] dS with weight one.
@@ -67,8 +82,10 @@ from .volume import (
     VolumeGrid,
     d3,
     e3_column,
+    integrate_phase,
     norm_l2,
     scalar_gradient,
+    tensor_divergence,
     vector_divergence,
     vector_gradient,
     vector_laplacian,
@@ -164,7 +181,6 @@ class OperatorContext:
     aux: AuxiliaryField
     trunc: TruncatedAux
     jumpU_n: SphereField = field(init=False)
-    divU: VolumeField = field(init=False)
     U_tail: VolumeField = field(init=False)
     P_tail: VolumeField = field(init=False)
     d3tail: VolumeField = field(init=False)  # d3 (U - U_R)
@@ -176,7 +192,6 @@ class OperatorContext:
         rhat = g.unit_vectors()[0]
         vals = np.einsum("iab,iab->ab", self.aux.traction_jump, rhat)
         self.jumpU_n = SphereField(g, values=vals)
-        self.divU = vector_divergence(self.aux.U)
         self.U_tail = self.aux.U + (-1.0) * self.trunc.U_R
         self.P_tail = self.aux.P + (-1.0) * self.trunc.P_R
         # row 2: div(U - U_R) = (1 - chi) div U - U . grad chi, and
@@ -184,13 +199,25 @@ class OperatorContext:
         grid, R = self.grid, self.trunc.R
         chi = cutoff_unit(grid.r / R)[:, None, None]
         dchi = (cutoff_unit_d1(grid.r / R) / R)[:, None, None]
-        U, divU = self.aux.U.values, self.divU.values
+        U, divU = self.aux.U.values, vector_divergence(self.aux.U).values
         Ur = np.einsum("irab,iab->rab", U, rhat)
         self.sing_g = VolumeField(grid, (1.0 - chi) * divU - dchi * Ur)
         self.div_UR = VolumeField(grid, chi * divU + dchi * Ur)
         d3U = e3_column(self.aux.jacU).values
         self.d3tail = VolumeField(grid, (1.0 - chi)[None] * d3U - (dchi * rhat[2][None])[None] * U)
         self.jac_tail = self.aux.jacU + (-1.0) * self.trunc.jac_UR
+
+    def physical_pair(self, state: DropState) -> tuple[VolumeField, VolumeField]:
+        """The perturbation (w, q) = (u + lambda U_R, p + lambda P_R) of the
+        physical velocity and pressure, lambda = lambda0 + kappa."""
+        lam = self.lambda0 + state.kappa
+        return state.u + lam * self.trunc.U_R, state.p + lam * self.trunc.P_R
+
+    def regular_pair(self, state: DropState) -> tuple[VolumeField, VolumeField]:
+        """(u, p) of ``state`` less its remainder-pair content tail X_tail."""
+        if state.tail == 0.0:
+            return state.u, state.p
+        return state.u + (-state.tail) * self.U_tail, state.p + (-state.tail) * self.P_tail
 
     @property
     def sing_f(self) -> VolumeField:
@@ -229,7 +256,7 @@ def build_context(
         else:
             R = grid.r_inf / 2.0
         R = min(max(R, 4.5), grid.r_inf / 2.0)
-    trunc = truncate_field(aux, R, grid, params.mu2)
+    trunc = truncate_field(aux, R)
     return OperatorContext(grid, params, lam0, aux, trunc)
 
 
@@ -272,9 +299,9 @@ def matvec(A: VolumeField, v: VolumeField) -> VolumeField:
     return VolumeField(A.grid, a[:, 0] * x[0] + a[:, 1] * x[1] + a[:, 2] * x[2])
 
 
-def _traction_jump_eta(T_eta: VolumeField, grid: VolumeGrid) -> np.ndarray:
+def _traction_jump_eta(T_eta: VolumeField) -> np.ndarray:
     """[[T^eta(.,.) n]] from the per-side traces of an assembled tensor."""
-    rhat = grid.sphere.unit_vectors()[0]
+    rhat = T_eta.grid.sphere.unit_vectors()[0]
     ti = np.einsum("ijab,jab->iab", T_eta.trace(INTERIOR), rhat)
     te = np.einsum("ijab,jab->iab", T_eta.trace(EXTERIOR), rhat)
     return ti - te
@@ -301,11 +328,7 @@ def apply_L(state: DropState, ctx: OperatorContext) -> YElement:
     kappa, eta = state.kappa, state.eta
     mu1, mu2 = params.mu1, params.mu2
     # any remainder-pair content is differentiated via its closed form
-    if state.tail != 0.0:
-        u = state.u + (-state.tail) * ctx.U_tail
-        p = state.p + (-state.tail) * ctx.P_tail
-    else:
-        u, p = state.u, state.p
+    u, p = ctx.regular_pair(state)
 
     f, divu = _minus_div_T(u, p, params)
     if lam0 != 0.0:
@@ -321,7 +344,7 @@ def apply_L(state: DropState, ctx: OperatorContext) -> YElement:
     h1 = SphereField(
         g, values=np.einsum("iab,iab->ab", u.trace(INTERIOR), rhat)
     )
-    jump = surface_traction_jump(u, p, grid, mu1, mu2)
+    jump = surface_traction_jump(u, p, mu1, mu2)
     jump_n = np.einsum("iab,iab->ab", jump, rhat)
     h2 = _tangent_from_cartesian(grid, jump - jump_n[None] * rhat)
     drag_u = np.einsum("ab,iab->i", g.weights, jump)
@@ -353,7 +376,7 @@ def invert_L(y: YElement, ctx: OperatorContext) -> DropState:
         f_eff = y.f + VolumeField(grid, grid.phase_profile(mu1, mu2) * scalar_gradient(y.g).values)
     sol = solve_two_phase(JumpData(f_eff, y.g, y.h1, y.h2), lam0, params, ctx.aux.solver)
     u, p = sol.u, sol.p
-    jump = surface_traction_jump(u, p, grid, mu1, mu2)
+    jump = surface_traction_jump(u, p, mu1, mu2)
     rhat = g.unit_vectors()[0]
     jump_n = np.einsum("iab,iab->ab", jump, rhat)
     int_jump_n = g.quad(jump_n)
@@ -405,98 +428,47 @@ def invert_L_with_tail(y: YElement, lamc: float, ctx: OperatorContext) -> DropSt
 
 
 def assemble_N(state: DropState, ctx: OperatorContext) -> YElement:
-    grid, params = ctx.grid, ctx.params
+    """Every term of the steady equations beyond L, in the perturbation
+    (w, q) of ``OperatorContext.physical_pair``; see the module docstring."""
+    grid, params, trunc = ctx.grid, ctx.params, ctx.trunc
     g = grid.sphere
     lam0 = ctx.lambda0
-    rho_t = params.rho_tilde
     kappa, eta = state.kappa, state.eta
     lam = lam0 + kappa
     mu1, mu2 = params.mu1, params.mu2
     mp = build_map(HeightFunction(eta), grid)
     eye = np.eye(3)[:, :, None, None, None]
 
-    u = state.u
-    p = state.p
     # remainder-pair content is differentiated via its exact Leibniz form;
     # near the interface (and anywhere the geometry acts) it vanishes
-    if state.tail != 0.0:
-        u_reg = u + (-state.tail) * ctx.U_tail
-        p_reg = p + (-state.tail) * ctx.P_tail
-        jac_u = vector_gradient(u_reg) + state.tail * ctx.jac_tail
-    else:
-        u_reg, p_reg = u, p
-        jac_u = vector_gradient(u)
-    trunc = ctx.trunc
-    UR, PR, jac_UR = trunc.U_R, trunc.P_R, trunc.jac_UR
+    u_reg, p_reg = ctx.regular_pair(state)
+    jac_u = vector_gradient(u_reg) + state.tail * ctx.jac_tail
+    w, q = ctx.physical_pair(state)
+    jac_w = jac_u + lam * trunc.jac_UR
+    vel = VolumeField(grid, w.values + lam * eye[2])  # w + lambda e3, in the frame of the drop
+    T_eta = transformed_stress(jac_w, q, mp, mu1, mu2)
 
-    # transformed and flat stresses (the same primitive feeds rows 1, 4, 5, 7)
-    T_eta_u = transformed_stress(jac_u, p, mp, mu1, mu2)
-    T_flat_u = _flat_stress(jac_u, p, mu1, mu2)
-    T_eta_U = transformed_stress(jac_UR, PR, mp, mu1, mu2)
-    T_flat_U = _flat_stress(jac_UR, PR, mu1, mu2)
-
-    from .volume import tensor_divergence
-
-    # N1: geometric stress corrections plus advection and drift corrections
-    divT_eta_U = tensor_divergence(T_eta_U - T_flat_U) + trunc.divT
-    divT_diff_u = tensor_divergence(T_eta_u - T_flat_u)
-
-    def rho_scale(fld):
-        return fld.phasewise_scale(params.rho1, params.rho2)
-
-    Au = matvec(mp.A, u)
-    AUR = matvec(mp.A, UR)
-    Ae3 = VolumeField(grid, mp.A.values[:, 2])
-    e3f = VolumeField.zeros(grid, rank=1)
-    e3f.values[2] = 1.0
-
+    # N1: geometric stress correction and advection, less the drift L holds
+    adv = matvec(jac_w, matvec(mp.A, vel)) + (-lam0) * e3_column(jac_u)
     N1 = (
-        lam * divT_eta_U
-        + divT_diff_u
-        - rho_scale(matvec(jac_u, Au))
-        - lam * rho_scale(matvec(jac_u, AUR) + matvec(jac_UR, Au))
-        - lam**2 * rho_scale(matvec(jac_UR, AUR))
-        - kappa * rho_scale(matvec(jac_u, Ae3))
-        - lam0 * rho_scale(matvec(jac_u, Ae3 - e3f))
-        - lam**2 * rho_scale(matvec(jac_UR, Ae3))
+        tensor_divergence(T_eta - _flat_stress(jac_w, q, mu1, mu2))
+        + lam * trunc.divT
+        - adv.phasewise_scale(params.rho1, params.rho2)
     )
 
     # N2 and N3 (compatible pair; surface weight one, see module docstring)
-    ImA = VolumeField(grid, eye - mp.A.values)
-    AmI_UR = matvec(VolumeField(grid, mp.A.values - eye), UR)
-    N2 = vector_divergence(matvec(ImA, u)) - lam * (
-        vector_divergence(AmI_UR) + ctx.div_UR
-    )
-
+    N2 = vector_divergence(matvec(VolumeField(grid, eye - mp.A.values), w)) - lam * ctx.div_UR
     rhat = g.unit_vectors()[0]
-    u_surf = u.trace(INTERIOR)
-    U_surf = ctx.aux.U.trace(INTERIOR)
-    e3_surf = np.zeros_like(u_surf)
-    e3_surf[2] = 1.0
-    vec = u_surf + lam * (U_surf + e3_surf)
-    N3_vals = np.einsum("iab,iab->ab", vec, rhat - mp.Ntil)
-    N3 = SphereField(g, values=N3_vals)
+    N3 = SphereField(g, values=np.einsum("iab,iab->ab", vel.trace(INTERIOR), rhat - mp.Ntil))
 
-    # N4: tangential-stress pullback differences
-    jump_u_flat = surface_traction_jump(u_reg, p_reg, grid, mu1, mu2)
-    jn = np.einsum("iab,iab->ab", jump_u_flat, rhat)
-    P0_jump = jump_u_flat - jn[None] * rhat
-    jump_eta_u = _traction_jump_eta(T_eta_u, grid)
-    jump_eta_U = _traction_jump_eta(T_eta_U, grid)
-
-    def A_Peta(x):
-        px = np.einsum("ijab,jab->iab", mp.P_eta, x)
-        return np.einsum("ijab,jab->iab", mp.A_surf, px)
-
-    N4_vec = P0_jump - A_Peta(jump_eta_u) - lam * A_Peta(jump_eta_U)
-    N4 = _tangent_from_cartesian(grid, N4_vec)
-
-    # N5: surface-force pullback differences (Nanson weight)
-    jumpU_flat = ctx.aux.traction_jump
-    w = g.weights
-    N5 = lam * float(
-        np.einsum("ab,ab->", w, jumpU_flat[2] - jump_eta_U[2])
-    ) + float(np.einsum("ab,ab->", w, jump_u_flat[2] - jump_eta_u[2]))
+    # N4, N5, N7: the flat jump J of the regular pair against the pulled-back J_eta
+    J = surface_traction_jump(u_reg, p_reg, mu1, mu2)
+    J_eta = _traction_jump_eta(T_eta)
+    Jn = np.einsum("iab,iab->ab", J, rhat)
+    AP_J_eta = np.einsum("ijab,jkab,kab->iab", mp.A_surf, mp.P_eta, J_eta)
+    N4 = _tangent_from_cartesian(grid, J - Jn[None] * rhat - AP_J_eta)
+    weights = g.weights
+    N5 = float(np.einsum("ab,ab->", weights, J[2] + lam * ctx.aux.traction_jump[2] - J_eta[2]))
 
     # N6: volume-constraint remainder
     ev = eta.values
@@ -504,20 +476,17 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> YElement:
 
     # N7: normal-stress pullback, quartic volume remainders, buoyancy, curvature
     Ntil, Nnorm = mp.Ntil, mp.Ntil_norm
-    proj = lambda x: np.einsum("iab,iab->ab", Ntil, x) / Nnorm**2
-    jumpU_n = ctx.jumpU_n.values
     quart = (1.5 * ev**2 + ev**3 + 0.25 * ev**4)
-    int_quart = np.einsum("ab,ab,iab->i", w, quart, rhat)
-    int_eta_n = np.einsum("ab,ab,iab->i", w, ev, rhat)
+    int_quart = np.einsum("ab,ab,iab->i", weights, quart, rhat)
+    int_eta_n = np.einsum("ab,ab,iab->i", weights, ev, rhat)
     nhat_gamma = Ntil / Nnorm[None]
     N7_vals = (
-        proj(jump_eta_u)
-        - jn
-        + lam0 * proj(jump_eta_U)
-        + kappa * (proj(jump_eta_U) - jumpU_n)
+        np.einsum("iab,iab->ab", Ntil, J_eta) / Nnorm**2
+        - Jn
+        - kappa * ctx.jumpU_n.values
         - np.einsum("iab,i->ab", nhat_gamma, int_quart) / (4.0 * np.pi)
         + np.einsum("iab,i->ab", rhat - nhat_gamma, int_eta_n) / (4.0 * np.pi)
-        - rho_t * (1.0 + ev) * rhat[2]
+        - params.rho_tilde * (1.0 + ev) * rhat[2]
         + params.sigma * curvature_nonlinear(eta).values
     )
     N7 = SphereField(g, values=N7_vals)
@@ -555,8 +524,6 @@ def norm_X(state: DropState, lambda0: float) -> dict:
         + al * norm_l2(e3_column(jac))
     )
     gp = scalar_gradient(p)
-    from .volume import integrate_phase
-
     p_int_sq = integrate_phase(p * p, INTERIOR)
     n_p = norm_l2(gp) + np.sqrt(max(p_int_sq, 0.0))
     n_eta = sobolev_norm(state.eta, ETA_SOBOLEV_ORDER)

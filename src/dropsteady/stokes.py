@@ -51,6 +51,7 @@ from .volume import (
     integrate_phase,
     norm_l2,
     scalar_gradient,
+    vector_divergence,
     vector_gradient,
     vector_laplacian,
     vsh_assemble,
@@ -419,16 +420,16 @@ def solve_two_phase(
     return sol
 
 
-def residual_report(u, p, data, lambda0, params, grid, mu1, mu2) -> dict:
+def residual_report(u, p, data, lambda0, params) -> dict:
     """Field-equation residual norms of a candidate solution."""
+    grid = u.grid
     lap = vector_laplacian(u)
     gp = scalar_gradient(p)
-    mom = VolumeField(grid, -grid.phase_profile(mu1, mu2) * lap.values + gp.values - data.f.values)
+    mu = grid.phase_profile(params.mu1, params.mu2)
+    mom = VolumeField(grid, -mu * lap.values + gp.values - data.f.values)
     if lambda0 != 0.0:
         drift = d3(u).phasewise_scale(params.rho1 * lambda0, params.rho2 * lambda0)
         mom = mom + drift
-    from .volume import vector_divergence
-
     div = vector_divergence(u) - data.g
     jump_u = np.max(np.abs(u.jump()))
     h1_res = np.max(
@@ -450,9 +451,10 @@ def residual_report(u, p, data, lambda0, params, grid, mu1, mu2) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _traction_modes(grid, u: VolumeField, p: VolumeField, mu1: float, mu2: float):
+def _traction_modes(u: VolumeField, p: VolumeField, mu1: float, mu2: float):
     """Per-mode traction (radial, spheroidal, toroidal) at r = 1 on the drop
     side and on the reservoir side."""
+    grid = u.grid
     g = grid.sphere
     L = g.band_limit
     P, v, w = vsh_channels(u)
@@ -478,9 +480,9 @@ def _traction_nodal(grid, t_r, t_s, t_t):
     return ur[None] * rhat + tth[None] * that + tph[None] * phat
 
 
-def surface_traction_jump(u, p, grid, mu1, mu2):
+def surface_traction_jump(u, p, mu1, mu2):
     """[[T(u,p) n]]: drop-side minus reservoir-side traction, nodal (3, ...)."""
-    ti, te = (_traction_nodal(grid, *side) for side in _traction_modes(grid, u, p, mu1, mu2))
+    ti, te = (_traction_nodal(u.grid, *side) for side in _traction_modes(u, p, mu1, mu2))
     return ti - te
 
 
@@ -523,7 +525,7 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
     solver = TwoPhaseStokesSolver(grid, params.mu1, params.mu2)
     sol = solver.solve(data)
     U, P = sol.u, sol.p
-    jump = surface_traction_jump(U, P, grid, params.mu1, params.mu2)
+    jump = surface_traction_jump(U, P, params.mu1, params.mu2)
     rhat = g.unit_vectors()[0]
     normal_jump = np.einsum("iab,iab->ab", jump, rhat)
     c_norm = g.quad(normal_jump) / (4.0 * np.pi)
@@ -589,7 +591,10 @@ class TruncatedAux:
     jac_UR: VolumeField
     divT: VolumeField  # Div T(U_R, P_R), supported in R <= |x| <= 2R
     aux: AuxiliaryField
-    mu2: float = 1.0
+
+    @property
+    def mu2(self) -> float:
+        return self.aux.solver.mu2
 
     def divT_at(self, radii: np.ndarray) -> np.ndarray:
         """Div T(U_R, P_R) at arbitrary exterior radii, analytic in the cutoff."""
@@ -618,8 +623,10 @@ class TruncatedAux:
         return float(np.sum(wr * rr**2 * ang)) ** (1.0 / q)
 
 
-def truncate_field(aux: AuxiliaryField, R: float, grid: VolumeGrid, mu2: float) -> TruncatedAux:
-    """chi_R-truncated auxiliary fields with analytic cutoff derivatives."""
+def truncate_field(aux: AuxiliaryField, R: float) -> TruncatedAux:
+    """chi_R-truncated auxiliary fields with analytic cutoff derivatives, on
+    the grid and reservoir viscosity the field was solved with."""
+    grid, mu2 = aux.solver.grid, aux.solver.mu2
     if not (R > 4.0 and 2.0 * R <= grid.r_inf + 1e-12):
         raise ValueError(f"truncation radius must satisfy 4 < R <= R_inf/2, got {R}")
     rhat = grid.sphere.unit_vectors()[0]
@@ -637,7 +644,7 @@ def truncate_field(aux: AuxiliaryField, R: float, grid: VolumeGrid, mu2: float) 
     divT.values[:, bend] = _cutoff_stress_divergence(
         U[:, bend], jacU[:, :, bend], P[bend], r[bend], R, rhat, mu2
     )
-    return TruncatedAux(R, U_R, P_R, jac_UR, divT, aux, mu2)
+    return TruncatedAux(R, U_R, P_R, jac_UR, divT, aux)
 
 
 def _cutoff_stress_divergence(U, jac, P, r, R, rhat, mu2):

@@ -16,13 +16,16 @@ from .halfspace import (
     twophase_jump_halfspace,
     x3_samples,
 )
+from .operators import DropState, apply_L, build_context, invert_L, norm_Y
 from .sphere import (
     SphereField,
     SphereGrid,
+    integrate_sphere,
     laplace_beltrami,
     normal_component_fields,
     project_complement,
     solve_shifted,
+    synthesis_batch,
 )
 from .stokes import (
     PhysicalParams,
@@ -31,7 +34,7 @@ from .stokes import (
     oseenlet,
     truncate_field,
 )
-from .volume import VolumeGrid, eval_radii
+from .volume import VolumeField, VolumeGrid, eval_radii, vsh_assemble
 
 __all__ = ["Check", "run_validation", "random_state", "CHECK_GROUPS"]
 
@@ -171,7 +174,7 @@ def _energy_checks(rng, vg, aux):
 
 def _truncation_checks(rng, vg, aux):
     q = 4.0 / 3.0
-    norms = [truncate_field(aux, R, vg, 1.0).divT_norm_lq(q) for R in (8.0, 16.0, 32.0)]
+    norms = [truncate_field(aux, R).divT_norm_lq(q) for R in (8.0, 16.0, 32.0)]
     slope = float(np.polyfit(np.log([8.0, 16.0, 32.0]), np.log(norms), 1)[0])
     dev = abs(slope - (-3.0 + 3.0 / q))
     return [Check("truncation-tail decay slope", dev < 0.3, dev, 0.3)]
@@ -180,10 +183,6 @@ def _truncation_checks(rng, vg, aux):
 def random_state(vg, rng):
     """Random state in the discrete solution class: in-basis radial profiles,
     no velocity jump at the interface, decay at infinity."""
-    from .operators import DropState
-    from .sphere import synthesis_batch
-    from .volume import VolumeField, vsh_assemble
-
     g = vg.sphere
     L = g.band_limit
     Mi, Me = vg.interior.n, vg.exterior.n
@@ -229,9 +228,6 @@ def random_state(vg, rng):
 
 def _roundtrip_checks(rng, vg, aux, samples: int = 2):
     """Operator inverse on range-generated data, ``samples`` per drift."""
-    from .operators import apply_L, build_context, invert_L, norm_Y
-    from .sphere import integrate_sphere
-
     ctx = build_context(vg, PhysicalParams(mu1=1.0, mu2=1.0, rho_tilde=1e-3), aux=aux)
     worst = 0.0
     worst_a2 = 0.0

@@ -67,7 +67,7 @@ def test_tracer_targets_resolve_and_restore():
     assert not changed, f"bindings not restored: {changed}"
 
 
-STAGES = ("build_context", "picard_solve", "diagnostics", "norm_X", "tensor_divergence")
+STAGES = ("build_context", "picard_solve", "diagnostics", "norm_X", "tensor_divergence", "assemble_N")
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +93,7 @@ def traced():
         stage("diagnostics", driver.diagnostics, bundle)
         stage("norm_X", operators.norm_X, bundle.state, ctx.lambda0)
         stage("tensor_divergence", volume.tensor_divergence, ctx.aux.jacU)
+        stage("assemble_N", operators.assemble_N, bundle.state, ctx)
     calls = {}
     for rep, name in enumerate(STAGES):
         functions = tracer.rep_summary(rep)["functions"]
@@ -134,6 +135,19 @@ def test_each_field_differentiated_once(traced):
     assert calls["tensor_divergence"]["volume.vector_divergence"] == 3
     assert calls["diagnostics"]["volume.vector_gradient"] == 1
     assert "volume.d3" not in calls["diagnostics"]
+
+
+def test_assemble_N_forms_each_term_once(traced):
+    """N is written in the physical perturbation w = u + lambda U_R: one
+    interface map, one Jacobian, one transformed stress and its tensor
+    divergence, and one divergence of (I - A) w, on a state with
+    remainder-pair content."""
+    calls, _, bundle = traced
+    assert bundle.state.tail != 0.0
+    assemble = calls["assemble_N"]
+    once = ("geometry.build_map", "geometry.transformed_stress", "volume.tensor_divergence", "volume.vector_gradient")
+    assert {fn: assemble[fn] for fn in once} == dict.fromkeys(once, 1)
+    assert assemble["volume.vector_divergence"] == 4  # three rows of the stress, then (I - A) w
 
 
 def test_drift_sweeps_run_no_sphere_transform():

@@ -200,6 +200,33 @@ def test_thread_count_below_one_is_config_error(tmp_path, cfgfile, monkeypatch, 
     assert len(err) == 1 and err[0].startswith("config error:") and "--threads" in err[0]
 
 
+def _ran_before_out_was_made(*args, **kwargs):
+    raise AssertionError("the command did work before creating --out")
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["solve", "--config", "CFG"], "dropsteady.driver.picard_solve"),
+        (["validate"], "dropsteady.validate.run_validation"),
+        (["sweep", "--config", "CFG", "--rho-grid", "1e-3"], "dropsteady.stokes.auxiliary_field"),
+    ],
+    ids=["solve", "validate", "sweep"],
+)
+def test_out_that_cannot_be_created_is_config_error(tmp_path, cfgfile, monkeypatch, capsys, argv, work):
+    """--out under a regular file fails with one config-error line before
+    any solve or check runs."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    monkeypatch.setattr(work, _ran_before_out_was_made)
+    capsys.readouterr()
+    argv = [cfgfile if a == "CFG" else a for a in argv]
+    assert main(argv + ["--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and out in err[0]
+
+
 def test_sweep(tmp_path, cfgfile):
     out = tmp_path / "sw"
     code = main(["sweep", "--config", cfgfile, "--out", str(out), "--rho-grid", "1e-3,0.4,1.0"])

@@ -375,7 +375,7 @@ def test_solve_two_phase_with_drift_manufactured(vg, solver):
     assert all(r < 1 for r in sol.diagnostics["richardson_ratios"][-2:])
     # the interface rows hold to roundoff (momentum_l2 and divergence_l2 go
     # through norm_l2, which reads 0.0 here; see _shell_total)
-    rep = residual_report(sol.u, sol.p, data, lam, params, vg, 1.0, 1.0)
+    rep = residual_report(sol.u, sol.p, data, lam, params)
     assert rep["velocity_jump_max"] < 1e-12
     assert rep["normal_velocity_max"] < 1e-12
 
@@ -514,11 +514,11 @@ def test_truncation_support(vg):
     params = PhysicalParams(mu1=1.0, mu2=1.0)
     aux = auxiliary_field(vg, params)
     with pytest.raises(ValueError):
-        truncate_field(aux, 3.0, vg, params.mu2)
+        truncate_field(aux, 3.0)
     with pytest.raises(ValueError):
-        truncate_field(aux, 40.0, vg, params.mu2)
+        truncate_field(aux, 40.0)
     for R in (8.0, 16.0, 32.0):
-        tr = truncate_field(aux, R, vg, params.mu2)
+        tr = truncate_field(aux, R)
         r = vg.exterior.r
         inside = r <= R
         assert np.max(np.abs(tr.U_R.blocks[EXTERIOR][:, inside] - aux.U.blocks[EXTERIOR][:, inside])) < 1e-14
