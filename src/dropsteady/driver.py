@@ -213,11 +213,6 @@ def picard_solve(
 # ---------------------------------------------------------------------------
 
 
-def physical_fields(bundle: SolutionBundle):
-    """(w, q) = (u + lam U_R, p + lam P_R) of the solved state."""
-    return bundle.ctx.physical_pair(bundle.state)
-
-
 def reconstruct_physical(bundle: SolutionBundle) -> dict:
     """(w, q, lambda, eta) on the reference domain plus equation residuals,
     and (for rho_tilde != 0) the Jacobian ``jac_w`` of w.
@@ -230,7 +225,7 @@ def reconstruct_physical(bundle: SolutionBundle) -> dict:
     grid = ctx.grid
     st = bundle.state
     lam = bundle.lam
-    w, q = physical_fields(bundle)
+    w, q = ctx.physical_pair(st)
     out = {"w": w, "q": q, "lam": lam, "eta": st.eta}
     if bundle.config.rho_tilde == 0.0:
         out["midshell_residual"] = 0.0
@@ -335,7 +330,7 @@ def farfield_fit(bundle: SolutionBundle) -> dict:
     g = grid.sphere
     lam = bundle.lam
     params = ctx.params
-    w, _ = physical_fields(bundle)
+    w, _ = ctx.physical_pair(bundle.state)
     radii = np.linspace(grid.r_inf / 4.0, grid.r_inf / 2.0, FARFIELD_SHELLS)
     vals = eval_radii(w, radii, EXTERIOR)  # (3, n_shell, nth, nph)
     th, phg = g.nodes

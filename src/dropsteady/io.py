@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .driver import SolveConfig, physical_fields
+from .driver import SolveConfig
 from .volume import EXTERIOR, eval_radii, vsh_channels
 
 __all__ = [
@@ -163,7 +163,7 @@ def solve_artifacts(
     files["interface_shape"] = os.path.basename(shape_path)
 
     # velocity / pressure profiles on a set of shells (phi-averaged)
-    w, q = physical_fields(bundle)
+    w, q = bundle.ctx.physical_pair(bundle.state)
     radii = np.array([1.5, 2.0, 4.0, 8.0, 16.0, 32.0])
     radii = radii[radii < bundle.ctx.grid.r_inf]
     vals = eval_radii(w, radii, EXTERIOR)

@@ -12,6 +12,12 @@ eta):
   7. sigma (lap_S + 2) eta + (1/4pi) n . int eta n dS
        - kappa n.[[T(U,P)n]] - n.[[T(u,p)n]]
 
+The interface rows are formed on coefficients: ``stokes.surface_traction_jump``
+gives [[T(u,p) n]] as a normal part (scalar coefficients) and a tangential
+part (spheroidal/toroidal ones), row 4 is the tangential part, row 5 reads
+the force off the degree-1 coefficients (``stokes.traction_force``), and
+row 7 subtracts the normal part; its kernel term is project_kernel(eta) / 3.
+
 The inverse follows the constructive recipe: solve the two-phase system
 for (u, p), shift the drop pressure by the constant that makes row 6
 come out automatically, read kappa off row 5, then split the height
@@ -58,7 +64,6 @@ from .sphere import (
     TangentField,
     integrate_sphere,
     laplace_beltrami,
-    normal_component_fields,
     project_complement,
     project_kernel,
     sobolev_norm,
@@ -73,6 +78,7 @@ from .stokes import (
     lambda0_value,
     solve_two_phase,
     surface_traction_jump,
+    traction_force,
     truncate_field,
 )
 from .volume import (
@@ -184,14 +190,13 @@ class OperatorContext:
     U_tail: VolumeField = field(init=False)
     P_tail: VolumeField = field(init=False)
     d3tail: VolumeField = field(init=False)  # d3 (U - U_R)
+    jac_tail: VolumeField = field(init=False)  # grad (U - U_R)
     sing_g: VolumeField = field(init=False)  # row 2 of L(X_tail)
     div_UR: VolumeField = field(init=False)  # Div U_R
 
     def __post_init__(self):
-        g = self.grid.sphere
-        rhat = g.unit_vectors()[0]
-        vals = np.einsum("iab,iab->ab", self.aux.traction_jump, rhat)
-        self.jumpU_n = SphereField(g, values=vals)
+        rhat = self.grid.sphere.unit_vectors()[0]
+        self.jumpU_n = self.aux.traction_jump[0]
         self.U_tail = self.aux.U + (-1.0) * self.trunc.U_R
         self.P_tail = self.aux.P + (-1.0) * self.trunc.P_R
         # row 2: div(U - U_R) = (1 - chi) div U - U . grad chi, and
@@ -275,16 +280,6 @@ def _tangent_from_cartesian(grid: VolumeGrid, vec: np.ndarray) -> TangentField:
     )
 
 
-def _kernel_term(grid: VolumeGrid, eta: SphereField) -> SphereField:
-    """(1/4pi) n . int eta n dS as a SphereField (1/3 of the projector)."""
-    g = grid.sphere
-    ns = normal_component_fields(g)
-    out = np.zeros((g.n_theta, g.n_phi))
-    for nk in ns:
-        out += integrate_sphere(eta * nk) * nk.values / (4.0 * np.pi)
-    return SphereField(g, values=out)
-
-
 def _flat_stress(jac: VolumeField, p: VolumeField, mu1: float, mu2: float) -> VolumeField:
     """Cauchy stress mu (grad w + grad w^T) - q I from a Jacobian field."""
     eye = np.eye(3)[:, :, None, None, None]
@@ -326,7 +321,6 @@ def apply_L(state: DropState, ctx: OperatorContext) -> YElement:
     grid, params, lam0 = ctx.grid, ctx.params, ctx.lambda0
     g = grid.sphere
     kappa, eta = state.kappa, state.eta
-    mu1, mu2 = params.mu1, params.mu2
     # any remainder-pair content is differentiated via its closed form
     u, p = ctx.regular_pair(state)
 
@@ -344,17 +338,14 @@ def apply_L(state: DropState, ctx: OperatorContext) -> YElement:
     h1 = SphereField(
         g, values=np.einsum("iab,iab->ab", u.trace(INTERIOR), rhat)
     )
-    jump = surface_traction_jump(u, p, mu1, mu2)
-    jump_n = np.einsum("iab,iab->ab", jump, rhat)
-    h2 = _tangent_from_cartesian(grid, jump - jump_n[None] * rhat)
-    drag_u = np.einsum("ab,iab->i", g.weights, jump)
-    a1 = kappa * ctx.e3_drag + float(drag_u[2])
+    jump_n, h2 = surface_traction_jump(u, p, params.mu1, params.mu2)
+    a1 = kappa * ctx.e3_drag + float(traction_force((jump_n, h2))[2])
     a2 = integrate_sphere(eta)
     h3 = (
         params.sigma * (laplace_beltrami(eta) + 2.0 * eta)
-        + _kernel_term(grid, eta)
+        + (1.0 / 3.0) * project_kernel(eta)
         - kappa * ctx.jumpU_n
-        - SphereField(g, values=jump_n)
+        - jump_n
     )
     return YElement(f, divu, h1, h2, a1, a2, h3)
 
@@ -377,23 +368,12 @@ def invert_L(y: YElement, ctx: OperatorContext) -> DropState:
     sol = solve_two_phase(JumpData(f_eff, y.g, y.h1, y.h2), lam0, params, ctx.aux.solver)
     u, p = sol.u, sol.p
     jump = surface_traction_jump(u, p, mu1, mu2)
-    rhat = g.unit_vectors()[0]
-    jump_n = np.einsum("iab,iab->ab", jump, rhat)
-    int_jump_n = g.quad(jump_n)
-    int_h3 = integrate_sphere(y.h3)
-    c_p = (int_jump_n + int_h3 - 2.0 * sigma * y.a2) / (4.0 * np.pi)
+    c_p = (integrate_sphere(jump[0]) + integrate_sphere(y.h3) - 2.0 * sigma * y.a2) / (4.0 * np.pi)
     p.blocks[INTERIOR][...] += c_p
-    jump_n_shifted = jump_n - c_p
-    drag_e3 = float(np.einsum("ab,ab->", g.weights, jump[2] - c_p * rhat[2]))
-    kappa = (y.a1 - drag_e3) / ctx.e3_drag
-    psi = (
-        y.h3
-        + kappa * ctx.jumpU_n
-        + SphereField(g, values=jump_n_shifted)
-    )
-    eta_par = 3.0 * project_kernel(psi)
-    eta_perp = (1.0 / sigma) * solve_shifted(project_complement(psi))
-    eta = eta_par + eta_perp
+    # the shift is constant, so it leaves the force unchanged
+    kappa = (y.a1 - float(traction_force(jump)[2])) / ctx.e3_drag
+    psi = y.h3 + kappa * ctx.jumpU_n + (jump[0] - SphereField.constant(g, c_p))
+    eta = 3.0 * project_kernel(psi) + (1.0 / sigma) * solve_shifted(project_complement(psi))
     return DropState(u, p, kappa, eta)
 
 
@@ -464,11 +444,10 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> YElement:
     # N4, N5, N7: the flat jump J of the regular pair against the pulled-back J_eta
     J = surface_traction_jump(u_reg, p_reg, mu1, mu2)
     J_eta = _traction_jump_eta(T_eta)
-    Jn = np.einsum("iab,iab->ab", J, rhat)
     AP_J_eta = np.einsum("ijab,jkab,kab->iab", mp.A_surf, mp.P_eta, J_eta)
-    N4 = _tangent_from_cartesian(grid, J - Jn[None] * rhat - AP_J_eta)
+    N4 = J[1] - _tangent_from_cartesian(grid, AP_J_eta)
     weights = g.weights
-    N5 = float(np.einsum("ab,ab->", weights, J[2] + lam * ctx.aux.traction_jump[2] - J_eta[2]))
+    N5 = float(traction_force(J)[2]) + lam * ctx.e3_drag - g.quad(J_eta[2])
 
     # N6: volume-constraint remainder
     ev = eta.values
@@ -482,7 +461,7 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> YElement:
     nhat_gamma = Ntil / Nnorm[None]
     N7_vals = (
         np.einsum("iab,iab->ab", Ntil, J_eta) / Nnorm**2
-        - Jn
+        - J[0].values
         - kappa * ctx.jumpU_n.values
         - np.einsum("iab,i->ab", nhat_gamma, int_quart) / (4.0 * np.pi)
         + np.einsum("iab,i->ab", rhat - nhat_gamma, int_eta_n) / (4.0 * np.pi)

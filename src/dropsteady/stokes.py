@@ -19,6 +19,11 @@ run in channel space (d3 through the grid's probed channel coupling), so
 the sphere transforms of a drifted solve do not grow with its steps.  The
 contraction factor is O(lambda0), which is the regime the surrounding
 fixed-point scheme operates in.
+
+The interface rows are formed on coefficients: ``surface_traction_jump``
+reads [[T(u,p) n]] off the channels at r = 1 as scalar coefficients (normal
+part) and spheroidal/toroidal ones (tangential part), and
+``traction_force`` integrates it from its degree-1 coefficients.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .sphere import (
     integrate_sphere,
     normal_component_fields,
     synthesis_batch,
-    tangent_synthesis_batch,
 )
 from .volume import (
     EXTERIOR,
@@ -68,6 +72,7 @@ __all__ = [
     "auxiliary_field",
     "axisym_leakage",
     "surface_traction_jump",
+    "traction_force",
     "lambda0_value",
     "TruncatedAux",
     "truncate_field",
@@ -451,9 +456,11 @@ def residual_report(u, p, data, lambda0, params) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _traction_modes(u: VolumeField, p: VolumeField, mu1: float, mu2: float):
-    """Per-mode traction (radial, spheroidal, toroidal) at r = 1 on the drop
-    side and on the reservoir side."""
+def surface_traction_jump(u: VolumeField, p: VolumeField, mu1: float, mu2: float):
+    """[[T(u,p) n]] at r = 1, drop side minus reservoir side, as its normal
+    part (a SphereField on coefficients) and its tangential part (a
+    TangentField on spheroidal/toroidal coefficients), read off the (P, v, w)
+    channels of u and the coefficients of p."""
     grid = u.grid
     g = grid.sphere
     L = g.band_limit
@@ -462,28 +469,21 @@ def _traction_modes(u: VolumeField, p: VolumeField, mu1: float, mu2: float):
     dP = _chan_radial_deriv(grid, P, 1, 1)
     dv = _chan_radial_deriv(grid, v, 1, 1)
     dw = _chan_radial_deriv(grid, w, 0, 1)
-    sides = []
-    for i0, mu in ((grid.interior.i_surface, mu1), (grid.interior.n + grid.exterior.i_surface, mu2)):
-        t_r = 2.0 * mu * dP[i0] - pm[i0]
-        t_s = mu * (dv[i0] + P[i0] - v[i0])
-        t_t = mu * (dw[i0] - w[i0])
-        sides.append((t_r, t_s, t_t))
-    return sides
+    drop, res = (
+        np.stack([2.0 * mu * dP[i] - pm[i], mu * (dv[i] + P[i] - v[i]), mu * (dw[i] - w[i])])
+        for i, mu in ((grid.interior.i_surface, mu1), (grid.interior.n + grid.exterior.i_surface, mu2))
+    )
+    t_r, t_s, t_t = drop - res
+    return SphereField(g, coeffs=t_r, band=L), TangentField(g, spec=(t_s, t_t), band=L)
 
 
-def _traction_nodal(grid, t_r, t_s, t_t):
-    g = grid.sphere
-    L = g.band_limit
-    rhat, that, phat = g.unit_vectors()
-    ur = synthesis_batch(g, t_r, L)
-    tth, tph = tangent_synthesis_batch(g, t_s, t_t, L)
-    return ur[None] * rhat + tth[None] * that + tph[None] * phat
-
-
-def surface_traction_jump(u, p, mu1, mu2):
-    """[[T(u,p) n]]: drop-side minus reservoir-side traction, nodal (3, ...)."""
-    ti, te = (_traction_nodal(u.grid, *side) for side in _traction_modes(u, p, mu1, mu2))
-    return ti - te
+def traction_force(jump) -> np.ndarray:
+    """int [[T n]] dS of a jump (normal, tangential) from its degree-1
+    coefficients: e_i = n_i rhat + grad_S n_i and lap_S n_i = -2 n_i give
+    e_i . int [[T n]] dS = int (normal + 2 s) n_i dS, s the spheroidal part."""
+    normal, tangent = jump
+    c = normal.coeffs[1] + 2.0 * tangent.spec[0][1]
+    return np.array([n.coeffs[1] @ c for n in normal_component_fields(normal.grid)])
 
 
 def lambda0_value(rho_tilde: float, e3_drag: float) -> float:
@@ -505,8 +505,7 @@ class AuxiliaryField:
     drag: np.ndarray  # int [[T(U,P) n]] dS
     e3_drag: float
     dissipation: float
-    traction_jump: np.ndarray  # nodal (3, n_theta, n_phi)
-    normalization_constant: float
+    traction_jump: tuple  # [[T(U,P) n]] as surface_traction_jump's (normal, tangential)
     checks: dict
     solver: TwoPhaseStokesSolver  # the solve operators U was solved with
 
@@ -525,14 +524,13 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
     solver = TwoPhaseStokesSolver(grid, params.mu1, params.mu2)
     sol = solver.solve(data)
     U, P = sol.u, sol.p
-    jump = surface_traction_jump(U, P, params.mu1, params.mu2)
-    rhat = g.unit_vectors()[0]
-    normal_jump = np.einsum("iab,iab->ab", jump, rhat)
-    c_norm = g.quad(normal_jump) / (4.0 * np.pi)
+    jump_n, jump_t = surface_traction_jump(U, P, params.mu1, params.mu2)
+    c_norm = integrate_sphere(jump_n) / (4.0 * np.pi)
     # add the constant to the drop-phase pressure; the normal jump drops by it
     P.blocks[INTERIOR][...] += c_norm
-    jump = jump - c_norm * rhat
-    drag = np.einsum("ab,iab->i", g.weights, jump)
+    jump = (jump_n - SphereField.constant(g, c_norm), jump_t)
+    drag = traction_force(jump)
+    rhat = g.unit_vectors()[0]
     jacU = vector_gradient(U)
 
     # dissipation: interior + exterior up to R_inf by quadrature; the
@@ -548,18 +546,17 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
 
     for fld in (U, P, jacU):  # shared like the solver
         fld.values.flags.writeable = False
-    tang = jump - np.einsum("iab,iab->ab", jump, rhat)[None] * rhat
     m_leak = axisym_leakage(U)
     checks = {
         "normal_velocity_defect": float(
             np.max(np.abs(np.einsum("iab,iab->ab", U.trace(INTERIOR), rhat) + n3.values))
         ),
-        "tangential_jump_max": float(np.max(np.abs(tang))),
-        "normalization_integral": float(g.quad(np.einsum("iab,iab->ab", jump, rhat))),
+        "tangential_jump_max": float(np.max(np.hypot(*jump_t.components))),
+        "normalization_integral": integrate_sphere(jump[0]),
         "axisym_leakage": m_leak,
     }
     return AuxiliaryField(
-        U, P, jacU, drag, float(drag[2]), dissipation, jump, c_norm, checks, solver
+        U, P, jacU, drag, float(drag[2]), dissipation, jump, checks, solver
     )
 
 

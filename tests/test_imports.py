@@ -1,8 +1,13 @@
-"""No module in src/, tests/ or demos/ imports a name it never reads.
+"""No module in src/, tests/ or demos/ imports a name it never reads, and
+src/dropsteady defines no private function or class that nothing uses.
 
 The scan is by AST over each file as a whole: a name bound by an import
 counts as used when the file loads it anywhere (an attribute access
-``np.pi`` loads ``np``) or lists it in ``__all__``.
+``np.pi`` loads ``np``) or lists it in ``__all__``.  A module-level
+``_name`` function or class in src/dropsteady counts as used when a name,
+an attribute or an import anywhere in src/, tests/, demos/ or bench/
+carries it outside its own definition, or a string in bench/spans.py (the
+traced targets, ``"Class.method"`` split at the dots) names it.
 """
 
 import ast
@@ -44,3 +49,38 @@ def test_no_unused_imports():
     assert len(files) > 20
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert not unused, "imported but never read:\n" + "\n".join(unused)
+
+
+def _names(node: ast.AST, strings: bool):
+    """Names that ``node`` loads, reads as attributes or imports, and with
+    ``strings`` the dotted parts of its string constants."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.split(".")[-1]
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield from sub.value.split(".")
+
+
+def test_no_unused_private_definitions():
+    files = sorted(p for d in ("src", "tests", "demos", "bench") for p in (ROOT / d).rglob("*.py"))
+    used = set()
+    private = []
+    for path in files:
+        strings = path == ROOT / "bench" / "spans.py"
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            own = getattr(stmt, "name", None)
+            used.update(name for name in _names(stmt, strings) if name != own)
+            if (
+                path.parent == ROOT / "src" / "dropsteady"
+                and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                and own.startswith("_")
+                and not own.endswith("__")
+            ):
+                private.append(f"{path.relative_to(ROOT)}:{stmt.lineno}: {own}")
+    assert len(private) > 20
+    unused = [entry for entry in private if entry.rsplit(": ", 1)[1] not in used]
+    assert not unused, "defined but never used:\n" + "\n".join(unused)

@@ -317,7 +317,8 @@ def _assemble_N_term_by_term(state, ctx):
     e3_surf[2] = 1.0
     vec = u_surf + lam * (ctx.aux.U.trace(INTERIOR) + e3_surf)
     N3 = SphereField(g, values=np.einsum("iab,iab->ab", vec, rhat - mp.Ntil))
-    jump_u_flat = surface_traction_jump(u_reg, p_reg, mu1, mu2)
+    jn_flat, jt_flat = surface_traction_jump(u_reg, p_reg, mu1, mu2)
+    jump_u_flat = jn_flat.values * rhat + jt_flat.cartesian()
     jn = np.einsum("iab,iab->ab", jump_u_flat, rhat)
     jump_eta_u = _traction_jump_eta(T_eta_u)
     jump_eta_U = _traction_jump_eta(T_eta_U)
@@ -328,7 +329,7 @@ def _assemble_N_term_by_term(state, ctx):
     N4_vec = jump_u_flat - jn[None] * rhat - A_Peta(jump_eta_u) - lam * A_Peta(jump_eta_U)
     N4 = _tangent_from_cartesian(grid, N4_vec)
     w = g.weights
-    N5 = lam * float(np.einsum("ab,ab->", w, ctx.aux.traction_jump[2] - jump_eta_U[2])) + float(
+    N5 = lam * (ctx.e3_drag - float(np.einsum("ab,ab->", w, jump_eta_U[2]))) + float(
         np.einsum("ab,ab->", w, jump_u_flat[2] - jump_eta_u[2])
     )
     ev = eta.values
