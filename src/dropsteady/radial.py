@@ -31,16 +31,9 @@ def _cheb_tables(t: np.ndarray, n: int):
     """T_k, T'_k, T''_k at points t (any real), k = 0..n-1; shape (len(t), n)."""
     V = ncheb.chebvander(t, n - 1)
     eye = np.eye(n)
-    D1 = np.zeros((n, n))
-    D2 = np.zeros((n, n))
-    for k in range(n):
-        c1 = ncheb.chebder(eye[:, k])
-        c2 = ncheb.chebder(c1) if c1.size else np.zeros(1)
-        D1[: c1.size, k] = c1
-        D2[: c2.size, k] = c2 if c2.size else 0.0
-    V1 = ncheb.chebvander(t, n - 1) @ D1
-    V2 = ncheb.chebvander(t, n - 1) @ D2
-    return V, V1, V2
+    # column k of D_m holds the Chebyshev coefficients of T_k^(m)
+    D1, D2 = (np.vstack([ncheb.chebder(eye, m, axis=0), np.zeros((m, n))])[:n] for m in (1, 2))
+    return V, V @ D1, V @ D2
 
 
 def _moment_weights(V: np.ndarray, t_g: np.ndarray, w_g: np.ndarray) -> np.ndarray:

@@ -8,10 +8,16 @@ prescribed tangential stress jump.  Both phases are discretized by
 Chebyshev collocation on the nodal tables of ``radial`` (interior: parity
 bases in r; exterior: polynomial in s = 1/r, which structurally excludes
 the growing solution family), and each degree is a least-squares system.
-The solver's constructor pseudo-inverts every degree once and keeps, per
-channel, one stacked operator (L+1, n_out, n_in) from nodal data to nodal
-profiles; a solve is one batched matmul per channel over all degrees and
-the orders the grid carries, between the sphere transforms.
+The phases meet only in the transmission rows at r = 1, so the solver's
+constructor factors each degree's system phase by phase (a staircase QR,
+A. Bjorck, Numerical Methods for Least Squares Problems, 1996, 6.3): one QR
+of the drop's unknowns over its own rows and the transmission rows, then one
+QR of what is left of the transmission rows stacked on the reservoir's
+rows.  That is a QR of the joint system with its rows reordered, so it
+gives the same pseudo-inverse.  The constructor keeps, per channel, one
+stacked operator (L+1, n_out, n_in) from nodal data to nodal profiles; a
+solve is one batched matmul per channel over all degrees and the orders
+the grid carries, between the sphere transforms.
 
 The drift (Oseen) term rho * lambda0 * d3 u is iterated: each Richardson
 step moves it to the right-hand side of a pure Stokes solve.  The steps
@@ -46,7 +52,6 @@ from .volume import (
     INTERIOR,
     VolumeField,
     VolumeGrid,
-    _chan_radial_deriv,
     analysis_batch,
     channel_norm_l2,
     d3,
@@ -205,34 +210,75 @@ def _upper_inverse(R: np.ndarray) -> np.ndarray:
     return out
 
 
+def _staircase_pinv(A: np.ndarray, k: int):
+    """X = R^-1 Q^T from a QR of A taken in two stages, and |R|_F; the
+    first k columns of A touch only some of its rows.
+
+    A complete QR Q1 [R11; 0] of those columns over the rows that touch
+    them turns Q1^T of those rows into [[R11, R12], [0, C]], and a thin QR
+    Q2 R22 of C stacked on the other rows finishes it.  R = [[R11, R12],
+    [0, R22]] is the R of a QR of A with its rows reordered, and Q^T is Q1^T
+    followed by Q2^T.  Both stages have full rank if A has.  X's last rows
+    are R22^-1 Q2^T (on the rows of C, through Q1), its first R11^-1 (Q1^T
+    - R12 X_2).  With k = 0 this is one thin QR of A."""
+    m, n = A.shape
+    s1 = np.any(A[:, :k] != 0, axis=1)
+    m1 = np.count_nonzero(s1)
+    if m < n or m1 < k:
+        raise np.linalg.LinAlgError("fewer rows than unknowns")
+    Q1, R1 = np.linalg.qr(A[s1, :k], mode="complete")
+    top = Q1.T @ A[s1, k:]
+    Q2, R22 = np.linalg.qr(np.vstack([top[k:], A[~s1, k:]]))
+    T = np.empty((n - k, m))  # the last rows of Q^T
+    T[:, s1] = Q2[: m1 - k].T @ Q1[:, k:].T
+    T[:, ~s1] = Q2[m1 - k :].T
+    X = np.empty((n, m))
+    X[k:] = _upper_inverse(R22) @ T
+    X[:k] = -top[:k] @ X[k:]
+    X[:k, s1] += Q1[:, :k].T
+    X[:k] = _upper_inverse(R1[:k]) @ X[:k]
+    return X, np.sqrt(sum(np.linalg.norm(B) ** 2 for B in (R1[:k], top[:k], R22)))
+
+
 def _solve_operator(M, data_rows, bases, drop_rows=(), drop_cols=()) -> np.ndarray:
     """Nodal outputs from the right-hand side of M x = b on ``data_rows``
     (zero on the other rows).
 
     The least-squares system leaves out ``drop_rows`` and ``drop_cols`` (the
-    dropped unknowns are zero) and scales each row to unit max.  It has full
-    column rank, so X = R^-1 Q^T of its thin QR is its pseudo-inverse.  As
-    |X|_2 = |R^-1|_2, |R|_F |X|_F bounds the block's condition number from
-    above; a block whose bound exceeds 1 / RANK_RTOL raises LinAlgError (an
-    unpivoted R's diagonal does not reveal rank).  ``bases`` map consecutive
-    blocks of x to nodal values.
+    dropped unknowns are zero) and scales each row to unit max.  ``bases``
+    map consecutive blocks of x to nodal values.  The unknowns of their
+    first half are the drop's, which only the drop's rows and the
+    transmission rows touch, so the system is factored phase by phase by
+    ``_staircase_pinv`` (a single basis is one QR).  It has full column
+    rank, so X = R^-1 Q^T is its pseudo-inverse.  As |X|_2 = |R^-1|_2,
+    |R|_F |X|_F bounds the block's condition number from above; a block
+    whose bound exceeds 1 / RANK_RTOL raises LinAlgError (an unpivoted R's
+    diagonal does not reveal rank).
     """
-    rows = np.setdiff1d(np.arange(M.shape[0]), drop_rows)
-    cols = np.setdiff1d(np.arange(M.shape[1]), drop_cols)
-    A = M[np.ix_(rows, cols)]
+    keep_r = np.ones(M.shape[0], bool)
+    keep_r[np.asarray(drop_rows, int)] = False
+    keep_c = np.ones(M.shape[1], bool)
+    keep_c[np.asarray(drop_cols, int)] = False
+    cols = np.flatnonzero(keep_c)
+    A = M[keep_r][:, cols]
     scale = np.max(np.abs(A), axis=1)
     scale[scale == 0] = 1.0
-    Q, R = np.linalg.qr(A / scale[:, None])
-    X = _upper_inverse(R) @ Q.T
-    cond = np.linalg.norm(R) * np.linalg.norm(X)
+    k = np.count_nonzero(keep_c[: sum(B.shape[1] for B in bases[: len(bases) // 2])])
+    try:
+        X, norm_R = _staircase_pinv(A / scale[:, None], k)
+        cond = norm_R * np.linalg.norm(X)
+    except np.linalg.LinAlgError:  # fewer rows than unknowns, or a singular R
+        cond = np.inf
     if not cond * RANK_RTOL <= 1.0:  # an inf or NaN bound fails too
         raise np.linalg.LinAlgError(
             f"rank-deficient collocation block: condition bound {cond:.1e}"
         )
-    pinv = np.zeros(M.shape[::-1])
-    pinv[np.ix_(cols, rows)] = X / scale
-    blocks = np.split(pinv[:, data_rows], np.cumsum([len(B) for B in bases])[:-1])
-    return np.concatenate([B @ x for B, x in zip(bases, blocks)])
+    at = (np.cumsum(keep_r) - 1)[data_rows]  # the data rows among A's rows
+    x = np.zeros((M.shape[1], len(data_rows)))
+    x[cols] = X[:, at] / scale[at]
+    x[:, ~keep_r[data_rows]] = 0.0  # a dropped data row has a zero column
+    blocks = np.split(x, np.cumsum([B.shape[1] for B in bases])[:-1])
+    return np.concatenate([B @ b for B, b in zip(bases, blocks)])
 
 
 def _spheroidal_operator(gi, ge, l: int, mu1: float, mu2: float) -> np.ndarray:
@@ -291,7 +337,9 @@ class TwoPhaseStokesSolver:
     ``sph[l]`` maps the nodal spheroidal data of degree l (fP, fv and g,
     each over the whole radial axis, then h1 and h2s) to the nodal (P, v,
     p), each over the whole radial axis.  ``tor[l]`` maps (fw, h2t) to w.
-    At l = 0 the v and w blocks are zero.  ``solve``
+    At l = 0 the v and w blocks are zero.  Each is the pseudo-inverse of the
+    degree's collocation system, factored phase by phase: no QR spans the
+    unknowns of both phases (``_solve_operator``).  ``solve``
     is ``analyse`` (the channels of the data), ``solve_channels`` (one
     batched matmul per stack) and ``synthesise``; ``solve_two_phase``
     repeats the middle step only.
@@ -313,7 +361,7 @@ class TwoPhaseStokesSolver:
         joined = np.hstack([drop.reshape(3, -1), res.reshape(3, -1)]).ravel()
         cols = np.r_[joined, 3 * n, 3 * n + 1]
         for l in range(L + 1):
-            self.sph[l] = _spheroidal_operator(gi, ge, l, mu1, mu2)[np.ix_(joined, cols)]
+            self.sph[l] = _spheroidal_operator(gi, ge, l, mu1, mu2)[joined][:, cols]
             if l > 0:
                 self.tor[l] = _toroidal_operator(gi, ge, l, mu1, mu2)
         # shared by every solve that uses this solver, sweep threads included
@@ -465,14 +513,20 @@ def surface_traction_jump(u: VolumeField, p: VolumeField, mu1: float, mu2: float
     g = grid.sphere
     L = g.band_limit
     P, v, w = vsh_channels(u)
-    pm = analysis_batch(g, p.values, L)
-    dP = _chan_radial_deriv(grid, P, 1, 1)
-    dv = _chan_radial_deriv(grid, v, 1, 1)
-    dw = _chan_radial_deriv(grid, w, 0, 1)
-    drop, res = (
-        np.stack([2.0 * mu * dP[i] - pm[i], mu * (dv[i] + P[i] - v[i]), mu * (dw[i] - w[i])])
-        for i, mu in ((grid.interior.i_surface, mu1), (grid.interior.n + grid.exterior.i_surface, mu2))
-    )
+    n = grid.interior.n
+    i_s = [grid.interior.i_surface, n + grid.exterior.i_surface]
+    pm = analysis_batch(g, p.values[i_s], L)
+    par = np.arange(L + 1) % 2
+    phases = ((grid.interior, slice(None, n), mu1), (grid.exterior, slice(n, None), mu2))
+    sides = []
+    for (rad, rows, mu), i, p_i in zip(phases, i_s, pm):
+        # d/dr at r = 1 of a degree-l profile of parity (l + base) % 2: one row of D_1
+        d1 = np.stack([rad.D[1][q][rad.i_surface] for q in (0, 1)])
+        dP, dv, dw = (
+            np.einsum("ln,nlm->lm", d1[(par + b) % 2], C[rows]) for C, b in ((P, 1), (v, 1), (w, 0))
+        )
+        sides.append(np.stack([2.0 * mu * dP - p_i, mu * (dv + P[i] - v[i]), mu * (dw - w[i])]))
+    drop, res = sides
     t_r, t_s, t_t = drop - res
     return SphereField(g, coeffs=t_r, band=L), TangentField(g, spec=(t_s, t_t), band=L)
 
@@ -524,11 +578,11 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
     solver = TwoPhaseStokesSolver(grid, params.mu1, params.mu2)
     sol = solver.solve(data)
     U, P = sol.u, sol.p
-    jump_n, jump_t = surface_traction_jump(U, P, params.mu1, params.mu2)
-    c_norm = integrate_sphere(jump_n) / (4.0 * np.pi)
-    # add the constant to the drop-phase pressure; the normal jump drops by it
+    c_norm = integrate_sphere(surface_traction_jump(U, P, params.mu1, params.mu2)[0]) / (4.0 * np.pi)
+    # add the constant to the drop-phase pressure, and take the jump afresh:
+    # its normal integral checks the shift
     P.blocks[INTERIOR][...] += c_norm
-    jump = (jump_n - SphereField.constant(g, c_norm), jump_t)
+    jump = surface_traction_jump(U, P, params.mu1, params.mu2)
     drag = traction_force(jump)
     rhat = g.unit_vectors()[0]
     jacU = vector_gradient(U)
@@ -551,7 +605,7 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
         "normal_velocity_defect": float(
             np.max(np.abs(np.einsum("iab,iab->ab", U.trace(INTERIOR), rhat) + n3.values))
         ),
-        "tangential_jump_max": float(np.max(np.hypot(*jump_t.components))),
+        "tangential_jump_max": float(np.max(np.hypot(*jump[1].components))),
         "normalization_integral": integrate_sphere(jump[0]),
         "axisym_leakage": m_leak,
     }

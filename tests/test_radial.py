@@ -4,7 +4,9 @@ matrices are built from, on profiles that lie in each basis."""
 import numpy as np
 import pytest
 
-from dropsteady.radial import ExteriorRadial, InteriorRadial
+from numpy.polynomial import chebyshev as ncheb
+
+from dropsteady.radial import ExteriorRadial, InteriorRadial, _cheb_tables
 
 PHASES = [InteriorRadial(12), InteriorRadial(20), ExteriorRadial(16, 64.0), ExteriorRadial(20, 64.0)]
 
@@ -49,3 +51,24 @@ def test_deriv_of_basis_table_is_derivative_tables(rad):
         # leading axes after the radial one are carried through
         got = rad.deriv(np.stack([B0, 2.0 * B0], axis=1), p, 1)
         assert np.max(np.abs(got - np.stack([B1, 2.0 * B1], axis=1))) < 1e-13 * np.max(np.abs(B1))
+
+
+def _cheb_tables_by_column(t, n):
+    """The tables with each T_k differentiated on its own, one column at a time."""
+    V = ncheb.chebvander(t, n - 1)
+    eye = np.eye(n)
+    D1 = np.zeros((n, n))
+    D2 = np.zeros((n, n))
+    for k in range(n):
+        c1 = ncheb.chebder(eye[:, k])
+        c2 = ncheb.chebder(c1) if c1.size else np.zeros(1)
+        D1[: c1.size, k] = c1
+        D2[: c2.size, k] = c2 if c2.size else 0.0
+    return V, V @ D1, V @ D2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 40])
+def test_cheb_tables_equal_column_by_column_derivatives(n):
+    t = np.cos(np.arange(n) * np.pi / max(n - 1, 1)) * 1.1
+    for got, ref in zip(_cheb_tables(t, n), _cheb_tables_by_column(t, n)):
+        assert np.array_equal(got, ref)

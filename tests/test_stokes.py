@@ -247,6 +247,68 @@ def test_qr_operators_match_svd_pseudo_inverse(monkeypatch, m_max):
             assert np.max(np.abs(a[l] - b[l])) <= tol, l
 
 
+def _joint_qr_operator(M, data_rows, bases, drop_rows=(), drop_cols=()):
+    """The solve operator from one thin QR of the whole row-scaled block."""
+    rows = np.setdiff1d(np.arange(M.shape[0]), drop_rows)
+    cols = np.setdiff1d(np.arange(M.shape[1]), drop_cols)
+    A = M[np.ix_(rows, cols)]
+    scale = np.max(np.abs(A), axis=1)
+    scale[scale == 0] = 1.0
+    Q, R = np.linalg.qr(A / scale[:, None])
+    X = stokes._upper_inverse(R) @ Q.T
+    cond = np.linalg.norm(R) * np.linalg.norm(X)
+    if not cond * stokes.RANK_RTOL <= 1.0:
+        raise np.linalg.LinAlgError(f"rank-deficient collocation block: condition bound {cond:.1e}")
+    pinv = np.zeros(M.shape[::-1])
+    pinv[np.ix_(cols, rows)] = X / scale
+    blocks = np.split(pinv[:, data_rows], np.cumsum([len(B) for B in bases])[:-1])
+    return np.concatenate([B @ x for B, x in zip(bases, blocks)])
+
+
+@pytest.mark.parametrize("L, n_int, n_ext, m_max", [(8, 12, 20, None), (12, 20, 30, 2)])
+def test_phase_by_phase_operators_match_joint_qr(monkeypatch, L, n_int, n_ext, m_max):
+    """Every degree's operators, l = 0 included, from the two-stage QR
+    equal those of one QR of the joint block to rounding."""
+    grid = VolumeGrid.build(band_limit=L, n_r_int=n_int, n_r_ext=n_ext, r_inf=64.0, m_max=m_max)
+    staircase = TwoPhaseStokesSolver(grid, 2.5, 0.8)
+    monkeypatch.setattr(stokes, "_solve_operator", _joint_qr_operator)
+    joint = TwoPhaseStokesSolver(grid, 2.5, 0.8)
+    for a, b in ((staircase.sph, joint.sph), (staircase.tor, joint.tor)):
+        tol = 1e-11 * np.max(np.abs(b))
+        for l in range(L + 1):
+            assert np.max(np.abs(a[l] - b[l])) <= tol, l
+
+
+@pytest.mark.parametrize("drop_rows", [2, 1], ids=["dependent transmission row", "too few drop rows"])
+def test_transmission_rows_leaving_drop_rank_deficient_raise(drop_rows):
+    """Blocks on 3 drop and 3 reservoir unknowns whose reservoir rows have
+    full rank and whose drop columns do not: the transmission row adds
+    nothing to two drop rows, or one drop row leaves too few rows."""
+    rng = np.random.default_rng(5)
+    M = np.zeros((drop_rows + 6, 6))
+    M[:drop_rows, :3] = rng.standard_normal((drop_rows, 3))
+    M[drop_rows] = rng.standard_normal(6)  # the transmission row
+    M[drop_rows + 1 :, 3:] = rng.standard_normal((5, 3))
+    if drop_rows == 2:
+        M[2, :3] = M[:2, :3].T @ rng.standard_normal(2)
+    with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
+        stokes._solve_operator(M, np.arange(len(M)), (np.eye(3), np.eye(3)))
+
+
+def test_no_factored_block_spans_both_phases(monkeypatch):
+    """Each QR of the set-up covers at most one phase's unknowns."""
+    grid = VolumeGrid.build(band_limit=6, n_r_int=12, n_r_ext=20, r_inf=64.0)
+    qr, widths = np.linalg.qr, []
+
+    def recording_qr(a, *args, **kwargs):
+        widths.append(a.shape[1])
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    TwoPhaseStokesSolver(grid, 2.5, 0.8)
+    assert widths and max(widths) <= 3 * grid.exterior.n
+
+
 @pytest.mark.parametrize("n", [17, 64, 128, 192])
 def test_upper_inverse_matches_inv(n):
     """The blocked triangular inverse equals LAPACK's inverse, at leaf
@@ -330,6 +392,34 @@ def test_auxiliary_field_matches_closed_form(vg, mus):
     assert aux.checks["tangential_jump_max"] < 1e-9
     assert abs(aux.checks["normalization_integral"]) < 1e-10
     assert aux.checks["axisym_leakage"] < 1e-12
+
+
+def test_normalization_check_reads_a_missing_pressure_shift(vg, monkeypatch):
+    """A drop pressure off by a constant c puts -c into the normal traction
+    jump, and auxiliary_field shifts it out.  With the shift left out (the
+    first jump read with a zero normal part, so c_norm = 0) the check, which
+    integrates the jump afresh, reads 4 pi c_norm = -4 pi c."""
+    params = PhysicalParams(mu1=2.5, mu2=0.8)
+    c = 0.25
+    solve = TwoPhaseStokesSolver.solve
+
+    def offset_solve(self, data):
+        sol = solve(self, data)
+        sol.p.blocks[INTERIOR][...] += c
+        return sol
+
+    monkeypatch.setattr(TwoPhaseStokesSolver, "solve", offset_solve)
+    assert abs(auxiliary_field(vg, params).checks["normalization_integral"]) < 1e-10
+    jump, calls = stokes.surface_traction_jump, []
+
+    def first_normal_zero(u, p, mu1, mu2):
+        normal, tangent = jump(u, p, mu1, mu2)
+        calls.append(None)
+        return (0.0 * normal if len(calls) == 1 else normal), tangent
+
+    monkeypatch.setattr(stokes, "surface_traction_jump", first_normal_zero)
+    check = auxiliary_field(vg, params).checks["normalization_integral"]
+    assert abs(check + 4.0 * np.pi * c) < 1e-9
 
 
 def test_energy_identity(vg):
