@@ -47,6 +47,7 @@ __all__ = [
     "SolutionBundle",
     "NonContraction",
     "picard_solve",
+    "lambda_error_bar",
     "reconstruct_physical",
     "diagnostics",
     "mirror_defect",
@@ -197,15 +198,24 @@ def picard_solve(
     bundle.report["fixed_point_residual"] = residual
     bundle.report["ball_norm"] = norm_X(x, lam0)["total"]
     bundle.report["ball_radius"] = abs(config.rho_tilde) ** config.alpha
-    bundle.report["contraction_ratios"] = [
-        h["ratio"] for h in history if "ratio" in h
-    ]
-    lam_err = 10.0 * config.tol_fixed_point
+    ratios = [h["ratio"] for h in history if "ratio" in h]
+    bundle.report["contraction_ratios"] = ratios
+    lam_err = lambda_error_bar(ratios, history[-1]["update"])
     bundle.report["lambda"] = bundle.lam
     bundle.report["lambda_error_bar"] = lam_err
     bundle.report["lambda_nonzero"] = bool(abs(bundle.lam) > lam_err)
     bundle.timing["solve_s"] = time.perf_counter() - t0
     return bundle
+
+
+def lambda_error_bar(ratios: list, last_update: float) -> float:
+    """Banach a-posteriori bound q / (1 - q) * ||x_k - x_{k-1}||_X on the
+    distance of the last iterate to the fixed point, which bounds its kappa
+    (and so lambda) error; q is the largest measured contraction ratio.
+    inf without a ratio below 1.  It covers the iteration error only, not
+    the discretisation error of the grid."""
+    q = max(ratios, default=1.0)
+    return q / (1.0 - q) * last_update if q < 1.0 else float("inf")
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ def emit_mode_tables(out_dir: str, bundle) -> str:
         radii = grid.r[sel]
         for cname, arr in zip(("radial", "spheroidal", "toroidal"), (c[sel] for c in chans)):
             for l in range(L + 1):
-                col = arr[:, l, L]  # axisymmetric channel
+                col = arr[:, l, arr.shape[-1] // 2]  # axisymmetric channel
                 if np.max(np.abs(col)) == 0.0:
                     continue
                 for r, v in zip(radii, col):

@@ -14,7 +14,12 @@ Conventions
   ``Y_{l,-m}  = sqrt(2) Pbar_l^m(cos th) sin(m ph)``,
   with ``Pbar`` the fully normalized associated Legendre functions
   (Condon-Shortley phase included).
-* Coefficients are stored in a dense ``(L+1, 2L+1)`` array ``a[l, m+L]``.
+* A transform of degree L carries the orders |m| <= M = min(L, m_max)
+  and lays them out as ``a[..., l, m+M]``: L+1 rows and 2M+1 order
+  columns, m = 0 in the centre column ``a.shape[-1] // 2``.  A synthesis
+  takes any such layout.  ``SphereField`` and ``TangentField`` hold one
+  shell in the dense ``(L+1, 2L+1)`` array ``a[l, m+L]``, padded with zero
+  columns on a grid that carries fewer orders.
 * A constant field c has ``a[0,0] = c*sqrt(4 pi)``.
 * A transform is one matmul with a Fourier table (values <-> per-order
   cos/sin amplitudes) and one stacked matmul over all orders with a
@@ -23,10 +28,8 @@ Conventions
   N. Schaeffer, arXiv:1202.6522) on ``n_phi = 2 m_max + 2`` azimuths.
   The default ``m_max = pad_limit`` is the full grid, which validate and
   the tests use; a solve runs on the axisymmetric band (``m_max = 2``,
-  see ``driver.AXISYMMETRIC_M_MAX``).  Coefficient arrays keep their
-  dense layout, and the columns |m| > m_max of an analysis are zero.  A
-  synthesis also takes the columns |m| <= min(L, m_max) alone, centred on
-  m = 0 (the layout of the Stokes solver's channels).
+  see ``driver.AXISYMMETRIC_M_MAX``), where an analysis has 2 m_max + 1
+  columns; on a full grid M = L, the dense layout.
 """
 
 from __future__ import annotations
@@ -214,7 +217,7 @@ class SphereField:
         if self.band > grid.pad_limit:
             raise ValueError("band limit exceeds grid capacity")
         self._values = None if values is None else np.asarray(values, dtype=float)
-        self._coeffs = None if coeffs is None else np.asarray(coeffs, dtype=float)
+        self._coeffs = None if coeffs is None else _centred(np.asarray(coeffs, float), self.band)
         if self._values is None and self._coeffs is None:
             raise ValueError("need values or coeffs")
         if self._values is not None and self._values.shape != (
@@ -250,7 +253,7 @@ class SphereField:
     @property
     def coeffs(self) -> np.ndarray:
         if self._coeffs is None:
-            self._coeffs = analysis_batch(self.grid, self._values, self.band)
+            self._coeffs = _centred(analysis_batch(self.grid, self._values, self.band), self.band)
         return self._coeffs
 
     def with_band(self, band: int) -> "SphereField":
@@ -294,6 +297,17 @@ class SphereField:
         return SphereField(self.grid, coeffs=self.coeffs.copy(), band=self.band)
 
 
+def _centred(a: np.ndarray, K: int) -> np.ndarray:
+    """Coefficients a[..., l, m+k] on the 2K+1 order columns |m| <= K, centred
+    on m = 0: columns beyond K are dropped, missing ones are zero."""
+    k = a.shape[-1] // 2
+    if k >= K:
+        return a[..., k - K : k + K + 1]
+    out = np.zeros(a.shape[:-1] + (2 * K + 1,))
+    out[..., K - k : K + k + 1] = a
+    return out
+
+
 def _orders(grid: SphereGrid, band: int) -> int:
     """Number of orders m = 0, 1, ... a transform of degree ``band`` carries."""
     return min(band, grid.m_max) + 1
@@ -319,24 +333,24 @@ def _grid_values(grid: SphereGrid, amps: np.ndarray, lead: tuple) -> np.ndarray:
 
 
 def _layout(res: np.ndarray, lead: tuple) -> np.ndarray:
-    """Per-order results (M+1, 2*rows, L+1) [m, row, l] -> coefficients a[..., l, m+L].
+    """Per-order results (M+1, 2*rows, L+1) [m, row, l] -> coefficients
+    a[..., l, m+M] on the orders |m| <= M the results carry.
 
     The rows are ordered as ``_amplitudes`` returns them: cosine, then sine.
-    Columns with |m| > M are zero.
     """
     M, L = res.shape[0] - 1, res.shape[2] - 1
     rows = res.shape[1] // 2
-    a = np.zeros((rows, L + 1, 2 * L + 1))
-    a[..., L : L + M + 1] = res[:, :rows].transpose(1, 2, 0)
-    a[..., L - M : L] = res[:0:-1, rows:].transpose(1, 2, 0)
+    a = np.empty((rows, L + 1, 2 * M + 1))
+    a[..., M:] = res[:, :rows].transpose(1, 2, 0)
+    a[..., :M] = res[:0:-1, rows:].transpose(1, 2, 0)
     return a.reshape(lead + a.shape[1:])
 
 
 def _unlayout(a: np.ndarray, M: int) -> np.ndarray:
     """Inverse of ``_layout``: a[..., l, m+K] -> (M+1, 2*rows, L+1) [m, row, l].
 
-    The order columns are centred on m = 0: K = L in the dense layout, and
-    K = M when ``a`` holds only the orders |m| <= M.
+    The order columns are centred on m = 0, with K >= M: K = M as
+    ``_layout`` returns them, and K = L in the dense layout.
     """
     K = a.shape[-1] // 2
     c = a.reshape((-1,) + a.shape[-2:]).transpose(2, 0, 1)
@@ -430,22 +444,22 @@ def _probe_d3_coupling(grid: SphereGrid) -> np.ndarray:
     order at once, recovers every entry (A. Curtis, M. Powell and J. Reid,
     IMA J. Appl. Math. 13, 1974), band truncation included.
 
-    Returns [C | E] per order m = 0..min(L, m_max): (M+1, 6(L+1), 12(L+1)),
-    rows and columns ordered (channel, part, l) with part 0 the cos
-    (column L + m) and 1 the sin (column L - m) amplitudes.
+    Returns [C | E] per order m = 0..M, M = min(L, m_max): (M+1, 6(L+1),
+    12(L+1)), rows and columns ordered (channel, part, l) with part 0 the
+    cos (column M + m) and 1 the sin (column M - m) amplitudes.
     """
     L, M = grid.band_limit, min(grid.band_limit, grid.m_max)
     n, K = L + 1, 2 * D3_REACH + 1
     l, m = np.arange(n), np.arange(M + 1)
-    cols = np.stack([L + m, L - m], axis=1)  # (M+1, part)
+    cols = np.stack([M + m, M - m], axis=1)  # (M+1, part)
     c, s = np.arange(3)[:, None, None, None], np.arange(2)[None, :, None, None]
     ll, mm = l[None, None, :, None], m[None, None, None, :]
     # (channel, part, l, m) slots that exist: l >= |m|, v and w from l = 1, sin from m = 1
     valid = (ll >= mm) & ((c == 0) | (ll >= 1)) & ((s == 0) | (mm >= 1))
     ci, si, li, mi = np.nonzero(valid)
-    probes = np.zeros((3, 2, K, 3, n, 2 * L + 1))
+    probes = np.zeros((3, 2, K, 3, n, 2 * M + 1))
     probes[ci, si, li % K, ci, li, cols[mi, si]] = 1.0
-    probes = probes.reshape(6 * K, 3, n, 2 * L + 1)
+    probes = probes.reshape(6 * K, 3, n, 2 * M + 1)
 
     ur = synthesis_batch(grid, probes[:, 0], L)
     cart = spherical_to_cartesian(grid, ur, *tangent_synthesis_batch(grid, probes[:, 1], probes[:, 2], L))
@@ -480,7 +494,9 @@ class TangentField:
         self.band = grid.band_limit if band is None else int(band)
         self._tth = None if t_theta is None else np.asarray(t_theta, float)
         self._tph = None if t_phi is None else np.asarray(t_phi, float)
-        self._spec = spec  # (s_coeffs, t_coeffs) as (L+1, 2L+1) arrays
+        self._spec = None  # (s_coeffs, t_coeffs) as (L+1, 2L+1) arrays
+        if spec is not None:
+            self._spec = tuple(_centred(np.asarray(h, float), self.band) for h in spec)
 
     @classmethod
     def zeros(cls, grid: SphereGrid, band=None) -> "TangentField":
@@ -497,7 +513,8 @@ class TangentField:
     @property
     def spec(self):
         if self._spec is None:
-            self._spec = tangent_analysis_batch(self.grid, self._tth, self._tph, self.band)
+            spec = tangent_analysis_batch(self.grid, self._tth, self._tph, self.band)
+            self._spec = tuple(_centred(h, self.band) for h in spec)
         return self._spec
 
     def cartesian(self) -> np.ndarray:

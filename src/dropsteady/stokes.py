@@ -43,6 +43,7 @@ from .geometry import cutoff_unit, cutoff_unit_d1, cutoff_unit_d2
 from .sphere import (
     SphereField,
     TangentField,
+    _centred,
     integrate_sphere,
     normal_component_fields,
     synthesis_batch,
@@ -376,13 +377,12 @@ class TwoPhaseStokesSolver:
         scale = max(1.0, data.g.max_abs(), np.max(np.abs(data.h1.values)))
         if abs(defect) > 1e-9 * scale:
             raise ValueError(f"incompatible data: int g - int h1 = {defect:.3e}")
-        m = min(L, g.m_max)  # the grid carries no higher order
-        ms = slice(L - m, L + m + 1)
+        M = min(L, g.m_max)  # the one-shell fields hold every order up to L
         return StokesData(
-            np.stack(vsh_channels(data.f))[..., ms],
-            analysis_batch(g, data.g.values, L)[..., ms],
-            data.h1.with_band(L).coeffs[..., ms],
-            tuple(h[..., ms] for h in data.h2.spec),
+            np.stack(vsh_channels(data.f)),
+            analysis_batch(g, data.g.values, L),
+            _centred(data.h1.with_band(L).coeffs, M),
+            tuple(_centred(h, M) for h in data.h2.spec),
         )
 
     @staticmethod
@@ -616,12 +616,12 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
 
 def axisym_leakage(u: VolumeField, *coeffs: np.ndarray) -> float:
     """Largest m != 0 coefficient of the (P, v, w) channels of u and of any
-    further coefficient arrays (..., L+1, 2L+1)."""
+    further coefficient arrays (..., L+1, 2K+1), m = 0 in the centre column."""
     arrays = [*vsh_channels(u), *coeffs]
     leak = 0.0
     for a in arrays:
         off = np.abs(a)
-        off[..., a.shape[-2] - 1] = 0.0  # remove m = 0
+        off[..., a.shape[-1] // 2] = 0.0  # remove m = 0
         leak = max(leak, float(off.max()))
     return leak
 

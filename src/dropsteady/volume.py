@@ -7,7 +7,9 @@ Cartesian axes of length 3: (3,)*r + (n_r, n_theta, n_phi).  Spectral
 calculus (gradients, divergence, vector Laplacian, d/dx3) goes through
 per-shell spherical-harmonic analysis and parity-aware radial Chebyshev
 differentiation, which is exact for fields whose per-degree radial
-profiles are polynomial (interior: in r, exterior: in 1/r).  A gradient
+profiles are polynomial (interior: in r, exterior: in 1/r).  Coefficient
+arrays carry the orders |m| <= min(L, m_max) the grid holds, m = 0 in the
+centre column (see ``sphere``).  A gradient
 appends its derivative index as the last Cartesian axis, so the gradient
 of a vector u is its Jacobian d_j u_i.  Every volume derivative runs at
 the grid's band limit.
@@ -157,31 +159,24 @@ def grid_points(grid: VolumeGrid, phase: int | None = None):
 
 
 def _chan_radial_deriv(grid: VolumeGrid, coeffs: np.ndarray, base_parity: int, order: int):
-    """d^order/dr^order of per-mode profiles (..., n_r, L+1, 2K+1) with channel
-    parity (l + base_parity) mod 2 (scalars and w: base 0; P, v: base 1), on
-    the orders |m| <= min(K, m_max) the grid carries; other columns are zero.
-    Each phase's derivative matrices act on that phase's rows of the radial
-    axis.  The order columns are centred on m = 0: K = L in the dense
-    layout, and K = min(L, m_max) when they hold only the orders the grid
-    carries."""
-    L, K = coeffs.shape[-2] - 1, coeffs.shape[-1] // 2
-    M = min(K, grid.sphere.m_max)
-    ms = slice(K - M, K + M + 1)
-    out = np.zeros(coeffs.shape)
+    """d^order/dr^order of per-mode profiles (..., n_r, L+1, orders) with
+    channel parity (l + base_parity) mod 2 (scalars and w: base 0; P, v:
+    base 1).  Each phase's derivative matrices act on that phase's rows of
+    the radial axis."""
+    L = coeffs.shape[-2] - 1
+    out = np.empty(coeffs.shape)
     prof, dest = np.moveaxis(coeffs, -3, 0), np.moveaxis(out, -3, 0)
     n = grid.interior.n
     for rad, rows in ((grid.interior, slice(None, n)), (grid.exterior, slice(n, None))):
         for par in (0, 1):
             ls = slice((par + base_parity) % 2, L + 1, 2)
-            dest[rows, ..., ls, ms] = rad.deriv(prof[rows, ..., ls, ms], parity=par, order=order)
+            dest[rows, ..., ls, :] = rad.deriv(prof[rows, ..., ls, :], parity=par, order=order)
     return out
 
 
-def scalar_gradient(f: VolumeField) -> VolumeField:
-    """Cartesian gradient of a field of any rank r: a rank r + 1 field whose
-    last Cartesian axis is the derivative index (for a vector, d_j u_i).
-    One analysis, one radial derivative, one scalar and one tangent
-    synthesis give (d_r f, d_theta f / r, d_phi f / (r sin theta))."""
+def _spherical_gradient(f: VolumeField):
+    """(d_r f, d_theta f / r, d_phi f / (r sin theta)) of a field of any rank:
+    one analysis, one radial derivative, one scalar and one tangent synthesis."""
     grid = f.grid
     g = grid.sphere
     L = g.band_limit
@@ -191,22 +186,32 @@ def scalar_gradient(f: VolumeField) -> VolumeField:
     rinv = 1.0 / grid.radius_mesh()
     tth *= rinv
     tph *= rinv
+    return dr, tth, tph
+
+
+def scalar_gradient(f: VolumeField) -> VolumeField:
+    """Cartesian gradient of a field of any rank r: a rank r + 1 field whose
+    last Cartesian axis is the derivative index (for a vector, d_j u_i)."""
     shape = f.values.shape
     out = np.empty(shape[:-3] + (3,) + shape[-3:])
-    spherical_to_cartesian(g, dr, tth, tph, out=np.moveaxis(out, -4, 0))
-    return VolumeField(grid, out)
+    spherical_to_cartesian(f.grid.sphere, *_spherical_gradient(f), out=np.moveaxis(out, -4, 0))
+    return VolumeField(f.grid, out)
 
 
 def d3(f: VolumeField) -> VolumeField:
     """d f / d x3 = cos(theta) d_r f - sin(theta) d_theta f / r, any rank:
-    the e3 column of the gradient (phi-hat has no e3 component)."""
-    return e3_column(scalar_gradient(f))
+    the e3 component of the gradient alone (phi-hat has no e3 component)."""
+    dr, tth, _ = _spherical_gradient(f)
+    rhat, that, _ = f.grid.sphere.unit_vectors()
+    out = dr * rhat[2]
+    out += tth * that[2]
+    return VolumeField(f.grid, out)
 
 
 def d3_channels(grid: VolumeGrid, u: np.ndarray) -> np.ndarray:
     """Channels of d3 u from the channels ``u`` of a vector field,
-    (3, n_r, L+1, 2M+1) stacked (P, v, w) on the orders |m| <= M =
-    min(L, m_max) the grid carries: C (d_r u) + E (u / r) with the grid's
+    (3, n_r, L+1, 2M+1) stacked (P, v, w) on the orders |m| <= M the grid
+    carries: C (d_r u) + E (u / r) with the grid's
     probed angular coupling (``SphereGrid.d3_coupling``), as
     ``vsh_channels(d3(...))`` gives them, without a sphere transform."""
     B = grid.sphere.d3_coupling
@@ -342,7 +347,7 @@ def eval_radii(f: VolumeField, radii: np.ndarray, phase: int) -> np.ndarray:
     lead = blk.shape[:-3]
     C = np.moveaxis(analysis_batch(g, blk, L), -3, 0)
     radii = np.atleast_1d(np.asarray(radii, float))
-    out_modes = np.zeros(lead + (radii.size, L + 1, 2 * L + 1))
+    out_modes = np.empty(lead + (radii.size,) + C.shape[-2:])
     for par in (0, 1):
         ls = slice(par, L + 1, 2)
         vals = rad.eval_at(rad.fit(C[..., ls, :], parity=par), radii, parity=par)

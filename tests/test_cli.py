@@ -10,6 +10,7 @@ import pytest
 from dropsteady.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from dropsteady.driver import SolveConfig, picard_solve
 from dropsteady.io import ConfigError, dump_config, fmt, load_config
+from dropsteady.volume import vsh_channels
 
 SMALL = """
 [physics]
@@ -150,6 +151,30 @@ def test_solve_artifacts_exist(solved_out):
     for name in ("interface_shape.csv", "shell_profiles.csv", "diagnostics.txt", "mode_tables.csv"):
         assert os.path.exists(os.path.join(solved_out, name))
         assert f"= {name}" in listed
+
+
+def test_mode_tables_hold_the_m0_channels(solved_out, cfgfile):
+    """--emit-modes on the band grid writes the m = 0 profiles of
+    vsh_channels(u), every nonzero one and nothing else."""
+    bundle = picard_solve(load_config(cfgfile))
+    grid = bundle.ctx.grid
+    n = grid.interior.n
+    want = {}
+    for cname, arr in zip(("radial", "spheroidal", "toroidal"), vsh_channels(bundle.state.u)):
+        for phase, sel in (("drop", slice(None, n)), ("reservoir", slice(n, None))):
+            for l in range(arr.shape[-2]):
+                col = arr[sel, l, arr.shape[-1] // 2]
+                if np.any(col != 0.0):
+                    want[(phase, cname, l)] = list(zip(grid.r[sel], col))
+    got = {}
+    with open(os.path.join(solved_out, "mode_tables.csv")) as fh:
+        next(fh)
+        for line in fh:
+            phase, cname, l, m, r, v = line.strip().split(",")
+            if phase != "eta":
+                assert m == "0"
+                got.setdefault((phase, cname, int(l)), []).append((float(r), float(v)))
+    assert want and got == want
 
 
 def test_manifest_reproduces_run(solved_out, cfgfile, tmp_path):

@@ -10,6 +10,7 @@ from dropsteady.driver import (
     NonContraction,
     SolveConfig,
     diagnostics,
+    lambda_error_bar,
     mirror_defect,
     picard_solve,
     reconstruct_physical,
@@ -188,3 +189,34 @@ def test_banded_solve_matches_full_m():
     assert len(banded.history) == len(full.history)
     assert abs(banded.lam - full.lam) <= 5e-12 * abs(full.lam)
     assert np.max(np.abs(banded.eta.coeffs - full.eta.coeffs)) <= 3e-15
+
+
+def test_lambda_error_bar_formula():
+    """q / (1 - q) times the last update, q the largest measured ratio; inf
+    when no ratio was measured or the largest is not below 1."""
+    assert lambda_error_bar([0.1, 0.25, 0.2], 3e-9) == 0.25 / 0.75 * 3e-9
+    assert lambda_error_bar([0.0], 1e-3) == 0.0
+    for ratios in ([], [0.5, 1.0], [2.0]):
+        assert lambda_error_bar(ratios, 1e-12) == np.inf
+
+
+def test_lambda_error_bar_of_a_solve():
+    """The reported bar is the bound of the solve's own history; without a
+    measured ratio it is inf and lambda does not count as nonzero."""
+    b = picard_solve(SolveConfig())  # the README default
+    ratios = [h["ratio"] for h in b.history[1:]]
+    assert b.report["lambda_error_bar"] == lambda_error_bar(ratios, b.history[-1]["update"])
+    assert 0.0 < b.report["lambda_error_bar"] < 1e-14  # it reads 6.7e-16
+    assert b.report["lambda_nonzero"]
+    one = picard_solve(dataclasses.replace(CFG, max_iters=1))
+    assert one.report["lambda_error_bar"] == np.inf
+    assert not one.report["lambda_nonzero"]
+
+
+def test_lambda_error_bar_bounds_an_early_stop():
+    """Stopped early, a drifted L8 solve is within its bar of the converged lambda."""
+    cfg = SolveConfig(band_limit=8, rho_tilde=0.1)
+    ref = picard_solve(cfg)
+    early = picard_solve(dataclasses.replace(cfg, tol_fixed_point=1e-6))
+    assert len(early.history) < len(ref.history)
+    assert abs(early.lam - ref.lam) <= early.report["lambda_error_bar"]

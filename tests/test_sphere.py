@@ -176,25 +176,59 @@ def series(c, L):
     return fn
 
 
+def tangent_series(s, t, L):
+    """fn(theta, phi) -> (t_theta, t_phi) summing the spheroidal/toroidal
+    series (s, t) term by term (the formulas of ref_tangent_synthesis)."""
+
+    def fn(th, ph):
+        _, D, E = _legendre_tables(L, np.cos(th[:, 0]))
+
+        def dot(T, a):
+            return (T.T @ a)[:, None]
+
+        tth = dot(D[0], s[:, L]) * np.ones_like(ph)
+        tph = dot(D[0], t[:, L]) * np.ones_like(ph)
+        for m in range(1, L + 1):
+            cm, sm = np.sqrt(2.0) * np.cos(m * ph), np.sqrt(2.0) * np.sin(m * ph)
+            sp, sn, tp, tn = s[:, L + m], s[:, L - m], t[:, L + m], t[:, L - m]
+            tth = tth + (dot(D[m], sp) - dot(E[m], tn)) * cm + (dot(D[m], sn) + dot(E[m], tp)) * sm
+            tph = tph + (dot(E[m], sn) + dot(D[m], tp)) * cm + (dot(D[m], tn) - dot(E[m], sp)) * sm
+        return tth, tph
+
+    return fn
+
+
 @pytest.mark.parametrize("L, m_max", BANDED)
 def test_banded_round_trips_and_zero_off_band(L, m_max):
     # rounding bound as in test_round_trip_random: the full grid's round
     # trips at L = 16 already differ by 3e-14 (scalar) and 4e-14 (tangent)
     grid = SphereGrid.build(L, m_max=m_max)
     assert grid.n_phi == 2 * m_max + 2
+    M = min(L, m_max)
+    carried = slice(L - M, L + M + 1)  # the grid's orders in the dense layout
     rng = np.random.default_rng(10 * L + m_max)
     c = banded_coeffs(rng, L, m_max)
     back = analysis_batch(grid, synthesis_batch(grid, c, L), L)
-    assert np.max(np.abs(back - c)) <= 1e-12 * np.max(np.abs(c))
+    assert np.max(np.abs(back - c[:, carried])) <= 1e-12 * np.max(np.abs(c))
     s, t = banded_coeffs(rng, L, m_max, (2,), lmin=1)
     s2, t2 = tangent_analysis_batch(grid, *tangent_synthesis_batch(grid, s, t, L), L)
     for new, ref in ((s2, s), (t2, t)):
-        assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
-    # analyses of arbitrary grid values leave every column |m| > m_max at 0
-    v, w = rng.standard_normal((2, grid.n_theta, grid.n_phi))
-    off = np.abs(np.arange(-L, L + 1)) > m_max
-    for a in (analysis_batch(grid, v, L), *tangent_analysis_batch(grid, v, w, L)):
-        assert np.all(a[:, off] == 0.0)
+        assert np.max(np.abs(new - ref[..., carried])) <= 1e-12 * np.max(np.abs(ref))
+    # an analysis has the 2 M + 1 order columns of the grid and equals the
+    # full grid's analysis restricted to them, on content up to order M + 1:
+    # the one order beyond M the grid's azimuths resolve is dropped, not folded
+    c = banded_coeffs(rng, L, M + 1)
+    s, t = banded_coeffs(rng, L, M + 1, lmin=1, lead=(2,))
+    got, ref = (
+        (
+            analysis_batch(g, series(c, L)(*g.nodes), L),
+            *tangent_analysis_batch(g, *tangent_series(s, t, L)(*g.nodes), L),
+        )
+        for g in (grid, SphereGrid.build(L))
+    )
+    for a, full in zip(got, ref):
+        assert a.shape == (L + 1, 2 * M + 1)
+        assert np.max(np.abs(a - full[:, carried])) <= 1e-13 * np.max(np.abs(full))
     with pytest.raises(ValueError):
         SphereGrid.build(L, m_max=grid.pad_limit + 1)
 

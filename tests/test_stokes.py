@@ -193,14 +193,19 @@ def manufactured(vg, modes, mu1, mu2):
 
 def assert_channels_match(sol, ch, scale):
     """Every (P, v, w) coefficient of sol.u within 2e-9 * scale of the exact
-    channels, and every pressure coefficient within 5e-9 * scale."""
+    channels, and every pressure coefficient within 5e-9 * scale; the exact
+    channels hold nothing beyond the orders |m| <= M the grid carries."""
     grid = sol.u.grid
     L = grid.sphere.band_limit
+    M = min(L, grid.sphere.m_max)
+    carried = np.abs(np.arange(-L, L + 1)) <= M
     got = (*vsh_channels(sol.u), analysis_batch(grid.sphere, sol.p.values, L))
     n = grid.interior.n
     for phase, rows in ((INTERIOR, slice(None, n)), (EXTERIOR, slice(n, None))):
         for k, a, tol in zip("Pvwp", got, (2e-9, 2e-9, 2e-9, 5e-9)):
-            assert np.max(np.abs(a[rows] - ch[k][phase])) < tol * scale, (k, phase)
+            assert a.shape[-1] == 2 * M + 1
+            assert np.all(ch[k][phase][..., ~carried] == 0.0), (k, phase)
+            assert np.max(np.abs(a[rows] - ch[k][phase][..., carried])) < tol * scale, (k, phase)
 
 
 @pytest.mark.parametrize("l", [0, 1, 2, 3, 5, 8, 12])
@@ -501,8 +506,8 @@ def test_d3_channels_match_nodal_d3(band_solver):
     ch = _random_channels(vg, np.random.default_rng(5))
     u = VolumeField(vg, vsh_assemble(vg, *ch))
     got = d3_channels(vg, ch)
-    L, M = vg.sphere.band_limit, min(vg.sphere.band_limit, vg.sphere.m_max)
-    ref = np.stack(vsh_channels(d3(u)))[..., L - M : L + M + 1]
+    ref = np.stack(vsh_channels(d3(u)))
+    assert ref.shape == got.shape
     n = vg.interior.n
     for ph, rows in ((INTERIOR, slice(None, n)), (EXTERIOR, slice(n, None))):
         assert np.max(np.abs(got[:, rows] - ref[:, rows])) <= 1e-12 * np.max(np.abs(ref[:, rows])), ph
@@ -704,3 +709,29 @@ def test_drag_via_volume_vs_surface(vg):
     assert abs(-aux.e3_drag - aux.dissipation) < 1e-8 * abs(aux.e3_drag)
     # and the components along e1, e2 vanish by symmetry
     assert np.max(np.abs(aux.drag[:2])) < 1e-9
+
+
+def test_axisym_leakage_reads_the_orders_off_m0():
+    """On an m_max = 2 grid axisym_leakage reads a planted coefficient at
+    m = 1 and at m = -2, in the channels of a velocity field and in a
+    (dense) eta coefficient array, and nothing of pure m = 0 content."""
+    vg = VolumeGrid.build(8, 12, 20, 64.0, m_max=2)
+    rng = np.random.default_rng(4)
+    K = 2  # the m = 0 column of the grid's 2 m_max + 1 order columns
+    ch = np.zeros((3, vg.r.size, 9, 2 * K + 1))
+    ch[0, :, :, K] = rng.standard_normal((vg.r.size, 9))
+    ch[1:, :, 1:, K] = rng.standard_normal((2, vg.r.size, 8))
+    eta = np.zeros((9, 17))
+    eta[:, 8] = rng.standard_normal(9)
+    axisym = VolumeField(vg, vsh_assemble(vg, *ch))
+    assert stokes.axisym_leakage(axisym) <= 1e-14 * np.max(np.abs(ch))
+    assert stokes.axisym_leakage(axisym, eta) <= 1e-14 * np.max(np.abs(ch))
+    for c, l, col in ((0, 3, K + 1), (1, 4, K - 2)):
+        planted = ch.copy()
+        planted[c, :, l, col] = 1e-6
+        u = VolumeField(vg, vsh_assemble(vg, *planted))
+        assert abs(stokes.axisym_leakage(u) - 1e-6) <= 1e-12, (c, l, col)
+    for l, col in ((3, 8 + 1), (4, 8 - 2)):
+        planted = eta.copy()
+        planted[l, col] = 1e-6
+        assert abs(stokes.axisym_leakage(axisym, planted) - 1e-6) <= 1e-12, (l, col)

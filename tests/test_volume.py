@@ -233,3 +233,50 @@ def test_eval_shell(vg):
     vals2 = eval_shell(fe, 5.0)
     z5 = 5.0 * np.cos(th)
     assert np.max(np.abs(vals2 - z5 / 125.0)) < 1e-11
+
+
+def test_picard_step_carries_only_the_grid_orders(monkeypatch):
+    """Every coefficient array the volume layer forms in a Picard step on an
+    m_max = 2 grid has the 2 min(L, m_max) + 1 order columns the grid carries,
+    not the dense 2L + 1."""
+    import importlib
+    import pkgutil
+
+    import dropsteady
+    from dropsteady import sphere, volume
+    from dropsteady.driver import SolveConfig
+    from dropsteady.operators import (
+        DropState,
+        assemble_N,
+        build_context,
+        invert_L_with_tail,
+        norm_X,
+    )
+
+    cfg = SolveConfig(band_limit=8, n_r_int=12, n_r_ext=20)
+    ctx = build_context(cfg.build_grid(), cfg.params(), alpha=cfg.alpha)
+    x = invert_L_with_tail(assemble_N(DropState.zeros(ctx.grid), ctx), ctx.lambda0, ctx)
+    modules = [
+        importlib.import_module(f"dropsteady.{m.name}") for m in pkgutil.iter_modules(dropsteady.__path__)
+    ]
+    targets = {
+        "analysis_batch": sphere,
+        "tangent_analysis_batch": sphere,
+        "_chan_radial_deriv": volume,
+    }
+    widths = {}
+    for name, mod in targets.items():
+        fn = getattr(mod, name)
+
+        def recording(*args, _fn=fn, _name=name, **kwargs):
+            out = _fn(*args, **kwargs)
+            arrays = out if isinstance(out, tuple) else (out,)
+            widths.setdefault(_name, set()).update(a.shape[-1] for a in arrays)
+            return out
+
+        for m in modules:
+            if getattr(m, name, None) is fn:
+                monkeypatch.setattr(m, name, recording)
+    x_new = invert_L_with_tail(assemble_N(x, ctx), ctx.lambda0 + x.kappa, ctx)
+    norm_X(x_new.combine(x, 1.0, -1.0), ctx.lambda0)
+    assert widths == {name: {2 * min(8, 2) + 1} for name in targets}
