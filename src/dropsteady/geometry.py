@@ -244,17 +244,6 @@ def build_map(eta_h: HeightFunction, grid: VolumeGrid) -> MapData:
     )
 
 
-def _mul3(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pointwise matrix product (X Y)_ij = X_ik Y_kj of (3, 3, ...) fields,
-    as three broadcast multiply-adds over k."""
-    out = X[:, 0, None] * Y[None, 0]
-    tmp = np.empty_like(out)
-    for k in (1, 2):
-        np.multiply(X[:, k, None], Y[None, k], out=tmp)
-        out += tmp
-    return out
-
-
 def transformed_stress(
     jac_w: VolumeField, q: VolumeField, mp: MapData, mu1: float, mu2: float
 ) -> VolumeField:
@@ -263,11 +252,11 @@ def transformed_stress(
     ``jac_w`` is the Jacobian field (d_j w_i); at eta = 0 this reduces to
     the Cauchy stress 2 mu S(w) - q I.
     """
-    G = _mul3(jac_w.values, mp.F_inv.values)
+    G = np.einsum("ikrab,kjrab->ijrab", jac_w.values, mp.F_inv.values)
     inner = mp.grid.phase_profile(mu1, mu2) * (G + G.swapaxes(0, 1))
     for i in range(3):
         inner[i, i] -= q.values
-    return VolumeField(mp.grid, _mul3(inner, mp.A.values.swapaxes(0, 1)))
+    return VolumeField(mp.grid, np.einsum("ikrab,jkrab->ijrab", inner, mp.A.values))
 
 
 # ---------------------------------------------------------------------------

@@ -200,12 +200,9 @@ def emit_mode_tables(out_dir: str, bundle) -> str:
     grid = bundle.ctx.grid
     g = grid.sphere
     L = g.band_limit
-    rows = []
     ec = bundle.eta.coeffs
-    for l in range(L + 1):
-        for m in range(-l, l + 1):
-            if ec[l, L + m] != 0.0:
-                rows.append(("eta", "coeff", l, m, 0.0, ec[l, L + m]))
+    K = ec.shape[-1] // 2  # m = 0 column
+    rows = [("eta", "coeff", l, k - K, 0.0, ec[l, k]) for l, k in zip(*np.nonzero(ec))]
     chans = vsh_channels(bundle.state.u)
     n = grid.interior.n
     for name, sel in (("drop", slice(None, n)), ("reservoir", slice(n, None))):

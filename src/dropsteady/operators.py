@@ -290,8 +290,7 @@ def _flat_stress(jac: VolumeField, p: VolumeField, mu1: float, mu2: float) -> Vo
 
 def matvec(A: VolumeField, v: VolumeField) -> VolumeField:
     """Pointwise (A v)_i = A_ij v_j of a rank-2 and a rank-1 field."""
-    a, x = A.values, v.values
-    return VolumeField(A.grid, a[:, 0] * x[0] + a[:, 1] * x[1] + a[:, 2] * x[2])
+    return VolumeField(A.grid, np.einsum("ijrab,jrab->irab", A.values, v.values))
 
 
 def _traction_jump_eta(T_eta: VolumeField) -> np.ndarray:

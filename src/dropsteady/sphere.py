@@ -17,10 +17,9 @@ Conventions
 * A transform of degree L carries the orders |m| <= M = min(L, m_max)
   and lays them out as ``a[..., l, m+M]``: L+1 rows and 2M+1 order
   columns, m = 0 in the centre column ``a.shape[-1] // 2``.  A synthesis
-  takes any such layout.  ``SphereField`` and ``TangentField`` hold one
-  shell in the dense ``(L+1, 2L+1)`` array ``a[l, m+L]``, padded with zero
-  columns on a grid that carries fewer orders.
-* A constant field c has ``a[0,0] = c*sqrt(4 pi)``.
+  takes any such layout, and ``SphereField`` and ``TangentField`` hold one
+  shell in it.
+* A constant field c has ``a[0, M] = c*sqrt(4 pi)``.
 * A transform is one matmul with a Fourier table (values <-> per-order
   cos/sin amplitudes) and one stacked matmul over all orders with a
   Legendre table; the tables are built once per grid (``_Tables``).
@@ -28,8 +27,8 @@ Conventions
   N. Schaeffer, arXiv:1202.6522) on ``n_phi = 2 m_max + 2`` azimuths.
   The default ``m_max = pad_limit`` is the full grid, which validate and
   the tests use; a solve runs on the axisymmetric band (``m_max = 2``,
-  see ``driver.AXISYMMETRIC_M_MAX``), where an analysis has 2 m_max + 1
-  columns; on a full grid M = L, the dense layout.
+  see ``driver.AXISYMMETRIC_M_MAX``), where a layout has at most
+  2 m_max + 1 columns; on a full grid M = L.
 """
 
 from __future__ import annotations
@@ -209,7 +208,8 @@ class SphereGrid:
 
 
 class SphereField:
-    """Scalar function on the sphere, dual grid-values / coefficients storage."""
+    """Scalar function on the sphere, dual grid-values / coefficients storage;
+    coeffs hold the orders |m| <= min(band, m_max), a wider array is narrowed."""
 
     def __init__(self, grid: SphereGrid, values=None, coeffs=None, band=None):
         self.grid = grid
@@ -217,7 +217,8 @@ class SphereField:
         if self.band > grid.pad_limit:
             raise ValueError("band limit exceeds grid capacity")
         self._values = None if values is None else np.asarray(values, dtype=float)
-        self._coeffs = None if coeffs is None else _centred(np.asarray(coeffs, float), self.band)
+        K = min(self.band, grid.m_max)
+        self._coeffs = None if coeffs is None else _centred(np.asarray(coeffs, float), K)
         if self._values is None and self._coeffs is None:
             raise ValueError("need values or coeffs")
         if self._values is not None and self._values.shape != (
@@ -230,13 +231,13 @@ class SphereField:
     @classmethod
     def zeros(cls, grid: SphereGrid, band=None) -> "SphereField":
         band = grid.band_limit if band is None else band
-        return cls(grid, coeffs=np.zeros((band + 1, 2 * band + 1)), band=band)
+        return cls(grid, coeffs=np.zeros((band + 1, 1)), band=band)
 
     @classmethod
     def constant(cls, grid: SphereGrid, c: float) -> "SphereField":
-        f = cls.zeros(grid)
-        f._coeffs[0, f.band] = c * np.sqrt(4.0 * np.pi)
-        return f
+        a = np.zeros((grid.band_limit + 1, 1))
+        a[0, 0] = c * np.sqrt(4.0 * np.pi)
+        return cls(grid, coeffs=a)
 
     @classmethod
     def from_function(cls, grid: SphereGrid, fn, band=None) -> "SphereField":
@@ -253,17 +254,15 @@ class SphereField:
     @property
     def coeffs(self) -> np.ndarray:
         if self._coeffs is None:
-            self._coeffs = _centred(analysis_batch(self.grid, self._values, self.band), self.band)
+            self._coeffs = analysis_batch(self.grid, self._values, self.band)
         return self._coeffs
 
     def with_band(self, band: int) -> "SphereField":
         """Project onto the first ``band`` degrees."""
         c = self.coeffs
-        L, Lb = self.band, band
-        out = np.zeros((Lb + 1, 2 * Lb + 1))
-        lo = min(L, Lb)
-        out[: lo + 1, Lb - lo : Lb + lo + 1] = c[: lo + 1, L - lo : L + lo + 1]
-        return SphereField(self.grid, coeffs=out, band=Lb)
+        out = np.zeros((band + 1, c.shape[-1]))
+        out[: min(self.band, band) + 1] = c[: band + 1]
+        return SphereField(self.grid, coeffs=out, band=band)
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
@@ -494,15 +493,15 @@ class TangentField:
         self.band = grid.band_limit if band is None else int(band)
         self._tth = None if t_theta is None else np.asarray(t_theta, float)
         self._tph = None if t_phi is None else np.asarray(t_phi, float)
-        self._spec = None  # (s_coeffs, t_coeffs) as (L+1, 2L+1) arrays
+        self._spec = None  # (s_coeffs, t_coeffs), each as a SphereField's coeffs
         if spec is not None:
-            self._spec = tuple(_centred(np.asarray(h, float), self.band) for h in spec)
+            K = min(self.band, grid.m_max)
+            self._spec = tuple(_centred(np.asarray(h, float), K) for h in spec)
 
     @classmethod
     def zeros(cls, grid: SphereGrid, band=None) -> "TangentField":
         band = grid.band_limit if band is None else band
-        z = np.zeros((band + 1, 2 * band + 1))
-        return cls(grid, spec=(z, z.copy()), band=band)
+        return cls(grid, spec=np.zeros((2, band + 1, 1)), band=band)
 
     @property
     def components(self):
@@ -513,8 +512,7 @@ class TangentField:
     @property
     def spec(self):
         if self._spec is None:
-            spec = tangent_analysis_batch(self.grid, self._tth, self._tph, self.band)
-            self._spec = tuple(_centred(h, self.band) for h in spec)
+            self._spec = tangent_analysis_batch(self.grid, self._tth, self._tph, self.band)
         return self._spec
 
     def cartesian(self) -> np.ndarray:
@@ -544,7 +542,7 @@ class TangentField:
 
 def integrate_sphere(f: SphereField) -> float:
     """Quadrature-exact surface integral of a band-limited field."""
-    return float(f.coeffs[0, f.band] * np.sqrt(4.0 * np.pi))
+    return float(f.coeffs[0, f.coeffs.shape[-1] // 2] * np.sqrt(4.0 * np.pi))
 
 
 def laplace_beltrami(f: SphereField) -> SphereField:
@@ -561,24 +559,22 @@ def surface_gradient(f: SphereField) -> TangentField:
 
 
 def project_kernel(f: SphereField) -> SphereField:
-    """Orthogonal projection onto the l = 1 subspace (span of n_1, n_2, n_3)."""
+    """Orthogonal projection onto the l = 1 subspace (span of n_1, n_2, n_3);
+    the l = 1 row holds nothing at |m| > 1."""
     c = np.zeros_like(f.coeffs)
-    L = f.band
-    c[1, L - 1 : L + 2] = f.coeffs[1, L - 1 : L + 2]
-    return SphereField(f.grid, coeffs=c, band=L)
+    c[1] = f.coeffs[1]
+    return SphereField(f.grid, coeffs=c, band=f.band)
 
 
 def project_complement(f: SphereField) -> SphereField:
     c = f.coeffs.copy()
-    L = f.band
-    c[1, L - 1 : L + 2] = 0.0
-    return SphereField(f.grid, coeffs=c, band=L)
+    c[1] = 0.0
+    return SphereField(f.grid, coeffs=c, band=f.band)
 
 
 def kernel_obstruction(f: SphereField) -> float:
     """Relative l = 1 content of f (must vanish for solve_shifted)."""
-    L = f.band
-    num = np.linalg.norm(f.coeffs[1, L - 1 : L + 2])
+    num = np.linalg.norm(f.coeffs[1])
     den = np.linalg.norm(f.coeffs)
     return float(num / den) if den > 0 else 0.0
 
@@ -626,8 +622,8 @@ def normal_component_fields(grid: SphereGrid):
     L = grid.band_limit
     c = np.sqrt(4.0 * np.pi / 3.0)
     out = []
-    for col, amp in ((L + 1, -c), (L - 1, -c), (L, c)):
-        a = np.zeros((L + 1, 2 * L + 1))
+    for col, amp in ((2, -c), (0, -c), (1, c)):  # m = 1, -1, 0
+        a = np.zeros((L + 1, 3))
         a[1, col] = amp
         out.append(SphereField(grid, coeffs=a, band=L))
     return tuple(out)
@@ -639,12 +635,12 @@ def rotate_about_z(f: SphereField, beta: float) -> SphereField:
     For real harmonics the (m, -m) pair rotates by the 2x2 rotation of
     angle m*beta.
     """
-    c = f.coeffs.copy()
-    L = f.band
+    c = f.coeffs
+    K = c.shape[-1] // 2
     out = c.copy()
-    for m in range(1, L + 1):
+    for m in range(1, K + 1):
         cm, sm = np.cos(m * beta), np.sin(m * beta)
-        a, b = c[:, L + m].copy(), c[:, L - m].copy()
-        out[:, L + m] = cm * a + sm * b
-        out[:, L - m] = -sm * a + cm * b
-    return SphereField(f.grid, coeffs=out, band=L)
+        a, b = c[:, K + m], c[:, K - m]
+        out[:, K + m] = cm * a + sm * b
+        out[:, K - m] = -sm * a + cm * b
+    return SphereField(f.grid, coeffs=out, band=f.band)

@@ -43,7 +43,6 @@ from .geometry import cutoff_unit, cutoff_unit_d1, cutoff_unit_d2
 from .sphere import (
     SphereField,
     TangentField,
-    _centred,
     integrate_sphere,
     normal_component_fields,
     synthesis_batch,
@@ -377,12 +376,11 @@ class TwoPhaseStokesSolver:
         scale = max(1.0, data.g.max_abs(), np.max(np.abs(data.h1.values)))
         if abs(defect) > 1e-9 * scale:
             raise ValueError(f"incompatible data: int g - int h1 = {defect:.3e}")
-        M = min(L, g.m_max)  # the one-shell fields hold every order up to L
         return StokesData(
             np.stack(vsh_channels(data.f)),
             analysis_batch(g, data.g.values, L),
-            _centred(data.h1.with_band(L).coeffs, M),
-            tuple(_centred(h, M) for h in data.h2.spec),
+            data.h1.with_band(L).coeffs,
+            data.h2.spec,
         )
 
     @staticmethod

@@ -222,10 +222,7 @@ def random_state(vg, rng):
     u_ext += gap[:, None] * (se**2)[:, None, None]
     u = VolumeField(vg, vsh_assemble(vg, *np.concatenate([u_int, u_ext], axis=1)))
     p = VolumeField(vg, synthesis_batch(g, np.concatenate([p_int, p_ext]), L))
-    eta = rand_coeffs()
-    M = min(L, g.m_max)  # the orders a band grid does not carry are zero
-    eta[:, : L - M] = eta[:, L + M + 1 :] = 0.0
-    eta = SphereField(g, coeffs=eta, band=L)
+    eta = SphereField(g, coeffs=rand_coeffs(), band=L)  # narrowed to the grid's orders
     return DropState(u, p, float(rng.normal()), eta)
 
 

@@ -188,7 +188,12 @@ def test_banded_solve_matches_full_m():
     assert banded.converged and full.converged
     assert len(banded.history) == len(full.history)
     assert abs(banded.lam - full.lam) <= 5e-12 * abs(full.lam)
-    assert np.max(np.abs(banded.eta.coeffs - full.eta.coeffs)) <= 3e-15
+    M, L = AXISYMMETRIC_M_MAX, cfg.band_limit
+    band_eta, full_eta = banded.eta.coeffs, full.eta.coeffs
+    assert band_eta.shape == (L + 1, 2 * M + 1) and full_eta.shape == (L + 1, 2 * L + 1)
+    carried = np.s_[L - M : L + M + 1]  # the band's orders among the full grid's columns
+    assert np.max(np.abs(band_eta - full_eta[:, carried])) <= 3e-15
+    assert np.max(np.abs(np.delete(full_eta, carried, axis=-1))) <= 3e-15
 
 
 def test_lambda_error_bar_formula():

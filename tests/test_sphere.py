@@ -239,7 +239,66 @@ def test_banded_sampling_matches_full_grid(L, m_max):
     fn = series(c, L)
     banded = SphereField.from_function(SphereGrid.build(L, m_max=m_max), fn).coeffs
     full = SphereField.from_function(SphereGrid.build(L), fn).coeffs
-    assert np.max(np.abs(banded - full)) <= 1e-14 * np.max(np.abs(c))
+    M = min(L, m_max)
+    assert banded.shape == (L + 1, 2 * M + 1) and full.shape == (L + 1, 2 * L + 1)
+    carried = np.s_[L - M : L + M + 1]  # the banded orders among the full grid's columns
+    assert np.max(np.abs(banded - full[:, carried])) <= 1e-14 * np.max(np.abs(c))
+    rest = np.delete(full, carried, axis=-1)
+    assert np.max(np.abs(rest), initial=0.0) <= 1e-14 * np.max(np.abs(c))
+
+
+def test_one_shell_fields_hold_only_the_grid_orders():
+    """Every SphereField/TangentField path on the band keeps the
+    2 min(band, m_max) + 1 order columns a transform returns."""
+    grid = SphereGrid.build(16, m_max=2)
+    L, P = grid.band_limit, grid.pad_limit
+
+    def width(band):
+        return 2 * min(band, grid.m_max) + 1
+
+    f = SphereField(grid, coeffs=banded_coeffs(np.random.default_rng(5), L, 2, lmin=2), band=L)
+    fields = {
+        "zeros": SphereField.zeros(grid),
+        "zeros(band=1)": SphereField.zeros(grid, band=1),
+        "constant": SphereField.constant(grid, 2.0),
+        "values->coeffs": SphereField(grid, values=f.values),
+        "with_band(1)": f.with_band(1),
+        "with_band(pad_limit)": f.with_band(P),
+        "+": f + f.with_band(1),
+        "laplace_beltrami": laplace_beltrami(f),
+        "project_kernel": project_kernel(f),
+        "project_complement": project_complement(f),
+        "solve_shifted": solve_shifted(f),
+        "rotate_about_z": rotate_about_z(f, 0.3),
+        "band = pad_limit": SphereField(grid, values=f.values, band=P),
+    }
+    for name, h in fields.items():
+        assert h.coeffs.shape == (h.band + 1, width(h.band)), name
+    tangents = {
+        "zeros": TangentField.zeros(grid),
+        "surface_gradient": surface_gradient(f),
+        "+": surface_gradient(f) + surface_gradient(f.with_band(1)),
+        "components->spec": TangentField(grid, *surface_gradient(f).components),
+        "band = pad_limit": TangentField(grid, *surface_gradient(f).components, band=P),
+    }
+    for name, t in tangents.items():
+        assert all(h.shape == (t.band + 1, width(t.band)) for h in t.spec), name
+    np.testing.assert_array_equal(rotate_about_z(f, 0.0).coeffs, f.coeffs)
+
+
+def test_axisymmetric_grid_projectors():
+    """On an m_max = 0 grid (one order column) the l = 1 projectors split a
+    field, and the integral and the normal components are available."""
+    grid = SphereGrid.build(8, m_max=0)
+    f = SphereField(grid, coeffs=banded_coeffs(np.random.default_rng(6), 8, 0), band=8)
+    assert f.coeffs.shape == (9, 1)
+    split = project_kernel(f) + project_complement(f)
+    np.testing.assert_array_equal(split.coeffs, f.coeffs)
+    assert project_kernel(f).coeffs[1, 0] == f.coeffs[1, 0]
+    assert abs(integrate_sphere(f) - grid.quad(f.values)) <= 1e-13 * np.max(np.abs(f.coeffs))
+    n1, n2, n3 = normal_component_fields(grid)
+    assert np.all(n1.coeffs == 0.0) and np.all(n2.coeffs == 0.0)
+    assert np.max(np.abs(n3.values - np.cos(grid.nodes[0]))) <= 1e-14
 
 
 def test_weights_sum_to_4pi(grid):
