@@ -83,6 +83,10 @@ class SolveConfig:
     tol_fixed_point: float = 1e-9
 
     def __post_init__(self):
+        # NaN passes every comparison below, and +inf some of them
+        for key, value in vars(self).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{key} must be finite, not {value}")
         self.params()  # checks the physical parameters
         if not (0.75 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (3/4, 1)")

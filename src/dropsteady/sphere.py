@@ -152,22 +152,19 @@ class SphereGrid:
         th, ph = np.meshgrid(self.theta, self.phi, indexing="ij")
         return th, ph
 
-    def unit_vectors(self):
-        """Cartesian components of (r_hat, theta_hat, phi_hat) on the grid
-        (read-only arrays shared by every caller)."""
+    def unit_vectors(self) -> np.ndarray:
+        """Cartesian components of (r_hat, theta_hat, phi_hat) on the grid,
+        stacked (3, 3, n_theta, n_phi) (read-only, shared by every caller)."""
         return self._unit_vectors
 
     @cached_property
-    def _unit_vectors(self):
+    def _unit_vectors(self) -> np.ndarray:
         th, ph = self.nodes
         st, ct = np.sin(th), np.cos(th)
         sp, cp = np.sin(ph), np.cos(ph)
-        rhat = np.stack([st * cp, st * sp, ct])
-        that = np.stack([ct * cp, ct * sp, -st])
-        phat = np.stack([-sp, cp, np.zeros_like(sp)])
-        for e in (rhat, that, phat):
-            e.flags.writeable = False
-        return rhat, that, phat
+        frame = np.array([[st * cp, st * sp, ct], [ct * cp, ct * sp, -st], [-sp, cp, np.zeros_like(sp)]])
+        frame.flags.writeable = False
+        return frame
 
     @cached_property
     def _tables(self) -> "_Tables":
@@ -421,7 +418,7 @@ def vector_channels(g: SphereGrid, cart: np.ndarray):
     """Coefficients (P, v, w) of u = P Y rhat + v grad_S Y + w rhat x grad_S Y
     from Cartesian components ``cart`` (3, ..., n_theta, n_phi)."""
     L = g.band_limit
-    ur, uth, uph = (cart[0] * e[0] + cart[1] * e[1] + cart[2] * e[2] for e in g.unit_vectors())
+    ur, uth, uph = np.einsum("k...ab,skab->s...ab", cart, g.unit_vectors())
     return (analysis_batch(g, ur, L), *tangent_analysis_batch(g, uth, uph, L))
 
 

@@ -7,7 +7,9 @@ Cartesian axes of length 3: (3,)*r + (n_r, n_theta, n_phi).  Spectral
 calculus (gradients, divergence, vector Laplacian, d/dx3) goes through
 per-shell spherical-harmonic analysis and parity-aware radial Chebyshev
 differentiation, which is exact for fields whose per-degree radial
-profiles are polynomial (interior: in r, exterior: in 1/r).  Coefficient
+profiles are polynomial (interior: in r, exterior: in 1/r).  A radial
+derivative is one matmul per phase over all degrees: the drop's matrices
+stacked by degree parity, the reservoir's one matrix.  Coefficient
 arrays carry the orders |m| <= min(L, m_max) the grid holds, m = 0 in the
 centre column (see ``sphere``).  A gradient
 appends its derivative index as the last Cartesian axis, so the gradient
@@ -73,6 +75,14 @@ class VolumeGrid:
         """c_int on the drop's nodes and c_ext on the reservoir's, shaped
         (n_r, 1, 1) to broadcast against a nodal or channel array."""
         return np.repeat([c_int, c_ext], [self.interior.n, self.exterior.n])[:, None, None]
+
+    @cached_property
+    def _interior_deriv(self) -> dict:
+        """Per derivative order, the drop's matrices stacked by degree parity:
+        (L+2, n_int, n_int) with entry j = ``interior.D[order][j % 2]``, so
+        the slice [b : b + L + 1] holds the matrix of degree l at entry l."""
+        L = self.sphere.band_limit
+        return {k: np.stack([self.interior.D[k][j % 2] for j in range(L + 2)]) for k in (1, 2)}
 
     @cached_property
     def _wq(self) -> np.ndarray:
@@ -162,15 +172,14 @@ def _chan_radial_deriv(grid: VolumeGrid, coeffs: np.ndarray, base_parity: int, o
     """d^order/dr^order of per-mode profiles (..., n_r, L+1, orders) with
     channel parity (l + base_parity) mod 2 (scalars and w: base 0; P, v:
     base 1).  Each phase's derivative matrices act on that phase's rows of
-    the radial axis."""
-    L = coeffs.shape[-2] - 1
-    out = np.empty(coeffs.shape)
-    prof, dest = np.moveaxis(coeffs, -3, 0), np.moveaxis(out, -3, 0)
-    n = grid.interior.n
-    for rad, rows in ((grid.interior, slice(None, n)), (grid.exterior, slice(n, None))):
-        for par in (0, 1):
-            ls = slice((par + base_parity) % 2, L + 1, 2)
-            dest[rows, ..., ls, :] = rad.deriv(prof[rows, ..., ls, :], parity=par, order=order)
+    the radial axis, as one matmul per phase over all degrees."""
+    n, shape = grid.interior.n, coeffs.shape
+    out = np.empty(shape)
+    D = grid._interior_deriv[order][base_parity : base_parity + shape[-2]]
+    out[..., :n, :, :] = (D @ coeffs[..., :n, :, :].swapaxes(-3, -2)).swapaxes(-3, -2)
+    # the reservoir has no parity: one product over all (l, m) columns
+    ext = coeffs[..., n:, :, :].reshape(shape[:-3] + (-1, shape[-2] * shape[-1]))
+    out[..., n:, :, :] = (grid.exterior.D[order][0] @ ext).reshape(out[..., n:, :, :].shape)
     return out
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import shutil
 
 import numpy as np
@@ -73,6 +74,24 @@ def test_out_of_range_value_is_config_error(tmp_path, line):
         load_config(str(p))
     assert line.split()[0] in str(e.value)
     assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+FLOAT_KEYS = [key for key, value in vars(SolveConfig()).items() if isinstance(value, float)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_value_is_config_error(tmp_path, capsys, key, value):
+    """NaN passes a range check written as a comparison, and +inf passes
+    some: either is a config error before any operator is built."""
+    text = dump_config(SolveConfig(band_limit=4, n_r_int=8, n_r_ext=12))
+    p = tmp_path / "nonfinite.cfg"
+    p.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text))
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:") and key in lines[0]
 
 
 def test_bad_value_reports_context(tmp_path):

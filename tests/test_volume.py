@@ -1,8 +1,11 @@
 """Volume-field spectral calculus against closed-form fields."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from dropsteady.sphere import analysis_batch, tangent_analysis_batch, vector_channels
 from dropsteady.volume import (
     VolumeGrid,
     VolumeField,
@@ -19,6 +22,7 @@ from dropsteady.volume import (
     eval_radii,
     INTERIOR,
     EXTERIOR,
+    _chan_radial_deriv,
 )
 
 
@@ -213,6 +217,73 @@ def test_derivatives_keep_a_zero_phase_zero(any_grid, zero_phase):
         for out in outs:
             assert np.all(out.blocks[zero_phase] == 0.0)
             assert np.any(out.blocks[1 - zero_phase] != 0.0)
+
+
+def _chan_radial_deriv_per_parity(grid, coeffs, base_parity, order):
+    """Reference radial derivative: one product per phase and degree parity."""
+    L = coeffs.shape[-2] - 1
+    out = np.empty(coeffs.shape)
+    prof, dest = np.moveaxis(coeffs, -3, 0), np.moveaxis(out, -3, 0)
+    n = grid.interior.n
+    for rad, rows in ((grid.interior, slice(None, n)), (grid.exterior, slice(n, None))):
+        for par in (0, 1):
+            ls = slice((par + base_parity) % 2, L + 1, 2)
+            dest[rows, ..., ls, :] = rad.deriv(prof[rows, ..., ls, :], parity=par, order=order)
+    return out
+
+
+KERNEL_GRIDS = {
+    "L8 m_max=2": dict(band_limit=8, n_r_int=12, n_r_ext=20, m_max=2),
+    "L12 full": dict(band_limit=12, n_r_int=10, n_r_ext=16),
+    "L8 14+20": dict(band_limit=8, n_r_int=14, n_r_ext=20),
+    "1 interior node": dict(band_limit=4, n_r_int=1, n_r_ext=6),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_GRIDS)
+def test_radial_deriv_matches_per_parity_products(name):
+    grid = VolumeGrid.build(r_inf=16.0, **KERNEL_GRIDS[name])
+    L, K = grid.sphere.band_limit, min(grid.sphere.band_limit, grid.sphere.m_max)
+    stacked = np.random.default_rng(7).standard_normal((3, 3, grid.r.size, L + 1, 2 * K + 1))
+    strided = stacked[:, 1]  # one channel of a stacked (3, ...) array
+    assert not strided.flags.c_contiguous
+    for C in (stacked[0, 0], stacked[0], stacked, strided):
+        for base in (0, 1):
+            for order in (1, 2):
+                got = _chan_radial_deriv(grid, C, base, order)
+                ref = _chan_radial_deriv_per_parity(grid, C, base, order)
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_frame_projection_is_the_three_term_sums(any_grid):
+    g = any_grid.sphere
+    L = g.band_limit
+    cart = random_poly_field(any_grid, 2, seed=30).values
+    ur, uth, uph = (cart[0] * e[0] + cart[1] * e[1] + cart[2] * e[2] for e in g.unit_vectors())
+    expect = (analysis_batch(g, ur, L), *tangent_analysis_batch(g, uth, uph, L))
+    for got, ref in zip(vector_channels(g, cart), expect):
+        assert np.array_equal(got, ref)
+
+
+def test_picard_solve_makes_no_per_parity_products(monkeypatch):
+    """Every radial derivative is one matmul per phase: a warm Picard solve
+    calls neither np.tensordot nor the per-parity ``deriv`` of a phase."""
+    from dropsteady.driver import SolveConfig, picard_solve
+    from dropsteady.radial import ExteriorRadial, InteriorRadial
+
+    cfg = SolveConfig(band_limit=8, n_r_int=12, n_r_ext=20)
+    picard_solve(cfg)
+    calls = Counter()
+    for owner, name in ((np, "tensordot"), (InteriorRadial, "deriv"), (ExteriorRadial, "deriv")):
+
+        def counting(*args, _fn=getattr(owner, name), _key=f"{owner.__name__}.{name}", **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    picard_solve(cfg)
+    assert calls == Counter()
 
 
 def eval_shell(f: VolumeField, r: float) -> np.ndarray:
