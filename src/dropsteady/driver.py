@@ -10,14 +10,15 @@ through the interface map.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import ETA_SOBOLEV_ORDER, HeightFunction, MapData, build_map
+from .geometry import ETA_SOBOLEV_ORDER, HeightFunction, MapData, build_map, stress
 from .operators import (
     DropState,
     OperatorContext,
+    YElement,
     _minus_div_T,
     apply_L,
     assemble_N,
@@ -160,6 +161,7 @@ def picard_solve(
         bundle.timing["solve_s"] = time.perf_counter() - t0
         bundle.report["ball_norm"] = 0.0
         bundle.report["fixed_point_residual"] = 0.0
+        bundle.report.update({f"fixed_point_residual_{row.name}": 0.0 for row in fields(YElement)})
         return bundle
 
     x = DropState.zeros(grid) if initial is None else initial
@@ -188,8 +190,8 @@ def picard_solve(
             break
 
     # fixed-point residual by direct substitution
-    res = apply_L(x, ctx).combine(assemble_N(x, ctx), 1.0, -1.0)
-    residual = norm_Y(res)["total"]
+    rows = norm_Y(apply_L(x, ctx).combine(assemble_N(x, ctx), 1.0, -1.0))
+    residual = rows.pop("total")
     if not converged:
         failure = "NotConverged"
     elif not residual < FIXED_POINT_RESIDUAL_BOUND:
@@ -200,6 +202,7 @@ def picard_solve(
         config, ctx, x, lam0 + x.kappa, lam0, failure is None, history, failure=failure
     )
     bundle.report["fixed_point_residual"] = residual
+    bundle.report.update({f"fixed_point_residual_{k}": v for k, v in rows.items()})
     bundle.report["ball_norm"] = norm_X(x, lam0)["total"]
     bundle.report["ball_radius"] = abs(config.rho_tilde) ** config.alpha
     ratios = [h["ratio"] for h in history if "ratio" in h]
@@ -287,13 +290,8 @@ def _pullback_surface_force(
     area = (1.0 + ev) * sg  # dS_Gamma / dS under the graph parameterization
     total = np.zeros(3)
     for ph, mu in ((INTERIOR, ctx.params.mu1), (EXTERIOR, ctx.params.mu2)):
-        J = jac_w.trace(ph)
-        Fi = mp.F_inv.trace(ph)
-        G = np.einsum("ikab,kjab->ijab", J, Fi)
-        T = mu * (G + np.einsum("jiab->ijab", G)) - q.trace(ph)[None, None] * np.eye(3)[
-            :, :, None, None
-        ]
-        tn = np.einsum("ijab,jab->iab", T, n_gamma)
+        G = np.einsum("ikab,kjab->ijab", jac_w.trace(ph), mp.F_inv.trace(ph))
+        tn = np.einsum("ijab,jab->iab", stress(G, q.trace(ph), mu), n_gamma)
         sgn = 1.0 if ph == INTERIOR else -1.0
         total += sgn * np.einsum("ab,iab->i", g.weights * area, tn)
     return total

@@ -11,6 +11,12 @@ follow from it in closed form (cofactors), node by node.
 Curvature of the deformed interface splits as
 ``(H + 2) o Phi = lap_S eta + 2 eta - G(eta)`` with G collecting every
 term beyond linear order; H(unit sphere) = -2 in this sign convention.
+
+Two formulas the other modules share live here: ``cutoff`` evaluates the
+quintic cutoff and its first two derivatives (the extension cutoff above
+and the truncation U_R = chi_R U of ``stokes``), and ``stress`` is the
+stress law mu (G + G^T) - q I, with G = grad w F^{-1} in
+``transformed_stress`` and G = grad w in the flat stresses.
 """
 
 from __future__ import annotations
@@ -37,18 +43,20 @@ from .volume import (
 )
 
 __all__ = [
+    "ADMISSIBLE_NORM",
+    "ETA_SOBOLEV_ORDER",
     "HeightFunction",
     "MapData",
     "smoothstep",
-    "cutoff_ext",
-    "cutoff_unit",
-    "harmonic_extension_profiles",
+    "cutoff",
     "harmonic_extension",
     "build_map",
+    "stress",
     "transformed_stress",
     "curvature_linear",
     "curvature_nonlinear",
     "curvature_total",
+    "volume_identity_defect",
 ]
 
 ADMISSIBLE_NORM = 0.1  # surrogate-norm threshold keeping det(F) > 1/2
@@ -76,59 +84,24 @@ def smoothstep(t: np.ndarray) -> np.ndarray:
     return t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
-def smoothstep_d1(t: np.ndarray) -> np.ndarray:
+def cutoff(r, R: float = 1.0):
+    """chi(r / R) = 1 - smoothstep(r / R - 1), 1 for r <= R and 0 for r >= 2R,
+    and its first two derivatives in r: returns (chi, chi', chi'').
+
+    The truncation U_R = chi_R U takes it at scale R; the interface map's
+    extension cutoff is chi(r - 1), 1 for r <= 2 and 0 for r >= 3.
+    """
+    t = np.asarray(r, float) / R - 1.0
     tt = np.clip(t, 0.0, 1.0)
-    out = 30.0 * tt**2 * (tt - 1.0) ** 2
-    return np.where((t > 0) & (t < 1), out, 0.0)
-
-
-def smoothstep_d2(t: np.ndarray) -> np.ndarray:
-    tt = np.clip(t, 0.0, 1.0)
-    out = 60.0 * tt * (2.0 * tt - 1.0) * (tt - 1.0)
-    return np.where((t > 0) & (t < 1), out, 0.0)
-
-
-def cutoff_ext(r):
-    """Extension cutoff: 1 for r <= 2, 0 for r >= 3 (quintic transition)."""
-    return 1.0 - smoothstep(np.asarray(r, float) - 2.0)
-
-
-def cutoff_ext_d1(r):
-    return -smoothstep_d1(np.asarray(r, float) - 2.0)
-
-
-def cutoff_unit(t):
-    """Truncation cutoff: 1 for t <= 1, 0 for t >= 2."""
-    return 1.0 - smoothstep(np.asarray(t, float) - 1.0)
-
-
-def cutoff_unit_d1(t):
-    return -smoothstep_d1(np.asarray(t, float) - 1.0)
-
-
-def cutoff_unit_d2(t):
-    return -smoothstep_d2(np.asarray(t, float) - 1.0)
+    inside = (t > 0) & (t < 1)
+    d1 = -np.where(inside, 30.0 * tt**2 * (tt - 1.0) ** 2, 0.0) / R
+    d2 = -np.where(inside, 60.0 * tt * (2.0 * tt - 1.0) * (tt - 1.0), 0.0) / R**2
+    return 1.0 - smoothstep(t), d1, d2
 
 
 # ---------------------------------------------------------------------------
 # harmonic extension of the height function
 # ---------------------------------------------------------------------------
-
-
-def harmonic_extension_profiles(eta: SphereField):
-    """Per-degree radial solutions of the two Dirichlet problems.
-
-    Interior ball: a_l r^l with a_l = eta_lm.  Annulus 1 < r < 4:
-    alpha_l r^l + beta_l r^{-l-1} with trace eta at r = 1 and zero at
-    r = 4.  Returns (coeffs, alpha, beta) with alpha/beta the per-degree
-    scalars multiplying the coefficient array.
-    """
-    L = eta.band
-    l = np.arange(L + 1, dtype=float)
-    damp = 4.0 ** (-(2.0 * l + 1.0))
-    beta = 1.0 / (1.0 - damp)
-    alpha = 1.0 - beta  # alpha + beta = 1, alpha 4^l + beta 4^{-l-1} = 0
-    return eta.coeffs, alpha, beta
 
 
 def _extension_scalar_at(eta: SphereField, r: np.ndarray, n_drop: int):
@@ -143,8 +116,10 @@ def _extension_scalar_at(eta: SphereField, r: np.ndarray, n_drop: int):
     """
     g = eta.grid
     L = eta.band
-    C, alpha, beta = harmonic_extension_profiles(eta)
+    C = eta.coeffs
     l = np.arange(L + 1, dtype=float)
+    beta = 1.0 / (1.0 - 4.0 ** (-(2.0 * l + 1.0)))
+    alpha = 1.0 - beta  # alpha + beta = 1, alpha 4^l + beta 4^{-l-1} = 0
     up = np.maximum(l - 1.0, 0.0)
     ri, re = r[:n_drop, None], r[n_drop:, None]
     # drop: r^l; reservoir: alpha r^l + beta r^-(l+1) up to the annulus edge
@@ -213,8 +188,7 @@ def build_map(eta_h: HeightFunction, grid: VolumeGrid) -> MapData:
     rhat = g.unit_vectors()[0]
     r = grid.r
     H, dHdr, tth, tph = _extension_scalar_at(eta_h.eta, r, grid.interior.n)
-    chi = cutoff_ext(r)[:, None, None]
-    dchi = cutoff_ext_d1(r)[:, None, None]
+    chi, dchi, _ = (c[:, None, None] for c in cutoff(r - 1.0))
     x = np.stack(grid_points(grid))  # (3, n_r, nth, nph)
     rinv = 1.0 / grid.radius_mesh()
     gradH = spherical_to_cartesian(g, dHdr, rinv * tth, rinv * tph)
@@ -244,19 +218,26 @@ def build_map(eta_h: HeightFunction, grid: VolumeGrid) -> MapData:
     )
 
 
+def stress(G: np.ndarray, q: np.ndarray, mu) -> np.ndarray:
+    """The stress law mu (G + G^T) - q I of a velocity gradient G (3, 3, ...)
+    and a pressure q (...); ``mu`` is a number or a phase profile."""
+    T = mu * (G + G.swapaxes(0, 1))
+    for i in range(3):
+        T[i, i] -= q
+    return T
+
+
 def transformed_stress(
     jac_w: VolumeField, q: VolumeField, mp: MapData, mu1: float, mu2: float
 ) -> VolumeField:
-    """T^eta(w, q) = [mu (grad w F^{-1} + F^{-T} grad w^T) - q I] A^T.
+    """T^eta(w, q) = stress(grad w F^{-1}, q) A^T.
 
     ``jac_w`` is the Jacobian field (d_j w_i); at eta = 0 this reduces to
     the Cauchy stress 2 mu S(w) - q I.
     """
     G = np.einsum("ikrab,kjrab->ijrab", jac_w.values, mp.F_inv.values)
-    inner = mp.grid.phase_profile(mu1, mu2) * (G + G.swapaxes(0, 1))
-    for i in range(3):
-        inner[i, i] -= q.values
-    return VolumeField(mp.grid, np.einsum("ikrab,jkrab->ijrab", inner, mp.A.values))
+    T = stress(G, q.values, mp.grid.phase_profile(mu1, mu2))
+    return VolumeField(mp.grid, np.einsum("ikrab,jkrab->ijrab", T, mp.A.values))
 
 
 # ---------------------------------------------------------------------------

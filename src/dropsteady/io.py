@@ -12,6 +12,7 @@ import configparser
 import os
 import time
 from dataclasses import asdict
+from typing import get_type_hints
 
 import numpy as np
 
@@ -33,7 +34,7 @@ _SECTIONS = {
     "discretization": ("band_limit", "n_r_int", "n_r_ext", "r_inf"),
     "iteration": ("alpha", "max_iters", "tol_fixed_point"),
 }
-_INT_KEYS = {"band_limit", "n_r_int", "n_r_ext", "max_iters"}
+_INT_KEYS = {key for key, kind in get_type_hints(SolveConfig).items() if kind is int}
 _BEGIN_CONFIG = "# --- begin embedded config (extractable) ---"
 _END_CONFIG = "# --- end embedded config ---"
 

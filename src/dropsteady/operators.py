@@ -42,11 +42,18 @@ J = [[T(u,p) n]] of the regular pair:
 Surface pullback weights: all interface integrals transform with the
 Nanson factor (dS on the deformed interface = |A^T n| dS), i.e. the
 pulled-back surface force is int [[T^eta(w,q) n]] dS with weight one.
+
+The truncated pair (U_R, P_R) and the remainder pair X_tail = (U - U_R,
+P - P_R) come with their gradients and divergences, analytic in the
+cutoff, from ``stokes.truncate_field``; the context adds only row 1 of
+L(X_tail), ``OperatorContext.sing_f``, which moves with lambda0.  Both
+stresses are the one law ``geometry.stress``: T^eta through
+``geometry.transformed_stress`` and the flat T of row 1 directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +62,7 @@ from .geometry import (
     HeightFunction,
     build_map,
     curvature_nonlinear,
-    cutoff_unit,
-    cutoff_unit_d1,
+    stress,
     transformed_stress,
 )
 from .sphere import (
@@ -173,12 +179,13 @@ class YElement(JumpData):
 class OperatorContext:
     """Precomputed environment shared by apply/invert/assemble.
 
-    Besides the auxiliary and truncated fields this carries the
+    Besides the auxiliary and truncated fields ``trunc`` carries the
     "remainder pair" X_tail = (U - U_R, P - P_R), whose image under the
-    linear operator is known in closed form (Y_sing below).  The cutoff
-    kinks make X_tail unrepresentable in the radial bases, so the Picard
-    step feeds the solver only the regular part of the right-hand side
-    and adds the exact remainder response afterwards.
+    linear operator is known in closed form (Y_sing: ``sing_f`` below and
+    ``trunc.div_tail``).  The cutoff kinks make X_tail unrepresentable in
+    the radial bases, so the Picard step feeds the solver only the regular
+    part of the right-hand side and adds the exact remainder response
+    afterwards.
     """
 
     grid: VolumeGrid
@@ -186,31 +193,6 @@ class OperatorContext:
     lambda0: float
     aux: AuxiliaryField
     trunc: TruncatedAux
-    jumpU_n: SphereField = field(init=False)
-    U_tail: VolumeField = field(init=False)
-    P_tail: VolumeField = field(init=False)
-    d3tail: VolumeField = field(init=False)  # d3 (U - U_R)
-    jac_tail: VolumeField = field(init=False)  # grad (U - U_R)
-    sing_g: VolumeField = field(init=False)  # row 2 of L(X_tail)
-    div_UR: VolumeField = field(init=False)  # Div U_R
-
-    def __post_init__(self):
-        rhat = self.grid.sphere.unit_vectors()[0]
-        self.jumpU_n = self.aux.traction_jump[0]
-        self.U_tail = self.aux.U + (-1.0) * self.trunc.U_R
-        self.P_tail = self.aux.P + (-1.0) * self.trunc.P_R
-        # row 2: div(U - U_R) = (1 - chi) div U - U . grad chi, and
-        # Div U_R = chi div U + U . grad chi (analytic in the cutoff)
-        grid, R = self.grid, self.trunc.R
-        chi = cutoff_unit(grid.r / R)[:, None, None]
-        dchi = (cutoff_unit_d1(grid.r / R) / R)[:, None, None]
-        U, divU = self.aux.U.values, vector_divergence(self.aux.U).values
-        Ur = np.einsum("irab,iab->rab", U, rhat)
-        self.sing_g = VolumeField(grid, (1.0 - chi) * divU - dchi * Ur)
-        self.div_UR = VolumeField(grid, chi * divU + dchi * Ur)
-        d3U = e3_column(self.aux.jacU).values
-        self.d3tail = VolumeField(grid, (1.0 - chi)[None] * d3U - (dchi * rhat[2][None])[None] * U)
-        self.jac_tail = self.aux.jacU + (-1.0) * self.trunc.jac_UR
 
     def physical_pair(self, state: DropState) -> tuple[VolumeField, VolumeField]:
         """The perturbation (w, q) = (u + lambda U_R, p + lambda P_R) of the
@@ -222,15 +204,21 @@ class OperatorContext:
         """(u, p) of ``state`` less its remainder-pair content tail X_tail."""
         if state.tail == 0.0:
             return state.u, state.p
-        return state.u + (-state.tail) * self.U_tail, state.p + (-state.tail) * self.P_tail
+        tr = self.trunc
+        return state.u + (-state.tail) * tr.U_tail, state.p + (-state.tail) * tr.P_tail
 
     @property
     def sing_f(self) -> VolumeField:
         """Row 1 of L(X_tail): -Div T(U - U_R, P - P_R) + rho lambda0 d3 (U - U_R),
         at the current lambda0."""
-        return self.trunc.divT + self.d3tail.phasewise_scale(
+        return self.trunc.divT + e3_column(self.trunc.jac_tail).phasewise_scale(
             self.params.rho1 * self.lambda0, self.params.rho2 * self.lambda0
         )
+
+    @property
+    def jumpU_n(self) -> SphereField:
+        """Normal part of [[T(U, P) n]]."""
+        return self.aux.traction_jump[0]
 
     @property
     def e3_drag(self) -> float:
@@ -280,14 +268,6 @@ def _tangent_from_cartesian(grid: VolumeGrid, vec: np.ndarray) -> TangentField:
     )
 
 
-def _flat_stress(jac: VolumeField, p: VolumeField, mu1: float, mu2: float) -> VolumeField:
-    """Cauchy stress mu (grad w + grad w^T) - q I from a Jacobian field."""
-    eye = np.eye(3)[:, :, None, None, None]
-    J = jac.values
-    mu = jac.grid.phase_profile(mu1, mu2)
-    return VolumeField(jac.grid, mu * (J + np.einsum("ijrab->jirab", J)) - p.values[None, None] * eye)
-
-
 def matvec(A: VolumeField, v: VolumeField) -> VolumeField:
     """Pointwise (A v)_i = A_ij v_j of a rank-2 and a rank-1 field."""
     return VolumeField(A.grid, np.einsum("ijrab,jrab->irab", A.values, v.values))
@@ -328,7 +308,7 @@ def apply_L(state: DropState, ctx: OperatorContext) -> YElement:
         f = f + d3(u).phasewise_scale(params.rho1 * lam0, params.rho2 * lam0)
     if state.tail != 0.0:
         f = f + state.tail * ctx.sing_f
-        divu = divu + state.tail * ctx.sing_g
+        divu = divu + state.tail * ctx.trunc.div_tail
         # traces and tractions keep using (u_reg, p_reg): the remainder pair
         # vanishes identically near the interface, and differentiating the
         # full field there would only add cutoff-kink spectral noise
@@ -387,7 +367,7 @@ def invert_L_with_tail(y: YElement, lamc: float, ctx: OperatorContext) -> DropSt
     """
     y_reg = YElement(
         y.f + (-lamc) * ctx.sing_f,
-        y.g + (-lamc) * ctx.sing_g,
+        y.g + (-lamc) * ctx.trunc.div_tail,
         y.h1,
         y.h2,
         y.a1,
@@ -395,8 +375,8 @@ def invert_L_with_tail(y: YElement, lamc: float, ctx: OperatorContext) -> DropSt
         y.h3,
     )
     st = invert_L(y_reg, ctx)
-    st.u = st.u + lamc * ctx.U_tail
-    st.p = st.p + lamc * ctx.P_tail
+    st.u = st.u + lamc * ctx.trunc.U_tail
+    st.p = st.p + lamc * ctx.trunc.P_tail
     st.tail = lamc
     return st
 
@@ -421,7 +401,7 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> YElement:
     # remainder-pair content is differentiated via its exact Leibniz form;
     # near the interface (and anywhere the geometry acts) it vanishes
     u_reg, p_reg = ctx.regular_pair(state)
-    jac_u = vector_gradient(u_reg) + state.tail * ctx.jac_tail
+    jac_u = vector_gradient(u_reg) + state.tail * trunc.jac_tail
     w, q = ctx.physical_pair(state)
     jac_w = jac_u + lam * trunc.jac_UR
     vel = VolumeField(grid, w.values + lam * eye[2])  # w + lambda e3, in the frame of the drop
@@ -429,14 +409,15 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> YElement:
 
     # N1: geometric stress correction and advection, less the drift L holds
     adv = matvec(jac_w, matvec(mp.A, vel)) + (-lam0) * e3_column(jac_u)
+    T_flat = stress(jac_w.values, q.values, grid.phase_profile(mu1, mu2))
     N1 = (
-        tensor_divergence(T_eta - _flat_stress(jac_w, q, mu1, mu2))
+        tensor_divergence(VolumeField(grid, T_eta.values - T_flat))
         + lam * trunc.divT
         - adv.phasewise_scale(params.rho1, params.rho2)
     )
 
     # N2 and N3 (compatible pair; surface weight one, see module docstring)
-    N2 = vector_divergence(matvec(VolumeField(grid, eye - mp.A.values), w)) - lam * ctx.div_UR
+    N2 = vector_divergence(matvec(VolumeField(grid, eye - mp.A.values), w)) - lam * trunc.div_UR
     rhat = g.unit_vectors()[0]
     N3 = SphereField(g, values=np.einsum("iab,iab->ab", vel.trace(INTERIOR), rhat - mp.Ntil))
 

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import cutoff_unit, cutoff_unit_d1, cutoff_unit_d2
+from .geometry import cutoff, stress
 from .sphere import (
     SphereField,
     TangentField,
@@ -592,7 +592,7 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
     dens = grid.phase_profile(params.mu1, params.mu2) * np.einsum("ijrab,ijrab->rab", S, S)
     i_far = grid.interior.n + grid.exterior.i_far
     R_far = grid.r[i_far]
-    Tr = 2.0 * params.mu2 * np.einsum("ijab,jab->iab", S[:, :, i_far], rhat) - P.values[i_far][None] * rhat
+    Tr = np.einsum("ijab,jab->iab", stress(jacU.values[:, :, i_far], P.values[i_far], params.mu2), rhat)
     flux = R_far**2 * g.quad(np.einsum("iab,iab->ab", U.values[:, i_far], Tr))
     dissipation = 2.0 * grid.integrate(np.einsum("ij,rij->r", g.weights, dens)) - flux
 
@@ -634,12 +634,20 @@ ANNULUS_GAUSS_NODES = 48  # radial Gauss-Legendre rule on the cutoff annulus [R,
 
 @dataclass
 class TruncatedAux:
+    """The truncated pair (U_R, P_R) = chi_R (U, P) and the remainder pair
+    X_tail = (U - U_R, P - P_R), with their derivatives analytic in the cutoff."""
+
     R: float
     U_R: VolumeField
     P_R: VolumeField
     jac_UR: VolumeField
+    div_UR: VolumeField  # Div U_R = chi_R div U + U . grad chi_R
     divT: VolumeField  # Div T(U_R, P_R), supported in R <= |x| <= 2R
     aux: AuxiliaryField
+    U_tail: VolumeField
+    P_tail: VolumeField
+    jac_tail: VolumeField  # grad (U - U_R)
+    div_tail: VolumeField  # Div (U - U_R)
 
     @property
     def mu2(self) -> float:
@@ -680,20 +688,22 @@ def truncate_field(aux: AuxiliaryField, R: float) -> TruncatedAux:
         raise ValueError(f"truncation radius must satisfy 4 < R <= R_inf/2, got {R}")
     rhat = grid.sphere.unit_vectors()[0]
     r = grid.r
-    chi = cutoff_unit(r / R)[:, None, None]
-    dchi = (cutoff_unit_d1(r / R) / R)[:, None, None]
+    chi, dchi, _ = (c[:, None, None] for c in cutoff(r, R))
     U, jacU, P = aux.U.values, aux.jacU.values, aux.P.values
     U_R = VolumeField(grid, chi[None] * U)
     P_R = VolumeField(grid, chi * P)
     gradchi = dchi[None] * rhat[:, None]
     jac_UR = VolumeField(grid, chi[None, None] * jacU + np.einsum("irab,jrab->ijrab", U, gradchi))
+    divU = vector_divergence(aux.U)
+    div_UR = VolumeField(grid, chi * divU.values + dchi * np.einsum("irab,iab->rab", U, rhat))
     # Div T(U_R, P_R) vanishes where the cutoff is flat
     bend = (r > R) & (r < 2.0 * R)
     divT = VolumeField.zeros(grid, rank=1)
     divT.values[:, bend] = _cutoff_stress_divergence(
         U[:, bend], jacU[:, :, bend], P[bend], r[bend], R, rhat, mu2
     )
-    return TruncatedAux(R, U_R, P_R, jac_UR, divT, aux)
+    tails = (aux.U - U_R, aux.P - P_R, aux.jacU - jac_UR, divU - div_UR)
+    return TruncatedAux(R, U_R, P_R, jac_UR, div_UR, divT, aux, *tails)
 
 
 def _cutoff_stress_divergence(U, jac, P, r, R, rhat, mu2):
@@ -702,8 +712,7 @@ def _cutoff_stress_divergence(U, jac, P, r, R, rhat, mu2):
     ``U``, ``jac`` and ``P`` are the pair's velocity, Jacobian and pressure
     on the angular grid at exterior radii ``r``.
     """
-    dchi = (cutoff_unit_d1(r / R) / R)[:, None, None]
-    d2chi = (cutoff_unit_d2(r / R) / R**2)[:, None, None]
+    _, dchi, d2chi = (c[:, None, None] for c in cutoff(r, R))
     rinv = (1.0 / r)[:, None, None]
     gradchi = dchi[None] * rhat[:, None]
     eye = np.eye(3)[:, :, None, None, None]

@@ -10,7 +10,7 @@ import pytest
 
 from dropsteady.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from dropsteady.driver import SolveConfig, picard_solve
-from dropsteady.io import ConfigError, dump_config, fmt, load_config
+from dropsteady.io import _SECTIONS, ConfigError, dump_config, fmt, load_config
 from dropsteady.volume import vsh_channels
 
 SMALL = """
@@ -47,6 +47,26 @@ def test_config_round_trip(tmp_path):
     p.write_text(dump_config(cfg))
     back = load_config(str(p))
     assert back == cfg
+
+
+def test_config_sections_are_the_config_fields(tmp_path):
+    """The config file's sections name every SolveConfig field once, and a
+    config with every field off its default survives dump and load with
+    its values and their types."""
+    keys = [key for section in _SECTIONS.values() for key in section]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(SolveConfig))
+    assert len(set(keys)) == len(keys)
+    cfg = SolveConfig(
+        rho_tilde=-2.5e-3, mu1=1.5, mu2=0.7, sigma=2.25, alpha=0.8123456789012345,
+        band_limit=10, n_r_int=18, n_r_ext=28, r_inf=48.5, max_iters=30, tol_fixed_point=3e-10,
+    )
+    default = SolveConfig()
+    assert all(getattr(cfg, key) != getattr(default, key) for key in keys)
+    p = tmp_path / "c.cfg"
+    p.write_text(dump_config(cfg))
+    back = load_config(str(p))
+    assert back == cfg
+    assert all(type(getattr(back, key)) is type(getattr(default, key)) for key in keys)
 
 
 def test_malformed_config_reports_key(tmp_path):
@@ -170,6 +190,17 @@ def test_solve_artifacts_exist(solved_out):
     for name in ("interface_shape.csv", "shell_profiles.csv", "diagnostics.txt", "mode_tables.csv"):
         assert os.path.exists(os.path.join(solved_out, name))
         assert f"= {name}" in listed
+
+
+def test_residual_rows_are_flat_report_keys(solved_out):
+    """diagnostics.txt and the manifest give each row of the final residual
+    as its own full-precision number, and the rows add up to the total."""
+    for name in ("diagnostics.txt", "manifest.txt"):
+        with open(os.path.join(solved_out, name)) as fh:
+            found = dict(re.findall(r"(?m)^(fixed_point_residual\w*) = (\S+)$", fh.read()))
+        total = float(found.pop("fixed_point_residual"))
+        assert sorted(found) == sorted(f"fixed_point_residual_{k}" for k in ("f", "g", "h1", "h2", "a1", "a2", "h3"))
+        assert sum(float(v) for v in found.values()) == pytest.approx(total, rel=1e-14, abs=0.0)
 
 
 def test_mode_tables_hold_the_m0_channels(solved_out, cfgfile):

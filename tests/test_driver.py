@@ -166,6 +166,17 @@ def test_mirror_symmetry(solved, solved_mirror):
     assert d["velocity"] < 1e-8
 
 
+def test_fixed_point_residual_rows(solved):
+    """The report carries the seven rows of the final residual; they are
+    finite and sum to fixed_point_residual, and read 0.0 at rho_tilde = 0."""
+    rows = [f"fixed_point_residual_{k}" for k in ("f", "g", "h1", "h2", "a1", "a2", "h3")]
+    values = [solved.report[k] for k in rows]
+    assert all(np.isfinite(v) and v >= 0.0 for v in values)
+    assert sum(values) == pytest.approx(solved.report["fixed_point_residual"], rel=1e-14, abs=0.0)
+    rep = diagnostics(picard_solve(dataclasses.replace(CFG, rho_tilde=0.0)))
+    assert [rep[k] for k in rows] == [0.0] * 7
+
+
 def test_fixed_point_residual_direct(solved):
     """Direct substitution into the operator equation."""
     b = solved

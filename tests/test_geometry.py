@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dropsteady import geometry
 from dropsteady.geometry import (
     ETA_SOBOLEV_ORDER,
     HeightFunction,
@@ -12,7 +13,7 @@ from dropsteady.geometry import (
     transformed_stress,
     volume_identity_defect,
     smoothstep,
-    cutoff_ext,
+    cutoff,
 )
 from dropsteady.operators import matvec
 from dropsteady.sphere import SphereField, rotate_about_z, normal_component_fields, sobolev_norm
@@ -59,13 +60,53 @@ def lipschitz_fit_A(grid, pairs) -> float:
     return best
 
 
+def _cutoff_ext(r):
+    """The extension cutoff of build_map: 1 for r <= 2, 0 for r >= 3."""
+    return cutoff(np.asarray(r, float) - 1.0)[0]
+
+
 def test_cutoff_shape():
-    assert cutoff_ext(1.5) == 1.0
-    assert cutoff_ext(3.2) == 0.0
+    assert _cutoff_ext(1.5) == 1.0
+    assert _cutoff_ext(3.2) == 0.0
     assert smoothstep(0.5) == pytest.approx(0.5)
     # C^2: values and first two derivatives vanish smoothly at the ends
     eps = 1e-6
-    assert abs(cutoff_ext(2 + eps) - 1.0) < 1e-15
+    assert abs(_cutoff_ext(2 + eps) - 1.0) < 1e-15
+
+
+def test_extension_cutoff_is_the_shifted_unit_cutoff(vg, monkeypatch):
+    """build_map's extension cutoff chi(r - 1) is 1 - smoothstep(r - 2) bit
+    for bit, on [0, 5] and on the grid's nodes."""
+    r = np.linspace(0.0, 5.0, 50001)
+    assert np.array_equal(_cutoff_ext(r), 1.0 - smoothstep(r - 2.0))
+    calls = []
+
+    def recording_cutoff(*args):
+        calls.append(cutoff(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(geometry, "cutoff", recording_cutoff)
+    identity_map(vg)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][0], 1.0 - smoothstep(vg.r - 2.0))
+
+
+@pytest.mark.parametrize("R", [1.0, 6.4, 20.0])
+def test_cutoff_derivatives_match_finite_differences(R):
+    """chi' and chi'' against centred differences of chi and chi', across
+    the transition R < r < 2R and both flat ends."""
+    r = np.linspace(0.5 * R, 2.5 * R, 2001)
+    h = 1e-5 * R
+    chi, d1, d2 = cutoff(r, R)
+    assert chi[0] == 1.0 and chi[-1] == 0.0
+    fd1 = (cutoff(r + h, R)[0] - cutoff(r - h, R)[0]) / (2.0 * h)
+    fd2 = (cutoff(r + h, R)[1] - cutoff(r - h, R)[1]) / (2.0 * h)
+    assert np.max(np.abs(d1 - fd1)) < 1e-8 / R
+    # chi''' jumps at r = R and 2R, where the centred difference is first order
+    assert np.max(np.abs(d2 - fd2)) < 1e-3 / R**2
+    smooth = np.abs(r / R - 1.5) < 0.5 - 2e-5
+    assert np.max(np.abs(d2 - fd2)[smooth]) < 1e-8 / R**2
+    assert np.max(np.abs(d1)) == pytest.approx(1.875 / R)  # 30/16 at the midpoint
 
 
 def test_harmonic_extension_zero(vg):

@@ -1,10 +1,11 @@
 """No module in src/, tests/ or demos/ imports a name it never reads, and
-src/dropsteady defines no private function or class that nothing uses.
+src/dropsteady defines no function or class, private or public, that
+nothing uses.
 
 The scan is by AST over each file as a whole: a name bound by an import
 counts as used when the file loads it anywhere (an attribute access
 ``np.pi`` loads ``np``) or lists it in ``__all__``.  A module-level
-``_name`` function or class in src/dropsteady counts as used when a name,
+function or class in src/dropsteady counts as used when a name,
 an attribute or an import anywhere in src/, tests/, demos/ or bench/
 carries it outside its own definition, or a string in bench/spans.py (the
 traced targets, ``"Class.method"`` split at the dots) names it.
@@ -65,10 +66,13 @@ def _names(node: ast.AST, strings: bool):
             yield from sub.value.split(".")
 
 
-def test_no_unused_private_definitions():
+def _definitions():
+    """Names used anywhere in src/, tests/, demos/ and bench/, and the
+    module-level functions and classes of src/dropsteady as
+    ``(entry, name)`` pairs."""
     files = sorted(p for d in ("src", "tests", "demos", "bench") for p in (ROOT / d).rglob("*.py"))
     used = set()
-    private = []
+    defined = []
     for path in files:
         strings = path == ROOT / "bench" / "spans.py"
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
@@ -77,10 +81,25 @@ def test_no_unused_private_definitions():
             if (
                 path.parent == ROOT / "src" / "dropsteady"
                 and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                and own.startswith("_")
                 and not own.endswith("__")
             ):
-                private.append(f"{path.relative_to(ROOT)}:{stmt.lineno}: {own}")
+                defined.append((f"{path.relative_to(ROOT)}:{stmt.lineno}: {own}", own))
+    return used, defined
+
+
+def test_no_unused_private_definitions():
+    used, defined = _definitions()
+    private = [(entry, name) for entry, name in defined if name.startswith("_")]
     assert len(private) > 20
-    unused = [entry for entry in private if entry.rsplit(": ", 1)[1] not in used]
+    unused = [entry for entry, name in private if name not in used]
+    assert not unused, "defined but never used:\n" + "\n".join(unused)
+
+
+def test_no_unused_public_definitions():
+    """A public function or class that only its own definition and its
+    module's ``__all__`` name is dead code."""
+    used, defined = _definitions()
+    public = [(entry, name) for entry, name in defined if not name.startswith("_")]
+    assert len(public) > 50
+    unused = [entry for entry, name in public if name not in used]
     assert not unused, "defined but never used:\n" + "\n".join(unused)

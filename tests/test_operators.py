@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from dropsteady.geometry import HeightFunction, build_map, curvature_nonlinear, transformed_stress
+from dropsteady.geometry import HeightFunction, build_map, curvature_nonlinear, stress, transformed_stress
 from dropsteady.operators import (
     DropState,
     YElement,
-    _flat_stress,
     _tangent_from_cartesian,
     _traction_jump_eta,
     apply_L,
@@ -275,18 +274,19 @@ def _assemble_N_term_by_term(state, ctx):
     eye = np.eye(3)[:, :, None, None, None]
     u, p = state.u, state.p
     if state.tail != 0.0:
-        u_reg = u + (-state.tail) * ctx.U_tail
-        p_reg = p + (-state.tail) * ctx.P_tail
-        jac_u = vector_gradient(u_reg) + state.tail * ctx.jac_tail
+        u_reg = u + (-state.tail) * ctx.trunc.U_tail
+        p_reg = p + (-state.tail) * ctx.trunc.P_tail
+        jac_u = vector_gradient(u_reg) + state.tail * ctx.trunc.jac_tail
     else:
         u_reg, p_reg = u, p
         jac_u = vector_gradient(u)
     trunc = ctx.trunc
     UR, PR, jac_UR = trunc.U_R, trunc.P_R, trunc.jac_UR
     T_eta_u = transformed_stress(jac_u, p, mp, mu1, mu2)
-    T_flat_u = _flat_stress(jac_u, p, mu1, mu2)
+    mu = grid.phase_profile(mu1, mu2)
+    T_flat_u = VolumeField(grid, stress(jac_u.values, p.values, mu))
     T_eta_U = transformed_stress(jac_UR, PR, mp, mu1, mu2)
-    T_flat_U = _flat_stress(jac_UR, PR, mu1, mu2)
+    T_flat_U = VolumeField(grid, stress(jac_UR.values, PR.values, mu))
     divT_eta_U = tensor_divergence(T_eta_U - T_flat_U) + trunc.divT
     divT_diff_u = tensor_divergence(T_eta_u - T_flat_u)
 
@@ -310,7 +310,7 @@ def _assemble_N_term_by_term(state, ctx):
     )
     ImA = VolumeField(grid, eye - mp.A.values)
     AmI_UR = matvec(VolumeField(grid, mp.A.values - eye), UR)
-    N2 = vector_divergence(matvec(ImA, u)) - lam * (vector_divergence(AmI_UR) + ctx.div_UR)
+    N2 = vector_divergence(matvec(ImA, u)) - lam * (vector_divergence(AmI_UR) + trunc.div_UR)
     rhat = g.unit_vectors()[0]
     u_surf = u.trace(INTERIOR)
     e3_surf = np.zeros_like(u_surf)
@@ -373,8 +373,8 @@ def test_N_matches_term_by_term_reference(m_max):
         st = random_state(vg, np.random.default_rng(3))
         st = st.combine(st, 1e-3, 0.0)
         st.tail = 0.4
-        st.u = st.u + st.tail * ctx.U_tail
-        st.p = st.p + st.tail * ctx.P_tail
+        st.u = st.u + st.tail * ctx.trunc.U_tail
+        st.p = st.p + st.tail * ctx.trunc.P_tail
         assert st.kappa != 0.0
         for got, ref in zip(_rows(assemble_N(st, ctx)), _rows(_assemble_N_term_by_term(st, ctx))):
             scale = np.max(np.abs(ref))

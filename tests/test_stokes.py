@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dropsteady import dropflow, stokes
+from dropsteady.geometry import cutoff
 from dropsteady.sphere import SphereField, TangentField, normal_component_fields
 from dropsteady.stokes import (
     JumpData,
@@ -24,9 +25,11 @@ from dropsteady.volume import (
     analysis_batch,
     d3,
     d3_channels,
+    e3_column,
     eval_radii,
     norm_l2,
     synthesis_batch,
+    vector_divergence,
     vsh_assemble,
     vsh_channels,
 )
@@ -604,10 +607,13 @@ def test_drift_non_finite_update_raises(vg, solver, monkeypatch):
 # -- truncation ----------------------------------------------------------------
 
 
-def test_truncation_support(vg):
+@pytest.fixture(scope="module")
+def aux(vg):
+    return auxiliary_field(vg, PhysicalParams(mu1=1.0, mu2=1.0))
+
+
+def test_truncation_support(vg, aux):
     # the decay slope of the tail is validate's truncation group
-    params = PhysicalParams(mu1=1.0, mu2=1.0)
-    aux = auxiliary_field(vg, params)
     with pytest.raises(ValueError):
         truncate_field(aux, 3.0)
     with pytest.raises(ValueError):
@@ -620,6 +626,23 @@ def test_truncation_support(vg):
         outside = r >= 2.0 * R
         if outside.any():
             assert np.max(np.abs(tr.U_R.blocks[EXTERIOR][:, outside])) == 0.0
+
+
+@pytest.mark.parametrize("R", [8.0, 32.0])
+def test_remainder_pair_identities(vg, aux, R):
+    """The remainder pair completes the truncated pair to (U, P), and its
+    derivatives are the Leibniz forms in the cutoff, to rounding."""
+    tr = truncate_field(aux, R)
+    eps = 4.0 * np.finfo(float).eps
+    for whole, part, tail in ((aux.U, tr.U_R, tr.U_tail), (aux.P, tr.P_R, tr.P_tail)):
+        assert np.max(np.abs(part.values + tail.values - whole.values)) <= eps * whole.max_abs()
+    divU = vector_divergence(aux.U).values
+    assert np.max(np.abs(tr.div_UR.values + tr.div_tail.values - divU)) <= eps * tr.div_UR.max_abs()
+    chi, dchi, _ = (c[:, None, None] for c in cutoff(vg.r, R))
+    rhat3 = vg.sphere.unit_vectors()[0][2]
+    d3_tail = (1.0 - chi) * e3_column(aux.jacU).values - dchi * rhat3 * aux.U.values
+    assert np.max(np.abs(d3_tail)) > 0.0
+    assert np.max(np.abs(e3_column(tr.jac_tail).values - d3_tail)) <= 1e-14 * np.max(np.abs(d3_tail))
 
 
 # -- Oseen fundamental solution --------------------------------------------------
