@@ -43,7 +43,7 @@ print("\nper-mode decay |u(x3)| <= C exp(-|xi'| x3):")
 for i in (0, 5, 11):
     far = np.abs(u[i, -1]).max()
     X = x3[-1]
-    bound = (np.abs(sol2.alpha_plus[i]).max() + X * np.abs(sol2.beta_plus[i]).max()) * np.exp(-k[i] * X)
+    bound = (np.abs(sol2.alpha[0, i]).max() + X * np.abs(sol2.beta[0, i]).max()) * np.exp(-k[i] * X)
     print(f"  |xi'| = {k[i]:.3f}: |u({X:g})| = {far:.3e} <= {bound:.3e}")
 
 # the low-frequency gap is a hard hypothesis: |xi'| < 1 is rejected

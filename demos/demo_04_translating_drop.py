@@ -10,7 +10,7 @@ translation speed law.
 import numpy as np
 
 from dropsteady import dropflow
-from dropsteady.stokes import PhysicalParams, auxiliary_field, lambda0_value, truncate_field
+from dropsteady.stokes import PhysicalParams, auxiliary_field, divT_norm_lq, lambda0_value
 from dropsteady.volume import EXTERIOR, VolumeGrid, eval_radii
 
 vg = VolumeGrid.build(band_limit=12, n_r_int=20, n_r_ext=32, r_inf=64.0)
@@ -58,8 +58,7 @@ for rho_t in (1e-3, 5e-4):
 print("\ntruncated-field stress residue, L^{4/3} norm over the support annulus:")
 norms = []
 for R in (8.0, 16.0, 32.0):
-    tr = truncate_field(aux, R)
-    n = tr.divT_norm_lq(4.0 / 3.0)
+    n = divT_norm_lq(aux, R, 4.0 / 3.0)
     norms.append(n)
     print(f"  R = {R:2.0f}: {n:.6f}")
 slope = np.polyfit(np.log([8.0, 16.0, 32.0]), np.log(norms), 1)[0]

@@ -250,7 +250,7 @@ def reconstruct_physical(bundle: SolutionBundle) -> dict:
     params = ctx.params
     jac_w = vector_gradient(w)
     out["jac_w"] = jac_w
-    stress, divw = _minus_div_T(w, q, params)
+    stress, _ = _minus_div_T(w, q, params)
     inertia = matvec(jac_w, w) + lam * e3_column(jac_w)
     res = inertia.phasewise_scale(params.rho1, params.rho2) + stress
     r = grid.r
@@ -261,7 +261,6 @@ def reconstruct_physical(bundle: SolutionBundle) -> dict:
         # never empty: r_inf > 8 is enforced and the last node is r_inf
         sel = r >= 4.0
     out["midshell_residual"] = float(np.max(np.abs(res.values[:, sel])))
-    out["divergence_residual"] = float(np.max(np.abs(divw.values[sel])))
     return out
 
 

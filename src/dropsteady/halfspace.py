@@ -15,29 +15,34 @@ pressure and stress pick up the local viscosity.
 Everything is frequency-local: each tangential mode xi' (on a torus of
 side 16 pi, spacing 1/8, supported in |xi'| >= 1) evolves independently
 in x3 as (alpha + beta x3) exp(-|xi'| |x3|), which makes analytic
-residual evaluation exact.
+residual evaluation exact.  A solution holds each coefficient as one
+array with a leading side axis, upper half space first; ``SIDES`` gives
+sgn(x3) along that axis, so every formula is written once for both sides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
     "TORUS_SIDE",
     "FREQ_SPACING",
+    "SIDES",
     "TangentialSpectrum",
     "HalfspaceSolution",
     "dirichlet_stokes_halfspace",
     "twophase_jump_halfspace",
     "residual_check",
+    "traction_traces",
     "x3_samples",
 ]
 
 TORUS_SIDE = 16.0 * np.pi
 FREQ_SPACING = 2.0 * np.pi / TORUS_SIDE  # = 1/8
 RANDOM_KMAX = 6.0  # largest |xi'| of TangentialSpectrum.random
+SIDES = np.array([1.0, -1.0])  # sgn(x3) of the (upper, lower) half spaces
 
 
 @dataclass
@@ -45,21 +50,19 @@ class TangentialSpectrum:
     """Modal data on the tangential torus: frequencies and amplitudes.
 
     ``values`` has shape (M,) for scalar data or (M, 3) for vector data.
-    With ``enforce_gap`` the low-frequency support exclusion |xi'| >= 1
-    is asserted (the solution multipliers are singular at xi' = 0).
+    The low-frequency support exclusion |xi'| >= 1 is asserted (the
+    solution multipliers are singular at xi' = 0).
     """
 
     modes: np.ndarray
     values: np.ndarray
-    enforce_gap: bool = True
 
     def __post_init__(self):
         self.modes = np.atleast_2d(np.asarray(self.modes, float))
         self.values = np.asarray(self.values, complex)
         if self.modes.shape[1] != 2:
             raise ValueError("modes must be (M, 2)")
-        k = np.hypot(self.modes[:, 0], self.modes[:, 1])
-        if self.enforce_gap and np.any(k < 1.0 - 1e-12):
+        if np.any(self.k < 1.0 - 1e-12):
             raise ValueError("low-frequency content: modes with |xi'| < 1 present")
         # snap check: frequencies live on the torus lattice
         lat = self.modes / FREQ_SPACING
@@ -87,66 +90,50 @@ class TangentialSpectrum:
 
 @dataclass
 class HalfspaceSolution:
-    """Per-mode solution u = (alpha + beta x3) e^{-k |x3|}, p = p0 e^{-k |x3|}."""
+    """Per-mode solution u = (alpha + beta x3) e^{-k |x3|}, p = p0 e^{-k |x3|},
+    each coefficient with a leading (upper, lower) side axis."""
 
     modes: np.ndarray  # (M, 2)
-    mu_plus: float
-    mu_minus: float
-    alpha_plus: np.ndarray  # (M, 3)
-    beta_plus: np.ndarray
-    alpha_minus: np.ndarray
-    beta_minus: np.ndarray
-    p_plus: np.ndarray  # (M,)
-    p_minus: np.ndarray
+    mu: np.ndarray  # (2,)
+    alpha: np.ndarray  # (2, M, 3)
+    beta: np.ndarray  # (2, M, 3)
+    p0: np.ndarray  # (2, M)
     boundary: TangentialSpectrum | None = None
 
     @property
     def k(self) -> np.ndarray:
         return np.hypot(self.modes[:, 0], self.modes[:, 1])
 
-    def velocity(self, x3: np.ndarray) -> np.ndarray:
-        """Modal velocity amplitudes, shape (M, len(x3), 3)."""
+    def _side(self, x3: np.ndarray):
+        """Side index of each sample (0 upper, 1 lower) and its decay e^{-k|x3|}."""
         x3 = np.asarray(x3, float)
         if np.any(x3 == 0.0):
             raise ValueError("fields live on the twofold half space; x3 != 0")
-        k = self.k[:, None, None]
-        up = x3 > 0
-        a = np.where(up[None, :, None], self.alpha_plus[:, None], self.alpha_minus[:, None])
-        b = np.where(up[None, :, None], self.beta_plus[:, None], self.beta_minus[:, None])
-        return (a + b * x3[None, :, None]) * np.exp(-k * np.abs(x3)[None, :, None])
+        return np.where(x3 > 0, 0, 1), np.exp(-self.k[:, None] * np.abs(x3)[None, :])
+
+    def velocity(self, x3: np.ndarray) -> np.ndarray:
+        """Modal velocity amplitudes, shape (M, len(x3), 3)."""
+        side, decay = self._side(x3)
+        a = self.alpha.transpose(1, 0, 2)[:, side]
+        b = self.beta.transpose(1, 0, 2)[:, side]
+        return (a + b * np.asarray(x3, float)[None, :, None]) * decay[..., None]
 
     def pressure(self, x3: np.ndarray) -> np.ndarray:
-        x3 = np.asarray(x3, float)
-        k = self.k[:, None]
-        p0 = np.where(x3[None, :] > 0, self.p_plus[:, None], self.p_minus[:, None])
-        return p0 * np.exp(-k * np.abs(x3)[None, :])
+        side, decay = self._side(x3)
+        return self.p0.T[:, side] * decay
 
     def scaled(self, a: complex) -> "HalfspaceSolution":
-        return HalfspaceSolution(
-            self.modes,
-            self.mu_plus,
-            self.mu_minus,
-            a * self.alpha_plus,
-            a * self.beta_plus,
-            a * self.alpha_minus,
-            a * self.beta_minus,
-            a * self.p_plus,
-            a * self.p_minus,
-        )
+        return replace(self, alpha=a * self.alpha, beta=a * self.beta, p0=a * self.p0, boundary=None)
 
     def __add__(self, other: "HalfspaceSolution") -> "HalfspaceSolution":
         if self.modes.shape != other.modes.shape or np.any(self.modes != other.modes):
             raise ValueError("mode sets differ")
-        return HalfspaceSolution(
-            self.modes,
-            self.mu_plus,
-            self.mu_minus,
-            self.alpha_plus + other.alpha_plus,
-            self.beta_plus + other.beta_plus,
-            self.alpha_minus + other.alpha_minus,
-            self.beta_minus + other.beta_minus,
-            self.p_plus + other.p_plus,
-            self.p_minus + other.p_minus,
+        return replace(
+            self,
+            alpha=self.alpha + other.alpha,
+            beta=self.beta + other.beta,
+            p0=self.p0 + other.p0,
+            boundary=None,
         )
 
 
@@ -155,6 +142,11 @@ def x3_samples() -> np.ndarray:
     per side from 1e-3 to 8."""
     pos = np.geomspace(1e-3, 8.0, 20)
     return np.concatenate([-pos[::-1], pos])
+
+
+def _xi_dot(xi: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """xi' . v' over the tangential components of v (..., M, >=2)."""
+    return xi[:, 0] * v[..., 0] + xi[:, 1] * v[..., 1]
 
 
 def dirichlet_stokes_halfspace(
@@ -171,32 +163,14 @@ def dirichlet_stokes_halfspace(
         raise ValueError("Dirichlet data must be vector-valued (M, 3)")
     xi = b.modes
     k = b.k
-    bv = b.values[:, :2]
-    bw = b.values[:, 2]
-    i_xi_dot_bv = 1j * (xi[:, 0] * bv[:, 0] + xi[:, 1] * bv[:, 1])
-    c_plus = k * bw - i_xi_dot_bv
-    c_minus = -k * bw - i_xi_dot_bv
-    beta_plus = np.empty((k.size, 3), complex)
-    beta_plus[:, 0] = c_plus * (-1j * xi[:, 0]) / k
-    beta_plus[:, 1] = c_plus * (-1j * xi[:, 1]) / k
-    beta_plus[:, 2] = c_plus
-    beta_minus = np.empty_like(beta_plus)
-    beta_minus[:, 0] = c_minus * (1j * xi[:, 0]) / k
-    beta_minus[:, 1] = c_minus * (1j * xi[:, 1]) / k
-    beta_minus[:, 2] = c_minus
-    alpha = b.values.copy()
-    return HalfspaceSolution(
-        xi,
-        mu_plus,
-        mu_minus,
-        alpha,
-        beta_plus,
-        alpha.copy(),
-        beta_minus,
-        2.0 * mu_plus * c_plus,
-        2.0 * mu_minus * c_minus,
-        boundary=b,
-    )
+    sgn = SIDES[:, None]
+    mu = np.array([mu_plus, mu_minus], float)
+    c = sgn * k * b.values[:, 2] - 1j * _xi_dot(xi, b.values)
+    beta = np.empty((2, k.size, 3), complex)
+    beta[..., :2] = c[..., None] * (-1j * sgn[..., None] * xi) / k[:, None]
+    beta[..., 2] = c
+    alpha = np.stack([b.values, b.values])
+    return HalfspaceSolution(xi, mu, alpha, beta, 2.0 * mu[:, None] * c, boundary=b)
 
 
 def twophase_jump_halfspace(
@@ -220,12 +194,9 @@ def twophase_jump_halfspace(
     xi = H1.modes
     k = H1.k
     h2 = H2.values[:, :2]
-    xidoth2 = xi[:, 0] * h2[:, 0] + xi[:, 1] * h2[:, 1]
     msum = mu_plus + mu_minus
-    bv = -(h2 - 0.5 * (xidoth2 / k**2)[:, None] * xi) / (msum * k[:, None])
-    b = TangentialSpectrum(
-        xi, np.concatenate([bv, H1.values[:, None]], axis=1), enforce_gap=H1.enforce_gap
-    )
+    bv = -(h2 - 0.5 * (_xi_dot(xi, h2) / k**2)[:, None] * xi) / (msum * k[:, None])
+    b = TangentialSpectrum(xi, np.concatenate([bv, H1.values[:, None]], axis=1))
     return dirichlet_stokes_halfspace(b, mu_plus, mu_minus)
 
 
@@ -235,7 +206,8 @@ def twophase_jump_halfspace(
 
 
 def _mode_residuals(sol: HalfspaceSolution):
-    """Coefficient-level PDE residuals per mode and side.
+    """Coefficient-level PDE residuals per side and mode: momentum (2, M, 3)
+    and the constant and linear-in-x3 divergence amplitudes (2, M) each.
 
     With u = (alpha + beta x3) e^{sgn*(-k) x3}:
       momentum: mu (d33 - k^2) u - (i xi', d3) p  has the x3-independent
@@ -243,42 +215,26 @@ def _mode_residuals(sol: HalfspaceSolution):
       divergence has a constant and a linear-in-x3 amplitude.
     """
     xi = sol.modes
-    k = sol.k
-    out = {}
-    for side, alpha, beta, p0, mu, sgn in (
-        ("plus", sol.alpha_plus, sol.beta_plus, sol.p_plus, sol.mu_plus, 1.0),
-        ("minus", sol.alpha_minus, sol.beta_minus, sol.p_minus, sol.mu_minus, -1.0),
-    ):
-        mom = np.empty((k.size, 3), complex)
-        mom[:, 0] = -2.0 * sgn * k * mu * beta[:, 0] - 1j * xi[:, 0] * p0
-        mom[:, 1] = -2.0 * sgn * k * mu * beta[:, 1] - 1j * xi[:, 1] * p0
-        mom[:, 2] = -2.0 * sgn * k * mu * beta[:, 2] + sgn * k * p0
-        div0 = (
-            1j * (xi[:, 0] * alpha[:, 0] + xi[:, 1] * alpha[:, 1])
-            + beta[:, 2]
-            - sgn * k * alpha[:, 2]
-        )
-        div1 = 1j * (xi[:, 0] * beta[:, 0] + xi[:, 1] * beta[:, 1]) - sgn * k * beta[:, 2]
-        out[side] = (mom, div0, div1)
-    return out
+    sgn_k = SIDES[:, None] * sol.k
+    alpha, beta, p0 = sol.alpha, sol.beta, sol.p0
+    mom = np.empty_like(beta)
+    coef = -2.0 * sgn_k * sol.mu[:, None]
+    mom[..., :2] = coef[..., None] * beta[..., :2] - 1j * xi * p0[..., None]
+    mom[..., 2] = coef * beta[..., 2] + sgn_k * p0
+    div0 = 1j * _xi_dot(xi, alpha) + beta[..., 2] - sgn_k * alpha[..., 2]
+    div1 = 1j * _xi_dot(xi, beta) - sgn_k * beta[..., 2]
+    return mom, div0, div1
 
 
 def traction_traces(sol: HalfspaceSolution):
     """(T(u,p) e3) at x3 -> 0+ and 0-, shape (M, 3) each."""
-    xi = sol.modes
-    k = sol.k
-    out = []
-    for alpha, beta, p0, mu, sgn in (
-        (sol.alpha_plus, sol.beta_plus, sol.p_plus, sol.mu_plus, 1.0),
-        (sol.alpha_minus, sol.beta_minus, sol.p_minus, sol.mu_minus, -1.0),
-    ):
-        d3u = beta - sgn * k[:, None] * alpha  # d3 u at 0
-        t = np.empty((k.size, 3), complex)
-        t[:, 0] = mu * (d3u[:, 0] + 1j * xi[:, 0] * alpha[:, 2])
-        t[:, 1] = mu * (d3u[:, 1] + 1j * xi[:, 1] * alpha[:, 2])
-        t[:, 2] = 2.0 * mu * d3u[:, 2] - p0
-        out.append(t)
-    return out[0], out[1]
+    alpha = sol.alpha
+    mu = sol.mu[:, None]
+    d3u = sol.beta - (SIDES[:, None] * sol.k)[..., None] * alpha  # d3 u at 0
+    t = np.empty_like(d3u)
+    t[..., :2] = mu[..., None] * (d3u[..., :2] + 1j * sol.modes * alpha[..., 2:])
+    t[..., 2] = 2.0 * mu * d3u[..., 2] - sol.p0
+    return t[0], t[1]
 
 
 def residual_check(
@@ -288,23 +244,19 @@ def residual_check(
     dirichlet: TangentialSpectrum | None = None,
 ) -> dict:
     """Max-norm residual report: PDE, divergence, trace and jump conditions."""
-    res = _mode_residuals(sol)
+    mom, div0, div1 = _mode_residuals(sol)
+    upper = sol.alpha[0]
     report = {
-        "momentum": max(
-            np.max(np.abs(res["plus"][0])), np.max(np.abs(res["minus"][0]))
-        ),
-        "divergence": max(
-            np.max(np.abs(res[s][1])) + np.max(np.abs(res[s][2]))
-            for s in ("plus", "minus")
-        ),
-        "velocity_jump": np.max(np.abs(sol.alpha_plus - sol.alpha_minus)),
+        "momentum": np.max(np.abs(mom)),
+        "divergence": np.max(np.max(np.abs(div0), axis=1) + np.max(np.abs(div1), axis=1)),
+        "velocity_jump": np.max(np.abs(upper - sol.alpha[1])),
     }
     t_up, t_lo = traction_traces(sol)
     jump = t_up - t_lo
     if dirichlet is not None:
-        report["trace"] = np.max(np.abs(sol.alpha_plus - dirichlet.values))
+        report["trace"] = np.max(np.abs(upper - dirichlet.values))
     if H1 is not None:
-        report["normal_velocity"] = np.max(np.abs(sol.alpha_plus[:, 2] - H1.values))
+        report["normal_velocity"] = np.max(np.abs(upper[:, 2] - H1.values))
     if H2 is not None:
         tang = jump.copy()
         tang[:, 2] = 0.0

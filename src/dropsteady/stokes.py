@@ -81,6 +81,7 @@ __all__ = [
     "lambda0_value",
     "TruncatedAux",
     "truncate_field",
+    "divT_norm_lq",
     "oseenlet",
     "RichardsonDivergence",
 ]
@@ -643,49 +644,42 @@ class TruncatedAux:
     jac_UR: VolumeField
     div_UR: VolumeField  # Div U_R = chi_R div U + U . grad chi_R
     divT: VolumeField  # Div T(U_R, P_R), supported in R <= |x| <= 2R
-    aux: AuxiliaryField
     U_tail: VolumeField
     P_tail: VolumeField
     jac_tail: VolumeField  # grad (U - U_R)
     div_tail: VolumeField  # Div (U - U_R)
 
-    @property
-    def mu2(self) -> float:
-        return self.aux.solver.mu2
 
-    def divT_at(self, radii: np.ndarray) -> np.ndarray:
-        """Div T(U_R, P_R) at arbitrary exterior radii, analytic in the cutoff."""
-        grid = self.U_R.grid
-        rhat = grid.sphere.unit_vectors()[0]
-        radii = np.asarray(radii, float)
-        return _cutoff_stress_divergence(
-            eval_radii(self.aux.U, radii, EXTERIOR),
-            eval_radii(self.aux.jacU, radii, EXTERIOR),
-            eval_radii(self.aux.P, radii, EXTERIOR),
-            radii,
-            self.R,
-            rhat,
-            self.mu2,
-        )
+def _check_truncation_radius(grid, R: float) -> None:
+    if not (R > 4.0 and 2.0 * R <= grid.r_inf + 1e-12):
+        raise ValueError(f"truncation radius must satisfy 4 < R <= R_inf/2, got {R}")
 
-    def divT_norm_lq(self, q: float) -> float:
-        """L^q norm of Div T(U_R, P_R) on its support annulus [R, 2R]."""
-        xg, wg = np.polynomial.legendre.leggauss(ANNULUS_GAUSS_NODES)
-        rr = self.R + (xg + 1.0) * self.R / 2.0
-        wr = wg * self.R / 2.0
-        vals = self.divT_at(rr)
-        mag = np.sum(np.abs(vals) ** 2, axis=0) ** (q / 2.0)
-        g = self.U_R.grid.sphere
-        ang = np.einsum("ab,rab->r", g.weights, mag)
-        return float(np.sum(wr * rr**2 * ang)) ** (1.0 / q)
+
+def divT_norm_lq(aux: AuxiliaryField, R: float, q: float) -> float:
+    """L^q norm of Div T(U_R, P_R) on its support annulus [R, 2R], from the
+    auxiliary field at the annulus' Gauss radii (no truncated pair is formed)."""
+    grid = aux.solver.grid
+    _check_truncation_radius(grid, R)
+    xg, wg = np.polynomial.legendre.leggauss(ANNULUS_GAUSS_NODES)
+    rr = R + (xg + 1.0) * R / 2.0
+    wr = wg * R / 2.0
+    vals = _cutoff_stress_divergence(
+        *(eval_radii(f, rr, EXTERIOR) for f in (aux.U, aux.jacU, aux.P)),
+        rr,
+        R,
+        grid.sphere.unit_vectors()[0],
+        aux.solver.mu2,
+    )
+    mag = np.sum(np.abs(vals) ** 2, axis=0) ** (q / 2.0)
+    ang = np.einsum("ab,rab->r", grid.sphere.weights, mag)
+    return float(np.sum(wr * rr**2 * ang)) ** (1.0 / q)
 
 
 def truncate_field(aux: AuxiliaryField, R: float) -> TruncatedAux:
     """chi_R-truncated auxiliary fields with analytic cutoff derivatives, on
     the grid and reservoir viscosity the field was solved with."""
     grid, mu2 = aux.solver.grid, aux.solver.mu2
-    if not (R > 4.0 and 2.0 * R <= grid.r_inf + 1e-12):
-        raise ValueError(f"truncation radius must satisfy 4 < R <= R_inf/2, got {R}")
+    _check_truncation_radius(grid, R)
     rhat = grid.sphere.unit_vectors()[0]
     r = grid.r
     chi, dchi, _ = (c[:, None, None] for c in cutoff(r, R))
@@ -703,7 +697,7 @@ def truncate_field(aux: AuxiliaryField, R: float) -> TruncatedAux:
         U[:, bend], jacU[:, :, bend], P[bend], r[bend], R, rhat, mu2
     )
     tails = (aux.U - U_R, aux.P - P_R, aux.jacU - jac_UR, divU - div_UR)
-    return TruncatedAux(R, U_R, P_R, jac_UR, div_UR, divT, aux, *tails)
+    return TruncatedAux(R, U_R, P_R, jac_UR, div_UR, divT, *tails)
 
 
 def _cutoff_stress_divergence(U, jac, P, r, R, rhat, mu2):

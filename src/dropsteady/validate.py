@@ -30,9 +30,9 @@ from .sphere import (
 from .stokes import (
     PhysicalParams,
     auxiliary_field,
+    divT_norm_lq,
     lambda0_value,
     oseenlet,
-    truncate_field,
 )
 from .volume import VolumeField, VolumeGrid, eval_radii, vsh_assemble
 
@@ -174,7 +174,7 @@ def _energy_checks(rng, vg, aux):
 
 def _truncation_checks(rng, vg, aux):
     q = 4.0 / 3.0
-    norms = [truncate_field(aux, R).divT_norm_lq(q) for R in (8.0, 16.0, 32.0)]
+    norms = [divT_norm_lq(aux, R, q) for R in (8.0, 16.0, 32.0)]
     slope = float(np.polyfit(np.log([8.0, 16.0, 32.0]), np.log(norms), 1)[0])
     dev = abs(slope - (-3.0 + 3.0 / q))
     return [Check("truncation-tail decay slope", dev < 0.3, dev, 0.3)]

@@ -85,9 +85,26 @@ def test_per_mode_decay():
     far = 6.0
     u_far = np.abs(sol.velocity(np.array([far])))[:, 0, :]
     bound = (
-        np.abs(sol.alpha_plus) + far * np.abs(sol.beta_plus)
+        np.abs(sol.alpha[0]) + far * np.abs(sol.beta[0])
     ) * np.exp(-far)
     assert np.all(u_far <= bound + 1e-14)
+
+
+def test_dirichlet_mirror_symmetry():
+    """Reflecting x3 -> -x3 swaps the half spaces: with the viscosities
+    swapped and Rb = (b1, b2, -b3), the lower side for b is the mirror
+    image of the upper side for Rb, exactly (R = diag(1, 1, -1))."""
+    rng = np.random.default_rng(8)
+    b = TangentialSpectrum.random(10, rng, vector=True)
+    refl = np.array([1.0, 1.0, -1.0])
+    mu_a, mu_b = 1.7, 0.6
+    sol = dirichlet_stokes_halfspace(b, mu_plus=mu_a, mu_minus=mu_b)
+    mirror = dirichlet_stokes_halfspace(
+        TangentialSpectrum(b.modes, b.values * refl), mu_plus=mu_b, mu_minus=mu_a
+    )
+    x3 = np.geomspace(1e-3, 8.0, 20)
+    assert np.max(np.abs(sol.velocity(-x3) - mirror.velocity(x3) * refl)) == 0.0
+    assert np.max(np.abs(sol.pressure(-x3) - mirror.pressure(x3))) == 0.0
 
 
 def test_twophase_reduces_to_dirichlet_for_h2_zero():
@@ -145,8 +162,7 @@ def test_corrupted_pressure_detected():
     rng = np.random.default_rng(6)
     b = TangentialSpectrum.random(10, rng, vector=True)
     sol = dirichlet_stokes_halfspace(b)
-    sol.p_plus = 2.0 * sol.p_plus
-    sol.p_minus = 2.0 * sol.p_minus
+    sol.p0 = 2.0 * sol.p0
     rep = residual_check(sol)
     assert rep["momentum"] > 0.1
 
@@ -157,3 +173,5 @@ def test_zero_on_interface_rejected():
     sol = dirichlet_stokes_halfspace(b)
     with pytest.raises(ValueError):
         sol.velocity(np.array([0.0]))
+    with pytest.raises(ValueError):
+        sol.pressure(np.array([0.0]))

@@ -11,6 +11,7 @@ from dropsteady.stokes import (
     PhysicalParams,
     TwoPhaseStokesSolver,
     auxiliary_field,
+    divT_norm_lq,
     lambda0_value,
     oseenlet,
     residual_report,
@@ -618,6 +619,8 @@ def test_truncation_support(vg, aux):
         truncate_field(aux, 3.0)
     with pytest.raises(ValueError):
         truncate_field(aux, 40.0)
+    with pytest.raises(ValueError):
+        divT_norm_lq(aux, 40.0, 4.0 / 3.0)
     for R in (8.0, 16.0, 32.0):
         tr = truncate_field(aux, R)
         r = vg.exterior.r
