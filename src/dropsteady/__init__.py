@@ -3,9 +3,9 @@
 __version__ = "0.1.0"
 
 from .driver import SolveConfig, SolutionBundle, diagnostics, picard_solve
-from .operators import DropState, YElement, apply_L, assemble_N, invert_L
+from .operators import DropState, apply_L, assemble_N, invert_L
 from .sphere import SphereField, SphereGrid, TangentField
-from .stokes import PhysicalParams, auxiliary_field, lambda0_value, oseenlet
+from .stokes import PhysicalParams, YElement, auxiliary_field, lambda0_value, oseenlet
 from .volume import VolumeField, VolumeGrid
 
 __all__ = [

@@ -18,8 +18,6 @@ from .geometry import ETA_SOBOLEV_ORDER, HeightFunction, MapData, build_map, str
 from .operators import (
     DropState,
     OperatorContext,
-    YElement,
-    _minus_div_T,
     apply_L,
     assemble_N,
     build_context,
@@ -29,7 +27,7 @@ from .operators import (
     norm_Y,
 )
 from .sphere import SphereField, sobolev_norm, surface_gradient
-from .stokes import PhysicalParams, axisym_leakage, oseenlet
+from .stokes import PhysicalParams, YElement, axisym_leakage, minus_div_T, oseenlet
 from .volume import (
     EXTERIOR,
     INTERIOR,
@@ -250,7 +248,7 @@ def reconstruct_physical(bundle: SolutionBundle) -> dict:
     params = ctx.params
     jac_w = vector_gradient(w)
     out["jac_w"] = jac_w
-    stress, _ = _minus_div_T(w, q, params)
+    stress, _ = minus_div_T(w, q, params.mu1, params.mu2)
     inertia = matvec(jac_w, w) + lam * e3_column(jac_w)
     res = inertia.phasewise_scale(params.rho1, params.rho2) + stress
     r = grid.r

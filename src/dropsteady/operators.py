@@ -18,11 +18,12 @@ part (spheroidal/toroidal ones), row 4 is the tangential part, row 5 reads
 the force off the degree-1 coefficients (``stokes.traction_force``), and
 row 7 subtracts the normal part; its kernel term is project_kernel(eta) / 3.
 
-The inverse follows the constructive recipe: solve the two-phase system
-for (u, p), shift the drop pressure by the constant that makes row 6
-come out automatically, read kappa off row 5, then split the height
-equation into the degree-1 kernel part and a shifted-Laplacian solve on
-its complement.
+The inverse follows the constructive recipe: hand rows 1-4 of the data
+to ``stokes.solve_two_phase`` as L writes them (row 1 in the stress form
+above; ``stokes.minus_div_T`` is the one -Div T) for (u, p), shift the
+drop pressure by the constant that makes row 6 come out automatically,
+read kappa off row 5, then split the height equation into the degree-1
+kernel part and a shifted-Laplacian solve on its complement.
 
 The nonlinear right-hand side N holds every term beyond L, written in the
 perturbation of the physical fields (w, q) = (u + lambda U_R, p + lambda P_R),
@@ -53,7 +54,7 @@ stresses are the one law ``geometry.stress``: T^eta through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,11 +78,12 @@ from .sphere import (
 )
 from .stokes import (
     AuxiliaryField,
-    JumpData,
     PhysicalParams,
     TruncatedAux,
+    YElement,
     auxiliary_field,
     lambda0_value,
+    minus_div_T,
     solve_two_phase,
     surface_traction_jump,
     traction_force,
@@ -105,7 +107,6 @@ from .volume import (
 
 __all__ = [
     "DropState",
-    "YElement",
     "OperatorContext",
     "build_context",
     "apply_L",
@@ -144,34 +145,6 @@ class DropState:
             a * self.kappa + b * other.kappa,
             a * self.eta + b * other.eta,
             a * self.tail + b * other.tail,
-        )
-
-
-class YElement(JumpData):
-    """Data-space element: the seven rows (f, g, h1, h2, a1, a2, h3)."""
-
-    @classmethod
-    def zeros(cls, grid: VolumeGrid) -> "YElement":
-        g = grid.sphere
-        return cls(
-            VolumeField.zeros(grid, rank=1),
-            VolumeField.zeros(grid),
-            SphereField.zeros(g),
-            TangentField.zeros(g),
-            0.0,
-            0.0,
-            SphereField.zeros(g),
-        )
-
-    def combine(self, other: "YElement", a: float, b: float) -> "YElement":
-        return YElement(
-            a * self.f + b * other.f,
-            a * self.g + b * other.g,
-            a * self.h1 + b * other.h1,
-            a * self.h2 + b * other.h2,
-            a * self.a1 + b * other.a1,
-            a * self.a2 + b * other.a2,
-            a * self.h3 + b * other.h3,
         )
 
 
@@ -286,16 +259,6 @@ def _traction_jump_eta(T_eta: VolumeField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _minus_div_T(u: VolumeField, p: VolumeField, params: PhysicalParams):
-    """-Div T(u, p) = -mu (lap u + grad div u) + grad p with each phase's mu, and div u."""
-    lap = vector_laplacian(u)
-    divu = vector_divergence(u)
-    grad_div = scalar_gradient(divu)
-    gp = scalar_gradient(p)
-    mu = u.grid.phase_profile(params.mu1, params.mu2)
-    return VolumeField(u.grid, -mu * (lap.values + grad_div.values) + gp.values), divu
-
-
 def apply_L(state: DropState, ctx: OperatorContext) -> YElement:
     grid, params, lam0 = ctx.grid, ctx.params, ctx.lambda0
     g = grid.sphere
@@ -303,7 +266,7 @@ def apply_L(state: DropState, ctx: OperatorContext) -> YElement:
     # any remainder-pair content is differentiated via its closed form
     u, p = ctx.regular_pair(state)
 
-    f, divu = _minus_div_T(u, p, params)
+    f, divu = minus_div_T(u, p, params.mu1, params.mu2)
     if lam0 != 0.0:
         f = f + d3(u).phasewise_scale(params.rho1 * lam0, params.rho2 * lam0)
     if state.tail != 0.0:
@@ -336,15 +299,11 @@ def invert_L(y: YElement, ctx: OperatorContext) -> DropState:
     pressure-constant choice, which is the computable content of the
     homeomorphism argument.
     """
-    grid, params, lam0 = ctx.grid, ctx.params, ctx.lambda0
-    g = grid.sphere
+    params = ctx.params
+    g = ctx.grid.sphere
     sigma = params.sigma
     mu1, mu2 = params.mu1, params.mu2
-    # -Div T = f with Div u = g means -mu lap u + grad p = f + mu grad g
-    f_eff = y.f
-    if y.g.max_abs() > 0.0:
-        f_eff = y.f + VolumeField(grid, grid.phase_profile(mu1, mu2) * scalar_gradient(y.g).values)
-    sol = solve_two_phase(JumpData(f_eff, y.g, y.h1, y.h2), lam0, params, ctx.aux.solver)
+    sol = solve_two_phase(y, ctx.lambda0, params, ctx.aux.solver)
     u, p = sol.u, sol.p
     jump = surface_traction_jump(u, p, mu1, mu2)
     c_p = (integrate_sphere(jump[0]) + integrate_sphere(y.h3) - 2.0 * sigma * y.a2) / (4.0 * np.pi)
@@ -365,15 +324,7 @@ def invert_L_with_tail(y: YElement, lamc: float, ctx: OperatorContext) -> DropSt
     the discrete solve.  Exact algebra: the resulting map is the same
     inverse, evaluated without feeding cutoff kinks to the radial bases.
     """
-    y_reg = YElement(
-        y.f + (-lamc) * ctx.sing_f,
-        y.g + (-lamc) * ctx.trunc.div_tail,
-        y.h1,
-        y.h2,
-        y.a1,
-        y.a2,
-        y.h3,
-    )
+    y_reg = replace(y, f=y.f + (-lamc) * ctx.sing_f, g=y.g + (-lamc) * ctx.trunc.div_tail)
     st = invert_L(y_reg, ctx)
     st.u = st.u + lamc * ctx.trunc.U_tail
     st.p = st.p + lamc * ctx.trunc.P_tail

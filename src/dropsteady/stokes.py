@@ -1,5 +1,11 @@
 """Two-phase Stokes/Oseen solver on the ball/exterior reference domain.
 
+It solves rows 1-4 of the linear operator L as L writes them (``YElement``):
+-Div T(u, p) [+ rho lambda0 d3 u] = f, Div u = g, the normal velocity h1
+and the tangential stress jump h2.  As -Div T(u, p) = -mu lap u + grad p -
+mu grad g, ``analyse`` adds mu grad g to f on channels (d_r g to P, g / r
+to v) and the collocation rows are those of -mu lap u + grad p.
+
 Per spherical-harmonic degree l the Stokes operator reduces to a radial
 two-point boundary value problem for the spheroidal channels (P, v,
 pressure) and the toroidal channel w, coupled through the interface
@@ -34,7 +40,7 @@ part) and spheroidal/toroidal ones (tangential part), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +59,7 @@ from .volume import (
     VolumeField,
     VolumeGrid,
     analysis_batch,
+    chan_radial_deriv,
     channel_norm_l2,
     d3,
     d3_channels,
@@ -69,10 +76,11 @@ from .volume import (
 
 __all__ = [
     "PhysicalParams",
-    "JumpData",
+    "YElement",
     "TwoPhaseSolution",
     "TwoPhaseStokesSolver",
     "solve_two_phase",
+    "minus_div_T",
     "AuxiliaryField",
     "auxiliary_field",
     "axisym_leakage",
@@ -112,8 +120,9 @@ class PhysicalParams:
 
 
 @dataclass
-class JumpData:
-    """Right-hand-side element: volumetric, interface and scalar data."""
+class YElement:
+    """Data-space element of the linear operator: the seven rows (f, g, h1,
+    h2, a1, a2, h3).  The Stokes solve reads the first four."""
 
     f: VolumeField
     g: VolumeField
@@ -122,6 +131,21 @@ class JumpData:
     a1: float = 0.0
     a2: float = 0.0
     h3: SphereField | None = None
+
+    @classmethod
+    def zeros(cls, grid: VolumeGrid) -> "YElement":
+        g = grid.sphere
+        return cls(
+            VolumeField.zeros(grid, rank=1),
+            VolumeField.zeros(grid),
+            SphereField.zeros(g),
+            TangentField.zeros(g),
+            h3=SphereField.zeros(g),
+        )
+
+    def combine(self, other: "YElement", a: float, b: float) -> "YElement":
+        """a self + b other, row by row."""
+        return YElement(*(a * getattr(self, k.name) + b * getattr(other, k.name) for k in fields(self)))
 
     def compatibility_defect(self) -> float:
         """int_{B1} g dx - int_{S2} h1 dS (must vanish for solvability)."""
@@ -136,9 +160,10 @@ class TwoPhaseSolution:
 
 
 class StokesData(NamedTuple):
-    """JumpData in channel space, on the orders |m| <= M = min(L, m_max)
-    the grid carries (columns centred on m = 0): the (P, v, w) channels
-    of f stacked (3, n_r, L+1, 2M+1) and the profiles of g
+    """The Stokes rows of a YElement in channel space, on the orders
+    |m| <= M = min(L, m_max) the grid carries (columns centred on m = 0):
+    the (P, v, w) channels of f + mu grad g, the right-hand side of
+    -mu lap u + grad p, stacked (3, n_r, L+1, 2M+1) and the profiles of g
     (n_r, L+1, 2M+1) over the whole radial axis; the coefficients of h1
     and the (spheroidal, toroidal) ones of h2."""
 
@@ -369,20 +394,21 @@ class TwoPhaseStokesSolver:
         self.sph.flags.writeable = False
         self.tor.flags.writeable = False
 
-    def analyse(self, data: JumpData) -> StokesData:
-        """The channels of the data, after checking int g = int h1."""
-        g = self.grid.sphere
-        L = g.band_limit
+    def analyse(self, data: YElement) -> StokesData:
+        """The channels of the data, after checking int g = int h1; row 1
+        is read in stress form, so mu grad g joins f (module docstring)."""
+        grid = self.grid
+        L = grid.sphere.band_limit
         defect = data.compatibility_defect()
         scale = max(1.0, data.g.max_abs(), np.max(np.abs(data.h1.values)))
         if abs(defect) > 1e-9 * scale:
             raise ValueError(f"incompatible data: int g - int h1 = {defect:.3e}")
-        return StokesData(
-            np.stack(vsh_channels(data.f)),
-            analysis_batch(g, data.g.values, L),
-            data.h1.with_band(L).coeffs,
-            data.h2.spec,
-        )
+        g = analysis_batch(grid.sphere, data.g.values, L)
+        mu = grid.phase_profile(self.mu1, self.mu2)
+        f = np.stack(vsh_channels(data.f))
+        f[0] += mu * chan_radial_deriv(grid, g, 0, 1)
+        f[1] += mu * g / grid.radius_mesh()
+        return StokesData(f, g, data.h1.with_band(L).coeffs, data.h2.spec)
 
     @staticmethod
     def _apply(op, *blocks):
@@ -406,7 +432,7 @@ class TwoPhaseStokesSolver:
             VolumeField(grid, synthesis_batch(grid.sphere, p, grid.sphere.band_limit)),
         )
 
-    def solve(self, data: JumpData) -> TwoPhaseSolution:
+    def solve(self, data: YElement) -> TwoPhaseSolution:
         """Pure Stokes solve (no drift) with pressure mean zero in the drop."""
         return self.synthesise(*self.solve_channels(self.analyse(data)))
 
@@ -421,12 +447,13 @@ RICHARDSON_MAX_ITER = 40
 
 
 def solve_two_phase(
-    data: JumpData,
+    data: YElement,
     lambda0: float,
     params: PhysicalParams,
     solver: TwoPhaseStokesSolver,
 ) -> TwoPhaseSolution:
-    """Solve the drifted two-phase system; drift handled by Richardson.
+    """Solve -Div T(u, p) + rho lambda0 d3 u = f and rows 2-4 of ``data``;
+    drift handled by Richardson.
 
     The iteration solves Stokes with f - rho lambda0 d3(u_k) on the
     right; the recorded contraction ratios form the convergence
@@ -472,17 +499,27 @@ def solve_two_phase(
     return sol
 
 
-def residual_report(u, p, data, lambda0, params) -> dict:
-    """Field-equation residual norms of a candidate solution."""
-    grid = u.grid
+def minus_div_T(u: VolumeField, p: VolumeField, mu1: float, mu2: float):
+    """-Div T(u, p) = -mu (lap u + grad div u) + grad p with each phase's mu, and div u."""
     lap = vector_laplacian(u)
+    divu = vector_divergence(u)
+    grad_div = scalar_gradient(divu)
     gp = scalar_gradient(p)
-    mu = grid.phase_profile(params.mu1, params.mu2)
-    mom = VolumeField(grid, -mu * lap.values + gp.values - data.f.values)
+    mu = u.grid.phase_profile(mu1, mu2)
+    return VolumeField(u.grid, -mu * (lap.values + grad_div.values) + gp.values), divu
+
+
+def residual_report(u, p, data, lambda0, params) -> dict:
+    """Residual norms of a candidate solution in the rows the solver
+    solves: -Div T(u, p) + rho lambda0 d3 u = f, Div u = g and the
+    interface rows."""
+    grid = u.grid
+    mom, divu = minus_div_T(u, p, params.mu1, params.mu2)
+    mom = mom - data.f
     if lambda0 != 0.0:
         drift = d3(u).phasewise_scale(params.rho1 * lambda0, params.rho2 * lambda0)
         mom = mom + drift
-    div = vector_divergence(u) - data.g
+    div = divu - data.g
     jump_u = np.max(np.abs(u.jump()))
     h1_res = np.max(
         np.abs(
@@ -564,11 +601,13 @@ class AuxiliaryField:
 
 
 def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
-    """Unit-translation two-phase Stokes field, normalized so that the
-    surface integral of the normal stress jump vanishes."""
+    """Unit-translation two-phase Stokes field.  Its data are of degree 1,
+    so the solve's drop pressure (mean zero) has no degree-0 part and the
+    surface integral of the normal stress jump vanishes without a shift;
+    ``checks["normalization_integral"]`` reads that integral."""
     g = grid.sphere
     _, _, n3 = normal_component_fields(g)
-    data = JumpData(
+    data = YElement(
         f=VolumeField.zeros(grid, rank=1),
         g=VolumeField.zeros(grid),
         h1=-1.0 * n3,
@@ -577,10 +616,6 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
     solver = TwoPhaseStokesSolver(grid, params.mu1, params.mu2)
     sol = solver.solve(data)
     U, P = sol.u, sol.p
-    c_norm = integrate_sphere(surface_traction_jump(U, P, params.mu1, params.mu2)[0]) / (4.0 * np.pi)
-    # add the constant to the drop-phase pressure, and take the jump afresh:
-    # its normal integral checks the shift
-    P.blocks[INTERIOR][...] += c_norm
     jump = surface_traction_jump(U, P, params.mu1, params.mu2)
     drag = traction_force(jump)
     rhat = g.unit_vectors()[0]

@@ -168,7 +168,7 @@ def grid_points(grid: VolumeGrid, phase: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _chan_radial_deriv(grid: VolumeGrid, coeffs: np.ndarray, base_parity: int, order: int):
+def chan_radial_deriv(grid: VolumeGrid, coeffs: np.ndarray, base_parity: int, order: int):
     """d^order/dr^order of per-mode profiles (..., n_r, L+1, orders) with
     channel parity (l + base_parity) mod 2 (scalars and w: base 0; P, v:
     base 1).  Each phase's derivative matrices act on that phase's rows of
@@ -190,7 +190,7 @@ def _spherical_gradient(f: VolumeField):
     g = grid.sphere
     L = g.band_limit
     C = analysis_batch(g, f.values, L)
-    dr = synthesis_batch(g, _chan_radial_deriv(grid, C, 0, 1), L)
+    dr = synthesis_batch(g, chan_radial_deriv(grid, C, 0, 1), L)
     tth, tph = tangent_synthesis_batch(g, C, np.zeros_like(C), L)
     rinv = 1.0 / grid.radius_mesh()
     tth *= rinv
@@ -226,7 +226,7 @@ def d3_channels(grid: VolumeGrid, u: np.ndarray) -> np.ndarray:
     B = grid.sphere.d3_coupling
     M = B.shape[0] - 1
     m = np.arange(M + 1)
-    dr = np.concatenate([_chan_radial_deriv(grid, u[:2], 1, 1), _chan_radial_deriv(grid, u[2:], 0, 1)])
+    dr = np.concatenate([chan_radial_deriv(grid, u[:2], 1, 1), chan_radial_deriv(grid, u[2:], 0, 1)])
     parts = np.stack([M + m, M - m], axis=1)
     X = np.stack([dr, u / grid.radius_mesh()])[..., parts]  # (C|E, c, r, l, m, part)
     _, _, n_r, n, _, _ = X.shape
@@ -268,7 +268,7 @@ def vector_divergence(u: VolumeField) -> VolumeField:
     L = g.band_limit
     l = np.arange(L + 1, dtype=float)[None, :, None]
     P, v, _ = vsh_channels(u)
-    dP = _chan_radial_deriv(grid, P, 1, 1)
+    dP = chan_radial_deriv(grid, P, 1, 1)
     rinv = 1.0 / grid.radius_mesh()
     div = dP + 2.0 * rinv * P - l * (l + 1.0) * rinv * v
     return VolumeField(grid, synthesis_batch(g, div, L))
@@ -284,8 +284,8 @@ def vector_laplacian(u: VolumeField) -> VolumeField:
     rinv = 1.0 / grid.radius_mesh()
 
     def Dl(C, base):
-        d1 = _chan_radial_deriv(grid, C, base, 1)
-        d2 = _chan_radial_deriv(grid, C, base, 2)
+        d1 = chan_radial_deriv(grid, C, base, 1)
+        d2 = chan_radial_deriv(grid, C, base, 2)
         return d2 + 2.0 * rinv * d1 - ll1 * rinv**2 * C
 
     lapP = Dl(P, 1) - 2.0 * rinv**2 * P + 2.0 * ll1 * rinv**2 * v

@@ -67,7 +67,7 @@ def test_tracer_targets_resolve_and_restore():
     assert not changed, f"bindings not restored: {changed}"
 
 
-STAGES = ("build_context", "picard_solve", "diagnostics", "norm_X", "tensor_divergence", "assemble_N")
+STAGES = ("build_context", "picard_solve", "diagnostics", "norm_X", "tensor_divergence", "assemble_N", "invert_L")
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,9 @@ def traced():
         stage("diagnostics", driver.diagnostics, bundle)
         stage("norm_X", operators.norm_X, bundle.state, ctx.lambda0)
         stage("tensor_divergence", volume.tensor_divergence, ctx.aux.jacU)
-        stage("assemble_N", operators.assemble_N, bundle.state, ctx)
+        N = stage("assemble_N", operators.assemble_N, bundle.state, ctx)
+        assert N.g.max_abs() > 0.0
+        stage("invert_L", operators.invert_L, N, ctx)
     calls = {}
     for rep, name in enumerate(STAGES):
         functions = tracer.rep_summary(rep)["functions"]
@@ -137,6 +139,15 @@ def test_each_field_differentiated_once(traced):
     assert "volume.d3" not in calls["diagnostics"]
 
 
+def test_invert_L_takes_no_nodal_gradient(traced):
+    """invert_L hands L's rows to the Stokes solve as they are: data with
+    g != 0 cost no nodal gradient of g (the solve adds mu grad g on
+    channels)."""
+    calls, _, _ = traced
+    assert calls["invert_L"]["stokes.solve_two_phase"] == 1
+    assert "volume.scalar_gradient" not in calls["invert_L"]
+
+
 def test_assemble_N_forms_each_term_once(traced):
     """N is written in the physical perturbation w = u + lambda U_R: one
     interface map, one Jacobian, one transformed stress and its tensor
@@ -161,7 +172,7 @@ def test_drift_sweeps_run_no_sphere_transform():
     grid = VolumeGrid.build(8, 12, 20, 64.0, m_max=2)
     solver = stokes.TwoPhaseStokesSolver(grid, 1.0, 1.0)
     n3 = normal_component_fields(grid.sphere)[2]
-    data = stokes.JumpData(
+    data = stokes.YElement(
         VolumeField.zeros(grid, rank=1), VolumeField.zeros(grid), -1.0 * n3, TangentField.zeros(grid.sphere)
     )
     params = stokes.PhysicalParams(rho_tilde=0.3)

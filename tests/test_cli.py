@@ -8,6 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
+from dropsteady import dropflow
 from dropsteady.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from dropsteady.driver import SolveConfig, picard_solve
 from dropsteady.io import _SECTIONS, ConfigError, dump_config, fmt, load_config
@@ -241,12 +242,34 @@ def test_manifest_reproduces_run(solved_out, cfgfile, tmp_path):
                 assert a.read() == b.read()
 
 
-def test_validate_filter_and_fault(capsys):
+def test_validate_filter_and_fault(capsys, monkeypatch):
     assert main(["validate", "--only", "curvature"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "curvature" in out and "PASS" in out
-    assert main(["validate", "--only", "oseenlet", "--inject-fault", "oracle_mu2"]) == EXIT_OK
-    assert main(["validate", "--only", "drop-flow", "--inject-fault", "oracle_mu2"]) == EXIT_VALIDATION
+    # an oracle that reads a reservoir viscosity 2% off: drop-flow must fail
+    velocity, drag_e3 = dropflow.velocity, dropflow.drag_e3
+    monkeypatch.setattr(dropflow, "velocity", lambda x, y, z, mu1, mu2: velocity(x, y, z, mu1, 1.02 * mu2))
+    monkeypatch.setattr(dropflow, "drag_e3", lambda mu1, mu2: drag_e3(mu1, 1.02 * mu2))
+    assert main(["validate", "--only", "oseenlet"]) == EXIT_OK
+    assert main(["validate", "--only", "drop-flow"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [(["--seed", "-1"], "--seed"), (["--only", "no-such-group"], "no-such-group")],
+    ids=["negative seed", "unmatched filter"],
+)
+def test_validate_bad_arguments_are_config_errors(monkeypatch, capsys, argv, word):
+    """Rejected before any check runs, with one line and exit 2."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr("dropsteady.validate.run_validation", no_run)
+    capsys.readouterr()
+    assert main(["validate", *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and word in err[0]
 
 
 def test_validate_default_report(tmp_path):

@@ -1,6 +1,7 @@
-"""No module in src/, tests/ or demos/ imports a name it never reads, and
+"""No module in src/, tests/ or demos/ imports a name it never reads,
 src/dropsteady defines no function or class, private or public, that
-nothing uses.
+nothing uses, and no module of src/dropsteady imports another's private
+name.
 
 The scan is by AST over each file as a whole: a name bound by an import
 counts as used when the file loads it anywhere (an attribute access
@@ -103,3 +104,19 @@ def test_no_unused_public_definitions():
     assert len(public) > 50
     unused = [entry for entry, name in public if name not in used]
     assert not unused, "defined but never used:\n" + "\n".join(unused)
+
+
+def test_no_private_imports_across_src_modules():
+    """A ``_``-prefixed name (dunders aside) is its module's own: another
+    module of the package that needs it calls for a public name instead."""
+    files = sorted((ROOT / "src" / "dropsteady").glob("*.py"))
+    assert len(files) > 10
+    crossing = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {alias.name}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert not crossing, "private names imported from another module:\n" + "\n".join(crossing)

@@ -20,7 +20,7 @@ from dropsteady.sphere import (
 )
 from dropsteady.stokes import surface_traction_jump, traction_force
 from dropsteady.validate import random_state
-from dropsteady.volume import VolumeGrid, _chan_radial_deriv, vsh_channels
+from dropsteady.volume import VolumeGrid, chan_radial_deriv, vsh_channels
 
 GRIDS = {"L8-full": (8, 16, 24, None), "L16-band": (16, 24, 40, 2)}
 
@@ -38,9 +38,9 @@ def _nodal_traction_jump(u, p, mu1, mu2):
     L = g.band_limit
     P, v, w = vsh_channels(u)
     pm = analysis_batch(g, p.values, L)
-    dP = _chan_radial_deriv(grid, P, 1, 1)
-    dv = _chan_radial_deriv(grid, v, 1, 1)
-    dw = _chan_radial_deriv(grid, w, 0, 1)
+    dP = chan_radial_deriv(grid, P, 1, 1)
+    dv = chan_radial_deriv(grid, v, 1, 1)
+    dw = chan_radial_deriv(grid, w, 0, 1)
     rhat, that, phat = g.unit_vectors()
     sides = []
     for i0, mu in ((grid.interior.i_surface, mu1), (grid.interior.n + grid.exterior.i_surface, mu2)):

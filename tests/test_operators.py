@@ -23,7 +23,13 @@ from dropsteady.sphere import (
     normal_component_fields,
     sobolev_norm,
 )
-from dropsteady.stokes import PhysicalParams, auxiliary_field, lambda0_value, surface_traction_jump
+from dropsteady.stokes import (
+    PhysicalParams,
+    auxiliary_field,
+    lambda0_value,
+    solve_two_phase,
+    surface_traction_jump,
+)
 from dropsteady.validate import random_state
 from dropsteady.volume import (
     INTERIOR,
@@ -179,6 +185,25 @@ def test_round_trip_random(vg, lam0):
     # row 6 reproduced without direct imposition
     assert max(a2_errs) < 1e-9
     assert max(state_errs) < 1e-6
+
+
+@pytest.mark.parametrize("m_max", [None, 2])
+def test_stokes_solve_takes_L_rows_as_written(m_max):
+    """The Stokes solve reads rows 1-4 as apply_L writes them (row 1 in
+    stress form): on L of a random state, with Div u != 0, unequal
+    viscosities and a drift, it returns the state's velocity, and its
+    pressure up to the drop's constant."""
+    vg = VolumeGrid.build(8, 16, 24, 64.0, m_max=m_max)
+    params = PhysicalParams(mu1=2.5, mu2=0.8, rho_tilde=1e-2)
+    ctx = build_context(vg, params)
+    x0 = random_state(vg, np.random.default_rng(11))
+    y = apply_L(x0, ctx)
+    assert ctx.lambda0 != 0.0 and y.g.max_abs() > 0.0
+    sol = solve_two_phase(y, ctx.lambda0, params, ctx.aux.solver)
+    assert (sol.u - x0.u).max_abs() <= 1e-10 * x0.u.max_abs()
+    drop, res = (sol.p - x0.p).blocks
+    assert np.ptp(drop) <= 1e-10 * x0.p.max_abs()
+    assert np.max(np.abs(res)) <= 1e-10 * x0.p.max_abs()
 
 
 def test_sing_f_follows_lambda0(ctx):

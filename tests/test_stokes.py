@@ -7,9 +7,9 @@ from dropsteady import dropflow, stokes
 from dropsteady.geometry import cutoff
 from dropsteady.sphere import SphereField, TangentField, normal_component_fields
 from dropsteady.stokes import (
-    JumpData,
     PhysicalParams,
     TwoPhaseStokesSolver,
+    YElement,
     auxiliary_field,
     divT_norm_lq,
     lambda0_value,
@@ -86,6 +86,10 @@ class ModeExact:
         else:
             a = rng.normal(size=6)
             b = rng.normal(size=6)
+            if l == 1:
+                # P(0) = v(0): u regular at the origin, so g (and its
+                # gradient, which the solve takes) has no 1/r term
+                a[2] = a[0]
             self.int_terms = {
                 "P": [(a[0], l - 1.0), (a[1], l + 1.0)],
                 "v": [(a[2], l - 1.0), (a[3], l + 1.0)],
@@ -123,7 +127,9 @@ class ModeExact:
         return {k: self._ev(v, r) for k, v in t.items()}
 
     def forcing(self, r, phase):
-        """(fP, fv, fw, g) from the analytic momentum/divergence operator."""
+        """(fP, fv, fw, g) from the analytic operator in stress form:
+        f = -Div T(u, p) = -mu lap u + grad p - mu grad g, g = div u (the
+        gradient of g has channels d_r g and g / r)."""
         t = self.int_terms if phase == INTERIOR else self.ext_terms
         mu = self.mu[phase]
         l = self.l
@@ -132,17 +138,19 @@ class ModeExact:
         p, dp = (self._ev(t["p"], r, d) for d in (0, 1))
         DlP = d2P + 2.0 / r * dP - ll1 / r**2 * P
         if l == 0:
-            fP = -mu * (DlP - 2.0 / r**2 * P) + dp
             g = dP + 2.0 / r * P
+            dg = d2P + 2.0 / r * dP - 2.0 / r**2 * P
+            fP = -mu * (DlP - 2.0 / r**2 * P) + dp - mu * dg
             return fP, None, None, g
         v, dv, d2v = (self._ev(t["v"], r, d) for d in (0, 1, 2))
         w, dw, d2w = (self._ev(t["w"], r, d) for d in (0, 1, 2))
         Dlv = d2v + 2.0 / r * dv - ll1 / r**2 * v
         Dlw = d2w + 2.0 / r * dw - ll1 / r**2 * w
-        fP = -mu * (DlP - 2.0 / r**2 * P + 2.0 * ll1 / r**2 * v) + dp
-        fv = -mu * (Dlv + 2.0 / r**2 * P) + p / r
-        fw = -mu * Dlw
         g = dP + 2.0 / r * P - ll1 / r * v
+        dg = d2P + 2.0 / r * dP - 2.0 / r**2 * P - ll1 * (dv / r - v / r**2)
+        fP = -mu * (DlP - 2.0 / r**2 * P + 2.0 * ll1 / r**2 * v) + dp - mu * dg
+        fv = -mu * (Dlv + 2.0 / r**2 * P) + p / r - mu * g / r
+        fw = -mu * Dlw
         return fP, fv, fw, g
 
     def interface_data(self):
@@ -165,7 +173,7 @@ class ModeExact:
 
 
 def manufactured(vg, modes, mu1, mu2):
-    """Jump data of a sum of ModeExact modes (l, m, seed) on the grid, the
+    """Stokes rows (a YElement, f in stress form) of a sum of ModeExact modes (l, m, seed) on the grid, the
     exact velocity, and the exact channels {"P", "v", "w", "p"} per phase
     (the drop pressure with mean zero)."""
     L = vg.sphere.band_limit
@@ -185,7 +193,7 @@ def manufactured(vg, modes, mu1, mu2):
         h[:, l, L + m] += ex.interface_data()
     g = vg.sphere
     joined = {k: np.concatenate(a) for k, a in ch.items()}  # the drop's radii first
-    data = JumpData(
+    data = YElement(
         VolumeField(vg, vsh_assemble(vg, joined["fP"], joined["fv"], joined["fw"])),
         VolumeField(vg, synthesis_batch(g, joined["g"], L)),
         SphereField(g, coeffs=h[0], band=L),
@@ -353,7 +361,7 @@ def test_solve_operators_are_read_only(solver):
 
 def test_zero_data_zero_solution(vg, solver):
     g = vg.sphere
-    data = JumpData(
+    data = YElement(
         VolumeField.zeros(vg, rank=1),
         VolumeField.zeros(vg),
         SphereField.zeros(g),
@@ -366,7 +374,7 @@ def test_zero_data_zero_solution(vg, solver):
 
 def test_incompatible_data_rejected(vg, solver):
     g = vg.sphere
-    data = JumpData(
+    data = YElement(
         VolumeField.zeros(vg, rank=1),
         VolumeField.from_function(vg, lambda x, y, z: np.ones_like(x)),
         SphereField.zeros(g),
@@ -380,7 +388,7 @@ def test_solver_linearity_and_determinism(vg, solver):
     data, _, _ = manufactured(vg, [(2, 1, 42)], 1.0, 1.0)
     o1, o2 = solver.solve(data), solver.solve(data)
     assert all(np.array_equal(a, b) for a, b in zip(o1.u.blocks + o1.p.blocks, o2.u.blocks + o2.p.blocks))
-    half = solver.solve(JumpData(0.5 * data.f, 0.5 * data.g, 0.5 * data.h1, 0.5 * data.h2))
+    half = solver.solve(YElement(0.5 * data.f, 0.5 * data.g, 0.5 * data.h1, 0.5 * data.h2))
     for a, b in zip(half.u.blocks + half.p.blocks, o1.u.blocks + o1.p.blocks):
         assert np.max(np.abs(a - 0.5 * b)) < 1e-12 * max(1.0, np.max(np.abs(b)))
 
@@ -405,9 +413,8 @@ def test_auxiliary_field_matches_closed_form(vg, mus):
 
 def test_normalization_check_reads_a_missing_pressure_shift(vg, monkeypatch):
     """A drop pressure off by a constant c puts -c into the normal traction
-    jump, and auxiliary_field shifts it out.  With the shift left out (the
-    first jump read with a zero normal part, so c_norm = 0) the check, which
-    integrates the jump afresh, reads 4 pi c_norm = -4 pi c."""
+    jump.  auxiliary_field shifts nothing out, so the check reads -4 pi c:
+    the offset is caught, not normalized away."""
     params = PhysicalParams(mu1=2.5, mu2=0.8)
     c = 0.25
     solve = TwoPhaseStokesSolver.solve
@@ -418,15 +425,6 @@ def test_normalization_check_reads_a_missing_pressure_shift(vg, monkeypatch):
         return sol
 
     monkeypatch.setattr(TwoPhaseStokesSolver, "solve", offset_solve)
-    assert abs(auxiliary_field(vg, params).checks["normalization_integral"]) < 1e-10
-    jump, calls = stokes.surface_traction_jump, []
-
-    def first_normal_zero(u, p, mu1, mu2):
-        normal, tangent = jump(u, p, mu1, mu2)
-        calls.append(None)
-        return (0.0 * normal if len(calls) == 1 else normal), tangent
-
-    monkeypatch.setattr(stokes, "surface_traction_jump", first_normal_zero)
     check = auxiliary_field(vg, params).checks["normalization_integral"]
     assert abs(check + 4.0 * np.pi * c) < 1e-9
 
@@ -466,7 +464,7 @@ def test_solve_two_phase_with_drift_manufactured(vg, solver):
     modes = [(l, m, 10 * l + m) for l, m in ((1, 0), (2, 1), (3, -2))]
     stokes_data, u_exact, _ = manufactured(vg, modes, 1.0, 1.0)
     drift = d3(u_exact).phasewise_scale(params.rho1 * lam, params.rho2 * lam)
-    data = JumpData(stokes_data.f + drift, stokes_data.g, stokes_data.h1, stokes_data.h2)
+    data = YElement(stokes_data.f + drift, stokes_data.g, stokes_data.h1, stokes_data.h2)
     sol = solve_two_phase(data, lam, params, solver)
     err = (sol.u - u_exact).max_abs() / u_exact.max_abs()
     assert err < 1e-7
@@ -525,7 +523,7 @@ def _nodal_richardson(data, lam, params, solver):
     prev = None
     for _ in range(stokes.RICHARDSON_MAX_ITER):
         drift = d3(sol.u).phasewise_scale(params.rho1 * lam, params.rho2 * lam)
-        nxt = solver.solve(JumpData(data.f - drift, data.g, data.h1, data.h2))
+        nxt = solver.solve(YElement(data.f - drift, data.g, data.h1, data.h2))
         update = norm_l2(nxt.u - sol.u)
         if prev is not None and prev > 0:
             ratios.append(update / prev)
@@ -553,7 +551,7 @@ def test_drifted_solve_matches_nodal_richardson(band_solver, lam):
 
 def _drop_data(vg):
     _, _, n3 = normal_component_fields(vg.sphere)
-    return JumpData(
+    return YElement(
         VolumeField.zeros(vg, rank=1), VolumeField.zeros(vg), -1.0 * n3, TangentField.zeros(vg.sphere)
     )
 

@@ -22,7 +22,7 @@ from dropsteady.volume import (
     eval_radii,
     INTERIOR,
     EXTERIOR,
-    _chan_radial_deriv,
+    chan_radial_deriv,
 )
 
 
@@ -250,7 +250,7 @@ def test_radial_deriv_matches_per_parity_products(name):
     for C in (stacked[0, 0], stacked[0], stacked, strided):
         for base in (0, 1):
             for order in (1, 2):
-                got = _chan_radial_deriv(grid, C, base, order)
+                got = chan_radial_deriv(grid, C, base, order)
                 ref = _chan_radial_deriv_per_parity(grid, C, base, order)
                 assert got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -333,7 +333,7 @@ def test_picard_step_carries_only_the_grid_orders(monkeypatch):
     targets = {
         "analysis_batch": sphere,
         "tangent_analysis_batch": sphere,
-        "_chan_radial_deriv": volume,
+        "chan_radial_deriv": volume,
     }
     widths = {}
     for name, mod in targets.items():
