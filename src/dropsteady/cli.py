@@ -164,11 +164,8 @@ def cmd_sweep(args) -> int:
     except (ValueError, RuntimeError) as e:
         rows = [_failed_row(r, e) for r in grid]
     else:
-        if n > 1 and len(grid) > 1:
-            with ThreadPoolExecutor(max_workers=n) as ex:
-                rows = list(ex.map(lambda r: _sweep_point(cfg, r, aux), grid))
-        else:
-            rows = [_sweep_point(cfg, r, aux) for r in grid]
+        with ThreadPoolExecutor(max_workers=n) as ex:
+            rows = list(ex.map(lambda r: _sweep_point(cfg, r, aux), grid))
     path = os.path.join(args.out, "sweep.csv")
     write_csv(path, SWEEP_COLUMNS, ([row[k] for k in SWEEP_COLUMNS] for row in rows))
     ok = sum(1 for row in rows if row["status"] == "ok")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import ETA_SOBOLEV_ORDER, HeightFunction, MapData, build_map, stress
+from .geometry import ETA_SOBOLEV_ORDER, HeightFunction, MapData, build_map, metric_pieces, stress
 from .operators import (
     DropState,
     OperatorContext,
@@ -26,7 +26,7 @@ from .operators import (
     norm_X,
     norm_Y,
 )
-from .sphere import SphereField, sobolev_norm, surface_gradient
+from .sphere import SphereField, sobolev_norm
 from .stokes import PhysicalParams, YElement, axisym_leakage, minus_div_T, oseenlet
 from .volume import (
     EXTERIOR,
@@ -275,12 +275,8 @@ def _pullback_surface_force(
     ``mp`` is the interface map of ``bundle.eta``, ``q`` the physical
     pressure and ``jac_w`` the Jacobian of the physical velocity."""
     ctx = bundle.ctx
-    grid = ctx.grid
-    g = grid.sphere
-    eta = bundle.state.eta
-    tth, tph = surface_gradient(eta).components
-    ev = eta.values
-    metric = (1.0 + ev) ** 2 + tth**2 + tph**2
+    g = ctx.grid.sphere
+    ev, tth, tph, metric = metric_pieces(bundle.state.eta)
     sg = np.sqrt(metric)
     rhat, that, phat = g.unit_vectors()
     n_gamma = ((1.0 + ev)[None] * rhat - tth[None] * that - tph[None] * phat) / sg[None]

@@ -53,6 +53,7 @@ __all__ = [
     "build_map",
     "stress",
     "transformed_stress",
+    "metric_pieces",
     "curvature_linear",
     "curvature_nonlinear",
     "curvature_total",
@@ -245,7 +246,9 @@ def transformed_stress(
 # ---------------------------------------------------------------------------
 
 
-def _metric_pieces(eta: SphereField):
+def metric_pieces(eta: SphereField):
+    """eta's values, the (theta, phi) components of grad_S eta and the
+    interface metric (1 + eta)^2 + |grad_S eta|^2."""
     vals = eta.values
     if np.min(1.0 + vals) <= 0.0:
         raise ValueError("1 + eta must be positive")
@@ -266,7 +269,7 @@ def curvature_nonlinear(eta: SphereField) -> SphereField:
     """All terms of (H+2) o Phi beyond the linearization (with its sign:
     (H+2) o Phi = curvature_linear - curvature_nonlinear)."""
     g = eta.grid
-    vals, tth, tph, metric = _metric_pieces(eta)
+    vals, tth, tph, metric = metric_pieces(eta)
     sg = np.sqrt(metric)
     lap = laplace_beltrami(eta).values
     inv_sg = SphereField(g, values=1.0 / sg, band=g.pad_limit)

@@ -54,7 +54,7 @@ stresses are the one law ``geometry.stress``: T^eta through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -139,13 +139,8 @@ class DropState:
         )
 
     def combine(self, other: "DropState", a: float, b: float) -> "DropState":
-        return DropState(
-            a * self.u + b * other.u,
-            a * self.p + b * other.p,
-            a * self.kappa + b * other.kappa,
-            a * self.eta + b * other.eta,
-            a * self.tail + b * other.tail,
-        )
+        """a self + b other, field by field."""
+        return DropState(*(a * getattr(self, k.name) + b * getattr(other, k.name) for k in fields(self)))
 
 
 @dataclass
@@ -297,7 +292,8 @@ def invert_L(y: YElement, ctx: OperatorContext) -> DropState:
 
     Row 6 (int eta = a2) is never imposed; it comes out through the
     pressure-constant choice, which is the computable content of the
-    homeomorphism argument.
+    homeomorphism argument.  int eta = int psi / (2 sigma) for psi below,
+    so c_p takes in every term of psi, kappa's included.
     """
     params = ctx.params
     g = ctx.grid.sphere
@@ -306,10 +302,11 @@ def invert_L(y: YElement, ctx: OperatorContext) -> DropState:
     sol = solve_two_phase(y, ctx.lambda0, params, ctx.aux.solver)
     u, p = sol.u, sol.p
     jump = surface_traction_jump(u, p, mu1, mu2)
-    c_p = (integrate_sphere(jump[0]) + integrate_sphere(y.h3) - 2.0 * sigma * y.a2) / (4.0 * np.pi)
-    p.blocks[INTERIOR][...] += c_p
-    # the shift is constant, so it leaves the force unchanged
+    # the pressure shift below is constant, so it leaves the force unchanged
     kappa = (y.a1 - float(traction_force(jump)[2])) / ctx.e3_drag
+    int_psi = integrate_sphere(jump[0]) + integrate_sphere(y.h3) + kappa * integrate_sphere(ctx.jumpU_n)
+    c_p = (int_psi - 2.0 * sigma * y.a2) / (4.0 * np.pi)
+    p.blocks[INTERIOR][...] += c_p
     psi = y.h3 + kappa * ctx.jumpU_n + (jump[0] - SphereField.constant(g, c_p))
     eta = 3.0 * project_kernel(psi) + (1.0 / sigma) * solve_shifted(project_complement(psi))
     return DropState(u, p, kappa, eta)

@@ -3,39 +3,33 @@
 It solves rows 1-4 of the linear operator L as L writes them (``YElement``):
 -Div T(u, p) [+ rho lambda0 d3 u] = f, Div u = g, the normal velocity h1
 and the tangential stress jump h2.  As -Div T(u, p) = -mu lap u + grad p -
-mu grad g, ``analyse`` adds mu grad g to f on channels (d_r g to P, g / r
-to v) and the collocation rows are those of -mu lap u + grad p.
+mu grad g, ``analyse`` adds mu grad g to f on channels and the collocation
+rows are those of -mu lap u + grad p.
 
-Per spherical-harmonic degree l the Stokes operator reduces to a radial
-two-point boundary value problem for the spheroidal channels (P, v,
-pressure) and the toroidal channel w, coupled through the interface
-conditions at r = 1: continuous velocity, prescribed normal velocity,
-prescribed tangential stress jump.  Both phases are discretized by
-Chebyshev collocation on the nodal tables of ``radial`` (interior: parity
-bases in r; exterior: polynomial in s = 1/r, which structurally excludes
-the growing solution family), and each degree is a least-squares system.
-The phases meet only in the transmission rows at r = 1, so the solver's
-constructor factors each degree's system phase by phase (a staircase QR,
-A. Bjorck, Numerical Methods for Least Squares Problems, 1996, 6.3): one QR
-of the drop's unknowns over its own rows and the transmission rows, then one
-QR of what is left of the transmission rows stacked on the reservoir's
-rows.  That is a QR of the joint system with its rows reordered, so it
-gives the same pseudo-inverse.  The constructor keeps, per channel, one
-stacked operator (L+1, n_out, n_in) from nodal data to nodal profiles; a
-solve is one batched matmul per channel over all degrees and the orders
-the grid carries, between the sphere transforms.
+Per spherical-harmonic degree l the operator reduces to a radial two-point
+boundary value problem for the spheroidal channels (P, v, pressure) and the
+toroidal channel w, coupled at r = 1 by continuous velocity, the normal
+velocity and the tangential stress jump.  Its collocation rows are the
+volume layer's per-mode operator (``mode_laplacian``, ``mode_divergence``,
+``mode_gradient``) and ``_surface_traction`` applied to the nodal basis
+tables of ``radial`` (interior: parity bases in r; exterior: polynomial in
+s = 1/r, which excludes the growing solutions), the same formulas that
+``minus_div_T`` and ``surface_traction_jump`` apply to fields.  Each degree
+is a least-squares system, factored phase by phase (``_staircase_pinv``).
+The constructor keeps, per channel, one stacked operator (L+1, n_out, n_in)
+from nodal data to nodal profiles; a solve is one batched matmul per
+channel over all degrees and orders, between the sphere transforms.
 
-The drift (Oseen) term rho * lambda0 * d3 u is iterated: each Richardson
-step moves it to the right-hand side of a pure Stokes solve.  The steps
-run in channel space (d3 through the grid's probed channel coupling), so
-the sphere transforms of a drifted solve do not grow with its steps.  The
-contraction factor is O(lambda0), which is the regime the surrounding
-fixed-point scheme operates in.
+The drift rho lambda0 d3 u is iterated (Richardson, contraction factor
+O(lambda0)) in channel space, d3 through the grid's probed channel
+coupling, so the sphere transforms of a drifted solve do not grow with its
+steps.
 
-The interface rows are formed on coefficients: ``surface_traction_jump``
-reads [[T(u,p) n]] off the channels at r = 1 as scalar coefficients (normal
-part) and spheroidal/toroidal ones (tangential part), and
-``traction_force`` integrates it from its degree-1 coefficients.
+-Div T(u, p) = -mu lap u + grad (p - mu div u) is one pass on the channels
+of u and the coefficients of p (``minus_div_T``).  ``surface_traction_jump``
+reads [[T(u,p) n]] off the channels at r = 1 as scalar (normal part) and
+spheroidal/toroidal (tangential part) coefficients, and ``traction_force``
+integrates it from its degree-1 coefficients.
 """
 
 from __future__ import annotations
@@ -65,11 +59,13 @@ from .volume import (
     d3_channels,
     eval_radii,
     integrate_phase,
+    mode_divergence,
+    mode_gradient,
+    mode_laplacian,
     norm_l2,
-    scalar_gradient,
     vector_divergence,
     vector_gradient,
-    vector_laplacian,
+    vector_radial_deriv,
     vsh_assemble,
     vsh_channels,
 )
@@ -187,34 +183,27 @@ class RichardsonDivergence(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _radial_laplacian(rad, parity: int, l: int) -> np.ndarray:
-    """d^2/dr^2 + (2/r) d/dr - l(l+1)/r^2 on one phase's basis of a parity."""
-    B0, B1, B2 = rad.tables[parity]
-    r = rad.r[:, None]
-    return B2 + 2.0 / r * B1 - l * (l + 1.0) / r**2 * B0
+def _surface_traction(P, v, w, p, mu):
+    """T(u, p) rhat at r = 1 per mode, (2 mu P' - p, mu (P + v' - v), mu (w' - w)),
+    from each velocity channel's (value, d/dr) and the pressure's value there."""
+    return 2.0 * mu * P[1] - p, mu * (P[0] + v[1] - v[0]), mu * (w[1] - w[0])
 
 
-def _spheroidal_block(rad, l: int, mu: float) -> np.ndarray:
-    """Radial momentum, spheroidal momentum and divergence rows of one phase
-    on its (P, v, p) coefficients; P and v have parity l + 1, p parity l."""
-    r = rad.r[:, None]
-    B0, B1, _ = rad.tables[(l + 1) % 2]
-    C0, C1, _ = rad.tables[l % 2]
-    ll1 = l * (l + 1.0)
-    Dl = _radial_laplacian(rad, (l + 1) % 2, l)
-    return np.block(
-        [
-            [-mu * (Dl - 2.0 / r**2 * B0), -mu * (2.0 * ll1 / r**2 * B0), C1],
-            [-mu * 2.0 / r**2 * B0, -mu * Dl, C0 / r],
-            [B1 + 2.0 / r * B0, -ll1 / r * B0, np.zeros_like(B0)],
-        ]
-    )
-
-
-def _surface(rad, parity: int):
-    """Basis values and r-derivatives at r = 1."""
-    B0, B1, _ = rad.tables[parity]
-    return B0[rad.i_surface], B1[rad.i_surface]
+def _phase_rows(rad, l: int, mu: float):
+    """One phase's rows at degree l, the per-mode operator applied to its
+    basis tables: the spheroidal block (-mu lap u + grad p and div u on the
+    (P, v, p) coefficients), the toroidal block (-mu lap w on w's) and the
+    tangential stress rows at r = 1 on (P, v) and on w.  P and v have
+    parity l + 1, p and w parity l."""
+    r, ll1, i = rad.r[:, None], l * (l + 1.0), rad.i_surface
+    B, w = rad.tables[(l + 1) % 2], rad.tables[l % 2]
+    z = np.zeros_like(B[0])  # the unknowns are [P | v]: each channel is zero on the other's columns
+    P, v = [np.hstack([b, z]) for b in B], [np.hstack([z, b]) for b in B]
+    lapP, lapv, lapw = mode_laplacian(P, v, w, r, ll1)
+    gP, gv = mode_gradient(w, r)  # the pressure's basis is w's
+    sph = np.block([[-mu * lapP, gP], [-mu * lapv, gv], [mode_divergence(P, v, r, ll1), z]])
+    _, t_s, t_w = _surface_traction(*([c[i] for c in X[:2]] for X in (P, v, w)), 0.0, mu)
+    return sph, -mu * lapw, t_s, t_w
 
 
 RANK_RTOL = 1e-13  # smallest 1 / cond of a collocation block (the pinv rcond)
@@ -237,8 +226,9 @@ def _upper_inverse(R: np.ndarray) -> np.ndarray:
 
 
 def _staircase_pinv(A: np.ndarray, k: int):
-    """X = R^-1 Q^T from a QR of A taken in two stages, and |R|_F; the
-    first k columns of A touch only some of its rows.
+    """X = R^-1 Q^T from a QR of A taken in two stages (a staircase QR, A.
+    Bjorck, Numerical Methods for Least Squares Problems, 1996, 6.3), and
+    |R|_F; the first k columns of A touch only some of its rows.
 
     A complete QR Q1 [R11; 0] of those columns over the rows that touch
     them turns Q1^T of those rows into [[R11, R12], [0, C]], and a thin QR
@@ -307,31 +297,28 @@ def _solve_operator(M, data_rows, bases, drop_rows=(), drop_cols=()) -> np.ndarr
     return np.concatenate([B @ b for B, b in zip(bases, blocks)])
 
 
-def _spheroidal_operator(gi, ge, l: int, mu1: float, mu2: float) -> np.ndarray:
+def _spheroidal_operator(gi, ge, l: int, drop, res) -> np.ndarray:
     """Nodal (P, v, p) of the drop, then of the reservoir, from the nodal
-    data (fP, fv, g) of each phase, h1 and h2s, at degree l."""
+    data (fP, fv, g) of each phase, h1 and h2s, at degree l; ``drop`` and
+    ``res`` are the phases' ``_phase_rows``."""
     Mi, Me = gi.n, ge.n
     n_x = 3 * (Mi + Me)
     c = np.cumsum([0, Mi, Mi, Mi, Me, Me, Me])  # unknown block k is c[k]:c[k+1]
-    b0i, b1i = _surface(gi, (l + 1) % 2)
-    b0e, b1e = _surface(ge, 0)
+    (Ai, _, ti, _), (Ae, _, te, _) = drop, res
+    B0i, C0i, B0e = gi.tables[(l + 1) % 2][0], gi.tables[l % 2][0], ge.tables[0][0]
+    b0i, b0e = B0i[gi.i_surface], B0e[ge.i_surface]
     # rows: momentum and divergence per phase, [[P]] = 0, P = h1, [[v]] = 0,
     # the tangential stress jump h2s, decay of (P, v, p) at infinity, and
     # the pressure mean.  The row order sets the rounding of the pseudo-
     # inverse: putting the data rows first moves lambda by 1.7e-11 relative.
     M = np.zeros((n_x + 8, n_x))
-    M[: c[3], : c[3]] = _spheroidal_block(gi, l, mu1)
-    M[c[3] : n_x, c[3] :] = _spheroidal_block(ge, l, mu2)
+    M[: c[3], : c[3]], M[c[3] : n_x, c[3] :] = Ai, Ae
     M[n_x, c[0] : c[1]], M[n_x, c[3] : c[4]] = b0i, -b0e
     M[n_x + 1, c[0] : c[1]] = b0i
     M[n_x + 2, c[1] : c[2]], M[n_x + 2, c[4] : c[5]] = b0i, -b0e
-    M[n_x + 3, c[0] : c[1]] = mu1 * b0i
-    M[n_x + 3, c[1] : c[2]] = mu1 * (b1i - b0i)
-    M[n_x + 3, c[3] : c[4]] = -mu2 * b0e
-    M[n_x + 3, c[4] : c[5]] = -mu2 * (b1e - b0e)
+    M[n_x + 3, c[0] : c[2]], M[n_x + 3, c[3] : c[5]] = ti, -te
     for k in range(3):
         M[n_x + 4 + k, c[3 + k] : c[4 + k]] = ge.basis_at_infinity
-    B0i, C0i, B0e = gi.tables[(l + 1) % 2][0], gi.tables[l % 2][0], ge.tables[0][0]
     M[n_x + 7, c[2] : c[3]] = gi.wq @ C0i
     data_rows = np.r_[:n_x, n_x + 1, n_x + 3]
     bases = (B0i, B0i, C0i, B0e, B0e, B0e)
@@ -341,20 +328,19 @@ def _spheroidal_operator(gi, ge, l: int, mu1: float, mu2: float) -> np.ndarray:
     return _solve_operator(M, data_rows, bases, drop_rows=[n_x + 7])
 
 
-def _toroidal_operator(gi, ge, l: int, mu1: float, mu2: float) -> np.ndarray:
+def _toroidal_operator(gi, ge, l: int, drop, res) -> np.ndarray:
     """Nodal w of each phase from the nodal fw of each phase and h2t (l >= 1)."""
     Mi, Me = gi.n, ge.n
-    b0i, b1i = _surface(gi, l % 2)
-    b0e, b1e = _surface(ge, 0)
+    (_, Ai, _, ti), (_, Ae, _, te) = drop, res
+    B0i, B0e = gi.tables[l % 2][0], ge.tables[0][0]
     # rows: momentum per phase, [[w]] = 0, h2t, decay
     M = np.zeros((Mi + Me + 3, Mi + Me))
-    M[:Mi, :Mi] = -mu1 * _radial_laplacian(gi, l % 2, l)
-    M[Mi : Mi + Me, Mi:] = -mu2 * _radial_laplacian(ge, 0, l)
-    M[Mi + Me, :Mi], M[Mi + Me, Mi:] = b0i, -b0e
-    M[Mi + Me + 1, :Mi], M[Mi + Me + 1, Mi:] = mu1 * (b1i - b0i), -mu2 * (b1e - b0e)
+    M[:Mi, :Mi], M[Mi : Mi + Me, Mi:] = Ai, Ae
+    M[Mi + Me, :Mi], M[Mi + Me, Mi:] = B0i[gi.i_surface], -B0e[ge.i_surface]
+    M[Mi + Me + 1, :Mi], M[Mi + Me + 1, Mi:] = ti, -te
     M[Mi + Me + 2, Mi:] = ge.basis_at_infinity
     data_rows = np.r_[: Mi + Me, Mi + Me + 1]
-    return _solve_operator(M, data_rows, (gi.tables[l % 2][0], ge.tables[0][0]))
+    return _solve_operator(M, data_rows, (B0i, B0e))
 
 
 class TwoPhaseStokesSolver:
@@ -363,12 +349,9 @@ class TwoPhaseStokesSolver:
     ``sph[l]`` maps the nodal spheroidal data of degree l (fP, fv and g,
     each over the whole radial axis, then h1 and h2s) to the nodal (P, v,
     p), each over the whole radial axis.  ``tor[l]`` maps (fw, h2t) to w.
-    At l = 0 the v and w blocks are zero.  Each is the pseudo-inverse of the
-    degree's collocation system, factored phase by phase: no QR spans the
-    unknowns of both phases (``_solve_operator``).  ``solve``
-    is ``analyse`` (the channels of the data), ``solve_channels`` (one
-    batched matmul per stack) and ``synthesise``; ``solve_two_phase``
-    repeats the middle step only.
+    At l = 0 the v and w blocks are zero.  ``solve`` is ``analyse``,
+    ``solve_channels`` (one batched matmul per stack) and ``synthesise``;
+    ``solve_two_phase`` repeats the middle step only.
     """
 
     def __init__(self, grid: VolumeGrid, mu1: float, mu2: float):
@@ -387,9 +370,10 @@ class TwoPhaseStokesSolver:
         joined = np.hstack([drop.reshape(3, -1), res.reshape(3, -1)]).ravel()
         cols = np.r_[joined, 3 * n, 3 * n + 1]
         for l in range(L + 1):
-            self.sph[l] = _spheroidal_operator(gi, ge, l, mu1, mu2)[joined][:, cols]
+            rows = _phase_rows(gi, l, mu1), _phase_rows(ge, l, mu2)
+            self.sph[l] = _spheroidal_operator(gi, ge, l, *rows)[joined][:, cols]
             if l > 0:
-                self.tor[l] = _toroidal_operator(gi, ge, l, mu1, mu2)
+                self.tor[l] = _toroidal_operator(gi, ge, l, *rows)
         # shared by every solve that uses this solver, sweep threads included
         self.sph.flags.writeable = False
         self.tor.flags.writeable = False
@@ -406,8 +390,8 @@ class TwoPhaseStokesSolver:
         g = analysis_batch(grid.sphere, data.g.values, L)
         mu = grid.phase_profile(self.mu1, self.mu2)
         f = np.stack(vsh_channels(data.f))
-        f[0] += mu * chan_radial_deriv(grid, g, 0, 1)
-        f[1] += mu * g / grid.radius_mesh()
+        for c, grad in zip(f, mode_gradient((g, chan_radial_deriv(grid, g, 0, 1)), grid.radius_mesh())):
+            c += mu * grad
         return StokesData(f, g, data.h1.with_band(L).coeffs, data.h2.spec)
 
     @staticmethod
@@ -500,13 +484,18 @@ def solve_two_phase(
 
 
 def minus_div_T(u: VolumeField, p: VolumeField, mu1: float, mu2: float):
-    """-Div T(u, p) = -mu (lap u + grad div u) + grad p with each phase's mu, and div u."""
-    lap = vector_laplacian(u)
-    divu = vector_divergence(u)
-    grad_div = scalar_gradient(divu)
-    gp = scalar_gradient(p)
-    mu = u.grid.phase_profile(mu1, mu2)
-    return VolumeField(u.grid, -mu * (lap.values + grad_div.values) + gp.values), divu
+    """-Div T(u, p) = -mu lap u + grad (p - mu div u) with each phase's mu,
+    and div u, in one pass on the channels of u and the coefficients of p."""
+    grid, g = u.grid, u.grid.sphere
+    r, ll1, mu = grid.radius_mesh(), grid.ll1, grid.phase_profile(mu1, mu2)
+    U = np.stack(vsh_channels(u))
+    dU = [vector_radial_deriv(grid, U, k) for k in (1, 2)]
+    div = mode_divergence((U[0], dU[0][0]), (U[1],), r, ll1)
+    f = -mu * np.stack(mode_laplacian(*zip(U, *dU), r, ll1))
+    s = analysis_batch(g, p.values, g.band_limit) - mu * div
+    for c, grad in zip(f, mode_gradient((s, chan_radial_deriv(grid, s, 0, 1)), r)):
+        c += grad
+    return VolumeField(grid, vsh_assemble(grid, *f)), VolumeField(grid, synthesis_batch(g, div, g.band_limit))
 
 
 def residual_report(u, p, data, lambda0, params) -> dict:
@@ -548,22 +537,14 @@ def surface_traction_jump(u: VolumeField, p: VolumeField, mu1: float, mu2: float
     grid = u.grid
     g = grid.sphere
     L = g.band_limit
-    P, v, w = vsh_channels(u)
-    n = grid.interior.n
-    i_s = [grid.interior.i_surface, n + grid.exterior.i_surface]
-    pm = analysis_batch(g, p.values[i_s], L)
-    par = np.arange(L + 1) % 2
-    phases = ((grid.interior, slice(None, n), mu1), (grid.exterior, slice(n, None), mu2))
-    sides = []
-    for (rad, rows, mu), i, p_i in zip(phases, i_s, pm):
-        # d/dr at r = 1 of a degree-l profile of parity (l + base) % 2: one row of D_1
-        d1 = np.stack([rad.D[1][q][rad.i_surface] for q in (0, 1)])
-        dP, dv, dw = (
-            np.einsum("ln,nlm->lm", d1[(par + b) % 2], C[rows]) for C, b in ((P, 1), (v, 1), (w, 0))
-        )
-        sides.append(np.stack([2.0 * mu * dP - p_i, mu * (dv + P[i] - v[i]), mu * (dw - w[i])]))
-    drop, res = sides
-    t_r, t_s, t_t = drop - res
+    U = np.stack(vsh_channels(u))
+    i_s = [grid.interior.i_surface, grid.interior.n + grid.exterior.i_surface]  # (drop, reservoir)
+    sides = _surface_traction(
+        *zip(U[:, i_s], vector_radial_deriv(grid, U, 1)[:, i_s]),
+        analysis_batch(g, p.values[i_s], L),
+        np.array([mu1, mu2])[:, None, None],
+    )
+    t_r, t_s, t_t = (drop - res for drop, res in sides)
     return SphereField(g, coeffs=t_r, band=L), TangentField(g, spec=(t_s, t_t), band=L)
 
 

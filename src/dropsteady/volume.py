@@ -15,6 +15,12 @@ centre column (see ``sphere``).  A gradient
 appends its derivative index as the last Cartesian axis, so the gradient
 of a vector u is its Jacobian d_j u_i.  Every volume derivative runs at
 the grid's band limit.
+
+The per-mode formulas of the Stokes operator (``mode_laplacian``,
+``mode_divergence``, ``mode_gradient``) take each channel as its values
+and r-derivatives, so the same code acts on analysed profiles here, in the
+one channel pass of ``stokes.minus_div_T``, and on the radial basis tables
+of the Stokes solver's collocation blocks.
 """
 
 from __future__ import annotations
@@ -83,6 +89,12 @@ class VolumeGrid:
         the slice [b : b + L + 1] holds the matrix of degree l at entry l."""
         L = self.sphere.band_limit
         return {k: np.stack([self.interior.D[k][j % 2] for j in range(L + 2)]) for k in (1, 2)}
+
+    @cached_property
+    def ll1(self) -> np.ndarray:
+        """l(l+1) per degree, shaped (L+1, 1) to broadcast against channel profiles."""
+        l = np.arange(self.sphere.band_limit + 1.0)
+        return (l * (l + 1.0))[:, None]
 
     @cached_property
     def _wq(self) -> np.ndarray:
@@ -226,7 +238,7 @@ def d3_channels(grid: VolumeGrid, u: np.ndarray) -> np.ndarray:
     B = grid.sphere.d3_coupling
     M = B.shape[0] - 1
     m = np.arange(M + 1)
-    dr = np.concatenate([chan_radial_deriv(grid, u[:2], 1, 1), chan_radial_deriv(grid, u[2:], 0, 1)])
+    dr = vector_radial_deriv(grid, u, 1)
     parts = np.stack([M + m, M - m], axis=1)
     X = np.stack([dr, u / grid.radius_mesh()])[..., parts]  # (C|E, c, r, l, m, part)
     _, _, n_r, n, _, _ = X.shape
@@ -261,37 +273,50 @@ def vsh_assemble(grid: VolumeGrid, P, v, w) -> np.ndarray:
     return spherical_to_cartesian(g, ur, tth, tph)
 
 
+def vector_radial_deriv(grid: VolumeGrid, u: np.ndarray, order: int) -> np.ndarray:
+    """d^order/dr^order of stacked (P, v, w) channels (3, n_r, L+1, columns)."""
+    return np.concatenate([chan_radial_deriv(grid, u[:2], 1, order), chan_radial_deriv(grid, u[2:], 0, order)])
+
+
+def mode_laplacian(P, v, w, r, ll1):
+    """Per-mode (P, v, w) channels of lap u from those of u, each given as its
+    (profile, d/dr, d^2/dr^2); radii ``r`` and l(l+1) ``ll1`` broadcast."""
+
+    def radial(c):  # d^2/dr^2 + (2/r) d/dr - l(l+1)/r^2
+        return c[2] + 2.0 / r * c[1] - ll1 / r**2 * c[0]
+
+    return (
+        radial(P) - 2.0 / r**2 * P[0] + 2.0 * ll1 / r**2 * v[0],
+        radial(v) + 2.0 / r**2 * P[0],
+        radial(w),
+    )
+
+
+def mode_divergence(P, v, r, ll1):
+    """Per-mode div u = P' + 2P/r - l(l+1) v / r from P's (profile, d/dr) and v's (profile, ...)."""
+    return P[1] + 2.0 / r * P[0] - ll1 / r * v[0]
+
+
+def mode_gradient(s, r):
+    """Per-mode (P, v) channels (s', s/r) of grad s from s's (profile, d/dr); its w channel is 0."""
+    return s[1], s[0] / r
+
+
 def vector_divergence(u: VolumeField) -> VolumeField:
-    """div u via the per-mode identity P' + 2P/r - l(l+1) v / r."""
+    """div u from the channels of u and the first r-derivative of P."""
     grid = u.grid
-    g = grid.sphere
-    L = g.band_limit
-    l = np.arange(L + 1, dtype=float)[None, :, None]
     P, v, _ = vsh_channels(u)
-    dP = chan_radial_deriv(grid, P, 1, 1)
-    rinv = 1.0 / grid.radius_mesh()
-    div = dP + 2.0 * rinv * P - l * (l + 1.0) * rinv * v
-    return VolumeField(grid, synthesis_batch(g, div, L))
+    div = mode_divergence((P, chan_radial_deriv(grid, P, 1, 1)), (v,), grid.radius_mesh(), grid.ll1)
+    return VolumeField(grid, synthesis_batch(grid.sphere, div, grid.sphere.band_limit))
 
 
 def vector_laplacian(u: VolumeField) -> VolumeField:
-    """Vector Laplacian via the spheroidal/toroidal mode formulas."""
+    """Vector Laplacian from the channels of u and their r-derivatives."""
     grid = u.grid
-    L = grid.sphere.band_limit
-    l = np.arange(L + 1, dtype=float)[None, :, None]
-    ll1 = l * (l + 1.0)
-    P, v, w = vsh_channels(u)
-    rinv = 1.0 / grid.radius_mesh()
-
-    def Dl(C, base):
-        d1 = chan_radial_deriv(grid, C, base, 1)
-        d2 = chan_radial_deriv(grid, C, base, 2)
-        return d2 + 2.0 * rinv * d1 - ll1 * rinv**2 * C
-
-    lapP = Dl(P, 1) - 2.0 * rinv**2 * P + 2.0 * ll1 * rinv**2 * v
-    lapv = Dl(v, 1) + 2.0 * rinv**2 * P
-    lapw = Dl(w, 0)
-    return VolumeField(grid, vsh_assemble(grid, lapP, lapv, lapw))
+    U = np.stack(vsh_channels(u))
+    dU = (vector_radial_deriv(grid, U, k) for k in (1, 2))
+    lap = mode_laplacian(*zip(U, *dU), grid.radius_mesh(), grid.ll1)
+    return VolumeField(grid, vsh_assemble(grid, *lap))
 
 
 def tensor_divergence(T: VolumeField) -> VolumeField:
@@ -337,8 +362,7 @@ def channel_norm_l2(grid: VolumeGrid, u: np.ndarray) -> float:
     """norm_l2 of the vector field whose channels are ``u`` ((3, n_r, L+1,
     columns), stacked P, v, w), by Parseval: the angular integral of |u|^2
     is sum P^2 + l(l+1) (v^2 + w^2)."""
-    l = np.arange(grid.sphere.band_limit + 1.0)
-    w = np.stack([np.ones_like(l), l * (l + 1.0), l * (l + 1.0)])[:, None, :, None]
+    w = np.stack([np.ones_like(grid.ll1), grid.ll1, grid.ll1])[:, None]
     return _shell_total(grid, np.sum(w * u**2, axis=(0, 2, 3))) ** 0.5
 
 

@@ -67,7 +67,16 @@ def test_tracer_targets_resolve_and_restore():
     assert not changed, f"bindings not restored: {changed}"
 
 
-STAGES = ("build_context", "picard_solve", "diagnostics", "norm_X", "tensor_divergence", "assemble_N", "invert_L")
+STAGES = (
+    "build_context",
+    "picard_solve",
+    "diagnostics",
+    "norm_X",
+    "tensor_divergence",
+    "assemble_N",
+    "invert_L",
+    "apply_L",
+)
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +105,7 @@ def traced():
         N = stage("assemble_N", operators.assemble_N, bundle.state, ctx)
         assert N.g.max_abs() > 0.0
         stage("invert_L", operators.invert_L, N, ctx)
+        stage("apply_L", operators.apply_L, bundle.state, ctx)
     calls = {}
     for rep, name in enumerate(STAGES):
         functions = tracer.rep_summary(rep)["functions"]
@@ -146,6 +156,16 @@ def test_invert_L_takes_no_nodal_gradient(traced):
     calls, _, _ = traced
     assert calls["invert_L"]["stokes.solve_two_phase"] == 1
     assert "volume.scalar_gradient" not in calls["invert_L"]
+
+
+def test_apply_L_analyses_u_once_per_row(traced):
+    """-Div T is one pass on the channels of u: apply_L takes no nodal
+    gradient, Laplacian or divergence, and analyses u once for row 1 and
+    once for the interface rows."""
+    calls = traced[0]["apply_L"]
+    nodal = ("volume.scalar_gradient", "volume.vector_laplacian", "volume.vector_divergence")
+    assert not [fn for fn in nodal if fn in calls]
+    assert calls["volume.vsh_channels"] == 2  # minus_div_T and surface_traction_jump
 
 
 def test_assemble_N_forms_each_term_once(traced):

@@ -1,5 +1,7 @@
 """Linear operator rows, constructive inverse, nonlinear assembly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,22 @@ def test_round_trip_random(vg, lam0):
     # row 6 reproduced without direct imposition
     assert max(a2_errs) < 1e-9
     assert max(state_errs) < 1e-6
+
+
+def test_invert_L_recovers_a2_whatever_the_normal_jump_integral(vg, ctx):
+    """Row 6 comes out of the pressure constant exactly even where the
+    auxiliary field's normal traction jump does not integrate to zero: a
+    constant planted in jumpU_n, which apply_L and invert_L both read,
+    leaves int eta = a2 intact."""
+    c = 0.25
+    jump_n, jump_t = ctx.aux.traction_jump
+    planted = replace(ctx, aux=replace(ctx.aux, traction_jump=(jump_n + SphereField.constant(vg.sphere, c), jump_t)))
+    assert abs(integrate_sphere(planted.jumpU_n) - integrate_sphere(jump_n) - 4.0 * np.pi * c) < 1e-12
+    x0 = random_state(vg, np.random.default_rng(3))
+    y = apply_L(x0, planted)
+    st = invert_L(y, planted)
+    assert abs(st.kappa) > 0.1
+    assert abs(integrate_sphere(st.eta) - y.a2) <= 1e-13
 
 
 @pytest.mark.parametrize("m_max", [None, 2])

@@ -18,6 +18,7 @@ from dropsteady.stokes import (
     solve_two_phase,
     truncate_field,
 )
+from dropsteady.validate import random_state
 from dropsteady.volume import (
     EXTERIOR,
     INTERIOR,
@@ -29,8 +30,10 @@ from dropsteady.volume import (
     e3_column,
     eval_radii,
     norm_l2,
+    scalar_gradient,
     synthesis_batch,
     vector_divergence,
+    vector_laplacian,
     vsh_assemble,
     vsh_channels,
 )
@@ -513,6 +516,22 @@ def test_d3_channels_match_nodal_d3(band_solver):
     n = vg.interior.n
     for ph, rows in ((INTERIOR, slice(None, n)), (EXTERIOR, slice(n, None))):
         assert np.max(np.abs(got[:, rows] - ref[:, rows])) <= 1e-12 * np.max(np.abs(ref[:, rows])), ph
+
+
+@pytest.mark.parametrize("m_max", [None, 2])
+def test_minus_div_T_matches_nodal_composition(m_max):
+    """The one channel pass of minus_div_T equals the nodal composition
+    -mu (lap u + grad div u) + grad p, and its div u the nodal divergence,
+    with unequal viscosities on a full and a band grid."""
+    vg = VolumeGrid.build(8, 16, 24, 64.0, m_max=m_max)
+    x0 = random_state(vg, np.random.default_rng(13))
+    mu1, mu2 = 2.5, 0.8
+    got, divu = stokes.minus_div_T(x0.u, x0.p, mu1, mu2)
+    div_ref = vector_divergence(x0.u)
+    lap, grad_div, grad_p = vector_laplacian(x0.u), scalar_gradient(div_ref), scalar_gradient(x0.p)
+    ref = -vg.phase_profile(mu1, mu2) * (lap.values + grad_div.values) + grad_p.values
+    assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert (divu - div_ref).max_abs() <= 1e-12 * div_ref.max_abs()
 
 
 def _nodal_richardson(data, lam, params, solver):
