@@ -339,25 +339,18 @@ def farfield_fit(bundle: SolutionBundle) -> dict:
     radii = np.linspace(grid.r_inf / 4.0, grid.r_inf / 2.0, FARFIELD_SHELLS)
     vals = eval_radii(w, radii, EXTERIOR)  # (3, n_shell, nth, nph)
     th, phg = g.nodes
-    num = 0.0
-    den = 0.0
-    G3 = np.zeros_like(vals)
-    for i, r0 in enumerate(radii):
-        pts = np.stack(
-            [r0 * np.sin(th) * np.cos(phg), r0 * np.sin(th) * np.sin(phg), r0 * np.cos(th)],
-            axis=-1,
-        )
-        Gm = oseenlet(pts, lam, mu=params.mu2, rho=params.rho2)
-        G3[:, i] = np.moveaxis(Gm[..., :, 2], -1, 0)
-        num += np.einsum("ab,iab,iab->", g.weights, vals[:, i], G3[:, i])
-        den += np.einsum("ab,iab,iab->", g.weights, G3[:, i], G3[:, i])
-    c_fit = num / den
+    r0 = radii[:, None, None]
+    pts = np.stack(
+        [r0 * np.sin(th) * np.cos(phg), r0 * np.sin(th) * np.sin(phg), r0 * np.cos(th)],
+        axis=-1,
+    )
+    G3 = np.moveaxis(oseenlet(pts, lam, mu=params.mu2, rho=params.rho2)[..., 2], -1, 0)
+    c_fit = np.einsum("ab,isab,isab->", g.weights, vals, G3) / np.einsum(
+        "ab,isab,isab->", g.weights, G3, G3
+    )
     target = bundle.config.rho_tilde * 4.0 * np.pi / 3.0
     rem = vals - c_fit * G3
-    rms = [
-        float(np.sqrt(np.einsum("ab,iab,iab->", g.weights, rem[:, i], rem[:, i])))
-        for i in range(len(radii))
-    ]
+    rms = np.sqrt(np.einsum("ab,isab,isab->s", g.weights, rem, rem))
     slope = float(np.polyfit(np.log(radii), np.log(np.maximum(rms, 1e-300)), 1)[0])
     return {
         "wake_coefficient": float(c_fit),

@@ -64,24 +64,24 @@ def _legendre_tables(lmax: int, x: np.ndarray, mmax: int | None = None):
     mmax = lmax if mmax is None else mmax
     x = np.asarray(x, dtype=float)
     sin_th = np.sqrt(1.0 - x * x)
-    n = x.size
-    P = np.zeros((mmax + 1, lmax + 1, n))
+    P = np.zeros((mmax + 1, lmax + 1, x.size))
     P[0, 0] = np.sqrt(1.0 / (4.0 * np.pi))
     for m in range(1, mmax + 1):
         P[m, m] = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_th * P[m - 1, m - 1]
-    for m in range(mmax + 1):
-        if m + 1 <= lmax:
-            P[m, m + 1] = np.sqrt(2.0 * m + 3.0) * x * P[m, m]
-        for l in range(m + 2, lmax + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(
-                ((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m))
-                / ((2.0 * l - 3.0) * (l * l - m * m))
-            )
-            P[m, l] = a * x * P[m, l - 1] - b * P[m, l - 2]
+    k = np.arange(min(mmax, lmax - 1) + 1)  # the orders m < lmax, which reach degree m + 1
+    P[k, k + 1] = np.sqrt(2.0 * k + 3.0)[:, None] * x * P[k, k]
+    # three-term recursion in l, all orders m <= l - 2 at once (a, b read only there)
+    m, l = np.ogrid[: mmax + 1, : lmax + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(
+            ((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m)) / ((2.0 * l - 3.0) * (l * l - m * m))
+        )
+    for j in range(2, lmax + 1):
+        o = slice(j - 1)  # the orders m <= j - 2
+        P[o, j] = a[o, j, None] * x * P[o, j - 1] - b[o, j, None] * P[o, j - 2]
 
     # d Pbar_l^m / dtheta = (l x Pbar_l^m - c_lm Pbar_{l-1}^m) / sin(theta)
-    m, l = np.ogrid[: mmax + 1, : lmax + 1]
     c = np.sqrt((2.0 * l + 1.0) / np.abs(2.0 * l - 1.0)) * np.sqrt(np.maximum(l * l - m * m, 0.0))
     low = np.concatenate([np.zeros_like(P[:, :1]), P[:, :-1]], axis=1)
     dP = (l[..., None] * x * P - c[..., None] * low) / sin_th

@@ -9,7 +9,9 @@ from dropsteady.driver import (
     AXISYMMETRIC_M_MAX,
     NonContraction,
     SolveConfig,
+    FARFIELD_SHELLS,
     diagnostics,
+    farfield_fit,
     lambda_error_bar,
     mirror_defect,
     picard_solve,
@@ -25,7 +27,8 @@ from dropsteady.operators import (
     norm_Y,
 )
 from dropsteady.sphere import SphereField, project_kernel, sobolev_norm
-from dropsteady.volume import VolumeGrid
+from dropsteady.stokes import oseenlet
+from dropsteady.volume import EXTERIOR, VolumeGrid, eval_radii
 
 
 CFG = SolveConfig(rho_tilde=1e-3, band_limit=12, n_r_int=20, n_r_ext=32, r_inf=64.0)
@@ -157,6 +160,33 @@ def test_diagnostics_report(solved):
     assert rep["wake_rel_error"] < 0.10
     assert rep["wake_remainder_slope"] < -1.0
     assert np.max(np.abs(rep["barycenter"])) < 1e-9
+
+
+def test_farfield_fit_matches_the_per_shell_fit(solved):
+    """All shells fitted at once agree with the fit summed shell by shell,
+    to the rounding of the reordered sums."""
+    ctx, g = solved.ctx, solved.ctx.grid.sphere
+    w, _ = ctx.physical_pair(solved.state)
+    radii = np.linspace(ctx.grid.r_inf / 4.0, ctx.grid.r_inf / 2.0, FARFIELD_SHELLS)
+    vals = eval_radii(w, radii, EXTERIOR)
+    th, phg = g.nodes
+    num = den = 0.0
+    G3 = np.zeros_like(vals)
+    for i, r0 in enumerate(radii):
+        pts = np.stack(
+            [r0 * np.sin(th) * np.cos(phg), r0 * np.sin(th) * np.sin(phg), r0 * np.cos(th)], axis=-1
+        )
+        G = oseenlet(pts, solved.lam, mu=ctx.params.mu2, rho=ctx.params.rho2)
+        G3[:, i] = np.moveaxis(G[..., :, 2], -1, 0)
+        num += np.einsum("ab,iab,iab->", g.weights, vals[:, i], G3[:, i])
+        den += np.einsum("ab,iab,iab->", g.weights, G3[:, i], G3[:, i])
+    c_fit = num / den
+    rem = vals - c_fit * G3
+    rms = [np.sqrt(np.einsum("ab,iab,iab->", g.weights, rem[:, i], rem[:, i])) for i in range(len(radii))]
+    slope = np.polyfit(np.log(radii), np.log(rms), 1)[0]
+    fit = farfield_fit(solved)
+    assert abs(fit["wake_coefficient"] - c_fit) <= 1e-13 * abs(c_fit)
+    assert abs(fit["wake_remainder_slope"] - slope) <= 1e-10 * abs(slope)
 
 
 def test_mirror_symmetry(solved, solved_mirror):

@@ -161,6 +161,35 @@ def banded_coeffs(rng, L, m_max, lead=(), lmin=0):
     return c
 
 
+def _legendre_by_order_and_degree(lmax, x, mmax):
+    """The reference recursion: one (m, l) entry at a time."""
+    sin_th = np.sqrt(1.0 - x * x)
+    P = np.zeros((mmax + 1, lmax + 1, x.size))
+    P[0, 0] = np.sqrt(1.0 / (4.0 * np.pi))
+    for m in range(1, mmax + 1):
+        P[m, m] = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_th * P[m - 1, m - 1]
+    for m in range(mmax + 1):
+        if m + 1 <= lmax:
+            P[m, m + 1] = np.sqrt(2.0 * m + 3.0) * x * P[m, m]
+        for l in range(m + 2, lmax + 1):
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = np.sqrt(
+                ((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m))
+                / ((2.0 * l - 3.0) * (l * l - m * m))
+            )
+            P[m, l] = a * x * P[m, l - 1] - b * P[m, l - 2]
+    return P
+
+
+@pytest.mark.parametrize("band, m_max", [(16, None), (32, None), (16, 2), (24, 2)])
+def test_legendre_tables_match_the_per_entry_recursion(band, m_max):
+    """All orders advance in one slice per degree, bit for bit as entry by
+    entry; the derivative tables are formed from P alone."""
+    g = SphereGrid.build(band, m_max=m_max)
+    P, _, _ = _legendre_tables(g.pad_limit, g.x, g.m_max)
+    assert np.array_equal(P, _legendre_by_order_and_degree(g.pad_limit, g.x, g.m_max))
+
+
 def series(c, L):
     """fn(theta, phi) summing the real harmonic series c[l, m+L] term by term."""
 
