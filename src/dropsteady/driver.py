@@ -94,8 +94,8 @@ class SolveConfig:
         # the exterior nodes are a Lobatto grid, which needs both end points
         if not (self.n_r_int >= 1 and self.n_r_ext >= 2):
             raise ValueError("n_r_int must be at least 1 and n_r_ext at least 2")
-        # build_context clamps the truncation radius R to at most r_inf/2,
-        # and truncate_field needs R > 4
+        # build_context truncates the auxiliary field at R = r_inf/2, and
+        # truncate_field needs R > 4
         if not self.r_inf > 8.0:
             raise ValueError("r_inf must exceed 8")
         if not self.max_iters >= 1:
@@ -202,7 +202,7 @@ def picard_solve(
     bundle.report["fixed_point_residual"] = residual
     bundle.report.update({f"fixed_point_residual_{k}": v for k, v in rows.items()})
     bundle.report["ball_norm"] = norm_X(x, lam0)["total"]
-    bundle.report["ball_radius"] = abs(config.rho_tilde) ** config.alpha
+    bundle.report["ball_radius"] = ctx.ball_radius
     ratios = [h["ratio"] for h in history if "ratio" in h]
     bundle.report["contraction_ratios"] = ratios
     lam_err = lambda_error_bar(ratios, history[-1]["update"])
@@ -252,12 +252,12 @@ def reconstruct_physical(bundle: SolutionBundle) -> dict:
     inertia = matvec(jac_w, w) + lam * e3_column(jac_w)
     res = inertia.phasewise_scale(params.rho1, params.rho2) + stress
     r = grid.r
-    sel = (r >= 4.0) & (r <= ctx.trunc.R / 2.0)
-    if not sel.any():
-        sel = (r >= 4.0) & (r <= ctx.trunc.R)
-    if not sel.any():
-        # never empty: r_inf > 8 is enforced and the last node is r_inf
-        sel = r >= 4.0
+    # the shells in [4, r_inf/4], widened on grids with no node there; the
+    # last window is never empty: r_inf > 8 is enforced and the last node is r_inf
+    for top in (grid.r_inf / 4.0, grid.r_inf / 2.0, np.inf):
+        sel = (r >= 4.0) & (r <= top)
+        if sel.any():
+            break
     out["midshell_residual"] = float(np.max(np.abs(res.values[:, sel])))
     return out
 

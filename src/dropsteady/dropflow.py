@@ -28,7 +28,6 @@ __all__ = [
     "velocity",
     "pressure",
     "drag_e3",
-    "dissipation",
     "stream_function",
     "surface_speed",
 ]
@@ -93,11 +92,6 @@ def drag_e3(mu1: float, mu2: float) -> float:
     """e3 . int_{S^2} [[T(U,P) n]] dS for the unit-speed drop flow."""
     kappa = mu1 / mu2
     return -2.0 * np.pi * mu2 * (2.0 + 3.0 * kappa) / (1.0 + kappa)
-
-
-def dissipation(mu1: float, mu2: float) -> float:
-    """int 2 mu |S(U)|^2 over all of R^3 (equals -e3-drag by the energy identity)."""
-    return -drag_e3(mu1, mu2)
 
 
 def stream_function(r, theta, mu1: float, mu2: float):

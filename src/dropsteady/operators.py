@@ -147,13 +147,16 @@ class DropState:
 class OperatorContext:
     """Precomputed environment shared by apply/invert/assemble.
 
-    Besides the auxiliary and truncated fields ``trunc`` carries the
+    ``trunc`` holds the auxiliary field truncated at R = r_inf/2 and the
     "remainder pair" X_tail = (U - U_R, P - P_R), whose image under the
     linear operator is known in closed form (Y_sing: ``sing_f`` below and
     ``trunc.div_tail``).  The cutoff kinks make X_tail unrepresentable in
     the radial bases, so the Picard step feeds the solver only the regular
     part of the right-hand side and adds the exact remainder response
-    afterwards.
+    afterwards.  At the fixed point the state carries tail = lambda, so
+    the physical field is u_reg + lambda U and R moves the iterates only,
+    not the limit.  ``ball_radius`` = |rho_tilde|^alpha is the radius of
+    the paper's ball, which the solve's ``ball_norm`` is checked against.
     """
 
     grid: VolumeGrid
@@ -161,6 +164,7 @@ class OperatorContext:
     lambda0: float
     aux: AuxiliaryField
     trunc: TruncatedAux
+    ball_radius: float
 
     def physical_pair(self, state: DropState) -> tuple[VolumeField, VolumeField]:
         """The perturbation (w, q) = (u + lambda U_R, p + lambda P_R) of the
@@ -196,12 +200,11 @@ class OperatorContext:
 def build_context(
     grid: VolumeGrid,
     params: PhysicalParams,
-    R: float | None = None,
     alpha: float = 0.8,
     aux: AuxiliaryField | None = None,
 ) -> OperatorContext:
-    """Assemble the operator environment; R defaults to the clamped
-    |rho_tilde|^(-alpha) truncation radius.
+    """Assemble the operator environment: lambda0, the auxiliary field
+    truncated at R = r_inf/2, and the ball radius |rho_tilde|^alpha.
 
     ``aux`` is an auxiliary field already built on ``grid`` with the
     viscosities of ``params``; without it one is built here.
@@ -211,14 +214,8 @@ def build_context(
     elif aux.solver.grid is not grid or (aux.solver.mu1, aux.solver.mu2) != (params.mu1, params.mu2):
         raise ValueError("the auxiliary field was built on another grid or other viscosities")
     lam0 = lambda0_value(params.rho_tilde, aux.e3_drag)
-    if R is None:
-        if params.rho_tilde != 0.0:
-            R = abs(params.rho_tilde) ** (-alpha)
-        else:
-            R = grid.r_inf / 2.0
-        R = min(max(R, 4.5), grid.r_inf / 2.0)
-    trunc = truncate_field(aux, R)
-    return OperatorContext(grid, params, lam0, aux, trunc)
+    trunc = truncate_field(aux, grid.r_inf / 2.0)
+    return OperatorContext(grid, params, lam0, aux, trunc, abs(params.rho_tilde) ** alpha)
 
 
 # ---------------------------------------------------------------------------

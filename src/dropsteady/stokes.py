@@ -445,8 +445,8 @@ def solve_two_phase(
     analysed once, d3 acts through the grid's channel coupling, the
     update is measured by Parseval, and u and p are synthesised once
     after the last sweep.  Divergence (ratio >= 1 three times running)
-    raises, and so does an update still above RICHARDSON_TOL after
-    RICHARDSON_MAX_ITER solves, a non-finite one included.  Non-finite
+    raises, and so do a non-finite update, at once, and an update still
+    above RICHARDSON_TOL after RICHARDSON_MAX_ITER solves.  Non-finite
     data give the non-finite Stokes solve without sweeps, as at
     lambda0 = 0.
     """
@@ -465,6 +465,9 @@ def solve_two_phase(
             u_next, p = solver.solve_channels(chans._replace(f=f))
             solves += 1
             update = channel_norm_l2(grid, u_next - u)
+            # NaN compares False with the tolerance and the ratio test alike
+            if not np.isfinite(update):
+                raise RichardsonDivergence("gave a non-finite update", ratios[-3:])
             if prev_update is not None and prev_update > 0:
                 ratios.append(update / prev_update)
                 if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):

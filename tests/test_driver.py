@@ -27,7 +27,7 @@ from dropsteady.operators import (
     norm_Y,
 )
 from dropsteady.sphere import SphereField, project_kernel, sobolev_norm
-from dropsteady.stokes import oseenlet
+from dropsteady.stokes import oseenlet, truncate_field
 from dropsteady.volume import EXTERIOR, VolumeGrid, eval_radii
 
 
@@ -110,7 +110,7 @@ def test_first_iterate_structure():
         assert sobolev_norm(par, 2.75) <= total + 1e-15
     # the response scales linearly with rho_tilde at leading order
     params2 = dataclasses.replace(CFG, rho_tilde=CFG.rho_tilde / 2).params()
-    ctx2 = op.build_context(ctx.grid, params2, alpha=CFG.alpha, R=ctx.trunc.R)
+    ctx2 = op.build_context(ctx.grid, params2, alpha=CFG.alpha)
     y02 = assemble_N(DropState.zeros(ctx.grid), ctx2)
     x12 = invert_L_with_tail(y02, ctx2.lambda0, ctx2)
     # compare with a common weight so the scaling is meaningful
@@ -124,6 +124,30 @@ def test_contraction_improves_with_smaller_rho():
     r1 = b1.report["contraction_ratios"][0]
     r2 = b2.report["contraction_ratios"][0]
     assert r2 < r1
+
+
+@pytest.mark.parametrize(
+    "physics, R",
+    [
+        (dict(rho_tilde=0.3), 4.5),
+        (dict(rho_tilde=-0.1, mu1=2.5, mu2=0.8), 0.1**-0.8),
+    ],
+    ids=["rho0.3", "rho-0.1-mu2.5-0.8"],
+)
+def test_fixed_point_does_not_depend_on_truncation_radius(physics, R):
+    """At the fixed point the state carries the remainder pair with weight
+    lambda, so the physical field is u_reg + lambda U whatever R: a context
+    truncated at |rho_tilde|^(-alpha) (floored at 4.5) reaches the fixed
+    point of the R = r_inf/2 context in as many iterations."""
+    cfg = SolveConfig(band_limit=8, **physics)
+    ctx = build_context(cfg.build_grid(), cfg.params(), alpha=cfg.alpha)
+    assert ctx.trunc.R == cfg.r_inf / 2
+    twin = dataclasses.replace(ctx, trunc=truncate_field(ctx.aux, R))
+    a, b = picard_solve(cfg, ctx=ctx), picard_solve(cfg, ctx=twin)
+    assert a.converged and b.converged
+    assert len(a.history) == len(b.history)
+    assert abs(a.lam - b.lam) <= min(a.report["lambda_error_bar"], b.report["lambda_error_bar"])
+    assert a.report["fixed_point_residual"] < 1e-8 and b.report["fixed_point_residual"] < 1e-8
 
 
 def test_uniqueness_in_ball(solved):

@@ -62,12 +62,14 @@ def ctx0(vg, ctx):
 
 def test_context_on_shared_aux(vg, ctx):
     """A context built on another's auxiliary field keeps its own lambda0
-    and truncation radius; a field from another grid object or with other
-    viscosities is refused, and the shared arrays cannot be written."""
+    and ball radius and truncates at the grid's R = r_inf/2; a field from
+    another grid object or with other viscosities is refused, and the
+    shared arrays cannot be written."""
     shared = build_context(vg, PhysicalParams(rho_tilde=2e-2), aux=ctx.aux)
     assert shared.aux is ctx.aux
     assert shared.lambda0 == lambda0_value(2e-2, ctx.aux.e3_drag)
-    assert shared.trunc.R == 2e-2 ** -0.8 != ctx.trunc.R
+    assert shared.trunc.R == ctx.trunc.R == vg.r_inf / 2
+    assert shared.ball_radius == 2e-2**0.8 != ctx.ball_radius
     twin = VolumeGrid.build(band_limit=L_TEST, n_r_int=18, n_r_ext=28, r_inf=64.0)
     for grid, params in ((twin, PhysicalParams()), (vg, PhysicalParams(mu1=2.0)), (vg, PhysicalParams(mu2=0.5))):
         with pytest.raises(ValueError, match="another grid or other viscosities"):
