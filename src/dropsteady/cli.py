@@ -42,7 +42,7 @@ def _make_out(path: str) -> None:
 
 
 def cmd_solve(args) -> int:
-    from .driver import FIXED_POINT_RESIDUAL_BOUND, NonContraction, diagnostics, picard_solve
+    from .driver import FIXED_POINT_RESIDUAL_BOUND, diagnostics, picard_solve
     from .io import load_config, solve_artifacts
 
     try:
@@ -54,11 +54,6 @@ def cmd_solve(args) -> int:
     try:
         bundle = picard_solve(cfg)
         report = diagnostics(bundle)
-    except NonContraction as e:
-        print("solver failure: iteration stopped contracting", file=sys.stderr)
-        for h in e.history:
-            print(f"  iter {h['iter']}: update {h['update']:.3e}", file=sys.stderr)
-        return EXIT_SOLVER
     except (ValueError, RuntimeError) as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER

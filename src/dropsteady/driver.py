@@ -114,7 +114,10 @@ class SolveConfig:
 
 class NonContraction(RuntimeError):
     def __init__(self, history):
-        super().__init__("fixed-point iteration stopped contracting")
+        super().__init__(
+            f"fixed-point iteration stopped contracting after {len(history)} iterations "
+            f"(last update {history[-1]['update']:.3e})"
+        )
         self.history = history
 
 

@@ -122,16 +122,15 @@ def _extension_scalar_at(eta: SphereField, r: np.ndarray, n_drop: int):
     beta = 1.0 / (1.0 - 4.0 ** (-(2.0 * l + 1.0)))
     alpha = 1.0 - beta  # alpha + beta = 1, alpha 4^l + beta 4^{-l-1} = 0
     up = np.maximum(l - 1.0, 0.0)
-    ri, re = r[:n_drop, None], r[n_drop:, None]
-    # drop: r^l; reservoir: alpha r^l + beta r^-(l+1) up to the annulus edge
-    within = re <= 4.0 + 1e-12
-    prof = np.concatenate([ri**l, np.where(within, alpha * re**l + beta * re ** -(l + 1.0), 0.0)])
-    dprof = np.concatenate(
-        [
-            l * ri**up * (l > 0),
-            np.where(within, alpha * l * re**up * (l > 0) - beta * (l + 1.0) * re ** -(l + 2.0), 0.0),
-        ]
-    )
+    # drop: r^l; reservoir: alpha r^l + beta r^-(l+1) up to the annulus edge,
+    # evaluated on those radii only (r^l overflows beyond it for large l)
+    ri = r[:n_drop, None]
+    ext = n_drop + np.flatnonzero(r[n_drop:] <= 4.0 + 1e-12)
+    re = r[ext, None]
+    prof, dprof = np.zeros((2, len(r), L + 1))
+    prof[:n_drop], dprof[:n_drop] = ri**l, l * ri**up * (l > 0)
+    prof[ext] = alpha * re**l + beta * re ** -(l + 1.0)
+    dprof[ext] = alpha * l * re**up * (l > 0) - beta * (l + 1.0) * re ** -(l + 2.0)
     modes = prof[:, :, None] * C[None, :, :]
     dmodes = dprof[:, :, None] * C[None, :, :]
     H = synthesis_batch(g, modes, L)

@@ -20,7 +20,8 @@ row 7 subtracts the normal part; its kernel term is project_kernel(eta) / 3.
 
 The inverse follows the constructive recipe: hand rows 1-4 of the data
 to ``stokes.solve_two_phase`` as L writes them (row 1 in the stress form
-above; ``stokes.minus_div_T`` is the one -Div T) for (u, p), shift the
+above; ``stokes.minus_div_T`` is the one -Div T, and its drift takes d3
+on channels as the solve does, ``volume.d3_channels``) for (u, p), shift the
 drop pressure by the constant that makes row 6 come out automatically,
 read kappa off row 5, then split the height equation into the degree-1
 kernel part and a shifted-Laplacian solve on its complement.
@@ -94,7 +95,6 @@ from .volume import (
     INTERIOR,
     VolumeField,
     VolumeGrid,
-    d3,
     e3_column,
     integrate_phase,
     norm_l2,
@@ -258,9 +258,7 @@ def apply_L(state: DropState, ctx: OperatorContext) -> YElement:
     # any remainder-pair content is differentiated via its closed form
     u, p = ctx.regular_pair(state)
 
-    f, divu = minus_div_T(u, p, params.mu1, params.mu2)
-    if lam0 != 0.0:
-        f = f + d3(u).phasewise_scale(params.rho1 * lam0, params.rho2 * lam0)
+    f, divu = minus_div_T(u, p, params.mu1, params.mu2, (params.rho1 * lam0, params.rho2 * lam0))
     if state.tail != 0.0:
         f = f + state.tail * ctx.sing_f
         divu = divu + state.tail * ctx.trunc.div_tail

@@ -55,7 +55,6 @@ from .volume import (
     analysis_batch,
     chan_radial_deriv,
     channel_norm_l2,
-    d3,
     d3_channels,
     eval_radii,
     integrate_phase,
@@ -486,9 +485,12 @@ def solve_two_phase(
     return sol
 
 
-def minus_div_T(u: VolumeField, p: VolumeField, mu1: float, mu2: float):
+def minus_div_T(u: VolumeField, p: VolumeField, mu1: float, mu2: float, drift=(0.0, 0.0)):
     """-Div T(u, p) = -mu lap u + grad (p - mu div u) with each phase's mu,
-    and div u, in one pass on the channels of u and the coefficients of p."""
+    plus drift d3 u with the phase pair ``drift`` = (rho1 lambda0, rho2
+    lambda0) when it is nonzero, and div u, in one pass on the channels of
+    u and the coefficients of p.  The drift's d3 is the channel coupling
+    the Stokes solve inverts (``d3_channels``)."""
     grid, g = u.grid, u.grid.sphere
     r, ll1, mu = grid.radius_mesh(), grid.ll1, grid.phase_profile(mu1, mu2)
     U = np.stack(vsh_channels(u))
@@ -498,19 +500,19 @@ def minus_div_T(u: VolumeField, p: VolumeField, mu1: float, mu2: float):
     s = analysis_batch(g, p.values, g.band_limit) - mu * div
     for c, grad in zip(f, mode_gradient((s, chan_radial_deriv(grid, s, 0, 1)), r)):
         c += grad
+    if any(drift):
+        f += grid.phase_profile(*drift) * d3_channels(grid, U)
     return VolumeField(grid, vsh_assemble(grid, *f)), VolumeField(grid, synthesis_batch(g, div, g.band_limit))
 
 
 def residual_report(u, p, data, lambda0, params) -> dict:
     """Residual norms of a candidate solution in the rows the solver
-    solves: -Div T(u, p) + rho lambda0 d3 u = f, Div u = g and the
-    interface rows."""
+    solves: -Div T(u, p) + rho lambda0 d3 u = f, with the solve's channel
+    d3, Div u = g and the interface rows."""
     grid = u.grid
-    mom, divu = minus_div_T(u, p, params.mu1, params.mu2)
+    drift = (params.rho1 * lambda0, params.rho2 * lambda0)
+    mom, divu = minus_div_T(u, p, params.mu1, params.mu2, drift)
     mom = mom - data.f
-    if lambda0 != 0.0:
-        drift = d3(u).phasewise_scale(params.rho1 * lambda0, params.rho2 * lambda0)
-        mom = mom + drift
     div = divu - data.g
     jump_u = np.max(np.abs(u.jump()))
     h1_res = np.max(

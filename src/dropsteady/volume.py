@@ -221,7 +221,9 @@ def scalar_gradient(f: VolumeField) -> VolumeField:
 
 def d3(f: VolumeField) -> VolumeField:
     """d f / d x3 = cos(theta) d_r f - sin(theta) d_theta f / r, any rank:
-    the e3 component of the gradient alone (phi-hat has no e3 component)."""
+    the e3 component of the gradient alone (phi-hat has no e3 component).
+    The nodal reference for ``d3_channels``, which L's drift and the Stokes
+    solve use."""
     dr, tth, _ = _spherical_gradient(f)
     rhat, that, _ = f.grid.sphere.unit_vectors()
     out = dr * rhat[2]

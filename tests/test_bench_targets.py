@@ -159,11 +159,11 @@ def test_invert_L_takes_no_nodal_gradient(traced):
 
 
 def test_apply_L_analyses_u_once_per_row(traced):
-    """-Div T is one pass on the channels of u: apply_L takes no nodal
-    gradient, Laplacian or divergence, and analyses u once for row 1 and
-    once for the interface rows."""
+    """-Div T and the drift are one pass on the channels of u: apply_L takes
+    no nodal gradient, Laplacian, divergence or d3, and analyses u once for
+    row 1 and once for the interface rows."""
     calls = traced[0]["apply_L"]
-    nodal = ("volume.scalar_gradient", "volume.vector_laplacian", "volume.vector_divergence")
+    nodal = ("volume.scalar_gradient", "volume.vector_laplacian", "volume.vector_divergence", "volume.d3")
     assert not [fn for fn in nodal if fn in calls]
     assert calls["volume.vsh_channels"] == 2  # minus_div_T and surface_traction_jump
 

@@ -136,6 +136,23 @@ def test_solver_failure_exit_code(tmp_path):
     assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == EXIT_SOLVER
 
 
+def test_non_contraction_is_one_line(tmp_path, cfgfile, monkeypatch, capsys):
+    """An iteration that stops contracting fails the solve with one stderr
+    line that carries the iteration count and the last update."""
+    from dropsteady import driver
+
+    history = [{"iter": k, "update": u} for k, u in enumerate((1e-3, 2e-3, 5e-3))]
+
+    def fail(*args, **kwargs):
+        raise driver.NonContraction(history)
+
+    monkeypatch.setattr(driver, "picard_solve", fail)
+    capsys.readouterr()
+    assert main(["solve", "--config", cfgfile, "--out", str(tmp_path / "o")]) == EXIT_SOLVER
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["solver failure: fixed-point iteration stopped contracting after 3 iterations (last update 5.000e-03)"]
+
+
 def test_unconverged_solve_is_solver_failure(tmp_path, capsys):
     p = tmp_path / "short.cfg"
     p.write_text(SMALL.replace("max_iters = 30", "max_iters = 1"))

@@ -1,5 +1,7 @@
 """Coordinate map, pullback tensors and curvature split."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,16 @@ def test_support_of_extension(vg):
     F_far = mp.F.blocks[EXTERIOR][:, :, far]
     assert np.max(np.abs(F_far - np.eye(3)[:, :, None, None, None])) < 1e-15
     assert np.max(np.abs(mp.J.blocks[EXTERIOR][far] - 1.0)) < 1e-15
+
+
+def test_extension_does_not_overflow_at_large_band_limit():
+    """The reservoir branch alpha r^l + beta r^-(l+1) is evaluated on the
+    radii up to the annulus edge only: at L = 180, r^l would overflow at
+    the outer node r_inf = 64."""
+    grid = VolumeGrid.build(180, 2, 4, 64.0, m_max=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_map(HeightFunction(SphereField.zeros(grid.sphere)), grid)
 
 
 def test_piola_identity(vg):

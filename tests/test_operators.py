@@ -40,6 +40,8 @@ from dropsteady.volume import (
     tensor_divergence,
     vector_divergence,
     vector_gradient,
+    vsh_assemble,
+    vsh_channels,
 )
 
 L_TEST = 10
@@ -212,13 +214,15 @@ def test_stokes_solve_takes_L_rows_as_written(m_max):
     """The Stokes solve reads rows 1-4 as apply_L writes them (row 1 in
     stress form): on L of a random state, with Div u != 0, unequal
     viscosities and a drift, it returns the state's velocity, and its
-    pressure up to the drop's constant."""
+    pressure up to the drop's constant.  Row 1 holds nothing the channels
+    drop: its drift takes d3 on channels, as the solve does."""
     vg = VolumeGrid.build(8, 16, 24, 64.0, m_max=m_max)
     params = PhysicalParams(mu1=2.5, mu2=0.8, rho_tilde=1e-2)
     ctx = build_context(vg, params)
     x0 = random_state(vg, np.random.default_rng(11))
     y = apply_L(x0, ctx)
     assert ctx.lambda0 != 0.0 and y.g.max_abs() > 0.0
+    assert np.max(np.abs(vsh_assemble(vg, *vsh_channels(y.f)) - y.f.values)) <= 1e-12 * y.f.max_abs()
     sol = solve_two_phase(y, ctx.lambda0, params, ctx.aux.solver)
     assert (sol.u - x0.u).max_abs() <= 1e-10 * x0.u.max_abs()
     drop, res = (sol.p - x0.p).blocks
