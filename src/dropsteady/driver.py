@@ -66,6 +66,11 @@ FIXED_POINT_RESIDUAL_BOUND = 1e-8
 
 FARFIELD_SHELLS = 6  # exterior shells in [R_inf/4, R_inf/2] the wake is fitted on
 
+# The largest r_inf a config may set.  The radial quadrature and the cutoff
+# carry powers of r_inf: from about 1e35 the volume integrals overflow, and
+# from about 1.6e154 the cutoff's R**2 does.
+R_INF_MAX = 1e30
+
 
 @dataclass
 class SolveConfig:
@@ -96,8 +101,8 @@ class SolveConfig:
             raise ValueError("n_r_int must be at least 1 and n_r_ext at least 2")
         # build_context truncates the auxiliary field at R = r_inf/2, and
         # truncate_field needs R > 4
-        if not self.r_inf > 8.0:
-            raise ValueError("r_inf must exceed 8")
+        if not 8.0 < self.r_inf <= R_INF_MAX:
+            raise ValueError(f"r_inf must lie in (8, {R_INF_MAX:g}]")
         if not self.max_iters >= 1:
             raise ValueError("max_iters must be at least 1")
         if not self.tol_fixed_point > 0.0:
@@ -251,7 +256,7 @@ def reconstruct_physical(bundle: SolutionBundle) -> dict:
     params = ctx.params
     jac_w = vector_gradient(w)
     out["jac_w"] = jac_w
-    stress, _ = minus_div_T(w, q, params.mu1, params.mu2)
+    stress, _, _ = minus_div_T(w, q, params.mu1, params.mu2)
     inertia = matvec(jac_w, w) + lam * e3_column(jac_w)
     res = inertia.phasewise_scale(params.rho1, params.rho2) + stress
     r = grid.r

@@ -12,11 +12,14 @@ eta):
   7. sigma (lap_S + 2) eta + (1/4pi) n . int eta n dS
        - kappa n.[[T(U,P)n]] - n.[[T(u,p)n]]
 
-The interface rows are formed on coefficients: ``stokes.surface_traction_jump``
-gives [[T(u,p) n]] as a normal part (scalar coefficients) and a tangential
-part (spheroidal/toroidal ones), row 4 is the tangential part, row 5 reads
-the force off the degree-1 coefficients (``stokes.traction_force``), and
-row 7 subtracts the normal part; its kernel term is project_kernel(eta) / 3.
+The interface rows are formed on coefficients: [[T(u,p) n]] comes as a
+normal part (scalar coefficients) and a tangential part (spheroidal/toroidal
+ones), row 4 is the tangential part, row 5 reads the force off the degree-1
+coefficients (``stokes.traction_force``), and row 7 subtracts the normal
+part; its kernel term is project_kernel(eta) / 3.  Each caller takes the
+jump from the channels it holds: ``apply_L`` from the one analysis of
+``stokes.minus_div_T``, ``invert_L`` from the Stokes solve's own channels,
+and ``assemble_N`` through ``stokes.surface_traction_jump``.
 
 The inverse follows the constructive recipe: hand rows 1-4 of the data
 to ``stokes.solve_two_phase`` as L writes them (row 1 in the stress form
@@ -40,6 +43,9 @@ J = [[T(u,p) n]] of the regular pair:
   6. -int (eta^2 + eta^3/3) dS
   7. Ntil . J_eta / |Ntil|^2 - n . J - kappa n.[[T(U,P)n]] + the volume,
        buoyancy and curvature remainders
+
+The norms ``norm_X`` and ``norm_Y`` are taken on channels and coefficients
+by Parseval (``volume.channel_norm_l2``), with no nodal derivative.
 
 Surface pullback weights: all interface integrals transform with the
 Nanson factor (dS on the deformed interface = |A^T n| dS), i.e. the
@@ -95,14 +101,19 @@ from .volume import (
     INTERIOR,
     VolumeField,
     VolumeGrid,
+    analysis_batch,
+    chan_radial_deriv,
+    channel_norm_l2,
+    d3_channels,
     e3_column,
-    integrate_phase,
+    mode_gradient,
+    mode_laplacian,
     norm_l2,
-    scalar_gradient,
     tensor_divergence,
     vector_divergence,
     vector_gradient,
-    vector_laplacian,
+    vector_radial_deriv,
+    vsh_channels,
 )
 
 __all__ = [
@@ -258,7 +269,8 @@ def apply_L(state: DropState, ctx: OperatorContext) -> YElement:
     # any remainder-pair content is differentiated via its closed form
     u, p = ctx.regular_pair(state)
 
-    f, divu = minus_div_T(u, p, params.mu1, params.mu2, (params.rho1 * lam0, params.rho2 * lam0))
+    drift = (params.rho1 * lam0, params.rho2 * lam0)
+    f, divu, (jump_n, h2) = minus_div_T(u, p, params.mu1, params.mu2, drift)
     if state.tail != 0.0:
         f = f + state.tail * ctx.sing_f
         divu = divu + state.tail * ctx.trunc.div_tail
@@ -270,7 +282,6 @@ def apply_L(state: DropState, ctx: OperatorContext) -> YElement:
     h1 = SphereField(
         g, values=np.einsum("iab,iab->ab", u.trace(INTERIOR), rhat)
     )
-    jump_n, h2 = surface_traction_jump(u, p, params.mu1, params.mu2)
     a1 = kappa * ctx.e3_drag + float(traction_force((jump_n, h2))[2])
     a2 = integrate_sphere(eta)
     h3 = (
@@ -293,10 +304,10 @@ def invert_L(y: YElement, ctx: OperatorContext) -> DropState:
     params = ctx.params
     g = ctx.grid.sphere
     sigma = params.sigma
-    mu1, mu2 = params.mu1, params.mu2
-    sol = solve_two_phase(y, ctx.lambda0, params, ctx.aux.solver)
+    solver = ctx.aux.solver
+    sol = solve_two_phase(y, ctx.lambda0, params, solver)
     u, p = sol.u, sol.p
-    jump = surface_traction_jump(u, p, mu1, mu2)
+    jump = solver.traction_jump(*sol.channels)
     # the pressure shift below is constant, so it leaves the force unchanged
     kappa = (y.a1 - float(traction_force(jump)[2])) / ctx.e3_drag
     int_psi = integrate_sphere(jump[0]) + integrate_sphere(y.h3) + kappa * integrate_sphere(ctx.jumpU_n)
@@ -410,24 +421,52 @@ def _tangent_sobolev(t: TangentField, s: float) -> float:
     return float(np.sqrt(np.sum(wgt * (sc * sc + tc * tc))))
 
 
+def _gradient_norm(f: VolumeField) -> tuple[float, np.ndarray]:
+    """|grad f| of a scalar by Parseval, int |grad f|^2 = sum f'^2 + l(l+1)
+    f^2 / r^2 per shell, and the coefficients of f it was read from."""
+    grid = f.grid
+    c = analysis_batch(grid.sphere, f.values, grid.sphere.band_limit)
+    grad = mode_gradient((c, chan_radial_deriv(grid, c, 0, 1)), grid.radius_mesh())
+    return channel_norm_l2(grid, np.stack(grad)), c
+
+
 def norm_X(state: DropState, lambda0: float) -> dict:
     """Weighted solution-space norm surrogate, per component and total.
 
-    Spectral (exponent-2) stand-ins replace the mixed Lebesgue norms; the
-    second-order term uses the vector Laplacian.  Diagnostic only.
+    Spectral (exponent-2) stand-ins replace the mixed Lebesgue norms:
+    |lambda0|^(1/2) |u| + |lambda0|^(1/4) |grad u| + |lap u| + |lambda0|
+    |d3 u| for u and |grad p| + |p|_(drop) for p, each an L^2 norm over the
+    truncated domain.  They are evaluated by Parseval on the (P, v, w)
+    channels of u and the coefficients of p (``volume.channel_norm_l2``),
+    with |lap u| from the channels of ``mode_laplacian``, |d3 u| from those
+    of ``d3_channels`` and, on a shell of radius r, per mode
+
+      int |grad u|^2 = sum P'^2 + l(l+1) (v'^2 + w'^2)
+          + [(l(l+1) + 2) P^2 - 4 l(l+1) P v + l^2(l+1)^2 (v^2 + w^2)] / r^2,
+      int |grad p|^2 = sum p'^2 + l(l+1) p^2 / r^2.
+
+    They equal the nodal forms except for content at the band edge (degree
+    L, or order m_max on a band grid), whose nodal Cartesian derivatives
+    would need degree L + 1 or order m_max + 1.  Diagnostic only.
     """
     al = abs(lambda0)
-    u, p = state.u, state.p
-    jac = vector_gradient(u)
+    grid = state.u.grid
+    r, ll1 = grid.radius_mesh(), grid.ll1
+    U = np.stack(vsh_channels(state.u))
+    dU = [vector_radial_deriv(grid, U, k) for k in (1, 2)]
+    P, v, w = U
+    # the 1/r^2 bracket above as a sum of squares, so that it does not
+    # cancel on a rigid translation's l = 1 channels, P = v
+    ang = ll1 * (P - v) ** 2 + 2.0 * (P - 0.5 * ll1 * v) ** 2 + 0.5 * ll1 * (ll1 - 2.0) * v**2
+    ang += ll1**2 * w**2
     n_u = (
-        al**0.5 * norm_l2(u)
-        + al**0.25 * norm_l2(jac)
-        + norm_l2(vector_laplacian(u))
-        + al * norm_l2(e3_column(jac))
+        al**0.5 * channel_norm_l2(grid, U)
+        + al**0.25 * channel_norm_l2(grid, dU[0], extra=ang / r**2)
+        + channel_norm_l2(grid, np.stack(mode_laplacian(*zip(U, *dU), r, ll1)))
+        + al * channel_norm_l2(grid, d3_channels(grid, U))
     )
-    gp = scalar_gradient(p)
-    p_int_sq = integrate_phase(p * p, INTERIOR)
-    n_p = norm_l2(gp) + np.sqrt(max(p_int_sq, 0.0))
+    n_grad_p, pc = _gradient_norm(state.p)
+    n_p = n_grad_p + channel_norm_l2(grid, grid.phase_profile(1.0, 0.0) * pc[None])  # p on the drop
     n_eta = sobolev_norm(state.eta, ETA_SOBOLEV_ORDER)
     comps = {
         "u": n_u,
@@ -440,9 +479,12 @@ def norm_X(state: DropState, lambda0: float) -> dict:
 
 
 def norm_Y(y: YElement) -> dict:
+    """Data-space norm surrogate, per row and total: L^2 for f, H^1 for g
+    (|grad g| by Parseval, as |grad p| in ``norm_X``), and the Sobolev
+    norms of the surface rows on their coefficients."""
     comps = {
         "f": norm_l2(y.f),
-        "g": norm_l2(y.g) + norm_l2(scalar_gradient(y.g)),
+        "g": norm_l2(y.g) + _gradient_norm(y.g)[0],
         "h1": sobolev_norm(y.h1, H1_ORDER),
         "h2": _tangent_sobolev(y.h2, H2_ORDER),
         "a1": abs(y.a1),

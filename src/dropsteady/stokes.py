@@ -22,8 +22,8 @@ channel over all degrees and orders, between the sphere transforms.
 
 The drift rho lambda0 d3 u is iterated (Richardson, contraction factor
 O(lambda0)) in channel space, d3 through the grid's probed channel
-coupling, so the sphere transforms of a drifted solve do not grow with its
-steps.
+coupling and each sweep through the force block of the operators only, so
+the sphere transforms of a drifted solve do not grow with its steps.
 
 -Div T(u, p) = -mu lap u + grad (p - mu div u) is one pass on the channels
 of u and the coefficients of p (``minus_div_T``).  ``surface_traction_jump``
@@ -152,6 +152,7 @@ class TwoPhaseSolution:
     u: VolumeField
     p: VolumeField
     diagnostics: dict = field(default_factory=dict)
+    channels: tuple = ()  # (u, p) in the layout of solve_channels, synthesised into u and p
 
 
 class StokesData(NamedTuple):
@@ -350,7 +351,7 @@ class TwoPhaseStokesSolver:
     p), each over the whole radial axis.  ``tor[l]`` maps (fw, h2t) to w.
     At l = 0 the v and w blocks are zero.  ``solve`` is ``analyse``,
     ``solve_channels`` (one batched matmul per stack) and ``synthesise``;
-    ``solve_two_phase`` repeats the middle step only.
+    ``solve_two_phase`` adds drift sweeps through ``force_velocity``.
     """
 
     def __init__(self, grid: VolumeGrid, mu1: float, mu2: float):
@@ -407,12 +408,35 @@ class TwoPhaseStokesSolver:
         W = self._apply(self.tor, data.f[2], data.h2[1])
         return np.stack([P, V, W]), Q
 
+    def force_velocity(self, f):
+        """Velocity channels of the solve whose only data are the force
+        channels ``f``: the force block, the force columns of the velocity
+        rows (views of ``sph`` and ``tor``).  A drift sweep applies it."""
+        n = self.grid.r.size
+        P, V = np.split(self._apply(self.sph[:, : 2 * n, : 2 * n], f[0], f[1]), 2)
+        return np.stack([P, V, self._apply(self.tor[:, :, :n], f[2])])
+
+    def force_pressure(self, f):
+        """Pressure channels of the solve whose only data are the force channels ``f``."""
+        n = self.grid.r.size
+        return self._apply(self.sph[:, 2 * n :, : 2 * n], f[0], f[1])
+
     def synthesise(self, u, p) -> TwoPhaseSolution:
         """Nodal velocity and pressure from the channels of solve_channels."""
         grid = self.grid
         return TwoPhaseSolution(
             VolumeField(grid, vsh_assemble(grid, *u)),
             VolumeField(grid, synthesis_batch(grid.sphere, p, grid.sphere.band_limit)),
+            channels=(u, p),
+        )
+
+    def traction_jump(self, u, p):
+        """[[T(u, p) n]] as ``surface_traction_jump`` gives it, from the
+        channels of a solution in the layout of solve_channels."""
+        grid = self.grid
+        i_s = _surface_rows(grid)
+        return _traction_jump(
+            grid, u[:, i_s], vector_radial_deriv(grid, u, 1)[:, i_s], p[i_s], self.mu1, self.mu2
         )
 
     def solve(self, data: YElement) -> TwoPhaseSolution:
@@ -440,18 +464,22 @@ def solve_two_phase(
 
     The iteration solves Stokes with f - rho lambda0 d3(u_k) on the
     right; the recorded contraction ratios form the convergence
-    certificate.  The iterate stays in channel space: the data are
-    analysed once, d3 acts through the grid's channel coupling, the
-    update is measured by Parseval, and u and p are synthesised once
-    after the last sweep.  Divergence (ratio >= 1 three times running)
-    raises, and so do a non-finite update, at once, and an update still
-    above RICHARDSON_TOL after RICHARDSON_MAX_ITER solves.  Non-finite
-    data give the non-finite Stokes solve without sweeps, as at
-    lambda0 = 0.
+    certificate.  As the solve is linear, a sweep is u_{k+1} = u_0 -
+    S_f(rho lambda0 d3 u_k), with u_0 the Stokes solve of the data and
+    S_f the solver's force block (``force_velocity``), and p is formed
+    once, from the last sweep's drift.  The iterate stays in channel
+    space: the data are analysed once, d3 acts through the grid's channel
+    coupling, the update is measured by Parseval, and u and p are
+    synthesised once after the last sweep; the solution keeps their
+    channels.  ``diagnostics["stokes_solves"]`` counts 1 + sweeps.
+    Divergence (ratio >= 1 three times running) raises, and so do a
+    non-finite update, at once, and an update still above RICHARDSON_TOL
+    after RICHARDSON_MAX_ITER solves.  Non-finite data give the
+    non-finite Stokes solve without sweeps, as at lambda0 = 0.
     """
     grid = solver.grid
-    chans = solver.analyse(data)
-    u, p = solver.solve_channels(chans)
+    u0, p = solver.solve_channels(solver.analyse(data))
+    u = u0
     ratios = []
     solves = 1
     base = channel_norm_l2(grid, u)
@@ -460,8 +488,8 @@ def solve_two_phase(
         prev_update = None
         base = max(base, 1e-300)
         for _ in range(RICHARDSON_MAX_ITER):
-            f = chans.f - rho * d3_channels(grid, u)
-            u_next, p = solver.solve_channels(chans._replace(f=f))
+            drift = rho * d3_channels(grid, u)
+            u_next = u0 - solver.force_velocity(drift)
             solves += 1
             update = channel_norm_l2(grid, u_next - u)
             # NaN compares False with the tolerance and the ratio test alike
@@ -479,6 +507,7 @@ def solve_two_phase(
             raise RichardsonDivergence(
                 f"no convergence in {RICHARDSON_MAX_ITER} iterations", ratios[-3:]
             )
+        p = p - solver.force_pressure(drift)
     sol = solver.synthesise(u, p)
     sol.diagnostics["richardson_ratios"] = ratios
     sol.diagnostics["stokes_solves"] = solves
@@ -488,8 +517,9 @@ def solve_two_phase(
 def minus_div_T(u: VolumeField, p: VolumeField, mu1: float, mu2: float, drift=(0.0, 0.0)):
     """-Div T(u, p) = -mu lap u + grad (p - mu div u) with each phase's mu,
     plus drift d3 u with the phase pair ``drift`` = (rho1 lambda0, rho2
-    lambda0) when it is nonzero, and div u, in one pass on the channels of
-    u and the coefficients of p.  The drift's d3 is the channel coupling
+    lambda0) when it is nonzero, div u, and [[T(u, p) n]] as
+    ``surface_traction_jump`` gives it, in one pass on the channels of u
+    and the coefficients of p.  The drift's d3 is the channel coupling
     the Stokes solve inverts (``d3_channels``)."""
     grid, g = u.grid, u.grid.sphere
     r, ll1, mu = grid.radius_mesh(), grid.ll1, grid.phase_profile(mu1, mu2)
@@ -497,12 +527,16 @@ def minus_div_T(u: VolumeField, p: VolumeField, mu1: float, mu2: float, drift=(0
     dU = [vector_radial_deriv(grid, U, k) for k in (1, 2)]
     div = mode_divergence((U[0], dU[0][0]), (U[1],), r, ll1)
     f = -mu * np.stack(mode_laplacian(*zip(U, *dU), r, ll1))
-    s = analysis_batch(g, p.values, g.band_limit) - mu * div
+    pc = analysis_batch(g, p.values, g.band_limit)
+    i_s = _surface_rows(grid)
+    jump = _traction_jump(grid, U[:, i_s], dU[0][:, i_s], pc[i_s], mu1, mu2)
+    s = pc - mu * div
     for c, grad in zip(f, mode_gradient((s, chan_radial_deriv(grid, s, 0, 1)), r)):
         c += grad
     if any(drift):
         f += grid.phase_profile(*drift) * d3_channels(grid, U)
-    return VolumeField(grid, vsh_assemble(grid, *f)), VolumeField(grid, synthesis_batch(g, div, g.band_limit))
+    divu = VolumeField(grid, synthesis_batch(g, div, g.band_limit))
+    return VolumeField(grid, vsh_assemble(grid, *f)), divu, jump
 
 
 def residual_report(u, p, data, lambda0, params) -> dict:
@@ -511,7 +545,7 @@ def residual_report(u, p, data, lambda0, params) -> dict:
     d3, Div u = g and the interface rows."""
     grid = u.grid
     drift = (params.rho1 * lambda0, params.rho2 * lambda0)
-    mom, divu = minus_div_T(u, p, params.mu1, params.mu2, drift)
+    mom, divu, _ = minus_div_T(u, p, params.mu1, params.mu2, drift)
     mom = mom - data.f
     div = divu - data.g
     jump_u = np.max(np.abs(u.jump()))
@@ -534,23 +568,33 @@ def residual_report(u, p, data, lambda0, params) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _surface_rows(grid: VolumeGrid) -> list:
+    """The rows of r = 1 on the radial axis, (drop, reservoir)."""
+    return [grid.interior.i_surface, grid.interior.n + grid.exterior.i_surface]
+
+
+def _traction_jump(grid: VolumeGrid, U, dU, p, mu1: float, mu2: float):
+    """[[T(u,p) n]] from the (P, v, w) channels of u, their r-derivatives
+    and the coefficients of p, each on the ``_surface_rows``."""
+    g = grid.sphere
+    L = g.band_limit
+    sides = _surface_traction(*zip(U, dU), p, np.array([mu1, mu2])[:, None, None])
+    t_r, t_s, t_t = (drop - res for drop, res in sides)
+    return SphereField(g, coeffs=t_r, band=L), TangentField(g, spec=(t_s, t_t), band=L)
+
+
 def surface_traction_jump(u: VolumeField, p: VolumeField, mu1: float, mu2: float):
     """[[T(u,p) n]] at r = 1, drop side minus reservoir side, as its normal
     part (a SphereField on coefficients) and its tangential part (a
     TangentField on spheroidal/toroidal coefficients), read off the (P, v, w)
-    channels of u and the coefficients of p."""
+    channels of u and the coefficients of p.  A caller that holds those
+    channels already takes the jump from them: ``minus_div_T`` from its
+    analysis, ``TwoPhaseStokesSolver.traction_jump`` from a solve's."""
     grid = u.grid
-    g = grid.sphere
-    L = g.band_limit
     U = np.stack(vsh_channels(u))
-    i_s = [grid.interior.i_surface, grid.interior.n + grid.exterior.i_surface]  # (drop, reservoir)
-    sides = _surface_traction(
-        *zip(U[:, i_s], vector_radial_deriv(grid, U, 1)[:, i_s]),
-        analysis_batch(g, p.values[i_s], L),
-        np.array([mu1, mu2])[:, None, None],
-    )
-    t_r, t_s, t_t = (drop - res for drop, res in sides)
-    return SphereField(g, coeffs=t_r, band=L), TangentField(g, spec=(t_s, t_t), band=L)
+    i_s = _surface_rows(grid)
+    p_s = analysis_batch(grid.sphere, p.values[i_s], grid.sphere.band_limit)
+    return _traction_jump(grid, U[:, i_s], vector_radial_deriv(grid, U, 1)[:, i_s], p_s, mu1, mu2)
 
 
 def traction_force(jump) -> np.ndarray:

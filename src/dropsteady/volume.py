@@ -239,12 +239,13 @@ def d3_channels(grid: VolumeGrid, u: np.ndarray) -> np.ndarray:
     ``vsh_channels(d3(...))`` gives them, without a sphere transform."""
     B = grid.sphere.d3_coupling
     M = B.shape[0] - 1
-    m = np.arange(M + 1)
-    dr = vector_radial_deriv(grid, u, 1)
-    parts = np.stack([M + m, M - m], axis=1)
-    X = np.stack([dr, u / grid.radius_mesh()])[..., parts]  # (C|E, c, r, l, m, part)
-    _, _, n_r, n, _, _ = X.shape
-    Y = (B @ X.transpose(4, 0, 1, 5, 3, 2).reshape(M + 1, -1, n_r)).reshape(M + 1, 3, 2, n, n_r)
+    _, n_r, n, _ = u.shape
+    X = np.empty((M + 1, 2, 3, 2, n, n_r))  # (m, C|E, c, part: order +m | -m, l, r)
+    for k, c in enumerate((vector_radial_deriv(grid, u, 1), u / grid.radius_mesh())):
+        c = c.transpose(3, 0, 2, 1)  # (order column, c, l, r)
+        X[:, k, :, 0] = c[M:]
+        X[:, k, :, 1] = c[M::-1]
+    Y = (B @ X.reshape(M + 1, -1, n_r)).reshape(M + 1, 3, 2, n, n_r)
     out = np.empty((3, n_r, n, 2 * M + 1))
     out[..., M:] = Y[:, :, 0].transpose(1, 3, 2, 0)
     out[..., :M] = Y[:0:-1, :, 1].transpose(1, 3, 2, 0)
@@ -360,12 +361,17 @@ def norm_l2(f: VolumeField) -> float:
     return _shell_total(f.grid, np.einsum("ij,rij->r", f.grid.sphere.weights, mag)) ** 0.5
 
 
-def channel_norm_l2(grid: VolumeGrid, u: np.ndarray) -> float:
-    """norm_l2 of the vector field whose channels are ``u`` ((3, n_r, L+1,
-    columns), stacked P, v, w), by Parseval: the angular integral of |u|^2
-    is sum P^2 + l(l+1) (v^2 + w^2)."""
-    w = np.stack([np.ones_like(grid.ll1), grid.ll1, grid.ll1])[:, None]
-    return _shell_total(grid, np.sum(w * u**2, axis=(0, 2, 3))) ** 0.5
+def channel_norm_l2(grid: VolumeGrid, u: np.ndarray, extra: np.ndarray | None = None) -> float:
+    """norm_l2, by Parseval, of the field whose channels are ``u``: (k, n_r,
+    L+1, columns) stacked (P, v, w), or their first k < 3 (a scalar's
+    coefficients as P alone, a gradient's (s', s/r) as (P, v)).  On a shell
+    the angular integral of |u|^2 is sum P^2 + l(l+1) (v^2 + w^2), and
+    ``extra`` adds a per-mode density (n_r, L+1, columns)."""
+    w = np.stack([np.ones_like(grid.ll1), grid.ll1, grid.ll1])[: len(u), :, 0]
+    shells = np.einsum("crlm,crlm,cl->r", u, u, w)
+    if extra is not None:
+        shells += np.sum(extra, axis=(1, 2))
+    return _shell_total(grid, shells) ** 0.5
 
 
 def eval_radii(f: VolumeField, radii: np.ndarray, phase: int) -> np.ndarray:

@@ -83,7 +83,7 @@ STAGES = (
 def traced():
     """A solve at band_limit = 8 under the tracer, one rep per stage (the
     rep number is the index in STAGES); returns the per-rep call counts,
-    the Picard iteration count and the bundle."""
+    the Picard iteration count, the bundle and the tracer."""
     from dropsteady import driver, operators, volume
 
     cfg = driver.SolveConfig(band_limit=8, n_r_int=16, n_r_ext=24)
@@ -111,7 +111,7 @@ def traced():
         functions = tracer.rep_summary(rep)["functions"]
         calls[name] = {fn: row["calls"] for fn, row in functions.items()}
     iters = tracer.rep_summary(STAGES.index("picard_solve"))["counters"]["driver.picard_iters"]
-    return calls, iters, bundle
+    return calls, iters, bundle, tracer
 
 
 def test_solve_builds_each_object_once(traced):
@@ -120,7 +120,7 @@ def test_solve_builds_each_object_once(traced):
     and takes one X-norm per Picard step plus one of the final state for
     the ball norm; the set-up and the diagnostics
     assemble nothing and take no X-norm."""
-    calls, iters, bundle = traced
+    calls, iters, bundle, _ = traced
     setup, solve, diag = calls["build_context"], calls["picard_solve"], calls["diagnostics"]
     assert bundle.converged, bundle.failure
     assert iters == len(bundle.history) >= 1
@@ -137,12 +137,15 @@ def test_solve_builds_each_object_once(traced):
 
 def test_each_field_differentiated_once(traced):
     """d3 of a field whose Jacobian is at hand is read off that Jacobian,
-    the physical velocity is differentiated once per diagnostics call, and
-    a tensor divergence is the vector divergence of each row."""
-    calls, _, _ = traced
+    the physical velocity is differentiated once per diagnostics call, a
+    tensor divergence is the vector divergence of each row, and norm_X
+    reads every term off the channels of u and the coefficients of p by
+    Parseval: no nodal Jacobian, Laplacian or pressure gradient."""
+    calls = traced[0]
     assert "volume.d3" not in calls["build_context"]
-    assert calls["norm_X"]["volume.vector_gradient"] == 1
-    assert "volume.d3" not in calls["norm_X"]
+    assert calls["norm_X"]["operators.norm_X"] == 1
+    nodal = ("volume.scalar_gradient", "volume.vector_gradient", "volume.vector_laplacian", "volume.d3")
+    assert not [fn for fn in nodal if fn in calls["norm_X"]]
     assert "volume.scalar_gradient" not in calls["tensor_divergence"]
     assert calls["tensor_divergence"]["volume.vector_divergence"] == 3
     assert calls["diagnostics"]["volume.vector_gradient"] == 1
@@ -152,20 +155,24 @@ def test_each_field_differentiated_once(traced):
 def test_invert_L_takes_no_nodal_gradient(traced):
     """invert_L hands L's rows to the Stokes solve as they are: data with
     g != 0 cost no nodal gradient of g (the solve adds mu grad g on
-    channels)."""
-    calls, _, _ = traced
+    channels), and the traction jump comes from the solve's own channels,
+    so u is analysed only inside the solve."""
+    calls, _, _, tracer = traced
     assert calls["invert_L"]["stokes.solve_two_phase"] == 1
     assert "volume.scalar_gradient" not in calls["invert_L"]
+    rep = STAGES.index("invert_L")
+    inside = tracer.descendants_count(rep, "stokes.solve_two_phase", ["volume.vsh_channels"])
+    assert calls["invert_L"]["volume.vsh_channels"] == inside
 
 
 def test_apply_L_analyses_u_once_per_row(traced):
-    """-Div T and the drift are one pass on the channels of u: apply_L takes
-    no nodal gradient, Laplacian, divergence or d3, and analyses u once for
-    row 1 and once for the interface rows."""
+    """-Div T, the drift and the traction jump of the interface rows are one
+    pass on the channels of u: apply_L takes no nodal gradient, Laplacian,
+    divergence or d3, and analyses u once for all its rows."""
     calls = traced[0]["apply_L"]
     nodal = ("volume.scalar_gradient", "volume.vector_laplacian", "volume.vector_divergence", "volume.d3")
     assert not [fn for fn in nodal if fn in calls]
-    assert calls["volume.vsh_channels"] == 2  # minus_div_T and surface_traction_jump
+    assert calls["volume.vsh_channels"] == 1  # minus_div_T, which also gives the jump
 
 
 def test_assemble_N_forms_each_term_once(traced):
@@ -173,7 +180,7 @@ def test_assemble_N_forms_each_term_once(traced):
     interface map, one Jacobian, one transformed stress and its tensor
     divergence, and one divergence of (I - A) w, on a state with
     remainder-pair content."""
-    calls, _, bundle = traced
+    calls, _, bundle, _ = traced
     assert bundle.state.tail != 0.0
     assemble = calls["assemble_N"]
     once = ("geometry.build_map", "geometry.transformed_stress", "volume.tensor_divergence", "volume.vector_gradient")

@@ -97,6 +97,21 @@ def test_out_of_range_value_is_config_error(tmp_path, line):
     assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", [[], ["sweep", "--rho-grid", "1e-3"]])
+def test_huge_r_inf_is_config_error(tmp_path, capsys, command):
+    """An r_inf far above the bound would overflow the cutoff's R**2 with a
+    traceback; it is a config error, reported on one line."""
+    text = dump_config(SolveConfig(band_limit=4, n_r_int=8, n_r_ext=12))
+    p = tmp_path / "far.cfg"
+    p.write_text(re.sub(r"(?m)^r_inf = .*$", "r_inf = 1e160", text))
+    argv = (command or ["solve"]) + ["--config", str(p), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:") and "r_inf" in lines[0]
+
+
 FLOAT_KEYS = [key for key, value in vars(SolveConfig()).items() if isinstance(value, float)]
 
 

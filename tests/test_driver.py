@@ -47,11 +47,13 @@ def solved_mirror():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(alpha=0.5)
+    assert SolveConfig(r_inf=1e30).r_inf == 1e30  # the largest r_inf accepted
     for bad in (
         dict(band_limit=0),
         dict(n_r_int=0),
         dict(n_r_ext=1),
         dict(r_inf=8.0),
+        dict(r_inf=1e31),
         dict(max_iters=0),
         dict(tol_fixed_point=0.0),
         dict(mu1=0.0),

@@ -37,9 +37,16 @@ from dropsteady.volume import (
     INTERIOR,
     VolumeField,
     VolumeGrid,
+    analysis_batch,
+    e3_column,
+    integrate_phase,
+    norm_l2,
+    scalar_gradient,
+    synthesis_batch,
     tensor_divergence,
     vector_divergence,
     vector_gradient,
+    vector_laplacian,
     vsh_assemble,
     vsh_channels,
 )
@@ -492,3 +499,49 @@ def test_norm_homogeneity(ctx):
     st_eta.eta = st.eta
     comps = norm_X(st_eta, ctx.lambda0)
     assert comps["total"] == pytest.approx(sobolev_norm(st.eta, 2.75))
+
+
+def _nodal_norm_X(state, lambda0):
+    """The u and p parts of norm_X on nodal fields: the Jacobian, vector
+    Laplacian and pressure gradient synthesised on the grid."""
+    al = abs(lambda0)
+    u, p = state.u, state.p
+    jac = vector_gradient(u)
+    n_u = (
+        al**0.5 * norm_l2(u)
+        + al**0.25 * norm_l2(jac)
+        + norm_l2(vector_laplacian(u))
+        + al * norm_l2(e3_column(jac))
+    )
+    n_p = norm_l2(scalar_gradient(p)) + np.sqrt(max(integrate_phase(p * p, INTERIOR), 0.0))
+    return {"u": n_u, "p": n_p}
+
+
+def _inside_band_edge(vg, f: VolumeField) -> VolumeField:
+    """``f`` (a scalar or a vector) with its coefficients or (P, v, w)
+    channels cut to degrees l <= L - 1 and orders |m| <= M - 1, M the
+    largest order the grid carries; the nodal Cartesian derivatives of
+    what is left need no degree above L and no order above M."""
+    g = vg.sphere
+    L = g.band_limit
+    c = np.stack(vsh_channels(f)) if f.rank else analysis_batch(g, f.values, L)
+    c[..., L, :] = 0.0
+    c[..., [0, -1]] = 0.0
+    return VolumeField(vg, vsh_assemble(vg, *c) if f.rank else synthesis_batch(g, c, L))
+
+
+@pytest.mark.parametrize("L, m_max", [(8, None), (8, 2), (16, 2)])
+def test_parseval_norms_match_nodal_forms(L, m_max):
+    """norm_X's u and p parts and norm_Y's g row, taken on channels by
+    Parseval, equal the nodal forms on fields inside the band edge, on a
+    full and on band grids."""
+    vg = VolumeGrid.build(L, 16, 24, 64.0, m_max=m_max)
+    st = random_state(vg, np.random.default_rng(5))
+    st.u, st.p = _inside_band_edge(vg, st.u), _inside_band_edge(vg, st.p)
+    got, want = norm_X(st, 0.3), _nodal_norm_X(st, 0.3)
+    for key in ("u", "p"):
+        assert abs(got[key] - want[key]) <= 1e-12 * want[key], key
+    y = YElement.zeros(vg)
+    y.g = st.p
+    want_g = norm_l2(st.p) + norm_l2(scalar_gradient(st.p))
+    assert abs(norm_Y(y)["g"] - want_g) <= 1e-12 * want_g

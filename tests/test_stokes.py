@@ -521,12 +521,17 @@ def test_d3_channels_match_nodal_d3(band_solver):
 @pytest.mark.parametrize("m_max", [None, 2])
 def test_minus_div_T_matches_nodal_composition(m_max):
     """The one channel pass of minus_div_T equals the nodal composition
-    -mu (lap u + grad div u) + grad p, and its div u the nodal divergence,
-    with unequal viscosities on a full and a band grid."""
+    -mu (lap u + grad div u) + grad p, its div u the nodal divergence and
+    its traction jump surface_traction_jump's, with unequal viscosities on
+    a full and a band grid."""
     vg = VolumeGrid.build(8, 16, 24, 64.0, m_max=m_max)
     x0 = random_state(vg, np.random.default_rng(13))
     mu1, mu2 = 2.5, 0.8
-    got, divu = stokes.minus_div_T(x0.u, x0.p, mu1, mu2)
+    got, divu, (jump_n, jump_t) = stokes.minus_div_T(x0.u, x0.p, mu1, mu2)
+    ref_n, ref_t = stokes.surface_traction_jump(x0.u, x0.p, mu1, mu2)
+    assert np.max(np.abs(jump_n.coeffs - ref_n.coeffs)) <= 1e-13 * np.max(np.abs(ref_n.coeffs))
+    for a, b in zip(jump_t.spec, ref_t.spec):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
     div_ref = vector_divergence(x0.u)
     lap, grad_div, grad_p = vector_laplacian(x0.u), scalar_gradient(div_ref), scalar_gradient(x0.p)
     ref = -vg.phase_profile(mu1, mu2) * (lap.values + grad_div.values) + grad_p.values
@@ -585,19 +590,25 @@ def test_lambda0_continuity(vg, solver):
 
 
 def _counting_solve(monkeypatch, solver, poison_from=None):
-    """Count the Stokes operator applications (solver.solve_channels); from
-    call ``poison_from`` on, return NaN velocity channels."""
+    """Count the Stokes operator applications: the solve of the data
+    (solver.solve_channels) and each drift sweep's force block
+    (solver.force_velocity); from call ``poison_from`` on, return NaN
+    velocity channels."""
     calls = []
-    orig = solver.solve_channels
+    orig_solve, orig_force = solver.solve_channels, solver.force_velocity
+
+    def poisoned(u):
+        calls.append(1)
+        if poison_from is not None and len(calls) >= poison_from:
+            return np.full_like(u, np.nan)
+        return u
 
     def solve_channels(data):
-        calls.append(1)
-        u, p = orig(data)
-        if poison_from is not None and len(calls) >= poison_from:
-            u = np.full_like(u, np.nan)
-        return u, p
+        u, p = orig_solve(data)
+        return poisoned(u), p
 
     monkeypatch.setattr(solver, "solve_channels", solve_channels)
+    monkeypatch.setattr(solver, "force_velocity", lambda f: poisoned(orig_force(f)))
     return calls
 
 
