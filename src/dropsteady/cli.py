@@ -105,6 +105,8 @@ SWEEP_COLUMNS = (
     "contraction_ratio",
     "wake_coefficient",
     "force_defect",
+    "iterations",
+    "fixed_point_residual",
     "status",
 )
 
@@ -134,6 +136,8 @@ def _sweep_point(cfg, rho, aux):
             "contraction_ratio": max(ratios),  # the slowest step the iteration took
             "wake_coefficient": rep.get("wake_coefficient", float("nan")),
             "force_defect": rep.get("force_e3_defect_rel", float("nan")),
+            "iterations": len(bundle.history),
+            "fixed_point_residual": rep["fixed_point_residual"],
             "status": "ok" if bundle.converged else f"failed: {bundle.failure}",
         }
     except (ValueError, RuntimeError) as e:

@@ -1,10 +1,11 @@
 """Contraction iteration on the drop state and physical diagnostics.
 
 The map is x -> (linear operator)^{-1} (nonlinear right side)(x), run
-from the zero state.  Its fixed point is the steady-state perturbation
-(u, p, kappa, eta); the physical configuration is reconstructed by
-adding back the truncated translating-drop field and pushing forward
-through the interface map.
+from the translating drop lambda0 (U, P), the centre of the paper's ball
+(``OperatorContext.translating_drop``).  Its fixed point is the
+steady-state perturbation (u, p, kappa, eta); the physical configuration
+is reconstructed by adding back the truncated translating-drop field and
+pushing forward through the interface map.
 """
 
 from __future__ import annotations
@@ -71,6 +72,14 @@ FARFIELD_SHELLS = 6  # exterior shells in [R_inf/4, R_inf/2] the wake is fitted 
 # from about 1.6e154 the cutoff's R**2 does.
 R_INF_MAX = 1e30
 
+# The range a config may give each of mu1, mu2 and sigma.  At band_limit 4 a
+# solve that does not converge fails with one line for sigma in [1e-160, 1e180]
+# and mu in [1e-300, 1e150]; outside, numpy overflow warnings come first (the
+# shifted-Laplacian solve's 1/sigma, the collocation condition bound).  The
+# range's ends, in every combination and with r_inf in {9, 64, R_INF_MAX}, fail
+# with one line too.  A solve converges only within a few decades of 1.
+MATERIAL_RANGE = (1e-100, 1e100)
+
 
 @dataclass
 class SolveConfig:
@@ -92,6 +101,10 @@ class SolveConfig:
             if isinstance(value, float) and not np.isfinite(value):
                 raise ValueError(f"{key} must be finite, not {value}")
         self.params()  # checks the physical parameters
+        lo, hi = MATERIAL_RANGE
+        for key in ("mu1", "mu2", "sigma"):
+            if not lo <= getattr(self, key) <= hi:
+                raise ValueError(f"{key} must lie in [{lo:g}, {hi:g}]")
         if not (0.75 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (3/4, 1)")
         if not self.band_limit >= 1:
@@ -152,7 +165,14 @@ def picard_solve(
     ctx: OperatorContext | None = None,
     initial: DropState | None = None,
 ) -> SolutionBundle:
-    """Run the contraction map from the (ball-centered) zero state."""
+    """Run the contraction map from ``initial``, by default from the
+    translating drop at the centre of the paper's ball.  The zero state,
+    ``DropState.zeros``, is the truncated drop lambda0 (U_R, P_R) instead,
+    and its first update only rebuilds the remainder lambda0 X_tail.
+
+    A solve converges once an update meets ``tol_fixed_point`` after at
+    least one measured contraction ratio, that is from the second update
+    on, so that its ``lambda_error_bar`` is finite."""
     t0 = time.perf_counter()
     if ctx is None:
         grid = config.build_grid()
@@ -170,7 +190,7 @@ def picard_solve(
         bundle.report.update({f"fixed_point_residual_{row.name}": 0.0 for row in fields(YElement)})
         return bundle
 
-    x = DropState.zeros(grid) if initial is None else initial
+    x = ctx.translating_drop() if initial is None else initial
     prev_update = None
     converged = False
     for it in range(config.max_iters):
@@ -191,7 +211,7 @@ def picard_solve(
             raise NonContraction(history)
         x = x_new
         prev_update = update
-        if update <= config.tol_fixed_point:
+        if update <= config.tol_fixed_point and len(history) >= 2:
             converged = True
             break
 

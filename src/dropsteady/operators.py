@@ -166,8 +166,11 @@ class OperatorContext:
     part of the right-hand side and adds the exact remainder response
     afterwards.  At the fixed point the state carries tail = lambda, so
     the physical field is u_reg + lambda U and R moves the iterates only,
-    not the limit.  ``ball_radius`` = |rho_tilde|^alpha is the radius of
-    the paper's ball, which the solve's ``ball_norm`` is checked against.
+    not the limit.  The Picard iteration starts at ``translating_drop``,
+    the state whose physical pair is lambda0 (U, P) itself: the centre of
+    the paper's ball, a perturbation of zero.  ``ball_radius`` =
+    |rho_tilde|^alpha is the radius of that ball, which the solve's
+    ``ball_norm`` is checked against.
     """
 
     grid: VolumeGrid
@@ -182,6 +185,15 @@ class OperatorContext:
         physical velocity and pressure, lambda = lambda0 + kappa."""
         lam = self.lambda0 + state.kappa
         return state.u + lam * self.trunc.U_R, state.p + lam * self.trunc.P_R
+
+    def translating_drop(self) -> DropState:
+        """The state whose physical pair is lambda0 (U, P): the remainder
+        pair lambda0 X_tail with kappa = 0 and eta = 0, so that
+        (w, q) = lambda0 (U_R + U_tail, P_R + P_tail) = lambda0 (U, P)."""
+        lam0, tr = self.lambda0, self.trunc
+        return DropState(
+            lam0 * tr.U_tail, lam0 * tr.P_tail, 0.0, SphereField.zeros(self.grid.sphere), lam0
+        )
 
     def regular_pair(self, state: DropState) -> tuple[VolumeField, VolumeField]:
         """(u, p) of ``state`` less its remainder-pair content tail X_tail."""
@@ -463,7 +475,7 @@ def norm_X(state: DropState, lambda0: float) -> dict:
         al**0.5 * channel_norm_l2(grid, U)
         + al**0.25 * channel_norm_l2(grid, dU[0], extra=ang / r**2)
         + channel_norm_l2(grid, np.stack(mode_laplacian(*zip(U, *dU), r, ll1)))
-        + al * channel_norm_l2(grid, d3_channels(grid, U))
+        + al * channel_norm_l2(grid, d3_channels(grid, U, dU[0]))
     )
     n_grad_p, pc = _gradient_norm(state.p)
     n_p = n_grad_p + channel_norm_l2(grid, grid.phase_profile(1.0, 0.0) * pc[None])  # p on the drop

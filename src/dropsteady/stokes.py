@@ -534,7 +534,7 @@ def minus_div_T(u: VolumeField, p: VolumeField, mu1: float, mu2: float, drift=(0
     for c, grad in zip(f, mode_gradient((s, chan_radial_deriv(grid, s, 0, 1)), r)):
         c += grad
     if any(drift):
-        f += grid.phase_profile(*drift) * d3_channels(grid, U)
+        f += grid.phase_profile(*drift) * d3_channels(grid, U, dU[0])
     divu = VolumeField(grid, synthesis_batch(g, div, g.band_limit))
     return VolumeField(grid, vsh_assemble(grid, *f)), divu, jump
 

@@ -231,17 +231,21 @@ def d3(f: VolumeField) -> VolumeField:
     return VolumeField(f.grid, out)
 
 
-def d3_channels(grid: VolumeGrid, u: np.ndarray) -> np.ndarray:
+def d3_channels(grid: VolumeGrid, u: np.ndarray, du: np.ndarray | None = None) -> np.ndarray:
     """Channels of d3 u from the channels ``u`` of a vector field,
     (3, n_r, L+1, 2M+1) stacked (P, v, w) on the orders |m| <= M the grid
     carries: C (d_r u) + E (u / r) with the grid's
     probed angular coupling (``SphereGrid.d3_coupling``), as
-    ``vsh_channels(d3(...))`` gives them, without a sphere transform."""
+    ``vsh_channels(d3(...))`` gives them, without a sphere transform.
+    ``du`` is d_r u, ``vector_radial_deriv(grid, u, 1)``, when the caller
+    holds it already."""
     B = grid.sphere.d3_coupling
     M = B.shape[0] - 1
     _, n_r, n, _ = u.shape
+    if du is None:
+        du = vector_radial_deriv(grid, u, 1)
     X = np.empty((M + 1, 2, 3, 2, n, n_r))  # (m, C|E, c, part: order +m | -m, l, r)
-    for k, c in enumerate((vector_radial_deriv(grid, u, 1), u / grid.radius_mesh())):
+    for k, c in enumerate((du, u / grid.radius_mesh())):
         c = c.transpose(3, 0, 2, 1)  # (order column, c, l, r)
         X[:, k, :, 0] = c[M:]
         X[:, k, :, 1] = c[M::-1]

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,40 @@ def test_huge_r_inf_is_config_error(tmp_path, capsys, command):
     assert "Traceback" not in out + err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:") and "r_inf" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "value, code",
+    [
+        ("0", EXIT_CONFIG),
+        ("-1", EXIT_CONFIG),
+        ("1e-300", EXIT_CONFIG),
+        (repr(np.nextafter(1e-100, 0.0)), EXIT_CONFIG),
+        ("1e-100", None),
+        ("1e100", None),
+        (repr(np.nextafter(1e100, np.inf)), EXIT_CONFIG),
+        ("1e300", EXIT_CONFIG),
+    ],
+)
+@pytest.mark.parametrize("key", ["mu1", "mu2", "sigma"])
+def test_material_domain(tmp_path, capsys, key, value, code):
+    """Each of mu1, mu2 and sigma either lies in MATERIAL_RANGE, where a
+    band_limit-4 solve solves or fails with one line and no numpy warning,
+    or is a config error; sigma = 1e-300 and mu1 = 1e300 used to print a
+    RuntimeWarning before the failure line."""
+    text = dump_config(SolveConfig(band_limit=4, n_r_int=8, n_r_ext=12))
+    p = tmp_path / "material.cfg"
+    p.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = main(["solve", "--config", str(p), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert got == code if code is not None else got in (EXIT_OK, EXIT_SOLVER)
+    assert not caught and "Traceback" not in out + err
+    lines = err.splitlines()
+    assert len(lines) <= 1
+    if got == EXIT_CONFIG:
+        assert lines[0].startswith("config error:")
 
 
 FLOAT_KEYS = [key for key, value in vars(SolveConfig()).items() if isinstance(value, float)]
@@ -442,3 +477,29 @@ def test_sweep_contraction_ratio_is_largest(tmp_path, cfgfile):
         ratios = picard_solve(dataclasses.replace(cfg, rho_tilde=rho)).report["contraction_ratios"]
         assert line.split(",")[col] == fmt(max(ratios))
     assert max(ratios) > ratios[0]
+
+
+def test_sweep_iterations_and_residual_columns(tmp_path):
+    """Each sweep row carries the point's Picard count and fixed-point
+    residual, as picard_solve reports them, before the status field; a
+    failed point reads NaN in both, so that every non-status field parses
+    as a number."""
+    from dropsteady.cli import SWEEP_COLUMNS, _failed_row
+
+    cfg = SolveConfig(band_limit=8)
+    p = tmp_path / "l8.cfg"
+    p.write_text(dump_config(cfg))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(p), "--out", str(out), "--rho-grid", "1e-3,-5e-4"]) == EXIT_OK
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    header = lines[0].split(",")
+    assert header[-3:] == ["iterations", "fixed_point_residual", "status"]
+    for line, rho in zip(lines[1:], (1e-3, -5e-4)):
+        row = dict(zip(header, line.split(",")))
+        bundle = picard_solve(dataclasses.replace(cfg, rho_tilde=rho))
+        assert row["status"] == "ok"
+        assert row["iterations"] == str(len(bundle.history))
+        assert row["fixed_point_residual"] == fmt(bundle.report["fixed_point_residual"])
+    failed = _failed_row(1.0, ValueError("rejected"))
+    assert list(failed) == list(SWEEP_COLUMNS)
+    assert np.isnan(failed["iterations"]) and np.isnan(failed["fixed_point_residual"])

@@ -272,13 +272,77 @@ def test_lambda_error_bar_formula():
         assert lambda_error_bar(ratios, 1e-12) == np.inf
 
 
-def test_lambda_error_bar_of_a_solve():
+@pytest.fixture(scope="module")
+def readme_default():
+    """The README default solved from the translating drop and from zero."""
+    cfg = SolveConfig()
+    ctx = build_context(cfg.build_grid(), cfg.params(), alpha=cfg.alpha)
+    return picard_solve(cfg, ctx=ctx), picard_solve(cfg, ctx=ctx, initial=DropState.zeros(ctx.grid))
+
+
+def test_translating_drop_start_saves_an_iteration(readme_default):
+    """The translating drop is the centre of the paper's ball; the zero
+    state is the truncated drop, whose first update rebuilds lambda0 X_tail."""
+    b, zero = readme_default
+    assert (len(b.history), len(zero.history)) == (2, 3)
+    assert b.converged and zero.converged
+    w, q = b.ctx.physical_pair(b.ctx.translating_drop())
+    aux, lam0 = b.ctx.aux, b.lambda0
+    assert np.max(np.abs(w.values - lam0 * aux.U.values)) <= 1e-15 * abs(lam0)
+    assert np.max(np.abs(q.values - lam0 * aux.P.values)) <= 1e-15 * abs(lam0)
+
+
+@pytest.mark.parametrize(
+    "physics",
+    [
+        # the six sweep-L8 points of the benchmark's seed 1
+        *(dict(rho_tilde=r) for r in (
+            -4.93807962040742e-4, 9.27915806121572e-4, -3.139777030875321e-4,
+            5.180199515899542e-4, -7.435811808921555e-4, 7.889789315013107e-4,
+        )),
+        dict(rho_tilde=2e-2),
+        dict(rho_tilde=-2e-2),
+        dict(rho_tilde=0.1),
+        dict(rho_tilde=-0.1, mu1=2.5, mu2=0.8),
+    ],
+    ids=lambda physics: "-".join(f"{v:g}" for v in physics.values()),
+)
+def test_translating_drop_start_matches_zero_start(physics):
+    """On the L8 band grid the default start takes no more iterations than
+    the zero start and reaches the same lambda within the larger of the two
+    error bars (at small rho_tilde the smaller bar is below lambda's rounding)."""
+    cfg = SolveConfig(band_limit=8, **physics)
+    ctx = build_context(cfg.build_grid(), cfg.params(), alpha=cfg.alpha)
+    b = picard_solve(cfg, ctx=ctx)
+    zero = picard_solve(cfg, ctx=ctx, initial=DropState.zeros(ctx.grid))
+    assert b.converged and zero.converged
+    assert len(b.history) <= len(zero.history)
+    bar = max(b.report["lambda_error_bar"], zero.report["lambda_error_bar"])
+    assert abs(b.lam - zero.lam) <= bar
+    assert b.report["fixed_point_residual"] < 1e-8
+
+
+def test_converged_solve_has_measured_a_ratio():
+    """At rho_tilde = -1e-5 the first update from the translating drop is
+    already below tol_fixed_point; the solve takes a second one, so that its
+    error bar is finite and lambda counts as nonzero."""
+    b = picard_solve(SolveConfig(band_limit=8, rho_tilde=-1e-5))
+    assert b.history[0]["update"] <= b.config.tol_fixed_point
+    assert b.converged and len(b.history) == 2
+    assert np.isfinite(b.report["lambda_error_bar"])
+    assert b.report["lambda_nonzero"]
+
+
+def test_lambda_error_bar_of_a_solve(readme_default):
     """The reported bar is the bound of the solve's own history; without a
-    measured ratio it is inf and lambda does not count as nonzero."""
-    b = picard_solve(SolveConfig())  # the README default
+    measured ratio it is inf and lambda does not count as nonzero.  From
+    zero the README default's bar reads 6.7e-16, and the default start's
+    lambda lies within it."""
+    b, zero = readme_default
     ratios = [h["ratio"] for h in b.history[1:]]
     assert b.report["lambda_error_bar"] == lambda_error_bar(ratios, b.history[-1]["update"])
-    assert 0.0 < b.report["lambda_error_bar"] < 1e-14  # it reads 6.7e-16
+    assert 0.0 < zero.report["lambda_error_bar"] < 1e-14  # it reads 6.7e-16
+    assert abs(b.lam - zero.lam) <= zero.report["lambda_error_bar"]
     assert b.report["lambda_nonzero"]
     one = picard_solve(dataclasses.replace(CFG, max_iters=1))
     assert one.report["lambda_error_bar"] == np.inf
