@@ -15,10 +15,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import ETA_SOBOLEV_ORDER, HeightFunction, MapData, build_map, metric_pieces, stress
+from .geometry import ETA_SOBOLEV_ORDER, HeightFunction, build_map, metric_pieces, stress
 from .operators import (
     DropState,
     OperatorContext,
+    PhysicalFields,
     apply_L,
     assemble_N,
     build_context,
@@ -38,7 +39,6 @@ from .volume import (
     eval_radii,
     grid_points,
     integrate_phase,
-    vector_gradient,
 )
 
 __all__ = [
@@ -141,12 +141,18 @@ class NonContraction(RuntimeError):
 
 @dataclass
 class SolutionBundle:
+    """A solve's final state with its report.  ``physical`` holds what the
+    final residual pass's ``assemble_N`` derived from that state (its
+    interface map, the physical pair and the Jacobian of w), which the
+    diagnostics and the artifacts read instead of deriving it again."""
+
     config: SolveConfig
     ctx: OperatorContext
     state: DropState
     lam: float  # lambda0 + kappa
     lambda0: float
     converged: bool
+    physical: PhysicalFields
     history: list = field(default_factory=list)
     report: dict = field(default_factory=dict)
     timing: dict = field(default_factory=dict)
@@ -183,7 +189,11 @@ def picard_solve(
     if config.rho_tilde == 0.0:
         # the quiescent sphere is the trivial solution; nothing to iterate
         state = DropState.zeros(grid)
-        bundle = SolutionBundle(config, ctx, state, 0.0, 0.0, True, history)
+        w, q = ctx.physical_pair(state)
+        physical = PhysicalFields(
+            build_map(HeightFunction(state.eta), grid), w, q, VolumeField.zeros(grid, rank=2)
+        )
+        bundle = SolutionBundle(config, ctx, state, 0.0, 0.0, True, physical, history)
         bundle.timing["solve_s"] = time.perf_counter() - t0
         bundle.report["ball_norm"] = 0.0
         bundle.report["fixed_point_residual"] = 0.0
@@ -194,7 +204,7 @@ def picard_solve(
     prev_update = None
     converged = False
     for it in range(config.max_iters):
-        y = assemble_N(x, ctx)
+        y = assemble_N(x, ctx)[0]
         x_new = invert_L_with_tail(y, lam0 + x.kappa, ctx)
         dx = x_new.combine(x, 1.0, -1.0)
         update = norm_X(dx, lam0)["total"]
@@ -215,8 +225,11 @@ def picard_solve(
             converged = True
             break
 
-    # fixed-point residual by direct substitution
-    rows = norm_Y(apply_L(x, ctx).combine(assemble_N(x, ctx), 1.0, -1.0))
+    # fixed-point residual by direct substitution; the fields this N is
+    # formed from are the converged state's, kept for the diagnostics
+    Lx = apply_L(x, ctx)
+    Nx, physical = assemble_N(x, ctx)
+    rows = norm_Y(Lx.combine(Nx, 1.0, -1.0))
     residual = rows.pop("total")
     if not converged:
         failure = "NotConverged"
@@ -225,7 +238,7 @@ def picard_solve(
     else:
         failure = None
     bundle = SolutionBundle(
-        config, ctx, x, lam0 + x.kappa, lam0, failure is None, history, failure=failure
+        config, ctx, x, lam0 + x.kappa, lam0, failure is None, physical, history, failure=failure
     )
     bundle.report["fixed_point_residual"] = residual
     bundle.report.update({f"fixed_point_residual_{k}": v for k, v in rows.items()})
@@ -258,7 +271,8 @@ def lambda_error_bar(ratios: list, last_update: float) -> float:
 
 def reconstruct_physical(bundle: SolutionBundle) -> dict:
     """(w, q, lambda, eta) on the reference domain plus equation residuals,
-    and (for rho_tilde != 0) the Jacobian ``jac_w`` of w.
+    and (for rho_tilde != 0) the Jacobian ``jac_w`` of w, all as the final
+    residual pass derived them (``SolutionBundle.physical``).
 
     w = u + lambda U_R and q = p + lambda P_R undo the perturbation
     ansatz; on shells where the interface map is the identity these are
@@ -266,15 +280,13 @@ def reconstruct_physical(bundle: SolutionBundle) -> dict:
     """
     ctx = bundle.ctx
     grid = ctx.grid
-    st = bundle.state
     lam = bundle.lam
-    w, q = ctx.physical_pair(st)
-    out = {"w": w, "q": q, "lam": lam, "eta": st.eta}
+    _, w, q, jac_w = bundle.physical
+    out = {"w": w, "q": q, "lam": lam, "eta": bundle.eta}
     if bundle.config.rho_tilde == 0.0:
         out["midshell_residual"] = 0.0
         return out
     params = ctx.params
-    jac_w = vector_gradient(w)
     out["jac_w"] = jac_w
     stress, _, _ = minus_div_T(w, q, params.mu1, params.mu2)
     inertia = matvec(jac_w, w) + lam * e3_column(jac_w)
@@ -295,15 +307,14 @@ def reconstruct_physical(bundle: SolutionBundle) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _pullback_surface_force(
-    bundle: SolutionBundle, mp: MapData, q: VolumeField, jac_w: VolumeField
-) -> np.ndarray:
+def _pullback_surface_force(bundle: SolutionBundle) -> np.ndarray:
     """int over the deformed interface of the stress jump, computed from
-    the eta-parameterization (independent of the cofactor bookkeeping);
-    ``mp`` is the interface map of ``bundle.eta``, ``q`` the physical
-    pressure and ``jac_w`` the Jacobian of the physical velocity."""
+    the eta-parameterization (independent of the cofactor bookkeeping),
+    with the interface map, the physical pressure and the Jacobian of the
+    physical velocity that ``bundle.physical`` holds."""
     ctx = bundle.ctx
     g = ctx.grid.sphere
+    mp, _, q, jac_w = bundle.physical
     ev, tth, tph, metric = metric_pieces(bundle.state.eta)
     sg = np.sqrt(metric)
     rhat, that, phat = g.unit_vectors()
@@ -319,6 +330,11 @@ def _pullback_surface_force(
 
 
 def diagnostics(bundle: SolutionBundle) -> dict:
+    """The solve's report plus physical checks of its final state: volume
+    and force balance, barycenter, axisymmetry, the far-field wake and the
+    mid-shell residual.  They read the interface map, the physical pair
+    and its Jacobian from ``bundle.physical``, so no quantity of the
+    converged state is derived twice."""
     ctx = bundle.ctx
     grid = ctx.grid
     g = grid.sphere
@@ -331,8 +347,8 @@ def diagnostics(bundle: SolutionBundle) -> dict:
 
     phys = reconstruct_physical(bundle)
     if cfg.rho_tilde != 0.0:
-        mp = build_map(HeightFunction(st.eta), grid)
-        force = _pullback_surface_force(bundle, mp, phys["q"], phys["jac_w"])
+        mp = bundle.physical.mp
+        force = _pullback_surface_force(bundle)
         target = cfg.rho_tilde * 4.0 * np.pi / 3.0
         rep["force_e3_defect_rel"] = abs(force[2] - target) / abs(target)
         rep["force_transverse_max"] = float(np.max(np.abs(force[:2])))
@@ -363,7 +379,7 @@ def farfield_fit(bundle: SolutionBundle) -> dict:
     g = grid.sphere
     lam = bundle.lam
     params = ctx.params
-    w, _ = ctx.physical_pair(bundle.state)
+    w = bundle.physical.w
     radii = np.linspace(grid.r_inf / 4.0, grid.r_inf / 2.0, FARFIELD_SHELLS)
     vals = eval_radii(w, radii, EXTERIOR)  # (3, n_shell, nth, nph)
     th, phg = g.nodes

@@ -146,7 +146,11 @@ def harmonic_extension(eta_h: HeightFunction, grid: VolumeGrid) -> VolumeField:
 
 @dataclass
 class MapData:
-    """Pullback tensors of Phi(x) = x + E(x) and interface quantities."""
+    """Pullback tensors of Phi(x) = x + E(x) and interface quantities.
+
+    ``identity`` marks the map of a height function with no coefficients,
+    the unit sphere: E = 0, F = A = F^{-1} = I and J = 1 exactly, held as
+    read-only arrays."""
 
     eta: HeightFunction
     grid: VolumeGrid
@@ -161,6 +165,7 @@ class MapData:
     n_gamma: np.ndarray  # unit normal of the deformed interface (pulled back)
     P_eta: np.ndarray  # tangential projector of the deformed interface
     A_surf: np.ndarray  # drop-side trace of A
+    identity: bool = False
 
 
 def _adjugate(F: np.ndarray) -> np.ndarray:
@@ -182,10 +187,36 @@ def build_map(eta_h: HeightFunction, grid: VolumeGrid) -> MapData:
     """Assemble E, F, J, A, F^{-1} and interface quantities for eta.
 
     J = det F, A = adj F and F^{-1} = A / J are taken by cofactors, node
-    by node.
+    by node.  A height function with no coefficients maps by the identity,
+    which needs no harmonic extension; its interface quantities still come
+    from A_surf = I by the formulas below.
     """
     g = grid.sphere
     rhat = g.unit_vectors()[0]
+    identity = not eta_h.eta.coeffs.any()
+    if identity:
+        shape = grid.r.shape + rhat.shape[1:]
+        eye = np.broadcast_to(np.eye(3)[:, :, None, None, None], (3, 3) + shape)
+        E, F, J = VolumeField.zeros(grid, rank=1), VolumeField(grid, eye), VolumeField(grid, np.ones(shape))
+        A = F_inv = F
+    else:
+        E, F, J, A, F_inv = _extension_map(eta_h, grid, rhat)
+
+    A_surf = A.trace(INTERIOR)
+    Ntil = np.einsum("jiab,jab->iab", A_surf, rhat)
+    Ntil_norm = np.sqrt(np.einsum("iab,iab->ab", Ntil, Ntil))
+    n_gamma = Ntil / Ntil_norm[None]
+    P_eta = np.eye(3)[:, :, None, None] - np.einsum(
+        "iab,jab->ijab", Ntil, Ntil
+    ) / (Ntil_norm**2)[None, None]
+    return MapData(
+        eta_h, grid, E, F, J, A, F_inv, Ntil, Ntil_norm, n_gamma, P_eta, A_surf, identity
+    )
+
+
+def _extension_map(eta_h: HeightFunction, grid: VolumeGrid, rhat: np.ndarray) -> tuple:
+    """E, F, J, A and F^{-1} of the cut-off harmonic extension of eta."""
+    g = grid.sphere
     r = grid.r
     H, dHdr, tth, tph = _extension_scalar_at(eta_h.eta, r, grid.interior.n)
     chi, dchi, _ = (c[:, None, None] for c in cutoff(r - 1.0))
@@ -204,18 +235,7 @@ def build_map(eta_h: HeightFunction, grid: VolumeGrid) -> MapData:
     J = F[0, 0] * A[0, 0] + F[0, 1] * A[1, 0] + F[0, 2] * A[2, 0]
     if np.min(J) <= 0.5:
         raise ValueError(f"inadmissible height function: min det(F) = {np.min(J):.4f} <= 1/2")
-    E, F, J, A, F_inv = (VolumeField(grid, a) for a in (chiH[None] * x, F, J, A, A / J))
-
-    A_surf = A.trace(INTERIOR)
-    Ntil = np.einsum("jiab,jab->iab", A_surf, rhat)
-    Ntil_norm = np.sqrt(np.einsum("iab,iab->ab", Ntil, Ntil))
-    n_gamma = Ntil / Ntil_norm[None]
-    P_eta = np.eye(3)[:, :, None, None] - np.einsum(
-        "iab,jab->ijab", Ntil, Ntil
-    ) / (Ntil_norm**2)[None, None]
-    return MapData(
-        eta_h, grid, E, F, J, A, F_inv, Ntil, Ntil_norm, n_gamma, P_eta, A_surf
-    )
+    return tuple(VolumeField(grid, a) for a in (chiH[None] * x, F, J, A, A / J))
 
 
 def stress(G: np.ndarray, q: np.ndarray, mu) -> np.ndarray:

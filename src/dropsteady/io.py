@@ -164,7 +164,7 @@ def solve_artifacts(
     files["interface_shape"] = os.path.basename(shape_path)
 
     # velocity / pressure profiles on a set of shells (phi-averaged)
-    w, q = bundle.ctx.physical_pair(bundle.state)
+    w, q = bundle.physical.w, bundle.physical.q
     radii = np.array([1.5, 2.0, 4.0, 8.0, 16.0, 32.0])
     radii = radii[radii < bundle.ctx.grid.r_inf]
     vals = eval_radii(w, radii, EXTERIOR)

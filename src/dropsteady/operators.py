@@ -44,6 +44,15 @@ J = [[T(u,p) n]] of the regular pair:
   7. Ntil . J_eta / |Ntil|^2 - n . J - kappa n.[[T(U,P)n]] + the volume,
        buoyancy and curvature remainders
 
+Four of these are interface-map terms: Div(T^eta - T), div((I - A) w),
+(w + lambda e3) . (n - Ntil) and the curvature remainder sigma G(eta).
+They vanish under the identity map of eta = 0, at the translating drop
+where a solve starts by default (T^eta = T bit for bit there), and
+``assemble_N`` adds them only when eta has a coefficient.  Besides N it
+returns the ``PhysicalFields`` it derived (the interface map, (w, q) and
+grad w), so that the driver keeps the converged state's and derives none
+of them again.
+
 The norms ``norm_X`` and ``norm_Y`` are taken on channels and coefficients
 by Parseval (``volume.channel_norm_l2``), with no nodal derivative.
 
@@ -62,12 +71,14 @@ stresses are the one law ``geometry.stress``: T^eta through
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import (
     ETA_SOBOLEV_ORDER,
     HeightFunction,
+    MapData,
     build_map,
     curvature_nonlinear,
     stress,
@@ -118,6 +129,7 @@ from .volume import (
 
 __all__ = [
     "DropState",
+    "PhysicalFields",
     "OperatorContext",
     "build_context",
     "apply_L",
@@ -152,6 +164,17 @@ class DropState:
     def combine(self, other: "DropState", a: float, b: float) -> "DropState":
         """a self + b other, field by field."""
         return DropState(*(a * getattr(self, k.name) + b * getattr(other, k.name) for k in fields(self)))
+
+
+class PhysicalFields(NamedTuple):
+    """What ``assemble_N`` derives from a state besides N: the interface map
+    of its eta, the physical pair (w, q) = ``OperatorContext.physical_pair``
+    and the Jacobian of w, whose remainder-pair part is the closed form."""
+
+    mp: MapData
+    w: VolumeField
+    q: VolumeField
+    jac_w: VolumeField
 
 
 @dataclass
@@ -352,9 +375,15 @@ def invert_L_with_tail(y: YElement, lamc: float, ctx: OperatorContext) -> DropSt
 # ---------------------------------------------------------------------------
 
 
-def assemble_N(state: DropState, ctx: OperatorContext) -> YElement:
+def assemble_N(state: DropState, ctx: OperatorContext) -> tuple[YElement, PhysicalFields]:
     """Every term of the steady equations beyond L, in the perturbation
-    (w, q) of ``OperatorContext.physical_pair``; see the module docstring."""
+    (w, q) of ``OperatorContext.physical_pair``; see the module docstring.
+    Returns N and the ``PhysicalFields`` it was formed from.
+
+    The interface-map terms, Div(T^eta - T), div((I - A) w),
+    (w + lambda e3) . (n - Ntil) and sigma G(eta), are added only when eta
+    has a coefficient: under the identity map they vanish exactly, and
+    T^eta = T bit for bit."""
     grid, params, trunc = ctx.grid, ctx.params, ctx.trunc
     g = grid.sphere
     lam0 = ctx.lambda0
@@ -362,6 +391,7 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> YElement:
     lam = lam0 + kappa
     mu1, mu2 = params.mu1, params.mu2
     mp = build_map(HeightFunction(eta), grid)
+    moves = not mp.identity
     eye = np.eye(3)[:, :, None, None, None]
 
     # remainder-pair content is differentiated via its exact Leibniz form;
@@ -371,21 +401,22 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> YElement:
     w, q = ctx.physical_pair(state)
     jac_w = jac_u + lam * trunc.jac_UR
     vel = VolumeField(grid, w.values + lam * eye[2])  # w + lambda e3, in the frame of the drop
-    T_eta = transformed_stress(jac_w, q, mp, mu1, mu2)
-
-    # N1: geometric stress correction and advection, less the drift L holds
-    adv = matvec(jac_w, matvec(mp.A, vel)) + (-lam0) * e3_column(jac_u)
     T_flat = stress(jac_w.values, q.values, grid.phase_profile(mu1, mu2))
-    N1 = (
-        tensor_divergence(VolumeField(grid, T_eta.values - T_flat))
-        + lam * trunc.divT
-        - adv.phasewise_scale(params.rho1, params.rho2)
-    )
+    # under the identity map T^eta = T bit for bit
+    T_eta = transformed_stress(jac_w, q, mp, mu1, mu2) if moves else VolumeField(grid, T_flat)
 
-    # N2 and N3 (compatible pair; surface weight one, see module docstring)
-    N2 = vector_divergence(matvec(VolumeField(grid, eye - mp.A.values), w)) - lam * trunc.div_UR
+    # N1: geometric stress correction and advection, less the drift L holds;
+    # N2 and N3: a compatible pair (surface weight one, see module docstring)
+    adv = matvec(jac_w, matvec(mp.A, vel)) + (-lam0) * e3_column(jac_u)
+    N1 = lam * trunc.divT
+    N2 = (-lam) * trunc.div_UR
+    N3 = SphereField.zeros(g)
     rhat = g.unit_vectors()[0]
-    N3 = SphereField(g, values=np.einsum("iab,iab->ab", vel.trace(INTERIOR), rhat - mp.Ntil))
+    if moves:  # the interface-map terms, zero under the identity map
+        N1 = tensor_divergence(VolumeField(grid, T_eta.values - T_flat)) + N1
+        N2 = vector_divergence(matvec(VolumeField(grid, eye - mp.A.values), w)) + N2
+        N3 = SphereField(g, values=np.einsum("iab,iab->ab", vel.trace(INTERIOR), rhat - mp.Ntil))
+    N1 = N1 - adv.phasewise_scale(params.rho1, params.rho2)
 
     # N4, N5, N7: the flat jump J of the regular pair against the pulled-back J_eta
     J = surface_traction_jump(u_reg, p_reg, mu1, mu2)
@@ -412,10 +443,11 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> YElement:
         - np.einsum("iab,i->ab", nhat_gamma, int_quart) / (4.0 * np.pi)
         + np.einsum("iab,i->ab", rhat - nhat_gamma, int_eta_n) / (4.0 * np.pi)
         - params.rho_tilde * (1.0 + ev) * rhat[2]
-        + params.sigma * curvature_nonlinear(eta).values
     )
+    if moves:
+        N7_vals = N7_vals + params.sigma * curvature_nonlinear(eta).values
     N7 = SphereField(g, values=N7_vals)
-    return YElement(N1, N2, N3, N4, N5, N6, N7)
+    return YElement(N1, N2, N3, N4, N5, N6, N7), PhysicalFields(mp, w, q, jac_w)
 
 
 # ---------------------------------------------------------------------------

@@ -348,21 +348,25 @@ def integrate_phase(f: VolumeField, phase: int) -> float:
 
 def _shell_total(grid: VolumeGrid, shells: np.ndarray) -> float:
     """Integral over both phases of per-shell angular integrals ``shells``
-    (n_r,), clamped at zero.
+    (n_r,), clamped at zero; inf when the sum is not finite.
 
     The radial weights are moment-matched and not sign-definite, so the
     quadrature sum can round below zero for fields at the machine-noise
-    level.  Every volume norm goes through here.
+    level, and a sum that overflows can come out as -inf or NaN.  Every
+    volume norm goes through here, under ``np.errstate`` that lets a norm
+    overflow to inf without a warning.
     """
-    return max(grid.integrate(shells), 0.0)
+    total = grid.integrate(shells)
+    return max(total, 0.0) if np.isfinite(total) else np.inf
 
 
 def norm_l2(f: VolumeField) -> float:
     """L^2 norm over the truncated two-phase domain (all tensor components)."""
-    mag = f.values**2
-    while mag.ndim > 3:
-        mag = mag.sum(axis=0)
-    return _shell_total(f.grid, np.einsum("ij,rij->r", f.grid.sphere.weights, mag)) ** 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = f.values**2
+        while mag.ndim > 3:
+            mag = mag.sum(axis=0)
+        return _shell_total(f.grid, np.einsum("ij,rij->r", f.grid.sphere.weights, mag)) ** 0.5
 
 
 def channel_norm_l2(grid: VolumeGrid, u: np.ndarray, extra: np.ndarray | None = None) -> float:
@@ -372,10 +376,11 @@ def channel_norm_l2(grid: VolumeGrid, u: np.ndarray, extra: np.ndarray | None = 
     the angular integral of |u|^2 is sum P^2 + l(l+1) (v^2 + w^2), and
     ``extra`` adds a per-mode density (n_r, L+1, columns)."""
     w = np.stack([np.ones_like(grid.ll1), grid.ll1, grid.ll1])[: len(u), :, 0]
-    shells = np.einsum("crlm,crlm,cl->r", u, u, w)
-    if extra is not None:
-        shells += np.sum(extra, axis=(1, 2))
-    return _shell_total(grid, shells) ** 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        shells = np.einsum("crlm,crlm,cl->r", u, u, w)
+        if extra is not None:
+            shells += np.sum(extra, axis=(1, 2))
+        return _shell_total(grid, shells) ** 0.5
 
 
 def eval_radii(f: VolumeField, radii: np.ndarray, phase: int) -> np.ndarray:

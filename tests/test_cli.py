@@ -11,7 +11,7 @@ import pytest
 
 from dropsteady import dropflow
 from dropsteady.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
-from dropsteady.driver import SolveConfig, picard_solve
+from dropsteady.driver import R_INF_MAX, SolveConfig, picard_solve
 from dropsteady.io import _SECTIONS, ConfigError, dump_config, fmt, load_config
 from dropsteady.volume import vsh_channels
 
@@ -145,6 +145,24 @@ def test_material_domain(tmp_path, capsys, key, value, code):
     assert len(lines) <= 1
     if got == EXIT_CONFIG:
         assert lines[0].startswith("config error:")
+
+
+@pytest.mark.parametrize("rho", [-0.5, -0.9])
+def test_overflowing_drift_norm_is_one_line(tmp_path, capsys, rho):
+    """At r_inf = R_INF_MAX the drift iteration diverges at these rho_tilde,
+    and its update norm overflows: the norm reads inf without a numpy
+    warning, and the failure is one line."""
+    text = dump_config(SolveConfig(band_limit=4, n_r_int=8, n_r_ext=12, r_inf=R_INF_MAX, rho_tilde=rho))
+    p = tmp_path / "overflow.cfg"
+    p.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = main(["solve", "--config", str(p), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert got == EXIT_SOLVER
+    assert not caught, [str(w.message) for w in caught]
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver failure:")
 
 
 FLOAT_KEYS = [key for key, value in vars(SolveConfig()).items() if isinstance(value, float)]

@@ -28,7 +28,7 @@ from dropsteady.operators import (
 )
 from dropsteady.sphere import SphereField, project_kernel, sobolev_norm
 from dropsteady.stokes import oseenlet, truncate_field
-from dropsteady.volume import EXTERIOR, VolumeGrid, eval_radii
+from dropsteady.volume import EXTERIOR, INTERIOR, VolumeField, VolumeGrid, eval_radii, grid_points, integrate_phase
 
 
 CFG = SolveConfig(rho_tilde=1e-3, band_limit=12, n_r_int=20, n_r_ext=32, r_inf=64.0)
@@ -103,7 +103,7 @@ def test_first_iterate_structure():
 
     ctx = op.build_context(CFG.build_grid(), CFG.params(), alpha=CFG.alpha)
     x0 = DropState.zeros(ctx.grid)
-    y0 = assemble_N(x0, ctx)
+    y0 = assemble_N(x0, ctx)[0]
     x1 = invert_L_with_tail(y0, ctx.lambda0, ctx)
     eta1 = x1.eta
     par = project_kernel(eta1)
@@ -113,7 +113,7 @@ def test_first_iterate_structure():
     # the response scales linearly with rho_tilde at leading order
     params2 = dataclasses.replace(CFG, rho_tilde=CFG.rho_tilde / 2).params()
     ctx2 = op.build_context(ctx.grid, params2, alpha=CFG.alpha)
-    y02 = assemble_N(DropState.zeros(ctx.grid), ctx2)
+    y02 = assemble_N(DropState.zeros(ctx.grid), ctx2)[0]
     x12 = invert_L_with_tail(y02, ctx2.lambda0, ctx2)
     # compare with a common weight so the scaling is meaningful
     r = norm_X(x12, ctx.lambda0)["total"] / norm_X(x1, ctx.lambda0)["total"]
@@ -188,6 +188,35 @@ def test_diagnostics_report(solved):
     assert np.max(np.abs(rep["barycenter"])) < 1e-9
 
 
+def test_diagnostics_read_the_residual_pass_fields(solved, monkeypatch):
+    """The diagnostics build no interface map and differentiate nothing:
+    the barycenter is that of the bundle's own MapData object, and the
+    physical pair is the one the final residual pass formed."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("diagnostics derived the converged state again")
+
+    for name in ("geometry.build_map", "operators.build_map", "driver.build_map", "volume.vector_gradient"):
+        monkeypatch.setattr(f"dropsteady.{name}", refuse)
+    monkeypatch.setattr(type(solved.ctx), "physical_pair", refuse)
+    rep = diagnostics(solved)
+    mp, w, _, _ = solved.physical
+    assert mp.eta.eta is solved.eta
+    grid = solved.ctx.grid
+    moment = (np.stack(grid_points(grid)) + mp.E.values) * mp.J.values
+    barycenter = [integrate_phase(VolumeField(grid, m), INTERIOR) for m in moment]
+    assert np.array_equal(rep["barycenter"], barycenter)
+    assert reconstruct_physical(solved)["w"] is w
+
+
+def test_force_defect_reads_rounding_level(readme_default):
+    """The pull-back force reads the Jacobian of the final residual pass,
+    whose remainder-pair part is the closed form: at the README default the
+    force balances the buoyancy to 1.2e-15, where a nodal Jacobian of w,
+    which differentiates the cutoff kinks spectrally, reads 5.0e-12."""
+    assert diagnostics(readme_default[0])["force_e3_defect_rel"] <= 1e-13
+
+
 def test_farfield_fit_matches_the_per_shell_fit(solved):
     """All shells fitted at once agree with the fit summed shell by shell,
     to the rounding of the reordered sums."""
@@ -236,7 +265,7 @@ def test_fixed_point_residual_rows(solved):
 def test_fixed_point_residual_direct(solved):
     """Direct substitution into the operator equation."""
     b = solved
-    res = apply_L(b.state, b.ctx).combine(assemble_N(b.state, b.ctx), 1.0, -1.0)
+    res = apply_L(b.state, b.ctx).combine(assemble_N(b.state, b.ctx)[0], 1.0, -1.0)
     assert norm_Y(res)["total"] < 1e-8
 
 

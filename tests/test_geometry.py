@@ -88,7 +88,7 @@ def test_extension_cutoff_is_the_shifted_unit_cutoff(vg, monkeypatch):
         return calls[-1]
 
     monkeypatch.setattr(geometry, "cutoff", recording_cutoff)
-    identity_map(vg)
+    build_map(HeightFunction(small_eta(vg)), vg)  # the identity map evaluates no cutoff
     assert len(calls) == 1
     assert np.array_equal(calls[0][0], 1.0 - smoothstep(vg.r - 2.0))
 
@@ -154,14 +154,30 @@ def test_harmonic_extension_is_harmonic(vg):
         assert np.max(np.abs(lap)) < 1e-9
 
 
-def test_build_map_identity(vg):
+def test_build_map_identity(vg, monkeypatch):
+    """eta = 0 maps by the identity, E = 0, F = A = F^{-1} = I and J = 1
+    exactly, without the harmonic extension; its interface quantities are
+    bit for bit the general formulas at A_surf = I."""
+
+    def refuse(*args):
+        raise AssertionError("the identity map built the harmonic extension")
+
+    moved = build_map(HeightFunction(small_eta(vg)), vg)
+    monkeypatch.setattr(geometry, "_extension_scalar_at", refuse)
     mp = identity_map(vg)
-    assert mp.J.max_abs() == pytest.approx(1.0)
-    for ph in (INTERIOR, EXTERIOR):
-        F = mp.F.blocks[ph]
-        eye = np.eye(3)[:, :, None, None, None]
-        assert np.max(np.abs(F - eye)) < 1e-14
-        assert np.max(np.abs(mp.A.blocks[ph] - eye)) < 1e-14
+    assert mp.identity and not moved.identity
+    eye = np.eye(3)[:, :, None, None, None]
+    assert not mp.E.values.any() and np.all(mp.J.values == 1.0)
+    for T in (mp.F, mp.A, mp.F_inv):
+        assert np.array_equal(T.values, np.broadcast_to(eye, T.values.shape))
+    rhat = vg.sphere.unit_vectors()[0]
+    A_surf = np.broadcast_to(eye[..., 0, :, :], (3, 3) + rhat.shape[1:])
+    Ntil = np.einsum("jiab,jab->iab", A_surf, rhat)
+    norm = np.sqrt(np.einsum("iab,iab->ab", Ntil, Ntil))
+    P_eta = eye[..., 0, :, :] - np.einsum("iab,jab->ijab", Ntil, Ntil) / (norm**2)[None, None]
+    expected = {"A_surf": A_surf, "Ntil": Ntil, "Ntil_norm": norm, "n_gamma": Ntil / norm[None], "P_eta": P_eta}
+    for name, ref in expected.items():
+        assert np.array_equal(getattr(mp, name), ref), name
 
 
 def test_trace_property_constant(vg):

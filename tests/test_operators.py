@@ -251,13 +251,13 @@ def test_sing_f_follows_lambda0(ctx):
 
 
 def test_N_zero_state_zero_rho(ctx0):
-    y = assemble_N(DropState.zeros(ctx0.grid), ctx0)
+    y = assemble_N(DropState.zeros(ctx0.grid), ctx0)[0]
     assert norm_Y(y)["total"] < 1e-10
 
 
 def test_N_zero_state_nonzero_rho(ctx):
     st = DropState.zeros(ctx.grid)
-    y = assemble_N(st, ctx)
+    y = assemble_N(st, ctx)[0]
     g = ctx.grid.sphere
     rhat = g.unit_vectors()[0]
     lam0 = ctx.lambda0
@@ -274,7 +274,7 @@ def test_N_constant_eta_row6(ctx):
     c = 5e-3
     st = DropState.zeros(ctx.grid)
     st.eta = SphereField.constant(ctx.grid.sphere, c)
-    y = assemble_N(st, ctx)
+    y = assemble_N(st, ctx)[0]
     expect = -4.0 * np.pi * (c**2 + c**3 / 3.0)
     assert abs(y.a2 - expect) < 1e-14
 
@@ -286,12 +286,12 @@ def test_N_compatibility_and_tangency(ctx):
     st.p = random_volume_scalar(ctx.grid, 8, amp=1e-3)
     st.kappa = 1e-3
     st.eta = random_sphere_field(g, 9, amp=2e-3, damp=2.5)
-    y = assemble_N(st, ctx)
+    y = assemble_N(st, ctx)[0]
     scale = max(norm_Y(y)["total"], 1e-30)
     assert abs(y.compatibility_defect()) < 1e-10 * max(1.0, scale)
     # equivariance-lite: N of the zero state is axisymmetric
     st0 = DropState.zeros(ctx.grid)
-    y0 = assemble_N(st0, ctx)
+    y0 = assemble_N(st0, ctx)[0]
     c3 = y0.h3.coeffs
     Lb = y0.h3.band
     m_leak = np.max(np.abs(np.delete(c3, Lb, axis=1)))
@@ -310,11 +310,32 @@ def test_N_lipschitz_fit(ctx):
         return st
 
     s1, s2 = mk(20, 2e-3), mk(30, 1e-3)
-    y1, y2 = assemble_N(s1, ctx), assemble_N(s2, ctx)
+    y1, y2 = assemble_N(s1, ctx)[0], assemble_N(s2, ctx)[0]
     dy = norm_Y(y1.combine(y2, 1.0, -1.0))["total"]
     dx = norm_X(s1.combine(s2, 1.0, -1.0), ctx.lambda0)["total"]
     C = dy / dx
     assert np.isfinite(C) and C > 0
+
+
+@pytest.mark.parametrize("rho", [1e-3, 0.3])
+def test_N_at_the_translating_drop_skips_only_vanishing_terms(vg, ctx, rho):
+    """At the translating drop eta = 0, the interface map is the identity and
+    assemble_N leaves out the interface-map terms.  The general path at the
+    same state with eta = 1e-30 Y_20 agrees row by row to 1e-20 of N's scale,
+    its largest entry: h1 and a2 vanish at eta = 0, and h2, a1 and h3 are
+    rounding-level there, since the drop meets the interface rows."""
+    ctx = build_context(vg, PhysicalParams(rho_tilde=rho), aux=ctx.aux)
+    drop = ctx.translating_drop()
+    K = vg.sphere.m_max
+    c = np.zeros((vg.sphere.band_limit + 1, 2 * K + 1))
+    c[2, K] = 1e-30
+    tiny = replace(drop, eta=SphereField(vg.sphere, coeffs=c))
+    (y_drop, at_drop), (y_tiny, at_tiny) = assemble_N(drop, ctx), assemble_N(tiny, ctx)
+    assert at_drop.mp.identity and not at_tiny.mp.identity
+    got, ref = _rows(y_drop), _rows(y_tiny)
+    scale = max(np.max(np.abs(row)) for row in got)
+    for name, a, b in zip(("f", "g", "h1", "h2", "a1", "a2", "h3"), got, ref):
+        assert np.max(np.abs(a - b)) <= 1e-20 * scale, name
 
 
 def _assemble_N_term_by_term(state, ctx):
@@ -432,7 +453,7 @@ def test_N_matches_term_by_term_reference(m_max):
         st.u = st.u + st.tail * ctx.trunc.U_tail
         st.p = st.p + st.tail * ctx.trunc.P_tail
         assert st.kappa != 0.0
-        for got, ref in zip(_rows(assemble_N(st, ctx)), _rows(_assemble_N_term_by_term(st, ctx))):
+        for got, ref in zip(_rows(assemble_N(st, ctx)[0]), _rows(_assemble_N_term_by_term(st, ctx))):
             scale = np.max(np.abs(ref))
             assert scale > 0.0
             assert np.max(np.abs(got - ref)) <= 1e-10 * scale
@@ -470,7 +491,7 @@ def test_rotation_equivariance_of_L_and_N(ctx):
     st_rot.kappa = st.kappa
     st_rot.eta = rotate_about_z(st.eta, beta)
 
-    for op in (apply_L, assemble_N):
+    for op in (apply_L, lambda state, ctx: assemble_N(state, ctx)[0]):
         y1 = op(st, ctx)
         y2 = op(st_rot, ctx)
         scale = max(norm_Y(y1)["total"], 1e-30)

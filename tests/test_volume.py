@@ -1,5 +1,6 @@
 """Volume-field spectral calculus against closed-form fields."""
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -23,6 +24,8 @@ from dropsteady.volume import (
     INTERIOR,
     EXTERIOR,
     chan_radial_deriv,
+    channel_norm_l2,
+    vsh_channels,
 )
 
 
@@ -191,6 +194,22 @@ def test_norm_l2(vg):
     assert abs(norm_l2(only_int) - np.sqrt(4 * np.pi / 3)) < 1e-10
 
 
+def test_overflowing_norm_is_inf_without_a_warning():
+    """A field of 1e200 on the reservoir's r = 1 shell, whose radial weight
+    is negative, squares to inf there; the radial sum is then -inf, which
+    the clamp at zero used to read as a norm of 0.  Both norms read inf,
+    and numpy warns of nothing."""
+    grid = VolumeGrid.build(8, 24, 40, 64.0, m_max=2)
+    n = grid.interior.n
+    assert grid.r[n] == 1.0 and grid.exterior.wq[0] < 0.0
+    f = VolumeField.zeros(grid, rank=1)
+    f.values[:, n] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert norm_l2(f) == np.inf
+        assert channel_norm_l2(grid, np.stack(vsh_channels(f))) == np.inf
+
+
 def test_blocks_are_views_of_one_array(vg):
     f = VolumeField.zeros(vg, rank=1)
     assert f.values.shape == (3, vg.interior.n + vg.exterior.n) + f.values.shape[-2:]
@@ -326,7 +345,7 @@ def test_picard_step_carries_only_the_grid_orders(monkeypatch):
 
     cfg = SolveConfig(band_limit=8, n_r_int=12, n_r_ext=20)
     ctx = build_context(cfg.build_grid(), cfg.params(), alpha=cfg.alpha)
-    x = invert_L_with_tail(assemble_N(DropState.zeros(ctx.grid), ctx), ctx.lambda0, ctx)
+    x = invert_L_with_tail(assemble_N(DropState.zeros(ctx.grid), ctx)[0], ctx.lambda0, ctx)
     modules = [
         importlib.import_module(f"dropsteady.{m.name}") for m in pkgutil.iter_modules(dropsteady.__path__)
     ]
@@ -348,6 +367,6 @@ def test_picard_step_carries_only_the_grid_orders(monkeypatch):
         for m in modules:
             if getattr(m, name, None) is fn:
                 monkeypatch.setattr(m, name, recording)
-    x_new = invert_L_with_tail(assemble_N(x, ctx), ctx.lambda0 + x.kappa, ctx)
+    x_new = invert_L_with_tail(assemble_N(x, ctx)[0], ctx.lambda0 + x.kappa, ctx)
     norm_X(x_new.combine(x, 1.0, -1.0), ctx.lambda0)
     assert widths == {name: {2 * min(8, 2) + 1} for name in targets}
