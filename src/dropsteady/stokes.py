@@ -17,8 +17,10 @@ s = 1/r, which excludes the growing solutions), the same formulas that
 ``minus_div_T`` and ``surface_traction_jump`` apply to fields.  Each degree
 is a least-squares system, factored phase by phase (``_staircase_pinv``).
 The constructor keeps, per channel, one stacked operator (L+1, n_out, n_in)
-from nodal data to nodal profiles; a solve is one batched matmul per
-channel over all degrees and orders, between the sphere transforms.
+from nodal data to nodal profiles, and writes each degree's products with
+the nodal bases straight into its rows and columns; a solve is one batched
+matmul per channel over all degrees and orders, between the sphere
+transforms.
 
 The drift rho lambda0 d3 u is iterated (Richardson, contraction factor
 O(lambda0)) in channel space, d3 through the grid's probed channel
@@ -189,19 +191,28 @@ def _surface_traction(P, v, w, p, mu):
     return 2.0 * mu * P[1] - p, mu * (P[0] + v[1] - v[0]), mu * (w[1] - w[0])
 
 
-def _phase_rows(rad, l: int, mu: float):
+def _padded_tables(rad):
+    """Per parity, the basis tables of P and of v on the unknowns [P | v]:
+    each channel is zero on the other's columns.  A basis without parity
+    (the exterior's) is padded once."""
+    z = np.zeros((rad.n, rad.n))
+    pad = {id(B): ([np.hstack([b, z]) for b in B], [np.hstack([z, b]) for b in B]) for B in rad.tables}
+    return [pad[id(B)] for B in rad.tables]
+
+
+def _phase_rows(rad, l: int, mu: float, padded):
     """One phase's rows at degree l, the per-mode operator applied to its
     basis tables: the spheroidal block (-mu lap u + grad p and div u on the
     (P, v, p) coefficients), the toroidal block (-mu lap w on w's) and the
     tangential stress rows at r = 1 on (P, v) and on w.  P and v have
-    parity l + 1, p and w parity l."""
-    r, ll1, i = rad.r[:, None], l * (l + 1.0), rad.i_surface
-    B, w = rad.tables[(l + 1) % 2], rad.tables[l % 2]
-    z = np.zeros_like(B[0])  # the unknowns are [P | v]: each channel is zero on the other's columns
-    P, v = [np.hstack([b, z]) for b in B], [np.hstack([z, b]) for b in B]
+    parity l + 1, p and w parity l; ``padded`` is ``_padded_tables(rad)``."""
+    r, ll1, i, n = rad.r[:, None], l * (l + 1.0), rad.i_surface, rad.n
+    (P, v), w = padded[(l + 1) % 2], rad.tables[l % 2]
     lapP, lapv, lapw = mode_laplacian(P, v, w, r, ll1)
-    gP, gv = mode_gradient(w, r)  # the pressure's basis is w's
-    sph = np.block([[-mu * lapP, gP], [-mu * lapv, gv], [mode_divergence(P, v, r, ll1), z]])
+    sph = np.zeros((3 * n, 3 * n))
+    sph[:n, : 2 * n], sph[n : 2 * n, : 2 * n] = -mu * lapP, -mu * lapv
+    sph[2 * n :, : 2 * n] = mode_divergence(P, v, r, ll1)
+    sph[:n, 2 * n :], sph[n : 2 * n, 2 * n :] = mode_gradient(w, r)  # the pressure's basis is w's
     _, t_s, t_w = _surface_traction(*([c[i] for c in X[:2]] for X in (P, v, w)), 0.0, mu)
     return sph, -mu * lapw, t_s, t_w
 
@@ -256,9 +267,10 @@ def _staircase_pinv(A: np.ndarray, k: int):
     return X, np.sqrt(sum(np.linalg.norm(B) ** 2 for B in (R1[:k], top[:k], R22)))
 
 
-def _solve_operator(M, data_rows, bases, drop_rows=(), drop_cols=()) -> np.ndarray:
-    """Nodal outputs from the right-hand side of M x = b on ``data_rows``
-    (zero on the other rows).
+def _solve_operator(M, data_rows, bases, out, drop_rows=(), drop_cols=()) -> None:
+    """Writes into ``out`` the nodal outputs from the right-hand side of M
+    x = b on ``data_rows`` (zero on the other rows), one column per data
+    row in their order and the rows of basis k into ``out[k]``.
 
     The least-squares system leaves out ``drop_rows`` and ``drop_cols`` (the
     dropped unknowns are zero) and scales each row to unit max.  ``bases``
@@ -275,8 +287,11 @@ def _solve_operator(M, data_rows, bases, drop_rows=(), drop_cols=()) -> np.ndarr
     keep_r[np.asarray(drop_rows, int)] = False
     keep_c = np.ones(M.shape[1], bool)
     keep_c[np.asarray(drop_cols, int)] = False
+    n_r = np.count_nonzero(keep_r)
+    # only trailing rows, none of them a data row, dropped: A is a row prefix of M
+    prefix = keep_c.all() and keep_r[:n_r].all() and keep_r[data_rows].all()
     cols = np.flatnonzero(keep_c)
-    A = M[keep_r][:, cols]
+    A = M[:n_r] if prefix else M[keep_r][:, cols]
     scale = np.max(np.abs(A), axis=1)
     scale[scale == 0] = 1.0
     k = np.count_nonzero(keep_c[: sum(B.shape[1] for B in bases[: len(bases) // 2])])
@@ -290,17 +305,21 @@ def _solve_operator(M, data_rows, bases, drop_rows=(), drop_cols=()) -> np.ndarr
             f"rank-deficient collocation block: condition bound {cond:.1e}"
         )
     at = (np.cumsum(keep_r) - 1)[data_rows]  # the data rows among A's rows
-    x = np.zeros((M.shape[1], len(data_rows)))
-    x[cols] = X[:, at] / scale[at]
-    x[:, ~keep_r[data_rows]] = 0.0  # a dropped data row has a zero column
-    blocks = np.split(x, np.cumsum([B.shape[1] for B in bases])[:-1])
-    return np.concatenate([B @ b for B, b in zip(bases, blocks)])
+    if prefix:
+        x = X[:, at]
+        x /= scale[at]
+    else:
+        x = np.zeros((M.shape[1], len(data_rows)))
+        x[cols] = X[:, at] / scale[at]
+        x[:, ~keep_r[data_rows]] = 0.0  # a dropped data row has a zero column
+    for B, o, end in zip(bases, out, np.cumsum([B.shape[1] for B in bases])):
+        np.matmul(B, x[end - B.shape[1] : end], out=o)
 
 
-def _spheroidal_operator(gi, ge, l: int, drop, res) -> np.ndarray:
-    """Nodal (P, v, p) of the drop, then of the reservoir, from the nodal
-    data (fP, fv, g) of each phase, h1 and h2s, at degree l; ``drop`` and
-    ``res`` are the phases' ``_phase_rows``."""
+def _spheroidal_operator(gi, ge, l: int, drop, res, out) -> None:
+    """Writes into ``out`` the nodal (P, v, p), each over the joined radial
+    axis, from the nodal data (fP, fv, g) of the joined axis, h1 and h2s,
+    at degree l; ``drop`` and ``res`` are the phases' ``_phase_rows``."""
     Mi, Me = gi.n, ge.n
     n_x = 3 * (Mi + Me)
     c = np.cumsum([0, Mi, Mi, Mi, Me, Me, Me])  # unknown block k is c[k]:c[k+1]
@@ -320,16 +339,25 @@ def _spheroidal_operator(gi, ge, l: int, drop, res) -> np.ndarray:
     for k in range(3):
         M[n_x + 4 + k, c[3 + k] : c[4 + k]] = ge.basis_at_infinity
     M[n_x + 7, c[2] : c[3]] = gi.wq @ C0i
-    data_rows = np.r_[:n_x, n_x + 1, n_x + 3]
+    # out runs each channel over the joined radial axis: its columns are
+    # the data rows of fP, fv and g, each the drop's then the reservoir's,
+    # then h1 and h2s, and each basis writes its rows of that channel
+    data_rows = np.r_[
+        c[0] : c[1], c[3] : c[4], c[1] : c[2], c[4] : c[5], c[2] : c[3], c[5] : n_x, n_x + 1, n_x + 3
+    ]
+    n = Mi + Me
+    blocks = [out[j * n + a : j * n + b] for a, b in ((0, Mi), (Mi, n)) for j in range(3)]
     bases = (B0i, B0i, C0i, B0e, B0e, B0e)
     if l == 0:  # no v: drop its unknowns, equations and data
         v = np.r_[c[1] : c[2], c[4] : c[5]]
-        return _solve_operator(M, data_rows, bases, np.r_[v, n_x + 2, n_x + 3, n_x + 5], v)
-    return _solve_operator(M, data_rows, bases, drop_rows=[n_x + 7])
+        _solve_operator(M, data_rows, bases, blocks, np.r_[v, n_x + 2, n_x + 3, n_x + 5], v)
+    else:
+        _solve_operator(M, data_rows, bases, blocks, drop_rows=[n_x + 7])
 
 
-def _toroidal_operator(gi, ge, l: int, drop, res) -> np.ndarray:
-    """Nodal w of each phase from the nodal fw of each phase and h2t (l >= 1)."""
+def _toroidal_operator(gi, ge, l: int, drop, res, out) -> None:
+    """Writes into ``out`` the nodal w of each phase from the nodal fw of
+    each phase and h2t (l >= 1)."""
     Mi, Me = gi.n, ge.n
     (_, Ai, _, ti), (_, Ae, _, te) = drop, res
     B0i, B0e = gi.tables[l % 2][0], ge.tables[0][0]
@@ -340,7 +368,7 @@ def _toroidal_operator(gi, ge, l: int, drop, res) -> np.ndarray:
     M[Mi + Me + 1, :Mi], M[Mi + Me + 1, Mi:] = ti, -te
     M[Mi + Me + 2, Mi:] = ge.basis_at_infinity
     data_rows = np.r_[: Mi + Me, Mi + Me + 1]
-    return _solve_operator(M, data_rows, (B0i, B0e))
+    _solve_operator(M, data_rows, (B0i, B0e), (out[:Mi], out[Mi:]))
 
 
 class TwoPhaseStokesSolver:
@@ -364,16 +392,12 @@ class TwoPhaseStokesSolver:
         # filled one degree at a time: no per-degree pseudo-inverse is kept
         self.sph = np.zeros((L + 1, 3 * n, 3 * n + 2))
         self.tor = np.zeros((L + 1, n, n + 1))
-        # _spheroidal_operator orders (P, v, p) of the drop, then of the
-        # reservoir; the stack runs each channel over the joined radial axis
-        drop, res = np.split(np.arange(3 * n), [3 * gi.n])
-        joined = np.hstack([drop.reshape(3, -1), res.reshape(3, -1)]).ravel()
-        cols = np.r_[joined, 3 * n, 3 * n + 1]
+        pad_i, pad_e = _padded_tables(gi), _padded_tables(ge)
         for l in range(L + 1):
-            rows = _phase_rows(gi, l, mu1), _phase_rows(ge, l, mu2)
-            self.sph[l] = _spheroidal_operator(gi, ge, l, *rows)[joined][:, cols]
+            rows = _phase_rows(gi, l, mu1, pad_i), _phase_rows(ge, l, mu2, pad_e)
+            _spheroidal_operator(gi, ge, l, *rows, self.sph[l])
             if l > 0:
-                self.tor[l] = _toroidal_operator(gi, ge, l, *rows)
+                _toroidal_operator(gi, ge, l, *rows, self.tor[l])
         # shared by every solve that uses this solver, sweep threads included
         self.sph.flags.writeable = False
         self.tor.flags.writeable = False

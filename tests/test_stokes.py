@@ -1,11 +1,14 @@
 """Two-phase solver against manufactured solutions and the closed-form drop flow."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dropsteady import dropflow, stokes
 from dropsteady.geometry import cutoff
-from dropsteady.sphere import SphereField, TangentField, normal_component_fields
+from dropsteady.sphere import SphereField, SphereGrid, TangentField, normal_component_fields
 from dropsteady.stokes import (
     PhysicalParams,
     TwoPhaseStokesSolver,
@@ -29,6 +32,9 @@ from dropsteady.volume import (
     d3_channels,
     e3_column,
     eval_radii,
+    mode_divergence,
+    mode_gradient,
+    mode_laplacian,
     norm_l2,
     scalar_gradient,
     synthesis_batch,
@@ -240,7 +246,15 @@ def test_banded_solve_every_degree_and_order():
     assert_channels_match(TwoPhaseStokesSolver(vg2, 2.5, 0.8).solve(data), ch, scale)
 
 
-def _pinv_operator(M, data_rows, bases, drop_rows=(), drop_cols=()):
+def _write_nodal(pinv, data_rows, bases, out):
+    """Writes each basis block of the data columns of ``pinv``, mapped to
+    nodal values, into its block of ``out``."""
+    blocks = np.split(pinv[:, data_rows], np.cumsum([len(B) for B in bases])[:-1])
+    for B, x, o in zip(bases, blocks, out):
+        o[...] = B @ x
+
+
+def _pinv_operator(M, data_rows, bases, out, drop_rows=(), drop_cols=()):
     """The solve operator by SVD pseudo-inverse of the row-scaled block."""
     rows = np.setdiff1d(np.arange(M.shape[0]), drop_rows)
     cols = np.setdiff1d(np.arange(M.shape[1]), drop_cols)
@@ -249,8 +263,7 @@ def _pinv_operator(M, data_rows, bases, drop_rows=(), drop_cols=()):
     scale[scale == 0] = 1.0
     pinv = np.zeros(M.shape[::-1])
     pinv[np.ix_(cols, rows)] = np.linalg.pinv(A / scale[:, None], rcond=1e-13) / scale
-    blocks = np.split(pinv[:, data_rows], np.cumsum([len(B) for B in bases])[:-1])
-    return np.concatenate([B @ x for B, x in zip(bases, blocks)])
+    _write_nodal(pinv, data_rows, bases, out)
 
 
 @pytest.mark.parametrize("m_max", [None, 2])
@@ -267,7 +280,7 @@ def test_qr_operators_match_svd_pseudo_inverse(monkeypatch, m_max):
             assert np.max(np.abs(a[l] - b[l])) <= tol, l
 
 
-def _joint_qr_operator(M, data_rows, bases, drop_rows=(), drop_cols=()):
+def _joint_qr_operator(M, data_rows, bases, out, drop_rows=(), drop_cols=()):
     """The solve operator from one thin QR of the whole row-scaled block."""
     rows = np.setdiff1d(np.arange(M.shape[0]), drop_rows)
     cols = np.setdiff1d(np.arange(M.shape[1]), drop_cols)
@@ -281,8 +294,7 @@ def _joint_qr_operator(M, data_rows, bases, drop_rows=(), drop_cols=()):
         raise np.linalg.LinAlgError(f"rank-deficient collocation block: condition bound {cond:.1e}")
     pinv = np.zeros(M.shape[::-1])
     pinv[np.ix_(cols, rows)] = X / scale
-    blocks = np.split(pinv[:, data_rows], np.cumsum([len(B) for B in bases])[:-1])
-    return np.concatenate([B @ x for B, x in zip(bases, blocks)])
+    _write_nodal(pinv, data_rows, bases, out)
 
 
 @pytest.mark.parametrize("L, n_int, n_ext, m_max", [(8, 12, 20, None), (12, 20, 30, 2)])
@@ -299,6 +311,96 @@ def test_phase_by_phase_operators_match_joint_qr(monkeypatch, L, n_int, n_ext, m
             assert np.max(np.abs(a[l] - b[l])) <= tol, l
 
 
+def _reference_phase_rows(rad, l, mu, padded):
+    """Reference ``_phase_rows``: the [P | v] tables padded with zeros at
+    each degree and the spheroidal block assembled by ``np.block``."""
+    r, ll1, i = rad.r[:, None], l * (l + 1.0), rad.i_surface
+    B, w = rad.tables[(l + 1) % 2], rad.tables[l % 2]
+    z = np.zeros_like(B[0])
+    P, v = [np.hstack([b, z]) for b in B], [np.hstack([z, b]) for b in B]
+    lapP, lapv, lapw = mode_laplacian(P, v, w, r, ll1)
+    gP, gv = mode_gradient(w, r)
+    sph = np.block([[-mu * lapP, gP], [-mu * lapv, gv], [mode_divergence(P, v, r, ll1), z]])
+    _, t_s, t_w = stokes._surface_traction(*([c[i] for c in X[:2]] for X in (P, v, w)), 0.0, mu)
+    return sph, -mu * lapw, t_s, t_w
+
+
+def _reference_solve_operator(M, data_rows, bases, out, drop_rows=(), drop_cols=()):
+    """Reference ``_solve_operator`` on the data rows in ascending order:
+    the kept block gathered by masks, the data columns through a zeroed
+    array, and the concatenated products of the bases, whose rows and
+    columns are then copied into ``out`` in the order of ``data_rows``."""
+    order = np.argsort(data_rows)
+    keep_r = np.ones(M.shape[0], bool)
+    keep_r[np.asarray(drop_rows, int)] = False
+    keep_c = np.ones(M.shape[1], bool)
+    keep_c[np.asarray(drop_cols, int)] = False
+    cols = np.flatnonzero(keep_c)
+    A = M[keep_r][:, cols]
+    scale = np.max(np.abs(A), axis=1)
+    scale[scale == 0] = 1.0
+    k = np.count_nonzero(keep_c[: sum(B.shape[1] for B in bases[: len(bases) // 2])])
+    X, _ = stokes._staircase_pinv(A / scale[:, None], k)
+    at = (np.cumsum(keep_r) - 1)[data_rows[order]]
+    x = np.zeros((M.shape[1], len(data_rows)))
+    x[cols] = X[:, at] / scale[at]
+    x[:, ~keep_r[data_rows[order]]] = 0.0
+    blocks = np.split(x, np.cumsum([B.shape[1] for B in bases])[:-1])
+    op = np.concatenate([B @ b for B, b in zip(bases, blocks)])
+    ends = np.cumsum([len(o) for o in out])
+    for o, end in zip(out, ends):
+        o[:, order] = op[end - len(o) : end]
+
+
+_FULL_12 = VolumeGrid.build(band_limit=12, n_r_int=20, n_r_ext=30, r_inf=64.0)
+BIT_GRIDS = {
+    "band L4": VolumeGrid.build(band_limit=4, n_r_int=8, n_r_ext=12, r_inf=64.0, m_max=2),
+    "band L8": VolumeGrid.build(band_limit=8, n_r_int=24, n_r_ext=40, r_inf=64.0, m_max=2),
+    "band L16": VolumeGrid.build(band_limit=16, n_r_int=24, n_r_ext=40, r_inf=64.0, m_max=2),
+    "full L12": _FULL_12,
+    "degree 2": VolumeGrid(SphereGrid.build(2), _FULL_12.interior, _FULL_12.exterior),
+}
+
+
+@pytest.mark.parametrize("mus", [(1.0, 1.0), (2.5, 0.8), (0.1, 1.0)])
+@pytest.mark.parametrize("name", sorted(BIT_GRIDS))
+def test_operators_equal_the_reference_assembly_bit_for_bit(monkeypatch, name, mus):
+    """Writing each degree's rows and products in place leaves every
+    operator, l = 0 and its dropped rows and columns included, equal bit
+    for bit to the padded, concatenated and reordered assembly."""
+    grid = BIT_GRIDS[name]
+    got = TwoPhaseStokesSolver(grid, *mus)
+    monkeypatch.setattr(stokes, "_phase_rows", _reference_phase_rows)
+    monkeypatch.setattr(stokes, "_solve_operator", _reference_solve_operator)
+    ref = TwoPhaseStokesSolver(grid, *mus)
+    assert np.array_equal(got.sph, ref.sph)
+    assert np.array_equal(got.tor, ref.tor)
+
+
+def test_solver_build_leaves_no_garbage_and_a_small_peak():
+    """A build leaves no cyclic garbage behind, and its traced peak stays
+    within 1.5 times the bytes of the operators it keeps."""
+    grid = BIT_GRIDS["band L16"]
+    gc.collect()
+    gc.disable()
+    try:
+        tracemalloc.start()
+        try:
+            s = TwoPhaseStokesSolver(grid, 2.5, 0.8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert peak <= 1.5 * (s.sph.nbytes + s.tor.nbytes)
+
+
+def _solve_all_rows(M, bases):
+    """``_solve_operator`` with every row of M a data row, into scratch blocks."""
+    stokes._solve_operator(M, np.arange(len(M)), bases, [np.empty((len(B), len(M))) for B in bases])
+
+
 @pytest.mark.parametrize("drop_rows", [2, 1], ids=["dependent transmission row", "too few drop rows"])
 def test_transmission_rows_leaving_drop_rank_deficient_raise(drop_rows):
     """Blocks on 3 drop and 3 reservoir unknowns whose reservoir rows have
@@ -312,7 +414,7 @@ def test_transmission_rows_leaving_drop_rank_deficient_raise(drop_rows):
     if drop_rows == 2:
         M[2, :3] = M[:2, :3].T @ rng.standard_normal(2)
     with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
-        stokes._solve_operator(M, np.arange(len(M)), (np.eye(3), np.eye(3)))
+        _solve_all_rows(M, (np.eye(3), np.eye(3)))
 
 
 def test_no_factored_block_spans_both_phases(monkeypatch):
@@ -344,7 +446,7 @@ def test_rank_deficient_block_raises():
     M = rng.standard_normal((8, 5))
     M[:, 4] = M[:, 1]  # a duplicated column
     with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
-        stokes._solve_operator(M, np.arange(8), (np.eye(5),))
+        _solve_all_rows(M, (np.eye(5),))
 
 
 def test_ill_conditioned_block_with_unit_diagonal_raises():
@@ -353,7 +455,7 @@ def test_ill_conditioned_block_with_unit_diagonal_raises():
     n = 60
     M = np.eye(n) - np.triu(np.ones((n, n)), 1)
     with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
-        stokes._solve_operator(M, np.arange(n), (np.eye(n),))
+        _solve_all_rows(M, (np.eye(n),))
 
 
 def test_solve_operators_are_read_only(solver):
