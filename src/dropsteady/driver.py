@@ -1,10 +1,10 @@
 """Contraction iteration on the drop state and physical diagnostics.
 
 The map is x -> (linear operator)^{-1} (nonlinear right side)(x), run
-from the translating drop lambda0 (U, P), the centre of the paper's ball
-(``OperatorContext.translating_drop``).  Its fixed point is the
-steady-state perturbation (u, p, kappa, eta); the physical configuration
-is reconstructed by adding back the truncated translating-drop field and
+from the zero state, which is the translating drop lambda0 (U, P), the
+centre of the paper's ball.  Its fixed point is the steady-state
+perturbation (u, p, kappa, eta); the physical configuration is
+reconstructed by adding back the translating-drop field lambda (U, P) and
 pushing forward through the interface map.
 """
 
@@ -23,7 +23,7 @@ from .operators import (
     apply_L,
     assemble_N,
     build_context,
-    invert_L_with_tail,
+    invert_L,
     matvec,
     norm_X,
     norm_Y,
@@ -67,9 +67,8 @@ FIXED_POINT_RESIDUAL_BOUND = 1e-8
 
 FARFIELD_SHELLS = 6  # exterior shells in [R_inf/4, R_inf/2] the wake is fitted on
 
-# The largest r_inf a config may set.  The radial quadrature and the cutoff
-# carry powers of r_inf: from about 1e35 the volume integrals overflow, and
-# from about 1.6e154 the cutoff's R**2 does.
+# The largest r_inf a config may set.  The radial quadrature carries powers
+# of r_inf: from about 1e35 the volume integrals overflow.
 R_INF_MAX = 1e30
 
 # The range a config may give each of mu1, mu2 and sigma.  At band_limit 4 a
@@ -112,8 +111,9 @@ class SolveConfig:
         # the exterior nodes are a Lobatto grid, which needs both end points
         if not (self.n_r_int >= 1 and self.n_r_ext >= 2):
             raise ValueError("n_r_int must be at least 1 and n_r_ext at least 2")
-        # build_context truncates the auxiliary field at R = r_inf/2, and
-        # truncate_field needs R > 4
+        # reconstruct_physical's mid-shell residual reads the shells in
+        # [4, r_inf/4] and the far-field fit those in [r_inf/4, r_inf/2];
+        # r_inf > 8 keeps the fit's outer shell r_inf/2 beyond r = 4
         if not 8.0 < self.r_inf <= R_INF_MAX:
             raise ValueError(f"r_inf must lie in (8, {R_INF_MAX:g}]")
         if not self.max_iters >= 1:
@@ -171,10 +171,9 @@ def picard_solve(
     ctx: OperatorContext | None = None,
     initial: DropState | None = None,
 ) -> SolutionBundle:
-    """Run the contraction map from ``initial``, by default from the
-    translating drop at the centre of the paper's ball.  The zero state,
-    ``DropState.zeros``, is the truncated drop lambda0 (U_R, P_R) instead,
-    and its first update only rebuilds the remainder lambda0 X_tail.
+    """Run the contraction map from ``initial``, by default from the zero
+    state ``DropState.zeros``: the translating drop lambda0 (U, P) at the
+    centre of the paper's ball.
 
     A solve converges once an update meets ``tol_fixed_point`` after at
     least one measured contraction ratio, that is from the second update
@@ -200,12 +199,12 @@ def picard_solve(
         bundle.report.update({f"fixed_point_residual_{row.name}": 0.0 for row in fields(YElement)})
         return bundle
 
-    x = ctx.translating_drop() if initial is None else initial
+    x = DropState.zeros(grid) if initial is None else initial
     prev_update = None
     converged = False
     for it in range(config.max_iters):
         y = assemble_N(x, ctx)[0]
-        x_new = invert_L_with_tail(y, lam0 + x.kappa, ctx)
+        x_new = invert_L(y, ctx)
         dx = x_new.combine(x, 1.0, -1.0)
         update = norm_X(dx, lam0)["total"]
         entry = {"iter": it, "update": update}
@@ -274,7 +273,7 @@ def reconstruct_physical(bundle: SolutionBundle) -> dict:
     and (for rho_tilde != 0) the Jacobian ``jac_w`` of w, all as the final
     residual pass derived them (``SolutionBundle.physical``).
 
-    w = u + lambda U_R and q = p + lambda P_R undo the perturbation
+    w = u + lambda U and q = p + lambda P undo the perturbation
     ansatz; on shells where the interface map is the identity these are
     the physical velocity/pressure themselves.
     """

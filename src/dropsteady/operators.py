@@ -30,19 +30,25 @@ read kappa off row 5, then split the height equation into the degree-1
 kernel part and a shifted-Laplacian solve on its complement.
 
 The nonlinear right-hand side N holds every term beyond L, written in the
-perturbation of the physical fields (w, q) = (u + lambda U_R, p + lambda P_R),
-lambda = lambda0 + kappa, so that each term appears once; with the interface
-map's cofactors A, Ntil = A^T n, J_eta = [[T^eta(w,q) n]] and the flat jump
-J = [[T(u,p) n]] of the regular pair:
-  1. Div(T^eta(w,q) - T(w,q)) + lambda Div T(U_R,P_R)
+perturbation of the physical fields (w, q) = (u + lambda U, p + lambda P),
+lambda = lambda0 + kappa, with (U, P) the auxiliary field untruncated, so
+that each term appears once and the zero state is the translating drop
+lambda0 (U, P); with the interface map's cofactors A, Ntil = A^T n,
+J_eta = [[T^eta(w,q) n]] and the flat jump J = [[T(u,p) n]]:
+  1. Div(T^eta(w,q) - T(w,q))
        - rho (grad w) A (w + lambda e3) + rho lambda0 d3 u   (L holds the drift)
-  2. div((I - A) w) - lambda Div U_R
-  3. (w + lambda e3) . (n - Ntil) on the sphere, where U_R = U
+  2. div((I - A) w) - lambda Div U
+  3. (w + lambda e3) . (n - Ntil) on the sphere
   4. P0 J - A P_eta J_eta   (tangential projectors of the sphere and of the interface)
   5. e3 . int (J + lambda [[T(U,P)n]] - J_eta)
   6. -int (eta^2 + eta^3/3) dS
   7. Ntil . J_eta / |Ntil|^2 - n . J - kappa n.[[T(U,P)n]] + the volume,
        buoyancy and curvature remainders
+
+(U, P) is a Stokes pair, Div T(U, P) = 0, so row 1 carries no lambda
+term.  Div U = 0 as well, but its discrete divergence vanishes only to
+rounding, and row 2 keeps it (``OperatorContext.divU``, formed once per
+context): the solve then sees Div w = Div u + lambda Div U as it is.
 
 Four of these are interface-map terms: Div(T^eta - T), div((I - A) w),
 (w + lambda e3) . (n - Ntil) and the curvature remainder sigma G(eta).
@@ -60,17 +66,13 @@ Surface pullback weights: all interface integrals transform with the
 Nanson factor (dS on the deformed interface = |A^T n| dS), i.e. the
 pulled-back surface force is int [[T^eta(w,q) n]] dS with weight one.
 
-The truncated pair (U_R, P_R) and the remainder pair X_tail = (U - U_R,
-P - P_R) come with their gradients and divergences, analytic in the
-cutoff, from ``stokes.truncate_field``; the context adds only row 1 of
-L(X_tail), ``OperatorContext.sing_f``, which moves with lambda0.  Both
-stresses are the one law ``geometry.stress``: T^eta through
+Both stresses are the one law ``geometry.stress``: T^eta through
 ``geometry.transformed_stress`` and the flat T of row 1 directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -97,7 +99,6 @@ from .sphere import (
 from .stokes import (
     AuxiliaryField,
     PhysicalParams,
-    TruncatedAux,
     YElement,
     auxiliary_field,
     lambda0_value,
@@ -105,7 +106,6 @@ from .stokes import (
     solve_two_phase,
     surface_traction_jump,
     traction_force,
-    truncate_field,
 )
 from .volume import (
     EXTERIOR,
@@ -142,15 +142,13 @@ __all__ = [
 
 @dataclass
 class DropState:
-    """State tuple; ``tail`` records how much of the closed-form remainder
-    pair X_tail = (U - U_R, P - P_R) is contained in (u, p), so operators
-    can differentiate that part analytically instead of spectrally."""
+    """State tuple: the perturbation (u, p) of lambda (U, P), kappa and
+    eta.  The zero state is the translating drop lambda0 (U, P)."""
 
     u: VolumeField
     p: VolumeField
     kappa: float
     eta: SphereField
-    tail: float = 0.0
 
     @classmethod
     def zeros(cls, grid: VolumeGrid) -> "DropState":
@@ -169,7 +167,7 @@ class DropState:
 class PhysicalFields(NamedTuple):
     """What ``assemble_N`` derives from a state besides N: the interface map
     of its eta, the physical pair (w, q) = ``OperatorContext.physical_pair``
-    and the Jacobian of w, whose remainder-pair part is the closed form."""
+    and the Jacobian of w, whose lambda U part is the auxiliary field's."""
 
     mp: MapData
     w: VolumeField
@@ -181,57 +179,26 @@ class PhysicalFields(NamedTuple):
 class OperatorContext:
     """Precomputed environment shared by apply/invert/assemble.
 
-    ``trunc`` holds the auxiliary field truncated at R = r_inf/2 and the
-    "remainder pair" X_tail = (U - U_R, P - P_R), whose image under the
-    linear operator is known in closed form (Y_sing: ``sing_f`` below and
-    ``trunc.div_tail``).  The cutoff kinks make X_tail unrepresentable in
-    the radial bases, so the Picard step feeds the solver only the regular
-    part of the right-hand side and adds the exact remainder response
-    afterwards.  At the fixed point the state carries tail = lambda, so
-    the physical field is u_reg + lambda U and R moves the iterates only,
-    not the limit.  The Picard iteration starts at ``translating_drop``,
-    the state whose physical pair is lambda0 (U, P) itself: the centre of
-    the paper's ball, a perturbation of zero.  ``ball_radius`` =
-    |rho_tilde|^alpha is the radius of that ball, which the solve's
-    ``ball_norm`` is checked against.
+    ``aux`` is the auxiliary field (U, P), untruncated: a state is the
+    perturbation of lambda (U, P), so the zero state is the translating
+    drop lambda0 (U, P), the centre of the paper's ball, where the Picard
+    iteration starts.  ``divU`` is the discrete Div U, zero to rounding,
+    which row 2 of N carries.  ``ball_radius`` = |rho_tilde|^alpha is the
+    radius of the ball, which the solve's ``ball_norm`` is checked against.
     """
 
     grid: VolumeGrid
     params: PhysicalParams
     lambda0: float
     aux: AuxiliaryField
-    trunc: TruncatedAux
+    divU: VolumeField
     ball_radius: float
 
     def physical_pair(self, state: DropState) -> tuple[VolumeField, VolumeField]:
-        """The perturbation (w, q) = (u + lambda U_R, p + lambda P_R) of the
+        """The perturbation (w, q) = (u + lambda U, p + lambda P) of the
         physical velocity and pressure, lambda = lambda0 + kappa."""
         lam = self.lambda0 + state.kappa
-        return state.u + lam * self.trunc.U_R, state.p + lam * self.trunc.P_R
-
-    def translating_drop(self) -> DropState:
-        """The state whose physical pair is lambda0 (U, P): the remainder
-        pair lambda0 X_tail with kappa = 0 and eta = 0, so that
-        (w, q) = lambda0 (U_R + U_tail, P_R + P_tail) = lambda0 (U, P)."""
-        lam0, tr = self.lambda0, self.trunc
-        return DropState(
-            lam0 * tr.U_tail, lam0 * tr.P_tail, 0.0, SphereField.zeros(self.grid.sphere), lam0
-        )
-
-    def regular_pair(self, state: DropState) -> tuple[VolumeField, VolumeField]:
-        """(u, p) of ``state`` less its remainder-pair content tail X_tail."""
-        if state.tail == 0.0:
-            return state.u, state.p
-        tr = self.trunc
-        return state.u + (-state.tail) * tr.U_tail, state.p + (-state.tail) * tr.P_tail
-
-    @property
-    def sing_f(self) -> VolumeField:
-        """Row 1 of L(X_tail): -Div T(U - U_R, P - P_R) + rho lambda0 d3 (U - U_R),
-        at the current lambda0."""
-        return self.trunc.divT + e3_column(self.trunc.jac_tail).phasewise_scale(
-            self.params.rho1 * self.lambda0, self.params.rho2 * self.lambda0
-        )
+        return state.u + lam * self.aux.U, state.p + lam * self.aux.P
 
     @property
     def jumpU_n(self) -> SphereField:
@@ -249,8 +216,8 @@ def build_context(
     alpha: float = 0.8,
     aux: AuxiliaryField | None = None,
 ) -> OperatorContext:
-    """Assemble the operator environment: lambda0, the auxiliary field
-    truncated at R = r_inf/2, and the ball radius |rho_tilde|^alpha.
+    """Assemble the operator environment: lambda0, the auxiliary field and
+    its discrete divergence, and the ball radius |rho_tilde|^alpha.
 
     ``aux`` is an auxiliary field already built on ``grid`` with the
     viscosities of ``params``; without it one is built here.
@@ -260,8 +227,8 @@ def build_context(
     elif aux.solver.grid is not grid or (aux.solver.mu1, aux.solver.mu2) != (params.mu1, params.mu2):
         raise ValueError("the auxiliary field was built on another grid or other viscosities")
     lam0 = lambda0_value(params.rho_tilde, aux.e3_drag)
-    trunc = truncate_field(aux, grid.r_inf / 2.0)
-    return OperatorContext(grid, params, lam0, aux, trunc, abs(params.rho_tilde) ** alpha)
+    divU = vector_divergence(aux.U)
+    return OperatorContext(grid, params, lam0, aux, divU, abs(params.rho_tilde) ** alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -300,18 +267,10 @@ def _traction_jump_eta(T_eta: VolumeField) -> np.ndarray:
 def apply_L(state: DropState, ctx: OperatorContext) -> YElement:
     grid, params, lam0 = ctx.grid, ctx.params, ctx.lambda0
     g = grid.sphere
-    kappa, eta = state.kappa, state.eta
-    # any remainder-pair content is differentiated via its closed form
-    u, p = ctx.regular_pair(state)
+    u, kappa, eta = state.u, state.kappa, state.eta
 
     drift = (params.rho1 * lam0, params.rho2 * lam0)
-    f, divu, (jump_n, h2) = minus_div_T(u, p, params.mu1, params.mu2, drift)
-    if state.tail != 0.0:
-        f = f + state.tail * ctx.sing_f
-        divu = divu + state.tail * ctx.trunc.div_tail
-        # traces and tractions keep using (u_reg, p_reg): the remainder pair
-        # vanishes identically near the interface, and differentiating the
-        # full field there would only add cutoff-kink spectral noise
+    f, divu, (jump_n, h2) = minus_div_T(u, state.p, params.mu1, params.mu2, drift)
 
     rhat = g.unit_vectors()[0]
     h1 = SphereField(
@@ -353,21 +312,9 @@ def invert_L(y: YElement, ctx: OperatorContext) -> DropState:
     return DropState(u, p, kappa, eta)
 
 
+# kept only so that the benchmark tracer's target list resolves
 def invert_L_with_tail(y: YElement, lamc: float, ctx: OperatorContext) -> DropState:
-    """Apply the inverse after splitting off the remainder response.
-
-    The data decomposes as y = y_reg + lamc * Y_sing with Y_sing the
-    image of the remainder pair X_tail; the preimage of the singular
-    part is lamc * X_tail in closed form, so only y_reg goes through
-    the discrete solve.  Exact algebra: the resulting map is the same
-    inverse, evaluated without feeding cutoff kinks to the radial bases.
-    """
-    y_reg = replace(y, f=y.f + (-lamc) * ctx.sing_f, g=y.g + (-lamc) * ctx.trunc.div_tail)
-    st = invert_L(y_reg, ctx)
-    st.u = st.u + lamc * ctx.trunc.U_tail
-    st.p = st.p + lamc * ctx.trunc.P_tail
-    st.tail = lamc
-    return st
+    return invert_L(y, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +331,7 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> tuple[YElement, Physic
     (w + lambda e3) . (n - Ntil) and sigma G(eta), are added only when eta
     has a coefficient: under the identity map they vanish exactly, and
     T^eta = T bit for bit."""
-    grid, params, trunc = ctx.grid, ctx.params, ctx.trunc
+    grid, params, aux = ctx.grid, ctx.params, ctx.aux
     g = grid.sphere
     lam0 = ctx.lambda0
     kappa, eta = state.kappa, state.eta
@@ -394,12 +341,9 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> tuple[YElement, Physic
     moves = not mp.identity
     eye = np.eye(3)[:, :, None, None, None]
 
-    # remainder-pair content is differentiated via its exact Leibniz form;
-    # near the interface (and anywhere the geometry acts) it vanishes
-    u_reg, p_reg = ctx.regular_pair(state)
-    jac_u = vector_gradient(u_reg) + state.tail * trunc.jac_tail
+    jac_u = vector_gradient(state.u)
     w, q = ctx.physical_pair(state)
-    jac_w = jac_u + lam * trunc.jac_UR
+    jac_w = jac_u + lam * aux.jacU
     vel = VolumeField(grid, w.values + lam * eye[2])  # w + lambda e3, in the frame of the drop
     T_flat = stress(jac_w.values, q.values, grid.phase_profile(mu1, mu2))
     # under the identity map T^eta = T bit for bit
@@ -408,18 +352,17 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> tuple[YElement, Physic
     # N1: geometric stress correction and advection, less the drift L holds;
     # N2 and N3: a compatible pair (surface weight one, see module docstring)
     adv = matvec(jac_w, matvec(mp.A, vel)) + (-lam0) * e3_column(jac_u)
-    N1 = lam * trunc.divT
-    N2 = (-lam) * trunc.div_UR
+    N1 = adv.phasewise_scale(-params.rho1, -params.rho2)
+    N2 = (-lam) * ctx.divU
     N3 = SphereField.zeros(g)
     rhat = g.unit_vectors()[0]
     if moves:  # the interface-map terms, zero under the identity map
         N1 = tensor_divergence(VolumeField(grid, T_eta.values - T_flat)) + N1
         N2 = vector_divergence(matvec(VolumeField(grid, eye - mp.A.values), w)) + N2
         N3 = SphereField(g, values=np.einsum("iab,iab->ab", vel.trace(INTERIOR), rhat - mp.Ntil))
-    N1 = N1 - adv.phasewise_scale(params.rho1, params.rho2)
 
-    # N4, N5, N7: the flat jump J of the regular pair against the pulled-back J_eta
-    J = surface_traction_jump(u_reg, p_reg, mu1, mu2)
+    # N4, N5, N7: the flat jump J of (u, p) against the pulled-back J_eta
+    J = surface_traction_jump(state.u, state.p, mu1, mu2)
     J_eta = _traction_jump_eta(T_eta)
     AP_J_eta = np.einsum("ijab,jkab,kab->iab", mp.A_surf, mp.P_eta, J_eta)
     N4 = J[1] - _tangent_from_cartesian(grid, AP_J_eta)

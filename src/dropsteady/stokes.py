@@ -64,7 +64,6 @@ from .volume import (
     mode_gradient,
     mode_laplacian,
     norm_l2,
-    vector_divergence,
     vector_gradient,
     vector_radial_deriv,
     vsh_assemble,
@@ -84,8 +83,6 @@ __all__ = [
     "surface_traction_jump",
     "traction_force",
     "lambda0_value",
-    "TruncatedAux",
-    "truncate_field",
     "divT_norm_lq",
     "oseenlet",
     "RichardsonDivergence",
@@ -715,40 +712,19 @@ def axisym_leakage(u: VolumeField, *coeffs: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# truncation of the auxiliary field
+# the truncated auxiliary field's stress residue
 # ---------------------------------------------------------------------------
 
 
 ANNULUS_GAUSS_NODES = 48  # radial Gauss-Legendre rule on the cutoff annulus [R, 2R]
 
 
-@dataclass
-class TruncatedAux:
-    """The truncated pair (U_R, P_R) = chi_R (U, P) and the remainder pair
-    X_tail = (U - U_R, P - P_R), with their derivatives analytic in the cutoff."""
-
-    R: float
-    U_R: VolumeField
-    P_R: VolumeField
-    jac_UR: VolumeField
-    div_UR: VolumeField  # Div U_R = chi_R div U + U . grad chi_R
-    divT: VolumeField  # Div T(U_R, P_R), supported in R <= |x| <= 2R
-    U_tail: VolumeField
-    P_tail: VolumeField
-    jac_tail: VolumeField  # grad (U - U_R)
-    div_tail: VolumeField  # Div (U - U_R)
-
-
-def _check_truncation_radius(grid, R: float) -> None:
-    if not (R > 4.0 and 2.0 * R <= grid.r_inf + 1e-12):
-        raise ValueError(f"truncation radius must satisfy 4 < R <= R_inf/2, got {R}")
-
-
 def divT_norm_lq(aux: AuxiliaryField, R: float, q: float) -> float:
     """L^q norm of Div T(U_R, P_R) on its support annulus [R, 2R], from the
     auxiliary field at the annulus' Gauss radii (no truncated pair is formed)."""
     grid = aux.solver.grid
-    _check_truncation_radius(grid, R)
+    if not (R > 4.0 and 2.0 * R <= grid.r_inf + 1e-12):
+        raise ValueError(f"truncation radius must satisfy 4 < R <= R_inf/2, got {R}")
     xg, wg = np.polynomial.legendre.leggauss(ANNULUS_GAUSS_NODES)
     rr = R + (xg + 1.0) * R / 2.0
     wr = wg * R / 2.0
@@ -762,31 +738,6 @@ def divT_norm_lq(aux: AuxiliaryField, R: float, q: float) -> float:
     mag = np.sum(np.abs(vals) ** 2, axis=0) ** (q / 2.0)
     ang = np.einsum("ab,rab->r", grid.sphere.weights, mag)
     return float(np.sum(wr * rr**2 * ang)) ** (1.0 / q)
-
-
-def truncate_field(aux: AuxiliaryField, R: float) -> TruncatedAux:
-    """chi_R-truncated auxiliary fields with analytic cutoff derivatives, on
-    the grid and reservoir viscosity the field was solved with."""
-    grid, mu2 = aux.solver.grid, aux.solver.mu2
-    _check_truncation_radius(grid, R)
-    rhat = grid.sphere.unit_vectors()[0]
-    r = grid.r
-    chi, dchi, _ = (c[:, None, None] for c in cutoff(r, R))
-    U, jacU, P = aux.U.values, aux.jacU.values, aux.P.values
-    U_R = VolumeField(grid, chi[None] * U)
-    P_R = VolumeField(grid, chi * P)
-    gradchi = dchi[None] * rhat[:, None]
-    jac_UR = VolumeField(grid, chi[None, None] * jacU + np.einsum("irab,jrab->ijrab", U, gradchi))
-    divU = vector_divergence(aux.U)
-    div_UR = VolumeField(grid, chi * divU.values + dchi * np.einsum("irab,iab->rab", U, rhat))
-    # Div T(U_R, P_R) vanishes where the cutoff is flat
-    bend = (r > R) & (r < 2.0 * R)
-    divT = VolumeField.zeros(grid, rank=1)
-    divT.values[:, bend] = _cutoff_stress_divergence(
-        U[:, bend], jacU[:, :, bend], P[bend], r[bend], R, rhat, mu2
-    )
-    tails = (aux.U - U_R, aux.P - P_R, aux.jacU - jac_UR, divU - div_UR)
-    return TruncatedAux(R, U_R, P_R, jac_UR, div_UR, divT, *tails)
 
 
 def _cutoff_stress_divergence(U, jac, P, r, R, rhat, mu2):

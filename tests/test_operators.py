@@ -71,13 +71,11 @@ def ctx0(vg, ctx):
 
 def test_context_on_shared_aux(vg, ctx):
     """A context built on another's auxiliary field keeps its own lambda0
-    and ball radius and truncates at the grid's R = r_inf/2; a field from
-    another grid object or with other viscosities is refused, and the
-    shared arrays cannot be written."""
+    and ball radius; a field from another grid object or with other
+    viscosities is refused, and the shared arrays cannot be written."""
     shared = build_context(vg, PhysicalParams(rho_tilde=2e-2), aux=ctx.aux)
     assert shared.aux is ctx.aux
     assert shared.lambda0 == lambda0_value(2e-2, ctx.aux.e3_drag)
-    assert shared.trunc.R == ctx.trunc.R == vg.r_inf / 2
     assert shared.ball_radius == 2e-2**0.8 != ctx.ball_radius
     twin = VolumeGrid.build(band_limit=L_TEST, n_r_int=18, n_r_ext=28, r_inf=64.0)
     for grid, params in ((twin, PhysicalParams()), (vg, PhysicalParams(mu1=2.0)), (vg, PhysicalParams(mu2=0.5))):
@@ -237,19 +235,6 @@ def test_stokes_solve_takes_L_rows_as_written(m_max):
     assert np.max(np.abs(res)) <= 1e-10 * x0.p.max_abs()
 
 
-def test_sing_f_follows_lambda0(ctx):
-    # row 1 of L(X_tail) is divT plus a drift term linear in lambda0
-    drift = ctx.sing_f - ctx.trunc.divT
-    lam0 = ctx.lambda0
-    try:
-        ctx.lambda0 = 2.0 * lam0
-        doubled = ctx.sing_f - ctx.trunc.divT
-    finally:
-        ctx.lambda0 = lam0
-    assert drift.max_abs() > 0.0
-    assert (doubled - 2.0 * drift).max_abs() < 1e-12 * drift.max_abs()
-
-
 def test_N_zero_state_zero_rho(ctx0):
     y = assemble_N(DropState.zeros(ctx0.grid), ctx0)[0]
     assert norm_Y(y)["total"] < 1e-10
@@ -266,7 +251,7 @@ def test_N_zero_state_nonzero_rho(ctx):
     assert np.max(np.abs(y.h3.values - expect)) < 1e-10
     assert abs(y.a2) < 1e-14  # N6 = 0
     assert np.max(np.abs(y.h1.values)) < 1e-12  # N3 = 0 at eta = 0
-    # lambda0-scaled truncation terms are present in row 1
+    # the advection of the translating drop, lambda0^2 (grad U)(U + e3), is in row 1
     assert norm_Y(y)["f"] > 0
 
 
@@ -325,7 +310,7 @@ def test_N_at_the_translating_drop_skips_only_vanishing_terms(vg, ctx, rho):
     its largest entry: h1 and a2 vanish at eta = 0, and h2, a1 and h3 are
     rounding-level there, since the drop meets the interface rows."""
     ctx = build_context(vg, PhysicalParams(rho_tilde=rho), aux=ctx.aux)
-    drop = ctx.translating_drop()
+    drop = DropState.zeros(vg)
     K = vg.sphere.m_max
     c = np.zeros((vg.sphere.band_limit + 1, 2 * K + 1))
     c[2, K] = 1e-30
@@ -339,8 +324,8 @@ def test_N_at_the_translating_drop_skips_only_vanishing_terms(vg, ctx, rho):
 
 
 def _assemble_N_term_by_term(state, ctx):
-    """N expanded in u and lambda U_R, each term on its own: the reference
-    for assemble_N, which forms the same rows in w = u + lambda U_R."""
+    """N expanded in u and lambda U, each term on its own: the reference
+    for assemble_N, which forms the same rows in w = u + lambda U."""
     grid, params = ctx.grid, ctx.params
     g = grid.sphere
     lam0 = ctx.lambda0
@@ -350,28 +335,22 @@ def _assemble_N_term_by_term(state, ctx):
     mp = build_map(HeightFunction(eta), grid)
     eye = np.eye(3)[:, :, None, None, None]
     u, p = state.u, state.p
-    if state.tail != 0.0:
-        u_reg = u + (-state.tail) * ctx.trunc.U_tail
-        p_reg = p + (-state.tail) * ctx.trunc.P_tail
-        jac_u = vector_gradient(u_reg) + state.tail * ctx.trunc.jac_tail
-    else:
-        u_reg, p_reg = u, p
-        jac_u = vector_gradient(u)
-    trunc = ctx.trunc
-    UR, PR, jac_UR = trunc.U_R, trunc.P_R, trunc.jac_UR
+    jac_u = vector_gradient(u)
+    U, P = ctx.aux.U, ctx.aux.P
+    jacU = vector_gradient(U)
     T_eta_u = transformed_stress(jac_u, p, mp, mu1, mu2)
     mu = grid.phase_profile(mu1, mu2)
     T_flat_u = VolumeField(grid, stress(jac_u.values, p.values, mu))
-    T_eta_U = transformed_stress(jac_UR, PR, mp, mu1, mu2)
-    T_flat_U = VolumeField(grid, stress(jac_UR.values, PR.values, mu))
-    divT_eta_U = tensor_divergence(T_eta_U - T_flat_U) + trunc.divT
+    T_eta_U = transformed_stress(jacU, P, mp, mu1, mu2)
+    T_flat_U = VolumeField(grid, stress(jacU.values, P.values, mu))
+    divT_eta_U = tensor_divergence(T_eta_U - T_flat_U)  # Div T(U, P) = 0
     divT_diff_u = tensor_divergence(T_eta_u - T_flat_u)
 
     def rho_scale(fld):
         return fld.phasewise_scale(params.rho1, params.rho2)
 
     Au = matvec(mp.A, u)
-    AUR = matvec(mp.A, UR)
+    AU = matvec(mp.A, U)
     Ae3 = VolumeField(grid, mp.A.values[:, 2])
     e3f = VolumeField.zeros(grid, rank=1)
     e3f.values[2] = 1.0
@@ -379,22 +358,22 @@ def _assemble_N_term_by_term(state, ctx):
         lam * divT_eta_U
         + divT_diff_u
         - rho_scale(matvec(jac_u, Au))
-        - lam * rho_scale(matvec(jac_u, AUR) + matvec(jac_UR, Au))
-        - lam**2 * rho_scale(matvec(jac_UR, AUR))
+        - lam * rho_scale(matvec(jac_u, AU) + matvec(jacU, Au))
+        - lam**2 * rho_scale(matvec(jacU, AU))
         - kappa * rho_scale(matvec(jac_u, Ae3))
         - lam0 * rho_scale(matvec(jac_u, Ae3 - e3f))
-        - lam**2 * rho_scale(matvec(jac_UR, Ae3))
+        - lam**2 * rho_scale(matvec(jacU, Ae3))
     )
     ImA = VolumeField(grid, eye - mp.A.values)
-    AmI_UR = matvec(VolumeField(grid, mp.A.values - eye), UR)
-    N2 = vector_divergence(matvec(ImA, u)) - lam * (vector_divergence(AmI_UR) + trunc.div_UR)
+    AmI_U = matvec(VolumeField(grid, mp.A.values - eye), U)
+    N2 = vector_divergence(matvec(ImA, u)) - lam * (vector_divergence(AmI_U) + vector_divergence(U))
     rhat = g.unit_vectors()[0]
     u_surf = u.trace(INTERIOR)
     e3_surf = np.zeros_like(u_surf)
     e3_surf[2] = 1.0
-    vec = u_surf + lam * (ctx.aux.U.trace(INTERIOR) + e3_surf)
+    vec = u_surf + lam * (U.trace(INTERIOR) + e3_surf)
     N3 = SphereField(g, values=np.einsum("iab,iab->ab", vec, rhat - mp.Ntil))
-    jn_flat, jt_flat = surface_traction_jump(u_reg, p_reg, mu1, mu2)
+    jn_flat, jt_flat = surface_traction_jump(u, p, mu1, mu2)
     jump_u_flat = jn_flat.values * rhat + jt_flat.cartesian()
     jn = np.einsum("iab,iab->ab", jump_u_flat, rhat)
     jump_eta_u = _traction_jump_eta(T_eta_u)
@@ -440,18 +419,15 @@ def _rows(y):
 
 @pytest.mark.parametrize("m_max", [None, 2])
 def test_N_matches_term_by_term_reference(m_max):
-    """assemble_N regroups the reference's terms in w = u + lambda U_R: each
+    """assemble_N regroups the reference's terms in w = u + lambda U: each
     of the seven rows agrees to rounding, on a full grid and on the band,
-    for a random state carrying remainder-pair content and a nonzero kappa."""
+    for a random state with a nonzero kappa."""
     vg = VolumeGrid.build(8, 16, 24, 64.0, m_max=m_max)
     aux = auxiliary_field(vg, PhysicalParams())
     for rho in (1e-3, 0.3):
         ctx = build_context(vg, PhysicalParams(rho_tilde=rho), aux=aux)
         st = random_state(vg, np.random.default_rng(3))
         st = st.combine(st, 1e-3, 0.0)
-        st.tail = 0.4
-        st.u = st.u + st.tail * ctx.trunc.U_tail
-        st.p = st.p + st.tail * ctx.trunc.P_tail
         assert st.kappa != 0.0
         for got, ref in zip(_rows(assemble_N(st, ctx)[0]), _rows(_assemble_N_term_by_term(st, ctx))):
             scale = np.max(np.abs(ref))

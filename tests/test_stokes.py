@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from dropsteady import dropflow, stokes
-from dropsteady.geometry import cutoff
 from dropsteady.sphere import SphereField, SphereGrid, TangentField, normal_component_fields
 from dropsteady.stokes import (
     PhysicalParams,
@@ -19,7 +18,6 @@ from dropsteady.stokes import (
     oseenlet,
     residual_report,
     solve_two_phase,
-    truncate_field,
 )
 from dropsteady.validate import random_state
 from dropsteady.volume import (
@@ -30,7 +28,6 @@ from dropsteady.volume import (
     analysis_batch,
     d3,
     d3_channels,
-    e3_column,
     eval_radii,
     mode_divergence,
     mode_gradient,
@@ -745,38 +742,20 @@ def aux(vg):
 
 
 def test_truncation_support(vg, aux):
-    # the decay slope of the tail is validate's truncation group
-    with pytest.raises(ValueError):
-        truncate_field(aux, 3.0)
-    with pytest.raises(ValueError):
-        truncate_field(aux, 40.0)
-    with pytest.raises(ValueError):
-        divT_norm_lq(aux, 40.0, 4.0 / 3.0)
+    """Div T(chi_R U, chi_R P) is supported in the cutoff annulus R < r < 2R,
+    and divT_norm_lq takes only radii with 4 < R <= r_inf/2; the decay slope
+    of its norm is validate's truncation group."""
+    for R in (3.0, 40.0):
+        with pytest.raises(ValueError):
+            divT_norm_lq(aux, R, 4.0 / 3.0)
+    r = vg.exterior.r
+    rhat = vg.sphere.unit_vectors()[0]
+    U, jacU, P = (f.blocks[EXTERIOR] for f in (aux.U, aux.jacU, aux.P))
     for R in (8.0, 16.0, 32.0):
-        tr = truncate_field(aux, R)
-        r = vg.exterior.r
-        inside = r <= R
-        assert np.max(np.abs(tr.U_R.blocks[EXTERIOR][:, inside] - aux.U.blocks[EXTERIOR][:, inside])) < 1e-14
-        outside = r >= 2.0 * R
-        if outside.any():
-            assert np.max(np.abs(tr.U_R.blocks[EXTERIOR][:, outside])) == 0.0
-
-
-@pytest.mark.parametrize("R", [8.0, 32.0])
-def test_remainder_pair_identities(vg, aux, R):
-    """The remainder pair completes the truncated pair to (U, P), and its
-    derivatives are the Leibniz forms in the cutoff, to rounding."""
-    tr = truncate_field(aux, R)
-    eps = 4.0 * np.finfo(float).eps
-    for whole, part, tail in ((aux.U, tr.U_R, tr.U_tail), (aux.P, tr.P_R, tr.P_tail)):
-        assert np.max(np.abs(part.values + tail.values - whole.values)) <= eps * whole.max_abs()
-    divU = vector_divergence(aux.U).values
-    assert np.max(np.abs(tr.div_UR.values + tr.div_tail.values - divU)) <= eps * tr.div_UR.max_abs()
-    chi, dchi, _ = (c[:, None, None] for c in cutoff(vg.r, R))
-    rhat3 = vg.sphere.unit_vectors()[0][2]
-    d3_tail = (1.0 - chi) * e3_column(aux.jacU).values - dchi * rhat3 * aux.U.values
-    assert np.max(np.abs(d3_tail)) > 0.0
-    assert np.max(np.abs(e3_column(tr.jac_tail).values - d3_tail)) <= 1e-14 * np.max(np.abs(d3_tail))
+        divT = stokes._cutoff_stress_divergence(U, jacU, P, r, R, rhat, aux.solver.mu2)
+        bend = (r > R) & (r < 2.0 * R)
+        assert np.max(np.abs(divT[:, ~bend])) == 0.0
+        assert np.max(np.abs(divT[:, bend])) > 0.0
 
 
 # -- Oseen fundamental solution --------------------------------------------------

@@ -339,13 +339,13 @@ def test_picard_step_carries_only_the_grid_orders(monkeypatch):
         DropState,
         assemble_N,
         build_context,
-        invert_L_with_tail,
+        invert_L,
         norm_X,
     )
 
     cfg = SolveConfig(band_limit=8, n_r_int=12, n_r_ext=20)
     ctx = build_context(cfg.build_grid(), cfg.params(), alpha=cfg.alpha)
-    x = invert_L_with_tail(assemble_N(DropState.zeros(ctx.grid), ctx)[0], ctx.lambda0, ctx)
+    x = invert_L(assemble_N(DropState.zeros(ctx.grid), ctx)[0], ctx)
     modules = [
         importlib.import_module(f"dropsteady.{m.name}") for m in pkgutil.iter_modules(dropsteady.__path__)
     ]
@@ -367,6 +367,6 @@ def test_picard_step_carries_only_the_grid_orders(monkeypatch):
         for m in modules:
             if getattr(m, name, None) is fn:
                 monkeypatch.setattr(m, name, recording)
-    x_new = invert_L_with_tail(assemble_N(x, ctx)[0], ctx.lambda0 + x.kappa, ctx)
+    x_new = invert_L(assemble_N(x, ctx)[0], ctx)
     norm_X(x_new.combine(x, 1.0, -1.0), ctx.lambda0)
     assert widths == {name: {2 * min(8, 2) + 1} for name in targets}
