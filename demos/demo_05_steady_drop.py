@@ -9,7 +9,7 @@ is available.
 
 import numpy as np
 
-from dropsteady.driver import SolveConfig, diagnostics, picard_solve, reconstruct_physical
+from dropsteady.driver import SolveConfig, diagnostics, picard_solve
 
 cfg = SolveConfig(rho_tilde=1e-3, band_limit=16, n_r_int=24, n_r_ext=40)
 print(f"solving at rho~ = {cfg.rho_tilde}, band limit {cfg.band_limit} ...")
@@ -21,7 +21,7 @@ for h in bundle.history:
     print(f"  iter {h['iter']}: update {h['update']:.3e}{ratio}")
 
 print(f"\ntranslation parameter lambda = {bundle.lam:+.9e}")
-print(f"first-order prediction lambda0 = {bundle.lambda0:+.9e}")
+print(f"first-order prediction lambda0 = {bundle.ctx.lambda0:+.9e}")
 print(f"fixed-point residual: {bundle.report['fixed_point_residual']:.2e}")
 print(f"solution norm {bundle.report['ball_norm']:.3e} "
       f"<= ball radius |rho~|^alpha = {bundle.report['ball_radius']:.3e}")
@@ -44,7 +44,6 @@ print(f"  buoyancy target     {rep['wake_target']:+.6e}")
 print(f"  relative error      {rep['wake_rel_error']:.2%}")
 print(f"  remainder slope     {rep['wake_remainder_slope']:.2f} (steeper than -1)")
 
-phys = reconstruct_physical(bundle)
 eta = bundle.eta
 theta = bundle.ctx.grid.sphere.theta
 prof = eta.values.mean(axis=1)

@@ -128,14 +128,14 @@ def _sweep_point(cfg, rho, aux):
         # looked up at call time, so that a wrapper set on the module is used
         bundle = driver.picard_solve(point, ctx=ctx)
         rep = driver.diagnostics(bundle)
-        ratios = rep.get("contraction_ratios") or [float("nan")]
+        ratios = rep["contraction_ratios"] or [float("nan")]
         return {
             "rho_tilde": rho,
             "lambda": bundle.lam,
             "eta_norm": rep["eta_norm"],
             "contraction_ratio": max(ratios),  # the slowest step the iteration took
-            "wake_coefficient": rep.get("wake_coefficient", float("nan")),
-            "force_defect": rep.get("force_e3_defect_rel", float("nan")),
+            "wake_coefficient": rep["wake_coefficient"],
+            "force_defect": rep["force_e3_defect_rel"],
             "iterations": len(bundle.history),
             "fixed_point_residual": rep["fixed_point_residual"],
             "status": "ok" if bundle.converged else f"failed: {bundle.failure}",

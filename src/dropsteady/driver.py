@@ -11,11 +11,11 @@ pushing forward through the interface map.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ETA_SOBOLEV_ORDER, HeightFunction, build_map, metric_pieces, stress
+from .geometry import ETA_SOBOLEV_ORDER, metric_pieces, stress
 from .operators import (
     DropState,
     OperatorContext,
@@ -29,7 +29,7 @@ from .operators import (
     norm_Y,
 )
 from .sphere import SphereField, sobolev_norm
-from .stokes import PhysicalParams, YElement, axisym_leakage, minus_div_T, oseenlet
+from .stokes import PhysicalParams, axisym_leakage, minus_div_T, oseenlet
 from .volume import (
     EXTERIOR,
     INTERIOR,
@@ -48,7 +48,7 @@ __all__ = [
     "NonContraction",
     "picard_solve",
     "lambda_error_bar",
-    "reconstruct_physical",
+    "midshell_residual",
     "diagnostics",
     "mirror_defect",
 ]
@@ -111,9 +111,9 @@ class SolveConfig:
         # the exterior nodes are a Lobatto grid, which needs both end points
         if not (self.n_r_int >= 1 and self.n_r_ext >= 2):
             raise ValueError("n_r_int must be at least 1 and n_r_ext at least 2")
-        # reconstruct_physical's mid-shell residual reads the shells in
-        # [4, r_inf/4] and the far-field fit those in [r_inf/4, r_inf/2];
-        # r_inf > 8 keeps the fit's outer shell r_inf/2 beyond r = 4
+        # midshell_residual reads the shells in [4, r_inf/4] and the
+        # far-field fit those in [r_inf/4, r_inf/2]; r_inf > 8 keeps the
+        # fit's outer shell r_inf/2 beyond r = 4
         if not 8.0 < self.r_inf <= R_INF_MAX:
             raise ValueError(f"r_inf must lie in (8, {R_INF_MAX:g}]")
         if not self.max_iters >= 1:
@@ -150,8 +150,6 @@ class SolutionBundle:
     ctx: OperatorContext
     state: DropState
     lam: float  # lambda0 + kappa
-    lambda0: float
-    converged: bool
     physical: PhysicalFields
     history: list = field(default_factory=list)
     report: dict = field(default_factory=dict)
@@ -160,6 +158,10 @@ class SolutionBundle:
     # tol_fixed_point) or "Unresolved" (it did, but the fixed-point residual
     # exceeds FIXED_POINT_RESIDUAL_BOUND); None when it converged
     failure: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.failure is None
 
     @property
     def eta(self) -> SphereField:
@@ -173,32 +175,21 @@ def picard_solve(
 ) -> SolutionBundle:
     """Run the contraction map from ``initial``, by default from the zero
     state ``DropState.zeros``: the translating drop lambda0 (U, P) at the
-    centre of the paper's ball.
+    centre of the paper's ball.  ``ctx`` must be built for ``config.params()``.
 
-    A solve converges once an update meets ``tol_fixed_point`` after at
-    least one measured contraction ratio, that is from the second update
-    on, so that its ``lambda_error_bar`` is finite."""
+    A solve converges once an update meets ``tol_fixed_point`` from the
+    second update on, after which a contraction ratio has been measured and
+    its ``lambda_error_bar`` is finite.  At rho_tilde = 0 the zero state is
+    the quiescent sphere, the fixed point: both updates are 0, no ratio is
+    measured and the bar is inf."""
     t0 = time.perf_counter()
     if ctx is None:
-        grid = config.build_grid()
-        ctx = build_context(grid, config.params(), alpha=config.alpha)
+        ctx = build_context(config.build_grid(), config.params(), alpha=config.alpha)
+    elif ctx.params != config.params():
+        raise ValueError(f"the context was built for {ctx.params}, not for {config.params()}")
     grid = ctx.grid
     lam0 = ctx.lambda0
     history = []
-    if config.rho_tilde == 0.0:
-        # the quiescent sphere is the trivial solution; nothing to iterate
-        state = DropState.zeros(grid)
-        w, q = ctx.physical_pair(state)
-        physical = PhysicalFields(
-            build_map(HeightFunction(state.eta), grid), w, q, VolumeField.zeros(grid, rank=2)
-        )
-        bundle = SolutionBundle(config, ctx, state, 0.0, 0.0, True, physical, history)
-        bundle.timing["solve_s"] = time.perf_counter() - t0
-        bundle.report["ball_norm"] = 0.0
-        bundle.report["fixed_point_residual"] = 0.0
-        bundle.report.update({f"fixed_point_residual_{row.name}": 0.0 for row in fields(YElement)})
-        return bundle
-
     x = DropState.zeros(grid) if initial is None else initial
     prev_update = None
     converged = False
@@ -236,9 +227,7 @@ def picard_solve(
         failure = "Unresolved"
     else:
         failure = None
-    bundle = SolutionBundle(
-        config, ctx, x, lam0 + x.kappa, lam0, failure is None, physical, history, failure=failure
-    )
+    bundle = SolutionBundle(config, ctx, x, lam0 + x.kappa, physical, history, failure=failure)
     bundle.report["fixed_point_residual"] = residual
     bundle.report.update({f"fixed_point_residual_{k}": v for k, v in rows.items()})
     bundle.report["ball_norm"] = norm_X(x, lam0)["total"]
@@ -264,29 +253,23 @@ def lambda_error_bar(ratios: list, last_update: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# physical reconstruction
+# mid-shell residual of the steady equation
 # ---------------------------------------------------------------------------
 
 
-def reconstruct_physical(bundle: SolutionBundle) -> dict:
-    """(w, q, lambda, eta) on the reference domain plus equation residuals,
-    and (for rho_tilde != 0) the Jacobian ``jac_w`` of w, all as the final
-    residual pass derived them (``SolutionBundle.physical``).
+def midshell_residual(bundle: SolutionBundle) -> float:
+    """Largest residual of the steady Navier-Stokes equation on the shells
+    in [4, r_inf/4], from the physical pair (w, q) and the Jacobian of w
+    that the final residual pass derived (``SolutionBundle.physical``).
 
-    w = u + lambda U and q = p + lambda P undo the perturbation
-    ansatz; on shells where the interface map is the identity these are
-    the physical velocity/pressure themselves.
+    w = u + lambda U and q = p + lambda P undo the perturbation ansatz;
+    on these shells the interface map is the identity, so they are the
+    physical velocity and pressure themselves.
     """
-    ctx = bundle.ctx
-    grid = ctx.grid
+    grid = bundle.ctx.grid
+    params = bundle.ctx.params
     lam = bundle.lam
     _, w, q, jac_w = bundle.physical
-    out = {"w": w, "q": q, "lam": lam, "eta": bundle.eta}
-    if bundle.config.rho_tilde == 0.0:
-        out["midshell_residual"] = 0.0
-        return out
-    params = ctx.params
-    out["jac_w"] = jac_w
     stress, _, _ = minus_div_T(w, q, params.mu1, params.mu2)
     inertia = matvec(jac_w, w) + lam * e3_column(jac_w)
     res = inertia.phasewise_scale(params.rho1, params.rho2) + stress
@@ -297,13 +280,17 @@ def reconstruct_physical(bundle: SolutionBundle) -> dict:
         sel = (r >= 4.0) & (r <= top)
         if sel.any():
             break
-    out["midshell_residual"] = float(np.max(np.abs(res.values[:, sel])))
-    return out
+    return float(np.max(np.abs(res.values[:, sel])))
 
 
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
+
+
+def _relative_error(value, target):
+    """|value - target| relative to |target|, or to 1 when the target is 0."""
+    return abs(value - target) / (abs(target) or 1.0)
 
 
 def _pullback_surface_force(bundle: SolutionBundle) -> np.ndarray:
@@ -344,26 +331,19 @@ def diagnostics(bundle: SolutionBundle) -> dict:
     rep["volume_defect"] = g.quad((1.0 + ev) ** 3 - 1.0)
     rep["eta_norm"] = sobolev_norm(st.eta, ETA_SOBOLEV_ORDER)
 
-    phys = reconstruct_physical(bundle)
-    if cfg.rho_tilde != 0.0:
-        mp = bundle.physical.mp
-        force = _pullback_surface_force(bundle)
-        target = cfg.rho_tilde * 4.0 * np.pi / 3.0
-        rep["force_e3_defect_rel"] = abs(force[2] - target) / abs(target)
-        rep["force_transverse_max"] = float(np.max(np.abs(force[:2])))
-        rep["force_vector"] = force
-        # barycenter of the deformed drop
-        moment = (np.stack(grid_points(grid)) + mp.E.values) * mp.J.values
-        rep["barycenter"] = np.array([integrate_phase(VolumeField(grid, m), INTERIOR) for m in moment])
-    else:
-        rep["force_e3_defect_rel"] = 0.0
-        rep["force_transverse_max"] = 0.0
-        rep["barycenter"] = np.zeros(3)
+    mp = bundle.physical.mp
+    force = _pullback_surface_force(bundle)
+    target = cfg.rho_tilde * 4.0 * np.pi / 3.0
+    rep["force_e3_defect_rel"] = _relative_error(force[2], target)
+    rep["force_transverse_max"] = float(np.max(np.abs(force[:2])))
+    rep["force_vector"] = force
+    # barycenter of the deformed drop
+    moment = (np.stack(grid_points(grid)) + mp.E.values) * mp.J.values
+    rep["barycenter"] = np.array([integrate_phase(VolumeField(grid, m), INTERIOR) for m in moment])
 
     rep["axisym_leakage"] = axisym_leakage(st.u, st.eta.coeffs)
-    if cfg.rho_tilde != 0.0:
-        rep.update(farfield_fit(bundle))
-    rep["midshell_residual"] = phys["midshell_residual"]
+    rep.update(farfield_fit(bundle))
+    rep["midshell_residual"] = midshell_residual(bundle)
     return rep
 
 
@@ -398,7 +378,7 @@ def farfield_fit(bundle: SolutionBundle) -> dict:
     return {
         "wake_coefficient": float(c_fit),
         "wake_target": float(target),
-        "wake_rel_error": float(abs(c_fit - target) / abs(target)),
+        "wake_rel_error": float(_relative_error(c_fit, target)),
         "wake_remainder_slope": slope,
     }
 

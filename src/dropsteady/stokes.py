@@ -629,8 +629,9 @@ def traction_force(jump) -> np.ndarray:
 
 def lambda0_value(rho_tilde: float, e3_drag: float) -> float:
     """First-order translation speed balancing buoyancy against the
-    auxiliary-field stress-jump integral (linear in rho_tilde)."""
-    return rho_tilde * (4.0 * np.pi / 3.0) / e3_drag
+    auxiliary-field stress-jump integral (linear in rho_tilde).  The + 0.0
+    makes it +0.0 at rho_tilde = 0 (e3_drag < 0) and changes no other value."""
+    return rho_tilde * (4.0 * np.pi / 3.0) / e3_drag + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -647,15 +648,13 @@ class AuxiliaryField:
     e3_drag: float
     dissipation: float
     traction_jump: tuple  # [[T(U,P) n]] as surface_traction_jump's (normal, tangential)
-    checks: dict
     solver: TwoPhaseStokesSolver  # the solve operators U was solved with
 
 
 def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
     """Unit-translation two-phase Stokes field.  Its data are of degree 1,
     so the solve's drop pressure (mean zero) has no degree-0 part and the
-    surface integral of the normal stress jump vanishes without a shift;
-    ``checks["normalization_integral"]`` reads that integral."""
+    surface integral of the normal stress jump vanishes without a shift."""
     g = grid.sphere
     _, _, n3 = normal_component_fields(g)
     data = YElement(
@@ -685,18 +684,7 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
 
     for fld in (U, P, jacU):  # shared like the solver
         fld.values.flags.writeable = False
-    m_leak = axisym_leakage(U)
-    checks = {
-        "normal_velocity_defect": float(
-            np.max(np.abs(np.einsum("iab,iab->ab", U.trace(INTERIOR), rhat) + n3.values))
-        ),
-        "tangential_jump_max": float(np.max(np.hypot(*jump[1].components))),
-        "normalization_integral": integrate_sphere(jump[0]),
-        "axisym_leakage": m_leak,
-    }
-    return AuxiliaryField(
-        U, P, jacU, drag, float(drag[2]), dissipation, jump, checks, solver
-    )
+    return AuxiliaryField(U, P, jacU, drag, float(drag[2]), dissipation, jump, solver)
 
 
 def axisym_leakage(u: VolumeField, *coeffs: np.ndarray) -> float:

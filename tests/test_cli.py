@@ -261,11 +261,14 @@ def test_default_config_solves(tmp_path):
     assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
-def test_trivial_solution_artifacts(tmp_path):
+def test_trivial_solution_artifacts(tmp_path, capsys):
+    """At rho_tilde = 0 the solve takes two updates of 0 and prints lambda
+    as +0, without a sign."""
     p = tmp_path / "zero.cfg"
     p.write_text(SMALL.replace("rho_tilde = 1e-3", "rho_tilde = 0"))
     out = tmp_path / "out0"
     assert main(["solve", "--config", str(p), "--out", str(out)]) == EXIT_OK
+    assert "lambda=0.000000000e+00, iters=2," in capsys.readouterr().out
     shape = np.loadtxt(out / "interface_shape.csv", delimiter=",", skiprows=1)
     assert np.all(shape[:, 1] == 0.0)
 

@@ -13,9 +13,9 @@ from dropsteady.driver import (
     diagnostics,
     farfield_fit,
     lambda_error_bar,
+    midshell_residual,
     mirror_defect,
     picard_solve,
-    reconstruct_physical,
 )
 from dropsteady.operators import (
     DropState,
@@ -37,6 +37,11 @@ CFG = SolveConfig(rho_tilde=1e-3, band_limit=12, n_r_int=20, n_r_ext=32, r_inf=6
 @pytest.fixture(scope="module")
 def solved():
     return picard_solve(CFG)
+
+
+@pytest.fixture(scope="module")
+def solved_zero():
+    return picard_solve(dataclasses.replace(CFG, rho_tilde=0.0))
 
 
 @pytest.fixture(scope="module")
@@ -75,16 +80,48 @@ def test_non_finite_update_stops_iteration():
     assert len(e.value.history) == 1
 
 
-def test_trivial_solution_zero_density_contrast():
-    cfg = dataclasses.replace(CFG, rho_tilde=0.0)
-    b = picard_solve(cfg)
+def test_trivial_solution_zero_density_contrast(solved_zero):
+    """At rho_tilde = 0 the zero state is the quiescent sphere, the fixed
+    point: the loop takes two updates of exactly 0 and converges."""
+    b = solved_zero
     assert b.converged
-    assert len(b.history) == 0  # no iterations needed
+    assert [h["update"] for h in b.history] == [0.0, 0.0]
     assert b.lam == 0.0
     assert norm_X(b.state, 0.0)["total"] == 0.0
     rep = diagnostics(b)
     assert rep["volume_defect"] == 0.0
     assert rep["force_e3_defect_rel"] == 0.0
+
+
+def test_zero_density_contrast_reports_every_key(solved, solved_zero):
+    """A solve at rho_tilde = 0 reports the keys of any other solve, each
+    finite except lambda_error_bar, which is inf without a measured ratio."""
+    rep0 = diagnostics(solved_zero)
+    assert sorted(rep0) == sorted(diagnostics(solved))
+    assert rep0["lambda_error_bar"] == np.inf and rep0["contraction_ratios"] == []
+    for k, v in rep0.items():
+        assert k == "lambda_error_bar" or np.all(np.isfinite(np.asarray(v, float))), k
+
+
+def test_zero_density_contrast_from_a_nonzero_start(solved_zero):
+    """At rho_tilde = 0 an admissible nonzero start converges to the zero
+    state, the quiescent sphere, like any other start to its fixed point."""
+    cfg, ctx = solved_zero.config, solved_zero.ctx
+    guess = DropState.zeros(ctx.grid)
+    guess.eta = 1e-4 * SphereField.constant(ctx.grid.sphere, 1.0)
+    guess.kappa = 1e-5
+    b = picard_solve(cfg, ctx=ctx, initial=guess)
+    assert b.converged and b.history[0]["update"] > 0.0
+    assert norm_X(b.state, 0.0)["total"] < 10 * cfg.tol_fixed_point
+    assert abs(b.lam) < 10 * cfg.tol_fixed_point
+
+
+def test_context_for_other_physics_is_refused(solved):
+    """A context carries its own rho_tilde and viscosities; a config that
+    names others is refused rather than solved with the context's."""
+    for other in (dict(rho_tilde=0.0), dict(rho_tilde=2e-3), dict(mu2=2.0)):
+        with pytest.raises(ValueError, match="context was built for"):
+            picard_solve(dataclasses.replace(CFG, **other), ctx=solved.ctx)
 
 
 def test_convergence_and_ball(solved):
@@ -140,16 +177,14 @@ def test_uniqueness_in_ball(solved):
     guess.kappa = 1e-5
     b2 = picard_solve(CFG, ctx=ctx, initial=guess)
     diff = b2.state.combine(b.state, 1.0, -1.0)
-    assert norm_X(diff, b.lambda0)["total"] < 10 * CFG.tol_fixed_point
+    assert norm_X(diff, b.ctx.lambda0)["total"] < 10 * CFG.tol_fixed_point
 
 
 def test_reconstruction_residual(solved):
-    phys = reconstruct_physical(solved)
-    assert phys["midshell_residual"] < 1e-6
-    assert phys["lam"] == solved.lam
+    assert midshell_residual(solved) < 1e-6
     # at the fixed point the physical field on the sphere satisfies the
     # kinematic condition w.n = -lam e3.n
-    w = phys["w"]
+    w = solved.physical.w
     g = solved.ctx.grid.sphere
     rhat = g.unit_vectors()[0]
     wn = np.einsum("iab,iab->ab", w.trace(0), rhat)
@@ -170,22 +205,23 @@ def test_diagnostics_report(solved):
 def test_diagnostics_read_the_residual_pass_fields(solved, monkeypatch):
     """The diagnostics build no interface map and differentiate nothing:
     the barycenter is that of the bundle's own MapData object, and the
-    physical pair is the one the final residual pass formed."""
+    mid-shell residual reads the physical pair the final residual pass
+    formed."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("diagnostics derived the converged state again")
 
-    for name in ("geometry.build_map", "operators.build_map", "driver.build_map", "volume.vector_gradient"):
+    for name in ("geometry.build_map", "operators.build_map", "volume.vector_gradient"):
         monkeypatch.setattr(f"dropsteady.{name}", refuse)
     monkeypatch.setattr(type(solved.ctx), "physical_pair", refuse)
     rep = diagnostics(solved)
-    mp, w, _, _ = solved.physical
+    mp = solved.physical.mp
     assert mp.eta.eta is solved.eta
     grid = solved.ctx.grid
     moment = (np.stack(grid_points(grid)) + mp.E.values) * mp.J.values
     barycenter = [integrate_phase(VolumeField(grid, m), INTERIOR) for m in moment]
     assert np.array_equal(rep["barycenter"], barycenter)
-    assert reconstruct_physical(solved)["w"] is w
+    assert rep["midshell_residual"] == midshell_residual(solved)
 
 
 def test_force_defect_reads_rounding_level(readme_default):
@@ -229,15 +265,14 @@ def test_mirror_symmetry(solved, solved_mirror):
     assert d["velocity"] < 1e-8
 
 
-def test_fixed_point_residual_rows(solved):
+def test_fixed_point_residual_rows(solved, solved_zero):
     """The report carries the seven rows of the final residual; they are
     finite and sum to fixed_point_residual, and read 0.0 at rho_tilde = 0."""
     rows = [f"fixed_point_residual_{k}" for k in ("f", "g", "h1", "h2", "a1", "a2", "h3")]
     values = [solved.report[k] for k in rows]
     assert all(np.isfinite(v) and v >= 0.0 for v in values)
     assert sum(values) == pytest.approx(solved.report["fixed_point_residual"], rel=1e-14, abs=0.0)
-    rep = diagnostics(picard_solve(dataclasses.replace(CFG, rho_tilde=0.0)))
-    assert [rep[k] for k in rows] == [0.0] * 7
+    assert [solved_zero.report[k] for k in rows] == [0.0] * 7
 
 
 def test_fixed_point_residual_direct(solved):
@@ -297,7 +332,7 @@ def test_zero_state_is_the_translating_drop(readme_default):
     b, _ = readme_default
     assert b.converged and len(b.history) == 2
     w, q = b.ctx.physical_pair(DropState.zeros(b.ctx.grid))
-    aux, lam0 = b.ctx.aux, b.lambda0
+    aux, lam0 = b.ctx.aux, b.ctx.lambda0
     assert np.array_equal(w.values, lam0 * aux.U.values)
     assert np.array_equal(q.values, lam0 * aux.P.values)
 
