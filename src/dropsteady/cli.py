@@ -172,8 +172,13 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it as one config error line
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dropsteady",
         description="Steady falling-drop spectral solver",
     )
@@ -208,7 +213,11 @@ def main(argv=None) -> int:
     if "--rho-grid" in argv[:-1]:
         i = argv.index("--rho-grid")
         argv[i : i + 2] = [f"--rho-grid={argv[i + 1]}"]
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ValueError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     return args.fn(args)
 
 

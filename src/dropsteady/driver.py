@@ -351,7 +351,7 @@ def farfield_fit(bundle: SolutionBundle) -> dict:
     """Least-squares wake coefficient against the fundamental solution.
 
     Fits c in v = c Gamma e3 over shells in [R_inf/4, R_inf/2] and the
-    log-log decay slope of the remainder.
+    log-log decay slope of the remainder (nan if a shell has none).
     """
     ctx = bundle.ctx
     grid = ctx.grid
@@ -373,8 +373,12 @@ def farfield_fit(bundle: SolutionBundle) -> dict:
     )
     target = bundle.config.rho_tilde * 4.0 * np.pi / 3.0
     rem = vals - c_fit * G3
-    rms = np.sqrt(np.einsum("ab,isab,isab->s", g.weights, rem, rem))
-    slope = float(np.polyfit(np.log(radii), np.log(np.maximum(rms, 1e-300)), 1)[0])
+    peak = np.max(np.abs(rem), axis=(0, 2, 3))  # scaled out: a tiny remainder's squares underflow
+    slope = float("nan")
+    if peak.all():
+        unit = rem / peak[:, None, None]
+        ms = np.einsum("ab,isab,isab->s", g.weights, unit, unit)
+        slope = float(np.polyfit(np.log(radii), np.log(peak) + 0.5 * np.log(ms), 1)[0])
     return {
         "wake_coefficient": float(c_fit),
         "wake_target": float(target),

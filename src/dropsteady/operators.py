@@ -17,9 +17,9 @@ normal part (scalar coefficients) and a tangential part (spheroidal/toroidal
 ones), row 4 is the tangential part, row 5 reads the force off the degree-1
 coefficients (``stokes.traction_force``), and row 7 subtracts the normal
 part; its kernel term is project_kernel(eta) / 3.  Each caller takes the
-jump from the channels it holds: ``apply_L`` from the one analysis of
+jump from what it holds: ``apply_L`` from the one analysis of
 ``stokes.minus_div_T``, ``invert_L`` from the Stokes solve's own channels,
-and ``assemble_N`` through ``stokes.surface_traction_jump``.
+and ``assemble_N`` at the nodes, from the stresses it forms.
 
 The inverse follows the constructive recipe: hand rows 1-4 of the data
 to ``stokes.solve_two_phase`` as L writes them (row 1 in the stress form
@@ -34,7 +34,8 @@ perturbation of the physical fields (w, q) = (u + lambda U, p + lambda P),
 lambda = lambda0 + kappa, with (U, P) the auxiliary field untruncated, so
 that each term appears once and the zero state is the translating drop
 lambda0 (U, P); with the interface map's cofactors A, Ntil = A^T n,
-J_eta = [[T^eta(w,q) n]] and the flat jump J = [[T(u,p) n]]:
+J_eta = [[T^eta(w,q) n]] and the flat jump J = [[T(u,p) n]], both nodal
+off one Jacobian's traces, so that their (u, p) parts cancel at eta = 0:
   1. Div(T^eta(w,q) - T(w,q))
        - rho (grad w) A (w + lambda e3) + rho lambda0 d3 u   (L holds the drift)
   2. div((I - A) w) - lambda Div U
@@ -104,7 +105,6 @@ from .stokes import (
     lambda0_value,
     minus_div_T,
     solve_two_phase,
-    surface_traction_jump,
     traction_force,
 )
 from .volume import (
@@ -251,12 +251,10 @@ def matvec(A: VolumeField, v: VolumeField) -> VolumeField:
     return VolumeField(A.grid, np.einsum("ijrab,jrab->irab", A.values, v.values))
 
 
-def _traction_jump_eta(T_eta: VolumeField) -> np.ndarray:
-    """[[T^eta(.,.) n]] from the per-side traces of an assembled tensor."""
-    rhat = T_eta.grid.sphere.unit_vectors()[0]
-    ti = np.einsum("ijab,jab->iab", T_eta.trace(INTERIOR), rhat)
-    te = np.einsum("ijab,jab->iab", T_eta.trace(EXTERIOR), rhat)
-    return ti - te
+def _traction_jump(grid: VolumeGrid, T_int: np.ndarray, T_ext: np.ndarray) -> np.ndarray:
+    """Cartesian [[T n]] at the nodes of r = 1 from a stress's drop-side and reservoir-side traces."""
+    rhat = grid.sphere.unit_vectors()[0]
+    return np.einsum("ijab,jab->iab", T_int, rhat) - np.einsum("ijab,jab->iab", T_ext, rhat)
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +360,13 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> tuple[YElement, Physic
         N3 = SphereField(g, values=np.einsum("iab,iab->ab", vel.trace(INTERIOR), rhat - mp.Ntil))
 
     # N4, N5, N7: the flat jump J of (u, p) against the pulled-back J_eta
-    J = surface_traction_jump(state.u, state.p, mu1, mu2)
-    J_eta = _traction_jump_eta(T_eta)
+    sides = ((INTERIOR, mu1), (EXTERIOR, mu2))
+    J = _traction_jump(grid, *(stress(jac_u.trace(ph), state.p.trace(ph), mu) for ph, mu in sides))
+    J_eta = _traction_jump(grid, T_eta.trace(INTERIOR), T_eta.trace(EXTERIOR))
     AP_J_eta = np.einsum("ijab,jkab,kab->iab", mp.A_surf, mp.P_eta, J_eta)
-    N4 = J[1] - _tangent_from_cartesian(grid, AP_J_eta)
+    N4 = _tangent_from_cartesian(grid, J - AP_J_eta)
     weights = g.weights
-    N5 = float(traction_force(J)[2]) + lam * ctx.e3_drag - g.quad(J_eta[2])
+    N5 = g.quad(J[2] - J_eta[2]) + lam * ctx.e3_drag
 
     # N6: volume-constraint remainder
     ev = eta.values
@@ -381,7 +380,7 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> tuple[YElement, Physic
     nhat_gamma = Ntil / Nnorm[None]
     N7_vals = (
         np.einsum("iab,iab->ab", Ntil, J_eta) / Nnorm**2
-        - J[0].values
+        - np.einsum("iab,iab->ab", rhat, J)
         - kappa * ctx.jumpU_n.values
         - np.einsum("iab,i->ab", nhat_gamma, int_quart) / (4.0 * np.pi)
         + np.einsum("iab,i->ab", rhat - nhat_gamma, int_eta_n) / (4.0 * np.pi)

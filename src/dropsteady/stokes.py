@@ -14,7 +14,7 @@ volume layer's per-mode operator (``mode_laplacian``, ``mode_divergence``,
 ``mode_gradient``) and ``_surface_traction`` applied to the nodal basis
 tables of ``radial`` (interior: parity bases in r; exterior: polynomial in
 s = 1/r, which excludes the growing solutions), the same formulas that
-``minus_div_T`` and ``surface_traction_jump`` apply to fields.  Each degree
+``minus_div_T`` and ``traction_jump`` apply to channels.  Each degree
 is a least-squares system, factored phase by phase (``_staircase_pinv``).
 The constructor keeps, per channel, one stacked operator (L+1, n_out, n_in)
 from nodal data to nodal profiles, and writes each degree's products with
@@ -28,10 +28,11 @@ coupling and each sweep through the force block of the operators only, so
 the sphere transforms of a drifted solve do not grow with its steps.
 
 -Div T(u, p) = -mu lap u + grad (p - mu div u) is one pass on the channels
-of u and the coefficients of p (``minus_div_T``).  ``surface_traction_jump``
-reads [[T(u,p) n]] off the channels at r = 1 as scalar (normal part) and
-spheroidal/toroidal (tangential part) coefficients, and ``traction_force``
-integrates it from its degree-1 coefficients.
+of u and the coefficients of p (``minus_div_T``), which also reads
+[[T(u,p) n]] off them at r = 1 as scalar (normal part) and
+spheroidal/toroidal (tangential part) coefficients, as the solver's
+``traction_jump`` does off a solve's; ``traction_force`` integrates it
+from its degree-1 coefficients.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ __all__ = [
     "AuxiliaryField",
     "auxiliary_field",
     "axisym_leakage",
-    "surface_traction_jump",
     "traction_force",
     "lambda0_value",
     "divT_norm_lq",
@@ -452,8 +452,8 @@ class TwoPhaseStokesSolver:
         )
 
     def traction_jump(self, u, p):
-        """[[T(u, p) n]] as ``surface_traction_jump`` gives it, from the
-        channels of a solution in the layout of solve_channels."""
+        """[[T(u, p) n]] at r = 1 (normal SphereField, tangential TangentField)
+        from the channels of a solution in the layout of solve_channels."""
         grid = self.grid
         i_s = _surface_rows(grid)
         return _traction_jump(
@@ -538,10 +538,10 @@ def solve_two_phase(
 def minus_div_T(u: VolumeField, p: VolumeField, mu1: float, mu2: float, drift=(0.0, 0.0)):
     """-Div T(u, p) = -mu lap u + grad (p - mu div u) with each phase's mu,
     plus drift d3 u with the phase pair ``drift`` = (rho1 lambda0, rho2
-    lambda0) when it is nonzero, div u, and [[T(u, p) n]] as
-    ``surface_traction_jump`` gives it, in one pass on the channels of u
-    and the coefficients of p.  The drift's d3 is the channel coupling
-    the Stokes solve inverts (``d3_channels``)."""
+    lambda0) when it is nonzero, div u, and [[T(u, p) n]] as the solver's
+    ``traction_jump``, in one pass on the channels of u and the
+    coefficients of p.  The drift's d3 is the channel coupling the Stokes
+    solve inverts (``d3_channels``)."""
     grid, g = u.grid, u.grid.sphere
     r, ll1, mu = grid.radius_mesh(), grid.ll1, grid.phase_profile(mu1, mu2)
     U = np.stack(vsh_channels(u))
@@ -604,20 +604,6 @@ def _traction_jump(grid: VolumeGrid, U, dU, p, mu1: float, mu2: float):
     return SphereField(g, coeffs=t_r, band=L), TangentField(g, spec=(t_s, t_t), band=L)
 
 
-def surface_traction_jump(u: VolumeField, p: VolumeField, mu1: float, mu2: float):
-    """[[T(u,p) n]] at r = 1, drop side minus reservoir side, as its normal
-    part (a SphereField on coefficients) and its tangential part (a
-    TangentField on spheroidal/toroidal coefficients), read off the (P, v, w)
-    channels of u and the coefficients of p.  A caller that holds those
-    channels already takes the jump from them: ``minus_div_T`` from its
-    analysis, ``TwoPhaseStokesSolver.traction_jump`` from a solve's."""
-    grid = u.grid
-    U = np.stack(vsh_channels(u))
-    i_s = _surface_rows(grid)
-    p_s = analysis_batch(grid.sphere, p.values[i_s], grid.sphere.band_limit)
-    return _traction_jump(grid, U[:, i_s], vector_radial_deriv(grid, U, 1)[:, i_s], p_s, mu1, mu2)
-
-
 def traction_force(jump) -> np.ndarray:
     """int [[T n]] dS of a jump (normal, tangential) from its degree-1
     coefficients: e_i = n_i rhat + grad_S n_i and lap_S n_i = -2 n_i give
@@ -647,7 +633,7 @@ class AuxiliaryField:
     drag: np.ndarray  # int [[T(U,P) n]] dS
     e3_drag: float
     dissipation: float
-    traction_jump: tuple  # [[T(U,P) n]] as surface_traction_jump's (normal, tangential)
+    traction_jump: tuple  # [[T(U,P) n]] as the solver's (normal, tangential)
     solver: TwoPhaseStokesSolver  # the solve operators U was solved with
 
 
@@ -666,7 +652,7 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
     solver = TwoPhaseStokesSolver(grid, params.mu1, params.mu2)
     sol = solver.solve(data)
     U, P = sol.u, sol.p
-    jump = surface_traction_jump(U, P, params.mu1, params.mu2)
+    jump = solver.traction_jump(*sol.channels)
     drag = traction_force(jump)
     rhat = g.unit_vectors()[0]
     jacU = vector_gradient(U)
@@ -779,27 +765,21 @@ def _f2(s):
 def oseenlet(x: np.ndarray, lam: float, mu: float = 1.0, rho: float = 0.5) -> np.ndarray:
     """Fundamental solution tensor of -mu lap u + rho lam d3 u + grad p = F delta.
 
-    Reduces to the Stokeslet pointwise as lam -> 0.  ``x`` has shape
-    (..., 3); the result (..., 3, 3) maps the point force to velocity.
+    The wake trails along sign(rho lam) e3; at lam = 0 (k = s = 0) it is the
+    Stokeslet.  ``x`` has shape (..., 3); the result (..., 3, 3) maps the
+    point force to velocity.
     """
     x = np.asarray(x, float)
     if np.any(np.einsum("...i,...i->...", x, x) == 0.0):
         raise ValueError("oseenlet is singular at the origin")
     c = rho * lam
-    if c < 0.0:
-        M = np.diag([1.0, 1.0, -1.0])
-        xr = x @ M
-        G = oseenlet(xr, -lam, mu, rho)
-        return np.einsum("ik,...kl,lj->...ij", M, G, M)
+    sig = np.sign(c)
+    k = abs(c) / (2.0 * mu)
     r = np.sqrt(np.einsum("...i,...i->...", x, x))
     xh = x / r[..., None]
     eye = np.eye(3)
-    if c == 0.0:
-        return (eye + np.einsum("...i,...j->...ij", xh, xh)) / (8.0 * np.pi * mu * r[..., None, None])
-    k = c / (2.0 * mu)
-    s = k * (r - x[..., 2])
-    e3 = np.array([0.0, 0.0, 1.0])
-    d = xh - e3
+    s = k * (r - sig * x[..., 2])
+    d = xh - sig * eye[2]
     G = eye * (np.exp(-s) / (4.0 * np.pi * mu * r))[..., None, None]
     G = G - (
         k * _f2(s)[..., None, None] * np.einsum("...i,...j->...ij", d, d)

@@ -179,12 +179,15 @@ def test_apply_L_analyses_u_once_per_row(traced):
 def test_assemble_N_forms_each_term_once(traced):
     """N is written in the physical perturbation w = u + lambda U: one
     interface map, one Jacobian, one transformed stress and its tensor
-    divergence, and one divergence of (I - A) w."""
+    divergence, and one divergence of (I - A) w.  The traction jumps are
+    read off the Jacobian's traces, so the four divergences make the only
+    vector analyses (``vsh_channels``)."""
     calls = traced[0]
     assemble = calls["assemble_N"]
     once = ("geometry.build_map", "geometry.transformed_stress", "volume.tensor_divergence", "volume.vector_gradient")
     assert {fn: assemble[fn] for fn in once} == dict.fromkeys(once, 1)
     assert assemble["volume.vector_divergence"] == 4  # three rows of the stress, then (I - A) w
+    assert assemble["volume.vsh_channels"] == 4
 
 
 def test_drift_sweeps_run_no_sphere_transform():

@@ -360,6 +360,26 @@ def test_validate_bad_arguments_are_config_errors(monkeypatch, capsys, argv, wor
     assert len(err) == 1 and err[0].startswith("config error:") and word in err[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--threads", "abc", "validate"], ["validate", "--seed", "x"], ["solve"], [], ["no-such-command"]],
+    ids=["threads not an integer", "seed not an integer", "solve without config", "no command", "unknown command"],
+)
+def test_rejected_arguments_are_one_config_error_line(capsys, argv):
+    """What argparse rejects is reported like any other config error: one
+    line, no usage text, exit 2 returned, not raised."""
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "usage:" not in err[0]
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+
+
 def test_validate_default_report(tmp_path):
     assert main(["validate", "--out", str(tmp_path)]) == EXIT_OK
     lines = (tmp_path / "validation_report.txt").read_text().splitlines()

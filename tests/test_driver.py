@@ -95,12 +95,27 @@ def test_trivial_solution_zero_density_contrast(solved_zero):
 
 def test_zero_density_contrast_reports_every_key(solved, solved_zero):
     """A solve at rho_tilde = 0 reports the keys of any other solve, each
-    finite except lambda_error_bar, which is inf without a measured ratio."""
+    finite except lambda_error_bar, which is inf without a measured ratio,
+    and wake_remainder_slope, which is nan without a remainder."""
     rep0 = diagnostics(solved_zero)
     assert sorted(rep0) == sorted(diagnostics(solved))
     assert rep0["lambda_error_bar"] == np.inf and rep0["contraction_ratios"] == []
+    assert np.isnan(rep0["wake_remainder_slope"])
     for k, v in rep0.items():
-        assert k == "lambda_error_bar" or np.all(np.isfinite(np.asarray(v, float))), k
+        assert k in ("lambda_error_bar", "wake_remainder_slope") or np.all(np.isfinite(np.asarray(v, float))), k
+
+
+def test_wake_slope_of_a_tiny_remainder():
+    """Each shell's remainder is scaled before it is squared: at rho_tilde =
+    1e-300 and 1e-200 the squares would underflow, yet the slope is that at
+    1e-100, where they do not."""
+    cfg = SolveConfig(band_limit=4, n_r_int=8, n_r_ext=12)
+    *tiny, ref = [
+        farfield_fit(picard_solve(dataclasses.replace(cfg, rho_tilde=rho)))["wake_remainder_slope"]
+        for rho in (1e-300, 1e-200, 1e-100)
+    ]
+    for slope in tiny:
+        assert abs(slope - ref) <= 1e-9 * abs(ref)
 
 
 def test_zero_density_contrast_from_a_nonzero_start(solved_zero):

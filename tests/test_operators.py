@@ -10,7 +10,7 @@ from dropsteady.operators import (
     DropState,
     YElement,
     _tangent_from_cartesian,
-    _traction_jump_eta,
+    _traction_jump,
     apply_L,
     assemble_N,
     build_context,
@@ -30,10 +30,10 @@ from dropsteady.stokes import (
     auxiliary_field,
     lambda0_value,
     solve_two_phase,
-    surface_traction_jump,
 )
 from dropsteady.validate import random_state
 from dropsteady.volume import (
+    EXTERIOR,
     INTERIOR,
     VolumeField,
     VolumeGrid,
@@ -373,11 +373,14 @@ def _assemble_N_term_by_term(state, ctx):
     e3_surf[2] = 1.0
     vec = u_surf + lam * (U.trace(INTERIOR) + e3_surf)
     N3 = SphereField(g, values=np.einsum("iab,iab->ab", vec, rhat - mp.Ntil))
-    jn_flat, jt_flat = surface_traction_jump(u, p, mu1, mu2)
-    jump_u_flat = jn_flat.values * rhat + jt_flat.cartesian()
+
+    def jump(T):
+        return _traction_jump(grid, T.trace(INTERIOR), T.trace(EXTERIOR))
+
+    jump_u_flat = jump(T_flat_u)
     jn = np.einsum("iab,iab->ab", jump_u_flat, rhat)
-    jump_eta_u = _traction_jump_eta(T_eta_u)
-    jump_eta_U = _traction_jump_eta(T_eta_U)
+    jump_eta_u = jump(T_eta_u)
+    jump_eta_U = jump(T_eta_U)
 
     def A_Peta(x):
         return np.einsum("ijab,jab->iab", mp.A_surf, np.einsum("ijab,jab->iab", mp.P_eta, x))
@@ -433,6 +436,23 @@ def test_N_matches_term_by_term_reference(m_max):
             scale = np.max(np.abs(ref))
             assert scale > 0.0
             assert np.max(np.abs(got - ref)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("m_max", [None, 2])
+def test_N_interface_rows_at_the_identity_map_do_not_read_u_p(m_max):
+    """At eta = 0 the interface map is the identity, and N's flat jump J and
+    pulled-back J_eta come from the traces of one Jacobian: their (u, p)
+    parts cancel, so rows 4, 5 and 7 of N are the same for any two states
+    of equal kappa, on a full grid and on the band."""
+    vg = VolumeGrid.build(8, 16, 24, 64.0, m_max=m_max)
+    ctx = build_context(vg, PhysicalParams(mu1=2.5, mu2=0.8, rho_tilde=0.1))
+    rows = []
+    for seed in (4, 5):
+        st = replace(random_state(vg, np.random.default_rng(seed)), kappa=1e-3, eta=SphereField.zeros(vg.sphere))
+        y = assemble_N(st, ctx)[0]
+        rows.append((np.stack(y.h2.components), y.a1, y.h3.values))
+    for name, a, b in zip(("h2", "a1", "h3"), *rows):
+        assert np.max(np.abs(a - b)) <= 1e-12, name
 
 
 def test_rotation_equivariance_of_L_and_N(ctx):
