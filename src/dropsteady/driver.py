@@ -28,7 +28,7 @@ from .operators import (
     norm_X,
     norm_Y,
 )
-from .sphere import SphereField, sobolev_norm
+from .sphere import PAD, SphereField, sobolev_norm
 from .stokes import PhysicalParams, axisym_leakage, minus_div_T, oseenlet
 from .volume import (
     EXTERIOR,
@@ -71,6 +71,15 @@ FARFIELD_SHELLS = 6  # exterior shells in [R_inf/4, R_inf/2] the wake is fitted 
 # of r_inf: from about 1e35 the volume integrals overflow.
 R_INF_MAX = 1e30
 
+# The most a config's grid may ask for in its largest tables, in bytes: the
+# stacked Stokes operators, (L+1) 3n (3n+2) doubles with n = n_r_int +
+# n_r_ext, and the sphere tables, six transform tables of (m_max+1)(P+1)(P+2)
+# doubles at the grid's exact degree P and the d3 coupling's (m_max+1)
+# 6(L+1) 12(L+1).  The README default needs 5.7 MB of them.  Without a
+# bound, band_limit = 1000000 would ask numpy for terabytes and end in a
+# MemoryError or an out-of-memory kill instead of a config error.
+GRID_BYTES_MAX = 2**30
+
 # The range a config may give each of mu1, mu2 and sigma.  At band_limit 4 a
 # solve that does not converge fails with one line for sigma in [1e-160, 1e180]
 # and mu in [1e-300, 1e150]; outside, numpy overflow warnings come first (the
@@ -111,6 +120,14 @@ class SolveConfig:
         # the exterior nodes are a Lobatto grid, which needs both end points
         if not (self.n_r_int >= 1 and self.n_r_ext >= 2):
             raise ValueError("n_r_int must be at least 1 and n_r_ext at least 2")
+        # the bytes of the largest tables of the grid and its Stokes solver
+        L, n, P = self.band_limit, self.n_r_int + self.n_r_ext, int(np.ceil(PAD * self.band_limit)) + 1
+        m = AXISYMMETRIC_M_MAX + 1
+        size = 8 * ((L + 1) * 3 * n * (3 * n + 2) + 6 * m * (P + 1) * (P + 2) + 72 * m * (L + 1) ** 2)
+        if not size <= GRID_BYTES_MAX:
+            raise ValueError(
+                f"band_limit, n_r_int and n_r_ext need {size:.3g} bytes of tables, above {GRID_BYTES_MAX:.3g}"
+            )
         # midshell_residual reads the shells in [4, r_inf/4] and the
         # far-field fit those in [r_inf/4, r_inf/2]; r_inf > 8 keeps the
         # fit's outer shell r_inf/2 beyond r = 4

@@ -22,10 +22,11 @@ the nodal bases straight into its rows and columns; a solve is one batched
 matmul per channel over all degrees and orders, between the sphere
 transforms.
 
-The drift rho lambda0 d3 u is iterated (Richardson, contraction factor
-O(lambda0)) in channel space, d3 through the grid's probed channel
-coupling and each sweep through the force block of the operators only, so
-the sphere transforms of a drifted solve do not grow with its steps.
+The drift rho lambda0 d3 u is inverted by GMRES in channel space, with
+the Stokes solve as preconditioner: d3 acts through the grid's probed
+channel coupling and each Krylov step through the force block of the
+operators only, so the sphere transforms of a drifted solve do not grow
+with its steps.
 
 -Div T(u, p) = -mu lap u + grad (p - mu div u) is one pass on the channels
 of u and the coefficients of p (``minus_div_T``), which also reads
@@ -57,7 +58,6 @@ from .volume import (
     VolumeGrid,
     analysis_batch,
     chan_radial_deriv,
-    channel_norm_l2,
     d3_channels,
     eval_radii,
     integrate_phase,
@@ -85,7 +85,6 @@ __all__ = [
     "lambda0_value",
     "divT_norm_lq",
     "oseenlet",
-    "RichardsonDivergence",
 ]
 
 
@@ -166,15 +165,6 @@ class StokesData(NamedTuple):
     g: np.ndarray
     h1: np.ndarray
     h2: tuple
-
-
-class RichardsonDivergence(RuntimeError):
-    """The Oseen drift iteration diverged or ran out of iterations."""
-
-    def __init__(self, what: str, ratios):
-        shown = ", ".join(f"{r:.3g}" for r in ratios)
-        super().__init__(f"Oseen drift iteration {what}; last ratios [{shown}]")
-        self.ratios = ratios
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +366,7 @@ class TwoPhaseStokesSolver:
     p), each over the whole radial axis.  ``tor[l]`` maps (fw, h2t) to w.
     At l = 0 the v and w blocks are zero.  ``solve`` is ``analyse``,
     ``solve_channels`` (one batched matmul per stack) and ``synthesise``;
-    ``solve_two_phase`` adds drift sweeps through ``force_velocity``.
+    ``solve_two_phase`` adds the drift's Krylov steps through ``force_velocity``.
     """
 
     def __init__(self, grid: VolumeGrid, mu1: float, mu2: float):
@@ -432,7 +422,8 @@ class TwoPhaseStokesSolver:
     def force_velocity(self, f):
         """Velocity channels of the solve whose only data are the force
         channels ``f``: the force block, the force columns of the velocity
-        rows (views of ``sph`` and ``tor``).  A drift sweep applies it."""
+        rows (views of ``sph`` and ``tor``).  Each Krylov step of the drift
+        solve applies it."""
         n = self.grid.r.size
         P, V = np.split(self._apply(self.sph[:, : 2 * n, : 2 * n], f[0], f[1]), 2)
         return np.stack([P, V, self._apply(self.tor[:, :, :n], f[2])])
@@ -466,12 +457,12 @@ class TwoPhaseStokesSolver:
 
 
 # ---------------------------------------------------------------------------
-# Oseen drift by Richardson iteration
+# Oseen drift by GMRES
 # ---------------------------------------------------------------------------
 
 
-RICHARDSON_TOL = 1e-12  # stop once an update is below this share of the Stokes solve
-RICHARDSON_MAX_ITER = 40
+KRYLOV_TOL = 1e-12  # stop once the residual is below this share of the Stokes solve
+KRYLOV_MAX_STEPS = 40
 
 
 def solve_two_phase(
@@ -480,58 +471,53 @@ def solve_two_phase(
     params: PhysicalParams,
     solver: TwoPhaseStokesSolver,
 ) -> TwoPhaseSolution:
-    """Solve -Div T(u, p) + rho lambda0 d3 u = f and rows 2-4 of ``data``;
-    drift handled by Richardson.
+    """Solve -Div T(u, p) + rho lambda0 d3 u = f and rows 2-4 of ``data``.
 
-    The iteration solves Stokes with f - rho lambda0 d3(u_k) on the
-    right; the recorded contraction ratios form the convergence
-    certificate.  As the solve is linear, a sweep is u_{k+1} = u_0 -
-    S_f(rho lambda0 d3 u_k), with u_0 the Stokes solve of the data and
-    S_f the solver's force block (``force_velocity``), and p is formed
-    once, from the last sweep's drift.  The iterate stays in channel
-    space: the data are analysed once, d3 acts through the grid's channel
-    coupling, the update is measured by Parseval, and u and p are
-    synthesised once after the last sweep; the solution keeps their
-    channels.  ``diagnostics["stokes_solves"]`` counts 1 + sweeps.
-    Divergence (ratio >= 1 three times running) raises, and so do a
-    non-finite update, at once, and an update still above RICHARDSON_TOL
-    after RICHARDSON_MAX_ITER solves.  Non-finite data give the
-    non-finite Stokes solve without sweeps, as at lambda0 = 0.
+    The solve is linear, so its velocity channels solve (I + K) u = u_0,
+    u_0 the Stokes solve of the data and K u = S_f(rho lambda0 d3 u), S_f
+    the solver's force block (``force_velocity``).  Unrestarted GMRES (Y.
+    Saad and M. Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) solves this
+    Stokes-preconditioned system in the Euclidean inner product of the
+    channel coefficients, with classical Gram-Schmidt applied twice; then
+    p = p_0 - S_p(rho lambda0 d3 u), and u and p are synthesised once.
+    ``diagnostics["stokes_solves"]`` counts 1 + Krylov steps.  A Krylov
+    vector that is not finite raises LinAlgError at once, and so does a
+    residual above KRYLOV_TOL |u_0| after KRYLOV_MAX_STEPS steps.  Zero
+    data give the zero solve and non-finite data the non-finite Stokes
+    solve, both without steps, as at lambda0 = 0.
     """
     grid = solver.grid
-    u0, p = solver.solve_channels(solver.analyse(data))
-    u = u0
-    ratios = []
-    solves = 1
-    base = channel_norm_l2(grid, u)
-    if lambda0 != 0.0 and np.isfinite(base):
+    u, p = solver.solve_channels(solver.analyse(data))
+    beta, steps = np.linalg.norm(u), 0
+    if lambda0 != 0.0 and 0.0 < beta < np.inf:
         rho = grid.phase_profile(params.rho1 * lambda0, params.rho2 * lambda0)
-        prev_update = None
-        base = max(base, 1e-300)
-        for _ in range(RICHARDSON_MAX_ITER):
-            drift = rho * d3_channels(grid, u)
-            u_next = u0 - solver.force_velocity(drift)
-            solves += 1
-            update = channel_norm_l2(grid, u_next - u)
-            # NaN compares False with the tolerance and the ratio test alike
-            if not np.isfinite(update):
-                raise RichardsonDivergence("gave a non-finite update", ratios[-3:])
-            if prev_update is not None and prev_update > 0:
-                ratios.append(update / prev_update)
-                if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
-                    raise RichardsonDivergence("diverged", ratios[-3:])
-            prev_update = update
-            u = u_next
-            if update <= RICHARDSON_TOL * base:
+        u = np.divide(u, beta, order="C")  # Krylov vectors in C order: vdot copies any other
+        basis, H = [u], np.zeros((KRYLOV_MAX_STEPS + 1, KRYLOV_MAX_STEPS))  # one vector a step
+        e1 = beta * (np.arange(KRYLOV_MAX_STEPS + 1) == 0)
+        for steps in range(1, KRYLOV_MAX_STEPS + 1):
+            w = np.add(basis[-1], solver.force_velocity(rho * d3_channels(grid, basis[-1])), order="C")
+            for _ in range(2):  # classical Gram-Schmidt, applied twice
+                h = np.array([np.vdot(v, w) for v in basis])
+                for c, v in zip(h, basis):
+                    w -= c * v
+                H[:steps, steps - 1] += h
+            H[steps, steps - 1] = np.linalg.norm(w)
+            if not np.isfinite(H[: steps + 1, steps - 1]).all():
+                raise np.linalg.LinAlgError(f"Oseen drift solve: Krylov vector {steps} is not finite")
+            y = np.linalg.lstsq(H[: steps + 1, :steps], e1[: steps + 1], rcond=None)[0]
+            residual = np.linalg.norm(H[: steps + 1, :steps] @ y - e1[: steps + 1])
+            if residual <= KRYLOV_TOL * beta or H[steps, steps - 1] == 0.0:
                 break
-        else:
-            raise RichardsonDivergence(
-                f"no convergence in {RICHARDSON_MAX_ITER} iterations", ratios[-3:]
+            w /= H[steps, steps - 1]
+            basis.append(w)
+        if not residual <= KRYLOV_TOL * beta:
+            raise np.linalg.LinAlgError(
+                f"Oseen drift solve: residual {residual / beta:.1e} of u_0 after {steps} Krylov steps"
             )
-        p = p - solver.force_pressure(drift)
+        u = sum(c * basis.pop(0) for c in y)  # frees the basis as it goes
+        p = p - solver.force_pressure(rho * d3_channels(grid, u))
     sol = solver.synthesise(u, p)
-    sol.diagnostics["richardson_ratios"] = ratios
-    sol.diagnostics["stokes_solves"] = solves
+    sol.diagnostics["stokes_solves"] = 1 + steps
     return sol
 
 

@@ -220,15 +220,10 @@ def scalar_gradient(f: VolumeField) -> VolumeField:
 
 
 def d3(f: VolumeField) -> VolumeField:
-    """d f / d x3 = cos(theta) d_r f - sin(theta) d_theta f / r, any rank:
-    the e3 component of the gradient alone (phi-hat has no e3 component).
+    """d f / d x3 of a field of any rank, the e3 column of its gradient.
     The nodal reference for ``d3_channels``, which L's drift and the Stokes
     solve use."""
-    dr, tth, _ = _spherical_gradient(f)
-    rhat, that, _ = f.grid.sphere.unit_vectors()
-    out = dr * rhat[2]
-    out += tth * that[2]
-    return VolumeField(f.grid, out)
+    return e3_column(scalar_gradient(f))
 
 
 def d3_channels(grid: VolumeGrid, u: np.ndarray, du: np.ndarray | None = None) -> np.ndarray:
@@ -245,10 +240,11 @@ def d3_channels(grid: VolumeGrid, u: np.ndarray, du: np.ndarray | None = None) -
     if du is None:
         du = vector_radial_deriv(grid, u, 1)
     X = np.empty((M + 1, 2, 3, 2, n, n_r))  # (m, C|E, c, part: order +m | -m, l, r)
-    for k, c in enumerate((du, u / grid.radius_mesh())):
+    for k, c in enumerate((du, u)):
         c = c.transpose(3, 0, 2, 1)  # (order column, c, l, r)
         X[:, k, :, 0] = c[M:]
         X[:, k, :, 1] = c[M::-1]
+    X[:, 1] /= grid.r  # E acts on u / r, divided here to need no copy of u
     Y = (B @ X.reshape(M + 1, -1, n_r)).reshape(M + 1, 3, 2, n, n_r)
     out = np.empty((3, n_r, n, 2 * M + 1))
     out[..., M:] = Y[:, :, 0].transpose(1, 3, 2, 0)

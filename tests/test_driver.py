@@ -53,8 +53,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(alpha=0.5)
     assert SolveConfig(r_inf=1e30).r_inf == 1e30  # the largest r_inf accepted
+    # the table bound, read from the fields alone: no grid is built here
+    assert SolveConfig(band_limit=600).band_limit == 600  # 9.2e8 bytes
     for bad in (
         dict(band_limit=0),
+        dict(band_limit=700),  # 1.2e9 bytes
+        dict(n_r_int=500, n_r_ext=500),  # 1.2e9 bytes
+        dict(band_limit=10**6),
         dict(n_r_int=0),
         dict(n_r_ext=1),
         dict(r_inf=8.0),
@@ -116,6 +121,16 @@ def test_wake_slope_of_a_tiny_remainder():
     ]
     for slope in tiny:
         assert abs(slope - ref) <= 1e-9 * abs(ref)
+
+
+def test_negative_contrast_on_the_readme_grid_converges():
+    """At rho_tilde = -0.3 on the README grid, where a sweep of the drift
+    alone (Richardson) does not contract, the drifted Stokes solve and the
+    Picard solve converge, to a fixed-point residual below the acceptance
+    bound 1e-8."""
+    b = picard_solve(SolveConfig(rho_tilde=-0.3))
+    assert b.converged
+    assert diagnostics(b)["fixed_point_residual"] < 1e-8
 
 
 def test_zero_density_contrast_from_a_nonzero_start(solved_zero):

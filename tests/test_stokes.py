@@ -580,7 +580,7 @@ def test_pressure_matches_closed_form(vg):
     assert np.max(np.abs(got - exact)) < 1e-9
 
 
-# -- drift / Richardson -------------------------------------------------------
+# -- drift ---------------------------------------------------------------------
 
 
 def test_solve_two_phase_with_drift_manufactured(vg, solver):
@@ -594,8 +594,7 @@ def test_solve_two_phase_with_drift_manufactured(vg, solver):
     sol = solve_two_phase(data, lam, params, solver)
     err = (sol.u - u_exact).max_abs() / u_exact.max_abs()
     assert err < 1e-7
-    assert len(sol.diagnostics["richardson_ratios"]) >= 1
-    assert all(r < 1 for r in sol.diagnostics["richardson_ratios"][-2:])
+    assert sol.diagnostics["stokes_solves"] > 1  # the drift took Krylov steps
     # the interface rows hold to roundoff (momentum_l2 and divergence_l2 go
     # through norm_l2, which reads 0.0 here; see _shell_total)
     rep = residual_report(sol.u, sol.p, data, lam, params)
@@ -664,20 +663,24 @@ def test_minus_div_T_matches_nodal_composition(m_max):
     assert (divu - div_ref).max_abs() <= 1e-12 * div_ref.max_abs()
 
 
+NODAL_RICHARDSON_TOL, NODAL_RICHARDSON_SWEEPS = 1e-12, 40
+
+
 def _nodal_richardson(data, lam, params, solver):
-    """The drift iteration on nodal fields: d3 and the stop test on the grid,
-    one full Stokes solve (analysis, operators, synthesis) per sweep."""
+    """A reference drift solve of another kind, on nodal fields: Richardson
+    sweeps u_{k+1} = S(f - rho lam d3 u_k), d3 and the stop test on the
+    grid, one full Stokes solve (analysis, operators, synthesis) per sweep."""
     sol = solver.solve(data)
     ratios, base = [], norm_l2(sol.u)
     prev = None
-    for _ in range(stokes.RICHARDSON_MAX_ITER):
+    for _ in range(NODAL_RICHARDSON_SWEEPS):
         drift = d3(sol.u).phasewise_scale(params.rho1 * lam, params.rho2 * lam)
         nxt = solver.solve(YElement(data.f - drift, data.g, data.h1, data.h2))
         update = norm_l2(nxt.u - sol.u)
         if prev is not None and prev > 0:
             ratios.append(update / prev)
         prev, sol = update, nxt
-        if update <= stokes.RICHARDSON_TOL * base:
+        if update <= NODAL_RICHARDSON_TOL * base:
             return sol, ratios
     raise AssertionError("the nodal reference did not converge")
 
@@ -692,8 +695,8 @@ def test_drifted_solve_matches_nodal_richardson(band_solver, lam):
     params = PhysicalParams(mu1=2.5, mu2=0.8, rho_tilde=0.3)
     ref, ratios = _nodal_richardson(data, lam, params, band_solver)
     sol = solve_two_phase(data, lam, params, band_solver)
-    assert len(sol.diagnostics["richardson_ratios"]) == len(ratios)
-    assert sol.diagnostics["stokes_solves"] == len(ratios) + 2
+    # GMRES needs no more operator applications than the sweeps (1 + sweeps)
+    assert 1 < sol.diagnostics["stokes_solves"] <= len(ratios) + 2
     for got, want in ((sol.u, ref.u), (sol.p, ref.p)):
         assert (got - want).max_abs() <= 1e-11 * want.max_abs()
 
@@ -716,7 +719,7 @@ def test_lambda0_continuity(vg, solver):
 
 def _counting_solve(monkeypatch, solver, poison_from=None):
     """Count the Stokes operator applications: the solve of the data
-    (solver.solve_channels) and each drift sweep's force block
+    (solver.solve_channels) and each Krylov step's force block
     (solver.force_velocity); from call ``poison_from`` on, return NaN
     velocity channels."""
     calls = []
@@ -738,25 +741,25 @@ def _counting_solve(monkeypatch, solver, poison_from=None):
 
 
 def test_drift_on_non_finite_data_skips_sweeps(vg, solver, monkeypatch):
-    """NaN data give the NaN Stokes solve at once, as without drift."""
+    """NaN data give the NaN Stokes solve at once, without Krylov steps, as
+    without drift."""
     data = _drop_data(vg)
     data.f.blocks[INTERIOR][0, 0, 0, 0] = np.nan
     calls = _counting_solve(monkeypatch, solver)
     sol = solve_two_phase(data, 1e-3, PhysicalParams(rho_tilde=1e-3), solver)
     assert len(calls) == 1
     assert sol.diagnostics["stokes_solves"] == 1
-    assert sol.diagnostics["richardson_ratios"] == []
     assert not np.isfinite(sol.u.max_abs())
 
 
 def test_drift_non_finite_update_raises(vg, solver, monkeypatch):
-    """A sweep that goes non-finite on finite data raises at once: a NaN
-    update passes neither the tolerance nor the ratio test, so without its
-    own check the iteration would run every sweep up to the cap."""
+    """A Krylov vector that goes non-finite on finite data raises one clear
+    LinAlgError at once, before the small least-squares solve (whose SVD
+    would fail on NaN with another message)."""
     calls = _counting_solve(monkeypatch, solver, poison_from=2)
-    with pytest.raises(stokes.RichardsonDivergence, match="non-finite update"):
+    with pytest.raises(np.linalg.LinAlgError, match="Krylov vector 1 is not finite"):
         solve_two_phase(_drop_data(vg), 1e-3, PhysicalParams(rho_tilde=1e-3), solver)
-    assert len(calls) <= 3
+    assert len(calls) == 2
 
 
 # -- truncation ----------------------------------------------------------------
