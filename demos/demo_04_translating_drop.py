@@ -10,7 +10,8 @@ translation speed law.
 import numpy as np
 
 from dropsteady import dropflow
-from dropsteady.stokes import PhysicalParams, auxiliary_field, divT_norm_lq, lambda0_value
+from dropsteady.stokes import PhysicalParams, auxiliary_field, lambda0_value
+from dropsteady.validate import divT_norm_lq
 from dropsteady.volume import EXTERIOR, VolumeGrid, eval_radii
 
 vg = VolumeGrid.build(band_limit=12, n_r_int=20, n_r_ext=32, r_inf=64.0)

@@ -14,7 +14,7 @@ term beyond linear order; H(unit sphere) = -2 in this sign convention.
 
 Two formulas the other modules share live here: ``cutoff`` evaluates the
 quintic cutoff and its first two derivatives (the extension cutoff above
-and the truncation U_R = chi_R U in ``stokes.divT_norm_lq``), and
+and the truncation U_R = chi_R U in ``validate.divT_norm_lq``), and
 ``stress`` is the stress law mu (G + G^T) - q I, with G = grad w F^{-1}
 in ``transformed_stress`` and G = grad w in the flat stresses.
 """
@@ -89,7 +89,7 @@ def cutoff(r, R: float = 1.0):
     """chi(r / R) = 1 - smoothstep(r / R - 1), 1 for r <= R and 0 for r >= 2R,
     and its first two derivatives in r: returns (chi, chi', chi'').
 
-    The truncation U_R = chi_R U whose stress residue ``stokes.divT_norm_lq``
+    The truncation U_R = chi_R U whose stress residue ``validate.divT_norm_lq``
     measures takes it at scale R; the interface map's
     extension cutoff is chi(r - 1), 1 for r <= 2 and 0 for r >= 3.
     """

@@ -208,7 +208,7 @@ def emit_mode_tables(out_dir: str, bundle) -> str:
     n = grid.interior.n
     for name, sel in (("drop", slice(None, n)), ("reservoir", slice(n, None))):
         radii = grid.r[sel]
-        for cname, arr in zip(("radial", "spheroidal", "toroidal"), (c[sel] for c in chans)):
+        for cname, arr in zip(("radial", "spheroidal", "toroidal"), chans[:, sel]):
             for l in range(L + 1):
                 col = arr[:, l, arr.shape[-1] // 2]  # axisymmetric channel
                 if np.max(np.abs(col)) == 0.0:

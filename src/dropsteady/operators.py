@@ -175,9 +175,10 @@ class PhysicalFields(NamedTuple):
     jac_w: VolumeField
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorContext:
-    """Precomputed environment shared by apply/invert/assemble.
+    """Precomputed environment shared by apply/invert/assemble, frozen: a
+    context at another lambda0 is ``dataclasses.replace(ctx, lambda0=...)``.
 
     ``aux`` is the auxiliary field (U, P), untruncated: a state is the
     perturbation of lambda (U, P), so the zero state is the translating
@@ -438,7 +439,7 @@ def norm_X(state: DropState, lambda0: float) -> dict:
     al = abs(lambda0)
     grid = state.u.grid
     r, ll1 = grid.radius_mesh(), grid.ll1
-    U = np.stack(vsh_channels(state.u))
+    U = vsh_channels(state.u)
     dU = [vector_radial_deriv(grid, U, k) for k in (1, 2)]
     P, v, w = U
     # the 1/r^2 bracket above as a sum of squares, so that it does not

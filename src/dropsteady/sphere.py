@@ -373,19 +373,20 @@ def synthesis_batch(grid: SphereGrid, coeffs: np.ndarray, band: int) -> np.ndarr
     return _grid_values(grid, Y @ grid._tables.P_s[:n_m, : band + 1], coeffs.shape[:-2])
 
 
-def tangent_analysis_batch(grid: SphereGrid, tth: np.ndarray, tph: np.ndarray, band: int):
-    """Spheroidal/toroidal analysis on component arrays (..., n_theta, n_phi)."""
+def tangent_analysis_batch(grid: SphereGrid, tth: np.ndarray, tph: np.ndarray, band: int) -> np.ndarray:
+    """Spheroidal/toroidal analysis on component arrays (..., n_theta, n_phi);
+    returns the coefficients stacked (2, ..., L+1, 2M+1)."""
     n = band + 1
     X = _amplitudes(grid, np.stack([tth, tph]), band)
     n_m = X.shape[0]
     DE_a = grid._tables.DE_a[:n_m, :, :n].reshape(n_m, grid.n_theta, 2 * n)
     DE = (X @ DE_a).reshape(n_m, 4, -1, n, 2)
     res = DE[..., 0] + _ROTATE * DE[:, ::-1, ..., 1]
-    return tuple(_layout(res.reshape(n_m, -1, n), (2,) + tth.shape[:-2]))
+    return _layout(res.reshape(n_m, -1, n), (2,) + tth.shape[:-2])
 
 
-def tangent_synthesis_batch(grid: SphereGrid, s: np.ndarray, t: np.ndarray, band: int):
-    """Inverse of tangent_analysis_batch; returns (t_theta, t_phi)."""
+def tangent_synthesis_batch(grid: SphereGrid, s: np.ndarray, t: np.ndarray, band: int) -> np.ndarray:
+    """Inverse of tangent_analysis_batch; returns (t_theta, t_phi) stacked (2, ..., n_theta, n_phi)."""
     n, n_m = band + 1, _orders(grid, band)
     Y = _unlayout(np.stack([s, t]), n_m - 1).reshape(n_m, 4, -1, n)
     Z = np.empty(Y.shape + (2,))
@@ -393,7 +394,7 @@ def tangent_synthesis_batch(grid: SphereGrid, s: np.ndarray, t: np.ndarray, band
     np.multiply(_ROTATE, Y[:, ::-1], out=Z[..., 1])
     DE_s = grid._tables.DE_s[:n_m, :n].reshape(n_m, 2 * n, grid.n_theta)
     amps = Z.reshape(n_m, -1, 2 * n) @ DE_s
-    return tuple(_grid_values(grid, amps, (2,) + s.shape[:-2]))
+    return _grid_values(grid, amps, (2,) + s.shape[:-2])
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +415,14 @@ def spherical_to_cartesian(g: SphereGrid, fr, fth, fph, out=None) -> np.ndarray:
     return out
 
 
-def vector_channels(g: SphereGrid, cart: np.ndarray):
+def vector_channels(g: SphereGrid, cart: np.ndarray) -> np.ndarray:
     """Coefficients (P, v, w) of u = P Y rhat + v grad_S Y + w rhat x grad_S Y
-    from Cartesian components ``cart`` (3, ..., n_theta, n_phi)."""
+    from Cartesian components ``cart`` (3, ..., n_theta, n_phi), as one
+    C-ordered array (3, ..., L+1, 2M+1): every consumer of channels reads
+    this layout, and none stacks or copies it again."""
     L = g.band_limit
     ur, uth, uph = np.einsum("k...ab,skab->s...ab", cart, g.unit_vectors())
-    return (analysis_batch(g, ur, L), *tangent_analysis_batch(g, uth, uph, L))
+    return np.concatenate([analysis_batch(g, ur, L)[None], tangent_analysis_batch(g, uth, uph, L)])
 
 
 D3_REACH = 3  # largest degree step of d/dx3 in channels (1 on a full grid)
@@ -463,7 +466,7 @@ def _probe_d3_coupling(grid: SphereGrid) -> np.ndarray:
     rhat, that, _ = grid.unit_vectors()
     tth = tangent_synthesis_batch(grid, A, np.zeros_like(A), L)[0]
     parts = np.stack([rhat[2] * synthesis_batch(grid, A, L), that[2] * tth], axis=1)
-    out = np.stack([a[..., cols] for a in vector_channels(grid, parts)])  # (c', C|E, probe, l', m, s')
+    out = vector_channels(grid, parts)[..., cols]  # (c', C|E, probe, l', m, s')
     # response at (c', s', l', m) to input (c, s, l, m): probe (c, s, l mod K)
     G = out.reshape(3, 2, 3, 2, K, n, M + 1, 2)[:, :, :, :, l % K]
     G = G.transpose(6, 0, 7, 5, 1, 2, 3, 4)  # (m, c', s', l', C|E, c, s, l)

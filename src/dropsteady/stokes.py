@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import cutoff, stress
+from .geometry import stress
 from .sphere import (
     SphereField,
     TangentField,
@@ -52,14 +52,12 @@ from .sphere import (
     synthesis_batch,
 )
 from .volume import (
-    EXTERIOR,
     INTERIOR,
     VolumeField,
     VolumeGrid,
     analysis_batch,
     chan_radial_deriv,
     d3_channels,
-    eval_radii,
     integrate_phase,
     mode_divergence,
     mode_gradient,
@@ -83,7 +81,6 @@ __all__ = [
     "axisym_leakage",
     "traction_force",
     "lambda0_value",
-    "divT_norm_lq",
     "oseenlet",
 ]
 
@@ -400,7 +397,7 @@ class TwoPhaseStokesSolver:
             raise ValueError(f"incompatible data: int g - int h1 = {defect:.3e}")
         g = analysis_batch(grid.sphere, data.g.values, L)
         mu = grid.phase_profile(self.mu1, self.mu2)
-        f = np.stack(vsh_channels(data.f))
+        f = vsh_channels(data.f)
         for c, grad in zip(f, mode_gradient((g, chan_radial_deriv(grid, g, 0, 1)), grid.radius_mesh())):
             c += mu * grad
         return StokesData(f, g, data.h1.with_band(L).coeffs, data.h2.spec)
@@ -408,13 +405,17 @@ class TwoPhaseStokesSolver:
     @staticmethod
     def _apply(op, *blocks):
         """op[l] on the stacked data blocks (..., L+1, 2M+1) of every degree
-        at once; returns the output profiles (n_out, L+1, 2M+1)."""
+        at once; returns the output profiles (n_out, L+1, 2M+1) in C order,
+        written by the matmul through a transposed view."""
         x = np.concatenate([b.reshape((-1,) + b.shape[-2:]) for b in blocks])
-        return np.moveaxis(op @ np.moveaxis(x, 1, 0), 0, 1)
+        out = np.empty((op.shape[1],) + x.shape[1:])
+        np.matmul(op, x.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+        return out
 
     def solve_channels(self, data: StokesData):
-        """Channels of the solution, in the layout of StokesData: u as
-        (3, n_r, L+1, 2M+1) stacked (P, v, w) and p as (n_r, L+1, 2M+1)."""
+        """Channels of the solution, in the layout of StokesData and in C
+        order: u as (3, n_r, L+1, 2M+1) stacked (P, v, w) and p as (n_r,
+        L+1, 2M+1)."""
         P, V, Q = np.split(self._apply(self.sph, data.f[0], data.f[1], data.g, data.h1, data.h2[0]), 3)
         W = self._apply(self.tor, data.f[2], data.h2[1])
         return np.stack([P, V, W]), Q
@@ -478,8 +479,11 @@ def solve_two_phase(
     the solver's force block (``force_velocity``).  Unrestarted GMRES (Y.
     Saad and M. Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) solves this
     Stokes-preconditioned system in the Euclidean inner product of the
-    channel coefficients, with classical Gram-Schmidt applied twice; then
-    p = p_0 - S_p(rho lambda0 d3 u), and u and p are synthesised once.
+    channel coefficients.  The channels are one C-ordered array, so a
+    Krylov vector is a row of the basis V, one matrix whose rows double
+    when it is full; classical Gram-Schmidt applied twice is two products
+    with V, and u = y V.  Then p = p_0 - S_p(rho lambda0 d3 u), and u and
+    p are synthesised once.
     ``diagnostics["stokes_solves"]`` counts 1 + Krylov steps.  A Krylov
     vector that is not finite raises LinAlgError at once, and so does a
     residual above KRYLOV_TOL |u_0| after KRYLOV_MAX_STEPS steps.  Zero
@@ -491,15 +495,15 @@ def solve_two_phase(
     beta, steps = np.linalg.norm(u), 0
     if lambda0 != 0.0 and 0.0 < beta < np.inf:
         rho = grid.phase_profile(params.rho1 * lambda0, params.rho2 * lambda0)
-        u = np.divide(u, beta, order="C")  # Krylov vectors in C order: vdot copies any other
-        basis, H = [u], np.zeros((KRYLOV_MAX_STEPS + 1, KRYLOV_MAX_STEPS))  # one vector a step
+        V = (u / beta).reshape(1, -1)  # the Krylov basis: a vector in each of its first `steps` rows
+        H = np.zeros((KRYLOV_MAX_STEPS + 1, KRYLOV_MAX_STEPS))
         e1 = beta * (np.arange(KRYLOV_MAX_STEPS + 1) == 0)
         for steps in range(1, KRYLOV_MAX_STEPS + 1):
-            w = np.add(basis[-1], solver.force_velocity(rho * d3_channels(grid, basis[-1])), order="C")
+            v = V[steps - 1].reshape(u.shape)
+            w = (v + solver.force_velocity(rho * d3_channels(grid, v))).ravel()
             for _ in range(2):  # classical Gram-Schmidt, applied twice
-                h = np.array([np.vdot(v, w) for v in basis])
-                for c, v in zip(h, basis):
-                    w -= c * v
+                h = V[:steps] @ w
+                w -= h @ V[:steps]
                 H[:steps, steps - 1] += h
             H[steps, steps - 1] = np.linalg.norm(w)
             if not np.isfinite(H[: steps + 1, steps - 1]).all():
@@ -508,13 +512,16 @@ def solve_two_phase(
             residual = np.linalg.norm(H[: steps + 1, :steps] @ y - e1[: steps + 1])
             if residual <= KRYLOV_TOL * beta or H[steps, steps - 1] == 0.0:
                 break
-            w /= H[steps, steps - 1]
-            basis.append(w)
+            if steps == len(V):  # full: double the rows, so that no step copies the whole basis
+                grown = np.empty((2 * steps, V.shape[1]))
+                grown[:steps] = V
+                V = grown
+            V[steps] = w / H[steps, steps - 1]
         if not residual <= KRYLOV_TOL * beta:
             raise np.linalg.LinAlgError(
                 f"Oseen drift solve: residual {residual / beta:.1e} of u_0 after {steps} Krylov steps"
             )
-        u = sum(c * basis.pop(0) for c in y)  # frees the basis as it goes
+        u = (y @ V[:steps]).reshape(u.shape)
         p = p - solver.force_pressure(rho * d3_channels(grid, u))
     sol = solver.synthesise(u, p)
     sol.diagnostics["stokes_solves"] = 1 + steps
@@ -530,7 +537,7 @@ def minus_div_T(u: VolumeField, p: VolumeField, mu1: float, mu2: float, drift=(0
     solve inverts (``d3_channels``)."""
     grid, g = u.grid, u.grid.sphere
     r, ll1, mu = grid.radius_mesh(), grid.ll1, grid.phase_profile(mu1, mu2)
-    U = np.stack(vsh_channels(u))
+    U = vsh_channels(u)
     dU = [vector_radial_deriv(grid, U, k) for k in (1, 2)]
     div = mode_divergence((U[0], dU[0][0]), (U[1],), r, ll1)
     f = -mu * np.stack(mode_laplacian(*zip(U, *dU), r, ll1))
@@ -669,58 +676,6 @@ def axisym_leakage(u: VolumeField, *coeffs: np.ndarray) -> float:
         off[..., a.shape[-1] // 2] = 0.0  # remove m = 0
         leak = max(leak, float(off.max()))
     return leak
-
-
-# ---------------------------------------------------------------------------
-# the truncated auxiliary field's stress residue
-# ---------------------------------------------------------------------------
-
-
-ANNULUS_GAUSS_NODES = 48  # radial Gauss-Legendre rule on the cutoff annulus [R, 2R]
-
-
-def divT_norm_lq(aux: AuxiliaryField, R: float, q: float) -> float:
-    """L^q norm of Div T(U_R, P_R) on its support annulus [R, 2R], from the
-    auxiliary field at the annulus' Gauss radii (no truncated pair is formed)."""
-    grid = aux.solver.grid
-    if not (R > 4.0 and 2.0 * R <= grid.r_inf + 1e-12):
-        raise ValueError(f"truncation radius must satisfy 4 < R <= R_inf/2, got {R}")
-    xg, wg = np.polynomial.legendre.leggauss(ANNULUS_GAUSS_NODES)
-    rr = R + (xg + 1.0) * R / 2.0
-    wr = wg * R / 2.0
-    vals = _cutoff_stress_divergence(
-        *(eval_radii(f, rr, EXTERIOR) for f in (aux.U, aux.jacU, aux.P)),
-        rr,
-        R,
-        grid.sphere.unit_vectors()[0],
-        aux.solver.mu2,
-    )
-    mag = np.sum(np.abs(vals) ** 2, axis=0) ** (q / 2.0)
-    ang = np.einsum("ab,rab->r", grid.sphere.weights, mag)
-    return float(np.sum(wr * rr**2 * ang)) ** (1.0 / q)
-
-
-def _cutoff_stress_divergence(U, jac, P, r, R, rhat, mu2):
-    """Div T(chi_R U, chi_R P) for a Stokes pair (U, P), analytic in the cutoff.
-
-    ``U``, ``jac`` and ``P`` are the pair's velocity, Jacobian and pressure
-    on the angular grid at exterior radii ``r``.
-    """
-    _, dchi, d2chi = (c[:, None, None] for c in cutoff(r, R))
-    rinv = (1.0 / r)[:, None, None]
-    gradchi = dchi[None] * rhat[:, None]
-    eye = np.eye(3)[:, :, None, None, None]
-    rr = np.einsum("iab,jab->ijab", rhat, rhat)[:, :, None]
-    hess = d2chi[None, None] * rr + (dchi * rinv)[None, None] * (eye - rr)
-    lapchi = d2chi + 2.0 * rinv * dchi
-    S = 0.5 * (jac + np.einsum("ijrab->jirab", jac))
-    term = (
-        np.einsum("ijrab,jrab->irab", S, gradchi)
-        + 0.5 * np.einsum("ijrab,jrab->irab", hess, U)
-        + 0.5 * np.einsum("ijrab,jrab->irab", jac, gradchi)
-        + 0.5 * lapchi[None] * U
-    )
-    return 2.0 * mu2 * term - P[None] * gradchi
 
 
 # ---------------------------------------------------------------------------

@@ -203,11 +203,9 @@ def _spherical_gradient(f: VolumeField):
     L = g.band_limit
     C = analysis_batch(g, f.values, L)
     dr = synthesis_batch(g, chan_radial_deriv(grid, C, 0, 1), L)
-    tth, tph = tangent_synthesis_batch(g, C, np.zeros_like(C), L)
-    rinv = 1.0 / grid.radius_mesh()
-    tth *= rinv
-    tph *= rinv
-    return dr, tth, tph
+    t = tangent_synthesis_batch(g, C, np.zeros_like(C), L)
+    t *= 1.0 / grid.radius_mesh()
+    return dr, *t
 
 
 def scalar_gradient(f: VolumeField) -> VolumeField:
@@ -262,8 +260,9 @@ def e3_column(jac: VolumeField) -> VolumeField:
     return VolumeField(jac.grid, jac.values[..., 2, :, :, :])
 
 
-def vsh_channels(u: VolumeField):
-    """Per-mode radial profiles (P, v, w) of a vector field."""
+def vsh_channels(u: VolumeField) -> np.ndarray:
+    """Per-mode radial profiles (P, v, w) of a vector field, one C-ordered
+    array (3, n_r, L+1, 2M+1) (``sphere.vector_channels``)."""
     return vector_channels(u.grid.sphere, u.values)
 
 
@@ -316,7 +315,7 @@ def vector_divergence(u: VolumeField) -> VolumeField:
 def vector_laplacian(u: VolumeField) -> VolumeField:
     """Vector Laplacian from the channels of u and their r-derivatives."""
     grid = u.grid
-    U = np.stack(vsh_channels(u))
+    U = vsh_channels(u)
     dU = (vector_radial_deriv(grid, U, k) for k in (1, 2))
     lap = mode_laplacian(*zip(U, *dU), grid.radius_mesh(), grid.ll1)
     return VolumeField(grid, vsh_assemble(grid, *lap))

@@ -1,7 +1,8 @@
 """No module in src/, tests/ or demos/ imports a name it never reads,
 src/dropsteady defines no function or class, private or public, that
 nothing uses, and no module of src/dropsteady imports another's private
-name.
+name, and that its modules import numpy, the standard library and the
+package itself only.
 
 The scan is by AST over each file as a whole: a name bound by an import
 counts as used when the file loads it anywhere (an attribute access
@@ -13,6 +14,7 @@ traced targets, ``"Class.method"`` split at the dots) names it.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -120,3 +122,23 @@ def test_no_private_imports_across_src_modules():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert not crossing, "private names imported from another module:\n" + "\n".join(crossing)
+
+
+def test_src_imports_numpy_and_the_standard_library_only():
+    """numpy is the one dependency in pyproject.toml: a module of
+    src/dropsteady imports nothing else but the standard library and its
+    own package (scipy, say, is not a dependency even where installed)."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "dropsteady"}
+    files = sorted((ROOT / "src" / "dropsteady").glob("*.py"))
+    assert len(files) > 10
+    foreign = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [f"{path.relative_to(ROOT)}:{node.lineno}: {top}" for top in tops if top not in allowed]
+    assert not foreign, "imports outside numpy and the standard library:\n" + "\n".join(foreign)

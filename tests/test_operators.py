@@ -174,8 +174,7 @@ def test_invert_a1_only(ctx):
 @pytest.mark.parametrize("lam0", [1e-3, 1e-2])
 def test_round_trip_random(vg, lam0):
     params = PhysicalParams(mu1=1.0, mu2=1.0, rho_tilde=1e-3)
-    ctx = build_context(vg, params)
-    ctx.lambda0 = lam0
+    ctx = replace(build_context(vg, params), lambda0=lam0)
     errs = []
     a2_errs = []
     state_errs = []
@@ -541,7 +540,7 @@ def _inside_band_edge(vg, f: VolumeField) -> VolumeField:
     what is left need no degree above L and no order above M."""
     g = vg.sphere
     L = g.band_limit
-    c = np.stack(vsh_channels(f)) if f.rank else analysis_batch(g, f.values, L)
+    c = vsh_channels(f) if f.rank else analysis_batch(g, f.values, L)
     c[..., L, :] = 0.0
     c[..., [0, -1]] = 0.0
     return VolumeField(vg, vsh_assemble(vg, *c) if f.rank else synthesis_batch(g, c, L))

@@ -14,13 +14,12 @@ from dropsteady.stokes import (
     YElement,
     auxiliary_field,
     axisym_leakage,
-    divT_norm_lq,
     lambda0_value,
     oseenlet,
     residual_report,
     solve_two_phase,
 )
-from dropsteady.validate import random_state
+from dropsteady.validate import _cutoff_stress_divergence, divT_norm_lq, random_state
 from dropsteady.volume import (
     EXTERIOR,
     INTERIOR,
@@ -626,6 +625,31 @@ def _random_channels(vg, rng):
     return np.concatenate(out, axis=1)
 
 
+@pytest.mark.parametrize("L, m_max", [(8, 2), (12, None)])
+def test_channels_are_one_c_ordered_array(L, m_max):
+    """The vector analysis and the Stokes solver's outputs (the solve's u
+    and p, the force block's velocity and pressure) are C-ordered arrays in
+    the channel layout, on a band and on a full grid, so no consumer
+    stacks them or forces their order."""
+    vg = VolumeGrid.build(L, 12, 20, 64.0, m_max=m_max)
+    solver = TwoPhaseStokesSolver(vg, 2.5, 0.8)
+    ch = _random_channels(vg, np.random.default_rng(3))
+    data = _drop_data(vg)
+    data.f = VolumeField(vg, vsh_assemble(vg, *ch))
+    u, p = solver.solve_channels(solver.analyse(data))
+    outs = {
+        "vsh_channels": vsh_channels(data.f),
+        "solve u": u,
+        "solve p": p,
+        "force_velocity": solver.force_velocity(ch),
+        "force_pressure": solver.force_pressure(ch),
+    }
+    for name, a in outs.items():
+        assert isinstance(a, np.ndarray) and a.flags.c_contiguous, name
+    assert outs["vsh_channels"].shape == u.shape == outs["force_velocity"].shape == ch.shape
+    assert p.shape == outs["force_pressure"].shape == ch.shape[1:]
+
+
 def test_d3_channels_match_nodal_d3(band_solver):
     """The probed channel-space d3 equals the channels of the nodal d3,
     band truncation included, in both phases."""
@@ -633,7 +657,7 @@ def test_d3_channels_match_nodal_d3(band_solver):
     ch = _random_channels(vg, np.random.default_rng(5))
     u = VolumeField(vg, vsh_assemble(vg, *ch))
     got = d3_channels(vg, ch)
-    ref = np.stack(vsh_channels(d3(u)))
+    ref = vsh_channels(d3(u))
     assert ref.shape == got.shape
     n = vg.interior.n
     for ph, rows in ((INTERIOR, slice(None, n)), (EXTERIOR, slice(n, None))):
@@ -652,7 +676,7 @@ def test_minus_div_T_matches_nodal_composition(m_max):
     got, divu, (jump_n, jump_t) = stokes.minus_div_T(x0.u, x0.p, mu1, mu2)
     solver = TwoPhaseStokesSolver(vg, mu1, mu2)
     pc = analysis_batch(vg.sphere, x0.p.values, vg.sphere.band_limit)
-    ref_n, ref_t = solver.traction_jump(np.stack(vsh_channels(x0.u)), pc)
+    ref_n, ref_t = solver.traction_jump(vsh_channels(x0.u), pc)
     assert np.max(np.abs(jump_n.coeffs - ref_n.coeffs)) <= 1e-13 * np.max(np.abs(ref_n.coeffs))
     for a, b in zip(jump_t.spec, ref_t.spec):
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
@@ -781,7 +805,7 @@ def test_truncation_support(vg, aux):
     rhat = vg.sphere.unit_vectors()[0]
     U, jacU, P = (f.blocks[EXTERIOR] for f in (aux.U, aux.jacU, aux.P))
     for R in (8.0, 16.0, 32.0):
-        divT = stokes._cutoff_stress_divergence(U, jacU, P, r, R, rhat, aux.solver.mu2)
+        divT = _cutoff_stress_divergence(U, jacU, P, r, R, rhat, aux.solver.mu2)
         bend = (r > R) & (r < 2.0 * R)
         assert np.max(np.abs(divT[:, ~bend])) == 0.0
         assert np.max(np.abs(divT[:, bend])) > 0.0
