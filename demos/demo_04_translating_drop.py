@@ -11,7 +11,7 @@ import numpy as np
 
 from dropsteady import dropflow
 from dropsteady.stokes import PhysicalParams, auxiliary_field, lambda0_value
-from dropsteady.validate import divT_norm_lq
+from dropsteady.validate import dissipation, divT_norm_lq
 from dropsteady.volume import EXTERIOR, VolumeGrid, eval_radii
 
 vg = VolumeGrid.build(band_limit=12, n_r_int=20, n_r_ext=32, r_inf=64.0)
@@ -29,7 +29,7 @@ for kappa in (0.1, 1.0, 10.0):
 params = PhysicalParams(mu1=1.0, mu2=1.0)
 aux = auxiliary_field(vg, params)
 print(f"\nequal viscosities: |drag| = {abs(aux.e3_drag):.12f} = 5 pi = {5*np.pi:.12f}")
-print(f"energy identity: dissipation {aux.dissipation:.12f} vs -e3 drag {-aux.e3_drag:.12f}")
+print(f"energy identity: dissipation {dissipation(aux):.12f} vs -e3 drag {-aux.e3_drag:.12f}")
 
 # velocity against the closed form on a shell
 r0 = 2.5

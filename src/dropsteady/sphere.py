@@ -493,10 +493,9 @@ class TangentField:
         self.band = grid.band_limit if band is None else int(band)
         self._tth = None if t_theta is None else np.asarray(t_theta, float)
         self._tph = None if t_phi is None else np.asarray(t_phi, float)
-        self._spec = None  # (s_coeffs, t_coeffs), each as a SphereField's coeffs
+        self._spec = None  # (s_coeffs, t_coeffs) as one (2, band+1, 2K+1) array
         if spec is not None:
-            K = min(self.band, grid.m_max)
-            self._spec = tuple(_centred(np.asarray(h, float), K) for h in spec)
+            self._spec = _centred(np.asarray(spec, float), min(self.band, grid.m_max))
 
     @classmethod
     def zeros(cls, grid: SphereGrid, band=None) -> "TangentField":

@@ -18,9 +18,9 @@ s = 1/r, which excludes the growing solutions), the same formulas that
 is a least-squares system, factored phase by phase (``_staircase_pinv``).
 The constructor keeps, per channel, one stacked operator (L+1, n_out, n_in)
 from nodal data to nodal profiles, and writes each degree's products with
-the nodal bases straight into its rows and columns; a solve is one batched
-matmul per channel over all degrees and orders, between the sphere
-transforms.
+the nodal bases straight into its rows and columns; a solve is batched
+matmuls over all degrees and orders between the sphere transforms, each
+reading one right-hand side and writing into the array it returns.
 
 The drift rho lambda0 d3 u is inverted by GMRES in channel space, with
 the Stokes solve as preconditioner: d3 acts through the grid's probed
@@ -39,11 +39,9 @@ from its degree-1 coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import stress
 from .sphere import (
     SphereField,
     TangentField,
@@ -148,20 +146,6 @@ class TwoPhaseSolution:
     p: VolumeField
     diagnostics: dict = field(default_factory=dict)
     channels: tuple = ()  # (u, p) in the layout of solve_channels, synthesised into u and p
-
-
-class StokesData(NamedTuple):
-    """The Stokes rows of a YElement in channel space, on the orders
-    |m| <= M = min(L, m_max) the grid carries (columns centred on m = 0):
-    the (P, v, w) channels of f + mu grad g, the right-hand side of
-    -mu lap u + grad p, stacked (3, n_r, L+1, 2M+1) and the profiles of g
-    (n_r, L+1, 2M+1) over the whole radial axis; the coefficients of h1
-    and the (spheroidal, toroidal) ones of h2."""
-
-    f: np.ndarray
-    g: np.ndarray
-    h1: np.ndarray
-    h2: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +345,11 @@ class TwoPhaseStokesSolver:
     ``sph[l]`` maps the nodal spheroidal data of degree l (fP, fv and g,
     each over the whole radial axis, then h1 and h2s) to the nodal (P, v,
     p), each over the whole radial axis.  ``tor[l]`` maps (fw, h2t) to w.
-    At l = 0 the v and w blocks are zero.  ``solve`` is ``analyse``,
-    ``solve_channels`` (one batched matmul per stack) and ``synthesise``;
-    ``solve_two_phase`` adds the drift's Krylov steps through ``force_velocity``.
+    At l = 0 the v and w blocks are zero.  Channel arrays carry the orders
+    |m| <= M = min(L, m_max) of the grid, centred on m = 0.  ``solve`` is
+    ``analyse``, ``solve_channels`` (batched matmuls that read one right-hand
+    side each) and ``synthesise``; ``solve_two_phase`` adds the drift's
+    Krylov steps through ``force_velocity``.
     """
 
     def __init__(self, grid: VolumeGrid, mu1: float, mu2: float):
@@ -386,9 +372,11 @@ class TwoPhaseStokesSolver:
         self.sph.flags.writeable = False
         self.tor.flags.writeable = False
 
-    def analyse(self, data: YElement) -> StokesData:
-        """The channels of the data, after checking int g = int h1; row 1
-        is read in stress form, so mu grad g joins f (module docstring)."""
+    def analyse(self, data: YElement):
+        """After checking int g = int h1, the right-hand sides of ``sph``,
+        the rows (fP, fv, g, h1, h2s) (3 n_r + 2, L+1, 2M+1), and of ``tor``,
+        (fw, h2t) (n_r + 1, L+1, 2M+1), each one concatenation; row 1 is read
+        in stress form, so (fP, fv, fw) are the channels of f + mu grad g."""
         grid = self.grid
         L = grid.sphere.band_limit
         defect = data.compatibility_defect()
@@ -400,39 +388,47 @@ class TwoPhaseStokesSolver:
         f = vsh_channels(data.f)
         for c, grad in zip(f, mode_gradient((g, chan_radial_deriv(grid, g, 0, 1)), grid.radius_mesh())):
             c += mu * grad
-        return StokesData(f, g, data.h1.with_band(L).coeffs, data.h2.spec)
+        h1, h2 = data.h1.with_band(L).coeffs, data.h2.spec
+        return np.concatenate([f[0], f[1], g, h1[None], h2[:1]]), np.concatenate([f[2], h2[1:]])
 
     @staticmethod
-    def _apply(op, *blocks):
-        """op[l] on the stacked data blocks (..., L+1, 2M+1) of every degree
-        at once; returns the output profiles (n_out, L+1, 2M+1) in C order,
-        written by the matmul through a transposed view."""
-        x = np.concatenate([b.reshape((-1,) + b.shape[-2:]) for b in blocks])
-        out = np.empty((op.shape[1],) + x.shape[1:])
+    def _apply(op, x, out=None):
+        """op[l] on the rows x (n_in, L+1, 2M+1) of every degree at once: the
+        output profiles (n_out, L+1, 2M+1), which the matmul writes through
+        a transposed view into ``out`` or into a new C-ordered array."""
+        if out is None:
+            out = np.empty((op.shape[1],) + x.shape[1:])
         np.matmul(op, x.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
         return out
 
-    def solve_channels(self, data: StokesData):
-        """Channels of the solution, in the layout of StokesData and in C
-        order: u as (3, n_r, L+1, 2M+1) stacked (P, v, w) and p as (n_r,
-        L+1, 2M+1)."""
-        P, V, Q = np.split(self._apply(self.sph, data.f[0], data.f[1], data.g, data.h1, data.h2[0]), 3)
-        W = self._apply(self.tor, data.f[2], data.h2[1])
-        return np.stack([P, V, W]), Q
+    def solve_channels(self, data):
+        """Channels of the solution from the right-hand sides of ``analyse``,
+        in C order: u (3, n_r, L+1, 2M+1), into whose (P, v) and w rows the
+        matmuls write, and p (n_r, L+1, 2M+1)."""
+        sph, tor = data
+        n = self.grid.r.size
+        u = np.empty((3, n) + sph.shape[1:])
+        rows = u.reshape((3 * n,) + sph.shape[1:])
+        self._apply(self.sph[:, : 2 * n], sph, rows[: 2 * n])
+        self._apply(self.tor, tor, rows[2 * n :])
+        return u, self._apply(self.sph[:, 2 * n :], sph)
 
     def force_velocity(self, f):
         """Velocity channels of the solve whose only data are the force
         channels ``f``: the force block, the force columns of the velocity
-        rows (views of ``sph`` and ``tor``).  Each Krylov step of the drift
-        solve applies it."""
-        n = self.grid.r.size
-        P, V = np.split(self._apply(self.sph[:, : 2 * n, : 2 * n], f[0], f[1]), 2)
-        return np.stack([P, V, self._apply(self.tor[:, :, :n], f[2])])
+        rows (views of ``sph`` and ``tor``), on a view of f's (P, v) rows.
+        Each Krylov step applies it, and allocates only the u it returns."""
+        n, shape = self.grid.r.size, f.shape[2:]
+        u = np.empty(f.shape)
+        rows = u.reshape((3 * n,) + shape)
+        self._apply(self.sph[:, : 2 * n, : 2 * n], f[:2].reshape((2 * n,) + shape), rows[: 2 * n])
+        self._apply(self.tor[:, :, :n], f[2], rows[2 * n :])
+        return u
 
     def force_pressure(self, f):
         """Pressure channels of the solve whose only data are the force channels ``f``."""
         n = self.grid.r.size
-        return self._apply(self.sph[:, 2 * n :, : 2 * n], f[0], f[1])
+        return self._apply(self.sph[:, 2 * n :, : 2 * n], f[:2].reshape((2 * n,) + f.shape[2:]))
 
     def synthesise(self, u, p) -> TwoPhaseSolution:
         """Nodal velocity and pressure from the channels of solve_channels."""
@@ -625,7 +621,6 @@ class AuxiliaryField:
     jacU: VolumeField
     drag: np.ndarray  # int [[T(U,P) n]] dS
     e3_drag: float
-    dissipation: float
     traction_jump: tuple  # [[T(U,P) n]] as the solver's (normal, tangential)
     solver: TwoPhaseStokesSolver  # the solve operators U was solved with
 
@@ -647,23 +642,10 @@ def auxiliary_field(grid: VolumeGrid, params: PhysicalParams) -> AuxiliaryField:
     U, P = sol.u, sol.p
     jump = solver.traction_jump(*sol.channels)
     drag = traction_force(jump)
-    rhat = g.unit_vectors()[0]
     jacU = vector_gradient(U)
-
-    # dissipation: interior + exterior up to R_inf by quadrature; the
-    # remote tail (forcing-free Stokes region) via the exact flux identity
-    # 2 mu int_{r>R} |S|^2 = -int_{dB_R} u . T(u,p) rhat dS
-    S = 0.5 * (jacU.values + np.einsum("ijrab->jirab", jacU.values))
-    dens = grid.phase_profile(params.mu1, params.mu2) * np.einsum("ijrab,ijrab->rab", S, S)
-    i_far = grid.interior.n + grid.exterior.i_far
-    R_far = grid.r[i_far]
-    Tr = np.einsum("ijab,jab->iab", stress(jacU.values[:, :, i_far], P.values[i_far], params.mu2), rhat)
-    flux = R_far**2 * g.quad(np.einsum("iab,iab->ab", U.values[:, i_far], Tr))
-    dissipation = 2.0 * grid.integrate(np.einsum("ij,rij->r", g.weights, dens)) - flux
-
     for fld in (U, P, jacU):  # shared like the solver
         fld.values.flags.writeable = False
-    return AuxiliaryField(U, P, jacU, drag, float(drag[2]), dissipation, jump, solver)
+    return AuxiliaryField(U, P, jacU, drag, float(drag[2]), jump, solver)
 
 
 def axisym_leakage(u: VolumeField, *coeffs: np.ndarray) -> float:

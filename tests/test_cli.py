@@ -135,10 +135,10 @@ def test_oversized_grid_is_config_error(tmp_path, capsys, command, key, value):
         ("0", EXIT_CONFIG),
         ("-1", EXIT_CONFIG),
         ("1e-300", EXIT_CONFIG),
-        (repr(np.nextafter(1e-100, 0.0)), EXIT_CONFIG),
+        (repr(float(np.nextafter(1e-100, 0.0))), EXIT_CONFIG),
         ("1e-100", None),
         ("1e100", None),
-        (repr(np.nextafter(1e100, np.inf)), EXIT_CONFIG),
+        (repr(float(np.nextafter(1e100, np.inf))), EXIT_CONFIG),
         ("1e300", EXIT_CONFIG),
     ],
 )
@@ -147,7 +147,8 @@ def test_material_domain(tmp_path, capsys, key, value, code):
     """Each of mu1, mu2 and sigma either lies in MATERIAL_RANGE, where a
     band_limit-4 solve solves or fails with one line and no numpy warning,
     or is a config error; sigma = 1e-300 and mu1 = 1e300 used to print a
-    RuntimeWarning before the failure line."""
+    RuntimeWarning before the failure line.  A positive value is refused by
+    the range, not read as a bad value."""
     text = dump_config(SolveConfig(band_limit=4, n_r_int=8, n_r_ext=12))
     p = tmp_path / "material.cfg"
     p.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text))
@@ -161,6 +162,47 @@ def test_material_domain(tmp_path, capsys, key, value, code):
     assert len(lines) <= 1
     if got == EXIT_CONFIG:
         assert lines[0].startswith("config error:")
+        assert float(value) <= 0.0 or "must lie in" in lines[0]
+
+
+# per key: zero, a negative, a tiny and a huge value, then each bound and
+# its neighbour across it (one ulp or one unit; inside an open bound,
+# outside a closed one)
+EDGE_VALUES = {
+    "rho_tilde": [0.0, -0.5, 1e-300, 1e300, 1.0, np.nextafter(1.0, 0.0), -1.0, np.nextafter(-1.0, 0.0)],
+    "alpha": [0.0, -1.0, 1e-300, 1e300, 0.75, np.nextafter(0.75, 1.0), 1.0, np.nextafter(1.0, 0.0)],
+    "band_limit": [0, -1, 1, 10**9],
+    "n_r_int": [0, -1, 1, 10**9],
+    "n_r_ext": [0, -1, 2, 1, 10**9],
+    "r_inf": [0.0, -1.0, 1e-300, 1e300, 8.0, np.nextafter(8.0, 9.0), R_INF_MAX, np.nextafter(R_INF_MAX, np.inf)],
+    "max_iters": [0, -1, 1, 10**9],
+    "tol_fixed_point": [0.0, -1.0, 5e-324, 1e300],
+}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, repr(float(v)) if isinstance(v, float) else str(v)) for key, values in EDGE_VALUES.items() for v in values],
+)
+def test_config_edge_values(tmp_path, capsys, key, value):
+    """Every edge of every other config key solves, fails the solve or is a
+    config error, with at most one stderr line, no traceback and no numpy
+    warning (a band_limit-4 solve on 8 + 12 nodes).  Each value is a
+    number, so no error calls it a bad value."""
+    text = dump_config(SolveConfig(band_limit=4, n_r_int=8, n_r_ext=12))
+    p = tmp_path / "edge.cfg"
+    p.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = main(["solve", "--config", str(p), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert got in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER)
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in out + err
+    lines = err.splitlines()
+    assert len(lines) <= 1
+    if got == EXIT_CONFIG:
+        assert lines[0].startswith("config error:") and "bad value" not in lines[0]
 
 
 @pytest.mark.parametrize("rho", [-0.5, -0.9])

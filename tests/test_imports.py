@@ -1,8 +1,9 @@
 """No module in src/, tests/ or demos/ imports a name it never reads,
 src/dropsteady defines no function or class, private or public, that
 nothing uses, and no module of src/dropsteady imports another's private
-name, and that its modules import numpy, the standard library and the
-package itself only.
+name, that its modules import numpy, the standard library and the
+package itself only, and that each imports from the package only modules
+of lower layers (``LAYERS``).
 
 The scan is by AST over each file as a whole: a name bound by an import
 counts as used when the file loads it anywhere (an attribute access
@@ -142,3 +143,54 @@ def test_src_imports_numpy_and_the_standard_library_only():
                 continue
             foreign += [f"{path.relative_to(ROOT)}:{node.lineno}: {top}" for top in tops if top not in allowed]
     assert not foreign, "imports outside numpy and the standard library:\n" + "\n".join(foreign)
+
+
+# the package's modules, bottom up: a module imports from the package only
+# modules of lower layers, so none of its imports can reach back to it
+LAYERS = [
+    {"sphere", "radial", "halfspace", "dropflow"},
+    {"volume"},
+    {"geometry", "stokes"},
+    {"operators"},
+    {"driver", "validate"},
+    {"io"},
+    {"cli"},
+]
+
+
+def _package_imports(path: Path):
+    """``(line, module)`` for each package module that ``path`` imports,
+    at module level or inside a function; ``from . import a, b`` imports
+    ``a`` and ``b``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "dropsteady":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                yield node.lineno, parts[0]
+            else:
+                yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "dropsteady" and len(parts) > 1:
+                    yield node.lineno, parts[1]
+
+
+def test_src_modules_import_lower_layers_only():
+    """Every module but ``__init__`` has a layer, and imports from the
+    package only modules of lower layers; io's ``from . import
+    __version__`` reads the package's own metadata."""
+    layer = {name: k for k, names in enumerate(LAYERS) for name in names}
+    files = sorted(p for p in (ROOT / "src" / "dropsteady").glob("*.py") if p.stem != "__init__")
+    assert sorted(p.stem for p in files) == sorted(layer)
+    upward = [
+        f"{path.relative_to(ROOT)}:{line}: {path.stem} imports {name}"
+        for path in files
+        for line, name in _package_imports(path)
+        if (path.stem, name) != ("io", "__version__") and not layer.get(name, len(LAYERS)) < layer[path.stem]
+    ]
+    assert not upward, "imports of the same or a higher layer:\n" + "\n".join(upward)

@@ -440,6 +440,25 @@ def test_tangent_round_trip(grid):
     assert np.max(np.abs(t2 - t)) < 1e-11
 
 
+@pytest.mark.parametrize("m_max", [None, 2])
+def test_tangent_spec_is_one_array(m_max):
+    """A tangent field's spec is one (2, L+1, 2M+1) array, M = min(L,
+    m_max), centred on m = 0, whether it was given (as a pair, with order
+    columns to pad or to drop) or analysed from components."""
+    L = 6
+    grid = SphereGrid.build(L, m_max=m_max)
+    M = min(L, grid.m_max)
+    rng = np.random.default_rng(2)
+    given = TangentField(grid, spec=tuple(rng.standard_normal((2, L + 1, 2 * L + 1))), band=L)
+    fields = {
+        "given": given,
+        "zeros": TangentField.zeros(grid),
+        "analysed": TangentField(grid, *given.components, band=L),
+    }
+    for name, f in fields.items():
+        assert isinstance(f.spec, np.ndarray) and f.spec.shape == (2, L + 1, 2 * M + 1), name
+
+
 def test_integrate_examples(grid):
     one = SphereField.constant(grid, 1.0)
     assert abs(integrate_sphere(one) - 4 * np.pi) < 1e-12
