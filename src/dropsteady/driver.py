@@ -28,7 +28,7 @@ from .operators import (
     norm_X,
     norm_Y,
 )
-from .sphere import PAD, SphereField, sobolev_norm
+from .sphere import PAD, SphereField, sobolev_norm, spherical_to_cartesian
 from .stokes import PhysicalParams, axisym_leakage, minus_div_T, oseenlet
 from .volume import (
     EXTERIOR,
@@ -206,28 +206,24 @@ def picard_solve(
         raise ValueError(f"the context was built for {ctx.params}, not for {config.params()}")
     grid = ctx.grid
     lam0 = ctx.lambda0
-    history = []
+    history, ratios = [], []
     x = DropState.zeros(grid) if initial is None else initial
-    prev_update = None
     converged = False
     for it in range(config.max_iters):
-        y = assemble_N(x, ctx)[0]
-        x_new = invert_L(y, ctx)
-        dx = x_new.combine(x, 1.0, -1.0)
-        update = norm_X(dx, lam0)["total"]
+        x_new = invert_L(assemble_N(x, ctx)[0], ctx)
+        update = norm_X(x_new.combine(x, 1.0, -1.0), lam0)["total"]
         entry = {"iter": it, "update": update}
-        if prev_update is not None and prev_update > 0:
-            entry["ratio"] = update / prev_update
+        if history and history[-1]["update"] > 0:
+            entry["ratio"] = update / history[-1]["update"]
+            ratios.append(entry["ratio"])
         history.append(entry)
         # a non-finite update compares False with everything, so the
         # ratio and tolerance tests below would never stop the loop
         if not np.isfinite(update):
             raise NonContraction(history)
-        ratios = [h["ratio"] for h in history if "ratio" in h]
         if len(ratios) >= 3 and all(rr >= 1.0 for rr in ratios[-3:]):
             raise NonContraction(history)
         x = x_new
-        prev_update = update
         if update <= config.tol_fixed_point and len(history) >= 2:
             converged = True
             break
@@ -249,7 +245,6 @@ def picard_solve(
     bundle.report.update({f"fixed_point_residual_{k}": v for k, v in rows.items()})
     bundle.report["ball_norm"] = norm_X(x, lam0)["total"]
     bundle.report["ball_radius"] = ctx.ball_radius
-    ratios = [h["ratio"] for h in history if "ratio" in h]
     bundle.report["contraction_ratios"] = ratios
     lam_err = lambda_error_bar(ratios, history[-1]["update"])
     bundle.report["lambda"] = bundle.lam
@@ -320,8 +315,7 @@ def _pullback_surface_force(bundle: SolutionBundle) -> np.ndarray:
     mp, _, q, jac_w = bundle.physical
     ev, tth, tph, metric = metric_pieces(bundle.state.eta)
     sg = np.sqrt(metric)
-    rhat, that, phat = g.unit_vectors()
-    n_gamma = ((1.0 + ev)[None] * rhat - tth[None] * that - tph[None] * phat) / sg[None]
+    n_gamma = spherical_to_cartesian(g, 1.0 + ev, -tth, -tph) / sg
     area = (1.0 + ev) * sg  # dS_Gamma / dS under the graph parameterization
     total = np.zeros(3)
     for ph, mu in ((INTERIOR, ctx.params.mu1), (EXTERIOR, ctx.params.mu2)):
@@ -355,7 +349,7 @@ def diagnostics(bundle: SolutionBundle) -> dict:
     rep["force_transverse_max"] = float(np.max(np.abs(force[:2])))
     rep["force_vector"] = force
     # barycenter of the deformed drop
-    moment = (np.stack(grid_points(grid)) + mp.E.values) * mp.J.values
+    moment = (grid_points(grid) + mp.E.values) * mp.J.values
     rep["barycenter"] = np.array([integrate_phase(VolumeField(grid, m), INTERIOR) for m in moment])
 
     rep["axisym_leakage"] = axisym_leakage(st.u, st.eta.coeffs)
@@ -378,12 +372,7 @@ def farfield_fit(bundle: SolutionBundle) -> dict:
     w = bundle.physical.w
     radii = np.linspace(grid.r_inf / 4.0, grid.r_inf / 2.0, FARFIELD_SHELLS)
     vals = eval_radii(w, radii, EXTERIOR)  # (3, n_shell, nth, nph)
-    th, phg = g.nodes
-    r0 = radii[:, None, None]
-    pts = np.stack(
-        [r0 * np.sin(th) * np.cos(phg), r0 * np.sin(th) * np.sin(phg), r0 * np.cos(th)],
-        axis=-1,
-    )
+    pts = np.moveaxis(radii[:, None, None] * g.unit_vectors()[0][:, None], 0, -1)
     G3 = np.moveaxis(oseenlet(pts, lam, mu=params.mu2, rho=params.rho2)[..., 2], -1, 0)
     c_fit = np.einsum("ab,isab,isab->", g.weights, vals, G3) / np.einsum(
         "ab,isab,isab->", g.weights, G3, G3

@@ -31,16 +31,10 @@ from .sphere import (
     sobolev_norm,
     spherical_to_cartesian,
     surface_gradient,
-)
-from .volume import (
-    INTERIOR,
-    VolumeField,
-    VolumeGrid,
-    grid_points,
-    integrate_phase,
     synthesis_batch,
     tangent_synthesis_batch,
 )
+from .volume import INTERIOR, VolumeField, VolumeGrid, grid_points, integrate_phase
 
 __all__ = [
     "ADMISSIBLE_NORM",
@@ -221,7 +215,7 @@ def _extension_map(eta_h: HeightFunction, grid: VolumeGrid, rhat: np.ndarray) ->
     r = grid.r
     H, dHdr, tth, tph = _extension_scalar_at(eta_h.eta, r, grid.interior.n)
     chi, dchi, _ = (c[:, None, None] for c in cutoff(r - 1.0))
-    x = np.stack(grid_points(grid))  # (3, n_r, nth, nph)
+    x = grid_points(grid)  # (3, n_r, nth, nph)
     rinv = 1.0 / grid.radius_mesh()
     gradH = spherical_to_cartesian(g, dHdr, rinv * tth, rinv * tph)
     chiH, dchiH = chi * H, dchi * H

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .driver import SolveConfig
+from .sphere import cartesian_to_spherical
 from .volume import EXTERIOR, eval_radii, vsh_channels
 
 __all__ = [
@@ -167,17 +168,10 @@ def solve_artifacts(
     w, q = bundle.physical.w, bundle.physical.q
     radii = np.array([1.5, 2.0, 4.0, 8.0, 16.0, 32.0])
     radii = radii[radii < bundle.ctx.grid.r_inf]
-    vals = eval_radii(w, radii, EXTERIOR)
-    pvals = eval_radii(q, radii, EXTERIOR)
-    rhat, that, phat = g.unit_vectors()
-    rows = []
-    for i, r0 in enumerate(radii):
-        ur = np.einsum("iab,iab->ab", vals[:, i], rhat).mean(axis=1)
-        ut = np.einsum("iab,iab->ab", vals[:, i], that).mean(axis=1)
-        up = np.einsum("iab,iab->ab", vals[:, i], phat).mean(axis=1)
-        pr = pvals[i].mean(axis=1)
-        for j, th in enumerate(g.theta):
-            rows.append((r0, th, ur[j], ut[j], up[j], pr[j]))
+    u = cartesian_to_spherical(g, eval_radii(w, radii, EXTERIOR)).mean(axis=-1)
+    pr = eval_radii(q, radii, EXTERIOR).mean(axis=-1)
+    rr, th = np.meshgrid(radii, g.theta, indexing="ij")
+    rows = zip(*(a.ravel() for a in (rr, th, *u, pr)))
     prof_path = os.path.join(out_dir, "shell_profiles.csv")
     write_csv(prof_path, ["r", "theta", "u_r", "u_theta", "u_phi", "pressure"], rows)
     files["shell_profiles"] = os.path.basename(prof_path)

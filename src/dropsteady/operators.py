@@ -90,6 +90,8 @@ from .geometry import (
 from .sphere import (
     SphereField,
     TangentField,
+    analysis_batch,
+    cartesian_to_spherical,
     integrate_sphere,
     laplace_beltrami,
     project_complement,
@@ -112,7 +114,6 @@ from .volume import (
     INTERIOR,
     VolumeField,
     VolumeGrid,
-    analysis_batch,
     chan_radial_deriv,
     channel_norm_l2,
     d3_channels,
@@ -237,16 +238,6 @@ def build_context(
 # ---------------------------------------------------------------------------
 
 
-def _tangent_from_cartesian(grid: VolumeGrid, vec: np.ndarray) -> TangentField:
-    g = grid.sphere
-    _, that, phat = g.unit_vectors()
-    return TangentField(
-        g,
-        t_theta=np.einsum("iab,iab->ab", vec, that),
-        t_phi=np.einsum("iab,iab->ab", vec, phat),
-    )
-
-
 def matvec(A: VolumeField, v: VolumeField) -> VolumeField:
     """Pointwise (A v)_i = A_ij v_j of a rank-2 and a rank-1 field."""
     return VolumeField(A.grid, np.einsum("ijrab,jrab->irab", A.values, v.values))
@@ -365,7 +356,7 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> tuple[YElement, Physic
     J = _traction_jump(grid, *(stress(jac_u.trace(ph), state.p.trace(ph), mu) for ph, mu in sides))
     J_eta = _traction_jump(grid, T_eta.trace(INTERIOR), T_eta.trace(EXTERIOR))
     AP_J_eta = np.einsum("ijab,jkab,kab->iab", mp.A_surf, mp.P_eta, J_eta)
-    N4 = _tangent_from_cartesian(grid, J - AP_J_eta)
+    N4 = TangentField(g, *cartesian_to_spherical(g, J - AP_J_eta)[1:])
     weights = g.weights
     N5 = g.quad(J[2] - J_eta[2]) + lam * ctx.e3_drag
 
@@ -374,17 +365,15 @@ def assemble_N(state: DropState, ctx: OperatorContext) -> tuple[YElement, Physic
     N6 = -g.quad(ev**2 + ev**3 / 3.0)
 
     # N7: normal-stress pullback, quartic volume remainders, buoyancy, curvature
-    Ntil, Nnorm = mp.Ntil, mp.Ntil_norm
     quart = (1.5 * ev**2 + ev**3 + 0.25 * ev**4)
     int_quart = np.einsum("ab,ab,iab->i", weights, quart, rhat)
     int_eta_n = np.einsum("ab,ab,iab->i", weights, ev, rhat)
-    nhat_gamma = Ntil / Nnorm[None]
     N7_vals = (
-        np.einsum("iab,iab->ab", Ntil, J_eta) / Nnorm**2
+        np.einsum("iab,iab->ab", mp.Ntil, J_eta) / mp.Ntil_norm**2
         - np.einsum("iab,iab->ab", rhat, J)
         - kappa * ctx.jumpU_n.values
-        - np.einsum("iab,i->ab", nhat_gamma, int_quart) / (4.0 * np.pi)
-        + np.einsum("iab,i->ab", rhat - nhat_gamma, int_eta_n) / (4.0 * np.pi)
+        - np.einsum("iab,i->ab", mp.n_gamma, int_quart) / (4.0 * np.pi)
+        + np.einsum("iab,i->ab", rhat - mp.n_gamma, int_eta_n) / (4.0 * np.pi)
         - params.rho_tilde * (1.0 + ev) * rhat[2]
     )
     if moves:

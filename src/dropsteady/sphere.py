@@ -7,6 +7,13 @@ Laplace-Beltrami, surface gradient, quadrature, the projection onto the
 degree-1 subspace and the inversion of the shifted operator
 ``lap_S + 2`` on its complement.
 
+Vector fields on the grid are converted here and nowhere else, by two
+inverse pairs: ``spherical_to_cartesian`` and ``cartesian_to_spherical``
+between the (rhat, that, phat) and the Cartesian components, and
+``vector_values`` and ``vector_channels`` between the (P, v, w) channels
+and the Cartesian components.  ``SphereGrid.unit_vectors`` is the one
+frame; the other modules build none of their own.
+
 Conventions
 -----------
 * ``Y_{l,0} = Pbar_l^0(cos th)``,
@@ -415,14 +422,30 @@ def spherical_to_cartesian(g: SphereGrid, fr, fth, fph, out=None) -> np.ndarray:
     return out
 
 
+def cartesian_to_spherical(g: SphereGrid, cart: np.ndarray) -> np.ndarray:
+    """Inverse of ``spherical_to_cartesian``: the components (u.rhat, u.that,
+    u.phat) of Cartesian components ``cart`` (3, ..., n_theta, n_phi),
+    stacked as one array (3, ..., n_theta, n_phi)."""
+    return np.einsum("k...ab,skab->s...ab", cart, g.unit_vectors())
+
+
 def vector_channels(g: SphereGrid, cart: np.ndarray) -> np.ndarray:
     """Coefficients (P, v, w) of u = P Y rhat + v grad_S Y + w rhat x grad_S Y
     from Cartesian components ``cart`` (3, ..., n_theta, n_phi), as one
     C-ordered array (3, ..., L+1, 2M+1): every consumer of channels reads
     this layout, and none stacks or copies it again."""
     L = g.band_limit
-    ur, uth, uph = np.einsum("k...ab,skab->s...ab", cart, g.unit_vectors())
+    ur, uth, uph = cartesian_to_spherical(g, cart)
     return np.concatenate([analysis_batch(g, ur, L)[None], tangent_analysis_batch(g, uth, uph, L)])
+
+
+def vector_values(g: SphereGrid, ch, out=None) -> np.ndarray:
+    """Inverse of ``vector_channels``: Cartesian components (3, ..., n_theta,
+    n_phi) of the vector field with channels ``ch`` = (P, v, w), each
+    (..., L+1, columns), written into ``out`` when given."""
+    L = g.band_limit
+    P, v, w = ch
+    return spherical_to_cartesian(g, synthesis_batch(g, P, L), *tangent_synthesis_batch(g, v, w, L), out=out)
 
 
 D3_REACH = 3  # largest degree step of d/dx3 in channels (1 on a full grid)
@@ -460,9 +483,7 @@ def _probe_d3_coupling(grid: SphereGrid) -> np.ndarray:
     probes[ci, si, li % K, ci, li, cols[mi, si]] = 1.0
     probes = probes.reshape(6 * K, 3, n, 2 * M + 1)
 
-    ur = synthesis_batch(grid, probes[:, 0], L)
-    cart = spherical_to_cartesian(grid, ur, *tangent_synthesis_batch(grid, probes[:, 1], probes[:, 2], L))
-    A = analysis_batch(grid, cart, L)
+    A = analysis_batch(grid, vector_values(grid, probes.swapaxes(0, 1)), L)
     rhat, that, _ = grid.unit_vectors()
     tth = tangent_synthesis_batch(grid, A, np.zeros_like(A), L)[0]
     parts = np.stack([rhat[2] * synthesis_batch(grid, A, L), that[2] * tth], axis=1)
@@ -545,9 +566,8 @@ def integrate_sphere(f: SphereField) -> float:
 
 
 def laplace_beltrami(f: SphereField) -> SphereField:
-    c = f.coeffs.copy()
     l = np.arange(f.band + 1, dtype=float)[:, None]
-    return SphereField(f.grid, coeffs=-l * (l + 1.0) * c, band=f.band)
+    return SphereField(f.grid, coeffs=-l * (l + 1.0) * f.coeffs, band=f.band)
 
 
 def surface_gradient(f: SphereField) -> TangentField:
@@ -592,12 +612,11 @@ def solve_shifted(f: SphereField) -> SphereField:
         raise ValueError(
             f"shifted solve: data has l=1 content (relative residual {obs:.3e})"
         )
-    c = f.coeffs.copy()
     L = f.band
     l = np.arange(L + 1, dtype=float)[:, None]
     denom = 2.0 - l * (l + 1.0)
     denom[1] = 1.0  # masked below
-    out = c / denom
+    out = f.coeffs / denom
     out[1, :] = 0.0
     return SphereField(f.grid, coeffs=out, band=L)
 

@@ -45,6 +45,7 @@ import numpy as np
 from .sphere import (
     SphereField,
     TangentField,
+    analysis_batch,
     integrate_sphere,
     normal_component_fields,
     synthesis_batch,
@@ -53,7 +54,6 @@ from .volume import (
     INTERIOR,
     VolumeField,
     VolumeGrid,
-    analysis_batch,
     chan_radial_deriv,
     d3_channels,
     integrate_phase,

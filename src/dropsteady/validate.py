@@ -132,15 +132,12 @@ def _dropflow_checks(rng, vg, aux):
     for kappa in (0.1, 1.0, 10.0):
         mu1, mu2 = kappa, 1.0
         field = aux if kappa == 1.0 else auxiliary_field(small, PhysicalParams(mu1=mu1, mu2=mu2))
-        th, phg = field.U.grid.sphere.nodes
+        rhat = field.U.grid.sphere.unit_vectors()[0]
         w = field.U.grid.sphere.weights
         for r0 in (0.4, 0.85, 1.6, 6.0, 20.0):
             ph = 0 if r0 <= 1 else 1
             got = eval_radii(field.U, np.array([r0]), ph)[:, 0]
-            x = r0 * np.sin(th) * np.cos(phg)
-            y = r0 * np.sin(th) * np.sin(phg)
-            z = r0 * np.cos(th)
-            exact = dropflow.velocity(x, y, z, mu1, mu2)
+            exact = dropflow.velocity(*(r0 * rhat), mu1, mu2)
             err = np.sqrt(np.einsum("ab,iab->", w, (got - exact) ** 2))
             ref = max(np.sqrt(np.einsum("ab,iab->", w, exact**2)), 1e-30)
             worst_vel = max(worst_vel, float(err / ref))

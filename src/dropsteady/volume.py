@@ -20,7 +20,10 @@ The per-mode formulas of the Stokes operator (``mode_laplacian``,
 ``mode_divergence``, ``mode_gradient``) take each channel as its values
 and r-derivatives, so the same code acts on analysed profiles here, in the
 one channel pass of ``stokes.minus_div_T``, and on the radial basis tables
-of the Stokes solver's collocation blocks.
+of the Stokes solver's collocation blocks.  Every nodal derivative here is
+one of them followed by one synthesis: the gradient is ``mode_gradient``
+of each component's coefficients, synthesised as (P, v, 0) channels by
+``sphere.vector_values``, which also synthesises the vector Laplacian.
 """
 
 from __future__ import annotations
@@ -31,14 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .radial import ExteriorRadial, InteriorRadial
-from .sphere import (
-    SphereGrid,
-    analysis_batch,
-    spherical_to_cartesian,
-    synthesis_batch,
-    tangent_synthesis_batch,
-    vector_channels,
-)
+from .sphere import SphereGrid, analysis_batch, synthesis_batch, vector_channels, vector_values
 
 __all__ = ["VolumeGrid", "VolumeField"]
 
@@ -162,17 +158,11 @@ class VolumeField:
         return self.trace(INTERIOR) - self.trace(EXTERIOR)
 
 
-def grid_points(grid: VolumeGrid, phase: int | None = None):
-    """Cartesian coordinates of the nodal points of one phase, or of the
-    whole radial axis when ``phase`` is None."""
-    g = grid.sphere
+def grid_points(grid: VolumeGrid, phase: int | None = None) -> np.ndarray:
+    """Cartesian coordinates r rhat (3, n_r, n_theta, n_phi) of the nodal
+    points of one phase, or of the whole radial axis when ``phase`` is None."""
     r = grid.radius_mesh() if phase is None else grid.radial(phase).r[:, None, None]
-    th, ph = g.nodes
-    st, ct = np.sin(th), np.cos(th)
-    x = r * (st * np.cos(ph))[None, :, :]
-    y = r * (st * np.sin(ph))[None, :, :]
-    z = r * ct[None, :, :]
-    return x, y, z
+    return r * grid.sphere.unit_vectors()[0][:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -195,26 +185,20 @@ def chan_radial_deriv(grid: VolumeGrid, coeffs: np.ndarray, base_parity: int, or
     return out
 
 
-def _spherical_gradient(f: VolumeField):
-    """(d_r f, d_theta f / r, d_phi f / (r sin theta)) of a field of any rank:
-    one analysis, one radial derivative, one scalar and one tangent synthesis."""
-    grid = f.grid
-    g = grid.sphere
-    L = g.band_limit
-    C = analysis_batch(g, f.values, L)
-    dr = synthesis_batch(g, chan_radial_deriv(grid, C, 0, 1), L)
-    t = tangent_synthesis_batch(g, C, np.zeros_like(C), L)
-    t *= 1.0 / grid.radius_mesh()
-    return dr, *t
-
-
 def scalar_gradient(f: VolumeField) -> VolumeField:
     """Cartesian gradient of a field of any rank r: a rank r + 1 field whose
-    last Cartesian axis is the derivative index (for a vector, d_j u_i)."""
+    last Cartesian axis is the derivative index (for a vector, d_j u_i).
+    Each component's (P, v) channels are ``mode_gradient`` of its
+    coefficients, synthesised with w = 0."""
+    grid = f.grid
+    g = grid.sphere
+    C = analysis_batch(g, f.values, g.band_limit)
+    P, v = mode_gradient((C, chan_radial_deriv(grid, C, 0, 1)), grid.radius_mesh())
+    del C
     shape = f.values.shape
     out = np.empty(shape[:-3] + (3,) + shape[-3:])
-    spherical_to_cartesian(f.grid.sphere, *_spherical_gradient(f), out=np.moveaxis(out, -4, 0))
-    return VolumeField(f.grid, out)
+    vector_values(g, (P, v, np.zeros_like(v)), out=np.moveaxis(out, -4, 0))
+    return VolumeField(grid, out)
 
 
 def d3(f: VolumeField) -> VolumeField:
@@ -267,12 +251,9 @@ def vsh_channels(u: VolumeField) -> np.ndarray:
 
 
 def vsh_assemble(grid: VolumeGrid, P, v, w) -> np.ndarray:
-    """Nodal Cartesian components of the vector field with channels (P, v, w)."""
-    g = grid.sphere
-    L = g.band_limit
-    ur = synthesis_batch(g, P, L)
-    tth, tph = tangent_synthesis_batch(g, v, w, L)
-    return spherical_to_cartesian(g, ur, tth, tph)
+    """Nodal Cartesian components of the vector field with channels (P, v, w)
+    (``sphere.vector_values``)."""
+    return vector_values(grid.sphere, (P, v, w))
 
 
 def vector_radial_deriv(grid: VolumeGrid, u: np.ndarray, order: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Fixed-point driver: trivial solution, convergence, symmetry, diagnostics."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,7 +249,7 @@ def test_diagnostics_read_the_residual_pass_fields(solved, monkeypatch):
     mp = solved.physical.mp
     assert mp.eta.eta is solved.eta
     grid = solved.ctx.grid
-    moment = (np.stack(grid_points(grid)) + mp.E.values) * mp.J.values
+    moment = (grid_points(grid) + mp.E.values) * mp.J.values
     barycenter = [integrate_phase(VolumeField(grid, m), INTERIOR) for m in moment]
     assert np.array_equal(rep["barycenter"], barycenter)
     assert rep["midshell_residual"] == midshell_residual(solved)
@@ -406,6 +407,27 @@ def test_converged_solve_has_measured_a_ratio():
     assert b.converged and len(b.history) == 2
     assert np.isfinite(b.report["lambda_error_bar"])
     assert b.report["lambda_nonzero"]
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak of what it allocated."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_picard_step_holds_one_iterate():
+    """A warm solve peaks barely above one assemble_N of its final state: no
+    N, update or stale iterate of one step stays alive into the next."""
+    cfg = SolveConfig(band_limit=8, n_r_int=16, n_r_ext=24)
+    ctx = build_context(cfg.build_grid(), cfg.params(), alpha=cfg.alpha)
+    picard_solve(cfg, ctx)  # builds the grid's tables on first use
+    bundle, solve_peak = _traced_peak(picard_solve, cfg, ctx)
+    _, step_peak = _traced_peak(assemble_N, bundle.state, ctx)
+    assert solve_peak <= 1.12 * step_peak
 
 
 def test_lambda_error_bar_of_a_solve(readme_default):

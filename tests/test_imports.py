@@ -1,4 +1,5 @@
-"""No module in src/, tests/ or demos/ imports a name it never reads,
+"""No module in src/, tests/ or demos/ imports a name it never reads, or
+a name of the package from a module that only imports it itself,
 src/dropsteady defines no function or class, private or public, that
 nothing uses, and no module of src/dropsteady imports another's private
 name, that its modules import numpy, the standard library and the
@@ -194,3 +195,43 @@ def test_src_modules_import_lower_layers_only():
         if (path.stem, name) != ("io", "__version__") and not layer.get(name, len(LAYERS)) < layer[path.stem]
     ]
     assert not upward, "imports of the same or a higher layer:\n" + "\n".join(upward)
+
+
+def _own_names(path: Path) -> set[str]:
+    """Names a module defines at module level: its functions, classes and
+    assignment targets, not the names it imports."""
+    own = set()
+    for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            own.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            own.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return own
+
+
+def test_names_are_imported_from_their_defining_module():
+    """``from .X import name`` in src/, and ``from dropsteady.X import name``
+    in tests/ and demos/, names what X defines, not what X itself imported,
+    so that each name has one source to read and to trace."""
+    package = ROOT / "src" / "dropsteady"
+    files = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+    own = {p.stem: _own_names(p) for p in package.glob("*.py")}
+    assert len(own) > 10
+    relayed = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom) or not node.module:
+                continue
+            if node.level == 1 and path.parent == package:
+                module = node.module
+            elif node.level == 0 and node.module.startswith("dropsteady."):
+                module = node.module.removeprefix("dropsteady.")
+            else:
+                continue
+            relayed += [
+                f"{path.relative_to(ROOT)}:{node.lineno}: {alias.name} via {module}"
+                for alias in node.names
+                if alias.name not in own[module]
+            ]
+    assert not relayed, "names imported from a module that only imports them:\n" + "\n".join(relayed)

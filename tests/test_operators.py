@@ -8,8 +8,6 @@ import pytest
 from dropsteady.geometry import HeightFunction, build_map, curvature_nonlinear, stress, transformed_stress
 from dropsteady.operators import (
     DropState,
-    YElement,
-    _tangent_from_cartesian,
     _traction_jump,
     apply_L,
     assemble_N,
@@ -21,12 +19,17 @@ from dropsteady.operators import (
 )
 from dropsteady.sphere import (
     SphereField,
+    TangentField,
+    analysis_batch,
+    cartesian_to_spherical,
     integrate_sphere,
     normal_component_fields,
     sobolev_norm,
+    synthesis_batch,
 )
 from dropsteady.stokes import (
     PhysicalParams,
+    YElement,
     auxiliary_field,
     lambda0_value,
     solve_two_phase,
@@ -37,12 +40,10 @@ from dropsteady.volume import (
     INTERIOR,
     VolumeField,
     VolumeGrid,
-    analysis_batch,
     e3_column,
     integrate_phase,
     norm_l2,
     scalar_gradient,
-    synthesis_batch,
     tensor_divergence,
     vector_divergence,
     vector_gradient,
@@ -385,7 +386,7 @@ def _assemble_N_term_by_term(state, ctx):
         return np.einsum("ijab,jab->iab", mp.A_surf, np.einsum("ijab,jab->iab", mp.P_eta, x))
 
     N4_vec = jump_u_flat - jn[None] * rhat - A_Peta(jump_eta_u) - lam * A_Peta(jump_eta_U)
-    N4 = _tangent_from_cartesian(grid, N4_vec)
+    N4 = TangentField(g, *cartesian_to_spherical(g, N4_vec)[1:])
     w = g.weights
     N5 = lam * (ctx.e3_drag - float(np.einsum("ab,ab->", w, jump_eta_U[2]))) + float(
         np.einsum("ab,ab->", w, jump_u_flat[2] - jump_eta_u[2])

@@ -9,6 +9,10 @@ from dropsteady.sphere import (
     synthesis_batch,
     tangent_analysis_batch,
     tangent_synthesis_batch,
+    cartesian_to_spherical,
+    spherical_to_cartesian,
+    vector_channels,
+    vector_values,
     SphereGrid,
     SphereField,
     TangentField,
@@ -438,6 +442,25 @@ def test_tangent_round_trip(grid):
     s2, t2 = w.spec
     assert np.max(np.abs(s2 - s)) < 1e-11
     assert np.max(np.abs(t2 - t)) < 1e-11
+
+
+@pytest.mark.parametrize("L, m_max", [(12, None), (8, 2)])
+def test_vector_conversions_are_inverse_pairs(L, m_max):
+    """On a full and on a band grid, at every order each carries:
+    vector_channels inverts vector_values on admissible channels (l >= |m|,
+    v and w zero at l = 0), and cartesian_to_spherical inverts
+    spherical_to_cartesian."""
+    grid = SphereGrid.build(L, m_max=m_max)
+    M = min(L, grid.m_max)
+    rng = np.random.default_rng(L)
+    lead = (2,)
+    ch = np.stack([banded_coeffs(rng, L, M, lead, lmin=min(c, 1)) for c in range(3)])[..., L - M : L + M + 1]
+    back = vector_channels(grid, vector_values(grid, ch))
+    assert back.shape == ch.shape
+    assert np.max(np.abs(back - ch)) <= 1e-13 * np.max(np.abs(ch))
+    x = rng.standard_normal((3,) + lead + (grid.n_theta, grid.n_phi))
+    back = spherical_to_cartesian(grid, *cartesian_to_spherical(grid, x))
+    assert np.max(np.abs(back - x)) <= 1e-14 * np.max(np.abs(x))
 
 
 @pytest.mark.parametrize("m_max", [None, 2])

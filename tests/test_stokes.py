@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from dropsteady import dropflow, stokes
-from dropsteady.sphere import SphereField, SphereGrid, TangentField, integrate_sphere, normal_component_fields
+from dropsteady.sphere import (
+    SphereField,
+    SphereGrid,
+    TangentField,
+    analysis_batch,
+    integrate_sphere,
+    normal_component_fields,
+    synthesis_batch,
+)
 from dropsteady.stokes import (
     PhysicalParams,
     TwoPhaseStokesSolver,
@@ -25,7 +33,6 @@ from dropsteady.volume import (
     INTERIOR,
     VolumeField,
     VolumeGrid,
-    analysis_batch,
     d3,
     d3_channels,
     eval_radii,
@@ -34,7 +41,6 @@ from dropsteady.volume import (
     mode_laplacian,
     norm_l2,
     scalar_gradient,
-    synthesis_batch,
     vector_divergence,
     vector_laplacian,
     vsh_assemble,

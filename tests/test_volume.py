@@ -173,7 +173,7 @@ def test_vector_gradient_closed_form(any_grid):
     assert np.max(np.abs(vector_gradient(u).blocks[INTERIOR] - exact)) < 1e-11
     # decaying exterior field u = x / |x|^3
     u = sample(any_grid, lambda x, y, z: np.stack([x, y, z]) / (x * x + y * y + z * z) ** 1.5, rank=1)
-    xs = np.stack(grid_points(any_grid, EXTERIOR))
+    xs = grid_points(any_grid, EXTERIOR)
     r = np.sqrt(np.sum(xs * xs, axis=0))
     exact = np.eye(3)[:, :, None, None, None] / r**3 - 3.0 * xs[:, None] * xs[None, :] / r**5
     assert np.max(np.abs(vector_gradient(u).blocks[EXTERIOR] - exact)) < 1e-11
