@@ -212,24 +212,32 @@ class SphereGrid:
 
 
 class SphereField:
-    """Scalar function on the sphere, dual grid-values / coefficients storage;
-    coeffs hold the orders |m| <= min(band, m_max), a wider array is narrowed."""
+    """Scalar function on the sphere, held as its coefficients ``coeffs`` on
+    the orders |m| <= min(band, m_max) (a wider array is narrowed).
+
+    A field given by nodal values is analysed once, here, and keeps those
+    values bit for bit as its synthesis; otherwise ``values`` is the
+    synthesis of ``coeffs``, taken on first use.  Every operation but the
+    pointwise product acts on the coefficients, so a scalar multiple of a
+    field given by values is the band-limited synthesis of its scaled
+    coefficients, not the scaled values.
+    """
 
     def __init__(self, grid: SphereGrid, values=None, coeffs=None, band=None):
         self.grid = grid
         self.band = grid.band_limit if band is None else int(band)
         if self.band > grid.pad_limit:
             raise ValueError("band limit exceeds grid capacity")
-        self._values = None if values is None else np.asarray(values, dtype=float)
-        K = min(self.band, grid.m_max)
-        self._coeffs = None if coeffs is None else _centred(np.asarray(coeffs, float), K)
-        if self._values is None and self._coeffs is None:
+        self._values = None
+        if coeffs is not None:
+            self.coeffs = _centred(np.asarray(coeffs, float), min(self.band, grid.m_max))
+        elif values is not None:
+            self._values = np.asarray(values, dtype=float)
+            if self._values.shape != (grid.n_theta, grid.n_phi):
+                raise ValueError("grid/values shape mismatch")
+            self.coeffs = analysis_batch(grid, self._values, self.band)
+        else:
             raise ValueError("need values or coeffs")
-        if self._values is not None and self._values.shape != (
-            grid.n_theta,
-            grid.n_phi,
-        ):
-            raise ValueError("grid/values shape mismatch")
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -248,56 +256,41 @@ class SphereField:
         th, ph = grid.nodes
         return cls(grid, values=fn(th, ph), band=band)
 
-    # -- storage sync ------------------------------------------------------
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = synthesis_batch(self.grid, self._coeffs, self.band)
+            self._values = synthesis_batch(self.grid, self.coeffs, self.band)
         return self._values
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        if self._coeffs is None:
-            self._coeffs = analysis_batch(self.grid, self._values, self.band)
-        return self._coeffs
 
     def with_band(self, band: int) -> "SphereField":
         """Project onto the first ``band`` degrees."""
-        c = self.coeffs
-        out = np.zeros((band + 1, c.shape[-1]))
-        out[: min(self.band, band) + 1] = c[: band + 1]
-        return SphereField(self.grid, coeffs=out, band=band)
+        return SphereField(self.grid, coeffs=_degrees(self.coeffs, band), band=band)
 
     # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, SphereField):
-            b = max(self.band, other.band)
-            return SphereField(
-                self.grid,
-                coeffs=self.with_band(b).coeffs + other.with_band(b).coeffs,
-                band=b,
-            )
-        return SphereField(self.grid, values=self.values + other, band=self.band)
+    def __add__(self, other: "SphereField") -> "SphereField":
+        b = max(self.band, other.band)
+        return SphereField(self.grid, coeffs=self.with_band(b).coeffs + other.with_band(b).coeffs, band=b)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (other * -1.0 if isinstance(other, SphereField) else -other)
+    def __sub__(self, other: "SphereField") -> "SphereField":
+        return self + other * -1.0
 
     def __mul__(self, a):
         if isinstance(a, SphereField):
             return SphereField(self.grid, values=self.values * a.values)
-        return SphereField(
-            self.grid,
-            coeffs=None if self._coeffs is None else a * self._coeffs,
-            values=None if self._coeffs is not None else a * self._values,
-            band=self.band,
-        )
+        return SphereField(self.grid, coeffs=a * self.coeffs, band=self.band)
 
     __rmul__ = __mul__
 
     def copy(self) -> "SphereField":
         return SphereField(self.grid, coeffs=self.coeffs.copy(), band=self.band)
+
+
+def _degrees(a: np.ndarray, band: int) -> np.ndarray:
+    """Coefficients a[..., l, m] on the degrees l <= ``band``: rows beyond it
+    are dropped, missing ones are zero."""
+    out = np.zeros(a.shape[:-2] + (band + 1, a.shape[-1]))
+    out[..., : min(a.shape[-2], band + 1), :] = a[..., : band + 1, :]
+    return out
 
 
 def _centred(a: np.ndarray, K: int) -> np.ndarray:
@@ -503,20 +496,28 @@ def _probe_d3_coupling(grid: SphereGrid) -> np.ndarray:
 
 
 class TangentField:
-    """Tangent vector field, stored as (theta, phi) components on the grid.
+    """Tangent vector field, held as its spheroidal / toroidal coefficients
+    ``spec`` = (s, t), one (2, band+1, 2K+1) array on the orders |m| <= K =
+    min(band, m_max):  ``t = sum s_lm grad_S Y_lm + t_lm (rhat x grad_S Y_lm)``
+    (l >= 1).
 
-    Spectral form: ``t = sum s_lm grad_S Y_lm + t_lm (rhat x grad_S Y_lm)``
-    (spheroidal / toroidal split, l >= 1).
+    As for ``SphereField``, a field given by its (theta, phi) components is
+    analysed once, here, and keeps them bit for bit as ``components``;
+    otherwise they are the synthesis of ``spec``, taken on first use.  Sums
+    and scalar multiples act on ``spec``.
     """
 
     def __init__(self, grid: SphereGrid, t_theta=None, t_phi=None, spec=None, band=None):
         self.grid = grid
         self.band = grid.band_limit if band is None else int(band)
-        self._tth = None if t_theta is None else np.asarray(t_theta, float)
-        self._tph = None if t_phi is None else np.asarray(t_phi, float)
-        self._spec = None  # (s_coeffs, t_coeffs) as one (2, band+1, 2K+1) array
+        self._components = None
         if spec is not None:
-            self._spec = _centred(np.asarray(spec, float), min(self.band, grid.m_max))
+            self.spec = _centred(np.asarray(spec, float), min(self.band, grid.m_max))
+        elif t_theta is not None and t_phi is not None:
+            self._components = np.asarray(t_theta, float), np.asarray(t_phi, float)
+            self.spec = tangent_analysis_batch(grid, *self._components, self.band)
+        else:
+            raise ValueError("need (t_theta, t_phi) or spec")
 
     @classmethod
     def zeros(cls, grid: SphereGrid, band=None) -> "TangentField":
@@ -525,15 +526,9 @@ class TangentField:
 
     @property
     def components(self):
-        if self._tth is None:
-            self._tth, self._tph = tangent_synthesis_batch(self.grid, *self._spec, self.band)
-        return self._tth, self._tph
-
-    @property
-    def spec(self):
-        if self._spec is None:
-            self._spec = tangent_analysis_batch(self.grid, self._tth, self._tph, self.band)
-        return self._spec
+        if self._components is None:
+            self._components = tuple(tangent_synthesis_batch(self.grid, *self.spec, self.band))
+        return self._components
 
     def cartesian(self) -> np.ndarray:
         """Cartesian components, shape (3, n_theta, n_phi)."""
@@ -541,17 +536,17 @@ class TangentField:
         tth, tph = self.components
         return tth * that + tph * phat
 
-    def __add__(self, other):
-        a, b = self.components, other.components
-        return TangentField(self.grid, a[0] + b[0], a[1] + b[1], band=max(self.band, other.band))
+    def __add__(self, other: "TangentField") -> "TangentField":
+        band = max(self.band, other.band)
+        a, b = (_centred(_degrees(f.spec, band), min(band, self.grid.m_max)) for f in (self, other))
+        return TangentField(self.grid, spec=a + b, band=band)
 
     def __mul__(self, a):
-        tth, tph = self.components
-        return TangentField(self.grid, a * tth, a * tph, band=self.band)
+        return TangentField(self.grid, spec=a * self.spec, band=self.band)
 
     __rmul__ = __mul__
 
-    def __sub__(self, other):
+    def __sub__(self, other: "TangentField") -> "TangentField":
         return self + other * -1.0
 
 
