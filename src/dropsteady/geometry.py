@@ -1,12 +1,15 @@
 """Interface geometry: height function, coordinate map and curvature.
 
 The interface is the graph {(1 + eta(zeta)) zeta : zeta on S^2}.  A
-harmonic extension of eta (ball + annulus with outer Dirichlet zero),
+harmonic extension H of eta (ball + annulus with outer Dirichlet zero),
 cut off between radii 2 and 3, defines the displacement field E and the
-map Phi(x) = x + E(x).  F = I + grad E is evaluated pointwise from
-analytic radial profiles, so no spectral differentiation of the cutoff
-is involved, and J = det F, A = J F^{-1} = adj F and F^{-1} = adj F / J
-follow from it in closed form (cofactors), node by node.
+map Phi(x) = x + E(x).  H is held as per-degree coefficient profiles
+with their analytic r-derivative, and grad H is ``volume.mode_gradient``
+of them synthesised by ``sphere.vector_values``, as every volume gradient
+is; the cutoff enters through its closed-form derivative, so no spectral
+differentiation of it is involved.  F = I + grad E is formed node by
+node, and J = det F, A = J F^{-1} = adj F and F^{-1} = adj F / J follow
+from it in closed form (cofactors).
 
 Curvature of the deformed interface splits as
 ``(H + 2) o Phi = lap_S eta + 2 eta - G(eta)`` with G collecting every
@@ -29,12 +32,11 @@ from .sphere import (
     SphereField,
     laplace_beltrami,
     sobolev_norm,
-    spherical_to_cartesian,
     surface_gradient,
     synthesis_batch,
-    tangent_synthesis_batch,
+    vector_values,
 )
-from .volume import INTERIOR, VolumeField, VolumeGrid, grid_points, integrate_phase
+from .volume import INTERIOR, VolumeField, VolumeGrid, grid_points, integrate_phase, mode_gradient
 
 __all__ = [
     "ADMISSIBLE_NORM",
@@ -100,19 +102,18 @@ def cutoff(r, R: float = 1.0):
 # ---------------------------------------------------------------------------
 
 
-def _extension_scalar_at(eta: SphereField, r: np.ndarray, n_drop: int):
-    """H, dH/dr and the tangential gradient of H at radii r, of which the
-    first ``n_drop`` lie in the drop and the others in the reservoir.
+def _extension_modes(eta: SphereField, r: np.ndarray, n_drop: int):
+    """Coefficient profiles of H and of dH/dr at radii r, of which the first
+    ``n_drop`` lie in the drop and the others in the reservoir, each
+    (n_r, L+1, columns) at the grid's band limit L.
 
-    Returns nodal arrays H (n_r, nth, nph), dHdr, and (tth, tph) of
-    grad_S H per shell (without the 1/r factor).  The phase of a radius
-    selects the branch at r = 1, where dH/dr jumps.  Radii beyond the annulus edge
-    r = 4 get zeros (the annulus problem ends there and the extension
-    cutoff already vanishes for r >= 3).
+    H takes eta's first L degrees, as every volume field does.  The phase
+    of a radius selects the branch at r = 1, where dH/dr jumps.  Radii
+    beyond the annulus edge r = 4 get zeros (the annulus problem ends there
+    and the extension cutoff already vanishes for r >= 3).
     """
-    g = eta.grid
-    L = eta.band
-    C = eta.coeffs
+    L = eta.grid.band_limit
+    C = eta.with_band(L).coeffs
     l = np.arange(L + 1, dtype=float)
     beta = 1.0 / (1.0 - 4.0 ** (-(2.0 * l + 1.0)))
     alpha = 1.0 - beta  # alpha + beta = 1, alpha 4^l + beta 4^{-l-1} = 0
@@ -126,17 +127,13 @@ def _extension_scalar_at(eta: SphereField, r: np.ndarray, n_drop: int):
     prof[:n_drop], dprof[:n_drop] = ri**l, l * ri**up * (l > 0)
     prof[ext] = alpha * re**l + beta * re ** -(l + 1.0)
     dprof[ext] = alpha * l * re**up * (l > 0) - beta * (l + 1.0) * re ** -(l + 2.0)
-    modes = prof[:, :, None] * C[None, :, :]
-    dmodes = dprof[:, :, None] * C[None, :, :]
-    H = synthesis_batch(g, modes, L)
-    dHdr = synthesis_batch(g, dmodes, L)
-    tth, tph = tangent_synthesis_batch(g, modes, np.zeros_like(modes), L)
-    return H, dHdr, tth, tph
+    return prof[:, :, None] * C, dprof[:, :, None] * C
 
 
 def harmonic_extension(eta_h: HeightFunction, grid: VolumeGrid) -> VolumeField:
     """The scalar harmonic extension H_eta sampled on the volume grid."""
-    return VolumeField(grid, _extension_scalar_at(eta_h.eta, grid.r, grid.interior.n)[0])
+    H, _ = _extension_modes(eta_h.eta, grid.r, grid.interior.n)
+    return VolumeField(grid, synthesis_batch(grid.sphere, H, grid.sphere.band_limit))
 
 
 @dataclass
@@ -212,12 +209,12 @@ def build_map(eta_h: HeightFunction, grid: VolumeGrid) -> MapData:
 def _extension_map(eta_h: HeightFunction, grid: VolumeGrid, rhat: np.ndarray) -> tuple:
     """E, F, J, A and F^{-1} of the cut-off harmonic extension of eta."""
     g = grid.sphere
-    r = grid.r
-    H, dHdr, tth, tph = _extension_scalar_at(eta_h.eta, r, grid.interior.n)
-    chi, dchi, _ = (c[:, None, None] for c in cutoff(r - 1.0))
+    modes = _extension_modes(eta_h.eta, grid.r, grid.interior.n)
+    P, v = mode_gradient(modes, grid.radius_mesh())
+    gradH = vector_values(g, (P, v, np.zeros_like(v)))  # as volume.scalar_gradient synthesises it
+    H = synthesis_batch(g, modes[0], g.band_limit)
+    chi, dchi, _ = (c[:, None, None] for c in cutoff(grid.r - 1.0))
     x = grid_points(grid)  # (3, n_r, nth, nph)
-    rinv = 1.0 / grid.radius_mesh()
-    gradH = spherical_to_cartesian(g, dHdr, rinv * tth, rinv * tph)
     chiH, dchiH = chi * H, dchi * H
     # d_j (chi H x_i) = chi' H x_i rhat_j + chi x_i d_j H + chi H d_ij
     F = np.empty((3, 3) + H.shape)

@@ -112,6 +112,11 @@ def _fmt_value(v):
     return str(v)
 
 
+def _report_lines(report: dict) -> list[str]:
+    """One ``key = value`` line per report entry, in key order."""
+    return [f"{k} = {_fmt_value(report[k])}" for k in sorted(report)]
+
+
 def write_manifest(path: str, cfg: SolveConfig, bundle, report: dict, files: dict) -> None:
     """Structured-text manifest; the embedded config block reproduces the run."""
     lines = ["# dropsteady run manifest", ""]
@@ -137,8 +142,7 @@ def write_manifest(path: str, cfg: SolveConfig, bundle, report: dict, files: dic
         )
     lines.append("")
     lines.append("[diagnostics]")
-    for k in sorted(report):
-        lines.append(f"{k} = {_fmt_value(report[k])}")
+    lines += _report_lines(report)
     lines.append("")
     lines.append("[files]")
     for k, v in files.items():
@@ -178,8 +182,7 @@ def solve_artifacts(
 
     diag_path = os.path.join(out_dir, "diagnostics.txt")
     with open(diag_path, "w") as fh:
-        for k in sorted(report):
-            fh.write(f"{k} = {_fmt_value(report[k])}\n")
+        fh.writelines(f"{line}\n" for line in _report_lines(report))
     files["diagnostics"] = os.path.basename(diag_path)
     if emit_modes:
         files["mode_tables"] = emit_mode_tables(out_dir, bundle)

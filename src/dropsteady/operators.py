@@ -83,6 +83,7 @@ from .geometry import (
     HeightFunction,
     MapData,
     build_map,
+    curvature_linear,
     curvature_nonlinear,
     stress,
     transformed_stress,
@@ -93,7 +94,6 @@ from .sphere import (
     analysis_batch,
     cartesian_to_spherical,
     integrate_sphere,
-    laplace_beltrami,
     project_complement,
     project_kernel,
     sobolev_norm,
@@ -269,7 +269,7 @@ def apply_L(state: DropState, ctx: OperatorContext) -> YElement:
     a1 = kappa * ctx.e3_drag + float(traction_force((jump_n, h2))[2])
     a2 = integrate_sphere(eta)
     h3 = (
-        params.sigma * (laplace_beltrami(eta) + 2.0 * eta)
+        params.sigma * curvature_linear(eta)
         + (1.0 / 3.0) * project_kernel(eta)
         - kappa * ctx.jumpU_n
         - jump_n

@@ -24,8 +24,12 @@ Conventions
 * A transform of degree L carries the orders |m| <= M = min(L, m_max)
   and lays them out as ``a[..., l, m+M]``: L+1 rows and 2M+1 order
   columns, m = 0 in the centre column ``a.shape[-1] // 2``.  A synthesis
-  takes any such layout, and ``SphereField`` and ``TangentField`` hold one
-  shell in it.
+  takes any such layout.
+* ``SphereField`` and ``TangentField`` are one shell's coefficients in
+  that layout (``coeffs``, ``spec``), set when the field is built: a field
+  given by nodal values is analysed then, once, and keeps those values bit
+  for bit as its synthesis.  Sums and scalar multiples act on the
+  coefficients; only the pointwise product of two fields uses values.
 * A constant field c has ``a[0, M] = c*sqrt(4 pi)``.
 * A transform is one matmul with a Fourier table (values <-> per-order
   cos/sin amplitudes) and one stacked matmul over all orders with a
@@ -212,16 +216,11 @@ class SphereGrid:
 
 
 class SphereField:
-    """Scalar function on the sphere, held as its coefficients ``coeffs`` on
-    the orders |m| <= min(band, m_max) (a wider array is narrowed).
-
-    A field given by nodal values is analysed once, here, and keeps those
-    values bit for bit as its synthesis; otherwise ``values`` is the
-    synthesis of ``coeffs``, taken on first use.  Every operation but the
-    pointwise product acts on the coefficients, so a scalar multiple of a
-    field given by values is the band-limited synthesis of its scaled
-    coefficients, not the scaled values.
-    """
+    """Scalar function on the sphere: its coefficients ``coeffs`` on the
+    orders |m| <= min(band, m_max) (a wider array is narrowed), and
+    ``values``, the nodal values it was built from or else their synthesis.
+    A scalar multiple of a field built from values is the band-limited
+    synthesis of its scaled coefficients, not the scaled values."""
 
     def __init__(self, grid: SphereGrid, values=None, coeffs=None, band=None):
         self.grid = grid
@@ -496,20 +495,16 @@ def _probe_d3_coupling(grid: SphereGrid) -> np.ndarray:
 
 
 class TangentField:
-    """Tangent vector field, held as its spheroidal / toroidal coefficients
-    ``spec`` = (s, t), one (2, band+1, 2K+1) array on the orders |m| <= K =
-    min(band, m_max):  ``t = sum s_lm grad_S Y_lm + t_lm (rhat x grad_S Y_lm)``
-    (l >= 1).
-
-    As for ``SphereField``, a field given by its (theta, phi) components is
-    analysed once, here, and keeps them bit for bit as ``components``;
-    otherwise they are the synthesis of ``spec``, taken on first use.  Sums
-    and scalar multiples act on ``spec``.
-    """
+    """Tangent vector field ``sum s_lm grad_S Y_lm + t_lm (rhat x grad_S Y_lm)``
+    (l >= 1): its coefficients ``spec`` = (s, t), one (2, band+1, 2K+1)
+    array on the orders |m| <= K = min(band, m_max), and ``components``,
+    the (theta, phi) components it was built from or else their synthesis."""
 
     def __init__(self, grid: SphereGrid, t_theta=None, t_phi=None, spec=None, band=None):
         self.grid = grid
         self.band = grid.band_limit if band is None else int(band)
+        if self.band > grid.pad_limit:
+            raise ValueError("band limit exceeds grid capacity")
         self._components = None
         if spec is not None:
             self.spec = _centred(np.asarray(spec, float), min(self.band, grid.m_max))

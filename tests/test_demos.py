@@ -1,4 +1,5 @@
-"""Smoke test: every demo runs to completion."""
+"""Smoke test: every demo runs to completion with warnings as errors, as
+pyproject's ``filterwarnings = ["error"]`` runs the tests."""
 
 import os
 import subprocess
@@ -19,7 +20,7 @@ def test_demos_found():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

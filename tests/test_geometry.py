@@ -139,14 +139,15 @@ def test_harmonic_extension_n3(vg):
 
 def test_harmonic_extension_is_harmonic(vg):
     """FD-radial x spectral-angular Laplacian of H vanishes in each phase."""
-    from dropsteady.geometry import _extension_scalar_at
-    from dropsteady.sphere import laplace_beltrami as lb
+    from dropsteady.geometry import _extension_modes
+    from dropsteady.sphere import laplace_beltrami as lb, synthesis_batch
 
     eta = small_eta(vg, seed=1)
     h = 2e-2
     for phase, r0 in ((INTERIOR, 0.55), (EXTERIOR, 2.2)):
         radii = r0 + h * np.arange(-2, 3)
-        H, _, _, _ = _extension_scalar_at(eta, radii, radii.size if phase == INTERIOR else 0)
+        modes, _ = _extension_modes(eta, radii, radii.size if phase == INTERIOR else 0)
+        H = synthesis_batch(vg.sphere, modes, vg.sphere.band_limit)
         d2 = (-H[4] + 16 * H[3] - 30 * H[2] + 16 * H[1] - H[0]) / (12 * h * h)
         d1 = (H[0] - 8 * H[1] + 8 * H[3] - H[4]) / (12 * h)
         shell = SphereField(vg.sphere, values=H[2], band=vg.sphere.band_limit)
@@ -163,7 +164,7 @@ def test_build_map_identity(vg, monkeypatch):
         raise AssertionError("the identity map built the harmonic extension")
 
     moved = build_map(HeightFunction(small_eta(vg)), vg)
-    monkeypatch.setattr(geometry, "_extension_scalar_at", refuse)
+    monkeypatch.setattr(geometry, "_extension_modes", refuse)
     mp = identity_map(vg)
     assert mp.identity and not moved.identity
     eye = np.eye(3)[:, :, None, None, None]

@@ -482,6 +482,56 @@ def test_tangent_spec_is_one_array(m_max):
         assert isinstance(f.spec, np.ndarray) and f.spec.shape == (2, L + 1, 2 * M + 1), name
 
 
+def test_a_tangent_field_needs_components_or_a_spectrum():
+    """Like a SphereField with neither values nor coeffs, a tangent field
+    with neither both components nor a spectrum is refused when built, and
+    so is one whose band limit exceeds the grid's."""
+    grid = SphereGrid.build(4)
+    zero = np.zeros((grid.n_theta, grid.n_phi))
+    with pytest.raises(ValueError):
+        SphereField(grid)
+    for given in ({}, {"t_theta": zero}, {"t_theta": zero, "t_phi": zero, "band": grid.pad_limit + 1}):
+        with pytest.raises(ValueError):
+            TangentField(grid, **given)
+
+
+@pytest.mark.parametrize("L, m_max", [(12, None), (8, 2)])
+def test_spectral_arithmetic_matches_the_nodal_forms(L, m_max):
+    """Scalar * and field +/- act on coefficients and equal the same
+    operations on nodal values, for scalar and tangent fields, on a full
+    and on a band grid; a field given by values keeps them bit for bit."""
+    grid = SphereGrid.build(L, m_max=m_max)
+    M = min(L, grid.m_max)
+    rng = np.random.default_rng(L)
+    f, h = (SphereField(grid, coeffs=banded_coeffs(rng, L, M), band=L) for _ in range(2))
+    s, t = (TangentField(grid, spec=banded_coeffs(rng, L, M, (2,), lmin=1), band=L) for _ in range(2))
+    low = h.with_band(3)
+    a = -1.7
+
+    def nodal(v):
+        return np.stack(v.components)
+
+    cases = {
+        "a * f": ((a * f).values, a * f.values),
+        "f + h": ((f + h).values, f.values + h.values),
+        "f - h": ((f - h).values, f.values - h.values),
+        "f + lower band": ((f + low).values, f.values + low.values),
+        "a * s": (nodal(a * s), a * nodal(s)),
+        "s + t": (nodal(s + t), nodal(s) + nodal(t)),
+        "s - t": (nodal(s - t), nodal(s) - nodal(t)),
+    }
+    for name, (got, ref) in cases.items():
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+    vals = f.values + 0.5
+    g = SphereField(grid, values=vals)
+    assert np.array_equal(g.values, vals)
+    np.testing.assert_array_equal(g.coeffs, analysis_batch(grid, vals, L))
+    tth, tph = nodal(s)
+    v = TangentField(grid, tth, tph, band=L)
+    assert all(np.array_equal(c, ref) for c, ref in zip(v.components, (tth, tph)))
+    np.testing.assert_array_equal(v.spec, tangent_analysis_batch(grid, tth, tph, L))
+
+
 def test_integrate_examples(grid):
     one = SphereField.constant(grid, 1.0)
     assert abs(integrate_sphere(one) - 4 * np.pi) < 1e-12

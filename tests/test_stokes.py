@@ -467,6 +467,30 @@ def test_solve_operators_are_read_only(solver):
             op[0, 0, 0] = 1.0
 
 
+def test_combine_sums_spectra_without_a_tangent_transform(vg, monkeypatch):
+    """YElement.combine of two rows whose h2 is held as a spectrum sums the
+    spectra: no tangent transform runs, and the sum equals the sum of the
+    two rows' components."""
+    from dataclasses import replace
+
+    from dropsteady import sphere
+
+    g, L = vg.sphere, vg.sphere.band_limit
+    rng = np.random.default_rng(4)
+    specs = rng.standard_normal((2, 2, L + 1, 2 * L + 1))
+    specs[..., 0, :] = 0.0  # no l = 0 tangent content
+    y1, y2 = (replace(YElement.zeros(vg), h2=TangentField(g, spec=sp, band=L)) for sp in specs)
+    calls = []
+    for name in ("tangent_analysis_batch", "tangent_synthesis_batch"):
+        fn = getattr(sphere, name)
+        monkeypatch.setattr(sphere, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    y = y1.combine(y2, 0.7, -1.3)
+    monkeypatch.undo()
+    assert calls == []
+    ref = sum(c * sphere.tangent_synthesis_batch(g, *sp, L) for c, sp in zip((0.7, -1.3), specs))
+    assert np.max(np.abs(np.stack(y.h2.components) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_zero_data_zero_solution(vg, solver):
     g = vg.sphere
     data = YElement(
