@@ -2,11 +2,12 @@
 
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dropsteady import dropflow, stokes
+from dropsteady import dropflow, sphere, stokes
 from dropsteady.sphere import (
     SphereField,
     SphereGrid,
@@ -471,10 +472,6 @@ def test_combine_sums_spectra_without_a_tangent_transform(vg, monkeypatch):
     """YElement.combine of two rows whose h2 is held as a spectrum sums the
     spectra: no tangent transform runs, and the sum equals the sum of the
     two rows' components."""
-    from dataclasses import replace
-
-    from dropsteady import sphere
-
     g, L = vg.sphere, vg.sphere.band_limit
     rng = np.random.default_rng(4)
     specs = rng.standard_normal((2, 2, L + 1, 2 * L + 1))
